@@ -180,6 +180,14 @@ int main(int argc, char** argv) {
     }
   }
   service::WorkloadCatalog catalog;
+  service::SessionOptions session_options;
+  session_options.record_traffic = config.verify;  // --verify is stdio-only
+  session_options.backend = config.backend;
+  session_options.batch = config.batch;
+  session_options.dilation = config.dilation;
+  session_options.depth_multiplier = config.depth_multiplier;
+  session_options.allow_unordered = !config.ordered;
+  session_options.busy_retry_ms = config.busy_retry_ms;
   int exit_code = 0;
 
   if (config.listen) {
@@ -196,13 +204,6 @@ int main(int argc, char** argv) {
     g_transport = &transport;
     std::signal(SIGINT, handle_stop_signal);
     std::signal(SIGTERM, handle_stop_signal);
-    service::SessionOptions session_options;
-    session_options.backend = config.backend;
-    session_options.batch = config.batch;
-    session_options.dilation = config.dilation;
-    session_options.depth_multiplier = config.depth_multiplier;
-    session_options.allow_unordered = !config.ordered;
-    session_options.busy_retry_ms = config.busy_retry_ms;
     transport.serve([&](service::Stream& stream) {
       service::Session(svc, catalog, session_options).serve(stream);
     });
@@ -211,20 +212,13 @@ int main(int argc, char** argv) {
     g_transport = nullptr;
   } else {
     // --- stdio mode: one session over stdin/stdout ------------------------
-    service::SessionOptions session_options;
-    session_options.record_traffic = config.verify;
-    session_options.backend = config.backend;
-    session_options.batch = config.batch;
-    session_options.dilation = config.dilation;
-    session_options.depth_multiplier = config.depth_multiplier;
-    session_options.allow_unordered = !config.ordered;
-    session_options.busy_retry_ms = config.busy_retry_ms;
     service::StdioStream stream(std::cin, std::cout);
     service::Session session(svc, catalog, session_options);
     const service::SessionStats stats = session.serve(stream);
 
     const service::CacheStats cache = svc.cache_stats();
-    std::cerr << "served " << stats.jobs.size() << " requests (" << cache.hits
+    // `runs` counts every run line; `jobs` is filled only under --verify.
+    std::cerr << "served " << stats.runs << " requests (" << cache.hits
               << " cache hits, " << cache.misses << " misses, "
               << cache.evictions << " evictions)\n";
 

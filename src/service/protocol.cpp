@@ -184,6 +184,17 @@ std::string Request::job_name() const {
   return network + "@" + std::to_string(seed);
 }
 
+core::SweepJob Request::job() const {
+  core::SweepJob job;
+  job.name = job_name();
+  job.config = config;
+  job.backend = backend;
+  job.batch = batch;
+  job.dilation = dilation;
+  job.depth_multiplier = depth_multiplier;
+  return job;
+}
+
 ParsedLine parse_request_line(const std::string& line,
                               const std::string& default_backend,
                               int default_batch, int default_dilation,

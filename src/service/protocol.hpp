@@ -59,7 +59,7 @@
 // The admission trio is echoed only when the service runs with a bounded
 // admission queue (max_queue > 0) - the same only-when-non-default rule
 // the outcome line uses for batch=, so every pre-admission stats line
-// stays byte-identical. The session layer (service/session.hpp) serves
+// stays byte-identical. The wire front (service/wire_front.hpp) serves
 // `stats` as a barrier - the reply reflects every preceding request of
 // the session, completed, and nothing submitted after it - so the line is
 // deterministic for a given request stream.
@@ -130,6 +130,11 @@ struct Request {
 
   /// Canonical job name: "<network>@<seed>" - what outcome lines echo.
   [[nodiscard]] std::string job_name() const;
+
+  /// The job this request names, without a workload: name, config,
+  /// backend, batch, and transforms set; the resolver points layers and
+  /// input at the materialized network.
+  [[nodiscard]] core::SweepJob job() const;
 };
 
 /// Most request lines one frame may carry. Far above any sane pipeline

@@ -46,18 +46,7 @@ ClusterRouter::ClusterRouter(RouterOptions options)
     : options_(std::move(options)), ring_(options_.replicas) {
   EDEA_REQUIRE(!options_.workers.empty(),
                "cluster router needs at least one worker");
-  EDEA_REQUIRE(core::backend_known(options_.backend),
-               "router default backend '" + options_.backend +
-                   "' is not registered (known: " +
-                   core::known_backends_string() + ")");
-  EDEA_REQUIRE(options_.batch >= 1, "router default batch must be >= 1, got " +
-                                        std::to_string(options_.batch));
-  EDEA_REQUIRE(options_.dilation >= 1,
-               "router default dilation must be >= 1, got " +
-                   std::to_string(options_.dilation));
-  EDEA_REQUIRE(options_.depth_multiplier >= 1,
-               "router default depth multiplier must be >= 1, got " +
-                   std::to_string(options_.depth_multiplier));
+  validate_wire_options(options_, "router");
   EDEA_REQUIRE(options_.max_attempts >= 1,
                "router max_attempts must be >= 1, got " +
                    std::to_string(options_.max_attempts));
@@ -91,9 +80,8 @@ bool ClusterRouter::mark_dead(const std::string& id) {
   return ring_.remove_node(id);
 }
 
-/// One routed client session. Mirrors Session::serve's structure - reader
-/// (this thread) + corking writer + slot queue - with the dispatch layer
-/// replaced by per-worker forwarding channels:
+/// One routed client session: the client's WireFront, dispatching every
+/// run line to a worker over per-worker forwarding channels:
 ///
 ///   channel     one ordered-mode connection to one worker, opened lazily
 ///               on first use, plus a reader thread matching its replies
@@ -109,33 +97,29 @@ bool ClusterRouter::mark_dead(const std::string& id) {
 ///               stolen by the death handler), so it is on at most one
 ///               worker at a time - the no-duplicates half of the failover
 ///               invariant; finalize-exactly-once is the no-loss half.
-class RouterSession {
+class RouterSession final : public WireFront::Dispatch {
  public:
   RouterSession(ClusterRouter& router, Stream& client)
       : router_(router),
         opt_(router.options_),
-        client_(client),
+        front_(client, opt_, stats_),
         rng_(opt_.backoff_seed) {}
 
-  RouterSessionStats run();
+  RouterSessionStats serve();
+
+  void submit(std::uint64_t id, const Request& request,
+              const std::string& line,
+              const WireFront::Reply& reply) override;
+  std::string stats_line() override;
+  void drained() override;
 
  private:
-  /// A reply slot; ordered mode queues it at submit time, unordered at
-  /// completion (same discipline as Session). Router slots are always
-  /// pre-formed text - worker replies arrive fully formatted.
-  struct Slot {
-    std::uint64_t id = 0;
-    bool ready = false;
-    std::string text;
-  };
-
   struct Pending {
     Request request;       ///< for rerouting and give-up error lines
     std::string raw_line;  ///< forwarded verbatim on every attempt
-    std::shared_ptr<Slot> slot;
+    WireFront::Reply reply;
     int attempts = 0;  ///< forwarding attempts consumed (sends + failed
                        ///< connects)
-    bool unordered = false;  ///< reply framing at submit time
   };
 
   struct Channel {
@@ -149,11 +133,11 @@ class RouterSession {
     bool broken = false;  ///< guarded by mutex_; death handled once
   };
 
-  void push_text(std::uint64_t id, std::string text);
   void finalize_line_locked(std::uint64_t id, std::string payload,
                             bool self_identifying);
   void finalize_error_locked(std::uint64_t id, const std::string& message);
   void schedule_retry_locked(std::uint64_t id, std::int64_t delay_ms);
+  void pump_retries();
   void resend(std::uint64_t id);
   bool send_run(Channel* channel, std::uint64_t id);
   void send_stats(Channel* channel);
@@ -163,23 +147,16 @@ class RouterSession {
   /// desync - wire corruption, treated as a worker death.
   bool handle_reply(Channel* channel, const std::string& line);
   void handle_channel_death(Channel* channel);
-  void serve_stats(std::uint64_t id, bool unordered);
 
   ClusterRouter& router_;
   const RouterOptions& opt_;
-  Stream& client_;
   RouterSessionStats stats_;
+  WireFront front_;
 
   std::mutex mutex_;
-  std::condition_variable queue_cv_;  // writer waits for a ready head
-  std::condition_variable done_cv_;   // reader waits for outstanding == 0
   std::condition_variable retry_cv_;  // retry pump waits for due work
   std::condition_variable fan_cv_;    // stats barrier waits for replies
-  std::deque<std::shared_ptr<Slot>> queue_;
   std::unordered_map<std::uint64_t, Pending> pending_;
-  std::uint64_t outstanding_ = 0;
-  bool finished_ = false;
-  bool stream_broken_ = false;
   bool closing_ = false;     ///< clean shutdown: channel EOFs are not deaths
   bool stop_retry_ = false;  ///< retry pump may exit once retries_ drains
   std::vector<std::pair<Clock::time_point, std::uint64_t>> retries_;
@@ -193,52 +170,27 @@ class RouterSession {
 
   std::mutex channels_mutex_;  ///< serializes channel creation/lookup
   std::map<std::string, std::unique_ptr<Channel>> channels_;
-};
 
-void RouterSession::push_text(std::uint64_t id, std::string text) {
-  auto slot = std::make_shared<Slot>();
-  slot->id = id;
-  slot->ready = true;
-  slot->text = std::move(text);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(slot));
-  }
-  queue_cv_.notify_one();
-}
+  std::thread pump_;  ///< the retry pump; joined in drained()
+};
 
 void RouterSession::finalize_line_locked(std::uint64_t id, std::string payload,
                                          bool self_identifying) {
   const auto it = pending_.find(id);
   EDEA_ASSERT(it != pending_.end(),
               "router finalized request " + std::to_string(id) + " twice");
-  Pending pending = std::move(it->second);
+  const WireFront::Reply reply = std::move(it->second.reply);
   pending_.erase(it);
-  if (pending.unordered && !self_identifying) {
-    payload = format_unordered_line(id, payload);
-  }
-  pending.slot->text = std::move(payload);
-  pending.slot->ready = true;
-  if (pending.unordered) queue_.push_back(pending.slot);
-  --outstanding_;
-  // Notify while holding the mutex - same condition-variable lifetime
-  // reasoning as Session's completion callback.
-  queue_cv_.notify_one();
-  done_cv_.notify_all();
+  front_.finish(reply, std::move(payload), self_identifying);
 }
 
 void RouterSession::finalize_error_locked(std::uint64_t id,
                                           const std::string& message) {
-  const Request& request = pending_.at(id).request;
-  core::SweepOutcome failed;
-  failed.name = request.job_name();
-  failed.config = request.config;
-  failed.backend = request.backend;
-  failed.batch = request.batch;
-  failed.dilation = request.dilation;
-  failed.depth_multiplier = request.depth_multiplier;
-  failed.error = message;
-  finalize_line_locked(id, format_outcome_line(failed), false);
+  finalize_line_locked(
+      id,
+      format_outcome_line(failed_outcome(pending_.at(id).request.job(),
+                                         message)),
+      false);
 }
 
 void RouterSession::schedule_retry_locked(std::uint64_t id,
@@ -436,13 +388,13 @@ void RouterSession::handle_channel_death(Channel* channel) {
   }
 }
 
-void RouterSession::serve_stats(std::uint64_t id, bool unordered) {
-  // Cluster barrier: every preceding request has finalized, so each
-  // worker has completed (and replied to) everything this session sent
-  // it - their counters are quiescent with respect to this session.
+std::string RouterSession::stats_line() {
+  // Cluster barrier: the front asks only once every preceding request has
+  // finalized, so each worker has completed (and replied to) everything
+  // this session sent it - their counters are quiescent with respect to
+  // this session.
   {
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [&] { return outstanding_ == 0; });
+    const std::lock_guard<std::mutex> lock(mutex_);
     fan_.awaiting = 0;
     fan_.collected.clear();
   }
@@ -462,221 +414,80 @@ void RouterSession::serve_stats(std::uint64_t id, bool unordered) {
     }
     send_stats(channel);
   }
-  std::string line;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    fan_cv_.wait(lock, [&] { return fan_.awaiting == 0; });
-    // Deterministic merge: sum in sorted worker order. Addition commutes,
-    // but the order is part of the contract so future non-commutative
-    // fields (or debugging output) stay reproducible.
-    std::sort(fan_.collected.begin(), fan_.collected.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    CacheStats merged;
-    for (const auto& [worker_id, shard] : fan_.collected) {
-      merged.hits += shard.hits;
-      merged.misses += shard.misses;
-      merged.evictions += shard.evictions;
-      merged.entries += shard.entries;
-      merged.in_flight += shard.in_flight;
-      merged.queued += shard.queued;
-      merged.rejected += shard.rejected;
-      merged.peak_queue += shard.peak_queue;
-      merged.max_queue += shard.max_queue;  // presence flag: any shard
-    }
-    line = format_stats_line(merged);
+  std::unique_lock<std::mutex> lock(mutex_);
+  fan_cv_.wait(lock, [&] { return fan_.awaiting == 0; });
+  // Deterministic merge: sum in sorted worker order. Addition commutes,
+  // but the order is part of the contract so future non-commutative
+  // fields (or debugging output) stay reproducible.
+  std::sort(fan_.collected.begin(), fan_.collected.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  CacheStats merged;
+  for (const auto& [worker_id, shard] : fan_.collected) {
+    merged.hits += shard.hits;
+    merged.misses += shard.misses;
+    merged.evictions += shard.evictions;
+    merged.entries += shard.entries;
+    merged.in_flight += shard.in_flight;
+    merged.queued += shard.queued;
+    merged.rejected += shard.rejected;
+    merged.peak_queue += shard.peak_queue;
+    merged.max_queue += shard.max_queue;  // presence flag: any shard
   }
-  if (unordered) line = format_unordered_line(id, line);
-  push_text(id, std::move(line));
+  return format_stats_line(merged);
 }
 
-RouterSessionStats RouterSession::run() {
-  std::thread writer([&] {
-    std::vector<std::shared_ptr<Slot>> drained;
-    std::vector<std::string> batch;
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        queue_cv_.wait(lock, [&] {
-          return (!queue_.empty() && queue_.front()->ready) ||
-                 (finished_ && queue_.empty());
-        });
-        if (queue_.empty()) return;  // finished, everything written
-        // Cork every consecutively ready reply into one send, exactly
-        // like Session's writer - a pending head (ordered mode, shard
-        // still working) ends the batch.
-        while (!queue_.empty() && queue_.front()->ready) {
-          drained.push_back(std::move(queue_.front()));
-          queue_.pop_front();
-        }
-      }
-      for (const std::shared_ptr<Slot>& slot : drained) {
-        batch.push_back(std::move(slot->text));
-      }
-      drained.clear();
-      bool broken;
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        broken = stream_broken_;
-      }
-      if (!broken) {
-        if (client_.write_lines(batch)) {
-          stats_.responses_written += batch.size();
-        } else {
-          const std::lock_guard<std::mutex> lock(mutex_);
-          stream_broken_ = true;
-        }
-      }
-      batch.clear();
-    }
-  });
-
-  std::thread pump([&] {
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-      if (retries_.empty()) {
-        if (stop_retry_) return;
-        retry_cv_.wait(lock);
-        continue;
-      }
-      const auto earliest = std::min_element(
-          retries_.begin(), retries_.end(),
-          [](const auto& a, const auto& b) { return a.first < b.first; });
-      if (Clock::now() >= earliest->first) {
-        const std::uint64_t id = earliest->second;
-        retries_.erase(earliest);
-        lock.unlock();
-        resend(id);
-        lock.lock();
-      } else {
-        retry_cv_.wait_until(lock, earliest->first);
-      }
-    }
-  });
-
-  bool unordered = false;
-  bool in_frame = false;
-  int frame_expected = 0;
-  int frame_seen = 0;
-
-  std::string raw;
-  while (client_.read_line(raw)) {
-    ParsedLine parsed = parse_request_line(raw, opt_.backend, opt_.batch,
-                                           opt_.dilation,
-                                           opt_.depth_multiplier);
-    if (parsed.kind == ParsedLine::Kind::kEmpty) continue;
-
-    // Frame bookkeeping, byte-identical to Session::serve: frames are a
-    // client-to-router transport hint and never travel to workers.
-    if (in_frame) {
-      if (parsed.kind == ParsedLine::Kind::kBatchEnd) {
-        if (frame_seen < frame_expected) {
-          parsed.kind = ParsedLine::Kind::kError;
-          parsed.error = "batch-end after " + std::to_string(frame_seen) +
-                         " of " + std::to_string(frame_expected) +
-                         " frame lines";
-        }
-        in_frame = false;
-        if (parsed.kind == ParsedLine::Kind::kBatchEnd) continue;
-      } else if (frame_seen >= frame_expected) {
-        parsed.kind = ParsedLine::Kind::kError;
-        parsed.error = "expected batch-end after " +
-                       std::to_string(frame_expected) +
-                       " frame lines, got '" + raw + "'";
-        in_frame = false;
-      } else {
-        ++frame_seen;
-        if (parsed.kind == ParsedLine::Kind::kBatchBegin) {
-          parsed.kind = ParsedLine::Kind::kError;
-          parsed.error = "nested batch-begin inside a frame";
-        }
-      }
-    } else if (parsed.kind == ParsedLine::Kind::kBatchBegin) {
-      in_frame = true;
-      frame_expected = parsed.frame_size;
-      frame_seen = 0;
-      ++stats_.frames;
-      continue;
-    } else if (parsed.kind == ParsedLine::Kind::kBatchEnd) {
-      parsed.kind = ParsedLine::Kind::kError;
-      parsed.error = "batch-end outside a frame";
-    }
-
-    const std::uint64_t id = ++stats_.requests;
-
-    switch (parsed.kind) {
-      case ParsedLine::Kind::kError: {
-        ++stats_.protocol_errors;
-        std::string line = "protocol-error " + parsed.error;
-        if (unordered) line = format_unordered_line(id, line);
-        push_text(id, std::move(line));
-        break;
-      }
-      case ParsedLine::Kind::kMode: {
-        unordered = parsed.unordered && opt_.allow_unordered;
-        std::string line = unordered ? "mode unordered" : "mode ordered";
-        if (unordered) line = format_unordered_line(id, line);
-        push_text(id, std::move(line));
-        break;
-      }
-      case ParsedLine::Kind::kStats: {
-        serve_stats(id, unordered);
-        break;
-      }
-      case ParsedLine::Kind::kRun: {
-        ++stats_.runs;
-        auto slot = std::make_shared<Slot>();
-        slot->id = id;
-        {
-          const std::lock_guard<std::mutex> lock(mutex_);
-          ++outstanding_;
-          Pending pending;
-          pending.request = parsed.request;
-          pending.raw_line = raw;
-          pending.slot = slot;
-          pending.unordered = unordered;
-          pending_.emplace(id, std::move(pending));
-          if (!unordered) queue_.push_back(std::move(slot));
-        }
-        // The initial send is attempt 1 of the same bounded loop re-sends
-        // use - routing, connecting, and failure handling are one path.
-        resend(id);
-        break;
-      }
-      case ParsedLine::Kind::kEmpty:
-      case ParsedLine::Kind::kBatchBegin:
-      case ParsedLine::Kind::kBatchEnd:
-        break;  // unreachable; handled above
-    }
-  }
-
-  // EOF inside a frame - same truncation report as Session::serve.
-  if (in_frame) {
-    const std::uint64_t id = ++stats_.requests;
-    ++stats_.protocol_errors;
-    std::string line = "protocol-error batch frame truncated: got " +
-                       std::to_string(frame_seen) + " of " +
-                       std::to_string(frame_expected) +
-                       " lines before EOF (missing batch-end)";
-    if (unordered) line = format_unordered_line(id, line);
-    push_text(id, std::move(line));
-  }
-
-  // Drain: every forwarded request finalizes (reply, busy give-up, or
-  // error line) before shutdown - retries keep pumping until then, so a
-  // mid-drain worker death still reroutes rather than losing replies.
+void RouterSession::submit(std::uint64_t id, const Request& request,
+                           const std::string& line,
+                           const WireFront::Reply& reply) {
   {
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [&] { return outstanding_ == 0; });
+    const std::lock_guard<std::mutex> lock(mutex_);
+    pending_.emplace(id, Pending{request, line, reply});
+  }
+  // The initial send is attempt 1 of the same bounded loop re-sends use -
+  // routing, connecting, and failure handling are one path.
+  resend(id);
+}
+
+void RouterSession::pump_retries() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    if (retries_.empty()) {
+      if (stop_retry_) return;
+      retry_cv_.wait(lock);
+      continue;
+    }
+    const auto earliest = std::min_element(
+        retries_.begin(), retries_.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    if (Clock::now() >= earliest->first) {
+      const std::uint64_t id = earliest->second;
+      retries_.erase(earliest);
+      lock.unlock();
+      resend(id);
+      lock.lock();
+    } else {
+      retry_cv_.wait_until(lock, earliest->first);
+    }
+  }
+}
+
+void RouterSession::drained() {
+  // Every forwarded request has finalized (reply, busy give-up, or error
+  // line) - retries kept pumping until then, so a mid-drain worker death
+  // still rerouted rather than losing replies.
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
     stop_retry_ = true;
     closing_ = true;
   }
   retry_cv_.notify_all();
-  pump.join();
+  pump_.join();
 
   // Half-close every channel; each worker session drains and closes, the
   // channel reader sees EOF and exits (not a death - `closing_` is set
   // and the FIFOs are empty). No lock needed for the joins: channels are
-  // only created by this thread and the (now joined) retry pump.
+  // only created by the front's reader thread and the (now joined) retry
+  // pump.
   {
     const std::lock_guard<std::mutex> lock(channels_mutex_);
     for (auto& [worker_id, channel] : channels_) {
@@ -686,19 +497,17 @@ RouterSessionStats RouterSession::run() {
   for (auto& [worker_id, channel] : channels_) {
     channel->reader.join();
   }
+}
 
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    finished_ = true;
-  }
-  queue_cv_.notify_all();
-  writer.join();
+RouterSessionStats RouterSession::serve() {
+  pump_ = std::thread([this] { pump_retries(); });
+  front_.serve(*this);
   return stats_;
 }
 
 RouterSessionStats ClusterRouter::serve(Stream& stream) {
   RouterSession session(*this, stream);
-  return session.run();
+  return session.serve();
 }
 
 std::size_t merge_cache_files(const std::vector<std::string>& shard_paths,

@@ -19,9 +19,10 @@
 //                   repeated key lands on the same worker, so the cluster's
 //                   hit/miss/coalescing pattern equals the single process's,
 //                   and replies are emitted in request-id order regardless
-//                   of which shard produced them. Protocol errors, mode
-//                   echoes, and frame violations are answered locally with
-//                   the identical code paths a Session uses.
+//                   of which shard produced them. The client-facing wire -
+//                   protocol errors, mode echoes, frame violations, reply
+//                   slots, the corking writer - is the same WireFront a
+//                   Session runs (service/wire_front.hpp), not a copy.
 //
 //   merged stats    `stats` is a cluster barrier: after every preceding
 //                   request completes, the router fans `stats` out to every
@@ -63,9 +64,9 @@
 #include <string>
 #include <vector>
 
-#include "core/backend.hpp"
 #include "service/hash_ring.hpp"
 #include "service/protocol.hpp"
+#include "service/wire_front.hpp"
 
 namespace edea::service {
 
@@ -81,26 +82,17 @@ struct WorkerEndpoint {
   std::uint16_t port = 0;
 };
 
-/// Configuration of a ClusterRouter.
-struct RouterOptions {
+/// Configuration of a ClusterRouter: the client-facing wire defaults
+/// (WireOptions, exactly like a Session's - what `run` lines resolve to
+/// without a backend= / batch= / dilation= / depth_multiplier= key, and
+/// whether `mode unordered` is honored; the request defaults must match
+/// the workers' flags, see the operator contract above) plus routing.
+struct RouterOptions : WireOptions {
   /// Worker membership at startup. At least one; ids must be unique.
   std::vector<WorkerEndpoint> workers;
 
   /// Virtual nodes per worker on the hash ring (--replicas).
   int replicas = HashRing::kDefaultReplicas;
-
-  /// Request-parse defaults, mirroring SessionOptions: what `run` lines
-  /// resolve to when they carry no backend= / batch= / dilation= /
-  /// depth_multiplier= key. Must match the workers' flags (see the
-  /// operator contract above).
-  std::string backend = std::string(core::kDefaultBackendId);
-  int batch = 1;
-  int dilation = 1;
-  int depth_multiplier = 1;
-
-  /// Whether client `mode unordered` requests are honored (--ordered
-  /// pins ordered, exactly like the server flag).
-  bool allow_unordered = true;
 
   /// Forwarding attempts per request (initial send + re-sends after
   /// worker death or busy replies) before the router gives up and
@@ -119,13 +111,9 @@ struct RouterOptions {
   std::uint64_t backoff_seed = 0x726f757465726267ull;
 };
 
-/// Counters of one routed client session (ClusterRouter::serve call).
-struct RouterSessionStats {
-  std::uint64_t requests = 0;        ///< answered lines (ids consumed)
-  std::uint64_t runs = 0;            ///< `run` lines forwarded
-  std::uint64_t protocol_errors = 0;
-  std::uint64_t frames = 0;          ///< well-formed batch frames opened
-  std::uint64_t responses_written = 0;
+/// Counters of one routed client session (ClusterRouter::serve call): the
+/// front's wire counters plus the routing ones.
+struct RouterSessionStats : WireStats {
   std::uint64_t forwarded = 0;       ///< lines sent to workers, incl. re-sends
   std::uint64_t retries = 0;         ///< re-sends (busy + failover)
   std::uint64_t busy_replies = 0;    ///< busy lines received from workers
@@ -150,7 +138,7 @@ class ClusterRouter {
   explicit ClusterRouter(RouterOptions options);
 
   /// Serves one client session over `stream` until EOF, routing its
-  /// requests across the live workers. Mirrors Session::serve.
+  /// requests across the live workers. Same wire as Session::serve.
   RouterSessionStats serve(Stream& stream);
 
   /// Ids of workers still on the ring, sorted.

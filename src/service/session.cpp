@@ -1,13 +1,10 @@
 #include "service/session.hpp"
 
-#include <condition_variable>
-#include <deque>
+#include <optional>
 #include <stdexcept>
-#include <thread>
 
 #include "nn/model_zoo.hpp"
 #include "service/protocol.hpp"
-#include "service/transport.hpp"
 #include "util/check.hpp"
 #include "util/random.hpp"
 
@@ -28,36 +25,93 @@ nn::Int8Tensor random_input(const nn::DscLayerSpec& spec, std::uint64_t seed) {
   return input;
 }
 
-/// One reply slot. Ordered mode queues the slot at submit time (reserving
-/// its place in id order) and the completion callback fills it; unordered
-/// mode keeps the slot off the queue until its line is ready, so the queue
-/// position *is* the completion order. Shared ownership: the reader, the
-/// queue, and the service callback may each hold the slot.
-struct Slot {
-  std::uint64_t id = 0;
-  bool ready = false;
-  /// Pre-formed line (protocol errors, mode echoes, stats, busy). Unused
-  /// when `has_outcome` is set.
-  std::string text;
-  /// Run completions park the outcome itself and let the writer thread
-  /// render it: formatting a reply line costs a couple of microseconds
-  /// of string building, and on the reader thread (where completion
-  /// callbacks run for cache hits) it was a measurable slice of the
-  /// per-request budget that bounds pipelined throughput. The writer has
-  /// slack - it spends its time corking and sending.
-  bool has_outcome = false;
-  bool unordered = false;  ///< frame the rendered line with `id=<n> `
-  core::SweepOutcome outcome;
-};
+/// A Session's dispatch behind its WireFront: resolve the workload,
+/// submit the job, and finish the reply from the completion callback -
+/// or answer busy / an error outcome in the slot instead.
+class SessionDispatch final : public WireFront::Dispatch {
+ public:
+  SessionDispatch(SimulationService& service, WorkloadCatalog& catalog,
+                  const SessionOptions& options, SessionStats& stats,
+                  WireFront& front)
+      : service_(service),
+        catalog_(catalog),
+        options_(options),
+        stats_(stats),
+        front_(front),
+        session_id_(service.new_session_id()) {}
 
-/// Renders a drained slot into its wire line. Must run outside the
-/// session mutex - see Slot::has_outcome.
-std::string render_slot(Slot& slot) {
-  if (!slot.has_outcome) return std::move(slot.text);
-  std::string line = format_outcome_line(slot.outcome);
-  if (slot.unordered) line = format_unordered_line(slot.id, line);
-  return line;
-}
+  void submit(std::uint64_t id, const Request& request,
+              const std::string& /*line*/,
+              const WireFront::Reply& reply) override {
+    std::optional<std::size_t> record;
+    Admission verdict = Admission::kAdmitted;
+    try {
+      const WorkloadCatalog::Workload& workload =
+          catalog_.resolve(request.network, request.seed, request.dilation,
+                           request.depth_multiplier);
+      core::SweepJob job = request.job();
+      job.layers = &workload.layers;
+      job.input = &workload.input;
+      job.fingerprint = workload.fingerprint;
+      if (options_.record_traffic) {
+        const std::lock_guard<std::mutex> lock(record_mutex_);
+        stats_.jobs.push_back(job);
+        stats_.outcomes.resize(stats_.jobs.size());
+        record = stats_.jobs.size() - 1;
+      }
+      verdict = service_.submit_streaming(
+          std::move(job), session_id_,
+          [this, reply, record](core::SweepOutcome outcome) {
+            if (record) {
+              // Recording copies - only the --verify gate pays for it.
+              const std::lock_guard<std::mutex> lock(record_mutex_);
+              stats_.outcomes[*record] = outcome;
+            }
+            // The session may be gone once the reply is finished: this
+            // is the callback's last touch of it.
+            front_.finish(reply, std::move(outcome));
+          });
+    } catch (const std::exception& e) {
+      // Unresolvable network (or a submit-side failure, always before the
+      // callback was registered): answer an error outcome line in this
+      // request's slot. Not recorded - there is no job a verifier could
+      // replay.
+      unrecord(record);
+      front_.finish(reply, format_outcome_line(
+                               failed_outcome(request.job(), e.what())));
+      return;
+    }
+    if (verdict == Admission::kBusy) {
+      // The slot answers busy instead; the callback will never run.
+      ++stats_.busy_replies;
+      unrecord(record);
+      front_.finish(reply, format_busy_line(id, options_.busy_retry_ms),
+                    /*self_identifying=*/true);
+    }
+  }
+
+  std::string stats_line() override {
+    return format_stats_line(service_.cache_stats());
+  }
+
+ private:
+  /// Drops a recorded job that will never have an outcome, keeping
+  /// jobs/outcomes aligned for the --verify replay.
+  void unrecord(std::optional<std::size_t> record) {
+    if (!record) return;
+    const std::lock_guard<std::mutex> lock(record_mutex_);
+    stats_.jobs.pop_back();
+    stats_.outcomes.resize(stats_.jobs.size());
+  }
+
+  SimulationService& service_;
+  WorkloadCatalog& catalog_;
+  const SessionOptions& options_;
+  SessionStats& stats_;
+  WireFront& front_;
+  const std::uint64_t session_id_;
+  std::mutex record_mutex_;  ///< guards the traffic vectors of stats_
+};
 
 }  // namespace
 
@@ -98,19 +152,7 @@ const WorkloadCatalog::Workload& WorkloadCatalog::resolve(
 Session::Session(SimulationService& service, WorkloadCatalog& catalog,
                  SessionOptions options)
     : service_(service), catalog_(catalog), options_(std::move(options)) {
-  EDEA_REQUIRE(core::backend_known(options_.backend),
-               "session default backend '" + options_.backend +
-                   "' is not registered (known: " +
-                   core::known_backends_string() + ")");
-  EDEA_REQUIRE(options_.batch >= 1,
-               "session default batch must be >= 1, got " +
-                   std::to_string(options_.batch));
-  EDEA_REQUIRE(options_.dilation >= 1,
-               "session default dilation must be >= 1, got " +
-                   std::to_string(options_.dilation));
-  EDEA_REQUIRE(options_.depth_multiplier >= 1,
-               "session default depth multiplier must be >= 1, got " +
-                   std::to_string(options_.depth_multiplier));
+  validate_wire_options(options_, "session");
   EDEA_REQUIRE(options_.busy_retry_ms >= 1,
                "session busy_retry_ms must be >= 1, got " +
                    std::to_string(options_.busy_retry_ms));
@@ -118,331 +160,9 @@ Session::Session(SimulationService& service, WorkloadCatalog& catalog,
 
 SessionStats Session::serve(Stream& stream) {
   SessionStats stats;
-  const std::uint64_t session_id = service_.new_session_id();
-
-  // Reply slots. Ordered mode: slots are queued at submit time and filled
-  // by completion callbacks, so the queue is in request-id order and the
-  // writer stalls on the first pending slot. Unordered mode: slots are
-  // queued ready by the callbacks themselves, so the queue is in
-  // completion order. The writer corks every consecutively ready slot
-  // into one write_lines call - frames drain in a handful of sends.
-  std::mutex mutex;
-  std::condition_variable queue_cv;  // writer waits for a ready head
-  std::condition_variable done_cv;   // reader waits for outstanding == 0
-  std::deque<std::shared_ptr<Slot>> queue;
-  std::uint64_t outstanding = 0;  // submitted runs not yet completed
-  bool finished = false;          // reader exhausted + drained
-  bool stream_broken = false;
-
-  /// Pushes an already-formed line (protocol errors, mode echoes, stats,
-  /// busy, unresolved networks) as a ready slot.
-  const auto push_text = [&](std::uint64_t id, std::string text) {
-    auto slot = std::make_shared<Slot>();
-    slot->id = id;
-    slot->ready = true;
-    slot->text = std::move(text);
-    {
-      const std::lock_guard<std::mutex> lock(mutex);
-      queue.push_back(std::move(slot));
-    }
-    queue_cv.notify_one();
-  };
-
-  std::thread writer([&] {
-    std::vector<std::shared_ptr<Slot>> drained;
-    std::vector<std::string> batch;
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(mutex);
-        queue_cv.wait(lock, [&] {
-          return (!queue.empty() && queue.front()->ready) ||
-                 (finished && queue.empty());
-        });
-        if (queue.empty()) return;  // finished, everything written
-        // Cork: take every consecutively ready reply in one drain. A
-        // pending slot (ordered mode, simulation still running) ends the
-        // batch - its successors must not overtake it. Slots are popped
-        // here and rendered below, outside the lock: a ready slot has no
-        // writer but this thread.
-        while (!queue.empty() && queue.front()->ready) {
-          drained.push_back(std::move(queue.front()));
-          queue.pop_front();
-        }
-      }
-      for (const std::shared_ptr<Slot>& slot : drained) {
-        batch.push_back(render_slot(*slot));
-      }
-      drained.clear();
-      // A broken peer must not wedge the session: completions keep
-      // arriving (service bookkeeping finishes regardless), writing stops.
-      bool broken;
-      {
-        const std::lock_guard<std::mutex> lock(mutex);
-        broken = stream_broken;
-      }
-      if (!broken) {
-        if (stream.write_lines(batch)) {
-          stats.responses_written += batch.size();
-        } else {
-          const std::lock_guard<std::mutex> lock(mutex);
-          stream_broken = true;
-        }
-      }
-      batch.clear();
-    }
-  });
-
-  // Reply framing mode. Owned by the reader; completion callbacks capture
-  // the value in effect when their request arrived, so a mid-stream switch
-  // never reframes replies already in flight.
-  bool unordered = false;
-  // Frame state machine: outside any frame, or inside one with
-  // `frame_seen` of `frame_expected` answering lines consumed.
-  bool in_frame = false;
-  int frame_expected = 0;
-  int frame_seen = 0;
-
-  std::string raw;
-  while (stream.read_line(raw)) {
-    ParsedLine parsed =
-        parse_request_line(raw, options_.backend, options_.batch,
-                           options_.dilation, options_.depth_multiplier);
-    if (parsed.kind == ParsedLine::Kind::kEmpty) continue;
-
-    // Frame bookkeeping happens before the line is answered: control
-    // lines open/close the frame (well-formed ones answer nothing), every
-    // other line inside a frame consumes one of its declared slots.
-    if (in_frame) {
-      if (parsed.kind == ParsedLine::Kind::kBatchEnd) {
-        if (frame_seen < frame_expected) {
-          parsed.kind = ParsedLine::Kind::kError;
-          parsed.error = "batch-end after " + std::to_string(frame_seen) +
-                         " of " + std::to_string(frame_expected) +
-                         " frame lines";
-        }
-        in_frame = false;  // well-formed or not, the frame is over
-        if (parsed.kind == ParsedLine::Kind::kBatchEnd) continue;
-      } else if (frame_seen >= frame_expected) {
-        // The declared count is exhausted; only batch-end may follow.
-        parsed.kind = ParsedLine::Kind::kError;
-        parsed.error = "expected batch-end after " +
-                       std::to_string(frame_expected) +
-                       " frame lines, got '" + raw + "'";
-        in_frame = false;  // error recovery: drop the frame state
-      } else {
-        ++frame_seen;
-        if (parsed.kind == ParsedLine::Kind::kBatchBegin) {
-          parsed.kind = ParsedLine::Kind::kError;
-          parsed.error = "nested batch-begin inside a frame";
-        }
-      }
-    } else if (parsed.kind == ParsedLine::Kind::kBatchBegin) {
-      in_frame = true;
-      frame_expected = parsed.frame_size;
-      frame_seen = 0;
-      ++stats.frames;
-      continue;  // well-formed frame control: no reply, no id
-    } else if (parsed.kind == ParsedLine::Kind::kBatchEnd) {
-      parsed.kind = ParsedLine::Kind::kError;
-      parsed.error = "batch-end outside a frame";
-    }
-
-    const std::uint64_t id = ++stats.requests;
-
-    switch (parsed.kind) {
-      case ParsedLine::Kind::kError: {
-        ++stats.protocol_errors;
-        std::string line = "protocol-error " + parsed.error;
-        if (unordered) line = format_unordered_line(id, line);
-        push_text(id, std::move(line));
-        break;
-      }
-      case ParsedLine::Kind::kMode: {
-        // The reply states the mode now in effect, formatted in that
-        // mode - a refused switch (server --ordered) answers a bare
-        // `mode ordered`.
-        unordered = parsed.unordered && options_.allow_unordered;
-        std::string line = unordered ? "mode unordered" : "mode ordered";
-        if (unordered) line = format_unordered_line(id, line);
-        push_text(id, std::move(line));
-        break;
-      }
-      case ParsedLine::Kind::kStats: {
-        // Barrier: wait until every preceding submission has completed,
-        // then snapshot. The FIFO queue keeps the line in wire order, so
-        // the bytes match the historical written-through barrier exactly -
-        // the reader just no longer stalls until the line is on the wire.
-        {
-          std::unique_lock<std::mutex> lock(mutex);
-          done_cv.wait(lock, [&] { return outstanding == 0; });
-        }
-        std::string line = format_stats_line(service_.cache_stats());
-        if (unordered) line = format_unordered_line(id, line);
-        push_text(id, std::move(line));
-        break;
-      }
-      case ParsedLine::Kind::kRun: {
-        ++stats.runs;
-        const Request& request = parsed.request;
-        const bool framed_unordered = unordered;
-        bool recorded = false;
-        std::size_t record_index = 0;
-        std::shared_ptr<Slot> slot;
-        bool slot_queued = false;
-        bool counted_outstanding = false;
-        try {
-          const WorkloadCatalog::Workload& workload =
-              catalog_.resolve(request.network, request.seed,
-                               request.dilation, request.depth_multiplier);
-          core::SweepJob job;
-          job.name = request.job_name();
-          job.config = request.config;
-          job.backend = request.backend;
-          job.batch = request.batch;
-          job.dilation = request.dilation;
-          job.depth_multiplier = request.depth_multiplier;
-          job.layers = &workload.layers;
-          job.input = &workload.input;
-          job.fingerprint = workload.fingerprint;
-          if (options_.record_traffic) {
-            stats.jobs.push_back(job);
-            record_index = stats.jobs.size() - 1;
-            recorded = true;
-            const std::lock_guard<std::mutex> lock(mutex);
-            stats.outcomes.resize(stats.jobs.size());
-          }
-
-          slot = std::make_shared<Slot>();
-          slot->id = id;
-          {
-            const std::lock_guard<std::mutex> lock(mutex);
-            ++outstanding;
-            counted_outstanding = true;
-            if (!framed_unordered) {
-              queue.push_back(slot);
-              slot_queued = true;
-            }
-          }
-          const bool record = recorded;
-          auto callback = [&, slot, framed_unordered, record,
-                           record_index](core::SweepOutcome outcome) {
-            {
-              const std::lock_guard<std::mutex> lock(mutex);
-              // Park the outcome; the writer thread renders the line
-              // (see Slot::has_outcome). Recording copies - only the
-              // --verify gate pays for it.
-              if (record) stats.outcomes[record_index] = outcome;
-              slot->outcome = std::move(outcome);
-              slot->has_outcome = true;
-              slot->unordered = framed_unordered;
-              slot->ready = true;
-              if (framed_unordered) queue.push_back(slot);
-              --outstanding;
-              // Notify while still holding the mutex. This callback runs
-              // on a pool runner thread; with the notify outside the
-              // lock, the reader's drain wait can observe
-              // outstanding == 0 (woken by an earlier completion), return
-              // from serve(), and destroy these condition variables while
-              // this thread is still inside notify - a use-after-free
-              // that crashes in pthread_cond_broadcast. Holding the lock
-              // orders the notify strictly before the drain's wake-up.
-              queue_cv.notify_one();
-              done_cv.notify_all();
-            }
-          };
-
-          const Admission verdict = service_.submit_streaming(
-              std::move(job), session_id, std::move(callback));
-          if (verdict == Admission::kBusy) {
-            // The slot answers busy instead; the callback will never run.
-            ++stats.busy_replies;
-            {
-              const std::lock_guard<std::mutex> lock(mutex);
-              --outstanding;
-              slot->text = format_busy_line(id, options_.busy_retry_ms);
-              slot->ready = true;
-              if (framed_unordered) queue.push_back(slot);
-              if (recorded) {
-                // No outcome will ever exist - keep jobs/outcomes aligned
-                // for the --verify replay.
-                stats.jobs.pop_back();
-                stats.outcomes.resize(stats.jobs.size());
-                recorded = false;
-              }
-            }
-            queue_cv.notify_one();
-            done_cv.notify_all();
-          }
-        } catch (const std::exception& e) {
-          // Unresolvable network (or a submit-side failure): answer an
-          // error outcome line in this request's slot. Not recorded as
-          // traffic - there is no job a verifier could replay.
-          core::SweepOutcome unresolved;
-          unresolved.name = request.job_name();
-          unresolved.config = request.config;
-          unresolved.backend = request.backend;
-          unresolved.batch = request.batch;
-          unresolved.dilation = request.dilation;
-          unresolved.depth_multiplier = request.depth_multiplier;
-          unresolved.error = e.what();
-          std::string line = format_outcome_line(unresolved);
-          if (framed_unordered) line = format_unordered_line(id, line);
-          {
-            const std::lock_guard<std::mutex> lock(mutex);
-            if (recorded) {
-              stats.jobs.pop_back();
-              stats.outcomes.resize(stats.jobs.size());
-            }
-            if (counted_outstanding) --outstanding;
-            if (slot_queued) {
-              // The ordered slot already holds this id's queue position
-              // (submit_streaming threw after it was reserved) - fill it
-              // rather than wedging the writer on a forever-pending head.
-              slot->text = std::move(line);
-              slot->ready = true;
-            } else {
-              auto error_slot = std::make_shared<Slot>();
-              error_slot->id = id;
-              error_slot->ready = true;
-              error_slot->text = std::move(line);
-              queue.push_back(std::move(error_slot));
-            }
-          }
-          queue_cv.notify_one();
-          done_cv.notify_all();
-        }
-        break;
-      }
-      case ParsedLine::Kind::kEmpty:
-      case ParsedLine::Kind::kBatchBegin:
-      case ParsedLine::Kind::kBatchEnd:
-        break;  // unreachable; handled above
-    }
-  }
-
-  // EOF inside a frame: the peer broke its own framing promise - say so
-  // in a final slot instead of silently swallowing the truncation.
-  if (in_frame) {
-    const std::uint64_t id = ++stats.requests;
-    ++stats.protocol_errors;
-    std::string line = "protocol-error batch frame truncated: got " +
-                       std::to_string(frame_seen) + " of " +
-                       std::to_string(frame_expected) +
-                       " lines before EOF (missing batch-end)";
-    if (unordered) line = format_unordered_line(id, line);
-    push_text(id, std::move(line));
-  }
-
-  // Drain: every outstanding completion must land in the queue before the
-  // writer is told the stream is finished (an unordered callback that
-  // fires after `finished` would be lost).
-  {
-    std::unique_lock<std::mutex> lock(mutex);
-    done_cv.wait(lock, [&] { return outstanding == 0; });
-    finished = true;
-  }
-  queue_cv.notify_all();
-  writer.join();
+  WireFront front(stream, options_, stats);
+  SessionDispatch dispatch(service_, catalog_, options_, stats, front);
+  front.serve(dispatch);
   return stats;
 }
 

@@ -2,41 +2,29 @@
 //
 // A Session serves exactly one connection (a transport Stream) of the
 // line protocol (service/protocol.hpp) against a shared
-// SimulationService. It owns everything between raw lines and dispatch:
+// SimulationService. Everything on the wire side - framing, request ids,
+// reply modes, protocol errors, the corking writer, the `stats` barrier -
+// is the WireFront it shares with the cluster router
+// (service/wire_front.hpp). What a Session adds is its dispatch:
 //
-//   - line framing: one request per line in, one response per line out,
-//     plus batch frames (`batch-begin N` .. `batch-end`) that cork up to
-//     N replies into fewer transport writes,
-//   - per-session request ids: every answering line (run, stats, mode,
-//     malformed) gets a monotonically increasing id in arrival order;
-//     well-formed frame control lines answer nothing and take no id,
-//   - reply framing modes: ordered (default - responses written strictly
-//     in request-id order, byte-identical to the pre-pipelining protocol)
-//     or unordered (negotiated by a `mode unordered` line - responses
-//     stream as their simulations finish, each prefixed `id=<n> `),
+//   - workload resolution: zoo names materialize through a shared
+//     WorkloadCatalog so duplicate requests across sessions share one
+//     materialized network; unknown networks answer an error outcome
+//     line in their slot,
+//   - submission: each resolved job goes to
+//     SimulationService::submit_streaming, whose completion callback
+//     finishes the reply slot - so independent requests simulate
+//     concurrently, duplicates coalesce in the service, and neither of
+//     the front's threads ever blocks inside the simulation pool
+//     (sessions still run on dedicated transport threads, never on the
+//     pool - see transport.hpp),
 //   - admission: when the service runs a bounded queue, a run line that
 //     would start a fresh simulation at the bound answers
 //     `busy id=<n> retry_ms=<m>` in its slot instead of queueing,
-//   - error replies: malformed lines answer "protocol-error <msg>" in
-//     their slot; unknown networks answer an error outcome line,
-//   - workload resolution: zoo names materialize through a shared
-//     WorkloadCatalog so duplicate requests across sessions share one
-//     materialized network.
-//
-// Concurrency: serve() runs two threads - the calling thread reads,
-// parses, and submits (so independent requests simulate concurrently and
-// duplicates coalesce in the service), while a writer thread drains
-// completed reply slots, corking every consecutively ready reply into one
-// Stream::write_lines call. Completions arrive via
-// SimulationService::submit_streaming callbacks, so neither thread ever
-// blocks inside the simulation pool; sessions still run on dedicated
-// transport threads, never on the pool (see transport.hpp).
-//
-// `stats` is a barrier: the reader stops submitting until every preceding
-// submission of the session has completed, so the reported counters
-// reflect exactly the session's preceding requests (all completed) and
-// nothing after - deterministic for a given request stream, which is what
-// lets CI byte-compare socket sessions against the stdio reference.
+//   - `stats`: the service's cache counters, snapshotted at the front's
+//     barrier - deterministic for a given request stream, which is what
+//     lets CI byte-compare socket sessions against the stdio reference,
+//   - traffic recording for the stdio server's --verify gate.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +40,7 @@
 #include "nn/layers.hpp"
 #include "nn/tensor.hpp"
 #include "service/simulation_service.hpp"
+#include "service/wire_front.hpp"
 
 namespace edea::service {
 
@@ -96,50 +85,27 @@ class WorkloadCatalog {
       workloads_;
 };
 
-struct SessionOptions {
+/// A session's configuration: the wire defaults (backend, batch,
+/// transforms, whether `mode unordered` is honored - see WireOptions) plus
+/// its dispatch knobs. The wire defaults are validated at Session
+/// construction, because a wrong server default is an operator error,
+/// not a client's protocol error.
+struct SessionOptions : WireOptions {
   /// Record every submitted job and its outcome (in request order) in
   /// SessionStats - what the stdio server's --verify gate replays against
   /// a serial SweepRunner.
   bool record_traffic = false;
-
-  /// Backend id `run` requests resolve to when the line carries no
-  /// backend= key (the server's --backend flag). Must name a registered
-  /// backend - validated at Session construction, because a wrong server
-  /// default is an operator error, not a client's protocol error.
-  std::string backend = std::string(core::kDefaultBackendId);
-
-  /// Batch size `run` requests resolve to when the line carries no
-  /// batch= key (the server's --batch flag). Must be >= 1 - validated at
-  /// Session construction for the same operator-vs-client reason.
-  int batch = 1;
-
-  /// Workload transforms `run` requests resolve to when the line carries
-  /// no dilation= / depth_multiplier= key (the server's --dilation /
-  /// --depth-multiplier flags). Must be >= 1 - validated at Session
-  /// construction.
-  int dilation = 1;
-  int depth_multiplier = 1;
-
-  /// Whether a client's `mode unordered` request is honored. False (the
-  /// server's --ordered flag) locks the session to ordered replies: the
-  /// request answers `mode ordered`, stating what is in effect - the
-  /// byte-exact reference behavior CI compares against.
-  bool allow_unordered = true;
 
   /// The retry hint busy replies advertise (`busy id=<n> retry_ms=<m>`).
   /// Must be >= 1 - validated at Session construction.
   int busy_retry_ms = 25;
 };
 
-/// What one serve() call did. Counters cover the whole session; the
-/// traffic vectors are filled only under SessionOptions::record_traffic
-/// and are index-aligned (jobs[i] produced outcomes[i]).
-struct SessionStats {
-  std::uint64_t requests = 0;         ///< ids assigned (= answering lines)
-  std::uint64_t runs = 0;             ///< `run` lines (incl. unresolved)
-  std::uint64_t protocol_errors = 0;  ///< malformed lines
-  std::uint64_t responses_written = 0;
-  std::uint64_t frames = 0;        ///< well-formed batch frames opened
+/// What one serve() call did. Counters cover the whole session (`runs`
+/// includes unresolved networks); the traffic vectors are filled only
+/// under SessionOptions::record_traffic and are index-aligned (jobs[i]
+/// produced outcomes[i]).
+struct SessionStats : WireStats {
   std::uint64_t busy_replies = 0;  ///< runs rejected by admission control
   std::vector<core::SweepJob> jobs;          ///< resolved, submitted jobs
   std::vector<core::SweepOutcome> outcomes;  ///< their outcomes, in order

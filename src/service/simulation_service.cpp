@@ -59,7 +59,31 @@ core::SweepOutcome summary_view(const core::SweepOutcome& full,
   return out;
 }
 
+/// The message of the exception being handled. Call only inside a catch.
+std::string current_error() {
+  try {
+    throw;
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "unknown simulation failure";
+  }
+}
+
 }  // namespace
+
+core::SweepOutcome failed_outcome(const core::SweepJob& job,
+                                  std::string error) {
+  core::SweepOutcome out;
+  out.name = job.name;
+  out.config = job.config;
+  out.backend = job.backend;
+  out.batch = job.batch;
+  out.dilation = job.dilation;
+  out.depth_multiplier = job.depth_multiplier;
+  out.error = std::move(error);
+  return out;
+}
 
 SimulationService::SimulationService(Options options)
     : options_(options),
@@ -126,44 +150,53 @@ void SimulationService::validate_job(core::SweepJob& job) {
                    std::to_string(job.depth_multiplier));
 }
 
-void SimulationService::deliver(Waiter& w, core::SweepOutcome outcome) {
-  if (w.callback) {
-    w.callback(std::move(outcome));
-    return;
-  }
-  w.promise.set_value(std::move(outcome));
+core::SweepOutcome SimulationService::view_for(
+    Waiter& w, const core::SweepOutcome& stored) {
+  // A wire waiter's hit reads nothing below the summary, and copying the
+  // cached per-layer result for it would be pure overhead - a measured
+  // 6 us per request, the bulk of the hit path. In-process waiters and
+  // the miss that simulated the entry get the full result: in-process
+  // callers do read per-layer data, and a miss pays a whole simulation
+  // anyway.
+  if (w.hit && !w.in_process) return summary_view(stored, std::move(w.name));
+  core::SweepOutcome out = stored;
+  out.name = std::move(w.name);
+  out.cache_hit = w.hit;
+  return out;
 }
 
-void SimulationService::enqueue_lane(std::uint64_t session_id, LaneJob item,
-                                     std::unique_lock<std::mutex>& lock) {
-  EDEA_ASSERT(lock.owns_lock(), "enqueue_lane needs the service lock");
-  std::deque<LaneJob>& lane = lanes_[session_id];
-  const bool was_empty = lane.empty();
-  lane.push_back(std::move(item));
-  ++waiting_;
-  if (was_empty) lane_order_.push_back(session_id);
+void SimulationService::fail(Waiter& w, const core::SweepJob& job,
+                             const std::string& message) {
+  try {
+    core::SweepOutcome failed = failed_outcome(job, message);
+    failed.name = std::move(w.name);
+    w.callback(std::move(failed));
+  } catch (...) {
+    // Callbacks are documented non-throwing; nothing more can be done.
+  }
+}
 
+void SimulationService::enqueue_lane(std::uint64_t session_id,
+                                     LaneJob& item) {
   // Runners are plain pool tasks; more than the pool's width could never
   // run concurrently, and a runner exits the moment every lane is dry, so
-  // over-spawning costs one no-op task at most.
-  if (active_runners_ >= pool_->size()) return;
-  ++active_runners_;
-  try {
-    auto task = pool_->submit([this] { runner_loop(); });
-    (void)task;  // runners report through complete()/deliver()
-  } catch (...) {
-    --active_runners_;
-    if (active_runners_ > 0) return;  // a live runner will drain the lane
-    // No runner will ever pick the job up: undo the push and let the
-    // caller unwind its accounting.
-    lane.pop_back();
-    --waiting_;
-    if (was_empty) {
-      lane_order_.pop_back();
-      lanes_.erase(session_id);
+  // over-spawning costs one no-op task at most. The runner is spawned
+  // before the job is queued, so a failed spawn leaves `item` untouched
+  // (and a spawned runner cannot look for work before the caller releases
+  // mutex_).
+  if (active_runners_ < pool_->size()) {
+    try {
+      (void)pool_->submit([this] { runner_loop(); });
+      ++active_runners_;
+    } catch (...) {
+      if (active_runners_ == 0) throw;  // nothing would ever run the job
+      // A live runner will drain the lane.
     }
-    throw;
   }
+  std::deque<LaneJob>& lane = lanes_[session_id];
+  if (lane.empty()) lane_order_.push_back(session_id);
+  lane.push_back(std::move(item));
+  ++waiting_;
 }
 
 bool SimulationService::next_lane_job(LaneJob* out) {
@@ -201,49 +234,13 @@ void SimulationService::runner_loop() {
       --waiting_;
     }
 
-    if (item.use_cache) {
-      // Any escape here (evaluate_job never throws simulation failures,
-      // but allocation can fail) must still resolve the waiters and the
-      // in-flight count - a dropped exception would hang clients.
-      try {
-        complete(item.key,
-                 core::evaluate_job(item.job, options_.tile_parallelism));
-      } catch (...) {
-        abandon(item.key, std::current_exception());
-      }
-    } else {
-      // cache_capacity == 0: no entry to complete - deliver directly.
-      try {
-        deliver(item.direct,
-                core::evaluate_job(item.job, options_.tile_parallelism));
-      } catch (...) {
-        if (item.direct.callback) {
-          core::SweepOutcome failed;
-          failed.name = item.job.name;
-          failed.config = item.key.config;
-          failed.backend = item.key.backend;
-          failed.batch = item.key.batch;
-          failed.dilation = item.key.dilation;
-          failed.depth_multiplier = item.key.depth_multiplier;
-          try {
-            std::rethrow_exception(std::current_exception());
-          } catch (const std::exception& e) {
-            failed.error = e.what();
-          } catch (...) {
-            failed.error = "unknown simulation failure";
-          }
-          try {
-            item.direct.callback(std::move(failed));
-          } catch (...) {
-            // Callbacks must not throw; nothing more can be done here.
-          }
-        } else {
-          item.direct.promise.set_exception(std::current_exception());
-        }
-      }
-      const std::lock_guard<std::mutex> lock(mutex_);
-      --in_flight_;
-      if (in_flight_ == 0 && active_runners_ == 0) idle_cv_.notify_all();
+    // Any escape here (evaluate_job never throws simulation failures,
+    // but allocation can fail) must still resolve the waiters and the
+    // in-flight count - a dropped exception would hang clients.
+    try {
+      complete(item, core::evaluate_job(item.job, options_.tile_parallelism));
+    } catch (...) {
+      abandon(item, current_error());
     }
 
     if (item.admission_counted) {
@@ -254,128 +251,15 @@ void SimulationService::runner_loop() {
 }
 
 std::future<core::SweepOutcome> SimulationService::submit(core::SweepJob job) {
-  validate_job(job);
-
-  // The fingerprint walks the whole workload - reuse the one the caller
-  // precomputed (WorkloadCatalog materialization); hash only when absent,
-  // and outside the lock.
-  const Key key{job.fingerprint != 0
-                    ? job.fingerprint
-                    : core::network_fingerprint(*job.layers, *job.input),
-                job.config,
-                job.backend,
-                job.batch,
-                job.dilation,
-                job.depth_multiplier};
-
-  std::promise<core::SweepOutcome> promise;
-  std::future<core::SweepOutcome> future = promise.get_future();
-
-  if (options_.cache_capacity == 0) {
-    // Memoization disabled: every submission simulates independently.
-    LaneJob item;
-    item.key = key;
-    item.job = std::move(job);
-    item.use_cache = false;
-    item.direct.promise = std::move(promise);
-    std::unique_lock<std::mutex> lock(mutex_);
-    ++stats_.misses;
-    ++in_flight_;
-    try {
-      enqueue_lane(0, std::move(item), lock);
-    } catch (...) {
-      // The job will never run, so the in-flight count must be unwound
-      // here or wait_idle() deadlocks.
-      --in_flight_;
-      if (in_flight_ == 0 && active_runners_ == 0) idle_cv_.notify_all();
-      throw;
-    }
-    return future;
-  }
-
-  bool launch = false;
-  bool persisted_hit = false;
-  PersistedResult persisted;
-  std::shared_ptr<const core::SweepOutcome> cached;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      ++stats_.hits;
-      Entry& entry = it->second;
-      if (!entry.ready) {
-        // Coalesce onto the in-flight simulation.
-        Waiter waiter;
-        waiter.promise = std::move(promise);
-        waiter.name = job.name;
-        waiter.hit = true;
-        entry.waiters.push_back(std::move(waiter));
-        return future;
-      }
-      lru_.splice(lru_.begin(), lru_, entry.lru);  // touch
-      cached = entry.outcome;  // the deep copy happens outside the lock
-    } else if (auto pit = persisted_.find(key); pit != persisted_.end()) {
-      // Served from the restart-surviving summary cache: no simulation,
-      // accounted as a hit, materialized outside the lock.
-      ++stats_.hits;
-      persisted_hit = true;
-      persisted = pit->second;
-    } else {
-      ++stats_.misses;
-      ++in_flight_;
-      Entry entry;
-      Waiter waiter;
-      waiter.promise = std::move(promise);
-      waiter.name = job.name;
-      waiter.hit = false;
-      entry.waiters.push_back(std::move(waiter));
-      cache_.emplace(key, std::move(entry));
-      launch = true;
-    }
-  }
-
-  if (persisted_hit) {
-    core::SweepOutcome out;
-    out.name = std::move(job.name);
-    out.config = job.config;
-    out.backend = key.backend;
-    out.batch = key.batch;
-    out.dilation = key.dilation;
-    out.depth_multiplier = key.depth_multiplier;
-    out.ok = persisted.ok;
-    out.error = std::move(persisted.error);
-    out.summary = persisted.summary;
-    out.cache_hit = true;
-    out.summary_only = true;
-    promise.set_value(std::move(out));
-    return future;
-  }
-
-  if (cached) {
-    core::SweepOutcome out = *cached;
-    out.name = std::move(job.name);
-    out.cache_hit = true;
-    promise.set_value(std::move(out));
-    return future;
-  }
-
-  if (launch) {
-    LaneJob item;
-    item.key = key;
-    item.job = std::move(job);
-    item.use_cache = true;
-    std::unique_lock<std::mutex> lock(mutex_);
-    try {
-      enqueue_lane(0, std::move(item), lock);
-    } catch (...) {
-      // Enqueueing failed: no runner will ever complete this entry. Drop
-      // it and deliver the failure to anyone who already coalesced onto
-      // it, then surface the error to this caller too.
-      lock.unlock();
-      abandon(key, std::current_exception());
-      throw;
-    }
-  }
+  // std::function needs a copyable target, so the promise is shared.
+  auto promise = std::make_shared<std::promise<core::SweepOutcome>>();
+  std::future<core::SweepOutcome> future = promise->get_future();
+  Waiter waiter;
+  waiter.callback = [promise](core::SweepOutcome outcome) {
+    promise->set_value(std::move(outcome));
+  };
+  waiter.in_process = true;  // exempt from the bound: never busy
+  (void)dispatch(std::move(job), 0, std::move(waiter));
   return future;
 }
 
@@ -385,6 +269,14 @@ Admission SimulationService::submit_streaming(core::SweepJob job,
   EDEA_REQUIRE(done != nullptr,
                "submit_streaming for '" + job.name +
                    "' needs a completion callback");
+  Waiter waiter;
+  waiter.callback = std::move(done);
+  return dispatch(std::move(job), session_id, std::move(waiter));
+}
+
+Admission SimulationService::dispatch(core::SweepJob job,
+                                      std::uint64_t session_id,
+                                      Waiter waiter) {
   validate_job(job);
 
   // The fingerprint walks the whole workload - reuse the one the caller
@@ -398,88 +290,39 @@ Admission SimulationService::submit_streaming(core::SweepJob job,
                 job.batch,
                 job.dilation,
                 job.depth_multiplier};
-  const bool bounded = options_.max_queue > 0;
+  waiter.name = job.name;
+  const bool bounded = options_.max_queue > 0 && !waiter.in_process;
+  // Memoization disabled (capacity 0): every submission is a fresh
+  // simulation with no entry to coalesce onto.
+  const bool use_cache = options_.cache_capacity > 0;
 
-  if (options_.cache_capacity == 0) {
-    // Memoization disabled: every submission is a fresh simulation, so
-    // every submission is subject to admission.
-    const std::string name = job.name;
-    LaneJob item;
-    item.key = key;
-    item.job = std::move(job);
-    item.use_cache = false;
-    item.direct.callback = done;  // a copy survives an enqueue failure
-    item.admission_counted = bounded;
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (bounded && admitted_ >= options_.max_queue) {
-      ++stats_.rejected;
-      return Admission::kBusy;
-    }
-    ++stats_.misses;
-    ++in_flight_;
-    if (bounded) {
-      ++admitted_;
-      stats_.peak_queue = std::max<std::uint64_t>(
-          stats_.peak_queue, static_cast<std::uint64_t>(admitted_));
-    }
-    try {
-      enqueue_lane(session_id, std::move(item), lock);
-    } catch (...) {
-      // Launch failure after admission: unwind the accounting and honor
-      // the exactly-once contract with an ok=false outcome - once
-      // kAdmitted is decided, the callback always hears back, and a
-      // throw from here on would risk a second delivery.
-      --in_flight_;
-      if (bounded) --admitted_;
-      if (in_flight_ == 0 && active_runners_ == 0) idle_cv_.notify_all();
-      lock.unlock();
-      core::SweepOutcome failed;
-      failed.name = name;
-      failed.config = key.config;
-      failed.backend = key.backend;
-      failed.batch = key.batch;
-      failed.dilation = key.dilation;
-      failed.depth_multiplier = key.depth_multiplier;
-      failed.error = "simulation launch failed";
-      try {
-        done(std::move(failed));
-      } catch (...) {
-        // Callbacks are documented non-throwing.
-      }
-    }
-    return Admission::kAdmitted;
-  }
-
-  bool persisted_hit = false;
-  PersistedResult persisted;
   std::shared_ptr<const core::SweepOutcome> cached;
-  std::string hit_name;
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      ++stats_.hits;
-      Entry& entry = it->second;
-      if (!entry.ready) {
-        // Coalescing starts no new work - always admitted, even at the
-        // bound: rejecting it would punish exactly the duplicate the
-        // cache exists to absorb.
-        Waiter waiter;
-        waiter.callback = std::move(done);
-        waiter.name = job.name;
+    if (use_cache) {
+      if (auto it = cache_.find(key); it != cache_.end()) {
+        ++stats_.hits;
         waiter.hit = true;
-        entry.waiters.push_back(std::move(waiter));
-        return Admission::kAdmitted;
+        Entry& entry = it->second;
+        if (!entry.ready) {
+          // Coalescing starts no new work - always admitted, even at the
+          // bound: rejecting it would punish exactly the duplicate the
+          // cache exists to absorb.
+          entry.waiters.push_back(std::move(waiter));
+          return Admission::kAdmitted;
+        }
+        lru_.splice(lru_.begin(), lru_, entry.lru);  // touch
+        cached = entry.outcome;
+      } else if (auto pit = persisted_.find(key); pit != persisted_.end()) {
+        // Served from the restart-surviving summary cache: no simulation,
+        // accounted as a hit.
+        ++stats_.hits;
+        waiter.hit = true;
+        cached = pit->second;
       }
-      lru_.splice(lru_.begin(), lru_, entry.lru);  // touch
-      cached = entry.outcome;
-      hit_name = job.name;
-    } else if (auto pit = persisted_.find(key); pit != persisted_.end()) {
-      ++stats_.hits;
-      persisted_hit = true;
-      persisted = pit->second;
-      hit_name = job.name;
-    } else {
+    }
+
+    if (!cached) {
       if (bounded && admitted_ >= options_.max_queue) {
         ++stats_.rejected;
         return Admission::kBusy;
@@ -491,191 +334,116 @@ Admission SimulationService::submit_streaming(core::SweepJob job,
         stats_.peak_queue = std::max<std::uint64_t>(
             stats_.peak_queue, static_cast<std::uint64_t>(admitted_));
       }
-      Entry entry;
-      Waiter waiter;
-      waiter.callback = std::move(done);
-      waiter.name = job.name;
-      waiter.hit = false;
-      entry.waiters.push_back(std::move(waiter));
-      cache_.emplace(key, std::move(entry));
       LaneJob item;
       item.key = key;
       item.job = std::move(job);
-      item.use_cache = true;
+      item.use_cache = use_cache;
       item.admission_counted = bounded;
+      if (use_cache) {
+        cache_[key].waiters.push_back(std::move(waiter));
+      } else {
+        item.direct = std::move(waiter);
+      }
       try {
-        enqueue_lane(session_id, std::move(item), lock);
+        enqueue_lane(session_id, item);
       } catch (...) {
-        // Launch failure after admission: abandon() drops the pending
-        // entry and delivers an ok=false outcome to every waiter -
-        // including the callback registered above, which satisfies the
-        // exactly-once contract, so the failure is not rethrown.
+        // Launch failure after admission: unwind the accounting and fail
+        // every waiter with an ok=false outcome - once kAdmitted is
+        // decided the waiter always hears back, so nothing is rethrown.
         if (bounded) --admitted_;
         lock.unlock();
-        abandon(key, std::current_exception());
+        abandon(item, current_error());
       }
       return Admission::kAdmitted;
     }
   }
 
-  if (persisted_hit) {
-    core::SweepOutcome out;
-    out.name = std::move(hit_name);
-    out.config = key.config;
-    out.backend = key.backend;
-    out.batch = key.batch;
-    out.dilation = key.dilation;
-    out.depth_multiplier = key.depth_multiplier;
-    out.ok = persisted.ok;
-    out.error = std::move(persisted.error);
-    out.summary = persisted.summary;
-    out.cache_hit = true;
-    out.summary_only = true;
-    done(std::move(out));
-    return Admission::kAdmitted;
-  }
-
-  // Warm hit: deliver the summary level only. The streaming consumer (a
-  // session formatting a reply line) reads nothing below the summary, so
-  // copying the cached per-layer result here would be pure overhead - and
-  // a measured 6 us of it per request, the bulk of the hit path.
-  done(summary_view(*cached, std::move(hit_name)));
+  // A hit: the copy (or summary view) happens outside the lock.
+  waiter.callback(view_for(waiter, *cached));
   return Admission::kAdmitted;
 }
 
-void SimulationService::complete(const Key& key, core::SweepOutcome outcome) {
+void SimulationService::complete(LaneJob& item, core::SweepOutcome outcome) {
   // Allocations come before any state mutation: if one throws, the entry
   // is still cleanly pending and the caller's abandon() path takes over
   // without losing waiters.
-  const auto stored =
-      std::make_shared<const core::SweepOutcome>(std::move(outcome));
+  std::shared_ptr<const core::SweepOutcome> stored;
   std::vector<Waiter> waiters;
+  if (item.use_cache) {
+    stored = std::make_shared<const core::SweepOutcome>(std::move(outcome));
+  } else {
+    waiters.push_back(std::move(item.direct));
+  }
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    auto it = cache_.find(key);
-    EDEA_ASSERT(it != cache_.end() && !it->second.ready,
-                "service completed a request with no pending cache entry");
-    Entry& entry = it->second;
-    lru_.push_front(key);  // the only throwing op under the lock
-    entry.lru = lru_.begin();
-    entry.outcome = stored;
-    entry.ready = true;
-    waiters = std::move(entry.waiters);
-    entry.waiters.clear();
-    // Evict least-recently-used completed results beyond capacity.
-    // In-flight entries are never in lru_, so they are pinned, and the
-    // just-inserted front entry survives (capacity here is >= 1).
-    while (lru_.size() > options_.cache_capacity) {
-      const Key victim = lru_.back();
-      lru_.pop_back();
-      cache_.erase(victim);
-      ++stats_.evictions;
+    if (item.use_cache) {
+      auto it = cache_.find(item.key);
+      EDEA_ASSERT(it != cache_.end() && !it->second.ready,
+                  "service completed a request with no pending cache entry");
+      Entry& entry = it->second;
+      lru_.push_front(item.key);  // the only throwing op under the lock
+      entry.lru = lru_.begin();
+      entry.outcome = stored;
+      entry.ready = true;
+      waiters = std::move(entry.waiters);
+      entry.waiters.clear();
+      // Evict least-recently-used completed results beyond capacity.
+      // In-flight entries are never in lru_, so they are pinned, and the
+      // just-inserted front entry survives (capacity here is >= 1).
+      while (lru_.size() > options_.cache_capacity) {
+        const Key victim = lru_.back();
+        lru_.pop_back();
+        cache_.erase(victim);
+        ++stats_.evictions;
+      }
     }
-    --in_flight_;
-    if (in_flight_ == 0) idle_cv_.notify_all();
+    --in_flight_;  // idle waiters hear from this runner's exit
   }
   // Fulfill outside the lock: delivery may run waiter continuations
   // (future::get in another thread, a session callback) that immediately
   // resubmit. A copy failure for one waiter must not strand the others.
   for (Waiter& w : waiters) {
     try {
-      // Streaming duplicates that coalesced onto this simulation are
-      // hits and hear the summary level, like every other streaming hit.
-      // Promise waiters (legacy submit) and the miss that launched the
-      // simulation get the full result - in-process callers do read
-      // per-layer data, and a miss pays a whole simulation anyway.
-      if (w.callback && w.hit) {
-        deliver(w, summary_view(*stored, std::move(w.name)));
-        continue;
-      }
-      core::SweepOutcome out = *stored;
-      out.name = std::move(w.name);
-      out.cache_hit = w.hit;
-      deliver(w, std::move(out));
+      w.callback(stored ? view_for(w, *stored) : std::move(outcome));
     } catch (...) {
-      if (w.callback) {
-        // A callback waiter must still hear *something* or its reply slot
-        // hangs forever; a summary-free error outcome is the best effort.
-        try {
-          core::SweepOutcome failed;
-          failed.name = std::move(w.name);
-          failed.config = key.config;
-          failed.backend = key.backend;
-          failed.batch = key.batch;
-          failed.dilation = key.dilation;
-          failed.depth_multiplier = key.depth_multiplier;
-          failed.error = "result delivery failed";
-          w.callback(std::move(failed));
-        } catch (...) {
-          // Out of options - callbacks are documented non-throwing.
-        }
-      } else {
-        w.promise.set_exception(std::current_exception());
-      }
+      // The waiter must still hear *something* or its reply slot hangs
+      // forever; a summary-free error outcome is the best effort.
+      fail(w, item.job, "result delivery failed");
     }
   }
 }
 
-void SimulationService::abandon(const Key& key, std::exception_ptr error) {
+void SimulationService::abandon(LaneJob& item, const std::string& message) {
   std::vector<Waiter> waiters;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    auto it = cache_.find(key);
-    if (it != cache_.end() && !it->second.ready) {
+    if (!item.use_cache) {
+      waiters.push_back(std::move(item.direct));
+    } else if (auto it = cache_.find(item.key);
+               it != cache_.end() && !it->second.ready) {
       waiters = std::move(it->second.waiters);
       cache_.erase(it);  // pending entries are never in lru_
     }
     --in_flight_;
     if (in_flight_ == 0 && active_runners_ == 0) idle_cv_.notify_all();
   }
-  std::string message = "unknown simulation failure";
-  try {
-    std::rethrow_exception(error);
-  } catch (const std::exception& e) {
-    message = e.what();
-  } catch (...) {
-  }
-  for (Waiter& w : waiters) {
-    if (w.callback) {
-      // Callback waiters hear failures as ok=false outcomes - the wire
-      // has no exception channel, only error lines.
-      core::SweepOutcome failed;
-      failed.name = std::move(w.name);
-      failed.config = key.config;
-      failed.backend = key.backend;
-      failed.batch = key.batch;
-      failed.dilation = key.dilation;
-      failed.depth_multiplier = key.depth_multiplier;
-      failed.error = message;
-      try {
-        w.callback(std::move(failed));
-      } catch (...) {
-        // Callbacks are documented non-throwing.
-      }
-    } else {
-      w.promise.set_exception(error);
-    }
-  }
+  for (Waiter& w : waiters) fail(w, item.job, message);
 }
 
 std::size_t SimulationService::save_cache(const std::string& path) const {
   // Snapshot under the lock: previously loaded persisted entries plus
   // every *ready* live entry (in-flight entries have no result yet). The
   // two maps never share a key, so the merge is a plain concatenation.
-  std::vector<std::pair<Key, PersistedResult>> entries;
+  std::vector<std::pair<Key, std::shared_ptr<const core::SweepOutcome>>>
+      entries;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     entries.reserve(persisted_.size() + cache_.size());
-    for (const auto& [key, result] : persisted_) {
-      entries.emplace_back(key, result);
+    for (const auto& [key, outcome] : persisted_) {
+      entries.emplace_back(key, outcome);
     }
     for (const auto& [key, entry] : cache_) {
-      if (!entry.ready) continue;
-      PersistedResult r;
-      r.ok = entry.outcome->ok;
-      r.error = entry.outcome->error;
-      r.summary = entry.outcome->summary;
-      entries.emplace_back(key, std::move(r));
+      if (entry.ready) entries.emplace_back(key, entry.outcome);
     }
   }
   // Deterministic file bytes: unordered_map iteration order must not leak
@@ -704,16 +472,16 @@ std::size_t SimulationService::save_cache(const std::string& path) const {
   w.pod(kCacheMagic);
   w.pod(kCacheVersion);
   w.pod(static_cast<std::uint64_t>(entries.size()));
-  for (const auto& [key, result] : entries) {
+  for (const auto& [key, outcome] : entries) {
     w.pod(key.fingerprint);
     key.config.encode(w);
     w.str(key.backend);
     w.pod(static_cast<std::int32_t>(key.batch));
     w.pod(static_cast<std::int32_t>(key.dilation));
     w.pod(static_cast<std::int32_t>(key.depth_multiplier));
-    w.pod(static_cast<std::uint8_t>(result.ok ? 1 : 0));
-    w.str(result.error);
-    result.summary.encode(w);
+    w.pod(static_cast<std::uint8_t>(outcome->ok ? 1 : 0));
+    w.str(outcome->error);
+    outcome->summary.encode(w);
   }
   const std::uint64_t digest =
       util::Fnv1a64().bytes(w.buffer().data(), w.buffer().size()).digest();
@@ -774,37 +542,42 @@ std::size_t SimulationService::load_cache(const std::string& path) {
 
   // Decode fully before touching service state, so a malformed tail can
   // never leave a half-loaded cache behind.
-  std::vector<std::pair<Key, PersistedResult>> entries;
+  // Each entry decodes straight into the summary-only outcome a hit on
+  // it is served from; its key is read back out of the outcome.
+  std::vector<std::pair<Key, std::shared_ptr<const core::SweepOutcome>>>
+      entries;
   entries.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
-    Key key;
-    key.fingerprint = r.pod<std::uint64_t>();
-    key.config = core::EdeaConfig::decode(r);
-    key.backend = r.str();
-    EDEA_REQUIRE(core::backend_known(key.backend),
+    const auto fingerprint = r.pod<std::uint64_t>();
+    auto out = std::make_shared<core::SweepOutcome>();
+    out->config = core::EdeaConfig::decode(r);
+    out->backend = r.str();
+    EDEA_REQUIRE(core::backend_known(out->backend),
                  "cache file '" + path + "' names unknown backend '" +
-                     key.backend +
+                     out->backend +
                      "' (known: " + core::known_backends_string() +
                      ") - entries could never be served");
-    key.batch = static_cast<int>(r.pod<std::int32_t>());
-    EDEA_REQUIRE(key.batch >= 1,
+    out->batch = static_cast<int>(r.pod<std::int32_t>());
+    EDEA_REQUIRE(out->batch >= 1,
                  "cache file '" + path + "' has an entry with batch " +
-                     std::to_string(key.batch) + " (must be >= 1)");
-    key.dilation = static_cast<int>(r.pod<std::int32_t>());
-    EDEA_REQUIRE(key.dilation >= 1,
+                     std::to_string(out->batch) + " (must be >= 1)");
+    out->dilation = static_cast<int>(r.pod<std::int32_t>());
+    EDEA_REQUIRE(out->dilation >= 1,
                  "cache file '" + path + "' has an entry with dilation " +
-                     std::to_string(key.dilation) + " (must be >= 1)");
-    key.depth_multiplier = static_cast<int>(r.pod<std::int32_t>());
-    EDEA_REQUIRE(key.depth_multiplier >= 1,
+                     std::to_string(out->dilation) + " (must be >= 1)");
+    out->depth_multiplier = static_cast<int>(r.pod<std::int32_t>());
+    EDEA_REQUIRE(out->depth_multiplier >= 1,
                  "cache file '" + path +
                      "' has an entry with depth_multiplier " +
-                     std::to_string(key.depth_multiplier) +
+                     std::to_string(out->depth_multiplier) +
                      " (must be >= 1)");
-    PersistedResult result;
-    result.ok = r.pod<std::uint8_t>() != 0;
-    result.error = r.str();
-    result.summary = core::RunSummary::decode(r);
-    entries.emplace_back(std::move(key), std::move(result));
+    out->ok = r.pod<std::uint8_t>() != 0;
+    out->error = r.str();
+    out->summary = core::RunSummary::decode(r);
+    out->summary_only = true;
+    Key key{fingerprint,   out->config,   out->backend,
+            out->batch,    out->dilation, out->depth_multiplier};
+    entries.emplace_back(std::move(key), std::move(out));
   }
   EDEA_REQUIRE(r.exhausted(),
                "cache file '" + path + "' has trailing garbage");
@@ -812,29 +585,20 @@ std::size_t SimulationService::load_cache(const std::string& path) {
   std::size_t loaded = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& [key, result] : entries) {
+    for (auto& [key, outcome] : entries) {
       if (cache_.find(key) != cache_.end()) continue;  // live entry wins
-      persisted_.insert_or_assign(key, std::move(result));
+      persisted_.insert_or_assign(key, std::move(outcome));
       ++loaded;
     }
   }
   return loaded;
 }
 
-std::vector<std::future<core::SweepOutcome>> SimulationService::submit_batch(
+std::vector<core::SweepOutcome> SimulationService::serve(
     std::vector<core::SweepJob> jobs) {
   std::vector<std::future<core::SweepOutcome>> futures;
   futures.reserve(jobs.size());
-  for (core::SweepJob& job : jobs) {
-    futures.push_back(submit(std::move(job)));
-  }
-  return futures;
-}
-
-std::vector<core::SweepOutcome> SimulationService::serve(
-    std::vector<core::SweepJob> jobs) {
-  std::vector<std::future<core::SweepOutcome>> futures =
-      submit_batch(std::move(jobs));
+  for (core::SweepJob& job : jobs) futures.push_back(submit(std::move(job)));
   std::vector<core::SweepOutcome> outcomes;
   outcomes.reserve(futures.size());
   for (std::future<core::SweepOutcome>& f : futures) {

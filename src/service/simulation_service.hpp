@@ -14,8 +14,10 @@
 // different arena (different peak_arena_bytes in the summary).
 //
 // Concurrency contract:
-//   - submit()/submit_batch()/serve()/cache_stats() are thread-safe; many
-//     client threads may hammer one service instance,
+//   - submit()/submit_streaming()/serve()/cache_stats() are thread-safe;
+//     many client threads may hammer one service instance. All of them
+//     take one submission path: submit() is a promise wrapper over the
+//     callback delivery submit_streaming exposes,
 //   - identical requests in flight are coalesced: the second submitter
 //     waits on the first simulation instead of launching a duplicate
 //     (and is accounted as a cache hit),
@@ -122,6 +124,14 @@ enum class Admission {
               ///< callback will never run
 };
 
+/// The ok=false outcome of a job that produced no result: the job's
+/// identity echoed (name, config, resolved backend, batch, transforms)
+/// with `error` as the message. What every layer reports for a request
+/// it could not run - an unresolvable network, a failed launch or
+/// delivery, a cluster give-up.
+[[nodiscard]] core::SweepOutcome failed_outcome(const core::SweepJob& job,
+                                                std::string error);
+
 class SimulationService {
  public:
   using Options = ServiceOptions;
@@ -147,10 +157,14 @@ class SimulationService {
   SimulationService(const SimulationService&) = delete;
   SimulationService& operator=(const SimulationService&) = delete;
 
-  /// Submits one request. The returned future resolves to the job's
-  /// outcome: a cache hit resolves immediately (cache_hit = true), a miss
-  /// resolves when its simulation finishes on the pool. Throws
-  /// PreconditionError if the job references no network.
+  /// Submits one request: a promise wrapper over the streaming path,
+  /// exempt from the admission bound. The returned future resolves to the
+  /// job's outcome: a cache hit resolves immediately (cache_hit = true;
+  /// in-memory hits carry the full per-layer result), a miss when its
+  /// simulation finishes on the pool. A launch or delivery failure
+  /// resolves it with an ok=false outcome, never an exception. Throws
+  /// PreconditionError for a malformed job (no network, non-finite
+  /// clock, unknown backend, non-positive counts).
   [[nodiscard]] std::future<core::SweepOutcome> submit(core::SweepJob job);
 
   /// Hands out a fresh fair-scheduling lane id. Each session takes one at
@@ -174,13 +188,9 @@ class SimulationService {
                                            std::uint64_t session_id,
                                            CompletionCallback done);
 
-  /// Submits a batch; future i corresponds to jobs[i]. All requests are
-  /// in flight concurrently before this returns.
-  [[nodiscard]] std::vector<std::future<core::SweepOutcome>> submit_batch(
-      std::vector<core::SweepJob> jobs);
-
-  /// Convenience blocking batch: submit everything, wait for everything.
-  /// Outcome i corresponds to jobs[i], exactly like SweepRunner::run.
+  /// Convenience blocking batch: submit everything (all in flight
+  /// concurrently), wait for everything. Outcome i corresponds to
+  /// jobs[i], exactly like SweepRunner::run.
   [[nodiscard]] std::vector<core::SweepOutcome> serve(
       std::vector<core::SweepJob> jobs);
 
@@ -256,14 +266,17 @@ class SimulationService {
     }
   };
 
-  /// A client waiting on an entry that is still simulating. Delivery is
-  /// either a promise (submit) or a callback (submit_streaming) - exactly
-  /// one is armed.
+  /// One client of a submission: how it hears its outcome and what it is
+  /// owed. Every waiter is a callback - submit() wraps a promise in one -
+  /// and each hears the view its kind is owed (view_for).
   struct Waiter {
-    std::promise<core::SweepOutcome> promise;
-    CompletionCallback callback;  ///< when set, used instead of `promise`
+    CompletionCallback callback;
     std::string name;  ///< the waiter's own job name
     bool hit = false;  ///< whether this waiter was accounted as a hit
+    /// submit() (in-process batch code): hits deliver the full outcome
+    /// and the admission bound does not apply. Wire waiters
+    /// (submit_streaming) hear hits summary-only and are bounded.
+    bool in_process = false;
   };
 
   struct Entry {
@@ -273,14 +286,6 @@ class SimulationService {
     std::shared_ptr<const core::SweepOutcome> outcome;
     std::vector<Waiter> waiters;      ///< pending clients while simulating
     std::list<Key>::iterator lru;     ///< position in lru_ (ready only)
-  };
-
-  /// One persisted (restart-surviving) result: the protocol-visible part
-  /// of an outcome, without per-layer data.
-  struct PersistedResult {
-    bool ok = false;
-    std::string error;
-    core::RunSummary summary;
   };
 
   /// One admitted fresh simulation waiting in (or picked from) the fair
@@ -299,25 +304,36 @@ class SimulationService {
   /// known backend, positive counts) and resolves the default backend.
   static void validate_job(core::SweepJob& job);
 
-  /// Marks `key` complete, stores the outcome, applies LRU eviction, and
-  /// fulfills every waiter. Runs on the pool at the end of each task.
-  void complete(const Key& key, core::SweepOutcome outcome);
+  /// The one submission path: validate, then serve a hit, coalesce onto
+  /// an in-flight duplicate, or admit and launch a fresh simulation.
+  /// Returns kBusy only for a wire waiter at the admission bound.
+  Admission dispatch(core::SweepJob job, std::uint64_t session_id,
+                     Waiter waiter);
 
-  /// Failure path of a pool task (e.g. out-of-memory while storing the
-  /// outcome): drops the pending entry so a resubmission retries, and
-  /// delivers the exception to every waiter instead of leaving their
-  /// futures hanging (callback waiters receive an ok=false outcome).
-  void abandon(const Key& key, std::exception_ptr error);
+  /// What `w` hears of a stored outcome: summary-only for a wire waiter's
+  /// hit (see CompletionCallback), the full outcome otherwise.
+  static core::SweepOutcome view_for(Waiter& w,
+                                     const core::SweepOutcome& stored);
 
-  /// Delivers a ready outcome to one waiter (promise or callback).
-  static void deliver(Waiter& w, core::SweepOutcome outcome);
+  /// Delivers the ok=false outcome of `job` under `w`'s name - the wire
+  /// has no exception channel, only error lines. Never throws.
+  static void fail(Waiter& w, const core::SweepJob& job,
+                   const std::string& message);
+
+  /// Stores a finished simulation (marks its entry complete, applies LRU
+  /// eviction) and delivers it to every waiter. Runs on the pool at the
+  /// end of each task.
+  void complete(LaneJob& item, core::SweepOutcome outcome);
+
+  /// Failure path of a launch or a pool task (e.g. out-of-memory while
+  /// storing the outcome): drops the pending entry so a resubmission
+  /// retries, and fails every waiter instead of leaving it hanging.
+  void abandon(LaneJob& item, const std::string& message);
 
   /// Enqueues a fresh simulation into `session_id`'s lane and ensures
   /// enough runner tasks are active to drain it. Caller holds mutex_.
-  /// On a pool-submit failure the job is re-extracted and the error
-  /// rethrown, so the caller can unwind its accounting.
-  void enqueue_lane(std::uint64_t session_id, LaneJob item,
-                    std::unique_lock<std::mutex>& lock);
+  /// Throws, leaving `item` untouched, when no runner could be started.
+  void enqueue_lane(std::uint64_t session_id, LaneJob& item);
 
   /// Pops the next job round-robin across sessions with pending work.
   /// Caller holds mutex_. Returns false when every lane is empty.
@@ -335,10 +351,12 @@ class SimulationService {
   std::size_t in_flight_ = 0;
   std::unordered_map<Key, Entry, KeyHash> cache_;
   std::list<Key> lru_;  ///< ready entries, most recently used first
-  /// Entries loaded from a cache file: pinned (never evicted), summary
-  /// only. A key is never in both maps - persisted keys hit before they
-  /// could miss into `cache_`, and load_cache skips keys already live.
-  std::unordered_map<Key, PersistedResult, KeyHash> persisted_;
+  /// Entries loaded from a cache file: pinned (never evicted),
+  /// summary-only outcomes. A key is never in both maps - persisted keys
+  /// hit before they could miss into `cache_`, and load_cache skips keys
+  /// already live.
+  std::unordered_map<Key, std::shared_ptr<const core::SweepOutcome>, KeyHash>
+      persisted_;
   CacheStats stats_;
 
   // --- fair scheduling + admission (guarded by mutex_) --------------------

@@ -2,10 +2,10 @@
 //
 // The service tier is three layers (see docs/ARCHITECTURE.md):
 //
-//   transport (this file)  ->  session (session.hpp)  ->  dispatch
-//   byte streams, accept       line framing, request      SimulationService
-//   loop, connection           ids, ordered replies       + result cache
-//   lifetime
+//   transport (this file)  ->  session (wire_front.hpp,  ->  dispatch
+//   byte streams, accept       session.hpp): line          SimulationService
+//   loop, connection           framing, request ids,       + result cache
+//   lifetime                   ordered replies
 //
 // A Transport produces connections; each connection is a Stream - one
 // bidirectional, line-oriented byte channel. The transport knows nothing

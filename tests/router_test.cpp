@@ -267,6 +267,60 @@ TEST(ClusterRouterTest, BatchFramesAndProtocolErrorsMatchSessionBytes) {
   EXPECT_EQ(serve_routed(router, lines, &stats), expected);
   EXPECT_EQ(stats.frames, 4u);
   EXPECT_EQ(stats.protocol_errors, 5u);
+
+  // Two more cases the Session suite pins (service_stream_test): the
+  // overrun line, and the unordered -> ordered switch-back. Spliced in
+  // ahead of the EOF-truncated frame, which must stay last.
+  std::vector<std::string> corpus(lines.begin(), lines.end() - 2);
+  corpus.insert(corpus.end(), {
+                                  "batch-begin 1",
+                                  "run mobilenet-0.25x seed=205 td=16",
+                                  "run mobilenet-0.25x seed=206 td=16",  // overrun
+                                  "batch-end",  // then outside a frame
+                                  "mode unordered",
+                                  "mode ordered",  // switch back
+                                  "run mobilenet-0.25x seed=207 td=16",
+                              });
+  corpus.insert(corpus.end(), lines.end() - 2, lines.end());
+  // Fresh workers per serve: every run must be a miss, as in the fresh
+  // single-process reference.
+  const auto routed = [](const std::vector<std::string>& stream) {
+    LoopbackWorker a, b;
+    ClusterRouter cold(attach({&a, &b}));
+    return serve_routed(cold, stream);
+  };
+  EXPECT_EQ(routed(corpus), serve_reference(corpus));
+
+  // The same corpus after `mode unordered`: completion order is free, but
+  // every id answers the Session's payload. Replies after the switch-back
+  // are bare and leave in id order, so they take the ids no prefixed
+  // reply claimed.
+  const auto by_id = [](const std::vector<std::string>& responses) {
+    std::map<std::uint64_t, std::string> payloads;
+    std::vector<std::string> bare;
+    for (const std::string& response : responses) {
+      std::uint64_t id = 0;
+      std::string rest;
+      if (parse_unordered_line(response, &id, &rest)) {
+        EXPECT_TRUE(payloads.emplace(id, rest).second) << "id " << id;
+      } else {
+        bare.push_back(response);
+      }
+    }
+    std::uint64_t next = 1;
+    for (const std::string& response : bare) {
+      while (payloads.count(next) != 0) ++next;
+      payloads.emplace(next, response);
+    }
+    return payloads;
+  };
+  std::vector<std::string> unordered = {"mode unordered"};
+  unordered.insert(unordered.end(), corpus.begin(), corpus.end());
+  const std::map<std::uint64_t, std::string> session_payloads =
+      by_id(serve_reference(unordered));
+  EXPECT_EQ(by_id(routed(unordered)), session_payloads);
+  EXPECT_EQ(session_payloads.rbegin()->first, session_payloads.size())
+      << "ids 1..N each answered once";
 }
 
 TEST(ClusterRouterTest, MergedStatsAreDeterministicAndMatchSingleProcess) {
