@@ -33,6 +33,7 @@
 
 #include "service/router.hpp"
 #include "service/router_cli.hpp"
+#include "service/server_cli.hpp"
 #include "service/transport.hpp"
 
 namespace {
@@ -97,13 +98,10 @@ bool spawn_worker(const edea::service::RouterCliConfig& config,
     return false;
   }
 
-  std::vector<std::string> args = {server_bin, "--listen", "0",
-                                   "--backend", config.backend,
-                                   "--batch", std::to_string(config.batch),
-                                   "--dilation",
-                                   std::to_string(config.dilation),
-                                   "--depth-multiplier",
-                                   std::to_string(config.depth_multiplier)};
+  std::vector<std::string> args = {server_bin, "--listen", "0"};
+  for (std::string& flag : edea::service::dims_flags(config)) {
+    args.push_back(std::move(flag));
+  }
   if (!config.cache_file.empty()) {
     args.push_back("--cache-file");
     args.push_back(config.cache_file + "." + out->shard_id);
@@ -191,12 +189,9 @@ int main(int argc, char** argv) {
   // --- membership: spawn a fleet or attach to one ------------------------
   std::vector<SpawnedWorker> spawned;
   service::RouterOptions router_options;
+  static_cast<core::JobDims&>(router_options) = config;
   router_options.replicas = config.replicas;
   router_options.max_attempts = config.max_attempts;
-  router_options.backend = config.backend;
-  router_options.batch = config.batch;
-  router_options.dilation = config.dilation;
-  router_options.depth_multiplier = config.depth_multiplier;
   router_options.allow_unordered = !config.ordered;
 
   const auto reap_workers = [&spawned]() {

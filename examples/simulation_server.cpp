@@ -20,10 +20,8 @@
 #include <csignal>
 #include <cstdint>
 #include <iostream>
-#include <map>
 #include <string>
-#include <tuple>
-#include <utility>
+#include <unordered_map>
 #include <vector>
 
 #include "core/sweep_runner.hpp"
@@ -84,24 +82,20 @@ bool verify_session(const edea::service::SessionStats& stats,
   }
 
   // Structural cache accounting: within one session, the first occurrence
-  // of each (workload, config, backend, batch, dilation, depth_multiplier)
-  // key either simulates (a miss) or lands in the preloaded persisted
-  // cache (a hit); every repeat is a hit.
+  // of each cache key either simulates (a miss) or lands in the preloaded
+  // persisted cache (a hit); every repeat is a hit.
   // This prediction only holds when nothing gets evicted, i.e. the
   // capacity covers every distinct key; with a smaller --cache, eviction
   // timing decides which repeats re-simulate, so only bit-identity is
   // checked.
-  std::map<
-      std::tuple<std::uint64_t, std::uint64_t, std::string, int, int, int>,
-      int>
-      seen;
+  using Key = edea::service::SimulationService::Key;
+  std::unordered_map<Key, int, edea::service::SimulationService::KeyHash> seen;
   std::uint64_t expect_misses = 0;
   for (std::size_t i = 0; i < stats.jobs.size(); ++i) {
     const SweepJob& job = stats.jobs[i];
-    const auto key = std::make_tuple(
-        edea::core::network_fingerprint(*job.layers, *job.input),
-        job.config.hash(), stats.outcomes[i].backend, job.batch, job.dilation,
-        job.depth_multiplier);
+    // The outcome echoes the job's key with the backend resolved.
+    const Key key{edea::core::network_fingerprint(*job.layers, *job.input),
+                  stats.outcomes[i]};
     if (seen[key]++ == 0 && !stats.outcomes[i].summary_only) ++expect_misses;
   }
   if (cache_capacity >= seen.size()) {
@@ -181,11 +175,8 @@ int main(int argc, char** argv) {
   }
   service::WorkloadCatalog catalog;
   service::SessionOptions session_options;
+  static_cast<core::JobDims&>(session_options) = config;
   session_options.record_traffic = config.verify;  // --verify is stdio-only
-  session_options.backend = config.backend;
-  session_options.batch = config.batch;
-  session_options.dilation = config.dilation;
-  session_options.depth_multiplier = config.depth_multiplier;
   session_options.allow_unordered = !config.ordered;
   session_options.busy_retry_ms = config.busy_retry_ms;
   int exit_code = 0;

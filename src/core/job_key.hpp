@@ -1,0 +1,111 @@
+// job_key.hpp - the identity of one simulation request, defined once.
+//
+// A design point is a workload plus five dimensions: the accelerator
+// configuration, the backend (dataflow), and the counts batch, dilation
+// and depth_multiplier. JobKey holds the five. SweepJob, SweepOutcome and
+// service::Request derive from it, and everything that validates, hashes,
+// orders, stores, parses or echoes a request's identity goes through it:
+//   - the service cache keys on (workload fingerprint, JobKey) and the
+//     cluster router's ring key hashes (network, seed, JobKey) - both
+//     through feed();
+//   - the cache file stores each entry's key with encode()/decode() and
+//     orders entries with precedes();
+//   - the line protocol's `key=` parser and outcome echo, and the
+//     --backend/--batch/--dilation/--depth-multiplier flags every command
+//     line shares, loop over kCountDims.
+//
+// Adding a count dimension: one field in JobDims and one kCountDims row.
+// The protocol key, the echo, the CLI flag, validation, hashing, ordering
+// and the cache entry all follow. What the new count *means* still lives
+// where it acts (a workload transform in WorkloadCatalog::resolve, a run
+// knob in the backends). It changes the cache entry layout, so bump
+// kCacheVersion in service/simulation_service.cpp, and it changes every
+// ring key, so shard caches written before the change stop being routed
+// to. A non-count dimension needs its own line in each JobKey function.
+#pragma once
+
+#include <array>
+#include <string>
+#include <string_view>
+
+#include "core/backend.hpp"
+#include "core/config.hpp"
+#include "util/binary.hpp"
+#include "util/hash.hpp"
+
+namespace edea::core {
+
+/// A job's identity besides its accelerator configuration: the backend
+/// and the counts. Servers default exactly these for `run` lines that
+/// leave them out (service::WireOptions and the CLI configs derive from
+/// it), which is why they stand apart from the configuration.
+struct JobDims {
+  /// Backend id (core/backend.hpp registry): the same workload and
+  /// configuration on different dataflows are different experiments.
+  std::string backend = std::string(kDefaultBackendId);
+  /// Images run through one planned setup
+  /// (AcceleratorBackend::run_network_batch). Per-image results are
+  /// bit-identical to `batch` standalone runs; only the summary's
+  /// peak_arena_bytes differs.
+  int batch = 1;
+  /// Workload transforms already baked into the layers by the resolver
+  /// (WorkloadCatalog::resolve): the DWC dilation and the extra depthwise
+  /// multiplier. Each > 1 is a different computation.
+  int dilation = 1;
+  int depth_multiplier = 1;
+
+  friend bool operator==(const JobDims&, const JobDims&) = default;
+
+  /// Throws PreconditionError unless the backend is registered and every
+  /// count is >= 1. The message starts with `what`, then `name` quoted
+  /// when given ("sweep job 'x': batch must be >= 1, got 0").
+  void validate(std::string_view what, std::string_view name = {}) const;
+};
+
+/// One count dimension: its name and its field. The name is the protocol
+/// key and echo (`depth_multiplier=`), and with '-' for '_' the command
+/// line flag (`--depth-multiplier`).
+struct CountDim {
+  const char* name;
+  int JobDims::*field;
+};
+
+/// Every count dimension, in hash, cache-file and echo order.
+inline constexpr std::array<CountDim, 3> kCountDims{{
+    {"batch", &JobDims::batch},
+    {"dilation", &JobDims::dilation},
+    {"depth_multiplier", &JobDims::depth_multiplier},
+}};
+
+/// The full identity of a request, less its workload.
+struct JobKey : JobDims {
+  EdeaConfig config;
+
+  friend bool operator==(const JobKey&, const JobKey&) = default;
+
+  /// Feeds the key into `h`: config.hash(), the backend, then every count
+  /// as an int. The service cache and route_key feed it after their own
+  /// prefix; the order is part of the ring placement of every persisted
+  /// shard cache, so it never changes.
+  void feed(util::Fnv1a64& h) const noexcept {
+    h.pod(config.hash()).str(backend);
+    for (const CountDim& dim : kCountDims) h.pod(this->*dim.field);
+  }
+
+  /// The cache file's entry order (after the fingerprint): config hash,
+  /// then backend, then each count.
+  [[nodiscard]] bool precedes(const JobKey& other) const;
+
+  /// A cache entry's key: EdeaConfig::encode, the backend, then one int32
+  /// per count (cache format v4).
+  void encode(util::ByteWriter& w) const;
+
+  /// The inverse of encode, reading an entry of cache file `file` (named
+  /// in errors). Throws PreconditionError when the bytes run out, the
+  /// backend is not registered, or a count is < 1: such an entry could
+  /// never be served.
+  [[nodiscard]] static JobKey decode(util::ByteReader& r,
+                                     std::string_view file);
+};
+
+}  // namespace edea::core

@@ -15,6 +15,7 @@
 
 #include "core/backend.hpp"
 #include "core/config.hpp"
+#include "core/job_key.hpp"
 #include "core/run_result.hpp"
 #include "nn/layers.hpp"
 #include "nn/tensor.hpp"
@@ -27,31 +28,22 @@ namespace edea::core {
 
 /// One simulation job: run `layers` on an accelerator built from `config`,
 /// starting from `input`. The pointed-to network and tensor must outlive
-/// the sweep; they are never written.
-struct SweepJob {
+/// the sweep; they are never written. The job's identity - config,
+/// backend, batch and workload transforms - is its JobKey base (see
+/// core/job_key.hpp); the transforms are already baked into every layer
+/// spec by the resolver and are carried so outcomes can echo them and the
+/// service cache can key on them. Counts < 1 are a PreconditionError.
+struct SweepJob : JobKey {
+  /// Unlike a resolved key, a job's backend starts empty: "" means "the
+  /// caller's default" - evaluate_job resolves it to kDefaultBackendId,
+  /// SweepRunner to its SweepOptions::backend. An unknown id is a
+  /// PreconditionError: a typo'd backend is a caller bug, not a design
+  /// point.
+  SweepJob() { backend.clear(); }
+
   std::string name;
-  EdeaConfig config = EdeaConfig::paper();
   const std::vector<nn::QuantDscLayer>* layers = nullptr;
   const nn::Int8Tensor* input = nullptr;
-  /// Accelerator backend id (core/backend.hpp registry) this job simulates
-  /// on. Empty means "the caller's default": evaluate_job resolves it to
-  /// kDefaultBackendId, SweepRunner to its SweepOptions::backend. An
-  /// unknown id is a PreconditionError - a typo'd backend is a caller bug,
-  /// not a design point.
-  std::string backend;
-  /// Images to run through one planned setup
-  /// (AcceleratorBackend::run_network_batch). Per-image arithmetic and
-  /// timing are bit-identical to `batch` standalone runs; only the
-  /// summary's peak_arena_bytes reflects the batched plan. < 1 is a
-  /// PreconditionError.
-  int batch = 1;
-  /// Workload-transform knobs the resolver applied when materializing
-  /// `layers` (see WorkloadCatalog::resolve): the DWC dilation and the
-  /// extra depth multiplier. Already baked into every layer spec - carried
-  /// here so outcomes can echo them and the service cache can key on them
-  /// without re-deriving from the layers. < 1 is a PreconditionError.
-  int dilation = 1;
-  int depth_multiplier = 1;
   /// Precomputed network_fingerprint(*layers, *input), or 0 for "not
   /// computed". Hashing a workload touches every weight and input byte -
   /// hundreds of microseconds for real networks - so callers that submit
@@ -64,22 +56,12 @@ struct SweepJob {
 /// Result of one job. A job whose configuration cannot map the network
 /// (ResourceError, PreconditionError, ...) reports the failure in `error`
 /// instead of aborting the sweep - infeasible points are data in a DSE.
-struct SweepOutcome {
+///
+/// The JobKey base echoes the job's identity with the backend resolved
+/// (never empty): it is part of the protocol line and of the service
+/// cache key.
+struct SweepOutcome : JobKey {
   std::string name;
-  EdeaConfig config;
-  /// The resolved backend id this outcome was simulated on (never empty -
-  /// an empty SweepJob::backend resolves before evaluation). Part of the
-  /// protocol line and of the service cache key: the same workload and
-  /// configuration on different dataflows are different experiments.
-  std::string backend = std::string(kDefaultBackendId);
-  /// The job's batch size, echoed for the protocol line (batch > 1 is a
-  /// distinct cache key: its arena plan and peak differ).
-  int batch = 1;
-  /// The job's workload-transform knobs, echoed for the protocol line
-  /// (each > 1 is a distinct cache key: the transformed network computes
-  /// something else).
-  int dilation = 1;
-  int depth_multiplier = 1;
   bool ok = false;
   std::string error;
   NetworkRunResult result;
@@ -146,7 +128,8 @@ struct SweepOptions {
 /// service) can treat infeasible points as data. Null network/input
 /// pointers are still a hard PreconditionError - that is a caller bug,
 /// not a design point - and so are a tile_parallelism < 1 (see
-/// SweepOptions::tile_parallelism) and an unknown backend id.
+/// SweepOptions::tile_parallelism) and an invalid key (an unknown backend
+/// id or a count < 1, JobDims::validate).
 [[nodiscard]] SweepOutcome evaluate_job(const SweepJob& job,
                                         int tile_parallelism = 1);
 

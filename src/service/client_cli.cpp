@@ -1,36 +1,9 @@
 #include "service/client_cli.hpp"
 
-#include <limits>
-#include <stdexcept>
-
-#include "core/backend.hpp"
 #include "service/protocol.hpp"
+#include "service/server_cli.hpp"
 
 namespace edea::service {
-
-namespace {
-
-/// Digit-first positive int, mirroring server_cli's parse_count grammar.
-bool parse_positive(const std::string& value, int* out) {
-  if (value.empty() || value.front() < '0' || value.front() > '9') {
-    return false;
-  }
-  try {
-    std::size_t consumed = 0;
-    const unsigned long parsed = std::stoul(value, &consumed);
-    if (consumed != value.size() || parsed < 1 ||
-        parsed > static_cast<unsigned long>(
-                     std::numeric_limits<int>::max())) {
-      return false;
-    }
-    *out = static_cast<int>(parsed);
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-}  // namespace
 
 std::string client_usage() {
   return
@@ -80,6 +53,15 @@ std::string client_usage() {
       "                         negotiating `mode unordered`\n";
 }
 
+core::JobDims ClientConfig::mirrored() const {
+  core::JobDims dims;
+  if (!backend.empty()) dims.backend = backend;
+  for (const core::CountDim& dim : core::kCountDims) {
+    if (this->*dim.field != 0) dims.*dim.field = this->*dim.field;
+  }
+  return dims;
+}
+
 ClientConfig parse_client_args(int argc, const char* const* argv) {
   ClientConfig config;
 
@@ -94,52 +76,25 @@ ClientConfig parse_client_args(int argc, const char* const* argv) {
   };
 
   for (int i = 0; i < argc && config.error.empty(); ++i) {
+    if (parse_dims_flag(argc, argv, i, config, &config.error)) continue;
     const std::string arg = argv[i];
     std::string value;
+    std::uint64_t count = 0;
     if (arg == "--help") {
       config.help = true;
     } else if (arg == "--verify") {
       config.verify = true;
     } else if (arg == "--expect-all-hits") {
       config.expect_all_hits = true;
-    } else if (arg == "--backend") {
-      if (!value_of(i, arg, &value)) break;
-      if (!core::backend_known(value)) {
-        config.error = "--backend: unknown backend '" + value + "' (known: " +
-                       core::known_backends_string() + ")";
-        break;
-      }
-      config.backend = value;
-    } else if (arg == "--batch") {
-      if (!value_of(i, arg, &value)) break;
-      if (!parse_positive(value, &config.batch)) {
-        config.error = "--batch needs a positive count, got '" + value + "'";
-        break;
-      }
-    } else if (arg == "--dilation") {
-      if (!value_of(i, arg, &value)) break;
-      if (!parse_positive(value, &config.dilation)) {
-        config.error =
-            "--dilation needs a positive count, got '" + value + "'";
-        break;
-      }
-    } else if (arg == "--depth-multiplier") {
-      if (!value_of(i, arg, &value)) break;
-      if (!parse_positive(value, &config.depth_multiplier)) {
-        config.error =
-            "--depth-multiplier needs a positive count, got '" + value + "'";
-        break;
-      }
     } else if (arg == "--pipeline") {
       if (!value_of(i, arg, &value)) break;
-      int window = 0;
-      if (!parse_positive(value, &window) || window > kMaxFrameLines) {
+      if (!parse_flag_count(value, 1, kMaxFrameLines, &count)) {
         config.error = "--pipeline needs a window in [1, " +
                        std::to_string(kMaxFrameLines) + "], got '" + value +
                        "'";
         break;
       }
-      config.pipeline = static_cast<std::size_t>(window);
+      config.pipeline = static_cast<std::size_t>(count);
     } else if (arg == "--ordered") {
       config.ordered = true;
     } else if (arg == "--connect") {
@@ -150,28 +105,14 @@ ClientConfig parse_client_args(int argc, const char* const* argv) {
         config.error = "--connect needs HOST:PORT, got '" + value + "'";
         break;
       }
-      config.host = value.substr(0, colon);
-      const std::string port_text = value.substr(colon + 1);
-      // Digit-first, like server_cli's parse_count: std::stoul would skip
-      // leading whitespace and accept a '+' sign, and client and server
-      // must agree on the port grammar.
-      bool port_ok = port_text.front() >= '0' && port_text.front() <= '9';
-      unsigned long port = 0;
-      if (port_ok) {
-        try {
-          std::size_t consumed = 0;
-          port = std::stoul(port_text, &consumed);
-          port_ok = consumed == port_text.size() && port <= 65535;
-        } catch (const std::exception&) {
-          port_ok = false;
-        }
-      }
-      if (!port_ok) {
+      // The same port grammar as the server's --listen.
+      if (!parse_flag_count(value.substr(colon + 1), 0, 65535, &count)) {
         config.error = "--connect: port in '" + value +
                        "' must be a number in [0, 65535]";
         break;
       }
-      config.port = static_cast<std::uint16_t>(port);
+      config.host = value.substr(0, colon);
+      config.port = static_cast<std::uint16_t>(count);
       config.connect_given = true;
     } else {
       config.error = "unknown option '" + arg + "'";

@@ -9,30 +9,31 @@
 #include <cstdint>
 #include <string>
 
+#include "core/job_key.hpp"
+
 namespace edea::service {
 
 /// Parsed client command line. `error` empty means the parse succeeded.
-struct ClientConfig {
+///
+/// The JobDims base holds --backend / --batch / --dilation /
+/// --depth-multiplier: the request defaults of the *in-process reference*
+/// session --verify recomputes against, which must mirror the server's
+/// flags or the reference diverges by construction. Validated at parse
+/// time; a flag not given stays "" or 0, and the protocol default
+/// applies.
+struct ClientConfig : core::JobDims {
+  ClientConfig() : core::JobDims{"", 0, 0, 0} {}
+
+  /// The reference session's request defaults: every flag given, the
+  /// protocol default for the rest.
+  [[nodiscard]] core::JobDims mirrored() const;
+
   bool help = false;             ///< --help: print usage, exit 0
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;        ///< --connect HOST:PORT
   bool connect_given = false;
   bool verify = false;           ///< --verify: byte-compare vs stdio reference
   bool expect_all_hits = false;  ///< --expect-all-hits: persisted replay
-  /// --backend ID: default backend of the *in-process reference* session
-  /// --verify recomputes against. Must mirror the server's --backend or
-  /// the reference diverges by construction. Validated against the
-  /// registry at parse time.
-  std::string backend;  ///< empty = the protocol default ("edea")
-  /// --batch N: default batch of the in-process --verify reference. Must
-  /// mirror the server's --batch for the same reason. Validated >= 1 at
-  /// parse time; 0 = the protocol default (1).
-  int batch = 0;
-  /// --dilation N / --depth-multiplier N: default workload transforms of
-  /// the in-process --verify reference. Must mirror the server's flags.
-  /// Validated >= 1 at parse time; 0 = the protocol default (1).
-  int dilation = 0;
-  int depth_multiplier = 0;
   /// --pipeline N: keep up to N requests in flight using batch frames and
   /// `mode unordered` streaming (service/pipeline_client.hpp); responses
   /// still print in request order, so --verify composes. Validated in

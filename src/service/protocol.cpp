@@ -50,22 +50,10 @@ std::string apply_override(Request& request, const std::string& key,
     }
     return "";
   }
-  if (key == "batch") {
-    if (!parse_strict_count(value, &request.batch)) {
-      return "bad batch '" + value + "' (want a plain integer >= 1)";
-    }
-    return "";
-  }
-  if (key == "dilation") {
-    if (!parse_strict_count(value, &request.dilation)) {
-      return "bad dilation '" + value + "' (want a plain integer >= 1)";
-    }
-    return "";
-  }
-  if (key == "depth_multiplier") {
-    if (!parse_strict_count(value, &request.depth_multiplier)) {
-      return "bad depth_multiplier '" + value +
-             "' (want a plain integer >= 1)";
+  for (const core::CountDim& dim : core::kCountDims) {
+    if (key != dim.name) continue;
+    if (!parse_strict_count(value, &(request.*dim.field))) {
+      return "bad " + key + " '" + value + "' (want a plain integer >= 1)";
     }
     return "";
   }
@@ -186,12 +174,8 @@ std::string Request::job_name() const {
 
 core::SweepJob Request::job() const {
   core::SweepJob job;
+  static_cast<core::JobKey&>(job) = *this;
   job.name = job_name();
-  job.config = config;
-  job.backend = backend;
-  job.batch = batch;
-  job.dilation = dilation;
-  job.depth_multiplier = depth_multiplier;
   return job;
 }
 
@@ -199,25 +183,17 @@ ParsedLine parse_request_line(const std::string& line,
                               const std::string& default_backend,
                               int default_batch, int default_dilation,
                               int default_depth_multiplier) {
-  EDEA_REQUIRE(core::backend_known(default_backend),
-               "default backend '" + default_backend +
-                   "' is not registered (known: " +
-                   core::known_backends_string() + ")");
-  EDEA_REQUIRE(default_batch >= 1,
-               "default batch must be >= 1, got " +
-                   std::to_string(default_batch));
-  EDEA_REQUIRE(default_dilation >= 1,
-               "default dilation must be >= 1, got " +
-                   std::to_string(default_dilation));
-  EDEA_REQUIRE(default_depth_multiplier >= 1,
-               "default depth multiplier must be >= 1, got " +
-                   std::to_string(default_depth_multiplier));
+  return parse_request_line(
+      line, core::JobDims{default_backend, default_batch, default_dilation,
+                          default_depth_multiplier});
+}
+
+ParsedLine parse_request_line(const std::string& line,
+                              const core::JobDims& defaults) {
+  defaults.validate("request defaults");
   const std::vector<std::string> tokens = tokenize(line);
   ParsedLine parsed;
-  parsed.request.backend = default_backend;
-  parsed.request.batch = default_batch;
-  parsed.request.dilation = default_dilation;
-  parsed.request.depth_multiplier = default_depth_multiplier;
+  static_cast<core::JobDims&>(parsed.request) = defaults;
   if (tokens.empty() || tokens.front().front() == '#') {
     return parsed;  // kEmpty
   }
@@ -289,20 +265,18 @@ ParsedLine parse_request_line(const std::string& line,
 
 std::string format_outcome_line(const core::SweepOutcome& outcome) {
   const std::string cache = outcome.cache_hit ? "hit" : "miss";
-  // Default-valued knobs stay silent: echoing batch/dilation/
-  // depth_multiplier only when the request actually set them keeps every
-  // pre-existing response byte-stable.
-  std::string batch =
-      outcome.batch > 1 ? " batch=" + std::to_string(outcome.batch) : "";
-  if (outcome.dilation > 1) {
-    batch += " dilation=" + std::to_string(outcome.dilation);
-  }
-  if (outcome.depth_multiplier > 1) {
-    batch += " depth_multiplier=" + std::to_string(outcome.depth_multiplier);
+  // Default-valued counts stay silent: echoing one only when the request
+  // actually set it keeps every pre-existing response byte-stable.
+  std::string counts;
+  for (const core::CountDim& dim : core::kCountDims) {
+    if (outcome.*dim.field > 1) {
+      counts += std::string(" ") + dim.name + "=" +
+                std::to_string(outcome.*dim.field);
+    }
   }
   if (!outcome.ok) {
     return "error " + outcome.name + " " + outcome.config.to_string() +
-           " backend=" + outcome.backend + batch + " cache=" + cache +
+           " backend=" + outcome.backend + counts + " cache=" + cache +
            " msg=" + outcome.error;
   }
   // The captured summary, not a recomputation from `result`: outcomes
@@ -310,7 +284,7 @@ std::string format_outcome_line(const core::SweepOutcome& outcome) {
   // the summary, and both kinds must format bit-identically.
   const core::RunSummary& s = outcome.summary;
   return "ok " + outcome.name + " " + outcome.config.to_string() +
-         " backend=" + outcome.backend + batch +
+         " backend=" + outcome.backend + counts +
          " cycles=" + std::to_string(s.total_cycles) +
          " ops=" + std::to_string(s.total_ops) +
          " gops=" + format_gops(s.average_gops) +

@@ -105,35 +105,26 @@
 #include <cstdint>
 #include <string>
 
-#include "core/backend.hpp"
-#include "core/config.hpp"
+#include "core/job_key.hpp"
 #include "core/sweep_runner.hpp"
 #include "service/simulation_service.hpp"
 
 namespace edea::service {
 
-/// A parsed `run` request.
-struct Request {
-  std::string network;             ///< model-zoo name (unresolved)
-  std::uint64_t seed = 1;          ///< synthetic weight/input seed
-  core::EdeaConfig config;         ///< paper defaults + line overrides
-  /// Resolved backend id: the line's backend= override, else the parse
-  /// call's default. Always a registered id - unknown ids never parse.
-  std::string backend = std::string(core::kDefaultBackendId);
-  /// Images per run: the line's batch= override, else the parse call's
-  /// default. Always >= 1 - non-positive values never parse.
-  int batch = 1;
-  /// Workload transforms: the line's dilation= / depth_multiplier=
-  /// overrides, else 1. Always >= 1 - non-positive values never parse.
-  int dilation = 1;
-  int depth_multiplier = 1;
+/// A parsed `run` request: the network and seed that name its workload,
+/// and its JobKey (core/job_key.hpp) - config overrides on the paper
+/// defaults, and the backend and counts the line set or the parse call
+/// defaulted. The backend is always registered and every count >= 1:
+/// anything else never parses.
+struct Request : core::JobKey {
+  std::string network;     ///< model-zoo name (unresolved)
+  std::uint64_t seed = 1;  ///< synthetic weight/input seed
 
   /// Canonical job name: "<network>@<seed>" - what outcome lines echo.
   [[nodiscard]] std::string job_name() const;
 
-  /// The job this request names, without a workload: name, config,
-  /// backend, batch, and transforms set; the resolver points layers and
-  /// input at the materialized network.
+  /// The job this request names, without a workload: name and key set;
+  /// the resolver points layers and input at the materialized network.
   [[nodiscard]] core::SweepJob job() const;
 };
 
@@ -175,7 +166,7 @@ struct ParsedLine {
 ///   parse_strict_u64    any uint64 value (seeds)
 ///   parse_strict_int    int values >= 0 (EdeaConfig overrides;
 ///                       init_cycles=0 is valid)
-///   parse_strict_count  int values >= 1 (batch/dilation/depth_multiplier)
+///   parse_strict_count  int values >= 1 (core::kCountDims values)
 /// Each returns false without touching *out on rejection.
 [[nodiscard]] bool parse_strict_u64(const std::string& text,
                                     std::uint64_t* out);
@@ -183,15 +174,17 @@ struct ParsedLine {
 [[nodiscard]] bool parse_strict_count(const std::string& text, int* out);
 
 /// Parses one request line. Never throws on wire input: malformed lines -
-/// including unknown backend= ids and non-positive batch=, dilation=, or
-/// depth_multiplier= values - are a kError result (a service must survive
-/// bad clients). `default_backend` is what `run` requests resolve to when
-/// the line carries no backend= key (the server's --backend), and
-/// `default_batch` / `default_dilation` / `default_depth_multiplier`
-/// likewise for their keys (the server's --batch / --dilation /
-/// --depth-multiplier); all are caller configuration, not wire data, so
-/// an unknown default backend or a non-positive default count is a
+/// including unknown backend= ids and non-positive count values - are a
+/// kError result (a service must survive bad clients). `defaults` is what
+/// `run` requests resolve to for the backend and counts the line leaves
+/// out (the server's --backend, --batch, --dilation, --depth-multiplier).
+/// Defaults are caller configuration, not wire data, so an unknown
+/// default backend or a non-positive default count is a
 /// PreconditionError.
+[[nodiscard]] ParsedLine parse_request_line(const std::string& line,
+                                            const core::JobDims& defaults);
+
+/// The same, with the defaults spelled out.
 [[nodiscard]] ParsedLine parse_request_line(
     const std::string& line,
     const std::string& default_backend = std::string(

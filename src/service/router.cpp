@@ -31,22 +31,17 @@ constexpr std::uint64_t kStatsMarker = 0;
 }  // namespace
 
 std::uint64_t route_key(const Request& request) {
-  return util::Fnv1a64()
-      .str(request.network)
-      .pod(request.seed)
-      .pod(request.config.hash())
-      .str(request.backend)
-      .pod(request.batch)
-      .pod(request.dilation)
-      .pod(request.depth_multiplier)
-      .digest();
+  util::Fnv1a64 h;
+  h.str(request.network).pod(request.seed);
+  request.feed(h);
+  return h.digest();
 }
 
 ClusterRouter::ClusterRouter(RouterOptions options)
     : options_(std::move(options)), ring_(options_.replicas) {
   EDEA_REQUIRE(!options_.workers.empty(),
                "cluster router needs at least one worker");
-  validate_wire_options(options_, "router");
+  options_.validate("router default");
   EDEA_REQUIRE(options_.max_attempts >= 1,
                "router max_attempts must be >= 1, got " +
                    std::to_string(options_.max_attempts));

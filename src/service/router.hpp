@@ -7,9 +7,9 @@
 // to the owner of its data instead of funneling everything through one
 // serialized path: a ClusterRouter speaks the ordinary line protocol to
 // clients, shards every `run` line across N worker server processes by its
-// *cache key* (network@seed, config, backend, batch, dilation,
-// depth_multiplier - hashed through service/hash_ring.hpp), and merges the
-// replies back into the client's session.
+// *cache key* (network@seed plus the request's core::JobKey - hashed
+// through service/hash_ring.hpp), and merges the replies back into the
+// client's session.
 //
 // Invariants the tests pin (tests/router_test.cpp):
 //
@@ -49,11 +49,12 @@
 // itself (replies stream in cluster-wide completion order with `id=<n> `
 // prefixes); worker wires stay ordered either way.
 //
-// Operator contract: every worker must run with the same default backend /
-// batch / dilation / depth_multiplier flags as the router (the router
-// forwards raw request lines, and a worker with different defaults would
-// resolve them differently). simulation_router --spawn passes its own
-// defaults down, making the contract automatic; --worker attach mode
+// Operator contract: every worker must run with the same request-default
+// flags (core::JobDims: --backend, --batch, --dilation,
+// --depth-multiplier) as the router (the router forwards raw request
+// lines, and a worker with different defaults would resolve them
+// differently). simulation_router --spawn passes its own defaults down
+// (dims_flags), making the contract automatic; --worker attach mode
 // documents it.
 #pragma once
 
@@ -84,9 +85,9 @@ struct WorkerEndpoint {
 
 /// Configuration of a ClusterRouter: the client-facing wire defaults
 /// (WireOptions, exactly like a Session's - what `run` lines resolve to
-/// without a backend= / batch= / dilation= / depth_multiplier= key, and
-/// whether `mode unordered` is honored; the request defaults must match
-/// the workers' flags, see the operator contract above) plus routing.
+/// when they leave out the backend or a count, and whether `mode
+/// unordered` is honored; the request defaults must match the workers'
+/// flags, see the operator contract above) plus routing.
 struct RouterOptions : WireOptions {
   /// Worker membership at startup. At least one; ids must be unique.
   std::vector<WorkerEndpoint> workers;
@@ -120,13 +121,15 @@ struct RouterSessionStats : WireStats {
   std::uint64_t failovers = 0;       ///< worker deaths observed
 };
 
-/// The ring key of one parsed request: FNV-1a over every cache-key
-/// dimension the dispatch layer's own Key hashes. Requests that are the
-/// same cache entry are the same ring key, so shard-local hit/miss
-/// behavior reproduces the single-process cache exactly. (The network is
-/// keyed by name@seed rather than weight fingerprint - materializing
-/// weights just to route would defeat the point; name+seed determines the
-/// fingerprint, so the partition is the same.)
+/// The ring key of one parsed request: FNV-1a over the network name and
+/// seed, then the request's JobKey (JobKey::feed, the same feed the
+/// dispatch layer's own KeyHash uses). Requests that are the same cache
+/// entry are the same ring key, so shard-local hit/miss behavior
+/// reproduces the single-process cache exactly. (The network is keyed by
+/// name@seed rather than weight fingerprint - materializing weights just
+/// to route would defeat the point; name+seed and the key's transforms
+/// determine the fingerprint, so the partition is the same.) The value is
+/// pinned: persisted shard caches are placed by it.
 [[nodiscard]] std::uint64_t route_key(const Request& request);
 
 /// A consistent-hash router over worker simulation servers. Construct

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <stdexcept>
+
+#include "service/protocol.hpp"
+#include "service/server_cli.hpp"
 
 namespace edea::service {
 
@@ -16,31 +18,17 @@ constexpr int kMaxSpawn = 64;
 /// (balance improves as ~1/sqrt(replicas)).
 constexpr int kMaxReplicas = 65536;
 
-/// Same digit-first strict grammar as server_cli's parse_count.
-bool parse_count(const std::string& text, std::size_t max, std::size_t* out) {
-  if (text.empty() || text.front() < '0' || text.front() > '9') return false;
-  try {
-    std::size_t consumed = 0;
-    const unsigned long long value = std::stoull(text, &consumed);
-    if (consumed != text.size() || value > max) return false;
-    *out = static_cast<std::size_t>(value);
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
 /// Strict HOST:PORT parse. The host must be non-empty (a numeric IPv4
 /// address or 'localhost' - connect_socket's vocabulary), the port a
-/// digit-first integer in [1, 65535]: port 0 means "ephemeral" to a
-/// listener and nothing to a connector.
+/// plain integer in [1, 65535]: port 0 means "ephemeral" to a listener
+/// and nothing to a connector.
 bool parse_endpoint(const std::string& text, WorkerEndpoint* out) {
   const std::size_t colon = text.rfind(':');
   if (colon == std::string::npos || colon == 0 || colon + 1 >= text.size()) {
     return false;
   }
-  std::size_t port = 0;
-  if (!parse_count(text.substr(colon + 1), 65535, &port) || port == 0) {
+  std::uint64_t port = 0;
+  if (!parse_flag_count(text.substr(colon + 1), 1, 65535, &port)) {
     return false;
   }
   out->id = text;
@@ -128,9 +116,10 @@ RouterCliConfig parse_router_args(int argc, const char* const* argv) {
   };
 
   for (int i = 0; i < argc && config.error.empty(); ++i) {
+    if (parse_dims_flag(argc, argv, i, config, &config.error)) continue;
     const std::string arg = argv[i];
     std::string value;
-    std::size_t count = 0;
+    std::uint64_t count = 0;
     if (arg == "--help") {
       config.help = true;
     } else if (arg == "--worker") {
@@ -152,8 +141,7 @@ RouterCliConfig parse_router_args(int argc, const char* const* argv) {
       config.workers.push_back(std::move(worker));
     } else if (arg == "--spawn") {
       if (!value_of(i, arg, &value)) break;
-      if (!parse_count(value, static_cast<std::size_t>(kMaxSpawn), &count) ||
-          count < 1) {
+      if (!parse_flag_count(value, 1, kMaxSpawn, &count)) {
         config.error = "--spawn needs a worker count in [1, " +
                        std::to_string(kMaxSpawn) + "], got '" + value + "'";
         break;
@@ -175,9 +163,7 @@ RouterCliConfig parse_router_args(int argc, const char* const* argv) {
       config.cache_file = value;
     } else if (arg == "--replicas") {
       if (!value_of(i, arg, &value)) break;
-      if (!parse_count(value, static_cast<std::size_t>(kMaxReplicas),
-                       &count) ||
-          count < 1) {
+      if (!parse_flag_count(value, 1, kMaxReplicas, &count)) {
         config.error = "--replicas needs a count in [1, " +
                        std::to_string(kMaxReplicas) + "], got '" + value + "'";
         break;
@@ -185,19 +171,14 @@ RouterCliConfig parse_router_args(int argc, const char* const* argv) {
       config.replicas = static_cast<int>(count);
     } else if (arg == "--retry-attempts") {
       if (!value_of(i, arg, &value)) break;
-      if (!parse_count(value,
-                       static_cast<std::size_t>(
-                           std::numeric_limits<int>::max()),
-                       &count) ||
-          count < 1) {
+      if (!parse_strict_count(value, &config.max_attempts)) {
         config.error =
             "--retry-attempts needs a positive count, got '" + value + "'";
         break;
       }
-      config.max_attempts = static_cast<int>(count);
     } else if (arg == "--listen") {
       if (!value_of(i, arg, &value)) break;
-      if (!parse_count(value, 65535, &count)) {
+      if (!parse_flag_count(value, 0, 65535, &count)) {
         config.error = "--listen needs a port in [0, 65535], got '" + value +
                        "'";
         break;
@@ -206,57 +187,14 @@ RouterCliConfig parse_router_args(int argc, const char* const* argv) {
       config.port = static_cast<std::uint16_t>(count);
     } else if (arg == "--max-sessions") {
       if (!value_of(i, arg, &value)) break;
-      if (!parse_count(value, std::numeric_limits<std::size_t>::max(),
-                       &count)) {
+      if (!parse_flag_count(value, 0, std::numeric_limits<std::size_t>::max(),
+                            &count)) {
         config.error = "--max-sessions needs a non-negative count, got '" +
                        value + "'";
         break;
       }
-      config.max_sessions = count;
+      config.max_sessions = static_cast<std::size_t>(count);
       max_sessions_given = true;
-    } else if (arg == "--backend") {
-      if (!value_of(i, arg, &value)) break;
-      if (!core::backend_known(value)) {
-        config.error = "--backend: unknown backend '" + value + "' (known: " +
-                       core::known_backends_string() + ")";
-        break;
-      }
-      config.backend = value;
-    } else if (arg == "--batch") {
-      if (!value_of(i, arg, &value)) break;
-      if (!parse_count(value,
-                       static_cast<std::size_t>(
-                           std::numeric_limits<int>::max()),
-                       &count) ||
-          count < 1) {
-        config.error = "--batch needs a positive count, got '" + value + "'";
-        break;
-      }
-      config.batch = static_cast<int>(count);
-    } else if (arg == "--dilation") {
-      if (!value_of(i, arg, &value)) break;
-      if (!parse_count(value,
-                       static_cast<std::size_t>(
-                           std::numeric_limits<int>::max()),
-                       &count) ||
-          count < 1) {
-        config.error =
-            "--dilation needs a positive count, got '" + value + "'";
-        break;
-      }
-      config.dilation = static_cast<int>(count);
-    } else if (arg == "--depth-multiplier") {
-      if (!value_of(i, arg, &value)) break;
-      if (!parse_count(value,
-                       static_cast<std::size_t>(
-                           std::numeric_limits<int>::max()),
-                       &count) ||
-          count < 1) {
-        config.error =
-            "--depth-multiplier needs a positive count, got '" + value + "'";
-        break;
-      }
-      config.depth_multiplier = static_cast<int>(count);
     } else if (arg == "--ordered") {
       config.ordered = true;
     } else {

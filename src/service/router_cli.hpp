@@ -8,14 +8,17 @@
 #include <string>
 #include <vector>
 
-#include "core/backend.hpp"
+#include "core/job_key.hpp"
 #include "service/hash_ring.hpp"
 #include "service/router.hpp"
 
 namespace edea::service {
 
 /// Parsed router command line. `error` empty means the parse succeeded.
-struct RouterCliConfig {
+/// The JobDims base holds the request defaults (--backend / --batch /
+/// --dilation / --depth-multiplier), mirrored to workers (see
+/// RouterOptions).
+struct RouterCliConfig : core::JobDims {
   bool help = false;    ///< --help: print usage, exit 0
   bool listen = false;  ///< --listen given: TCP socket mode
   std::uint16_t port = 0;        ///< --listen PORT (0 = ephemeral)
@@ -36,11 +39,6 @@ struct RouterCliConfig {
 
   int replicas = HashRing::kDefaultReplicas;  ///< --replicas N
   int max_attempts = 5;                       ///< --retry-attempts N
-  /// Defaults mirrored to workers (see RouterOptions).
-  std::string backend = std::string(core::kDefaultBackendId);
-  int batch = 1;
-  int dilation = 1;
-  int depth_multiplier = 1;
   bool ordered = false;  ///< --ordered: refuse `mode unordered`
 
   std::string error;  ///< non-empty: bad usage, message says why

@@ -1,30 +1,67 @@
 #include "service/server_cli.hpp"
 
+#include <algorithm>
 #include <limits>
-#include <stdexcept>
+
+#include "service/protocol.hpp"
 
 namespace edea::service {
 
 namespace {
 
-/// Parses a non-negative integer <= `max`. Must start with a digit:
-/// std::stoull would silently wrap "-2" into a huge count, skip leading
-/// whitespace in " 80", and accept a '+' sign - none of which belongs in
-/// a port or thread count.
-bool parse_count(const std::string& text, std::size_t max, std::size_t* out) {
-  if (text.empty() || text.front() < '0' || text.front() > '9') return false;
-  try {
-    std::size_t consumed = 0;
-    const unsigned long long value = std::stoull(text, &consumed);
-    if (consumed != text.size() || value > max) return false;
-    *out = static_cast<std::size_t>(value);
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
+/// "--depth-multiplier" for the count named "depth_multiplier".
+std::string flag_of(const core::CountDim& dim) {
+  std::string flag = std::string("--") + dim.name;
+  std::replace(flag.begin(), flag.end(), '_', '-');
+  return flag;
 }
 
 }  // namespace
+
+bool parse_flag_count(const std::string& text, std::uint64_t min,
+                      std::uint64_t max, std::uint64_t* out) {
+  std::uint64_t value = 0;
+  if (!parse_strict_u64(text, &value) || value < min || value > max) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+bool parse_dims_flag(int argc, const char* const* argv, int& i,
+                     core::JobDims& dims, std::string* error) {
+  const std::string flag = argv[i];
+  int core::JobDims::*count = nullptr;
+  for (const core::CountDim& dim : core::kCountDims) {
+    if (flag == flag_of(dim)) count = dim.field;
+  }
+  if (count == nullptr && flag != "--backend") return false;
+  if (i + 1 >= argc) {
+    *error = flag + " needs a value";
+    return true;
+  }
+  const std::string value = argv[++i];
+  if (count != nullptr) {
+    if (!parse_strict_count(value, &(dims.*count))) {
+      *error = flag + " needs a positive count, got '" + value + "'";
+    }
+  } else if (core::backend_known(value)) {
+    dims.backend = value;
+  } else {
+    *error = "--backend: unknown backend '" + value + "' (known: " +
+             core::known_backends_string() + ")";
+  }
+  return true;
+}
+
+std::vector<std::string> dims_flags(const core::JobDims& dims) {
+  std::vector<std::string> flags = {"--backend", dims.backend};
+  for (const core::CountDim& dim : core::kCountDims) {
+    flags.push_back(flag_of(dim));
+    flags.push_back(std::to_string(dims.*dim.field));
+  }
+  return flags;
+}
 
 std::string server_usage() {
   return
@@ -90,6 +127,7 @@ std::string server_usage() {
 }
 
 ServerConfig parse_server_args(int argc, const char* const* argv) {
+  constexpr std::uint64_t kMaxSize = std::numeric_limits<std::size_t>::max();
   ServerConfig config;
   bool max_sessions_given = false;
   bool busy_retry_given = false;
@@ -105,16 +143,17 @@ ServerConfig parse_server_args(int argc, const char* const* argv) {
   };
 
   for (int i = 0; i < argc && config.error.empty(); ++i) {
+    if (parse_dims_flag(argc, argv, i, config, &config.error)) continue;
     const std::string arg = argv[i];
     std::string value;
-    std::size_t count = 0;
+    std::uint64_t count = 0;
     if (arg == "--help") {
       config.help = true;
     } else if (arg == "--verify") {
       config.verify = true;
     } else if (arg == "--listen") {
       if (!value_of(i, arg, &value)) break;
-      if (!parse_count(value, 65535, &count)) {
+      if (!parse_flag_count(value, 0, 65535, &count)) {
         config.error = "--listen needs a port in [0, 65535], got '" + value +
                        "'";
         break;
@@ -123,13 +162,12 @@ ServerConfig parse_server_args(int argc, const char* const* argv) {
       config.port = static_cast<std::uint16_t>(count);
     } else if (arg == "--max-sessions") {
       if (!value_of(i, arg, &value)) break;
-      if (!parse_count(value, std::numeric_limits<std::size_t>::max(),
-                       &count)) {
+      if (!parse_flag_count(value, 0, kMaxSize, &count)) {
         config.error = "--max-sessions needs a non-negative count, got '" +
                        value + "'";
         break;
       }
-      config.max_sessions = count;
+      config.max_sessions = static_cast<std::size_t>(count);
       max_sessions_given = true;
     } else if (arg == "--cache-file") {
       if (!value_of(i, arg, &value)) break;
@@ -138,52 +176,10 @@ ServerConfig parse_server_args(int argc, const char* const* argv) {
         break;
       }
       config.cache_file = value;
-    } else if (arg == "--backend") {
-      if (!value_of(i, arg, &value)) break;
-      if (!core::backend_known(value)) {
-        config.error = "--backend: unknown backend '" + value + "' (known: " +
-                       core::known_backends_string() + ")";
-        break;
-      }
-      config.backend = value;
-    } else if (arg == "--batch") {
-      if (!value_of(i, arg, &value)) break;
-      if (!parse_count(value,
-                       static_cast<std::size_t>(
-                           std::numeric_limits<int>::max()),
-                       &count) ||
-          count < 1) {
-        config.error = "--batch needs a positive count, got '" + value + "'";
-        break;
-      }
-      config.batch = static_cast<int>(count);
-    } else if (arg == "--dilation") {
-      if (!value_of(i, arg, &value)) break;
-      if (!parse_count(value,
-                       static_cast<std::size_t>(
-                           std::numeric_limits<int>::max()),
-                       &count) ||
-          count < 1) {
-        config.error =
-            "--dilation needs a positive count, got '" + value + "'";
-        break;
-      }
-      config.dilation = static_cast<int>(count);
-    } else if (arg == "--depth-multiplier") {
-      if (!value_of(i, arg, &value)) break;
-      if (!parse_count(value,
-                       static_cast<std::size_t>(
-                           std::numeric_limits<int>::max()),
-                       &count) ||
-          count < 1) {
-        config.error =
-            "--depth-multiplier needs a positive count, got '" + value + "'";
-        break;
-      }
-      config.depth_multiplier = static_cast<int>(count);
     } else if (arg == "--workers") {
       if (!value_of(i, arg, &value)) break;
-      if (!parse_count(value, std::numeric_limits<unsigned>::max(), &count)) {
+      if (!parse_flag_count(value, 0, std::numeric_limits<unsigned>::max(),
+                            &count)) {
         config.error = "--workers needs a non-negative count, got '" + value +
                        "'";
         break;
@@ -191,49 +187,37 @@ ServerConfig parse_server_args(int argc, const char* const* argv) {
       config.service.worker_threads = static_cast<unsigned>(count);
     } else if (arg == "--cache") {
       if (!value_of(i, arg, &value)) break;
-      if (!parse_count(value, std::numeric_limits<std::size_t>::max(),
-                       &count)) {
+      if (!parse_flag_count(value, 0, kMaxSize, &count)) {
         config.error = "--cache needs a non-negative capacity, got '" + value +
                        "'";
         break;
       }
-      config.service.cache_capacity = count;
+      config.service.cache_capacity = static_cast<std::size_t>(count);
     } else if (arg == "--max-queue") {
       if (!value_of(i, arg, &value)) break;
-      if (!parse_count(value, std::numeric_limits<std::size_t>::max(),
-                       &count)) {
+      if (!parse_flag_count(value, 0, kMaxSize, &count)) {
         config.error = "--max-queue needs a non-negative count, got '" +
                        value + "'";
         break;
       }
-      config.service.max_queue = count;
+      config.service.max_queue = static_cast<std::size_t>(count);
     } else if (arg == "--busy-retry-ms") {
       if (!value_of(i, arg, &value)) break;
-      if (!parse_count(value,
-                       static_cast<std::size_t>(
-                           std::numeric_limits<int>::max()),
-                       &count) ||
-          count < 1) {
+      if (!parse_strict_count(value, &config.busy_retry_ms)) {
         config.error =
             "--busy-retry-ms needs a positive count, got '" + value + "'";
         break;
       }
-      config.busy_retry_ms = static_cast<int>(count);
       busy_retry_given = true;
     } else if (arg == "--ordered") {
       config.ordered = true;
     } else if (arg == "--tile-parallelism") {
       if (!value_of(i, arg, &value)) break;
-      if (!parse_count(value,
-                       static_cast<std::size_t>(
-                           std::numeric_limits<int>::max()),
-                       &count) ||
-          count < 1) {
+      if (!parse_strict_count(value, &config.service.tile_parallelism)) {
         config.error =
             "--tile-parallelism needs a positive width, got '" + value + "'";
         break;
       }
-      config.service.tile_parallelism = static_cast<int>(count);
     } else {
       config.error = "unknown option '" + arg + "'";
     }

@@ -6,14 +6,18 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
-#include "core/backend.hpp"
+#include "core/job_key.hpp"
 #include "service/simulation_service.hpp"
 
 namespace edea::service {
 
 /// Parsed server command line. `error` empty means the parse succeeded.
-struct ServerConfig {
+/// The JobDims base holds --backend / --batch / --dilation /
+/// --depth-multiplier: the defaults of requests that leave them out,
+/// validated at parse time (default edea and 1).
+struct ServerConfig : core::JobDims {
   bool help = false;    ///< --help: print usage, exit 0
   bool verify = false;  ///< --verify: stdio mode only, serial cross-check
   bool listen = false;  ///< --listen given: TCP socket mode
@@ -21,17 +25,6 @@ struct ServerConfig {
   std::size_t max_sessions = 0;  ///< --max-sessions N (0 = unlimited)
   std::string cache_file;        ///< --cache-file PATH ("" = no persistence)
   ServiceOptions service;        ///< --workers / --cache / --tile-parallelism
-  /// --backend ID: default backend for requests without a backend= key.
-  /// Validated against the registry at parse time (default "edea").
-  std::string backend = std::string(core::kDefaultBackendId);
-  /// --batch N: default images-per-run for requests without a batch= key.
-  /// Validated >= 1 at parse time (default 1).
-  int batch = 1;
-  /// --dilation N / --depth-multiplier N: default workload transforms for
-  /// requests without the matching key. Validated >= 1 at parse time
-  /// (default 1).
-  int dilation = 1;
-  int depth_multiplier = 1;
   /// --ordered: refuse `mode unordered` switches, locking every session
   /// to the byte-exact ordered reply protocol (the verified reference).
   bool ordered = false;
@@ -52,5 +45,26 @@ struct ServerConfig {
 /// one-line description. This is the single source of truth the
 /// --help satellite test pins each documented option against.
 [[nodiscard]] std::string server_usage();
+
+// --- shared by the server, router and client command lines --------------
+
+/// The one integer grammar of every command line: parse_strict_u64
+/// (protocol.hpp - plain decimal digits, no sign, whitespace or junk)
+/// plus the range check [min, max]. Leaves *out untouched on rejection.
+[[nodiscard]] bool parse_flag_count(const std::string& text,
+                                    std::uint64_t min, std::uint64_t max,
+                                    std::uint64_t* out);
+
+/// Parses argv[i] if it is a request-default flag: --backend ID, or
+/// --<count> N for each core::kCountDims entry (--batch, --dilation,
+/// --depth-multiplier). Then it consumes the value (advancing i) into
+/// `dims` and returns true, with any problem - missing value, unknown
+/// backend, count < 1 - in *error. Returns false for any other argument.
+[[nodiscard]] bool parse_dims_flag(int argc, const char* const* argv, int& i,
+                                   core::JobDims& dims, std::string* error);
+
+/// The flags parse_dims_flag reads back as `dims`: how the router starts
+/// workers with its own request defaults.
+[[nodiscard]] std::vector<std::string> dims_flags(const core::JobDims& dims);
 
 }  // namespace edea::service

@@ -25,14 +25,13 @@ namespace {
 constexpr std::uint64_t kCacheMagic = 0x0053414341454445ull;
 // Version 2: entries gained the backend id (the cache key became
 // (fingerprint, config, backend)). Version 3: entries gained the batch
-// size (the key became (fingerprint, config, backend, batch)) and
-// RunSummary gained peak_arena_bytes. Version 4: entries gained the
-// workload-transform knobs (the key became (fingerprint, config,
-// backend, batch, dilation, depth_multiplier)). Older files are
-// rejected, not migrated: a v1 file cannot say which dataflow produced
-// its summaries, a v2 file can neither say which batch nor decode into
-// the wider summary, and a v3 file cannot say which workload transform
-// its fingerprints were computed over.
+// size and RunSummary gained peak_arena_bytes. Version 4: entries gained
+// the workload-transform knobs; since then an entry's key is exactly
+// core::JobKey::encode's, so a new key dimension means a new version.
+// Older files are rejected, not migrated: a v1 file cannot say which
+// dataflow produced its summaries, a v2 file can neither say which batch
+// nor decode into the wider summary, and a v3 file cannot say which
+// workload transform its fingerprints were computed over.
 constexpr std::uint32_t kCacheVersion = 4;
 
 /// Summary-level view of a cached outcome: everything the wire protocol
@@ -45,12 +44,8 @@ constexpr std::uint32_t kCacheVersion = 4;
 core::SweepOutcome summary_view(const core::SweepOutcome& full,
                                 std::string name) {
   core::SweepOutcome out;
+  static_cast<core::JobKey&>(out) = full;
   out.name = std::move(name);
-  out.config = full.config;
-  out.backend = full.backend;
-  out.batch = full.batch;
-  out.dilation = full.dilation;
-  out.depth_multiplier = full.depth_multiplier;
   out.ok = full.ok;
   out.error = full.error;
   out.summary = full.summary;
@@ -75,12 +70,8 @@ std::string current_error() {
 core::SweepOutcome failed_outcome(const core::SweepJob& job,
                                   std::string error) {
   core::SweepOutcome out;
+  static_cast<core::JobKey&>(out) = job;
   out.name = job.name;
-  out.config = job.config;
-  out.backend = job.backend;
-  out.batch = job.batch;
-  out.dilation = job.dilation;
-  out.depth_multiplier = job.depth_multiplier;
   out.error = std::move(error);
   return out;
 }
@@ -132,22 +123,7 @@ void SimulationService::validate_job(core::SweepJob& job) {
   // simulation will actually run on, and an unknown id must fail the
   // submitter here, not surface later as a broken future from the pool.
   if (job.backend.empty()) job.backend = std::string(core::kDefaultBackendId);
-  EDEA_REQUIRE(core::backend_known(job.backend),
-               "service request '" + job.name + "' names unknown backend '" +
-                   job.backend +
-                   "' (known: " + core::known_backends_string() + ")");
-  EDEA_REQUIRE(job.batch >= 1,
-               "service request '" + job.name +
-                   "' must run a positive batch, got " +
-                   std::to_string(job.batch));
-  EDEA_REQUIRE(job.dilation >= 1,
-               "service request '" + job.name +
-                   "' must have dilation >= 1, got " +
-                   std::to_string(job.dilation));
-  EDEA_REQUIRE(job.depth_multiplier >= 1,
-               "service request '" + job.name +
-                   "' must have depth_multiplier >= 1, got " +
-                   std::to_string(job.depth_multiplier));
+  job.validate("service request", job.name);
 }
 
 core::SweepOutcome SimulationService::view_for(
@@ -285,11 +261,7 @@ Admission SimulationService::dispatch(core::SweepJob job,
   const Key key{job.fingerprint != 0
                     ? job.fingerprint
                     : core::network_fingerprint(*job.layers, *job.input),
-                job.config,
-                job.backend,
-                job.batch,
-                job.dilation,
-                job.depth_multiplier};
+                job};
   waiter.name = job.name;
   const bool bounded = options_.max_queue > 0 && !waiter.in_process;
   // Memoization disabled (capacity 0): every submission is a fresh
@@ -453,19 +425,7 @@ std::size_t SimulationService::save_cache(const std::string& path) const {
               if (a.first.fingerprint != b.first.fingerprint) {
                 return a.first.fingerprint < b.first.fingerprint;
               }
-              if (a.first.config.hash() != b.first.config.hash()) {
-                return a.first.config.hash() < b.first.config.hash();
-              }
-              if (a.first.backend != b.first.backend) {
-                return a.first.backend < b.first.backend;
-              }
-              if (a.first.batch != b.first.batch) {
-                return a.first.batch < b.first.batch;
-              }
-              if (a.first.dilation != b.first.dilation) {
-                return a.first.dilation < b.first.dilation;
-              }
-              return a.first.depth_multiplier < b.first.depth_multiplier;
+              return a.first.job.precedes(b.first.job);
             });
 
   util::ByteWriter w;
@@ -474,11 +434,7 @@ std::size_t SimulationService::save_cache(const std::string& path) const {
   w.pod(static_cast<std::uint64_t>(entries.size()));
   for (const auto& [key, outcome] : entries) {
     w.pod(key.fingerprint);
-    key.config.encode(w);
-    w.str(key.backend);
-    w.pod(static_cast<std::int32_t>(key.batch));
-    w.pod(static_cast<std::int32_t>(key.dilation));
-    w.pod(static_cast<std::int32_t>(key.depth_multiplier));
+    key.job.encode(w);
     w.pod(static_cast<std::uint8_t>(outcome->ok ? 1 : 0));
     w.str(outcome->error);
     outcome->summary.encode(w);
@@ -539,6 +495,13 @@ std::size_t SimulationService::load_cache(const std::string& path) {
                "cache file '" + path + "' has unsupported version " +
                    std::to_string(version));
   const auto count = r.pod<std::uint64_t>();
+  // Every entry holds at least its fingerprint and two length-prefixed
+  // strings, so a count the rest of the payload cannot hold is corrupt -
+  // rejected before anything is allocated for it.
+  EDEA_REQUIRE(count <= r.remaining() / (3 * sizeof(std::uint64_t)),
+               "cache file '" + path + "' claims " + std::to_string(count) +
+                   " entries in " + std::to_string(r.remaining()) +
+                   " bytes");
 
   // Decode fully before touching service state, so a malformed tail can
   // never leave a half-loaded cache behind.
@@ -550,33 +513,12 @@ std::size_t SimulationService::load_cache(const std::string& path) {
   for (std::uint64_t i = 0; i < count; ++i) {
     const auto fingerprint = r.pod<std::uint64_t>();
     auto out = std::make_shared<core::SweepOutcome>();
-    out->config = core::EdeaConfig::decode(r);
-    out->backend = r.str();
-    EDEA_REQUIRE(core::backend_known(out->backend),
-                 "cache file '" + path + "' names unknown backend '" +
-                     out->backend +
-                     "' (known: " + core::known_backends_string() +
-                     ") - entries could never be served");
-    out->batch = static_cast<int>(r.pod<std::int32_t>());
-    EDEA_REQUIRE(out->batch >= 1,
-                 "cache file '" + path + "' has an entry with batch " +
-                     std::to_string(out->batch) + " (must be >= 1)");
-    out->dilation = static_cast<int>(r.pod<std::int32_t>());
-    EDEA_REQUIRE(out->dilation >= 1,
-                 "cache file '" + path + "' has an entry with dilation " +
-                     std::to_string(out->dilation) + " (must be >= 1)");
-    out->depth_multiplier = static_cast<int>(r.pod<std::int32_t>());
-    EDEA_REQUIRE(out->depth_multiplier >= 1,
-                 "cache file '" + path +
-                     "' has an entry with depth_multiplier " +
-                     std::to_string(out->depth_multiplier) +
-                     " (must be >= 1)");
+    static_cast<core::JobKey&>(*out) = core::JobKey::decode(r, path);
     out->ok = r.pod<std::uint8_t>() != 0;
     out->error = r.str();
     out->summary = core::RunSummary::decode(r);
     out->summary_only = true;
-    Key key{fingerprint,   out->config,   out->backend,
-            out->batch,    out->dilation, out->depth_multiplier};
+    Key key{fingerprint, *out};
     entries.emplace_back(std::move(key), std::move(out));
   }
   EDEA_REQUIRE(r.exhausted(),

@@ -2,16 +2,17 @@
 // sweep runtime.
 //
 // Design-space studies are embarrassingly request-parallel: every request
-// is an independent (network, accelerator config, backend) simulation.
-// The service accepts such requests asynchronously, runs them on a
+// is an independent simulation of one workload at one design point. The
+// service accepts such requests asynchronously, runs them on a
 // util::ThreadPool, and memoizes completed results in a bounded LRU cache
-// keyed by (network fingerprint, EdeaConfig, backend id, batch) - in DSE
-// refinement the same points are revisited constantly, and a revisit
-// should cost a hash lookup, not a simulation. The backend id is part of
-// the key because the same workload and configuration on different
-// dataflows are different experiments (different cycles and traffic, see
-// core/backend.hpp); batch is part of it because a batched run plans a
-// different arena (different peak_arena_bytes in the summary).
+// keyed by (network fingerprint, core::JobKey) - the JobKey being the
+// EdeaConfig, backend id, batch, dilation and depth multiplier
+// (core/job_key.hpp). In DSE refinement the same points are revisited
+// constantly, and a revisit should cost a hash lookup, not a simulation.
+// Every dimension of the key changes the result: a different dataflow
+// has different cycles and traffic (core/backend.hpp), a batched run
+// plans a different arena (peak_arena_bytes), and a transformed workload
+// computes something else.
 //
 // Concurrency contract:
 //   - submit()/submit_streaming()/serve()/cache_stats() are thread-safe;
@@ -124,11 +125,10 @@ enum class Admission {
               ///< callback will never run
 };
 
-/// The ok=false outcome of a job that produced no result: the job's
-/// identity echoed (name, config, resolved backend, batch, transforms)
-/// with `error` as the message. What every layer reports for a request
-/// it could not run - an unresolvable network, a failed launch or
-/// delivery, a cluster give-up.
+/// The ok=false outcome of a job that produced no result: the job's name
+/// and key echoed with `error` as the message. What every layer reports
+/// for a request it could not run - an unresolvable network, a failed
+/// launch or delivery, a cluster give-up.
 [[nodiscard]] core::SweepOutcome failed_outcome(const core::SweepJob& job,
                                                 std::string error);
 
@@ -203,24 +203,24 @@ class SimulationService {
 
   // --- cache persistence (survives service restarts) -----------------------
   //
-  // A cache file stores (network fingerprint, EdeaConfig, backend id,
-  // batch, dilation, depth multiplier) -> outcome *summaries* -
-  // everything the line protocol reports (ok/error text plus the
-  // RunSummary), not per-layer tensors - in a versioned, checksummed
-  // binary format (util/binary.hpp + util/hash.hpp). The format is at
-  // version 4 (version 1 predates backend-keyed entries, version 2
-  // predates batch-keyed entries and the summary's peak_arena_bytes
-  // field, version 3 predates the dilation/depth-multiplier key fields);
-  // files of any other version are rejected loudly, never migrated - a
-  // v1 file cannot say which dataflow produced its summaries, a v2 file
-  // can neither say which batch nor decode into today's wider RunSummary,
-  // and a v3 file cannot say which workload transform its fingerprints
-  // were computed over. A request
-  // that hits a persisted entry resolves immediately with a summary-only
-  // outcome (SweepOutcome::summary_only) that formats bit-identically to
-  // the line the original simulation produced, and is accounted as a
-  // cache hit. Persisted entries are pinned: they never count against
-  // cache_capacity and are never evicted (the file bounds them).
+  // A cache file stores (network fingerprint, JobKey) -> outcome
+  // *summaries* - everything the line protocol reports (ok/error text
+  // plus the RunSummary), not per-layer tensors - in a versioned,
+  // checksummed binary format (util/binary.hpp + util/hash.hpp); each
+  // entry's key is JobKey::encode's. The format is at version 4 (version
+  // 1 predates backend-keyed entries, version 2 predates batch-keyed
+  // entries and the summary's peak_arena_bytes field, version 3 predates
+  // the dilation/depth-multiplier key fields); files of any other version
+  // are rejected loudly, never migrated - a v1 file cannot say which
+  // dataflow produced its summaries, a v2 file can neither say which
+  // batch nor decode into today's wider RunSummary, and a v3 file cannot
+  // say which workload transform its fingerprints were computed over. A
+  // request that hits a persisted entry resolves immediately with a
+  // summary-only outcome (SweepOutcome::summary_only) that formats
+  // bit-identically to the line the original simulation produced, and is
+  // accounted as a cache hit. Persisted entries are pinned: they never
+  // count against cache_capacity and are never evicted (the file bounds
+  // them).
 
   /// Writes every completed result - live LRU entries plus previously
   /// loaded persisted entries - to `path`, atomically enough for a service
@@ -239,33 +239,29 @@ class SimulationService {
   /// cache_capacity is 0 (memoization disabled disables persistence too).
   std::size_t load_cache(const std::string& path);
 
- private:
-  /// Cache key: the workload fingerprint plus the exact configuration
-  /// plus the backend id plus the batch size plus the workload-transform
-  /// knobs (dilation, depth multiplier). The fingerprint is a content
-  /// hash (collisions possible in principle) that already reflects the
-  /// transformed layer specs; the other fields are compared exactly, and
-  /// the map's equality uses all of them - a collision across different
+  /// Cache key: the workload fingerprint plus the job's key. The
+  /// fingerprint is a content hash (collisions possible in principle)
+  /// that already reflects the transformed layer specs; the JobKey is
+  /// compared exactly - a fingerprint collision across different
   /// configs, dataflows, batch sizes, or transforms can never alias.
+  /// Public so callers can predict the cache's hits and misses (the
+  /// server's --verify gate).
   struct Key {
     std::uint64_t fingerprint = 0;
-    core::EdeaConfig config;
-    std::string backend;
-    int batch = 1;
-    int dilation = 1;
-    int depth_multiplier = 1;
+    core::JobKey job;
 
     friend bool operator==(const Key&, const Key&) = default;
   };
   struct KeyHash {
     std::size_t operator()(const Key& k) const noexcept {
       util::Fnv1a64 h;
-      h.pod(k.fingerprint).pod(k.config.hash()).str(k.backend).pod(k.batch);
-      h.pod(k.dilation).pod(k.depth_multiplier);
+      h.pod(k.fingerprint);
+      k.job.feed(h);
       return static_cast<std::size_t>(h.digest());
     }
   };
 
+ private:
   /// One client of a submission: how it hears its outcome and what it is
   /// owed. Every waiter is a callback - submit() wraps a promise in one -
   /// and each hears the view its kind is owed (view_for).
@@ -301,7 +297,7 @@ class SimulationService {
   };
 
   /// Validates a submission's invariants (network present, finite clock,
-  /// known backend, positive counts) and resolves the default backend.
+  /// a valid key) and resolves the default backend.
   static void validate_job(core::SweepJob& job);
 
   /// The one submission path: validate, then serve a hit, coalesce onto

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "service/transport.hpp"
-#include "util/check.hpp"
 
 namespace edea::service {
 
@@ -45,22 +44,6 @@ std::string render(WireFront::Slot& slot) {
 
 }  // namespace
 
-void validate_wire_options(const WireOptions& options,
-                           const std::string& owner) {
-  EDEA_REQUIRE(core::backend_known(options.backend),
-               owner + " default backend '" + options.backend +
-                   "' is not registered (known: " +
-                   core::known_backends_string() + ")");
-  EDEA_REQUIRE(options.batch >= 1, owner + " default batch must be >= 1, got " +
-                                       std::to_string(options.batch));
-  EDEA_REQUIRE(options.dilation >= 1,
-               owner + " default dilation must be >= 1, got " +
-                   std::to_string(options.dilation));
-  EDEA_REQUIRE(options.depth_multiplier >= 1,
-               owner + " default depth multiplier must be >= 1, got " +
-                   std::to_string(options.depth_multiplier));
-}
-
 WireFront::WireFront(Stream& client, const WireOptions& options,
                      WireStats& stats)
     : client_(client), options_(options), stats_(stats) {}
@@ -80,9 +63,7 @@ void WireFront::serve(Dispatch& dispatch) {
 
   std::string raw;
   while (client_.read_line(raw)) {
-    ParsedLine parsed =
-        parse_request_line(raw, options_.backend, options_.batch,
-                           options_.dilation, options_.depth_multiplier);
+    ParsedLine parsed = parse_request_line(raw, options_);
     if (parsed.kind == ParsedLine::Kind::kEmpty) continue;
 
     // Frame bookkeeping happens before the line is answered: control

@@ -38,7 +38,7 @@
 #include <mutex>
 #include <string>
 
-#include "core/backend.hpp"
+#include "core/job_key.hpp"
 #include "core/sweep_runner.hpp"
 #include "service/protocol.hpp"
 
@@ -46,35 +46,20 @@ namespace edea::service {
 
 class Stream;
 
-/// What a wire front needs from its owner's configuration.
-struct WireOptions {
-  /// Backend id `run` requests resolve to when the line carries no
-  /// backend= key (the --backend flag). Must name a registered backend -
-  /// an operator error, not a client's protocol error, so the owner
-  /// validates it at construction (validate_wire_options).
-  std::string backend = std::string(core::kDefaultBackendId);
-
-  /// Batch size `run` requests resolve to when the line carries no
-  /// batch= key (the --batch flag). Must be >= 1.
-  int batch = 1;
-
-  /// Workload transforms `run` requests resolve to when the line carries
-  /// no dilation= / depth_multiplier= key (the --dilation /
-  /// --depth-multiplier flags). Must be >= 1.
-  int dilation = 1;
-  int depth_multiplier = 1;
-
+/// What a wire front needs from its owner's configuration: the request
+/// defaults `run` lines resolve to when they leave out the backend or a
+/// count (the JobDims base: the --backend, --batch, --dilation and
+/// --depth-multiplier flags), and the reply framing policy. The defaults
+/// must be valid - a wrong default is an operator error, not a client's
+/// protocol error, so the owner validates them at construction
+/// (JobDims::validate).
+struct WireOptions : core::JobDims {
   /// Whether a client's `mode unordered` request is honored. False (the
   /// --ordered flag) locks the connection to ordered replies: the request
   /// answers `mode ordered`, stating what is in effect - the byte-exact
   /// reference behavior CI compares against.
   bool allow_unordered = true;
 };
-
-/// Throws PreconditionError unless `options` holds a registered backend
-/// and positive counts; `owner` ("session", "router") names the culprit.
-void validate_wire_options(const WireOptions& options,
-                           const std::string& owner);
 
 /// Counters every front reports for one connection.
 struct WireStats {

@@ -15,6 +15,7 @@
 #include "core/sweep_runner.hpp"
 #include "nn/model_zoo.hpp"
 #include "service/protocol.hpp"
+#include "service/router.hpp"
 #include "util/binary.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
@@ -88,6 +89,16 @@ void write_file(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   ASSERT_TRUE(out.good()) << path;
   out << bytes;
+}
+
+/// A hand-built cache payload framed as a file: the bytes, then their
+/// FNV-1a digest - a file that passes the checksum whatever it claims.
+std::string framed(const util::ByteWriter& w) {
+  const std::uint64_t digest =
+      util::Fnv1a64().bytes(w.buffer().data(), w.buffer().size()).digest();
+  std::string bytes(w.buffer().data(), w.buffer().size());
+  bytes.append(reinterpret_cast<const char*>(&digest), sizeof(digest));
+  return bytes;
 }
 
 TEST(CachePersistenceTest, SaveLoadRoundTripServesHitsBitIdentically) {
@@ -470,6 +481,115 @@ TEST(CachePersistenceTest, VersionTwoFilesAreRejectedByTheVersionGate) {
   }
   EXPECT_EQ(svc.cache_stats().entries, 0u);
   std::remove(path.c_str());
+}
+
+TEST(CachePersistenceTest, ImpossibleEntryCountsAreRejectedBeforeAllocating) {
+  // A 28-byte v4 file - magic, version, entry count, checksum, all valid -
+  // claiming more entries than any payload could hold. Allocating for the
+  // claimed count first would throw std::length_error (2^62) or
+  // std::bad_alloc (10^9) instead of the documented PreconditionError;
+  // merge_cache_files loads through the same path.
+  const std::string path = temp_cache_path("huge_count");
+  const std::string merged = temp_cache_path("huge_count_merged");
+  Fixture fx;
+  SimulationService svc;
+  ASSERT_TRUE(svc.submit(fx.job("a")).get().ok);
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 62, std::uint64_t{1000000000}}) {
+    SCOPED_TRACE("count=" + std::to_string(count));
+    util::ByteWriter w;
+    w.pod(std::uint64_t{0x0053414341454445ull});  // "EDEACAS\0" magic
+    w.pod(std::uint32_t{4});
+    w.pod(count);
+    const std::string bytes = framed(w);
+    ASSERT_EQ(bytes.size(), 28u);
+    write_file(path, bytes);
+    EXPECT_THROW((void)svc.load_cache(path), PreconditionError);
+    EXPECT_EQ(svc.cache_stats().entries, 1u);  // left unchanged
+    EXPECT_THROW((void)merge_cache_files({path}, merged), PreconditionError);
+  }
+  std::remove(path.c_str());
+  std::remove(merged.c_str());
+}
+
+TEST(CachePersistenceTest, VersionFourLayoutMatchesAnIndependentWriter) {
+  // The v4 layout written field by field, independently of the service's
+  // encoder: fingerprint, EdeaConfig::encode, backend, i32 batch, i32
+  // dilation, i32 depth_multiplier, u8 ok, error, RunSummary::encode.
+  // Three entries already in save order: two that differ only in
+  // depth_multiplier, then an error entry on the serialized backend. The
+  // counts take distinct values, so a decoder that swapped two of them
+  // would serve an entry under the wrong key (a miss below), and an
+  // encoder that swapped them, or a changed sort, would write different
+  // bytes back. Either would strand every cache file already written.
+  struct Entry {
+    std::uint64_t fingerprint;
+    std::string backend;
+    int depth_multiplier;
+    bool ok;
+    std::string error;
+    core::RunSummary summary;
+  };
+  core::RunSummary four;
+  four.layer_count = 2;
+  four.total_cycles = 1000;
+  four.total_ops = 5000;
+  four.average_gops = 1.25;
+  four.output_hash = 0x1111;
+  four.peak_arena_bytes = 4096;
+  core::RunSummary five = four;
+  five.total_cycles = 2000;
+  five.output_hash = 0x2222;
+  const std::vector<Entry> entries = {
+      {0x10, "edea", 4, true, "", four},
+      {0x10, "edea", 5, true, "", five},
+      {0x20, "serialized", 4, false, "boom", core::RunSummary{}},
+  };
+  const core::EdeaConfig config = core::EdeaConfig::paper();
+  util::ByteWriter w;
+  w.pod(std::uint64_t{0x0053414341454445ull});  // "EDEACAS\0" magic
+  w.pod(std::uint32_t{4});
+  w.pod(static_cast<std::uint64_t>(entries.size()));
+  for (const Entry& e : entries) {
+    w.pod(e.fingerprint);
+    config.encode(w);
+    w.str(e.backend);
+    w.pod(std::int32_t{2});  // batch
+    w.pod(std::int32_t{3});  // dilation
+    w.pod(static_cast<std::int32_t>(e.depth_multiplier));
+    w.pod(static_cast<std::uint8_t>(e.ok ? 1 : 0));
+    w.str(e.error);
+    e.summary.encode(w);
+  }
+  const std::string bytes = framed(w);
+  const std::string path = temp_cache_path("v4_layout");
+  const std::string resaved = temp_cache_path("v4_layout_resaved");
+  write_file(path, bytes);
+
+  SimulationService svc;
+  ASSERT_EQ(svc.load_cache(path), 3u);
+  Fixture fx;  // any workload: the stamped fingerprint keys the lookup
+  for (const Entry& e : entries) {
+    SCOPED_TRACE(e.backend + " depth_multiplier=" +
+                 std::to_string(e.depth_multiplier));
+    core::SweepJob job = fx.job("probe");
+    job.config = config;
+    job.fingerprint = e.fingerprint;
+    job.backend = e.backend;
+    job.batch = 2;
+    job.dilation = 3;
+    job.depth_multiplier = e.depth_multiplier;
+    const core::SweepOutcome out = svc.submit(job).get();
+    EXPECT_TRUE(out.cache_hit);
+    EXPECT_EQ(out.ok, e.ok);
+    EXPECT_EQ(out.error, e.error);
+    EXPECT_EQ(out.summary, e.summary);
+  }
+  EXPECT_EQ(svc.cache_stats().misses, 0u);
+  EXPECT_EQ(svc.save_cache(resaved), 3u);
+  EXPECT_EQ(read_file(resaved), bytes);
+  std::remove(path.c_str());
+  std::remove(resaved.c_str());
 }
 
 TEST(CachePersistenceTest, ZeroCapacityServiceIgnoresPersistence) {

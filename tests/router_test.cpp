@@ -153,6 +153,22 @@ TEST(RouteKeyTest, PartitionsByEveryCacheKeyDimension) {
   EXPECT_NE(key_of("run edeanet-64 seed=3 td=16"), base);
 }
 
+TEST(RouteKeyTest, RingPlacementIsPinned) {
+  // Ring keys must not move between releases: a restarted --worker
+  // cluster would send every key to a shard that never cached it.
+  // perfbench's Stack::owner predicts shards with route_key too.
+  const auto key_of = [](const std::string& line) {
+    const ParsedLine parsed = parse_request_line(line);
+    EDEA_REQUIRE(parsed.kind == ParsedLine::Kind::kRun, "want a run line");
+    return route_key(parsed.request);
+  };
+  EXPECT_EQ(key_of("run mobilenet-0.25x seed=3 td=16"),
+            0x0bc39973dcf885d9ull);
+  EXPECT_EQ(key_of("run mobilenet-0.25x seed=3 td=16 backend=serialized "
+                   "batch=2 dilation=2 depth_multiplier=3"),
+            0x10a78e1345950a90ull);
+}
+
 TEST(ClusterRouterTest, OrderedServeIsByteIdenticalToStdioForEveryCorpus) {
   // The tentpole acceptance criterion, over the same versioned request
   // corpora the CI loopback legs replay.

@@ -180,6 +180,22 @@ TEST(ServerCliTest, ContradictoryModesAreRejected) {
       parse({"--max-queue", "2", "--busy-retry-ms", "5"}).error.empty());
 }
 
+TEST(ServerCliTest, RequestDefaultFlagsRoundTripThroughDimsFlags) {
+  // What the router passes to the workers it spawns must parse back into
+  // exactly its own request defaults.
+  core::JobDims dims;
+  dims.backend = "serialized";
+  dims.batch = 2;
+  dims.dilation = 3;
+  dims.depth_multiplier = 4;
+  const std::vector<std::string> flags = dims_flags(dims);
+  std::vector<const char*> args;
+  for (const std::string& flag : flags) args.push_back(flag.c_str());
+  const ServerConfig config = parse(args);
+  ASSERT_TRUE(config.error.empty()) << config.error;
+  EXPECT_EQ(static_cast<const core::JobDims&>(config), dims);
+}
+
 // --- the client's command line (service/client_cli.hpp) --------------------
 
 TEST(ClientCliTest, HelpTextMentionsEveryDocumentedFlag) {
