@@ -1,117 +1,63 @@
 // sram.hpp - on-chip SRAM buffer model.
 //
-// The accelerator (Fig. 4) instantiates five of these: DWC ifmap buffer,
-// DWC weight buffer, offline (Non-Conv parameter) buffer, intermediate
-// buffer, and PWC weight buffer. The model provides byte-addressed storage
-// with a hard capacity limit (writing past capacity is a ResourceError: the
-// tiler exists precisely because layers do not fit) and read/write counters.
+// EDEA (Fig. 4) stages every operand an engine reads in an on-chip
+// buffer: the DWC ifmap tile, the intermediate tile (double buffered - the
+// direct transfer of the paper's title), the PWC weight slice and the PWC
+// partial-sum accumulator. A SramBuffer models one of them over externally
+// planned bytes (an nn::Arena slice, so a tile worker's whole scratch set
+// is one contiguous allocation) and enforces its hard capacity: touching
+// bytes past it is a ResourceError naming the buffer - the tiler exists
+// precisely because layers do not fit.
 //
-// Storage comes in two modes: owning (the buffer allocates its own bytes)
-// and span (the buffer models capacity/counters over externally planned
-// bytes - an nn::Arena slice - so a worker's whole scratch set is one
-// contiguous allocation). Behaviour is identical in both modes; a span
-// buffer simply does not own its lifetime, which the provider (the
-// accelerator's scratch arena) must outlive.
+// Access is by span, with one capacity check per staged row or block
+// rather than per element. The buffer counts nothing itself: every access
+// the simulator reports is tallied in bulk by the schedule that makes it
+// (core::LayerPartial), where the number is a function of the dataflow.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
+#include <span>
 #include <string>
-#include <vector>
 
-#include "arch/counters.hpp"
 #include "util/check.hpp"
 
 namespace edea::arch {
 
 class SramBuffer {
  public:
-  /// Owning mode: allocates (zeroed) storage of `capacity_bytes`.
-  SramBuffer(std::string name, std::int64_t capacity_bytes)
-      : name_(std::move(name)),
-        storage_(check_capacity(capacity_bytes)),
-        capacity_(capacity_bytes) {}
-
-  /// Span mode: models the buffer over `capacity_bytes` of externally
-  /// owned storage at `backing` (must be non-null and outlive the buffer).
+  /// Models the buffer over `capacity_bytes` of storage at `backing`, which
+  /// must be non-null and outlive the buffer.
   SramBuffer(std::string name, std::uint8_t* backing,
              std::int64_t capacity_bytes)
-      : name_(std::move(name)), external_(backing), capacity_(capacity_bytes) {
-    (void)check_capacity(capacity_bytes);
+      : name_(std::move(name)), bytes_(backing), capacity_(capacity_bytes) {
+    EDEA_REQUIRE(capacity_bytes > 0, "SRAM capacity must be positive");
     EDEA_REQUIRE(backing != nullptr,
-                 "span-mode SRAM '" + name_ + "' needs backing storage");
+                 "SRAM '" + name_ + "' needs backing storage");
   }
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] std::int64_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] bool owns_storage() const noexcept {
-    return external_ == nullptr;
-  }
 
-  /// Writes `size` bytes at `addr`. Counts one write access per call (the
-  /// silicon writes a word or burst per port transaction, not per byte).
-  void write(std::int64_t addr, const void* src, std::int64_t size) {
-    bounds_check(addr, size, "write");
-    std::memcpy(bytes() + addr, src, static_cast<std::size_t>(size));
-    counter_.record_write(size);
-  }
-
-  /// Reads `size` bytes at `addr` into dst. Counts one read access.
-  void read(std::int64_t addr, void* dst, std::int64_t size) {
-    bounds_check(addr, size, "read");
-    std::memcpy(dst, bytes() + addr, static_cast<std::size_t>(size));
-    counter_.record_read(size);
-  }
-
-  /// Typed single-element helpers used by the engines.
+  /// `count` elements of T starting at element `index`, after one capacity
+  /// check for the whole span.
   template <typename T>
-  void store(std::int64_t index, T value) {
-    write(index * static_cast<std::int64_t>(sizeof(T)), &value, sizeof(T));
-  }
-
-  template <typename T>
-  [[nodiscard]] T load(std::int64_t index) {
-    T value;
-    read(index * static_cast<std::int64_t>(sizeof(T)), &value, sizeof(T));
-    return value;
-  }
-
-  [[nodiscard]] const AccessCounter& counter() const noexcept {
-    return counter_;
-  }
-  void reset_counters() noexcept { counter_.reset(); }
-
-  /// Zeroes the contents without touching the counters (power-on state).
-  void clear_contents() {
-    std::uint8_t* p = bytes();
-    std::memset(p, 0, static_cast<std::size_t>(capacity_));
+  [[nodiscard]] std::span<T> span(std::int64_t index, std::int64_t count) {
+    const auto size = static_cast<std::int64_t>(sizeof(T));
+    const std::int64_t addr = index * size;
+    if (index < 0 || count < 0 || addr + count * size > capacity_) {
+      throw ResourceError("SRAM '" + name_ + "': out-of-range access at addr " +
+                          std::to_string(addr) + " size " +
+                          std::to_string(count * size) + " (capacity " +
+                          std::to_string(capacity_) + ")");
+    }
+    return {reinterpret_cast<T*>(bytes_ + addr),
+            static_cast<std::size_t>(count)};
   }
 
  private:
-  static std::size_t check_capacity(std::int64_t capacity_bytes) {
-    EDEA_REQUIRE(capacity_bytes > 0, "SRAM capacity must be positive");
-    return static_cast<std::size_t>(capacity_bytes);
-  }
-
-  [[nodiscard]] std::uint8_t* bytes() noexcept {
-    return external_ != nullptr ? external_ : storage_.data();
-  }
-
-  void bounds_check(std::int64_t addr, std::int64_t size,
-                    const char* op) const {
-    if (addr < 0 || size < 0 || addr + size > capacity_) {
-      throw ResourceError("SRAM '" + name_ + "': out-of-range " + op +
-                          " at addr " + std::to_string(addr) + " size " +
-                          std::to_string(size) + " (capacity " +
-                          std::to_string(capacity_) + ")");
-    }
-  }
-
   std::string name_;
-  std::vector<std::uint8_t> storage_;         ///< owning mode only
-  std::uint8_t* external_ = nullptr;          ///< span mode only
+  std::uint8_t* bytes_ = nullptr;
   std::int64_t capacity_ = 0;
-  AccessCounter counter_;
 };
 
 }  // namespace edea::arch

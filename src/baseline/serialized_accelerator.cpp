@@ -1,9 +1,12 @@
 #include "baseline/serialized_accelerator.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "core/timing.hpp"
 #include "nn/arena.hpp"
 #include "util/check.hpp"
 
@@ -16,7 +19,7 @@ using core::KernelGroup;
 using core::Tiler;
 
 SerializedDscAccelerator::SerializedDscAccelerator(core::EdeaConfig config)
-    : config_(config), dwc_(config), pwc_(config), nonconv_(config) {
+    : config_(config), datapath_(config) {
   config_.validate();
 }
 
@@ -157,9 +160,7 @@ SerializedLayerResult SerializedDscAccelerator::run_layer_into(
                "the DWC engine supports strides 1 and 2");
 
   Tiler tiler(config_, spec);
-  dwc_.reset_activity();
-  pwc_.reset_activity();
-  nonconv_.reset_counters();
+  datapath_.begin_layer(layer);
 
   const int N = spec.out_rows();
   const int M = spec.out_cols();
@@ -176,231 +177,138 @@ SerializedLayerResult SerializedDscAccelerator::run_layer_into(
   EDEA_REQUIRE(psum != nullptr, "psum scratch must be provided");
 
   SerializedLayerResult result;
-  result.common.spec = spec;
-  result.common.dwc_input_zero_fraction = input.zero_fraction();
+  core::LayerRunResult& common = result.common;
+  common.spec = spec;
+  common.dwc_input_zero_fraction = input.zero_fraction();
 
-  const int image_rows = input.dim(0);
-  const int image_cols = input.dim(1);
   const int mult = spec.depth_multiplier;
+  const int tn = config_.tn;
+  const int tm = config_.tm;
+  // One step's [Tn][Tm][slice channels] block, reused by both phases.
+  std::vector<std::int8_t> step_block(
+      static_cast<std::size_t>(tn * tm * config_.td));
+  const auto block_of = [&](const ChannelSlice& slice) {
+    return std::span(step_block).first(
+        static_cast<std::size_t>(tn * tm * slice.channels));
+  };
 
   // ---- Phase 1: depthwise convolution over the whole layer. ----
+  const core::Int8MapView image = core::Int8MapView::whole(input);
   for (const BufferTile& tile : tiler.tiles()) {
     for (const ChannelSlice& slice : tiler.slices()) {
       // Ifmap + weight load (counted identically to EDEA's pass loads):
       // only the *distinct* input channels behind the slice's intermediate
       // channels are fetched when the depth multiplier folds lanes.
-      const int in_count =
-          (slice.channel0 + slice.channels - 1) / mult -
-          slice.channel0 / mult + 1;
-      result.common.external.record_read(
+      const int in_count = (slice.channel0 + slice.channels - 1) / mult -
+                           slice.channel0 / mult + 1;
+      common.external.record_read(
           TrafficClass::kActivation,
-          tile.valid_input_elements(image_rows, image_cols) * in_count);
-      const auto w_elems =
-          std::int64_t{1} * config_.kernel * config_.kernel * slice.channels;
-      result.common.external.record_read(TrafficClass::kWeight, w_elems);
-      result.common.external.record_read(TrafficClass::kParameter,
-                                         std::int64_t{2} * slice.channels);
-
-      std::vector<std::int8_t> w(static_cast<std::size_t>(w_elems));
-      for (int i = 0; i < config_.kernel; ++i) {
-        for (int j = 0; j < config_.kernel; ++j) {
-          for (int ch = 0; ch < slice.channels; ++ch) {
-            w[static_cast<std::size_t>(
-                (i * config_.kernel + j) * slice.channels + ch)] =
-                layer.dwc_weights(i, j, slice.channel0 + ch);
-          }
-        }
-      }
-      dwc_.load_weights(w, slice.channels);
-
+          tile.valid_input_elements(spec.in_rows, spec.in_cols) * in_count);
+      common.external.record_read(TrafficClass::kWeight,
+                                  datapath_.load_dwc_slice(slice));
+      common.external.record_read(TrafficClass::kParameter,
+                                  std::int64_t{2} * slice.channels);
       result.dwc_phase_cycles += config_.init_cycles;
-      const int steps_r = (tile.out_rows + config_.tn - 1) / config_.tn;
-      const int steps_c = (tile.out_cols + config_.tm - 1) / config_.tm;
-      std::vector<std::int8_t> tile_int8(
-          static_cast<std::size_t>(config_.tn * config_.tm * slice.channels));
-      std::vector<nn::NonConvChannelParams> params;
-      for (int ch = 0; ch < slice.channels; ++ch) {
-        params.push_back(layer.nonconv1.channels[static_cast<std::size_t>(
-            slice.channel0 + ch)]);
-      }
 
-      for (int sy = 0; sy < steps_r; ++sy) {
-        for (int sx = 0; sx < steps_c; ++sx) {
-          const int out_r0 = tile.out_row0 + sy * config_.tn;
-          const int out_c0 = tile.out_col0 + sx * config_.tm;
+      const auto block = block_of(slice);
+      for (int sy = 0; sy * tn < tile.out_rows; ++sy) {
+        for (int sx = 0; sx * tm < tile.out_cols; ++sx) {
+          const int out_r0 = tile.out_row0 + sy * tn;
+          const int out_c0 = tile.out_col0 + sx * tm;
+          datapath_.dwc_step(image, out_r0, out_c0, block);
 
-          core::DwcWindow window;
-          window.extent =
-              config_.dwc_window_extent(spec.stride, spec.dilation);
-          window.channels = slice.channels;
-          window.values.assign(static_cast<std::size_t>(
-                                   window.extent * window.extent *
-                                   window.channels),
-                               0);
-          const int gr0 = out_r0 * spec.stride - spec.padding;
-          const int gc0 = out_c0 * spec.stride - spec.padding;
-          for (int r = 0; r < window.extent; ++r) {
-            for (int c = 0; c < window.extent; ++c) {
-              const int gr = gr0 + r;
-              const int gc = gc0 + c;
-              if (gr < 0 || gr >= image_rows || gc < 0 || gc >= image_cols) {
-                continue;
-              }
-              for (int ch = 0; ch < window.channels; ++ch) {
-                // Lane ch carries intermediate channel slice.channel0 + ch,
-                // whose data is input channel (slice.channel0 + ch) / mult.
-                window.values[static_cast<std::size_t>(
-                    (r * window.extent + c) * window.channels + ch)] =
-                    input(gr, gc, (slice.channel0 + ch) / mult);
-              }
+          // Round trip: the tile's valid outputs go out to external memory.
+          const int rows = std::min(tn, tile.out_rows - sy * tn);
+          const int cols = std::min(tm, tile.out_cols - sx * tm);
+          for (int r = 0; r < rows; ++r) {
+            for (int c = 0; c < cols; ++c) {
+              std::memcpy(
+                  &intermediate(out_r0 + r, out_c0 + c, slice.channel0),
+                  &block[static_cast<std::size_t>((r * tm + c) *
+                                                  slice.channels)],
+                  static_cast<std::size_t>(slice.channels));
             }
           }
-
-          const core::DwcStepOutput out =
-              dwc_.step(window, spec.stride, spec.dilation,
-                        spec.depth_multiplier);
-          result.dwc_phase_cycles += 1;
-          result.common.timing.dwc_active_cycles += 1;
-
-          nonconv_.set_writeback_mode(false);
-          nonconv_.apply_block(out.acc, params, slice.channels, tile_int8);
-
-          // Round-trip: write the valid outputs to external memory.
-          for (int r = 0; r < out.rows; ++r) {
-            const int gr = out_r0 + r;
-            if (gr >= tile.out_row0 + tile.out_rows || gr >= N) continue;
-            for (int c = 0; c < out.cols; ++c) {
-              const int gc = out_c0 + c;
-              if (gc >= tile.out_col0 + tile.out_cols || gc >= M) continue;
-              for (int ch = 0; ch < slice.channels; ++ch) {
-                intermediate(gr, gc, slice.channel0 + ch) =
-                    tile_int8[static_cast<std::size_t>(
-                        (r * out.cols + c) * slice.channels + ch)];
-                ++result.intermediate_external_writes;
-              }
-            }
-          }
+          result.intermediate_external_writes +=
+              std::int64_t{rows} * cols * slice.channels;
         }
       }
+      const std::int64_t steps = tile.spatial_steps(config_);
+      result.dwc_phase_cycles += steps;
+      common.timing.dwc_active_cycles += steps;
     }
   }
-  result.common.external.record_write(TrafficClass::kActivation,
-                                      result.intermediate_external_writes);
-  result.common.pwc_input_zero_fraction = intermediate.zero_fraction();
+  common.external.record_write(TrafficClass::kActivation,
+                               result.intermediate_external_writes);
+  common.pwc_input_zero_fraction = intermediate.zero_fraction();
 
   // ---- Phase 2: pointwise convolution, reading the intermediate back. ----
+  const core::Int8MapView inter = core::Int8MapView::whole(intermediate);
+  std::vector<std::int8_t> pwc_weights;
   for (const BufferTile& tile : tiler.tiles()) {
-    const auto tile_entries =
-        static_cast<std::size_t>(tile.out_rows) *
-        static_cast<std::size_t>(tile.out_cols) * static_cast<std::size_t>(K);
+    const auto tile_entries = static_cast<std::size_t>(tile.out_rows) *
+                              static_cast<std::size_t>(tile.out_cols) *
+                              static_cast<std::size_t>(K);
     EDEA_ASSERT(tile_entries <= psum_capacity,
                 "psum scratch smaller than the tiler's largest tile");
-    std::fill(psum, psum + tile_entries, std::int32_t{0});
+    const std::span<std::int32_t> tile_psum(psum, tile_entries);
 
+    bool first_slice = true;
     for (const ChannelSlice& slice : tiler.slices()) {
       result.pwc_phase_cycles += config_.init_cycles;
-      result.common.external.record_read(
-          TrafficClass::kWeight, std::int64_t{K} * slice.channels);
+      pwc_weights.resize(static_cast<std::size_t>(K * slice.channels));
+      datapath_.gather_pwc_weights(slice, pwc_weights);
+      common.external.record_read(TrafficClass::kWeight,
+                                  std::int64_t{K} * slice.channels);
 
-      const int steps_r = (tile.out_rows + config_.tn - 1) / config_.tn;
-      const int steps_c = (tile.out_cols + config_.tm - 1) / config_.tm;
-      for (int sy = 0; sy < steps_r; ++sy) {
-        for (int sx = 0; sx < steps_c; ++sx) {
-          const int out_r0 = tile.out_row0 + sy * config_.tn;
-          const int out_c0 = tile.out_col0 + sx * config_.tm;
-
-          // Fetch the step's intermediate tile once (held in registers
-          // across kernel groups), counting the external reads.
-          std::vector<std::int8_t> acts(static_cast<std::size_t>(
-              config_.tn * config_.tm * slice.channels));
-          for (int r = 0; r < config_.tn; ++r) {
-            for (int c = 0; c < config_.tm; ++c) {
-              const int gr = out_r0 + r;
-              const int gc = out_c0 + c;
-              for (int ch = 0; ch < slice.channels; ++ch) {
-                std::int8_t v = 0;
-                if (gr < N && gc < M) {
-                  v = intermediate(gr, gc, slice.channel0 + ch);
-                  ++result.intermediate_external_reads;
-                }
-                acts[static_cast<std::size_t>(
-                    (r * config_.tm + c) * slice.channels + ch)] = v;
-              }
-            }
-          }
-
+      const auto block = block_of(slice);
+      for (int sy = 0; sy * tn < tile.out_rows; ++sy) {
+        for (int sx = 0; sx * tm < tile.out_cols; ++sx) {
+          // Fetch the step's intermediate block once (held in registers
+          // across kernel groups): every position inside the map is read.
+          result.intermediate_external_reads += core::gather_block(
+              inter, tile.out_row0 + sy * tn, tile.out_col0 + sx * tm, tn, tm,
+              slice.channel0, slice.channels, 1, block);
+          datapath_.load_pwc_activations(block);
           for (const KernelGroup& group : tiler.kernel_groups()) {
-            core::PwcStepInput pin;
-            pin.rows = config_.tn;
-            pin.cols = config_.tm;
-            pin.channels = slice.channels;
-            pin.kernels = group.kernels;
-            pin.activations = acts;
-            pin.weights.resize(
-                static_cast<std::size_t>(group.kernels * slice.channels));
-            for (int kk = 0; kk < group.kernels; ++kk) {
-              for (int ch = 0; ch < slice.channels; ++ch) {
-                pin.weights[static_cast<std::size_t>(kk * slice.channels +
-                                                     ch)] =
-                    layer.pwc_weights(group.kernel0 + kk,
-                                      slice.channel0 + ch);
-              }
-            }
-            const core::PwcStepOutput pout =
-                pwc_.step(pin, spec.depth_multiplier);
-            result.pwc_phase_cycles += 1;
-            result.common.timing.pwc_active_cycles += 1;
-
-            for (int r = 0; r < pout.rows; ++r) {
-              const int tr = sy * config_.tn + r;
-              if (tr >= tile.out_rows) continue;
-              for (int c = 0; c < pout.cols; ++c) {
-                const int tc = sx * config_.tm + c;
-                if (tc >= tile.out_cols) continue;
-                for (int kk = 0; kk < pout.kernels; ++kk) {
-                  psum[static_cast<std::size_t>(
-                      (tr * tile.out_cols + tc) * K + group.kernel0 + kk)] +=
-                      pout.at(r, c, kk);
-                }
-              }
-            }
+            datapath_.pwc_step(pwc_weights, group, tile, sy, sx, first_slice,
+                               tile_psum);
           }
         }
       }
+      const std::int64_t group_steps =
+          tile.spatial_steps(config_) *
+          static_cast<std::int64_t>(tiler.kernel_groups().size());
+      result.pwc_phase_cycles += group_steps;
+      common.timing.pwc_active_cycles += group_steps;
+      first_slice = false;
     }
 
     // Write-back through the Non-Conv array (per-K parameters).
-    nonconv_.set_writeback_mode(true);
-    result.common.external.record_read(TrafficClass::kParameter,
-                                       std::int64_t{2} * K);
-    std::vector<std::int8_t> out_row(static_cast<std::size_t>(K));
-    std::vector<std::int32_t> acc_row(static_cast<std::size_t>(K));
-    for (int r = 0; r < tile.out_rows; ++r) {
-      for (int c = 0; c < tile.out_cols; ++c) {
-        for (int k = 0; k < K; ++k) {
-          acc_row[static_cast<std::size_t>(k)] = psum[static_cast<std::size_t>(
-              (r * tile.out_cols + c) * K + k)];
-        }
-        nonconv_.apply_block(acc_row, layer.nonconv2.channels, K, out_row);
-        for (int k = 0; k < K; ++k) {
-          output(tile.out_row0 + r, tile.out_col0 + c, k) =
-              out_row[static_cast<std::size_t>(k)];
-        }
-        result.common.external.record_write(TrafficClass::kActivation, K);
-      }
-    }
+    datapath_.write_back(tile_psum, tile, output);
+    common.external.record_read(TrafficClass::kParameter, std::int64_t{2} * K);
+    common.external.record_write(
+        TrafficClass::kActivation,
+        std::int64_t{tile.out_rows} * tile.out_cols * K);
   }
-  result.common.external.record_read(TrafficClass::kActivation,
-                                     result.intermediate_external_reads);
+  common.external.record_read(TrafficClass::kActivation,
+                              result.intermediate_external_reads);
 
-  result.common.timing.total_cycles =
-      result.dwc_phase_cycles + result.pwc_phase_cycles;
-  result.common.timing.init_cycles = 0;  // split across the two phases
-  result.common.timing.compute_cycles = result.common.timing.total_cycles;
-  result.common.dwc_activity = dwc_.activity();
-  result.common.pwc_activity = pwc_.activity();
-  result.common.nonconv_transfer_ops = nonconv_.transfer_ops();
-  result.common.nonconv_writeback_ops = nonconv_.writeback_ops();
+  common.timing.total_cycles = result.dwc_phase_cycles + result.pwc_phase_cycles;
+  common.timing.compute_cycles = common.timing.total_cycles;
+  common.dwc_activity = datapath_.dwc_activity();
+  common.pwc_activity = datapath_.pwc_activity();
+  common.nonconv_transfer_ops = datapath_.transfer_ops();
+  common.nonconv_writeback_ops = datapath_.writeback_ops();
+  common.max_abs_psum = datapath_.max_abs_psum();
+
+  // Cross-check against the serialized schedule's closed form, as EDEA's
+  // run_layer checks Eq. 1/2: a wrong cycle count is a simulator bug.
+  EDEA_ASSERT(
+      common.timing ==
+          core::TimingModel(config_).serialized_layer_timing(spec),
+      "serialized simulation diverged from its closed-form timing for "
+      "layer " + spec.to_string());
   return result;
 }
 

@@ -2,14 +2,17 @@
 //
 // Two baseline behaviours from the paper's Sec. I/II narrative:
 //   1. no direct transfer: the DWC output round-trips through external
-//      memory (write N*M*D, read N*M*D back) - the Fig. 3 "baseline";
+//      memory (written out, then read back per PWC step) - the Fig. 3
+//      "baseline";
 //   2. no parallel engines: DWC and PWC phases execute serially per
 //      (tile, slice) pass, each paying its own initiation - the [6]-style
 //      "separate engine without parallel operation".
 //
-// The arithmetic is identical to EDEA (same engines, same Non-Conv math),
-// so outputs remain bit-exact; only traffic and latency differ. That makes
-// the streaming/latency ablation a controlled experiment.
+// The datapath is EDEA's own (core::DscDatapath: same engines, same
+// Non-Conv math), so outputs remain bit-exact; this backend is only a
+// different schedule over it - the DWC over the whole layer, the external
+// round trip, then the PWC - with its own traffic tallies. That makes the
+// streaming/latency ablation a controlled experiment.
 #pragma once
 
 #include <cstddef>
@@ -18,9 +21,7 @@
 #include "arch/ext_memory.hpp"
 #include "core/backend.hpp"
 #include "core/config.hpp"
-#include "core/dwc_engine.hpp"
-#include "core/nonconv_unit.hpp"
-#include "core/pwc_engine.hpp"
+#include "core/dsc_datapath.hpp"
 #include "core/run_result.hpp"
 #include "core/tiler.hpp"
 #include "nn/layers.hpp"
@@ -33,8 +34,14 @@ struct SerializedLayerResult {
   core::LayerRunResult common;
   std::int64_t dwc_phase_cycles = 0;
   std::int64_t pwc_phase_cycles = 0;
-  std::int64_t intermediate_external_writes = 0;  ///< N*M*(D*mult)
-  std::int64_t intermediate_external_reads = 0;   ///< N*M*(D*mult)
+  /// Intermediate elements written out: N*M*(D*mult), each once.
+  std::int64_t intermediate_external_writes = 0;
+  /// Intermediate elements read back. Each PWC step fetches its whole
+  /// Tn x Tm block wherever it lies inside the map, so where buffer tiles
+  /// are not a multiple of Tn/Tm (e.g. the 7-wide tiles of a dilated
+  /// stride-2 layer) steps also fetch the next tile's positions and this
+  /// exceeds N*M*(D*mult).
+  std::int64_t intermediate_external_reads = 0;
 };
 
 /// The "serialized" entry of the backend registry (core/backend.hpp):
@@ -75,8 +82,7 @@ class SerializedDscAccelerator final : public core::AcceleratorBackend {
   /// Pins both engines' kernel selection (KernelDispatch A/B lever);
   /// results and counters are bit-identical either way.
   void set_kernel_policy(core::KernelPolicy policy) override {
-    dwc_.set_kernel_policy(policy);
-    pwc_.set_kernel_policy(policy);
+    datapath_.set_kernel_policy(policy);
   }
 
   [[nodiscard]] const core::EdeaConfig& config() const noexcept override {
@@ -93,16 +99,16 @@ class SerializedDscAccelerator final : public core::AcceleratorBackend {
   /// `intermediate` (both shape-checked; either may be an arena-backed
   /// view), accumulating partial sums in `psum` (capacity
   /// `psum_capacity` entries, >= the tiler's max tile). The returned
-  /// result carries every measurement but an empty output tensor.
+  /// result carries every measurement but an empty output tensor; its
+  /// LayerTiming is asserted against
+  /// core::TimingModel::serialized_layer_timing.
   [[nodiscard]] SerializedLayerResult run_layer_into(
       const nn::QuantDscLayer& layer, const nn::Int8Tensor& input,
       nn::Int8Tensor& output, nn::Int8Tensor& intermediate,
       std::int32_t* psum, std::size_t psum_capacity);
 
   core::EdeaConfig config_;
-  core::DwcEngine dwc_;
-  core::PwcEngine pwc_;
-  core::NonConvUnitArray nonconv_;
+  core::DscDatapath datapath_;
   int tile_parallelism_ = 1;
 };
 

@@ -1,7 +1,10 @@
 #include "core/accelerator.hpp"
 
 #include <algorithm>
+#include <span>
 
+#include "arch/sram.hpp"
+#include "core/dsc_datapath.hpp"
 #include "nn/arena.hpp"
 #include "util/check.hpp"
 #include "util/logging.hpp"
@@ -9,67 +12,43 @@
 
 namespace edea::core {
 
-namespace {
-
 using arch::TrafficClass;
-
-/// 24-bit little-endian packing for the offline buffer: the silicon stores
-/// Non-Conv k/b as 24-bit words (Sec. III-C), so the model does too.
-void pack24(arch::SramBuffer& buf, std::int64_t byte_addr, std::int32_t v) {
-  std::uint8_t bytes[3] = {
-      static_cast<std::uint8_t>(v & 0xFF),
-      static_cast<std::uint8_t>((v >> 8) & 0xFF),
-      static_cast<std::uint8_t>((v >> 16) & 0xFF),
-  };
-  buf.write(byte_addr, bytes, 3);
-}
-
-std::int32_t unpack24(arch::SramBuffer& buf, std::int64_t byte_addr) {
-  std::uint8_t bytes[3];
-  buf.read(byte_addr, bytes, 3);
-  std::int32_t v = static_cast<std::int32_t>(bytes[0]) |
-                   (static_cast<std::int32_t>(bytes[1]) << 8) |
-                   (static_cast<std::int32_t>(bytes[2]) << 16);
-  // Sign-extend from bit 23.
-  if ((v & 0x800000) != 0) v |= static_cast<std::int32_t>(0xFF000000u);
-  return v;
-}
-
-}  // namespace
 
 namespace detail {
 
-/// One tile worker: a full private complement of engines, SRAM buffers,
-/// and counters, executing a contiguous chunk of a layer's buffer tiles.
-/// Workers model the same silicon executing different tiles; this is
-/// sound because tiles share nothing mutable - each owns a disjoint
-/// output region, and the layer/input operands are read-only. Everything
-/// a worker measures lands in its LayerPartial, merged by the accelerator
-/// in tile order once all chunks finish.
+/// One tile worker: a private datapath (engines, Non-Conv units) and SRAM
+/// buffers executing a contiguous chunk of a layer's buffer tiles. Workers
+/// model the same silicon executing different tiles; this is sound because
+/// tiles share nothing mutable - each owns a disjoint output region, and
+/// the layer/input operands are read-only. What the worker adds to the
+/// shared datapath is EDEA's schedule: every (tile, slice) pass streams
+/// each spatial step's DWC output through the double-buffered
+/// intermediate buffer into the PWC engine. Everything it measures lands
+/// in its LayerPartial, merged by the accelerator in tile order once all
+/// chunks finish.
 class TileWorker {
  public:
   /// Scratch blob ids inside the worker's arena; add order below fixes them.
   enum ScratchBlob : nn::BlobId {
     kIfmap = 0,
-    kDwcWeight,
-    kOffline,
     kIntermediate,
     kPwcWeight,
     kAccumulator,
   };
 
-  /// All six SRAM models are live for the whole of every layer, so the
-  /// planner stacks them; what it buys is ONE contiguous allocation per
-  /// worker (64-byte-aligned slices, no per-buffer heap blocks) and the
-  /// same planned-offset discipline the activation arena uses.
+  /// The SRAM models the engines read are live for the whole of every
+  /// layer, so the planner stacks them; what it buys is ONE contiguous
+  /// allocation per worker (64-byte-aligned slices, no per-buffer heap
+  /// blocks) and the same planned-offset discipline the activation arena
+  /// uses. The DWC weight and offline buffers hold nothing an engine reads
+  /// back (the slice goes straight into engine registers and Non-Conv
+  /// units), so only their traffic is modeled.
   static nn::Arena plan_scratch(const EdeaConfig& config) {
     nn::MemoryPlanner planner;
     const auto blob = [&](const char* name, std::int64_t bytes) {
       return planner.add_blob(name, static_cast<std::size_t>(bytes), 0, 0);
     };
     blob("dwc_ifmap", config.dwc_ifmap_buffer_bytes());
-    blob("dwc_weight", config.dwc_weight_buffer_bytes());
-    blob("offline", config.offline_buffer_bytes());
     blob("intermediate", config.intermediate_buffer_bytes());
     blob("pwc_weight", config.pwc_weight_buffer_bytes());
     blob("accumulator", config.accumulator_buffer_bytes());
@@ -78,16 +57,10 @@ class TileWorker {
 
   explicit TileWorker(const EdeaConfig& config)
       : config_(config),
-        dwc_(config),
-        pwc_(config),
-        nonconv_(config),
+        datapath_(config),
         scratch_(plan_scratch(config)),
         ifmap_buffer_("dwc_ifmap", scratch_.bytes(kIfmap),
                       config.dwc_ifmap_buffer_bytes()),
-        dwc_weight_buffer_("dwc_weight", scratch_.bytes(kDwcWeight),
-                           config.dwc_weight_buffer_bytes()),
-        offline_buffer_("offline", scratch_.bytes(kOffline),
-                        config.offline_buffer_bytes()),
         intermediate_buffer_("intermediate", scratch_.bytes(kIntermediate),
                              config.intermediate_buffer_bytes()),
         pwc_weight_buffer_("pwc_weight", scratch_.bytes(kPwcWeight),
@@ -97,13 +70,11 @@ class TileWorker {
     config_.validate();
   }
 
-  /// Resets every per-layer tally. Called for each participating worker
-  /// before the tile chunks are dispatched.
-  void begin_layer() {
+  /// Binds the layer and resets every per-layer tally. Called for each
+  /// participating worker before the tile chunks are dispatched.
+  void begin_layer(const nn::QuantDscLayer& layer) {
     partial_ = LayerPartial{};
-    dwc_.reset_activity();
-    pwc_.reset_activity();
-    nonconv_.reset_counters();
+    datapath_.begin_layer(layer);
   }
 
   /// Executes one buffer tile end to end: every channel-slice pass, then
@@ -114,136 +85,55 @@ class TileWorker {
                 const std::vector<ChannelSlice>& slices,
                 const std::vector<KernelGroup>& groups,
                 nn::Int8Tensor& output, PipelineTrace* trace) {
+    const int K = layer.spec.out_channels;
+    const std::int64_t pixels = std::int64_t{tile.out_rows} * tile.out_cols;
+    const std::span<std::int32_t> psum =
+        accumulator_.span<std::int32_t>(0, pixels * K);
     bool first_slice = true;
     for (const ChannelSlice& slice : slices) {
       // Only the very first pass of the traced tile records (Fig. 7).
       if (trace != nullptr) trace->armed = first_slice;
-      run_pass(layer, input, tile, slice, first_slice, groups, trace);
+      run_pass(layer.spec, input, tile, slice, first_slice, groups, psum,
+               trace);
       if (trace != nullptr) trace->armed = false;
       first_slice = false;
     }
-    write_back_tile(layer, tile, output);
+
+    // Write-back: accumulator -> Non-Conv (per-K params) -> output. Touches
+    // only this tile's (disjoint) output region, so concurrent write-backs
+    // from different workers never alias. The per-output-channel
+    // parameters stream from external memory once per tile.
+    datapath_.write_back(psum, tile, output);
+    partial_.external.record_read(TrafficClass::kParameter,
+                                  std::int64_t{2} * K);
+    partial_.buffers.accumulator.record_read(4 * pixels * K, pixels * K);
+    partial_.external.record_write(TrafficClass::kActivation, pixels * K);
   }
 
-  /// Folds the engines' activity into the partial and returns it.
+  /// Folds the datapath's activity into the partial and returns it.
   [[nodiscard]] const LayerPartial& finish_layer() {
-    partial_.dwc_activity = dwc_.activity();
-    partial_.pwc_activity = pwc_.activity();
-    partial_.nonconv_transfer_ops = nonconv_.transfer_ops();
-    partial_.nonconv_writeback_ops = nonconv_.writeback_ops();
+    partial_.dwc_activity = datapath_.dwc_activity();
+    partial_.pwc_activity = datapath_.pwc_activity();
+    partial_.nonconv_transfer_ops = datapath_.transfer_ops();
+    partial_.nonconv_writeback_ops = datapath_.writeback_ops();
+    partial_.max_abs_psum = datapath_.max_abs_psum();
     return partial_;
   }
 
-  [[nodiscard]] const DwcEngine& dwc() const noexcept { return dwc_; }
-  [[nodiscard]] const PwcEngine& pwc() const noexcept { return pwc_; }
-
   /// Pins both engines' kernel selection (KernelDispatch A/B lever).
   void set_kernel_policy(KernelPolicy policy) noexcept {
-    dwc_.set_kernel_policy(policy);
-    pwc_.set_kernel_policy(policy);
+    datapath_.set_kernel_policy(policy);
   }
 
  private:
-  /// Loads the valid part of the tile's input region into the ifmap buffer.
-  /// Only *distinct* input channels are staged: with depth multiplier m the
-  /// slice's intermediate channels [c0, c0+n) all read input channels
-  /// [c0/m, (c0+n-1)/m], so that smaller range is what the SRAM holds and
-  /// what external activation traffic pays for.
-  void load_ifmap_tile(const nn::Int8Tensor& input, const BufferTile& tile,
-                       const ChannelSlice& slice, int mult) {
-    const int image_rows = input.dim(0);
-    const int image_cols = input.dim(1);
-    const int in0 = slice.channel0 / mult;
-    const int in_count =
-        (slice.channel0 + slice.channels - 1) / mult - in0 + 1;
-    // The buffer is cleared so halo positions beyond the image read as the
-    // zero padding value; only valid elements are fetched (and counted).
-    ifmap_buffer_.clear_contents();
-    ifmap_buffer_.reset_counters();  // per-pass fills are tallied via partial
-
-    std::int64_t fetched = 0;
-    for (int r = 0; r < tile.in_rows; ++r) {
-      const int gr = tile.in_row0 + r;
-      if (gr < 0 || gr >= image_rows) continue;
-      for (int c = 0; c < tile.in_cols; ++c) {
-        const int gc = tile.in_col0 + c;
-        if (gc < 0 || gc >= image_cols) continue;
-        for (int ch = 0; ch < in_count; ++ch) {
-          const std::int8_t v = input(gr, gc, in0 + ch);
-          const std::int64_t addr =
-              (std::int64_t{r} * tile.in_cols + c) * in_count + ch;
-          ifmap_buffer_.store<std::int8_t>(addr, v);
-          ++fetched;
-        }
-      }
-    }
-    partial_.external.record_read(TrafficClass::kActivation, fetched);
-    partial_.buffers.dwc_ifmap.record_write(fetched, fetched);
-  }
-
-  /// Reads one DWC window from the ifmap buffer (zeros outside the image).
-  /// Window lane `ch` carries intermediate channel slice.channel0 + ch,
-  /// whose data lives at staged input channel (slice.channel0 + ch) / mult.
-  DwcWindow fetch_window(const BufferTile& tile, const ChannelSlice& slice,
-                         int image_rows, int image_cols, int out_row0,
-                         int out_col0, int stride, int padding, int dilation,
-                         int mult) {
-    DwcWindow window;
-    window.extent = config_.dwc_window_extent(stride, dilation);
-    window.channels = slice.channels;
-    window.values.assign(
-        static_cast<std::size_t>(window.extent * window.extent *
-                                 window.channels),
-        0);
-
-    const int in0 = slice.channel0 / mult;
-    const int in_count =
-        (slice.channel0 + slice.channels - 1) / mult - in0 + 1;
-
-    // Window origin in unpadded image coordinates (the first kernel tap).
-    const int grow0 = out_row0 * stride - padding;
-    const int gcol0 = out_col0 * stride - padding;
-
-    std::int64_t sram_reads = 0;
-    for (int r = 0; r < window.extent; ++r) {
-      const int gr = grow0 + r;
-      for (int c = 0; c < window.extent; ++c) {
-        const int gc = gcol0 + c;
-        const bool in_image =
-            gr >= 0 && gr < image_rows && gc >= 0 && gc < image_cols;
-        const int br = gr - tile.in_row0;  // buffer-region coordinates
-        const int bc = gc - tile.in_col0;
-        const bool in_region = br >= 0 && br < tile.in_rows && bc >= 0 &&
-                               bc < tile.in_cols;
-        for (int ch = 0; ch < window.channels; ++ch) {
-          std::int8_t v = 0;
-          if (in_image && in_region) {
-            const int src = (slice.channel0 + ch) / mult;
-            const std::int64_t addr =
-                (std::int64_t{br} * tile.in_cols + bc) * in_count +
-                (src - in0);
-            v = ifmap_buffer_.load<std::int8_t>(addr);
-            ++sram_reads;
-          }
-          window.values[static_cast<std::size_t>(
-              (r * window.extent + c) * window.channels + ch)] = v;
-        }
-      }
-    }
-    partial_.buffers.dwc_ifmap.record_read(sram_reads, sram_reads);
-    partial_.dataflow.dwc_window_elements +=
-        std::int64_t{1} * window.extent * window.extent * window.channels;
-    return window;
-  }
-
-  /// Executes one (buffer tile, channel slice) pass.
-  void run_pass(const nn::QuantDscLayer& layer, const nn::Int8Tensor& input,
+  /// Executes one (buffer tile, channel slice) pass, accumulating into the
+  /// tile's `psum` block.
+  void run_pass(const nn::DscLayerSpec& spec, const nn::Int8Tensor& input,
                 const BufferTile& tile, const ChannelSlice& slice,
                 bool first_slice, const std::vector<KernelGroup>& groups,
-                PipelineTrace* trace) {
-    const nn::DscLayerSpec& spec = layer.spec;
-    const int stride = spec.stride;
+                std::span<std::int32_t> psum, PipelineTrace* trace) {
     const int K = spec.out_channels;
+    const int mult = spec.depth_multiplier;
     std::int64_t cycle = 0;
 
     // ---- initiation (Fig. 7): fills buffers and the pipeline. ----
@@ -254,61 +144,47 @@ class TileWorker {
                       std::to_string(slice.channel0 / config_.td));
       trace->emit(cycle, "PWC Input Weight",
                   "slice weights for " + std::to_string(K) + " kernels");
-    }
-
-    // Ifmap region for this (tile, slice): distinct input channels only.
-    load_ifmap_tile(input, tile, slice, spec.depth_multiplier);
-
-    // DWC kernel slice -> weight buffer -> engine registers.
-    {
-      std::vector<std::int8_t> w(static_cast<std::size_t>(
-          config_.kernel * config_.kernel * slice.channels));
-      for (int i = 0; i < config_.kernel; ++i) {
-        for (int j = 0; j < config_.kernel; ++j) {
-          for (int ch = 0; ch < slice.channels; ++ch) {
-            const std::int8_t v =
-                layer.dwc_weights(i, j, slice.channel0 + ch);
-            const std::int64_t idx =
-                (std::int64_t{i} * config_.kernel + j) * slice.channels + ch;
-            dwc_weight_buffer_.store<std::int8_t>(idx, v);
-            w[static_cast<std::size_t>(idx)] = v;
-          }
-        }
-      }
-      const auto elements =
-          std::int64_t{1} * config_.kernel * config_.kernel * slice.channels;
-      partial_.external.record_read(TrafficClass::kWeight, elements);
-      partial_.buffers.dwc_weight.record_write(elements, elements);
-      partial_.buffers.dwc_weight.record_read(elements, elements);
-      partial_.dataflow.dwc_weight_elements += elements;
-      dwc_.load_weights(w, slice.channels);
-    }
-
-    // Non-Conv (k, b) pairs for the slice channels -> offline buffer.
-    if (trace != nullptr) {
       trace->emit(2, "DWC Input offline Data",
                   std::to_string(slice.channels) + " (k,b) pairs");
     }
-    for (int ch = 0; ch < slice.channels; ++ch) {
-      const auto& p =
-          layer.nonconv1.channels[static_cast<std::size_t>(slice.channel0 +
-                                                           ch)];
-      pack24(offline_buffer_, std::int64_t{ch} * 6, p.k.raw());
-      pack24(offline_buffer_, std::int64_t{ch} * 6 + 3, p.b.raw());
-    }
+
+    // The valid part of the tile's input region -> ifmap buffer. Only
+    // *distinct* input channels are staged: with depth multiplier m the
+    // slice's intermediate channels [c0, c0+n) all read input channels
+    // [c0/m, (c0+n-1)/m], so that smaller range is what the SRAM holds and
+    // what external activation traffic pays for. Halo positions beyond the
+    // image are staged as the zero padding value, not fetched.
+    const int in0 = slice.channel0 / mult;
+    const int in_count = (slice.channel0 + slice.channels - 1) / mult - in0 + 1;
+    const std::span<std::int8_t> staged = ifmap_buffer_.span<std::int8_t>(
+        0, std::int64_t{tile.in_rows} * tile.in_cols * in_count);
+    const std::int64_t fetched =
+        gather_block(Int8MapView::whole(input), tile.in_row0, tile.in_col0,
+                     tile.in_rows, tile.in_cols, in0, in_count, 1, staged);
+    partial_.external.record_read(TrafficClass::kActivation, fetched);
+    partial_.buffers.dwc_ifmap.record_write(fetched, fetched);
+    // Windows read the staged region only: taps outside it are padding.
+    const Int8MapView region{staged.data(), tile.in_row0, tile.in_col0,
+                             tile.in_rows,  tile.in_cols, in0,
+                             in_count,      input.dim(0), input.dim(1)};
+
+    // DWC kernel slice (through the weight buffer) -> engine registers,
+    // and the slice's Non-Conv (k, b) pairs (through the offline buffer).
+    const std::int64_t dwc_weights = datapath_.load_dwc_slice(slice);
+    partial_.external.record_read(TrafficClass::kWeight, dwc_weights);
+    partial_.buffers.dwc_weight.record_write(dwc_weights, dwc_weights);
+    partial_.buffers.dwc_weight.record_read(dwc_weights, dwc_weights);
+    partial_.dataflow.dwc_weight_elements += dwc_weights;
     partial_.external.record_read(TrafficClass::kParameter,
                                   std::int64_t{2} * slice.channels);
 
     // PWC weights for (slice, all kernels) -> PWC weight buffer.
-    for (int k = 0; k < K; ++k) {
-      for (int ch = 0; ch < slice.channels; ++ch) {
-        pwc_weight_buffer_.store<std::int8_t>(
-            std::int64_t{k} * slice.channels + ch,
-            layer.pwc_weights(k, slice.channel0 + ch));
-      }
-    }
+    const std::span<std::int8_t> pwc_weights =
+        pwc_weight_buffer_.span<std::int8_t>(0,
+                                             std::int64_t{K} * slice.channels);
+    datapath_.gather_pwc_weights(slice, pwc_weights);
     {
-      const auto elements = std::int64_t{1} * K * slice.channels;
+      const auto elements = static_cast<std::int64_t>(pwc_weights.size());
       partial_.external.record_read(TrafficClass::kWeight, elements);
       partial_.buffers.pwc_weight.record_write(elements, elements);
       partial_.dataflow.pwc_weight_elements += elements;
@@ -316,27 +192,13 @@ class TileWorker {
 
     cycle += config_.init_cycles;
 
-    // Re-read the slice's Non-Conv parameters once per pass (they sit in
-    // unit-local registers during compute, as in the silicon).
-    std::vector<nn::NonConvChannelParams> slice_params;
-    slice_params.reserve(static_cast<std::size_t>(slice.channels));
-    for (int ch = 0; ch < slice.channels; ++ch) {
-      const std::int32_t kraw =
-          unpack24(offline_buffer_, std::int64_t{ch} * 6);
-      const std::int32_t braw =
-          unpack24(offline_buffer_, std::int64_t{ch} * 6 + 3);
-      slice_params.push_back(nn::NonConvChannelParams{
-          arch::Q8_16::from_raw(kraw), arch::Q8_16::from_raw(braw)});
-    }
-
     // ---- steady state: one (spatial step, kernel group) per cycle. ----
-    const int image_rows = input.dim(0);
-    const int image_cols = input.dim(1);
+    const int extent = config_.dwc_window_extent(spec.stride, spec.dilation);
+    const std::int64_t window = std::int64_t{extent} * extent * slice.channels;
+    const std::int64_t block =
+        std::int64_t{config_.tn} * config_.tm * slice.channels;
     const int steps_r = (tile.out_rows + config_.tn - 1) / config_.tn;
     const int steps_c = (tile.out_cols + config_.tm - 1) / config_.tm;
-
-    std::vector<std::int8_t> intermediate(
-        static_cast<std::size_t>(config_.tn * config_.tm * slice.channels));
     int step_index = 0;
 
     for (int sy = 0; sy < steps_r; ++sy) {
@@ -344,127 +206,51 @@ class TileWorker {
         const int out_r0 = tile.out_row0 + sy * config_.tn;  // global coords
         const int out_c0 = tile.out_col0 + sx * config_.tm;
 
-        // DWC engine fires once for this spatial step.
-        const DwcWindow window =
-            fetch_window(tile, slice, image_rows, image_cols, out_r0, out_c0,
-                         stride, spec.padding, spec.dilation,
-                         spec.depth_multiplier);
-        const DwcStepOutput dwc_out = dwc_.step(window, stride, spec.dilation,
-                                                spec.depth_multiplier);
+        // DWC engine fires once for this spatial step; the Non-Conv
+        // transfer writes its int8 block straight into one half of the
+        // (double-buffered) intermediate buffer.
+        const std::span<std::int8_t> half =
+            intermediate_buffer_.span<std::int8_t>(
+                (step_index % 2) * (config_.intermediate_buffer_bytes() / 2),
+                block);
+        const std::int64_t read =
+            datapath_.dwc_step(region, out_r0, out_c0, half);
+        partial_.buffers.dwc_ifmap.record_read(read, read);
+        partial_.dataflow.dwc_window_elements += window;
         partial_.timing.dwc_active_cycles += 1;
+        partial_.buffers.offline.record_read(std::int64_t{2} * slice.channels,
+                                             std::int64_t{2} * slice.channels);
+        partial_.buffers.intermediate.record_write(block, block);
         if (trace != nullptr && step_index < 4) {
           trace->emit(cycle, "DWC Engine Process",
                       "step (" + std::to_string(sy) + "," +
                           std::to_string(sx) + ")");
-        }
-
-        // Non-Conv transfer: DWC accumulators -> int8 PWC inputs.
-        nonconv_.set_writeback_mode(false);
-        nonconv_.apply_block(dwc_out.acc, slice_params, slice.channels,
-                             intermediate);
-        partial_.buffers.offline.record_read(std::int64_t{2} * slice.channels,
-                                             std::int64_t{2} * slice.channels);
-        if (trace != nullptr && step_index < 4) {
           trace->emit(cycle, "Non-Conv Unit Process",
-                      std::to_string(intermediate.size()) + " values");
-        }
-
-        // Direct transfer into the (double-buffered) intermediate buffer.
-        const std::int64_t half =
-            (step_index % 2) * (config_.intermediate_buffer_bytes() / 2);
-        for (std::size_t i = 0; i < intermediate.size(); ++i) {
-          intermediate_buffer_.store<std::int8_t>(
-              half + static_cast<std::int64_t>(i), intermediate[i]);
-        }
-        {
-          const auto n = static_cast<std::int64_t>(intermediate.size());
-          partial_.buffers.intermediate.record_write(n, n);
-          // PWC-input sparsity statistics (Fig. 11): collected at the point
-          // the intermediate tile is produced. Only spatial positions that
-          // belong to the real ofmap count (edge tiles compute dummy lanes).
-          for (int r = 0; r < dwc_out.rows; ++r) {
-            for (int c = 0; c < dwc_out.cols; ++c) {
-              if (out_r0 + r >= tile.out_row0 + tile.out_rows ||
-                  out_c0 + c >= tile.out_col0 + tile.out_cols) {
-                continue;
-              }
-              for (int ch = 0; ch < slice.channels; ++ch) {
-                ++partial_.pwc_input_total;
-                if (intermediate[static_cast<std::size_t>(
-                        (r * dwc_out.cols + c) * slice.channels + ch)] == 0) {
-                  ++partial_.pwc_input_zeros;
-                }
-              }
-            }
-          }
-        }
-        if (trace != nullptr && step_index < 4) {
+                      std::to_string(block) + " values");
           trace->emit(cycle, "Write Intermediate Buffer",
                       "half " + std::to_string(step_index % 2));
         }
+        count_pwc_input_zeros(half, tile, out_r0, out_c0, slice.channels);
 
-        // PWC engine drains the kernel groups; one group per cycle.
+        // PWC engine drains the kernel groups; one group per cycle, each
+        // reading the step's activations and its weights from the buffers.
+        datapath_.load_pwc_activations(half);
         for (const KernelGroup& group : groups) {
-          PwcStepInput pin;
-          pin.rows = config_.tn;
-          pin.cols = config_.tm;
-          pin.channels = slice.channels;
-          pin.kernels = group.kernels;
-          pin.activations.resize(
-              static_cast<std::size_t>(pin.rows * pin.cols * pin.channels));
-          for (std::size_t i = 0; i < pin.activations.size(); ++i) {
-            pin.activations[i] = intermediate_buffer_.load<std::int8_t>(
-                half + static_cast<std::int64_t>(i));
-          }
-          {
-            const auto n = static_cast<std::int64_t>(pin.activations.size());
-            partial_.buffers.intermediate.record_read(n, n);
-            partial_.dataflow.pwc_activation_elements += n;
-          }
-          pin.weights.resize(
-              static_cast<std::size_t>(group.kernels * pin.channels));
-          for (int kk = 0; kk < group.kernels; ++kk) {
-            for (int ch = 0; ch < pin.channels; ++ch) {
-              pin.weights[static_cast<std::size_t>(kk * pin.channels + ch)] =
-                  pwc_weight_buffer_.load<std::int8_t>(
-                      (std::int64_t{group.kernel0} + kk) * pin.channels + ch);
-            }
-          }
-          {
-            const auto n = std::int64_t{1} * group.kernels * pin.channels;
-            partial_.buffers.pwc_weight.record_read(n, n);
-          }
-
-          const PwcStepOutput pout = pwc_.step(pin, spec.depth_multiplier);
+          const std::int64_t entries = datapath_.pwc_step(
+              pwc_weights, group, tile, sy, sx, first_slice, psum);
           partial_.timing.pwc_active_cycles += 1;
+          partial_.buffers.intermediate.record_read(block, block);
+          partial_.dataflow.pwc_activation_elements += block;
+          partial_.buffers.pwc_weight.record_read(
+              std::int64_t{group.kernels} * slice.channels,
+              std::int64_t{group.kernels} * slice.channels);
+          if (!first_slice) {
+            partial_.buffers.accumulator.record_read(4 * entries, entries);
+          }
+          partial_.buffers.accumulator.record_write(4 * entries, entries);
           if (trace != nullptr && step_index < 2 && group.kernel0 == 0) {
             trace->emit(cycle, "PWC Engine Process",
                         "group k0=" + std::to_string(group.kernel0));
-          }
-
-          // Accumulate valid partial sums for this tile.
-          for (int r = 0; r < pout.rows; ++r) {
-            const int tr = sy * config_.tn + r;  // tile-relative output row
-            if (tr >= tile.out_rows) continue;
-            for (int c = 0; c < pout.cols; ++c) {
-              const int tc = sx * config_.tm + c;
-              if (tc >= tile.out_cols) continue;
-              for (int kk = 0; kk < pout.kernels; ++kk) {
-                const std::int64_t addr =
-                    (std::int64_t{tr} * tile.out_cols + tc) * K +
-                    group.kernel0 + kk;
-                std::int32_t psum = pout.at(r, c, kk);
-                if (!first_slice) {
-                  psum += accumulator_.load<std::int32_t>(addr);
-                  partial_.buffers.accumulator.record_read(4);
-                }
-                accumulator_.store<std::int32_t>(addr, psum);
-                partial_.buffers.accumulator.record_write(4);
-                const std::int64_t mag =
-                    std::abs(static_cast<std::int64_t>(psum));
-                if (mag > partial_.max_abs_psum) partial_.max_abs_psum = mag;
-              }
-            }
           }
           cycle += 1;
         }
@@ -477,52 +263,33 @@ class TileWorker {
     partial_.timing.total_cycles += cycle;
   }
 
-  /// Write-back: accumulator -> Non-Conv (per-K params) -> output tensor.
-  /// Touches only this tile's (disjoint) output region, so concurrent
-  /// write-backs from different workers never alias.
-  void write_back_tile(const nn::QuantDscLayer& layer, const BufferTile& tile,
-                       nn::Int8Tensor& output) {
-    const int K = layer.spec.out_channels;
-    nonconv_.set_writeback_mode(true);
-
-    // Per-output-channel parameters stream from external memory (counted as
-    // parameter traffic once per tile).
-    partial_.external.record_read(arch::TrafficClass::kParameter,
-                                  std::int64_t{2} * K);
-
-    std::vector<std::int32_t> acc_row(static_cast<std::size_t>(K));
-    std::vector<std::int8_t> out_row(static_cast<std::size_t>(K));
-    for (int r = 0; r < tile.out_rows; ++r) {
-      for (int c = 0; c < tile.out_cols; ++c) {
-        for (int k = 0; k < K; ++k) {
-          const std::int64_t addr =
-              (std::int64_t{r} * tile.out_cols + c) * K + k;
-          acc_row[static_cast<std::size_t>(k)] =
-              accumulator_.load<std::int32_t>(addr);
-        }
-        partial_.buffers.accumulator.record_read(std::int64_t{4} * K, K);
-        nonconv_.apply_block(acc_row, layer.nonconv2.channels, K, out_row);
-        for (int k = 0; k < K; ++k) {
-          output(tile.out_row0 + r, tile.out_col0 + c, k) =
-              out_row[static_cast<std::size_t>(k)];
-        }
-        partial_.external.record_write(arch::TrafficClass::kActivation, K);
-      }
+  /// PWC-input sparsity statistics (Fig. 11), collected where the
+  /// intermediate block is produced. Only spatial positions that belong to
+  /// the real ofmap count (edge steps compute dummy lanes).
+  void count_pwc_input_zeros(std::span<const std::int8_t> block,
+                             const BufferTile& tile, int out_r0, int out_c0,
+                             int channels) {
+    const int rows =
+        std::min(config_.tn, tile.out_row0 + tile.out_rows - out_r0);
+    const int cols =
+        std::min(config_.tm, tile.out_col0 + tile.out_cols - out_c0);
+    for (int r = 0; r < rows; ++r) {
+      const auto row = block.subspan(
+          static_cast<std::size_t>(r * config_.tm * channels),
+          static_cast<std::size_t>(cols * channels));
+      partial_.pwc_input_zeros += std::count(row.begin(), row.end(), 0);
     }
+    partial_.pwc_input_total += std::int64_t{rows} * cols * channels;
   }
 
   EdeaConfig config_;
-  DwcEngine dwc_;
-  PwcEngine pwc_;
-  NonConvUnitArray nonconv_;
+  DscDatapath datapath_;
 
-  /// One contiguous planned allocation backing the six span-mode SRAM
-  /// buffers below (declared first: the buffers slice into it).
+  /// One contiguous planned allocation backing the span-mode SRAM buffers
+  /// below (declared first: the buffers slice into it).
   nn::Arena scratch_;
 
   arch::SramBuffer ifmap_buffer_;
-  arch::SramBuffer dwc_weight_buffer_;
-  arch::SramBuffer offline_buffer_;
   arch::SramBuffer intermediate_buffer_;
   arch::SramBuffer pwc_weight_buffer_;
   arch::SramBuffer accumulator_;
@@ -534,20 +301,11 @@ class TileWorker {
 
 EdeaAccelerator::EdeaAccelerator(EdeaConfig config) : config_(config) {
   config_.validate();
-  // Worker 0 exists eagerly: it is the serial path and the structural
-  // reference behind dwc_engine()/pwc_engine().
+  // Worker 0 exists eagerly: it is the serial path.
   workers_.push_back(std::make_unique<detail::TileWorker>(config_));
 }
 
 EdeaAccelerator::~EdeaAccelerator() = default;
-
-const DwcEngine& EdeaAccelerator::dwc_engine() const noexcept {
-  return workers_.front()->dwc();
-}
-
-const PwcEngine& EdeaAccelerator::pwc_engine() const noexcept {
-  return workers_.front()->pwc();
-}
 
 void EdeaAccelerator::set_tile_parallelism(int parallelism) {
   EDEA_REQUIRE(parallelism >= 1,
@@ -637,7 +395,9 @@ LayerRunResult EdeaAccelerator::run_layer_into(const nn::QuantDscLayer& layer,
 
   // Workers are materialized and reset on the calling thread; the parallel
   // region below only indexes them.
-  for (int w = 0; w < chunks; ++w) worker(static_cast<std::size_t>(w)).begin_layer();
+  for (int w = 0; w < chunks; ++w) {
+    worker(static_cast<std::size_t>(w)).begin_layer(layer);
+  }
 
   // One chunk of contiguous tiles per worker, dispatched over the shared
   // pool: at most chunks-1 helper tasks are queued and the calling thread
@@ -680,9 +440,7 @@ LayerRunResult EdeaAccelerator::run_layer_into(const nn::QuantDscLayer& layer,
 
   // Cross-check against the analytic model (Eq. 1/2) - a wrong cycle count
   // is a simulator bug, never a tolerable approximation.
-  const TimingModel analytic(config_);
-  const LayerTiming expected = analytic.layer_timing(spec);
-  EDEA_ASSERT(result.timing.total_cycles == expected.total_cycles,
+  EDEA_ASSERT(result.timing == TimingModel(config_).layer_timing(spec),
               "cycle-accurate simulation diverged from Eq. 1/2 for layer " +
                   spec.to_string());
   return result;

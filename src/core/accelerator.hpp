@@ -1,25 +1,33 @@
 // accelerator.hpp - the cycle-accurate EDEA accelerator model (Fig. 4).
 //
 // Composition:
-//   - five on-chip SRAM buffers (DWC ifmap, DWC weight, offline, PWC
-//     weight, intermediate) plus the PWC partial-sum accumulator,
-//   - the 288-MAC DWC engine and 512-MAC PWC engine,
-//   - the 8-unit Non-Conv array between them (and on the write-back path),
+//   - the shared DSC datapath (core/dsc_datapath.hpp): the 288-MAC DWC
+//     engine, the 512-MAC PWC engine and the 8-unit Non-Conv array between
+//     them (and on the write-back path),
+//   - on-chip SRAM buffers for what the engines read back - the DWC ifmap
+//     tile, the double-buffered intermediate tile, the PWC weight slice and
+//     the PWC partial-sum accumulator - plus the traffic of the DWC weight
+//     and offline (Non-Conv parameter) buffers,
 //   - a tiler implementing the La dataflow with 8x8-output buffer tiles.
+// What this backend adds to the datapath is EDEA's schedule: each spatial
+// step's DWC output streams through the intermediate buffer straight into
+// the PWC engine, so the two engines overlap and the intermediate map never
+// leaves the chip. The serialized baseline schedules the same datapath
+// differently (baseline/serialized_accelerator.hpp).
 //
 // Contract, enforced by tests:
 //   1. bit-exactness: run_layer output == nn::QuantDscLayer::forward,
-//   2. cycle-exactness: measured cycles == TimingModel (Eq. 1/2),
+//   2. cycle-exactness: measured LayerTiming == TimingModel (Eq. 1/2),
 //   3. resource-exactness: no buffer access beyond modeled capacity.
 //
 // Tile parallelism: the buffer tiles of one layer are independent (each
 // owns a disjoint output region and reads only shared immutable inputs),
 // so run_layer can execute them on several host threads. Every worker
-// carries a private full complement of engines, SRAM buffers, and
-// counters (detail::TileWorker), processes a contiguous chunk of the tile
-// list, and its measurement partial (core::LayerPartial) is merged back
-// in tile order - results are bit-identical to the serial reference at
-// every parallelism (tests/tile_parallel_test.cpp).
+// carries a private datapath, SRAM buffers and counters
+// (detail::TileWorker), processes a contiguous chunk of the tile list, and
+// its measurement partial (core::LayerPartial) is merged back in tile
+// order - results are bit-identical to the serial reference at every
+// parallelism (tests/tile_parallel_test.cpp).
 #pragma once
 
 #include <memory>
@@ -27,12 +35,8 @@
 #include <vector>
 
 #include "arch/ext_memory.hpp"
-#include "arch/sram.hpp"
 #include "core/backend.hpp"
 #include "core/config.hpp"
-#include "core/dwc_engine.hpp"
-#include "core/nonconv_unit.hpp"
-#include "core/pwc_engine.hpp"
 #include "core/run_result.hpp"
 #include "core/tiler.hpp"
 #include "core/timing.hpp"
@@ -42,7 +46,7 @@
 namespace edea::core {
 
 namespace detail {
-class TileWorker;  // per-worker engine/buffer/counter state (accelerator.cpp)
+class TileWorker;  // per-worker datapath/buffer/counter state (accelerator.cpp)
 }
 
 /// The "edea" entry of the backend registry (core/backend.hpp).
@@ -108,11 +112,6 @@ class EdeaAccelerator final : public AcceleratorBackend {
   [[nodiscard]] std::string_view backend_id() const noexcept override {
     return kDefaultBackendId;  // "edea"
   }
-
-  /// Structural views of the engines (worker 0's instances; all workers
-  /// are identically configured).
-  [[nodiscard]] const DwcEngine& dwc_engine() const noexcept;
-  [[nodiscard]] const PwcEngine& pwc_engine() const noexcept;
 
  private:
   /// Returns worker `index`, growing the pool as needed. Never call from

@@ -1,0 +1,194 @@
+#include "core/dsc_datapath.hpp"
+
+#include <algorithm>
+#include <cstdlib>
+#include <cstring>
+
+#include "util/check.hpp"
+
+namespace edea::core {
+
+Int8MapView Int8MapView::whole(const nn::Int8Tensor& map) {
+  EDEA_REQUIRE(map.rank() == 3, "a map view needs a [R][C][D] tensor");
+  return Int8MapView{map.data(), 0,          0,          map.dim(0),
+                     map.dim(1), 0,          map.dim(2), map.dim(0),
+                     map.dim(1)};
+}
+
+std::int64_t gather_block(const Int8MapView& src, int row0, int col0,
+                          int rows, int cols, int channel0, int lanes,
+                          int mult, std::span<std::int8_t> dst) {
+  EDEA_ASSERT(dst.size() == static_cast<std::size_t>(rows) *
+                                static_cast<std::size_t>(cols) *
+                                static_cast<std::size_t>(lanes),
+              "gather destination does not match the block");
+  const int first = channel0 / mult;  // source channel of lane 0
+  EDEA_ASSERT(first >= src.channel0 &&
+                  (channel0 + lanes - 1) / mult < src.channel0 + src.channels,
+              "gather lanes outside the view's channels");
+  std::fill(dst.begin(), dst.end(), std::int8_t{0});
+
+  const int r_lo = std::max({row0, src.row0, 0});
+  const int r_hi = std::min({row0 + rows, src.row0 + src.rows, src.map_rows});
+  const int c_lo = std::max({col0, src.col0, 0});
+  const int c_hi = std::min({col0 + cols, src.col0 + src.cols, src.map_cols});
+  if (r_hi <= r_lo || c_hi <= c_lo) return 0;
+
+  for (int r = r_lo; r < r_hi; ++r) {
+    for (int c = c_lo; c < c_hi; ++c) {
+      const std::int8_t* pixel =
+          src.data +
+          (static_cast<std::int64_t>(r - src.row0) * src.cols + (c - src.col0)) *
+              src.channels;
+      std::int8_t* to =
+          dst.data() +
+          (static_cast<std::int64_t>(r - row0) * cols + (c - col0)) * lanes;
+      if (mult == 1) {
+        std::memcpy(to, pixel + (channel0 - src.channel0),
+                    static_cast<std::size_t>(lanes));
+      } else {
+        for (int l = 0; l < lanes; ++l) {
+          to[l] = pixel[(channel0 + l) / mult - src.channel0];
+        }
+      }
+    }
+  }
+  return std::int64_t{1} * (r_hi - r_lo) * (c_hi - c_lo) * lanes;
+}
+
+DscDatapath::DscDatapath(const EdeaConfig& config)
+    : config_(config), dwc_(config), pwc_(config) {
+  config_.validate();
+}
+
+void DscDatapath::begin_layer(const nn::QuantDscLayer& layer) {
+  layer_ = &layer;
+  dwc_.reset_activity();
+  pwc_.reset_activity();
+  nonconv_.reset_counters();
+  max_abs_psum_ = 0;
+}
+
+std::int64_t DscDatapath::load_dwc_slice(const ChannelSlice& slice) {
+  const int k = config_.kernel;
+  dwc_weights_.resize(static_cast<std::size_t>(k * k * slice.channels));
+  for (int i = 0; i < k; ++i) {
+    for (int j = 0; j < k; ++j) {
+      std::memcpy(&dwc_weights_[static_cast<std::size_t>((i * k + j) *
+                                                         slice.channels)],
+                  &layer_->dwc_weights(i, j, slice.channel0),
+                  static_cast<std::size_t>(slice.channels));
+    }
+  }
+  dwc_.load_weights(dwc_weights_, slice.channels);
+  transfer_params_ = std::span(layer_->nonconv1.channels)
+                         .subspan(static_cast<std::size_t>(slice.channel0),
+                                  static_cast<std::size_t>(slice.channels));
+  slice_ = slice;
+  return static_cast<std::int64_t>(dwc_weights_.size());
+}
+
+std::int64_t DscDatapath::dwc_step(const Int8MapView& src, int out_row0,
+                                   int out_col0, std::span<std::int8_t> dst) {
+  const nn::DscLayerSpec& spec = layer_->spec;
+  window_.extent = config_.dwc_window_extent(spec.stride, spec.dilation);
+  window_.channels = slice_.channels;
+  window_.values.resize(static_cast<std::size_t>(
+      window_.extent * window_.extent * window_.channels));
+  // Window origin in unpadded map coordinates (the first kernel tap).
+  const std::int64_t read = gather_block(
+      src, out_row0 * spec.stride - spec.padding,
+      out_col0 * spec.stride - spec.padding, window_.extent, window_.extent,
+      slice_.channel0, slice_.channels, spec.depth_multiplier,
+      window_.values);
+  const DwcStepOutput out =
+      dwc_.step(window_, spec.stride, spec.dilation, spec.depth_multiplier);
+  nonconv_.set_writeback_mode(false);
+  nonconv_.apply_block(out.acc, transfer_params_, slice_.channels, dst);
+  return read;
+}
+
+void DscDatapath::gather_pwc_weights(const ChannelSlice& slice,
+                                     std::span<std::int8_t> dst) const {
+  const int K = layer_->spec.out_channels;
+  EDEA_ASSERT(dst.size() == static_cast<std::size_t>(K) *
+                                static_cast<std::size_t>(slice.channels),
+              "PWC weight block does not match the slice");
+  for (int k = 0; k < K; ++k) {
+    std::memcpy(&dst[static_cast<std::size_t>(k * slice.channels)],
+                &layer_->pwc_weights(k, slice.channel0),
+                static_cast<std::size_t>(slice.channels));
+  }
+}
+
+void DscDatapath::load_pwc_activations(
+    std::span<const std::int8_t> activations) {
+  pwc_input_.rows = config_.tn;
+  pwc_input_.cols = config_.tm;
+  pwc_input_.channels =
+      static_cast<int>(activations.size()) / (config_.tn * config_.tm);
+  pwc_input_.activations.assign(activations.begin(), activations.end());
+}
+
+std::int64_t DscDatapath::pwc_step(std::span<const std::int8_t> slice_weights,
+                                   const KernelGroup& group,
+                                   const BufferTile& tile, int sy, int sx,
+                                   bool first_slice,
+                                   std::span<std::int32_t> psum) {
+  const int K = layer_->spec.out_channels;
+  const int channels = pwc_input_.channels;
+  pwc_input_.kernels = group.kernels;
+  const auto weights = slice_weights.subspan(
+      static_cast<std::size_t>(group.kernel0 * channels),
+      static_cast<std::size_t>(group.kernels * channels));
+  pwc_input_.weights.assign(weights.begin(), weights.end());
+  const PwcStepOutput out = pwc_.step(pwc_input_, layer_->spec.depth_multiplier);
+
+  // Only the outputs inside the tile accumulate; the rest are dummy lanes.
+  const int r0 = sy * config_.tn;  // tile-relative origin of the step
+  const int c0 = sx * config_.tm;
+  const int rows = std::min(config_.tn, tile.out_rows - r0);
+  const int cols = std::min(config_.tm, tile.out_cols - c0);
+  EDEA_ASSERT(psum.size() == static_cast<std::size_t>(tile.out_rows) *
+                                 static_cast<std::size_t>(tile.out_cols) *
+                                 static_cast<std::size_t>(K),
+              "psum block does not match the tile");
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      const std::int32_t* from = &out.psum[static_cast<std::size_t>(
+          (r * out.cols + c) * out.kernels)];
+      std::int32_t* to = &psum[static_cast<std::size_t>(
+          (std::int64_t{r0 + r} * tile.out_cols + c0 + c) * K +
+          group.kernel0)];
+      for (int kk = 0; kk < group.kernels; ++kk) {
+        const std::int32_t v = first_slice ? from[kk] : from[kk] + to[kk];
+        to[kk] = v;
+        max_abs_psum_ = std::max(max_abs_psum_,
+                                 std::abs(static_cast<std::int64_t>(v)));
+      }
+    }
+  }
+  return std::int64_t{1} * rows * cols * group.kernels;
+}
+
+void DscDatapath::write_back(std::span<const std::int32_t> psum,
+                             const BufferTile& tile, nn::Int8Tensor& output) {
+  const int K = layer_->spec.out_channels;
+  const auto row = static_cast<std::size_t>(tile.out_cols) *
+                   static_cast<std::size_t>(K);
+  nonconv_.set_writeback_mode(true);
+  // A tile row is contiguous both in the psum block and in the ofmap.
+  for (int r = 0; r < tile.out_rows; ++r) {
+    nonconv_.apply_block(
+        psum.subspan(static_cast<std::size_t>(r) * row, row),
+        layer_->nonconv2.channels, K,
+        std::span(&output(tile.out_row0 + r, tile.out_col0, 0), row));
+  }
+}
+
+void DscDatapath::set_kernel_policy(KernelPolicy policy) noexcept {
+  dwc_.set_kernel_policy(policy);
+  pwc_.set_kernel_policy(policy);
+}
+
+}  // namespace edea::core

@@ -105,8 +105,4 @@ DwcStepOutput DwcEngine::step(const DwcWindow& window, int stride,
   return run_step(window, stride, dilation, fn, activity);
 }
 
-void DwcEngine::idle_cycle() {
-  for (int i = 0; i < mac_count(); ++i) lane_.idle(activity_);
-}
-
 }  // namespace edea::core

@@ -31,10 +31,6 @@ struct DwcWindow {
   int extent = 0;    ///< square spatial extent ((Tn-1)*stride + kernel)
   int channels = 0;  ///< active channels in this slice (<= Td)
   std::vector<std::int8_t> values;  ///< [row][col][channel]
-
-  [[nodiscard]] std::int8_t at(int r, int c, int ch) const noexcept {
-    return values[static_cast<std::size_t>((r * extent + c) * channels + ch)];
-  }
 };
 
 /// Raw DWC accumulators for one step: [Tn][Tm][channels].
@@ -75,10 +71,6 @@ class DwcEngine {
   [[nodiscard]] DwcStepOutput step(const DwcWindow& window, int stride,
                                    int dilation, int depth_multiplier,
                                    arch::MacActivity& activity) const;
-
-  /// One idle cycle (engine clocked, no work) - happens while the PWC
-  /// engine drains kernel groups; feeds the duty factor of the power model.
-  void idle_cycle();
 
   /// Pins (or unpins) the generic reference kernels; resets the cached
   /// dispatch resolution. Default is KernelDispatch::default_policy().

@@ -1,32 +1,24 @@
 // nonconv_unit.hpp - the Non-Conv unit array of Fig. 4 / Fig. 6.
 //
-// Eight parallel units, each computing the folded dequantization + BN +
-// ReLU + requantization affine y = clamp(round(k*x + b), 0, 127) with k, b
-// in Q8.16. The same array is time-shared for the DWC-to-PWC transfer
-// (per-input-channel parameters from the offline buffer) and for the PWC
-// write-back path (per-output-channel parameters); the two uses are counted
-// separately so the power model can attribute activity.
+// Td parallel units (eight in the paper), each computing the folded
+// dequantization + BN + ReLU + requantization affine
+// y = clamp(round(k*x + b), 0, 127) with k, b in Q8.16. The same array is
+// time-shared for the DWC-to-PWC transfer (per-input-channel parameters
+// from the offline buffer) and for the PWC write-back path
+// (per-output-channel parameters); the two uses are counted separately so
+// the power model can attribute activity.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "arch/fixed_point.hpp"
-#include "core/config.hpp"
 #include "nn/quant.hpp"
 
 namespace edea::core {
 
 class NonConvUnitArray {
  public:
-  explicit NonConvUnitArray(const EdeaConfig& config) : config_(config) {
-    config_.validate();
-  }
-
-  /// Number of parallel affine units (= Td = 8 in the paper).
-  [[nodiscard]] int unit_count() const noexcept { return config_.td; }
-
   /// Applies per-channel parameters to a channel-innermost block of
   /// accumulators: value i belongs to channel (i % channels). This matches
   /// both use sites (DWC tiles are [row][col][channel], PWC write-back
@@ -35,21 +27,11 @@ class NonConvUnitArray {
                    std::span<const nn::NonConvChannelParams> params,
                    int channels, std::span<std::int8_t> out);
 
-  /// Cycles a block of `values` occupies the unit array (ceil division by
-  /// the unit count) - the pipeline absorbs these inside the 9-cycle
-  /// initiation, but the power model still wants the op count.
-  [[nodiscard]] std::int64_t block_cycles(std::int64_t values) const noexcept {
-    return (values + unit_count() - 1) / unit_count();
-  }
-
   [[nodiscard]] std::int64_t transfer_ops() const noexcept {
     return transfer_ops_;
   }
   [[nodiscard]] std::int64_t writeback_ops() const noexcept {
     return writeback_ops_;
-  }
-  [[nodiscard]] std::int64_t total_ops() const noexcept {
-    return transfer_ops_ + writeback_ops_;
   }
 
   /// Marks subsequent apply_block calls as write-back (vs transfer) work.
@@ -61,7 +43,6 @@ class NonConvUnitArray {
   }
 
  private:
-  EdeaConfig config_;
   bool writeback_ = false;
   std::int64_t transfer_ops_ = 0;
   std::int64_t writeback_ops_ = 0;

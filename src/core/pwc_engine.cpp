@@ -91,8 +91,4 @@ PwcStepOutput PwcEngine::step(const PwcStepInput& input, int depth_multiplier,
   return run_step(input, fn, activity);
 }
 
-void PwcEngine::idle_cycle() {
-  for (int i = 0; i < mac_count(); ++i) lane_.idle(activity_);
-}
-
 }  // namespace edea::core

@@ -71,9 +71,6 @@ class PwcEngine {
                                    int depth_multiplier,
                                    arch::MacActivity& activity) const;
 
-  /// One idle cycle (pipeline bubble during initiation).
-  void idle_cycle();
-
   /// Pins (or unpins) the generic reference kernels; resets the cached
   /// dispatch resolution. Default is KernelDispatch::default_policy().
   void set_kernel_policy(KernelPolicy policy) noexcept;

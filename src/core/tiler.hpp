@@ -95,9 +95,6 @@ class Tiler {
   [[nodiscard]] std::pair<std::size_t, std::size_t> tile_chunk(
       int chunks, int chunk) const;
 
-  [[nodiscard]] const nn::DscLayerSpec& spec() const noexcept { return spec_; }
-  [[nodiscard]] const EdeaConfig& config() const noexcept { return config_; }
-
  private:
   EdeaConfig config_;
   nn::DscLayerSpec spec_;

@@ -59,6 +59,18 @@ LayerTiming TimingModel::layer_timing(const nn::DscLayerSpec& spec) const {
   return t;
 }
 
+LayerTiming TimingModel::serialized_layer_timing(
+    const nn::DscLayerSpec& spec) const {
+  const LayerTiming eq2 = layer_timing(spec);
+  LayerTiming t;
+  t.dwc_active_cycles = eq2.dwc_active_cycles;
+  t.pwc_active_cycles = eq2.pwc_active_cycles;
+  t.total_cycles =
+      eq2.total_cycles + eq2.init_cycles + eq2.dwc_active_cycles;
+  t.compute_cycles = t.total_cycles;
+  return t;
+}
+
 double TimingModel::layer_throughput_gops(const nn::DscLayerSpec& spec) const {
   const LayerTiming t = layer_timing(spec);
   const double ops = static_cast<double>(spec.total_ops());

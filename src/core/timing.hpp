@@ -69,6 +69,15 @@ class TimingModel {
   /// Eq. 2 over the whole layer (summing ragged edge tiles exactly).
   [[nodiscard]] LayerTiming layer_timing(const nn::DscLayerSpec& spec) const;
 
+  /// The serialized baseline's schedule in closed form. Every pass runs a
+  /// DWC phase (initiation + one cycle per spatial step) and then a PWC
+  /// phase (initiation + the Eq. 1 compute), so
+  ///   total = Eq. 2 total + Eq. 2 init + dwc_active.
+  /// The phases never overlap into dual-engine passes: passes and
+  /// init_cycles are 0 and compute_cycles is the whole total.
+  [[nodiscard]] LayerTiming serialized_layer_timing(
+      const nn::DscLayerSpec& spec) const;
+
   /// Throughput in GOPS (1 MAC = 2 ops) at the configured clock.
   [[nodiscard]] double layer_throughput_gops(const nn::DscLayerSpec& spec)
       const;

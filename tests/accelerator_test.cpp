@@ -192,6 +192,38 @@ TEST(Accelerator, IntermediateBufferCarriesAllTransfers) {
   EXPECT_EQ(r.buffers.intermediate.reads, 8 * 8 * 16 * 2);
 }
 
+TEST(Accelerator, BufferTalliesOfASingleTileLayerHaveClosedForms) {
+  // One 8x8 buffer tile, D = 16 (two Td slices), K = 32 (two Tk groups),
+  // 16 spatial steps per slice. The tallies are bulk arithmetic over the
+  // schedule, so each has a closed form in the layer geometry.
+  const int D = 16, K = 32, N = 8, slices = 2, steps = 16;
+  const Fixture fx = make_fixture(spec_of(N, D, 1, K), 29);
+  EdeaAccelerator accel;
+  const LayerRunResult r = accel.run_layer(fx.layer, fx.input);
+
+  // Every in-image input element is staged once (the halo is padding).
+  EXPECT_EQ(r.buffers.dwc_ifmap.writes, N * N * D);
+  EXPECT_EQ(r.buffers.dwc_ifmap.write_bytes, N * N * D);
+  // Windows read only in-image taps: per axis the four 4-wide windows at
+  // rows -1, 1, 3, 5 cover 3 + 4 + 4 + 3 = 14 image rows.
+  EXPECT_EQ(r.buffers.dwc_ifmap.reads, 14 * 14 * D);
+  EXPECT_EQ(r.buffers.dwc_ifmap.read_bytes, 14 * 14 * D);
+  // A 3x3 kernel slice per pass, written once and read into the engine.
+  EXPECT_EQ(r.buffers.dwc_weight.writes, 9 * D);
+  EXPECT_EQ(r.buffers.dwc_weight.reads, 9 * D);
+  // Each pass stages its slice for every kernel; every step streams it.
+  EXPECT_EQ(r.buffers.pwc_weight.writes, K * D);
+  EXPECT_EQ(r.buffers.pwc_weight.reads, steps * K * D);
+  // 32-bit psums: written once per slice, read back by the accumulation of
+  // every later slice and once by the write-back.
+  EXPECT_EQ(r.buffers.accumulator.writes, slices * N * N * K);
+  EXPECT_EQ(r.buffers.accumulator.write_bytes, 4 * slices * N * N * K);
+  EXPECT_EQ(r.buffers.accumulator.reads, slices * N * N * K);
+  EXPECT_EQ(r.buffers.accumulator.read_bytes, 4 * slices * N * N * K);
+  // Two (k, b) pairs per channel per step from the offline buffer.
+  EXPECT_EQ(r.buffers.offline.reads, steps * 2 * D);
+}
+
 TEST(Accelerator, NonConvOpCounts) {
   const auto spec = spec_of(8, 16, 1, 32);
   const Fixture fx = make_fixture(spec, 27);

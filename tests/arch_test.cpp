@@ -16,56 +16,44 @@ namespace {
 // ----------------------------------------------------------------- SRAM ---
 
 TEST(SramBuffer, StoreLoadRoundTrip) {
-  SramBuffer buf("test", 64);
-  buf.store<std::int8_t>(3, -7);
-  EXPECT_EQ(buf.load<std::int8_t>(3), -7);
-  buf.store<std::int32_t>(4, 123456);
-  EXPECT_EQ(buf.load<std::int32_t>(4), 123456);
-}
-
-TEST(SramBuffer, CountsAccesses) {
-  SramBuffer buf("test", 64);
-  buf.store<std::int8_t>(0, 1);
-  buf.store<std::int8_t>(1, 2);
-  (void)buf.load<std::int8_t>(0);
-  EXPECT_EQ(buf.counter().writes, 2);
-  EXPECT_EQ(buf.counter().reads, 1);
-  EXPECT_EQ(buf.counter().write_bytes, 2);
-  EXPECT_EQ(buf.counter().read_bytes, 1);
-  buf.reset_counters();
-  EXPECT_EQ(buf.counter().total_accesses(), 0);
+  std::array<std::uint8_t, 64> backing{};
+  SramBuffer buf("test", backing.data(), 64);
+  buf.span<std::int8_t>(3, 1)[0] = -7;
+  EXPECT_EQ(buf.span<std::int8_t>(3, 1)[0], -7);
+  buf.span<std::int32_t>(4, 1)[0] = 123456;
+  EXPECT_EQ(buf.span<std::int32_t>(4, 1)[0], 123456);
+  // A span aliases the backing bytes: element 4 of int32 is bytes 16..19.
+  EXPECT_EQ(buf.span<std::int8_t>(16, 4).data(),
+            reinterpret_cast<std::int8_t*>(backing.data() + 16));
 }
 
 TEST(SramBuffer, CapacityIsEnforced) {
-  SramBuffer buf("tiny", 8);
-  EXPECT_NO_THROW(buf.store<std::int32_t>(1, 42));  // bytes 4..7
-  EXPECT_THROW(buf.store<std::int8_t>(8, 1), ResourceError);
-  EXPECT_THROW(buf.store<std::int32_t>(2, 1), ResourceError);
-  std::int8_t dst = 0;
-  EXPECT_THROW(buf.read(-1, &dst, 1), ResourceError);
+  std::array<std::uint8_t, 8> backing{};
+  SramBuffer buf("tiny", backing.data(), 8);
+  EXPECT_NO_THROW((void)buf.span<std::int32_t>(1, 1));  // bytes 4..7
+  EXPECT_NO_THROW((void)buf.span<std::int8_t>(0, 8));   // the whole buffer
+  EXPECT_THROW((void)buf.span<std::int8_t>(8, 1), ResourceError);
+  EXPECT_THROW((void)buf.span<std::int32_t>(2, 1), ResourceError);
+  EXPECT_THROW((void)buf.span<std::int8_t>(0, 9), ResourceError);
+  EXPECT_THROW((void)buf.span<std::int8_t>(-1, 1), ResourceError);
 }
 
 TEST(SramBuffer, ErrorMessageNamesTheBuffer) {
-  SramBuffer buf("dwc_ifmap", 4);
+  std::array<std::uint8_t, 4> backing{};
+  SramBuffer buf("dwc_ifmap", backing.data(), 4);
   try {
-    buf.store<std::int8_t>(100, 1);
+    (void)buf.span<std::int8_t>(100, 1);
     FAIL() << "expected ResourceError";
   } catch (const ResourceError& e) {
     EXPECT_NE(std::string(e.what()).find("dwc_ifmap"), std::string::npos);
   }
 }
 
-TEST(SramBuffer, ClearContentsPreservesCounters) {
-  SramBuffer buf("test", 16);
-  buf.store<std::int8_t>(0, 9);
-  buf.clear_contents();
-  EXPECT_EQ(buf.load<std::int8_t>(0), 0);
-  EXPECT_EQ(buf.counter().writes, 1);  // clear is not a counted write
-}
-
 TEST(SramBuffer, RejectsNonPositiveCapacity) {
-  EXPECT_THROW(SramBuffer("bad", 0), PreconditionError);
-  EXPECT_THROW(SramBuffer("bad", -5), PreconditionError);
+  std::array<std::uint8_t, 4> backing{};
+  EXPECT_THROW(SramBuffer("bad", backing.data(), 0), PreconditionError);
+  EXPECT_THROW(SramBuffer("bad", backing.data(), -5), PreconditionError);
+  EXPECT_THROW(SramBuffer("bad", nullptr, 4), PreconditionError);
 }
 
 // ------------------------------------------------------- external memory ---

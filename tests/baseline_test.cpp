@@ -74,6 +74,23 @@ TEST(SerializedBaseline, IntermediateRoundTripsThroughExternalMemory) {
   EXPECT_EQ(r.intermediate_external_reads, nmd);
 }
 
+TEST(SerializedBaseline, RoundTripReadsWholeBlocksOnSevenWideTiles) {
+  // Dilation 2 at stride 2 shrinks buffer tiles to 7 outputs, so the
+  // 2x2 steps of a tile cover 8. The PWC phase fetches each step's whole
+  // Tn x Tm block from the external map - every in-map position, even one
+  // belonging to the next tile - while the DWC phase writes only the
+  // tile's own outputs. 20x20 outputs in tiles of 7, 7, 6: each axis
+  // fetches 8 + 8 + 6 = 22 positions against 20 written.
+  auto spec = spec_of(40, 8, 2, 8);
+  spec.dilation = 2;
+  spec.padding = 2;
+  const Fixture fx = make_fixture(spec, 8);
+  SerializedDscAccelerator baseline;
+  const auto r = baseline.run_layer(fx.layer, fx.input);
+  EXPECT_EQ(r.intermediate_external_writes, 20 * 20 * 8);  // 3,200
+  EXPECT_EQ(r.intermediate_external_reads, 22 * 22 * 8);   // 3,872
+}
+
 TEST(SerializedBaseline, EdeaEliminatesExactlyTheIntermediateTraffic) {
   const auto spec = spec_of(16, 16, 1, 32);
   const Fixture fx = make_fixture(spec, 4);

@@ -19,7 +19,16 @@
 //       once forced onto the generic reference loops
 //       (KernelPolicy::kForceGeneric), and everything observable -
 //       outputs, timing, MAC activity, buffer/dataflow/external
-//       counters, summaries - must be bit-identical.
+//       counters, summaries - must be bit-identical,
+//   (6) an independent oracle that shares no code with either backend:
+//       every layer's output and PWC-input zero fraction come from the
+//       golden nn::QuantDscLayer::forward chain, EDEA's whole LayerTiming
+//       from Eq. 1/2, and the serialized schedule's from its own closed
+//       form (TimingModel::serialized_layer_timing),
+//   (7) a pinned measurement digest: one FNV-1a per backend over every
+//       per-layer measurement of the pinned corpus plus two zoo networks,
+//       plain, dilated and multiplied - a refactor of the shared datapath
+//       must leave each backend's numbers exactly where they were.
 // Every failure names its case as a reproducible one-liner (the generator
 // seed plus the full spec list), so a red run can be replayed standalone.
 //
@@ -29,30 +38,36 @@
 // reproducible while the drifting leg keeps exploring.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/backend.hpp"
 #include "core/sweep_runner.hpp"
+#include "core/timing.hpp"
 #include "nn/layers.hpp"
 #include "nn/model_zoo.hpp"
 #include "service/session.hpp"
 #include "service/simulation_service.hpp"
 #include "service/transport.hpp"
+#include "util/hash.hpp"
 #include "util/random.hpp"
 
 namespace edea::core {
 namespace {
 
+constexpr std::uint64_t kPinnedSeed = 20250807ull;
+
 /// The harness seed: EDEA_DIFF_SEED when set (decimal), else pinned.
 std::uint64_t harness_seed() {
   const char* env = std::getenv("EDEA_DIFF_SEED");
-  if (env == nullptr || *env == '\0') return 20250807ull;
+  if (env == nullptr || *env == '\0') return kPinnedSeed;
   char* end = nullptr;
   const unsigned long long parsed = std::strtoull(env, &end, 10);
   EXPECT_TRUE(end != nullptr && *end == '\0')
@@ -238,6 +253,9 @@ TEST(DifferentialTest, GeneratedCasesAreBitExactAcrossBackendsWithOrdering) {
       SCOPED_TRACE("layer " + std::to_string(l));
       EXPECT_EQ(fast.layers[l].output.storage(),
                 slow.layers[l].output.storage());
+      // Both schedules accumulate the same partial sums in the same order,
+      // so the 24-bit envelope statistic must agree too.
+      EXPECT_EQ(slow.layers[l].max_abs_psum, fast.layers[l].max_abs_psum);
     }
     const RunSummary fast_summary = fast.summary(1.0);
     const RunSummary slow_summary = slow.summary(1.0);
@@ -366,6 +384,145 @@ TEST(DifferentialTest, SpecializedKernelsAreBitIdenticalToGeneric) {
         EXPECT_EQ(s.max_abs_psum, r.max_abs_psum);
       }
     }
+  }
+}
+
+const char* policy_name(KernelPolicy policy) {
+  return policy == KernelPolicy::kAuto ? "auto" : "generic";
+}
+
+TEST(DifferentialTest, EveryLayerMatchesTheIndependentOracle) {
+  // (6) Cross-backend agreement alone cannot catch a bug in staging both
+  // backends share; this oracle is computed without either of them.
+  const std::uint64_t seed = harness_seed();
+  for (std::size_t i = 0; i < corpus().size(); ++i) {
+    const GeneratedCase& c = corpus()[i];
+    SCOPED_TRACE(case_one_liner(c, seed, i));
+    const auto layers = nn::make_random_quant_network(c.specs, c.weight_seed);
+    const nn::Int8Tensor input = random_input(c.specs.front(), c.input_seed);
+
+    std::vector<nn::Int8Tensor> golden_outputs;
+    std::vector<nn::Int8Tensor> golden_intermediates;
+    nn::Int8Tensor x = input;
+    for (const nn::QuantDscLayer& layer : layers) {
+      nn::Int8Tensor intermediate;
+      x = layer.forward(x, &intermediate);
+      golden_outputs.push_back(x);
+      golden_intermediates.push_back(std::move(intermediate));
+    }
+
+    for (const char* backend_id : {"edea", "serialized"}) {
+      for (const KernelPolicy policy :
+           {KernelPolicy::kAuto, KernelPolicy::kForceGeneric}) {
+        SCOPED_TRACE(std::string("backend ") + backend_id + " kernels " +
+                     policy_name(policy));
+        std::unique_ptr<AcceleratorBackend> backend = make_backend(backend_id);
+        backend->set_tile_parallelism(c.tile_parallelism);
+        backend->set_kernel_policy(policy);
+        const TimingModel model(backend->config());
+        const NetworkRunResult run = backend->run_network(layers, input);
+        ASSERT_EQ(run.layers.size(), layers.size());
+        for (std::size_t l = 0; l < layers.size(); ++l) {
+          SCOPED_TRACE("layer " + std::to_string(l));
+          const LayerRunResult& r = run.layers[l];
+          EXPECT_EQ(r.output, golden_outputs[l]);
+          EXPECT_EQ(r.pwc_input_zero_fraction,
+                    golden_intermediates[l].zero_fraction());
+          const LayerTiming expected =
+              std::string(backend_id) == "edea"
+                  ? model.layer_timing(c.specs[l])
+                  : model.serialized_layer_timing(c.specs[l]);
+          EXPECT_EQ(r.timing, expected);
+        }
+      }
+    }
+  }
+}
+
+/// Mixes every per-layer measurement a backend reports into `h`:
+/// LayerTiming, the six buffer counters, the dataflow counters, external
+/// traffic per class, both MacActivity tallies, the Non-Conv op counts,
+/// the bit patterns of the two zero fractions, and the output's hash.
+/// max_abs_psum is deliberately absent: the serialized backend's value
+/// was fixed (0 -> EDEA's) after this digest was pinned.
+void digest_layer(util::Fnv1a64& h, const LayerRunResult& r) {
+  const auto counter = [&h](const arch::AccessCounter& a) {
+    h.pod(a.reads).pod(a.writes).pod(a.read_bytes).pod(a.write_bytes);
+  };
+  const auto activity = [&h](const arch::MacActivity& a) {
+    h.pod(a.lane_cycles).pod(a.useful_macs).pod(a.zero_operand_macs);
+  };
+  const LayerTiming& t = r.timing;
+  h.pod(t.passes).pod(t.init_cycles).pod(t.compute_cycles);
+  h.pod(t.total_cycles).pod(t.dwc_active_cycles).pod(t.pwc_active_cycles);
+  counter(r.buffers.dwc_ifmap);
+  counter(r.buffers.dwc_weight);
+  counter(r.buffers.offline);
+  counter(r.buffers.intermediate);
+  counter(r.buffers.pwc_weight);
+  counter(r.buffers.accumulator);
+  h.pod(r.dataflow.dwc_window_elements).pod(r.dataflow.dwc_weight_elements);
+  h.pod(r.dataflow.pwc_activation_elements);
+  h.pod(r.dataflow.pwc_weight_elements);
+  for (int c = 0; c < arch::kTrafficClassCount; ++c) {
+    counter(r.external.counter(static_cast<arch::TrafficClass>(c)));
+  }
+  activity(r.dwc_activity);
+  activity(r.pwc_activity);
+  h.pod(r.nonconv_transfer_ops).pod(r.nonconv_writeback_ops);
+  h.pod(std::bit_cast<std::uint64_t>(r.dwc_input_zero_fraction));
+  h.pod(std::bit_cast<std::uint64_t>(r.pwc_input_zero_fraction));
+  h.pod(util::Fnv1a64().bytes(r.output.data(), r.output.size()).digest());
+}
+
+TEST(DifferentialTest, MeasurementDigestIsPinned) {
+  // (7) The digests below were captured before the two backends were
+  // folded onto one datapath; every later change must reproduce them.
+  if (harness_seed() != kPinnedSeed) {
+    GTEST_SKIP() << "the digest pins the default seed's corpus";
+  }
+  struct Pinned {
+    const char* backend;
+    std::uint64_t digest;
+    std::int64_t edeanet_dilated_dwc_zero_macs;
+  };
+  // The dummy lanes of the 7-wide interior tiles of a dilated stride-2
+  // layer read different data per backend: EDEA's are bounded by the
+  // staged tile region, the serialized baseline's by the whole image.
+  const Pinned pinned[] = {
+      {"edea", 0x31c4b2513e26d16dull, 637026},
+      {"serialized", 0x3ce43b016483edbcull, 623097},
+  };
+  for (const Pinned& p : pinned) {
+    SCOPED_TRACE(std::string("backend ") + p.backend);
+    util::Fnv1a64 h;
+    const auto run = [&](const std::vector<nn::QuantDscLayer>& layers,
+                         const nn::Int8Tensor& input) {
+      const NetworkRunResult result =
+          make_backend(p.backend)->run_network(layers, input);
+      for (const LayerRunResult& r : result.layers) digest_layer(h, r);
+      return result;
+    };
+    for (const GeneratedCase& c : corpus()) {
+      (void)run(nn::make_random_quant_network(c.specs, c.weight_seed),
+                random_input(c.specs.front(), c.input_seed));
+    }
+    service::WorkloadCatalog catalog;
+    for (const char* network : {"mobilenet-0.25x", "edeanet-64"}) {
+      for (const auto& [dilation, multiplier] :
+           {std::pair{1, 1}, std::pair{2, 1}, std::pair{1, 2}}) {
+        const auto& w = catalog.resolve(network, 7, dilation, multiplier);
+        const NetworkRunResult result = run(w.layers, w.input);
+        if (std::string(network) == "edeanet-64" && dilation == 2) {
+          std::int64_t zero_macs = 0;
+          for (const LayerRunResult& r : result.layers) {
+            zero_macs += r.dwc_activity.zero_operand_macs;
+          }
+          EXPECT_EQ(zero_macs, p.edeanet_dilated_dwc_zero_macs);
+        }
+      }
+    }
+    EXPECT_EQ(h.digest(), p.digest) << std::hex << "0x" << h.digest();
   }
 }
 

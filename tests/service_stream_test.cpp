@@ -255,11 +255,13 @@ TEST(ServiceAdmissionTest, BoundedQueueRejectsOnlyFreshSimulations) {
                 [&](core::SweepOutcome o) { first.set_value(std::move(o)); }),
             Admission::kAdmitted);
 
+  // The same workload under four other configurations: fresh jobs whose
+  // network is already materialized, so they reach admission back to back.
   std::size_t busy = 0;
-  for (int seed = 51; seed < 55; ++seed) {
+  for (const int td : {4, 8, 12, 20}) {
     const Admission verdict = svc.submit_streaming(
-        make_job(catalog, "run mobilenet-0.25x seed=" + std::to_string(seed) +
-                              " td=16"),
+        make_job(catalog,
+                 "run mobilenet-0.25x seed=50 td=" + std::to_string(td)),
         session, [](core::SweepOutcome) {});
     if (verdict == Admission::kBusy) ++busy;
   }
@@ -278,7 +280,7 @@ TEST(ServiceAdmissionTest, BoundedQueueRejectsOnlyFreshSimulations) {
   // misses (busy dropped it without side effects) ...
   std::promise<core::SweepOutcome> retried;
   ASSERT_EQ(svc.submit_streaming(
-                make_job(catalog, "run mobilenet-0.25x seed=51 td=16"),
+                make_job(catalog, "run mobilenet-0.25x seed=50 td=4"),
                 session,
                 [&](core::SweepOutcome o) { retried.set_value(std::move(o)); }),
             Admission::kAdmitted);
@@ -303,12 +305,15 @@ TEST(SessionAdmissionTest, BusyRepliesAreSelfIdentifyingAndAccounted) {
   SessionOptions session_options;
   session_options.busy_retry_ms = 7;
 
+  // One workload under three configurations: three distinct misses, but
+  // only the first materializes a network, so the other two reach
+  // admission while the first still simulates - however fast that is.
   SessionStats stats;
   const std::vector<std::string> responses = serve_stdio(
       svc, catalog,
       {"run mobilenet-0.25x seed=60 td=16",
-       "run mobilenet-0.25x seed=61 td=16",
-       "run mobilenet-0.25x seed=62 td=16", "stats"},
+       "run mobilenet-0.25x seed=60 td=8",
+       "run mobilenet-0.25x seed=60 td=4", "stats"},
       session_options, &stats);
   ASSERT_EQ(responses.size(), 4u);
 
@@ -549,12 +554,13 @@ TEST(PipelineClientTest, BusyRejectionsAreRetriedToCompletion) {
   // A saturating window against a single worker with a queue bound of 1:
   // most requests bounce at least once, the driver absorbs every busy
   // line with backoff, and the final logical stream still matches an
-  // unbounded reference byte for byte (distinct seeds -> all misses, so
-  // no cache-flag divergence between the runs).
+  // unbounded reference byte for byte (distinct configurations -> all
+  // misses, so no cache-flag divergence between the runs). One seed means
+  // one materialization, so the burst reaches admission back to back
+  // rather than one network build apart.
   std::vector<std::string> requests;
-  for (int seed = 80; seed < 86; ++seed) {
-    requests.push_back("run mobilenet-0.25x seed=" + std::to_string(seed) +
-                       " td=16");
+  for (int td = 4; td <= 24; td += 4) {
+    requests.push_back("run mobilenet-0.25x seed=80 td=" + std::to_string(td));
   }
   PipelineOptions options;
   options.window = 6;

@@ -173,6 +173,30 @@ TEST(TimingModel, RaggedLayersCountExactly) {
   EXPECT_EQ(tm.layer_timing(spec).total_cycles, expected);
 }
 
+TEST(TimingModel, SerializedScheduleClosedForm) {
+  const TimingModel tm{EdeaConfig::paper()};
+  // Layer 6 (4x4x512 -> 512): 64 passes, each a DWC phase of 9 + 4
+  // cycles followed by a PWC phase of 9 + 128.
+  const LayerTiming t = tm.serialized_layer_timing(spec_of(4, 512, 1, 512));
+  EXPECT_EQ(t.total_cycles, 64 * (9 + 4) + 64 * (9 + 128));
+  EXPECT_EQ(t.compute_cycles, t.total_cycles);
+  EXPECT_EQ(t.passes, 0);
+  EXPECT_EQ(t.init_cycles, 0);
+  EXPECT_EQ(t.dwc_active_cycles, 64 * 4);
+  EXPECT_EQ(t.pwc_active_cycles, 64 * 128);
+
+  // MobileNetV1 end to end: the serialized schedule pays every DWC phase
+  // and its initiation on top of EDEA's overlapped total.
+  std::int64_t edea = 0;
+  std::int64_t serialized = 0;
+  for (const auto& spec : nn::mobilenet_dsc_specs()) {
+    edea += tm.layer_timing(spec).total_cycles;
+    serialized += tm.serialized_layer_timing(spec).total_cycles;
+  }
+  EXPECT_EQ(edea, 92784);
+  EXPECT_EQ(serialized, 104480);
+}
+
 TEST(TimingModel, ScalingTkReducesCycles) {
   // Doubling Tk halves the kernel-group count: direct latency win,
   // utilization preserved (the paper's scaling argument).
