@@ -42,15 +42,15 @@ void BM_DwcEngineStep(benchmark::State& state) {
   std::vector<std::int8_t> w(static_cast<std::size_t>(9 * cfg.td));
   for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
   engine.load_weights(w, cfg.td);
-  core::DwcWindow window;
-  window.extent = 4;
-  window.channels = cfg.td;
-  window.values.resize(static_cast<std::size_t>(16 * cfg.td));
-  for (auto& v : window.values) {
+  std::vector<std::int8_t> window(static_cast<std::size_t>(16 * cfg.td));
+  for (auto& v : window) {
     v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
   }
+  core::DwcStepOutput out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.step(window, 1));
+    engine.step(window, 1, 1, 1, out);
+    benchmark::DoNotOptimize(out.acc.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * engine.mac_count());
 }
@@ -60,21 +60,20 @@ void BM_PwcEngineStep(benchmark::State& state) {
   const core::EdeaConfig cfg = core::EdeaConfig::paper();
   core::PwcEngine engine(cfg);
   Rng rng(2);
-  core::PwcStepInput pin;
-  pin.rows = cfg.tn;
-  pin.cols = cfg.tm;
-  pin.channels = cfg.td;
-  pin.kernels = cfg.tk;
-  pin.activations.resize(static_cast<std::size_t>(4 * cfg.td));
-  pin.weights.resize(static_cast<std::size_t>(cfg.tk * cfg.td));
-  for (auto& v : pin.activations) {
+  std::vector<std::int8_t> acts(static_cast<std::size_t>(4 * cfg.td));
+  std::vector<std::int8_t> weights(static_cast<std::size_t>(cfg.tk * cfg.td));
+  for (auto& v : acts) {
     v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
   }
-  for (auto& v : pin.weights) {
+  for (auto& v : weights) {
     v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
   }
+  engine.load_weights(weights, cfg.tk, cfg.td);
+  core::PwcStepOutput out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.step(pin));
+    engine.step(acts, 1, out);
+    benchmark::DoNotOptimize(out.psum.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * engine.mac_count());
 }
@@ -89,9 +88,10 @@ BENCHMARK(BM_PwcEngineStep);
 // this pair measures only the host-time gap. main() derives a
 // "kernel_speedup/<shape>" ratio per pair into the --json summary, and
 // --require-speedup X turns a ratio below X into a nonzero exit - the
-// regression gate CI runs.
+// regression gate CI runs. The pairs cover every registered shape and
+// both slice widths the service traffic sends (Td = 8 and Td = 16).
 
-void BM_DwcShapeStep(benchmark::State& state, int stride,
+void BM_DwcShapeStep(benchmark::State& state, int stride, int dilation,
                      core::KernelPolicy policy) {
   const core::EdeaConfig cfg = core::EdeaConfig::paper();
   core::DwcEngine engine(cfg);
@@ -101,59 +101,75 @@ void BM_DwcShapeStep(benchmark::State& state, int stride,
       static_cast<std::size_t>(cfg.kernel * cfg.kernel * cfg.td));
   for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
   engine.load_weights(w, cfg.td);
-  core::DwcWindow window;
-  window.extent = (cfg.tn - 1) * stride + cfg.kernel;
-  window.channels = cfg.td;
-  window.values.resize(
-      static_cast<std::size_t>(window.extent * window.extent * cfg.td));
-  for (auto& v : window.values) {
+  const int extent = cfg.dwc_window_extent(stride, dilation);
+  std::vector<std::int8_t> window(
+      static_cast<std::size_t>(extent * extent * cfg.td));
+  for (auto& v : window) {
     v = rng.bernoulli(0.3) ? std::int8_t{0}
                            : static_cast<std::int8_t>(rng.uniform_int(-128,
                                                                       127));
   }
+  core::DwcStepOutput out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.step(window, stride));
+    engine.step(window, stride, dilation, 1, out);
+    benchmark::DoNotOptimize(out.acc.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * engine.mac_count());
 }
-BENCHMARK_CAPTURE(BM_DwcShapeStep, dwc3x3_s1_specialized, 1,
+BENCHMARK_CAPTURE(BM_DwcShapeStep, dwc3x3_s1_specialized, 1, 1,
                   core::KernelPolicy::kAuto);
-BENCHMARK_CAPTURE(BM_DwcShapeStep, dwc3x3_s1_generic, 1,
+BENCHMARK_CAPTURE(BM_DwcShapeStep, dwc3x3_s1_generic, 1, 1,
                   core::KernelPolicy::kForceGeneric);
-BENCHMARK_CAPTURE(BM_DwcShapeStep, dwc3x3_s2_specialized, 2,
+BENCHMARK_CAPTURE(BM_DwcShapeStep, dwc3x3_s2_specialized, 2, 1,
                   core::KernelPolicy::kAuto);
-BENCHMARK_CAPTURE(BM_DwcShapeStep, dwc3x3_s2_generic, 2,
+BENCHMARK_CAPTURE(BM_DwcShapeStep, dwc3x3_s2_generic, 2, 1,
+                  core::KernelPolicy::kForceGeneric);
+BENCHMARK_CAPTURE(BM_DwcShapeStep, dwc3x3_s1_d2_specialized, 1, 2,
+                  core::KernelPolicy::kAuto);
+BENCHMARK_CAPTURE(BM_DwcShapeStep, dwc3x3_s1_d2_generic, 1, 2,
+                  core::KernelPolicy::kForceGeneric);
+BENCHMARK_CAPTURE(BM_DwcShapeStep, dwc3x3_s2_d2_specialized, 2, 2,
+                  core::KernelPolicy::kAuto);
+BENCHMARK_CAPTURE(BM_DwcShapeStep, dwc3x3_s2_d2_generic, 2, 2,
                   core::KernelPolicy::kForceGeneric);
 
-void BM_PwcShapeStep(benchmark::State& state, core::KernelPolicy policy) {
-  const core::EdeaConfig cfg = core::EdeaConfig::paper();
+/// One kernel group (Tk kernels) over a full Td-channel slice.
+void BM_PwcShapeStep(benchmark::State& state, int td, int tk,
+                     core::KernelPolicy policy) {
+  core::EdeaConfig cfg = core::EdeaConfig::paper();
+  cfg.td = td;
+  cfg.tk = tk;
   core::PwcEngine engine(cfg);
   engine.set_kernel_policy(policy);
   Rng rng(22);
-  core::PwcStepInput pin;
-  pin.rows = cfg.tn;
-  pin.cols = cfg.tm;
-  pin.channels = cfg.td;
-  pin.kernels = cfg.tk;
-  pin.activations.resize(
+  std::vector<std::int8_t> acts(
       static_cast<std::size_t>(cfg.tn * cfg.tm * cfg.td));
-  pin.weights.resize(static_cast<std::size_t>(cfg.tk * cfg.td));
-  for (auto& v : pin.activations) {
+  std::vector<std::int8_t> weights(static_cast<std::size_t>(cfg.tk * cfg.td));
+  for (auto& v : acts) {
     v = rng.bernoulli(0.3) ? std::int8_t{0}
                            : static_cast<std::int8_t>(rng.uniform_int(-128,
                                                                       127));
   }
-  for (auto& v : pin.weights) {
+  for (auto& v : weights) {
     v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
   }
+  engine.load_weights(weights, cfg.tk, cfg.td);
+  core::PwcStepOutput out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.step(pin));
+    engine.step(acts, 1, out);
+    benchmark::DoNotOptimize(out.psum.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * engine.mac_count());
 }
-BENCHMARK_CAPTURE(BM_PwcShapeStep, pwc1x1_specialized,
+BENCHMARK_CAPTURE(BM_PwcShapeStep, pwc1x1_specialized, 8, 16,
                   core::KernelPolicy::kAuto);
-BENCHMARK_CAPTURE(BM_PwcShapeStep, pwc1x1_generic,
+BENCHMARK_CAPTURE(BM_PwcShapeStep, pwc1x1_generic, 8, 16,
+                  core::KernelPolicy::kForceGeneric);
+BENCHMARK_CAPTURE(BM_PwcShapeStep, pwc1x1_td16_tk32_specialized, 16, 32,
+                  core::KernelPolicy::kAuto);
+BENCHMARK_CAPTURE(BM_PwcShapeStep, pwc1x1_td16_tk32_generic, 16, 32,
                   core::KernelPolicy::kForceGeneric);
 
 void BM_NonConvAffine(benchmark::State& state) {

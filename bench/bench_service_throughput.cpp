@@ -203,7 +203,12 @@ int check_overload() {
   session_options.busy_retry_ms = 1;
   LoopbackServer server(service_options, session_options);
 
-  const std::vector<std::string> requests = miss_requests(kRequests, 9000);
+  // Every request simulates a network of its own, which the session
+  // materializes before admission. batch=8 keeps each simulation well
+  // above that materialization, so the window keeps more fresh work in
+  // flight than the bound admits.
+  std::vector<std::string> requests = miss_requests(kRequests, 9000);
+  for (std::string& line : requests) line += " batch=8";
   std::unique_ptr<edea::service::Stream> stream =
       edea::service::connect_socket("127.0.0.1", server.port(),
                                     /*retry_ms=*/5000);

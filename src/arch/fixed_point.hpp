@@ -9,6 +9,7 @@
 // call into it, which is what makes the bit-exactness tests meaningful.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -102,9 +103,10 @@ class Q8_16 {
   // value floors, matching a hardware adder + truncation implementation.
   const std::int64_t rounded = (sum_q16 + (1 << (Q8_16::kFractionBits - 1))) >>
                                Q8_16::kFractionBits;
-  if (rounded < clamp_lo) return clamp_lo;
-  if (rounded > clamp_hi) return clamp_hi;
-  return static_cast<std::int32_t>(rounded);
+  // A select rather than a branch: after ReLU-bound layers about half the
+  // accumulators clamp low, which no branch predictor follows.
+  return static_cast<std::int32_t>(
+      std::clamp<std::int64_t>(rounded, clamp_lo, clamp_hi));
 }
 
 /// Signed integer range check helper: does v fit in `bits` (two's

@@ -15,7 +15,6 @@ namespace edea::baseline {
 using arch::TrafficClass;
 using core::BufferTile;
 using core::ChannelSlice;
-using core::KernelGroup;
 using core::Tiler;
 
 SerializedDscAccelerator::SerializedDscAccelerator(core::EdeaConfig config)
@@ -257,7 +256,7 @@ SerializedLayerResult SerializedDscAccelerator::run_layer_into(
     for (const ChannelSlice& slice : tiler.slices()) {
       result.pwc_phase_cycles += config_.init_cycles;
       pwc_weights.resize(static_cast<std::size_t>(K * slice.channels));
-      datapath_.gather_pwc_weights(slice, pwc_weights);
+      datapath_.load_pwc_slice(slice, pwc_weights);
       common.external.record_read(TrafficClass::kWeight,
                                   std::int64_t{K} * slice.channels);
 
@@ -269,11 +268,7 @@ SerializedLayerResult SerializedDscAccelerator::run_layer_into(
           result.intermediate_external_reads += core::gather_block(
               inter, tile.out_row0 + sy * tn, tile.out_col0 + sx * tm, tn, tm,
               slice.channel0, slice.channels, 1, block);
-          datapath_.load_pwc_activations(block);
-          for (const KernelGroup& group : tiler.kernel_groups()) {
-            datapath_.pwc_step(pwc_weights, group, tile, sy, sx, first_slice,
-                               tile_psum);
-          }
+          datapath_.pwc_step(block, tile, sy, sx, first_slice, tile_psum);
         }
       }
       const std::int64_t group_steps =

@@ -179,16 +179,12 @@ class TileWorker {
                                   std::int64_t{2} * slice.channels);
 
     // PWC weights for (slice, all kernels) -> PWC weight buffer.
-    const std::span<std::int8_t> pwc_weights =
-        pwc_weight_buffer_.span<std::int8_t>(0,
-                                             std::int64_t{K} * slice.channels);
-    datapath_.gather_pwc_weights(slice, pwc_weights);
-    {
-      const auto elements = static_cast<std::int64_t>(pwc_weights.size());
-      partial_.external.record_read(TrafficClass::kWeight, elements);
-      partial_.buffers.pwc_weight.record_write(elements, elements);
-      partial_.dataflow.pwc_weight_elements += elements;
-    }
+    const std::int64_t pwc_weights = std::int64_t{K} * slice.channels;
+    datapath_.load_pwc_slice(
+        slice, pwc_weight_buffer_.span<std::int8_t>(0, pwc_weights));
+    partial_.external.record_read(TrafficClass::kWeight, pwc_weights);
+    partial_.buffers.pwc_weight.record_write(pwc_weights, pwc_weights);
+    partial_.dataflow.pwc_weight_elements += pwc_weights;
 
     cycle += config_.init_cycles;
 
@@ -197,6 +193,7 @@ class TileWorker {
     const std::int64_t window = std::int64_t{extent} * extent * slice.channels;
     const std::int64_t block =
         std::int64_t{config_.tn} * config_.tm * slice.channels;
+    const auto group_count = static_cast<std::int64_t>(groups.size());
     const int steps_r = (tile.out_rows + config_.tn - 1) / config_.tn;
     const int steps_c = (tile.out_cols + config_.tm - 1) / config_.tm;
     int step_index = 0;
@@ -233,27 +230,24 @@ class TileWorker {
         count_pwc_input_zeros(half, tile, out_r0, out_c0, slice.channels);
 
         // PWC engine drains the kernel groups; one group per cycle, each
-        // reading the step's activations and its weights from the buffers.
-        datapath_.load_pwc_activations(half);
-        for (const KernelGroup& group : groups) {
-          const std::int64_t entries = datapath_.pwc_step(
-              pwc_weights, group, tile, sy, sx, first_slice, psum);
-          partial_.timing.pwc_active_cycles += 1;
-          partial_.buffers.intermediate.record_read(block, block);
-          partial_.dataflow.pwc_activation_elements += block;
-          partial_.buffers.pwc_weight.record_read(
-              std::int64_t{group.kernels} * slice.channels,
-              std::int64_t{group.kernels} * slice.channels);
-          if (!first_slice) {
-            partial_.buffers.accumulator.record_read(4 * entries, entries);
-          }
-          partial_.buffers.accumulator.record_write(4 * entries, entries);
-          if (trace != nullptr && step_index < 2 && group.kernel0 == 0) {
-            trace->emit(cycle, "PWC Engine Process",
-                        "group k0=" + std::to_string(group.kernel0));
-          }
-          cycle += 1;
+        // reading the step's activations and its weights from the buffers
+        // (every tally below is summed over the groups).
+        const std::int64_t entries =
+            datapath_.pwc_step(half, tile, sy, sx, first_slice, psum);
+        partial_.timing.pwc_active_cycles += group_count;
+        partial_.buffers.intermediate.record_read(block * group_count,
+                                                  block * group_count);
+        partial_.dataflow.pwc_activation_elements += block * group_count;
+        partial_.buffers.pwc_weight.record_read(pwc_weights, pwc_weights);
+        if (!first_slice) {
+          partial_.buffers.accumulator.record_read(4 * entries, entries);
         }
+        partial_.buffers.accumulator.record_write(4 * entries, entries);
+        if (trace != nullptr && step_index < 2) {
+          trace->emit(cycle, "PWC Engine Process",
+                      "group k0=" + std::to_string(groups.front().kernel0));
+        }
+        cycle += group_count;
       }
     }
 

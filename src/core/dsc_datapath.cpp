@@ -1,7 +1,6 @@
 #include "core/dsc_datapath.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
 #include "util/check.hpp"
@@ -35,20 +34,34 @@ std::int64_t gather_block(const Int8MapView& src, int row0, int col0,
   if (r_hi <= r_lo || c_hi <= c_lo) return 0;
 
   for (int r = r_lo; r < r_hi; ++r) {
-    for (int c = c_lo; c < c_hi; ++c) {
-      const std::int8_t* pixel =
-          src.data +
-          (static_cast<std::int64_t>(r - src.row0) * src.cols + (c - src.col0)) *
-              src.channels;
-      std::int8_t* to =
-          dst.data() +
-          (static_cast<std::int64_t>(r - row0) * cols + (c - col0)) * lanes;
+    const std::int8_t* pixel =
+        src.data +
+        (static_cast<std::int64_t>(r - src.row0) * src.cols + (c_lo - src.col0)) *
+            src.channels;
+    std::int8_t* to =
+        dst.data() +
+        (static_cast<std::int64_t>(r - row0) * cols + (c_lo - col0)) * lanes;
+    if (mult == 1 && lanes == src.channels) {
+      // Whole pixels on both sides: the row's run is one contiguous copy.
+      std::memcpy(to, pixel, static_cast<std::size_t>(c_hi - c_lo) *
+                                 static_cast<std::size_t>(lanes));
+      continue;
+    }
+    for (int c = c_lo; c < c_hi; ++c, pixel += src.channels, to += lanes) {
       if (mult == 1) {
         std::memcpy(to, pixel + (channel0 - src.channel0),
                     static_cast<std::size_t>(lanes));
-      } else {
-        for (int l = 0; l < lanes; ++l) {
-          to[l] = pixel[(channel0 + l) / mult - src.channel0];
+        continue;
+      }
+      // Lane l reads source channel (channel0 + l) / mult: `mult`
+      // consecutive lanes share each source channel.
+      int from = first - src.channel0;
+      int phase = channel0 % mult;
+      for (int l = 0; l < lanes; ++l) {
+        to[l] = pixel[from];
+        if (++phase == mult) {
+          phase = 0;
+          ++from;
         }
       }
     }
@@ -91,25 +104,22 @@ std::int64_t DscDatapath::load_dwc_slice(const ChannelSlice& slice) {
 std::int64_t DscDatapath::dwc_step(const Int8MapView& src, int out_row0,
                                    int out_col0, std::span<std::int8_t> dst) {
   const nn::DscLayerSpec& spec = layer_->spec;
-  window_.extent = config_.dwc_window_extent(spec.stride, spec.dilation);
-  window_.channels = slice_.channels;
-  window_.values.resize(static_cast<std::size_t>(
-      window_.extent * window_.extent * window_.channels));
+  const int extent = config_.dwc_window_extent(spec.stride, spec.dilation);
+  window_.resize(static_cast<std::size_t>(extent * extent * slice_.channels));
   // Window origin in unpadded map coordinates (the first kernel tap).
   const std::int64_t read = gather_block(
       src, out_row0 * spec.stride - spec.padding,
-      out_col0 * spec.stride - spec.padding, window_.extent, window_.extent,
-      slice_.channel0, slice_.channels, spec.depth_multiplier,
-      window_.values);
-  const DwcStepOutput out =
-      dwc_.step(window_, spec.stride, spec.dilation, spec.depth_multiplier);
+      out_col0 * spec.stride - spec.padding, extent, extent, slice_.channel0,
+      slice_.channels, spec.depth_multiplier, window_);
+  dwc_.step(window_, spec.stride, spec.dilation, spec.depth_multiplier,
+            dwc_out_);
   nonconv_.set_writeback_mode(false);
-  nonconv_.apply_block(out.acc, transfer_params_, slice_.channels, dst);
+  nonconv_.apply_block(dwc_out_.acc, transfer_params_, slice_.channels, dst);
   return read;
 }
 
-void DscDatapath::gather_pwc_weights(const ChannelSlice& slice,
-                                     std::span<std::int8_t> dst) const {
+void DscDatapath::load_pwc_slice(const ChannelSlice& slice,
+                                 std::span<std::int8_t> dst) {
   const int K = layer_->spec.out_channels;
   EDEA_ASSERT(dst.size() == static_cast<std::size_t>(K) *
                                 static_cast<std::size_t>(slice.channels),
@@ -119,30 +129,15 @@ void DscDatapath::gather_pwc_weights(const ChannelSlice& slice,
                 &layer_->pwc_weights(k, slice.channel0),
                 static_cast<std::size_t>(slice.channels));
   }
+  pwc_.load_weights(dst, K, slice.channels);
 }
 
-void DscDatapath::load_pwc_activations(
-    std::span<const std::int8_t> activations) {
-  pwc_input_.rows = config_.tn;
-  pwc_input_.cols = config_.tm;
-  pwc_input_.channels =
-      static_cast<int>(activations.size()) / (config_.tn * config_.tm);
-  pwc_input_.activations.assign(activations.begin(), activations.end());
-}
-
-std::int64_t DscDatapath::pwc_step(std::span<const std::int8_t> slice_weights,
-                                   const KernelGroup& group,
+std::int64_t DscDatapath::pwc_step(std::span<const std::int8_t> activations,
                                    const BufferTile& tile, int sy, int sx,
                                    bool first_slice,
                                    std::span<std::int32_t> psum) {
   const int K = layer_->spec.out_channels;
-  const int channels = pwc_input_.channels;
-  pwc_input_.kernels = group.kernels;
-  const auto weights = slice_weights.subspan(
-      static_cast<std::size_t>(group.kernel0 * channels),
-      static_cast<std::size_t>(group.kernels * channels));
-  pwc_input_.weights.assign(weights.begin(), weights.end());
-  const PwcStepOutput out = pwc_.step(pwc_input_, layer_->spec.depth_multiplier);
+  pwc_.step(activations, layer_->spec.depth_multiplier, pwc_out_);
 
   // Only the outputs inside the tile accumulate; the rest are dummy lanes.
   const int r0 = sy * config_.tn;  // tile-relative origin of the step
@@ -153,22 +148,33 @@ std::int64_t DscDatapath::pwc_step(std::span<const std::int8_t> slice_weights,
                                  static_cast<std::size_t>(tile.out_cols) *
                                  static_cast<std::size_t>(K),
               "psum block does not match the tile");
+  // A step row's positions are adjacent in both blocks, so each row is one
+  // contiguous run of cols x K partial sums.
+  const auto run = static_cast<std::size_t>(cols) * static_cast<std::size_t>(K);
+  std::int32_t lo = 0;
+  std::int32_t hi = 0;
   for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < cols; ++c) {
-      const std::int32_t* from = &out.psum[static_cast<std::size_t>(
-          (r * out.cols + c) * out.kernels)];
-      std::int32_t* to = &psum[static_cast<std::size_t>(
-          (std::int64_t{r0 + r} * tile.out_cols + c0 + c) * K +
-          group.kernel0)];
-      for (int kk = 0; kk < group.kernels; ++kk) {
-        const std::int32_t v = first_slice ? from[kk] : from[kk] + to[kk];
-        to[kk] = v;
-        max_abs_psum_ = std::max(max_abs_psum_,
-                                 std::abs(static_cast<std::int64_t>(v)));
+    const std::int32_t* from =
+        &pwc_out_.psum[static_cast<std::size_t>(r * config_.tm * K)];
+    std::int32_t* to = &psum[static_cast<std::size_t>(
+        (std::int64_t{r0 + r} * tile.out_cols + c0) * K)];
+    if (first_slice) {
+      for (std::size_t i = 0; i < run; ++i) {
+        to[i] = from[i];
+        lo = std::min(lo, from[i]);
+        hi = std::max(hi, from[i]);
+      }
+    } else {
+      for (std::size_t i = 0; i < run; ++i) {
+        to[i] += from[i];
+        lo = std::min(lo, to[i]);
+        hi = std::max(hi, to[i]);
       }
     }
   }
-  return std::int64_t{1} * rows * cols * group.kernels;
+  max_abs_psum_ = std::max({max_abs_psum_, -std::int64_t{lo},
+                            std::int64_t{hi}});
+  return std::int64_t{1} * rows * cols * K;
 }
 
 void DscDatapath::write_back(std::span<const std::int32_t> psum,

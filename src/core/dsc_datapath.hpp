@@ -83,23 +83,19 @@ class DscDatapath {
                         std::span<std::int8_t> dst);
 
   /// Gathers `slice`'s PWC weights for every kernel into `dst`, laid out
-  /// [K][slice channels] so each kernel group is one contiguous block.
-  void gather_pwc_weights(const ChannelSlice& slice,
-                          std::span<std::int8_t> dst) const;
+  /// [K][slice channels] so each kernel group is one contiguous block, and
+  /// loads them into the PWC engine for the pass.
+  void load_pwc_slice(const ChannelSlice& slice, std::span<std::int8_t> dst);
 
-  /// Latches one spatial step's [Tn][Tm][channels] PWC activations; they
-  /// feed every kernel group of the step.
-  void load_pwc_activations(std::span<const std::int8_t> activations);
-
-  /// One PWC engine step: kernel `group` (its weights read from the
-  /// [K][channels] `slice_weights`) over the latched activations, whose
-  /// partial sums for spatial step (sy, sx) of `tile` accumulate into the
-  /// tile's [out_rows][out_cols][K] `psum` block - overwriting on the
-  /// first slice. Tracks max |psum|. Returns the psum entries updated.
-  std::int64_t pwc_step(std::span<const std::int8_t> slice_weights,
-                        const KernelGroup& group, const BufferTile& tile,
-                        int sy, int sx, bool first_slice,
-                        std::span<std::int32_t> psum);
+  /// One spatial step of the PWC engine: every kernel group of the loaded
+  /// slice over the step's [Tn][Tm][channels] `activations`, read in
+  /// place. The partial sums for spatial step (sy, sx) of `tile`
+  /// accumulate into the tile's [out_rows][out_cols][K] `psum` block -
+  /// overwriting on the first slice. Tracks max |psum|. Returns the psum
+  /// entries updated, over all kernel groups.
+  std::int64_t pwc_step(std::span<const std::int8_t> activations,
+                        const BufferTile& tile, int sy, int sx,
+                        bool first_slice, std::span<std::int32_t> psum);
 
   /// Write-back: `tile`'s psum block through the per-output-channel
   /// Non-Conv units into its region of `output`.
@@ -138,8 +134,9 @@ class DscDatapath {
 
   // Step scratch, reused from step to step.
   std::vector<std::int8_t> dwc_weights_;
-  DwcWindow window_;
-  PwcStepInput pwc_input_;
+  std::vector<std::int8_t> window_;  ///< [extent][extent][slice channels]
+  DwcStepOutput dwc_out_;
+  PwcStepOutput pwc_out_;
 
   std::int64_t max_abs_psum_ = 0;
 };

@@ -9,7 +9,7 @@ DwcEngine::DwcEngine(const EdeaConfig& config)
   config_.validate();
 }
 
-void DwcEngine::load_weights(const std::vector<std::int8_t>& weights,
+void DwcEngine::load_weights(std::span<const std::int8_t> weights,
                              int channels) {
   EDEA_REQUIRE(channels > 0 && channels <= config_.td,
                "DWC weight slice channel count must be in (0, Td]");
@@ -17,7 +17,7 @@ void DwcEngine::load_weights(const std::vector<std::int8_t>& weights,
                                      config_.kernel * config_.kernel *
                                      channels),
                "DWC weight slice size mismatch");
-  weights_ = weights;
+  weights_.assign(weights.begin(), weights.end());
   weight_channels_ = channels;
 }
 
@@ -37,28 +37,28 @@ void DwcEngine::set_kernel_policy(KernelPolicy policy) noexcept {
   cached_fn_ = nullptr;
 }
 
-DwcStepOutput DwcEngine::run_step(const DwcWindow& window, int stride,
-                                  int dilation, DwcKernelFn fn,
-                                  arch::MacActivity& activity) const {
+void DwcEngine::run_step(std::span<const std::int8_t> window, int stride,
+                         int dilation, DwcKernelFn fn, DwcStepOutput& out,
+                         arch::MacActivity& activity) const {
   EDEA_REQUIRE(stride == 1 || stride == 2, "DWC stride must be 1 or 2");
   EDEA_REQUIRE(dilation >= 1, "DWC dilation must be >= 1");
   EDEA_REQUIRE(weight_channels_ > 0, "DWC weights not loaded");
-  EDEA_REQUIRE(window.channels == weight_channels_,
-               "window channel count must match loaded weights");
-  EDEA_REQUIRE(window.extent == config_.dwc_window_extent(stride, dilation),
-               "window extent must match stride/dilation geometry");
+  const int extent = config_.dwc_window_extent(stride, dilation);
+  EDEA_REQUIRE(window.size() == static_cast<std::size_t>(extent * extent *
+                                                         weight_channels_),
+               "window must be the stride/dilation extent squared over the "
+               "loaded channels");
 
   const int k = config_.kernel;
-  DwcStepOutput out;
   out.rows = config_.tn;
   out.cols = config_.tm;
-  out.channels = window.channels;
+  out.channels = weight_channels_;
   out.acc.resize(static_cast<std::size_t>(out.rows * out.cols * out.channels));
 
   DwcKernelArgs args;
-  args.window = window.values.data();
-  args.extent = window.extent;
-  args.channels = window.channels;
+  args.window = window.data();
+  args.extent = extent;
+  args.channels = weight_channels_;
   args.weights = weights_.data();
   args.tn = config_.tn;
   args.tm = config_.tm;
@@ -73,15 +73,13 @@ DwcStepOutput DwcEngine::run_step(const DwcWindow& window, int stride,
   // (never happens for MobileNetV1, whose channel counts are multiples of
   // Td, but the engine is general). Idle accounting lives above the kernel
   // boundary so every kernel sees the same contract.
-  const int idle_lanes =
-      (config_.td - window.channels) * config_.tn * config_.tm * k * k;
-  for (int i = 0; i < idle_lanes; ++i) lane_.idle(activity);
-
-  return out;
+  activity.lane_cycles +=
+      std::int64_t{config_.td - weight_channels_} * config_.tn * config_.tm *
+      k * k;
 }
 
-DwcStepOutput DwcEngine::step(const DwcWindow& window, int stride,
-                              int dilation, int depth_multiplier) {
+void DwcEngine::step(std::span<const std::int8_t> window, int stride,
+                     int dilation, int depth_multiplier, DwcStepOutput& out) {
   DwcKernelFn fn = &generic_dwc_kernel;
   if (policy_ != KernelPolicy::kForceGeneric) {
     const KernelShapeKey key = shape_key(stride, dilation, depth_multiplier);
@@ -91,18 +89,18 @@ DwcStepOutput DwcEngine::step(const DwcWindow& window, int stride,
     }
     fn = cached_fn_;
   }
-  return run_step(window, stride, dilation, fn, activity_);
+  run_step(window, stride, dilation, fn, out, activity_);
 }
 
-DwcStepOutput DwcEngine::step(const DwcWindow& window, int stride,
-                              int dilation, int depth_multiplier,
-                              arch::MacActivity& activity) const {
+void DwcEngine::step(std::span<const std::int8_t> window, int stride,
+                     int dilation, int depth_multiplier, DwcStepOutput& out,
+                     arch::MacActivity& activity) const {
   const DwcKernelFn fn =
       policy_ == KernelPolicy::kForceGeneric
           ? &generic_dwc_kernel
           : KernelDispatch::instance().find_dwc(
                 shape_key(stride, dilation, depth_multiplier));
-  return run_step(window, stride, dilation, fn, activity);
+  run_step(window, stride, dilation, fn, out, activity);
 }
 
 }  // namespace edea::core

@@ -9,13 +9,15 @@
 // 9-cycle initiation of Fig. 7).
 //
 // The arithmetic inner loop is resolved through core::KernelDispatch: hot
-// shapes (3x3 stride-1/2 at dilation 1) run hand-specialized kernels,
-// everything else the generic reference path. Both are bit-identical in
-// outputs and MacActivity; set_kernel_policy(kForceGeneric) or the
-// EDEA_FORCE_GENERIC_KERNELS env var pin the generic path for A/B runs.
+// shapes (3x3 at strides 1/2 and dilations 1/2) run hand-specialized
+// kernels, everything else the generic reference path. Both are
+// bit-identical in outputs and MacActivity; set_kernel_policy(
+// kForceGeneric) or the EDEA_FORCE_GENERIC_KERNELS env var pin the
+// generic path for A/B runs.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "arch/counters.hpp"
@@ -25,15 +27,8 @@
 
 namespace edea::core {
 
-/// Input window for one DWC engine step: extent x extent x channels int8
-/// values, already padded (callers materialize zero padding).
-struct DwcWindow {
-  int extent = 0;    ///< square spatial extent ((Tn-1)*stride + kernel)
-  int channels = 0;  ///< active channels in this slice (<= Td)
-  std::vector<std::int8_t> values;  ///< [row][col][channel]
-};
-
-/// Raw DWC accumulators for one step: [Tn][Tm][channels].
+/// Raw DWC accumulators for one step: [Tn][Tm][channels]. A step writes
+/// into the caller's output, reusing its storage from step to step.
 struct DwcStepOutput {
   int rows = 0;
   int cols = 0;
@@ -51,26 +46,28 @@ class DwcEngine {
 
   /// Loads one kernel slice ([kh][kw][channels], channels <= Td). Retained
   /// until the next load; reused across every spatial step of a pass.
-  void load_weights(const std::vector<std::int8_t>& weights, int channels);
+  void load_weights(std::span<const std::int8_t> weights, int channels);
 
   /// One engine cycle: computes Tn x Tm outputs for every loaded channel.
-  /// `stride` and `dilation` select the window geometry ((Tn-1)*stride +
+  /// `window` is read in place: extent x extent x loaded channels int8
+  /// values ([row][col][channel]), zero padding already materialized.
+  /// `stride` and `dilation` select its geometry ((Tn-1)*stride +
   /// (kernel-1)*dilation + 1 square): 4x4 at s=1/d=1, 5x5 at s=2/d=1,
   /// wider for dilated kernels whose taps sit `dilation` apart.
   /// `depth_multiplier` does not change the arithmetic (window builders
   /// fold the multiplier); it is a dispatch-key component only, letting a
   /// registered exact-multiplier kernel win over the wildcard.
-  [[nodiscard]] DwcStepOutput step(const DwcWindow& window, int stride,
-                                   int dilation = 1, int depth_multiplier = 1);
+  void step(std::span<const std::int8_t> window, int stride, int dilation,
+            int depth_multiplier, DwcStepOutput& out);
 
   /// Reentrant step: same arithmetic, but activity is tallied into the
   /// caller-supplied sink instead of the engine's own counter and the
   /// kernel lookup bypasses the engine-local cache. Safe to call
   /// concurrently from multiple threads on one engine (each caller owns
-  /// its sink; kernels keep all scratch on the stack).
-  [[nodiscard]] DwcStepOutput step(const DwcWindow& window, int stride,
-                                   int dilation, int depth_multiplier,
-                                   arch::MacActivity& activity) const;
+  /// its sink and output; kernels keep all scratch on the stack).
+  void step(std::span<const std::int8_t> window, int stride, int dilation,
+            int depth_multiplier, DwcStepOutput& out,
+            arch::MacActivity& activity) const;
 
   /// Pins (or unpins) the generic reference kernels; resets the cached
   /// dispatch resolution. Default is KernelDispatch::default_policy().
@@ -95,12 +92,11 @@ class DwcEngine {
  private:
   [[nodiscard]] KernelShapeKey shape_key(int stride, int dilation,
                                          int depth_multiplier) const noexcept;
-  [[nodiscard]] DwcStepOutput run_step(const DwcWindow& window, int stride,
-                                       int dilation, DwcKernelFn fn,
-                                       arch::MacActivity& activity) const;
+  void run_step(std::span<const std::int8_t> window, int stride,
+                int dilation, DwcKernelFn fn, DwcStepOutput& out,
+                arch::MacActivity& activity) const;
 
   EdeaConfig config_;
-  arch::MacLane lane_;
   arch::AdderTree tree_;
   std::vector<std::int8_t> weights_;  ///< [kh][kw][channel]
   int weight_channels_ = 0;

@@ -88,84 +88,151 @@ void generic_pwc_kernel(const PwcKernelArgs& a) {
 
 namespace {
 
-/// 3x3 DWC at dilation 1, stride a compile-time constant. The inner loop
-/// walks the channel axis - the innermost dimension of both the window
-/// and the weight slice - so each of the nine unrolled taps is a
-/// contiguous int8 stream the compiler can vectorize. sum0/sum1/sum2 are
-/// the per-kernel-row accumulators of the hand-tuned fixed-shape kernels
-/// this transformation is borrowed from.
-template <int Stride>
+// The int8 operands are character-typed, so the compiler must assume any
+// int32 store may alias them; the per-position helpers below take
+// restrict-qualified pointers so their channel and kernel loops can
+// vectorize.
+
+/// One output position of a 3x3 DWC with taps `Dilation` apart: every
+/// channel's nine taps, summed per kernel row (sum0/sum1/sum2 are the
+/// per-row accumulators of the hand-tuned fixed-shape kernels this
+/// transformation is borrowed from). The loop walks the channel axis - the
+/// innermost dimension of both the window and the weight slice - so each
+/// tap is a contiguous int8 stream. `r0` is the position's first tap,
+/// `row_pitch` the window's row pitch. Returns the zero activations read.
+template <int Dilation>
+std::int64_t dwc3x3_position(const std::int8_t* __restrict r0, int row_pitch,
+                             int C, const std::int8_t* __restrict w,
+                             std::int32_t* __restrict out) {
+  const std::int8_t* const r1 = r0 + Dilation * row_pitch;
+  const std::int8_t* const r2 = r0 + 2 * Dilation * row_pitch;
+  const int tap = Dilation * C;  // pitch between a row's taps
+  std::int32_t zeros = 0;
+  for (int ch = 0; ch < C; ++ch) {
+    const std::int32_t a00 = r0[ch];
+    const std::int32_t a01 = r0[tap + ch];
+    const std::int32_t a02 = r0[2 * tap + ch];
+    const std::int32_t a10 = r1[ch];
+    const std::int32_t a11 = r1[tap + ch];
+    const std::int32_t a12 = r1[2 * tap + ch];
+    const std::int32_t a20 = r2[ch];
+    const std::int32_t a21 = r2[tap + ch];
+    const std::int32_t a22 = r2[2 * tap + ch];
+    const std::int32_t sum0 =
+        a00 * w[ch] + a01 * w[C + ch] + a02 * w[2 * C + ch];
+    const std::int32_t sum1 =
+        a10 * w[3 * C + ch] + a11 * w[4 * C + ch] + a12 * w[5 * C + ch];
+    const std::int32_t sum2 =
+        a20 * w[6 * C + ch] + a21 * w[7 * C + ch] + a22 * w[8 * C + ch];
+    out[ch] = sum0 + sum1 + sum2;
+    zeros += (a00 == 0) + (a01 == 0) + (a02 == 0) + (a10 == 0) +
+             (a11 == 0) + (a12 == 0) + (a20 == 0) + (a21 == 0) + (a22 == 0);
+  }
+  return zeros;
+}
+
+/// 3x3 DWC, stride and dilation compile-time constants.
+template <int Stride, int Dilation>
 void dwc3x3_kernel(const DwcKernelArgs& a) {
   const int C = a.channels;
+  const int tn = a.tn;
+  const int tm = a.tm;
   const int row_pitch = a.extent * C;
-  const std::int8_t* const w = a.weights;  // [3][3][C], tap (i,j) at (i*3+j)*C
 
   std::int64_t zeros = 0;
-  for (int ty = 0; ty < a.tn; ++ty) {
-    for (int tx = 0; tx < a.tm; ++tx) {
-      const std::int8_t* const r0 =
-          a.window + (ty * Stride * a.extent + tx * Stride) * C;
-      const std::int8_t* const r1 = r0 + row_pitch;
-      const std::int8_t* const r2 = r0 + 2 * row_pitch;
-      std::int32_t* const out = a.acc + (ty * a.tm + tx) * C;
-      for (int ch = 0; ch < C; ++ch) {
-        const std::int32_t a00 = r0[ch];
-        const std::int32_t a01 = r0[C + ch];
-        const std::int32_t a02 = r0[2 * C + ch];
-        const std::int32_t a10 = r1[ch];
-        const std::int32_t a11 = r1[C + ch];
-        const std::int32_t a12 = r1[2 * C + ch];
-        const std::int32_t a20 = r2[ch];
-        const std::int32_t a21 = r2[C + ch];
-        const std::int32_t a22 = r2[2 * C + ch];
-        const std::int32_t sum0 = a00 * w[ch] + a01 * w[C + ch] +
-                                  a02 * w[2 * C + ch];
-        const std::int32_t sum1 = a10 * w[3 * C + ch] + a11 * w[4 * C + ch] +
-                                  a12 * w[5 * C + ch];
-        const std::int32_t sum2 = a20 * w[6 * C + ch] + a21 * w[7 * C + ch] +
-                                  a22 * w[8 * C + ch];
-        out[ch] = sum0 + sum1 + sum2;
-        zeros += (a00 == 0) + (a01 == 0) + (a02 == 0) + (a10 == 0) +
-                 (a11 == 0) + (a12 == 0) + (a20 == 0) + (a21 == 0) +
-                 (a22 == 0);
-      }
+  for (int ty = 0; ty < tn; ++ty) {
+    for (int tx = 0; tx < tm; ++tx) {
+      zeros += dwc3x3_position<Dilation>(
+          a.window + ty * Stride * row_pitch + tx * Stride * C, row_pitch, C,
+          a.weights, a.acc + (ty * tm + tx) * C);
     }
   }
-  const std::int64_t macs = std::int64_t{9} * a.tn * a.tm * C;
+  const std::int64_t macs = std::int64_t{9} * tn * tm * C;
   a.activity->lane_cycles += macs;
   a.activity->useful_macs += macs;
   a.activity->zero_operand_macs += zeros;
 }
 
-/// 1x1 PWC: each output is a dot product across the slice channels. The
-/// channel loop is contiguous for both operands; zero-activation lanes
-/// are counted once per position and scaled by the kernel-group width
-/// (the generic path re-reads each activation for every kernel).
+/// Eight consecutive channels' contribution to one position's dot
+/// products over `K` kernels: out[k] = sum_c x[c] * w[c][k] (First), else
+/// out[k] += that sum. `w` is the transposed weights' row of the first
+/// channel. Each product is formed in int16 - an int8 x int8 product fits,
+/// (-128) * (-128) = 16384 - and summed in int32.
+template <bool First>
+void pwc_channels8(const std::int8_t* x, const std::int16_t* __restrict w,
+                   int K, std::int32_t* __restrict out) {
+  const std::int16_t x0 = x[0], x1 = x[1], x2 = x[2], x3 = x[3];
+  const std::int16_t x4 = x[4], x5 = x[5], x6 = x[6], x7 = x[7];
+  const std::int16_t* const w0 = w;
+  const std::int16_t* const w1 = w0 + K;
+  const std::int16_t* const w2 = w1 + K;
+  const std::int16_t* const w3 = w2 + K;
+  const std::int16_t* const w4 = w3 + K;
+  const std::int16_t* const w5 = w4 + K;
+  const std::int16_t* const w6 = w5 + K;
+  const std::int16_t* const w7 = w6 + K;
+  for (int k = 0; k < K; ++k) {
+    const std::int32_t sum =
+        std::int32_t{static_cast<std::int16_t>(x0 * w0[k])} +
+        static_cast<std::int16_t>(x1 * w1[k]) +
+        static_cast<std::int16_t>(x2 * w2[k]) +
+        static_cast<std::int16_t>(x3 * w3[k]) +
+        static_cast<std::int16_t>(x4 * w4[k]) +
+        static_cast<std::int16_t>(x5 * w5[k]) +
+        static_cast<std::int16_t>(x6 * w6[k]) +
+        static_cast<std::int16_t>(x7 * w7[k]);
+    out[k] = First ? sum : out[k] + sum;
+  }
+}
+
+/// One channel's contribution, for the channels of a ragged slice past
+/// its last whole group of eight.
+template <bool First>
+void pwc_channel1(std::int8_t x, const std::int16_t* __restrict w, int K,
+                  std::int32_t* __restrict out) {
+  const std::int16_t x0 = x;
+  for (int k = 0; k < K; ++k) {
+    const std::int32_t product = static_cast<std::int16_t>(x0 * w[k]);
+    out[k] = First ? product : out[k] + product;
+  }
+}
+
+/// 1x1 PWC: every kernel's dot product across the slice channels, for
+/// each position. The loops run kernel-innermost over the transposed
+/// weights, so every load and store is contiguous; the slice width only
+/// decides how many channels each pass over a position's outputs adds.
+/// Zero-activation lanes are counted once per position and scaled by the
+/// kernel count (the generic path re-reads each activation per kernel).
 void pwc1x1_kernel(const PwcKernelArgs& a) {
   const int C = a.channels;
+  const int K = a.kernels;
   const int positions = a.rows * a.cols;
+  const std::int16_t* const wt = a.weights_t;
 
   std::int64_t zero_acts = 0;
   for (int p = 0; p < positions; ++p) {
     const std::int8_t* const act = a.activations + p * C;
-    std::int32_t* const out = a.psum + p * a.kernels;
-    for (int kk = 0; kk < a.kernels; ++kk) {
-      const std::int8_t* const w = a.weights + kk * C;
-      std::int32_t sum = 0;
-      for (int ch = 0; ch < C; ++ch) {
-        sum += static_cast<std::int32_t>(act[ch]) *
-               static_cast<std::int32_t>(w[ch]);
-      }
-      out[kk] = sum;
+    std::int32_t* const out = a.psum + p * K;
+    int ch = 0;
+    if (C >= 8) {
+      pwc_channels8<true>(act, wt, K, out);
+      ch = 8;
+    } else {
+      pwc_channel1<true>(act[0], wt, K, out);
+      ch = 1;
     }
-    for (int ch = 0; ch < C; ++ch) zero_acts += act[ch] == 0;
+    for (; ch + 8 <= C; ch += 8) {
+      pwc_channels8<false>(act + ch, wt + ch * K, K, out);
+    }
+    for (; ch < C; ++ch) pwc_channel1<false>(act[ch], wt + ch * K, K, out);
+    for (int c = 0; c < C; ++c) zero_acts += act[c] == 0;
   }
 
-  const std::int64_t dots = std::int64_t{1} * positions * a.kernels;
+  const std::int64_t dots = std::int64_t{1} * positions * K;
   a.activity->useful_macs += dots * C;
   // Every dot product clocks all Td lanes; lanes in [channels, Td) idle.
   a.activity->lane_cycles += dots * a.td;
-  a.activity->zero_operand_macs += zero_acts * a.kernels;
+  a.activity->zero_operand_macs += zero_acts * K;
 }
 
 void validate_key(const KernelShapeKey& key) {
@@ -206,16 +273,22 @@ KernelDispatch::KernelDispatch() : impl_(new Impl) {
   KernelShapeKey key;
   key.family = OpFamily::kDwc;
   key.kernel = 3;
-  key.dilation = 1;
   key.depth_multiplier = 0;
   key.stride = 1;
-  register_dwc(key, &dwc3x3_kernel<1>, "dwc3x3_s1_rowsum");
+  key.dilation = 1;
+  register_dwc(key, &dwc3x3_kernel<1, 1>, "dwc3x3_s1_rowsum");
+  key.dilation = 2;
+  register_dwc(key, &dwc3x3_kernel<1, 2>, "dwc3x3_s1_d2_rowsum");
   key.stride = 2;
-  register_dwc(key, &dwc3x3_kernel<2>, "dwc3x3_s2_rowsum");
+  key.dilation = 1;
+  register_dwc(key, &dwc3x3_kernel<2, 1>, "dwc3x3_s2_rowsum");
+  key.dilation = 2;
+  register_dwc(key, &dwc3x3_kernel<2, 2>, "dwc3x3_s2_d2_rowsum");
   key.family = OpFamily::kPwc;
   key.kernel = 1;
   key.stride = 1;
-  register_pwc(key, &pwc1x1_kernel, "pwc1x1_dot");
+  key.dilation = 1;
+  register_pwc(key, &pwc1x1_kernel, "pwc1x1_kernel_innermost");
 }
 
 KernelDispatch& KernelDispatch::instance() {

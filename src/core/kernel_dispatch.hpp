@@ -11,6 +11,19 @@
 // unrolled, compiler-vectorizable accumulator loops, while every other
 // shape falls back to the generic reference implementation.
 //
+// Registered shapes (all wildcarded over the depth multiplier):
+//   dwc k=3 s=1 d=1, dwc k=3 s=2 d=1, dwc k=3 s=1 d=2, dwc k=3 s=2 d=2
+//     - one template, the nine tap offsets scaled by the dilation;
+//   pwc k=1 s=1 d=1
+//     - kernel-innermost dot products over the transposed, int16 weights the
+//       PWC engine stages once per weight load. The slice width selects
+//       the loop inside the kernel: whole groups of eight channels run
+//       unrolled eight at a time (width 8 is one group, width 16 two),
+//       and the channels of a ragged slice past the last whole group run
+//       one at a time.
+// Every other shape (other kernel extents, dilations above 2) runs the
+// generic path.
+//
 // The contract every registered kernel must honor (pinned by
 // tests/kernel_dispatch_test.cpp and the differential harness's
 // specialized-vs-forced-generic axis):
@@ -91,13 +104,18 @@ using DwcKernelFn = void (*)(const DwcKernelArgs&);
 /// Operands of one PWC engine step. `td` is the configured adder-tree
 /// fan-in: lanes for channels in [channels, td) are modeled idle, and a
 /// kernel must account their lane_cycles exactly like the generic path.
+/// The weights come in two layouts: `weights` (what the generic path
+/// reads) and the same values transposed and widened to int16,
+/// `weights_t` (what the specialized kernel streams, its inner loop
+/// running over kernels and multiplying in int16).
 struct PwcKernelArgs {
   const std::int8_t* activations = nullptr;  ///< [rows][cols][channels]
   const std::int8_t* weights = nullptr;      ///< [kernels][channels]
+  const std::int16_t* weights_t = nullptr;   ///< [channels][kernels]
   int rows = 0;
   int cols = 0;
   int channels = 0;  ///< active channels (<= td)
-  int kernels = 0;   ///< active kernels this group
+  int kernels = 0;   ///< kernels this step (its kernel groups together)
   int td = 0;        ///< configured channel lanes per dot product
   std::int32_t* psum = nullptr;              ///< out: [rows][cols][kernels]
   arch::MacActivity* activity = nullptr;
@@ -112,8 +130,8 @@ void generic_dwc_kernel(const DwcKernelArgs& args);
 void generic_pwc_kernel(const PwcKernelArgs& args);
 
 /// The process-wide kernel registry. Thread-safe; the built-in
-/// specializations (3x3/stride-1, 3x3/stride-2 DWC, 1x1 PWC, all at
-/// dilation 1 and any depth multiplier) are registered in-registry at
+/// specializations (3x3 DWC at strides 1 and 2 and dilations 1 and 2, 1x1
+/// PWC, all at any depth multiplier) are registered in-registry at
 /// construction so static-library link order can never drop them.
 class KernelDispatch {
  public:

@@ -15,10 +15,12 @@ void NonConvUnitArray::apply_block(
   EDEA_REQUIRE(params.size() >= static_cast<std::size_t>(channels),
                "missing Non-Conv parameters for some channels");
 
-  for (std::size_t i = 0; i < acc.size(); ++i) {
-    const auto ch = static_cast<std::size_t>(
-        static_cast<std::int64_t>(i) % channels);
-    out[i] = params[ch].apply(acc[i]);
+  // [pixel][channel]: channel ch of every pixel uses params[ch].
+  const auto width = static_cast<std::size_t>(channels);
+  for (std::size_t pixel = 0; pixel < acc.size(); pixel += width) {
+    for (std::size_t ch = 0; ch < width; ++ch) {
+      out[pixel + ch] = params[ch].apply(acc[pixel + ch]);
+    }
   }
 
   const auto ops = static_cast<std::int64_t>(acc.size());

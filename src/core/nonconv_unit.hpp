@@ -20,9 +20,9 @@ namespace edea::core {
 class NonConvUnitArray {
  public:
   /// Applies per-channel parameters to a channel-innermost block of
-  /// accumulators: value i belongs to channel (i % channels). This matches
-  /// both use sites (DWC tiles are [row][col][channel], PWC write-back
-  /// blocks are [row][col][kernel]).
+  /// accumulators, [pixel][channel]: value i belongs to channel
+  /// (i % channels). This matches both use sites (DWC tiles are
+  /// [row][col][channel], PWC write-back blocks are [row][col][kernel]).
   void apply_block(std::span<const std::int32_t> acc,
                    std::span<const nn::NonConvChannelParams> params,
                    int channels, std::span<std::int8_t> out);

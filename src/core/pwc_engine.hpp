@@ -9,11 +9,14 @@
 // register, like the silicon).
 //
 // The dot-product inner loop is resolved through core::KernelDispatch:
-// 1x1 PWC runs a hand-specialized contiguous dot-product kernel, with the
-// generic reference path as fallback and kForceGeneric as the A/B pin.
+// 1x1 PWC runs a hand-specialized kernel-innermost dot-product kernel over
+// a transposed, int16-widened copy of the weights staged at load time,
+// with the generic reference path as fallback and kForceGeneric as the A/B
+// pin.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "arch/counters.hpp"
@@ -23,26 +26,8 @@
 
 namespace edea::core {
 
-/// One PWC engine step's operands: an intermediate tile [Tn][Tm][channels]
-/// and a kernel-group weight block [kernels][channels].
-struct PwcStepInput {
-  int rows = 0;
-  int cols = 0;
-  int channels = 0;  ///< active channels this slice (<= Td)
-  int kernels = 0;   ///< active kernels this group (<= Tk)
-  std::vector<std::int8_t> activations;  ///< [row][col][channel]
-  std::vector<std::int8_t> weights;      ///< [kernel][channel]
-
-  [[nodiscard]] std::int8_t act(int r, int c, int ch) const noexcept {
-    return activations[static_cast<std::size_t>((r * cols + c) * channels +
-                                                ch)];
-  }
-  [[nodiscard]] std::int8_t wt(int kk, int ch) const noexcept {
-    return weights[static_cast<std::size_t>(kk * channels + ch)];
-  }
-};
-
-/// Per-step partial sums: [row][col][kernel].
+/// Per-step partial sums: [row][col][kernel]. A step writes into the
+/// caller's output, reusing its storage from step to step.
 struct PwcStepOutput {
   int rows = 0;
   int cols = 0;
@@ -58,18 +43,28 @@ class PwcEngine {
  public:
   explicit PwcEngine(const EdeaConfig& config);
 
-  /// One engine cycle: 64 dot products over the slice channels.
-  /// `depth_multiplier` is a dispatch-key component only (the arithmetic
-  /// is multiplier-invariant).
-  [[nodiscard]] PwcStepOutput step(const PwcStepInput& input,
-                                   int depth_multiplier = 1);
+  /// Loads one channel slice's weights for a run of kernels,
+  /// [kernels][channels] (channels <= Td). Retained until the next load;
+  /// every spatial step of a pass reuses them. Also stages the transposed,
+  /// int16-widened copy the specialized kernel streams.
+  void load_weights(std::span<const std::int8_t> weights, int kernels,
+                    int channels);
+
+  /// One spatial step over every loaded kernel: their dot products across
+  /// the slice channels at the Tn x Tm positions of `activations`
+  /// ([row][col][channel], read in place). The engine takes the kernels Tk
+  /// at a time, one kernel group per cycle (64 dot products per cycle in
+  /// the paper configuration). Writes [row][col][kernel] partial sums to
+  /// `out`. `depth_multiplier` is a dispatch-key component only (the
+  /// arithmetic is multiplier-invariant).
+  void step(std::span<const std::int8_t> activations, int depth_multiplier,
+            PwcStepOutput& out);
 
   /// Reentrant step: activity tallies into the caller-supplied sink and
   /// the kernel lookup bypasses the engine-local cache. Safe to call
   /// concurrently from multiple threads on one engine.
-  [[nodiscard]] PwcStepOutput step(const PwcStepInput& input,
-                                   int depth_multiplier,
-                                   arch::MacActivity& activity) const;
+  void step(std::span<const std::int8_t> activations, int depth_multiplier,
+            PwcStepOutput& out, arch::MacActivity& activity) const;
 
   /// Pins (or unpins) the generic reference kernels; resets the cached
   /// dispatch resolution. Default is KernelDispatch::default_policy().
@@ -101,13 +96,15 @@ class PwcEngine {
 
  private:
   [[nodiscard]] KernelShapeKey shape_key(int depth_multiplier) const noexcept;
-  [[nodiscard]] PwcStepOutput run_step(const PwcStepInput& input,
-                                       PwcKernelFn fn,
-                                       arch::MacActivity& activity) const;
+  void run_step(std::span<const std::int8_t> activations, PwcKernelFn fn,
+                PwcStepOutput& out, arch::MacActivity& activity) const;
 
   EdeaConfig config_;
-  arch::MacLane lane_;
   arch::AdderTree tree_;
+  std::vector<std::int8_t> weights_;    ///< [kernel][channel]
+  std::vector<std::int16_t> weights_t_;  ///< [channel][kernel], widened
+  int weight_kernels_ = 0;
+  int weight_channels_ = 0;
   arch::MacActivity activity_;
   KernelPolicy policy_ = KernelDispatch::default_policy();
   KernelShapeKey cached_key_;

@@ -7,10 +7,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <istream>
+#include <list>
 #include <ostream>
 #include <utility>
 
@@ -212,7 +214,14 @@ void SocketTransport::shutdown() noexcept {
 }
 
 void SocketTransport::serve(const std::function<void(Stream&)>& handler) {
-  std::vector<std::thread> sessions;
+  // A finished session's thread keeps its stack until it is joined, so
+  // each accept joins the sessions that have ended since the last one:
+  // memory follows the live connections, not every connection ever made.
+  struct Session {
+    std::atomic<bool> done{false};
+    std::thread thread;
+  };
+  std::list<Session> sessions;  // stable addresses: each thread flags its own
   std::size_t accepted = 0;
   while (options_.max_sessions == 0 || accepted < options_.max_sessions) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
@@ -221,17 +230,26 @@ void SocketTransport::serve(const std::function<void(Stream&)>& handler) {
       break;  // shutdown() or a fatal accept error: stop accepting
     }
     ++accepted;
-    sessions.emplace_back([fd, &handler] {
-      SocketStream stream(fd);
-      try {
-        handler(stream);
-      } catch (...) {
-        // A throwing handler must not terminate the process; the
-        // connection is torn down and the next session is unaffected.
+    sessions.remove_if([](Session& s) {
+      if (!s.done.load(std::memory_order_acquire)) return false;
+      s.thread.join();
+      return true;
+    });
+    Session& session = sessions.emplace_back();
+    session.thread = std::thread([fd, &handler, &done = session.done] {
+      {
+        SocketStream stream(fd);
+        try {
+          handler(stream);
+        } catch (...) {
+          // A throwing handler must not terminate the process; the
+          // connection is torn down and the next session is unaffected.
+        }
       }
+      done.store(true, std::memory_order_release);
     });
   }
-  for (std::thread& t : sessions) t.join();
+  for (Session& s : sessions) s.thread.join();
 }
 
 std::unique_ptr<Stream> connect_socket(const std::string& host,

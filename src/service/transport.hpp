@@ -146,7 +146,8 @@ class SocketTransport : public Transport {
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
   /// Accept loop: blocks until max_sessions connections have been served
-  /// or shutdown() is called, then joins every session thread.
+  /// or shutdown() is called, then joins every session thread. Threads of
+  /// sessions that end earlier are joined at the next accept.
   void serve(const std::function<void(Stream&)>& handler) override;
 
   /// Stops accepting new connections; serve() returns once the sessions

@@ -82,12 +82,10 @@ void check_dwc_engine_matches_reference(int rows, int channels, int stride,
 
   const int out_extent = geom.out_extent(rows);
   const int extent = cfg.dwc_window_extent(stride);
+  DwcStepOutput out;
   for (int oy = 0; oy < out_extent; oy += cfg.tn) {
     for (int ox = 0; ox < out_extent; ox += cfg.tm) {
-      DwcWindow window;
-      window.extent = extent;
-      window.channels = channels;
-      window.values.assign(
+      std::vector<std::int8_t> window(
           static_cast<std::size_t>(extent * extent * channels), 0);
       for (int r = 0; r < extent; ++r) {
         for (int c = 0; c < extent; ++c) {
@@ -95,12 +93,12 @@ void check_dwc_engine_matches_reference(int rows, int channels, int stride,
           const int gc = ox * stride + c - 1;
           if (gr < 0 || gr >= rows || gc < 0 || gc >= rows) continue;
           for (int ch = 0; ch < channels; ++ch) {
-            window.values[static_cast<std::size_t>(
+            window[static_cast<std::size_t>(
                 (r * extent + c) * channels + ch)] = input(gr, gc, ch);
           }
         }
       }
-      const DwcStepOutput out = engine.step(window, stride);
+      engine.step(window, stride, 1, 1, out);
       for (int r = 0; r < out.rows && oy + r < out_extent; ++r) {
         for (int c = 0; c < out.cols && ox + c < out_extent; ++c) {
           for (int ch = 0; ch < channels; ++ch) {
@@ -131,11 +129,10 @@ TEST(DwcEngine, FullSliceHas100PercentLaneUtilization) {
   DwcEngine engine(cfg);
   std::vector<std::int8_t> w(static_cast<std::size_t>(9 * cfg.td), 1);
   engine.load_weights(w, cfg.td);
-  DwcWindow window;
-  window.extent = 4;
-  window.channels = cfg.td;
-  window.values.assign(static_cast<std::size_t>(16 * cfg.td), 1);
-  (void)engine.step(window, 1);
+  const std::vector<std::int8_t> window(static_cast<std::size_t>(16 * cfg.td),
+                                        1);
+  DwcStepOutput out;
+  engine.step(window, 1, 1, 1, out);
   EXPECT_EQ(engine.activity().lane_cycles, 288);
   EXPECT_EQ(engine.activity().useful_macs, 288);
   EXPECT_DOUBLE_EQ(engine.activity().utilization(), 1.0);
@@ -146,11 +143,9 @@ TEST(DwcEngine, PartialSliceLanesIdle) {
   DwcEngine engine(cfg);
   std::vector<std::int8_t> w(static_cast<std::size_t>(9 * 5), 1);
   engine.load_weights(w, 5);
-  DwcWindow window;
-  window.extent = 4;
-  window.channels = 5;
-  window.values.assign(static_cast<std::size_t>(16 * 5), 1);
-  (void)engine.step(window, 1);
+  const std::vector<std::int8_t> window(static_cast<std::size_t>(16 * 5), 1);
+  DwcStepOutput out;
+  engine.step(window, 1, 1, 1, out);
   EXPECT_EQ(engine.activity().lane_cycles, 288);
   EXPECT_EQ(engine.activity().useful_macs, 5 * 36);
   EXPECT_LT(engine.activity().utilization(), 1.0);
@@ -161,21 +156,18 @@ TEST(DwcEngine, TracksZeroActivations) {
   DwcEngine engine(cfg);
   std::vector<std::int8_t> w(static_cast<std::size_t>(9 * cfg.td), 1);
   engine.load_weights(w, cfg.td);
-  DwcWindow window;
-  window.extent = 4;
-  window.channels = cfg.td;
-  window.values.assign(static_cast<std::size_t>(16 * cfg.td), 0);  // all zero
-  (void)engine.step(window, 1);
+  const std::vector<std::int8_t> window(static_cast<std::size_t>(16 * cfg.td),
+                                        0);  // all zero
+  DwcStepOutput out;
+  engine.step(window, 1, 1, 1, out);
   EXPECT_EQ(engine.activity().zero_operand_macs, 288);
 }
 
 TEST(DwcEngine, RequiresLoadedWeights) {
   DwcEngine engine{EdeaConfig::paper()};
-  DwcWindow window;
-  window.extent = 4;
-  window.channels = 8;
-  window.values.assign(16 * 8, 0);
-  EXPECT_THROW((void)engine.step(window, 1), PreconditionError);
+  const std::vector<std::int8_t> window(16 * 8, 0);
+  DwcStepOutput out;
+  EXPECT_THROW(engine.step(window, 1, 1, 1, out), PreconditionError);
 }
 
 TEST(DwcEngine, RejectsWrongWindowExtent) {
@@ -183,12 +175,11 @@ TEST(DwcEngine, RejectsWrongWindowExtent) {
   DwcEngine engine(cfg);
   std::vector<std::int8_t> w(static_cast<std::size_t>(9 * 8), 1);
   engine.load_weights(w, 8);
-  DwcWindow window;
-  window.extent = 5;  // stride-2 extent ...
-  window.channels = 8;
-  window.values.assign(25 * 8, 0);
-  EXPECT_THROW((void)engine.step(window, 1), PreconditionError);  // ... s=1
-  EXPECT_NO_THROW((void)engine.step(window, 2));
+  const std::vector<std::int8_t> window(25 * 8, 0);  // stride-2 extent ...
+  DwcStepOutput out;
+  EXPECT_THROW(engine.step(window, 1, 1, 1, out),
+               PreconditionError);  // ... s=1
+  EXPECT_NO_THROW(engine.step(window, 2, 1, 1, out));
 }
 
 // ------------------------------------------------------ PWC functional ---
@@ -198,28 +189,27 @@ TEST(PwcEngine, MatchesReferenceDotProducts) {
   PwcEngine engine(cfg);
   edea::Rng rng(2001);
 
-  PwcStepInput pin;
-  pin.rows = 2;
-  pin.cols = 2;
-  pin.channels = 8;
-  pin.kernels = 16;
-  pin.activations.resize(2 * 2 * 8);
-  pin.weights.resize(16 * 8);
-  for (auto& v : pin.activations) {
+  std::vector<std::int8_t> acts(2 * 2 * 8);
+  std::vector<std::int8_t> weights(16 * 8);
+  for (auto& v : acts) {
     v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
   }
-  for (auto& v : pin.weights) {
+  for (auto& v : weights) {
     v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
   }
 
-  const PwcStepOutput out = engine.step(pin);
+  engine.load_weights(weights, 16, 8);
+  PwcStepOutput out;
+  engine.step(acts, 1, out);
   for (int r = 0; r < 2; ++r) {
     for (int c = 0; c < 2; ++c) {
       for (int k = 0; k < 16; ++k) {
         std::int32_t expected = 0;
         for (int ch = 0; ch < 8; ++ch) {
-          expected += static_cast<std::int32_t>(pin.act(r, c, ch)) *
-                      static_cast<std::int32_t>(pin.wt(k, ch));
+          expected += static_cast<std::int32_t>(
+                          acts[static_cast<std::size_t>((r * 2 + c) * 8 + ch)]) *
+                      static_cast<std::int32_t>(
+                          weights[static_cast<std::size_t>(k * 8 + ch)]);
         }
         EXPECT_EQ(out.at(r, c, k), expected);
       }
@@ -229,14 +219,9 @@ TEST(PwcEngine, MatchesReferenceDotProducts) {
 
 TEST(PwcEngine, FullGroupHas100PercentLaneUtilization) {
   PwcEngine engine{EdeaConfig::paper()};
-  PwcStepInput pin;
-  pin.rows = 2;
-  pin.cols = 2;
-  pin.channels = 8;
-  pin.kernels = 16;
-  pin.activations.assign(2 * 2 * 8, 1);
-  pin.weights.assign(16 * 8, 1);
-  (void)engine.step(pin);
+  engine.load_weights(std::vector<std::int8_t>(16 * 8, 1), 16, 8);
+  PwcStepOutput out;
+  engine.step(std::vector<std::int8_t>(2 * 2 * 8, 1), 1, out);
   EXPECT_EQ(engine.activity().lane_cycles, 512);
   EXPECT_EQ(engine.activity().useful_macs, 512);
   EXPECT_DOUBLE_EQ(engine.activity().utilization(), 1.0);
@@ -244,28 +229,20 @@ TEST(PwcEngine, FullGroupHas100PercentLaneUtilization) {
 
 TEST(PwcEngine, PartialKernelGroupIdlesLanes) {
   PwcEngine engine{EdeaConfig::paper()};
-  PwcStepInput pin;
-  pin.rows = 2;
-  pin.cols = 2;
-  pin.channels = 8;
-  pin.kernels = 10;  // < Tk = 16
-  pin.activations.assign(2 * 2 * 8, 1);
-  pin.weights.assign(10 * 8, 1);
-  (void)engine.step(pin);
+  engine.load_weights(std::vector<std::int8_t>(10 * 8, 1), 10,
+                      8);  // 10 < Tk = 16
+  PwcStepOutput out;
+  engine.step(std::vector<std::int8_t>(2 * 2 * 8, 1), 1, out);
   EXPECT_EQ(engine.activity().lane_cycles, 512);
   EXPECT_EQ(engine.activity().useful_macs, 10 * 4 * 8);
 }
 
 TEST(PwcEngine, PartialChannelSliceIdlesLanes) {
   PwcEngine engine{EdeaConfig::paper()};
-  PwcStepInput pin;
-  pin.rows = 2;
-  pin.cols = 2;
-  pin.channels = 3;  // < Td = 8
-  pin.kernels = 16;
-  pin.activations.assign(2 * 2 * 3, 2);
-  pin.weights.assign(16 * 3, 3);
-  const PwcStepOutput out = engine.step(pin);
+  engine.load_weights(std::vector<std::int8_t>(16 * 3, 3), 16,
+                      3);  // 3 < Td = 8
+  PwcStepOutput out;
+  engine.step(std::vector<std::int8_t>(2 * 2 * 3, 2), 1, out);
   EXPECT_EQ(engine.activity().lane_cycles, 512);
   EXPECT_EQ(engine.activity().useful_macs, 16 * 4 * 3);
   EXPECT_EQ(out.at(0, 0, 0), 18);  // 3 channels x (2*3)
@@ -273,14 +250,30 @@ TEST(PwcEngine, PartialChannelSliceIdlesLanes) {
 
 TEST(PwcEngine, RejectsMalformedInput) {
   PwcEngine engine{EdeaConfig::paper()};
-  PwcStepInput pin;
-  pin.rows = 2;
-  pin.cols = 2;
-  pin.channels = 8;
-  pin.kernels = 17;  // > Tk
-  pin.activations.assign(2 * 2 * 8, 0);
-  pin.weights.assign(17 * 8, 0);
-  EXPECT_THROW((void)engine.step(pin), PreconditionError);
+  PwcStepOutput out;
+  const std::vector<std::int8_t> acts(2 * 2 * 8, 0);
+  EXPECT_THROW(engine.step(acts, 1, out), PreconditionError);  // no weights
+  EXPECT_THROW(engine.load_weights(std::vector<std::int8_t>(16 * 9, 0), 16, 9),
+               PreconditionError);  // 9 channels > Td
+  EXPECT_THROW(engine.load_weights(std::vector<std::int8_t>(16 * 8, 0), 17, 8),
+               PreconditionError);  // the block is not 17 x 8
+  engine.load_weights(std::vector<std::int8_t>(17 * 8, 0), 17,
+                      8);  // two kernel groups
+  EXPECT_THROW(engine.step(std::vector<std::int8_t>(2 * 2 * 7, 0), 1, out),
+               PreconditionError);  // not Tn x Tm x the loaded channels
+}
+
+TEST(PwcEngine, StepRunsEveryKernelGroup) {
+  // 40 kernels at Tk = 16: three engine cycles (16 + 16 + 8), the last
+  // group's 8 missing kernels idling their lanes.
+  PwcEngine engine{EdeaConfig::paper()};
+  engine.load_weights(std::vector<std::int8_t>(40 * 8, 2), 40, 8);
+  PwcStepOutput out;
+  engine.step(std::vector<std::int8_t>(2 * 2 * 8, 3), 1, out);
+  EXPECT_EQ(out.kernels, 40);
+  EXPECT_EQ(out.at(1, 1, 39), 48);  // 8 channels x (2*3)
+  EXPECT_EQ(engine.activity().lane_cycles, 3 * 512);
+  EXPECT_EQ(engine.activity().useful_macs, 40 * 4 * 8);
 }
 
 // --------------------------------------------------------- reentrancy ---
@@ -303,22 +296,21 @@ TEST(DwcEngine, ConstStepIsReentrant) {
 
   constexpr int kWindows = 16;
   constexpr int kRepeats = 50;
-  std::vector<DwcWindow> windows(kWindows);
-  for (DwcWindow& window : windows) {
-    window.extent = 4;
-    window.channels = cfg.td;
-    window.values.resize(static_cast<std::size_t>(16 * cfg.td));
-    for (auto& v : window.values) {
+  std::vector<std::vector<std::int8_t>> windows(kWindows);
+  for (std::vector<std::int8_t>& window : windows) {
+    window.resize(static_cast<std::size_t>(16 * cfg.td));
+    for (auto& v : window) {
       v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
     }
   }
 
   // Serial reference: outputs and the activity of one pass over all
   // windows, through the same const overload.
-  std::vector<DwcStepOutput> expected;
+  std::vector<DwcStepOutput> expected(kWindows);
   arch::MacActivity serial;
-  for (const DwcWindow& window : windows) {
-    expected.push_back(engine.step(window, 1, 1, 1, serial));
+  for (int i = 0; i < kWindows; ++i) {
+    engine.step(windows[static_cast<std::size_t>(i)], 1, 1, 1,
+                expected[static_cast<std::size_t>(i)], serial);
   }
 
   constexpr int kThreads = 4;
@@ -327,11 +319,11 @@ TEST(DwcEngine, ConstStepIsReentrant) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      DwcStepOutput out;
       for (int rep = 0; rep < kRepeats; ++rep) {
         for (int i = 0; i < kWindows; ++i) {
-          const DwcStepOutput out =
-              engine.step(windows[static_cast<std::size_t>(i)], 1, 1, 1,
-                          sinks[static_cast<std::size_t>(t)]);
+          engine.step(windows[static_cast<std::size_t>(i)], 1, 1, 1, out,
+                      sinks[static_cast<std::size_t>(t)]);
           if (out.acc != expected[static_cast<std::size_t>(i)].acc) {
             ++mismatches[static_cast<std::size_t>(t)];
           }
@@ -360,29 +352,30 @@ TEST(PwcEngine, ConstStepIsReentrant) {
   PwcEngine engine(cfg);
   edea::Rng rng(3002);
 
+  // Several kernel groups' weights stay loaded while the threads step.
+  const int kernels = 2 * cfg.tk;
+  std::vector<std::int8_t> weights(
+      static_cast<std::size_t>(kernels * cfg.td));
+  for (auto& v : weights) {
+    v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+  }
+  engine.load_weights(weights, kernels, cfg.td);
+
   constexpr int kInputs = 16;
   constexpr int kRepeats = 50;
-  std::vector<PwcStepInput> inputs(kInputs);
-  for (PwcStepInput& pin : inputs) {
-    pin.rows = cfg.tn;
-    pin.cols = cfg.tm;
-    pin.channels = cfg.td;
-    pin.kernels = cfg.tk;
-    pin.activations.resize(
-        static_cast<std::size_t>(pin.rows * pin.cols * pin.channels));
-    pin.weights.resize(static_cast<std::size_t>(pin.kernels * pin.channels));
-    for (auto& v : pin.activations) {
-      v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-    }
-    for (auto& v : pin.weights) {
+  std::vector<std::vector<std::int8_t>> inputs(kInputs);
+  for (std::vector<std::int8_t>& acts : inputs) {
+    acts.resize(static_cast<std::size_t>(cfg.tn * cfg.tm * cfg.td));
+    for (auto& v : acts) {
       v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
     }
   }
 
-  std::vector<PwcStepOutput> expected;
+  std::vector<PwcStepOutput> expected(kInputs);
   arch::MacActivity serial;
-  for (const PwcStepInput& pin : inputs) {
-    expected.push_back(engine.step(pin, 1, serial));
+  for (int i = 0; i < kInputs; ++i) {
+    engine.step(inputs[static_cast<std::size_t>(i)], 1,
+                expected[static_cast<std::size_t>(i)], serial);
   }
 
   constexpr int kThreads = 4;
@@ -391,11 +384,11 @@ TEST(PwcEngine, ConstStepIsReentrant) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      PwcStepOutput out;
       for (int rep = 0; rep < kRepeats; ++rep) {
         for (int i = 0; i < kInputs; ++i) {
-          const PwcStepOutput out =
-              engine.step(inputs[static_cast<std::size_t>(i)], 1,
-                          sinks[static_cast<std::size_t>(t)]);
+          engine.step(inputs[static_cast<std::size_t>(i)], 1, out,
+                      sinks[static_cast<std::size_t>(t)]);
           if (out.psum != expected[static_cast<std::size_t>(i)].psum) {
             ++mismatches[static_cast<std::size_t>(t)];
           }
@@ -427,16 +420,14 @@ TEST(DwcEngine, ForcedGenericConstStepIsAlsoReentrant) {
   for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
   engine.load_weights(w, cfg.td);
 
-  DwcWindow window;
-  window.extent = 4;
-  window.channels = cfg.td;
-  window.values.resize(static_cast<std::size_t>(16 * cfg.td));
-  for (auto& v : window.values) {
+  std::vector<std::int8_t> window(static_cast<std::size_t>(16 * cfg.td));
+  for (auto& v : window) {
     v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
   }
 
   arch::MacActivity ref_sink;
-  const DwcStepOutput reference = engine.step(window, 1, 1, 1, ref_sink);
+  DwcStepOutput reference;
+  engine.step(window, 1, 1, 1, reference, ref_sink);
 
   constexpr int kThreads = 4;
   std::vector<int> mismatches(kThreads, 0);
@@ -444,9 +435,9 @@ TEST(DwcEngine, ForcedGenericConstStepIsAlsoReentrant) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      DwcStepOutput out;
       for (int rep = 0; rep < 100; ++rep) {
-        const DwcStepOutput out =
-            engine.step(window, 1, 1, 1, sinks[static_cast<std::size_t>(t)]);
+        engine.step(window, 1, 1, 1, out, sinks[static_cast<std::size_t>(t)]);
         if (out.acc != reference.acc) {
           ++mismatches[static_cast<std::size_t>(t)];
         }

@@ -44,15 +44,19 @@ KernelShapeKey pwc_key(int mult) {
 
 TEST(KernelDispatch, BuiltInShapesAreRegistered) {
   KernelDispatch& d = KernelDispatch::instance();
-  // The ISSUE's minimum set: 3x3/s1/d1, 3x3/s2/d1 DWC, 1x1 PWC - all
-  // wildcarded over the depth multiplier.
+  // 3x3 DWC at strides 1/2 and dilations 1/2, 1x1 PWC - all wildcarded
+  // over the depth multiplier.
   EXPECT_TRUE(d.has_specialization(dwc_key(3, 1, 1, 1)));
   EXPECT_TRUE(d.has_specialization(dwc_key(3, 2, 1, 1)));
   EXPECT_TRUE(d.has_specialization(dwc_key(3, 1, 1, 4)));  // wildcard mult
   EXPECT_TRUE(d.has_specialization(pwc_key(1)));
   EXPECT_TRUE(d.has_specialization(pwc_key(7)));
+  // Dilation 2 at both strides resolves to the dilated 3x3 kernel.
+  EXPECT_TRUE(d.has_specialization(dwc_key(3, 1, 2, 1)));
+  EXPECT_TRUE(d.has_specialization(dwc_key(3, 2, 2, 1)));
+  EXPECT_NE(d.find_dwc(dwc_key(3, 1, 2, 1)), d.find_dwc(dwc_key(3, 1, 1, 1)));
   // Shapes with no fast path resolve to the generic implementation.
-  EXPECT_FALSE(d.has_specialization(dwc_key(3, 1, 2, 1)));  // dilated
+  EXPECT_FALSE(d.has_specialization(dwc_key(3, 1, 3, 1)));  // dilation 3
   EXPECT_FALSE(d.has_specialization(dwc_key(5, 1, 1, 1)));  // 5x5
   EXPECT_EQ(d.find_dwc(dwc_key(5, 1, 1, 1)), &generic_dwc_kernel);
   EXPECT_NE(d.find_dwc(dwc_key(3, 1, 1, 1)), &generic_dwc_kernel);
@@ -137,16 +141,15 @@ TEST(KernelDispatch, ForceGenericPolicyRoutesAroundSpecializations) {
   fast.load_weights(w, cfg.td);
   slow.load_weights(w, cfg.td);
 
-  DwcWindow window;
-  window.extent = 4;
-  window.channels = cfg.td;
-  window.values.resize(static_cast<std::size_t>(16 * cfg.td));
-  for (auto& v : window.values) {
+  std::vector<std::int8_t> window(static_cast<std::size_t>(16 * cfg.td));
+  for (auto& v : window) {
     v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
   }
 
-  const DwcStepOutput a = fast.step(window, 1);
-  const DwcStepOutput b = slow.step(window, 1);
+  DwcStepOutput a;
+  DwcStepOutput b;
+  fast.step(window, 1, 1, 1, a);
+  slow.step(window, 1, 1, 1, b);
   EXPECT_EQ(a.acc, b.acc);
   EXPECT_EQ(fast.activity(), slow.activity());
 }
@@ -154,43 +157,77 @@ TEST(KernelDispatch, ForceGenericPolicyRoutesAroundSpecializations) {
 // ------------------------------------------------- bit-identity sweep ---
 //
 // The dispatch contract, checked per shape at the engine seam: for
-// randomized operands (dense, sparse, all-zero; full and partial slices)
-// the auto-dispatched engine and a force-generic twin produce bit-equal
-// accumulators and bit-equal MacActivity tallies.
+// randomized operands (dense, sparse, all-zero, the int8 extremes; full
+// and ragged slices and kernel groups) the auto-dispatched engine and a
+// force-generic twin produce bit-equal accumulators and bit-equal
+// MacActivity tallies - at the paper configuration and at the wider
+// td=16 / tk=32 engines the service traffic also sends.
 
-void check_dwc_bit_identity(int stride, int dilation, int channels,
-                            double zero_fraction, std::uint64_t seed) {
-  const EdeaConfig cfg = EdeaConfig::paper();
+/// The engines the serving traffic instantiates: the paper's Td=8/Tk=16
+/// and the widest knob set (Td=16, Tk=32).
+EdeaConfig wide_config() {
+  EdeaConfig cfg = EdeaConfig::paper();
+  cfg.td = 16;
+  cfg.tk = 32;
+  return cfg;
+}
+
+/// How operands are drawn: activations are zero with probability
+/// `zero_fraction`; otherwise activations and weights alike are -128 with
+/// probability `min_fraction`, else uniform over int8. -128 on both sides
+/// gives the largest product, (-128) * (-128) = 16384.
+struct OperandMix {
+  double zero_fraction = 0.0;
+  double min_fraction = 0.0;
+};
+
+std::int8_t draw_weight(edea::Rng& rng, const OperandMix& mix) {
+  if (mix.min_fraction > 0.0 && rng.uniform() < mix.min_fraction) {
+    return -128;
+  }
+  return static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+}
+
+std::int8_t draw_activation(edea::Rng& rng, const OperandMix& mix) {
+  return rng.uniform() < mix.zero_fraction ? std::int8_t{0}
+                                           : draw_weight(rng, mix);
+}
+
+void check_dwc_bit_identity(const EdeaConfig& cfg, int stride, int dilation,
+                            int channels, const OperandMix& mix,
+                            std::uint64_t seed) {
   DwcEngine fast(cfg);
   DwcEngine slow(cfg);
   slow.set_kernel_policy(KernelPolicy::kForceGeneric);
 
   edea::Rng rng(seed);
   std::vector<std::int8_t> w(static_cast<std::size_t>(9 * channels));
-  for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+  for (auto& v : w) v = draw_weight(rng, mix);
   fast.load_weights(w, channels);
   slow.load_weights(w, channels);
 
   const int extent = cfg.dwc_window_extent(stride, dilation);
+  std::vector<std::int8_t> window(
+      static_cast<std::size_t>(extent * extent * channels));
+  DwcStepOutput a;
+  DwcStepOutput b;
   for (int rep = 0; rep < 25; ++rep) {
-    DwcWindow window;
-    window.extent = extent;
-    window.channels = channels;
-    window.values.resize(
-        static_cast<std::size_t>(extent * extent * channels));
-    for (auto& v : window.values) {
-      v = rng.uniform() < zero_fraction
-              ? std::int8_t{0}
-              : static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-    }
-    const DwcStepOutput a = fast.step(window, stride, dilation);
-    const DwcStepOutput b = slow.step(window, stride, dilation);
-    ASSERT_EQ(a.acc, b.acc) << "stride=" << stride << " dilation=" << dilation
+    for (auto& v : window) v = draw_activation(rng, mix);
+    fast.step(window, stride, dilation, 1, a);
+    slow.step(window, stride, dilation, 1, b);
+    ASSERT_EQ(a.acc, b.acc) << "td=" << cfg.td << " stride=" << stride
+                            << " dilation=" << dilation
                             << " channels=" << channels << " rep=" << rep;
   }
   EXPECT_EQ(fast.activity(), slow.activity())
-      << "stride=" << stride << " dilation=" << dilation
+      << "td=" << cfg.td << " stride=" << stride << " dilation=" << dilation
       << " channels=" << channels;
+}
+
+void check_dwc_bit_identity(int stride, int dilation, int channels,
+                            double zero_fraction, std::uint64_t seed) {
+  check_dwc_bit_identity(EdeaConfig::paper(), stride, dilation, channels,
+                         OperandMix{zero_fraction, 0.0}, seed);
 }
 
 TEST(KernelDispatchBitIdentity, Dwc3x3Stride1) {
@@ -216,45 +253,79 @@ TEST(KernelDispatchBitIdentity, Dwc3x3SparseAndAllZero) {
   check_dwc_bit_identity(2, 1, 8, 1.0, 5005);
 }
 
-TEST(KernelDispatchBitIdentity, DilatedShapesTakeTheGenericPathIdentically) {
-  // No specialization is registered at dilation 2 - both engines run
-  // generic, which must also be self-consistent through dispatch.
+TEST(KernelDispatchBitIdentity, Dwc3x3Dilation2) {
+  // Dilation 2 resolves to the dilated 3x3 kernel at both strides, and it
+  // must match the generic path.
+  KernelDispatch& d = KernelDispatch::instance();
+  ASSERT_TRUE(d.has_specialization(dwc_key(3, 1, 2, 1)));
+  ASSERT_TRUE(d.has_specialization(dwc_key(3, 2, 2, 1)));
   check_dwc_bit_identity(1, 2, 8, 0.3, 5006);
   check_dwc_bit_identity(2, 2, 5, 0.3, 5007);
 }
 
-void check_pwc_bit_identity(int channels, int kernels, double zero_fraction,
-                            std::uint64_t seed) {
-  const EdeaConfig cfg = EdeaConfig::paper();
+TEST(KernelDispatchBitIdentity, Dwc3x3WideSlices) {
+  // Td=16: full and ragged slices at every stride/dilation the traffic
+  // sends.
+  const EdeaConfig cfg = wide_config();
+  std::uint64_t seed = 5300;
+  for (const int stride : {1, 2}) {
+    for (const int dilation : {1, 2}) {
+      for (const int channels : {16, 9, 3}) {
+        check_dwc_bit_identity(cfg, stride, dilation, channels,
+                               OperandMix{0.3, 0.0}, ++seed);
+      }
+    }
+  }
+}
+
+TEST(KernelDispatchBitIdentity, Dwc3x3MinimumOperandsOnBothSides) {
+  // All -128 (every product 16384) and a -128-heavy mix, at both widths.
+  std::uint64_t seed = 5400;
+  for (const EdeaConfig& cfg : {EdeaConfig::paper(), wide_config()}) {
+    for (const int stride : {1, 2}) {
+      for (const int dilation : {1, 2}) {
+        check_dwc_bit_identity(cfg, stride, dilation, cfg.td,
+                               OperandMix{0.0, 1.0}, ++seed);
+        check_dwc_bit_identity(cfg, stride, dilation, cfg.td - 1,
+                               OperandMix{0.2, 0.5}, ++seed);
+      }
+    }
+  }
+}
+
+void check_pwc_bit_identity(const EdeaConfig& cfg, int channels, int kernels,
+                            const OperandMix& mix, std::uint64_t seed) {
   PwcEngine fast(cfg);
   PwcEngine slow(cfg);
   slow.set_kernel_policy(KernelPolicy::kForceGeneric);
 
   edea::Rng rng(seed);
+  std::vector<std::int8_t> acts(
+      static_cast<std::size_t>(cfg.tn * cfg.tm * channels));
+  std::vector<std::int8_t> weights(
+      static_cast<std::size_t>(kernels * channels));
+  PwcStepOutput a;
+  PwcStepOutput b;
   for (int rep = 0; rep < 25; ++rep) {
-    PwcStepInput pin;
-    pin.rows = cfg.tn;
-    pin.cols = cfg.tm;
-    pin.channels = channels;
-    pin.kernels = kernels;
-    pin.activations.resize(
-        static_cast<std::size_t>(pin.rows * pin.cols * channels));
-    pin.weights.resize(static_cast<std::size_t>(kernels * channels));
-    for (auto& v : pin.activations) {
-      v = rng.uniform() < zero_fraction
-              ? std::int8_t{0}
-              : static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-    }
-    for (auto& v : pin.weights) {
-      v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-    }
-    const PwcStepOutput a = fast.step(pin);
-    const PwcStepOutput b = slow.step(pin);
-    ASSERT_EQ(a.psum, b.psum) << "channels=" << channels
+    for (auto& v : acts) v = draw_activation(rng, mix);
+    for (auto& v : weights) v = draw_weight(rng, mix);
+    fast.load_weights(weights, kernels, channels);
+    slow.load_weights(weights, kernels, channels);
+    fast.step(acts, 1, a);
+    slow.step(acts, 1, b);
+    ASSERT_EQ(a.psum, b.psum) << "td=" << cfg.td << " tk=" << cfg.tk
+                              << " channels=" << channels
                               << " kernels=" << kernels << " rep=" << rep;
   }
   EXPECT_EQ(fast.activity(), slow.activity())
-      << "channels=" << channels << " kernels=" << kernels;
+      << "td=" << cfg.td << " tk=" << cfg.tk << " channels=" << channels
+      << " kernels=" << kernels;
+}
+
+void check_pwc_bit_identity(int channels, int kernels, double zero_fraction,
+                            std::uint64_t seed) {
+  check_pwc_bit_identity(EdeaConfig::paper(), channels, kernels,
+                         OperandMix{zero_fraction, 0.0}, seed);
 }
 
 TEST(KernelDispatchBitIdentity, Pwc1x1FullSlice) {
@@ -276,6 +347,41 @@ TEST(KernelDispatchBitIdentity, Pwc1x1SparseAndAllZero) {
   check_pwc_bit_identity(8, 16, 0.7, 6002);
   check_pwc_bit_identity(8, 16, 1.0, 6003);
   check_pwc_bit_identity(3, 10, 1.0, 6004);
+}
+
+TEST(KernelDispatchBitIdentity, Pwc1x1WideSlicesAndGroups) {
+  // Td=16 / Tk=32: the full step plus ragged slices and kernel groups.
+  const EdeaConfig cfg = wide_config();
+  check_pwc_bit_identity(cfg, 16, 32, OperandMix{0.0, 0.0}, 6201);
+  check_pwc_bit_identity(cfg, 16, 32, OperandMix{0.7, 0.0}, 6202);
+  for (const int channels : {1, 5, 8, 12, 15}) {
+    for (const int kernels : {1, 7, 16, 25, 32}) {
+      check_pwc_bit_identity(
+          cfg, channels, kernels, OperandMix{0.4, 0.0},
+          6300 + static_cast<std::uint64_t>(channels * 100 + kernels));
+    }
+  }
+}
+
+TEST(KernelDispatchBitIdentity, Pwc1x1StepOfSeveralKernelGroups) {
+  // A step runs every loaded kernel, Tk per engine cycle; the last group
+  // is ragged here.
+  check_pwc_bit_identity(EdeaConfig::paper(), 8, 40, OperandMix{0.4, 0.0},
+                         6251);
+  check_pwc_bit_identity(wide_config(), 16, 72, OperandMix{0.4, 0.0}, 6252);
+  check_pwc_bit_identity(wide_config(), 11, 72, OperandMix{0.4, 0.5}, 6253);
+}
+
+TEST(KernelDispatchBitIdentity, Pwc1x1MinimumOperandsOnBothSides) {
+  // All -128 (every product 16384, every dot product at its largest) and a
+  // -128-heavy mix, at both widths, full and ragged.
+  std::uint64_t seed = 6400;
+  for (const EdeaConfig& cfg : {EdeaConfig::paper(), wide_config()}) {
+    check_pwc_bit_identity(cfg, cfg.td, cfg.tk, OperandMix{0.0, 1.0}, ++seed);
+    check_pwc_bit_identity(cfg, cfg.td, cfg.tk, OperandMix{0.2, 0.5}, ++seed);
+    check_pwc_bit_identity(cfg, cfg.td - 1, cfg.tk - 3, OperandMix{0.2, 0.5},
+                           ++seed);
+  }
 }
 
 // The process-default policy helper: cheap sanity that the environment

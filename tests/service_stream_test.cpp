@@ -241,6 +241,8 @@ TEST(ServiceAdmissionTest, BoundedQueueRejectsOnlyFreshSimulations) {
   // occupies the whole admission budget for the milliseconds it
   // simulates, so fresh jobs submitted in the microseconds after it are
   // rejected; a retry after the drain is admitted. Hits never compete.
+  // batch=8 keeps each simulation several milliseconds long on a fast
+  // host, so the window holds on a loaded one too.
   ServiceOptions options;
   options.worker_threads = 1;
   options.max_queue = 1;
@@ -250,7 +252,7 @@ TEST(ServiceAdmissionTest, BoundedQueueRejectsOnlyFreshSimulations) {
 
   std::promise<core::SweepOutcome> first;
   ASSERT_EQ(svc.submit_streaming(
-                make_job(catalog, "run mobilenet-0.25x seed=50 td=16"),
+                make_job(catalog, "run mobilenet-0.25x seed=50 td=16 batch=8"),
                 session,
                 [&](core::SweepOutcome o) { first.set_value(std::move(o)); }),
             Admission::kAdmitted);
@@ -261,7 +263,8 @@ TEST(ServiceAdmissionTest, BoundedQueueRejectsOnlyFreshSimulations) {
   for (const int td : {4, 8, 12, 20}) {
     const Admission verdict = svc.submit_streaming(
         make_job(catalog,
-                 "run mobilenet-0.25x seed=50 td=" + std::to_string(td)),
+                 "run mobilenet-0.25x seed=50 batch=8 td=" +
+                     std::to_string(td)),
         session, [](core::SweepOutcome) {});
     if (verdict == Admission::kBusy) ++busy;
   }
@@ -280,7 +283,7 @@ TEST(ServiceAdmissionTest, BoundedQueueRejectsOnlyFreshSimulations) {
   // misses (busy dropped it without side effects) ...
   std::promise<core::SweepOutcome> retried;
   ASSERT_EQ(svc.submit_streaming(
-                make_job(catalog, "run mobilenet-0.25x seed=50 td=4"),
+                make_job(catalog, "run mobilenet-0.25x seed=50 td=4 batch=8"),
                 session,
                 [&](core::SweepOutcome o) { retried.set_value(std::move(o)); }),
             Admission::kAdmitted);
@@ -289,7 +292,7 @@ TEST(ServiceAdmissionTest, BoundedQueueRejectsOnlyFreshSimulations) {
   // starts no fresh work, so admission never rejects it.
   std::promise<core::SweepOutcome> hit;
   ASSERT_EQ(svc.submit_streaming(
-                make_job(catalog, "run mobilenet-0.25x seed=50 td=16"),
+                make_job(catalog, "run mobilenet-0.25x seed=50 td=16 batch=8"),
                 session,
                 [&](core::SweepOutcome o) { hit.set_value(std::move(o)); }),
             Admission::kAdmitted);
@@ -307,13 +310,14 @@ TEST(SessionAdmissionTest, BusyRepliesAreSelfIdentifyingAndAccounted) {
 
   // One workload under three configurations: three distinct misses, but
   // only the first materializes a network, so the other two reach
-  // admission while the first still simulates - however fast that is.
+  // admission while the first still simulates. batch=8 keeps that
+  // simulation several milliseconds long however fast the host is.
   SessionStats stats;
   const std::vector<std::string> responses = serve_stdio(
       svc, catalog,
-      {"run mobilenet-0.25x seed=60 td=16",
-       "run mobilenet-0.25x seed=60 td=8",
-       "run mobilenet-0.25x seed=60 td=4", "stats"},
+      {"run mobilenet-0.25x seed=60 td=16 batch=8",
+       "run mobilenet-0.25x seed=60 td=8 batch=8",
+       "run mobilenet-0.25x seed=60 td=4 batch=8", "stats"},
       session_options, &stats);
   ASSERT_EQ(responses.size(), 4u);
 

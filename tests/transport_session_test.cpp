@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -295,6 +297,56 @@ TEST(SocketTransportTest, EphemeralPortIsReported) {
   SocketTransport transport(SocketTransportOptions{});
   EXPECT_NE(transport.port(), 0);
   transport.shutdown();
+}
+
+/// The process's virtual memory size in KiB (Linux /proc/self/status).
+long vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      long kib = 0;
+      status >> kib;
+      return kib;
+    }
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return 0;
+}
+
+TEST(SocketTransportTest, EndedSessionsAreJoinedWhileServing) {
+  // Sequential connections on one accept loop, each answered in full. A
+  // finished session's thread keeps its stack (8 MiB of address space by
+  // default) until it is joined; joining ended sessions at each accept
+  // keeps 64 connections far below 64 stacks.
+  SimulationService svc;
+  WorkloadCatalog catalog;
+  SocketTransport transport(SocketTransportOptions{});
+  std::thread server([&] {
+    transport.serve(
+        [&](Stream& stream) { Session(svc, catalog).serve(stream); });
+  });
+
+  const auto one_session = [&] {
+    std::unique_ptr<Stream> client =
+        connect_socket("127.0.0.1", transport.port(), /*retry_ms=*/5000);
+    EXPECT_TRUE(client->write_line("stats"));
+    client->close_write();
+    std::string line;
+    std::size_t lines = 0;
+    while (client->read_line(line)) ++lines;
+    EXPECT_EQ(lines, 1u);
+  };
+  for (int i = 0; i < 8; ++i) one_session();  // warm the thread-stack cache
+  const long before = vm_size_kib();
+  constexpr int kSessions = 64;
+  for (int i = 0; i < kSessions; ++i) one_session();
+  const long grown_mib = (vm_size_kib() - before) / 1024;
+  EXPECT_LT(grown_mib, kSessions * 8 / 2)
+      << "ended session threads are not being joined";
+
+  transport.shutdown();
+  server.join();
 }
 
 TEST(ConnectSocketTest, RejectsBadHostsAndRefusedConnections) {
