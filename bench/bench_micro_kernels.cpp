@@ -69,10 +69,11 @@ void BM_PwcEngineStep(benchmark::State& state) {
     v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
   }
   engine.load_weights(weights, cfg.tk, cfg.td);
-  core::PwcStepOutput out;
+  std::vector<std::int32_t> psum(
+      static_cast<std::size_t>(cfg.tn * cfg.tm * cfg.tk));
+  const core::PsumTarget target{psum, cfg.tn, cfg.tm, 0, 0, false};
   for (auto _ : state) {
-    engine.step(acts, 1, out);
-    benchmark::DoNotOptimize(out.psum.data());
+    benchmark::DoNotOptimize(engine.step(acts, 1, target));
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * engine.mac_count());
@@ -134,7 +135,9 @@ BENCHMARK_CAPTURE(BM_DwcShapeStep, dwc3x3_s2_d2_specialized, 2, 2,
 BENCHMARK_CAPTURE(BM_DwcShapeStep, dwc3x3_s2_d2_generic, 2, 2,
                   core::KernelPolicy::kForceGeneric);
 
-/// One kernel group (Tk kernels) over a full Td-channel slice.
+/// One kernel group (Tk kernels) over a full Td-channel slice, written
+/// into a Tn x Tm psum block (a pass's first slice: repeated steps never
+/// grow the sums).
 void BM_PwcShapeStep(benchmark::State& state, int td, int tk,
                      core::KernelPolicy policy) {
   core::EdeaConfig cfg = core::EdeaConfig::paper();
@@ -155,10 +158,11 @@ void BM_PwcShapeStep(benchmark::State& state, int td, int tk,
     v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
   }
   engine.load_weights(weights, cfg.tk, cfg.td);
-  core::PwcStepOutput out;
+  std::vector<std::int32_t> psum(
+      static_cast<std::size_t>(cfg.tn * cfg.tm * cfg.tk));
+  const core::PsumTarget target{psum, cfg.tn, cfg.tm, 0, 0, false};
   for (auto _ : state) {
-    engine.step(acts, 1, out);
-    benchmark::DoNotOptimize(out.psum.data());
+    benchmark::DoNotOptimize(engine.step(acts, 1, target));
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * engine.mac_count());

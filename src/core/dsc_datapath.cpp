@@ -14,6 +14,20 @@ Int8MapView Int8MapView::whole(const nn::Int8Tensor& map) {
                      map.dim(1)};
 }
 
+namespace {
+
+/// One pixel's lanes under a depth multiplier of 2 whose first lane
+/// starts a source channel: every source byte fills two lanes.
+template <int Lanes>
+void expand_pairs(std::int8_t* to, const std::int8_t* from) {
+  for (int i = 0; i < Lanes / 2; ++i) {
+    to[2 * i] = from[i];
+    to[2 * i + 1] = from[i];
+  }
+}
+
+}  // namespace
+
 std::int64_t gather_block(const Int8MapView& src, int row0, int col0,
                           int rows, int cols, int channel0, int lanes,
                           int mult, std::span<std::int8_t> dst) {
@@ -25,14 +39,31 @@ std::int64_t gather_block(const Int8MapView& src, int row0, int col0,
   EDEA_ASSERT(first >= src.channel0 &&
                   (channel0 + lanes - 1) / mult < src.channel0 + src.channels,
               "gather lanes outside the view's channels");
-  std::fill(dst.begin(), dst.end(), std::int8_t{0});
-
   const int r_lo = std::max({row0, src.row0, 0});
   const int r_hi = std::min({row0 + rows, src.row0 + src.rows, src.map_rows});
   const int c_lo = std::max({col0, src.col0, 0});
   const int c_hi = std::min({col0 + cols, src.col0 + src.cols, src.map_cols});
+  // Only a block that reaches past the bounds has padding to zero.
+  if (r_lo != row0 || r_hi != row0 + rows || c_lo != col0 ||
+      c_hi != col0 + cols) {
+    std::fill(dst.begin(), dst.end(), std::int8_t{0});
+  }
   if (r_hi <= r_lo || c_hi <= c_lo) return 0;
 
+  // One pixel's lanes. The widths the engines run (8 and 16) are
+  // fixed-size copies the compiler inlines.
+  const auto copy_lanes = [lanes](std::int8_t* to, const std::int8_t* from) {
+    switch (lanes) {
+      case 8:
+        std::memcpy(to, from, 8);
+        break;
+      case 16:
+        std::memcpy(to, from, 16);
+        break;
+      default:
+        std::memcpy(to, from, static_cast<std::size_t>(lanes));
+    }
+  };
   for (int r = r_lo; r < r_hi; ++r) {
     const std::int8_t* pixel =
         src.data +
@@ -49,12 +80,20 @@ std::int64_t gather_block(const Int8MapView& src, int row0, int col0,
     }
     for (int c = c_lo; c < c_hi; ++c, pixel += src.channels, to += lanes) {
       if (mult == 1) {
-        std::memcpy(to, pixel + (channel0 - src.channel0),
-                    static_cast<std::size_t>(lanes));
+        copy_lanes(to, pixel + (channel0 - src.channel0));
         continue;
       }
       // Lane l reads source channel (channel0 + l) / mult: `mult`
       // consecutive lanes share each source channel.
+      if (mult == 2 && channel0 % 2 == 0 && (lanes == 8 || lanes == 16)) {
+        const std::int8_t* const from = pixel + (first - src.channel0);
+        if (lanes == 8) {
+          expand_pairs<8>(to, from);
+        } else {
+          expand_pairs<16>(to, from);
+        }
+        continue;
+      }
       int from = first - src.channel0;
       int phase = channel0 % mult;
       for (int l = 0; l < lanes; ++l) {
@@ -136,45 +175,18 @@ std::int64_t DscDatapath::pwc_step(std::span<const std::int8_t> activations,
                                    const BufferTile& tile, int sy, int sx,
                                    bool first_slice,
                                    std::span<std::int32_t> psum) {
-  const int K = layer_->spec.out_channels;
-  pwc_.step(activations, layer_->spec.depth_multiplier, pwc_out_);
-
   // Only the outputs inside the tile accumulate; the rest are dummy lanes.
   const int r0 = sy * config_.tn;  // tile-relative origin of the step
   const int c0 = sx * config_.tm;
-  const int rows = std::min(config_.tn, tile.out_rows - r0);
-  const int cols = std::min(config_.tm, tile.out_cols - c0);
-  EDEA_ASSERT(psum.size() == static_cast<std::size_t>(tile.out_rows) *
-                                 static_cast<std::size_t>(tile.out_cols) *
-                                 static_cast<std::size_t>(K),
-              "psum block does not match the tile");
-  // A step row's positions are adjacent in both blocks, so each row is one
-  // contiguous run of cols x K partial sums.
-  const auto run = static_cast<std::size_t>(cols) * static_cast<std::size_t>(K);
-  std::int32_t lo = 0;
-  std::int32_t hi = 0;
-  for (int r = 0; r < rows; ++r) {
-    const std::int32_t* from =
-        &pwc_out_.psum[static_cast<std::size_t>(r * config_.tm * K)];
-    std::int32_t* to = &psum[static_cast<std::size_t>(
-        (std::int64_t{r0 + r} * tile.out_cols + c0) * K)];
-    if (first_slice) {
-      for (std::size_t i = 0; i < run; ++i) {
-        to[i] = from[i];
-        lo = std::min(lo, from[i]);
-        hi = std::max(hi, from[i]);
-      }
-    } else {
-      for (std::size_t i = 0; i < run; ++i) {
-        to[i] += from[i];
-        lo = std::min(lo, to[i]);
-        hi = std::max(hi, to[i]);
-      }
-    }
-  }
-  max_abs_psum_ = std::max({max_abs_psum_, -std::int64_t{lo},
-                            std::int64_t{hi}});
-  return std::int64_t{1} * rows * cols * K;
+  const PsumRange range =
+      pwc_.step(activations, layer_->spec.depth_multiplier,
+                PsumTarget{psum, tile.out_rows, tile.out_cols, r0, c0,
+                           !first_slice});
+  max_abs_psum_ = std::max({max_abs_psum_, -std::int64_t{range.lo},
+                            std::int64_t{range.hi}});
+  return std::int64_t{1} * std::min(config_.tn, tile.out_rows - r0) *
+         std::min(config_.tm, tile.out_cols - c0) *
+         layer_->spec.out_channels;
 }
 
 void DscDatapath::write_back(std::span<const std::int32_t> psum,

@@ -89,10 +89,10 @@ class DscDatapath {
 
   /// One spatial step of the PWC engine: every kernel group of the loaded
   /// slice over the step's [Tn][Tm][channels] `activations`, read in
-  /// place. The partial sums for spatial step (sy, sx) of `tile`
-  /// accumulate into the tile's [out_rows][out_cols][K] `psum` block -
-  /// overwriting on the first slice. Tracks max |psum|. Returns the psum
-  /// entries updated, over all kernel groups.
+  /// place. The engine accumulates the partial sums for spatial step
+  /// (sy, sx) of `tile` straight into the tile's [out_rows][out_cols][K]
+  /// `psum` block - overwriting on the first slice. Tracks max |psum|.
+  /// Returns the psum entries updated, over all kernel groups.
   std::int64_t pwc_step(std::span<const std::int8_t> activations,
                         const BufferTile& tile, int sy, int sx,
                         bool first_slice, std::span<std::int32_t> psum);
@@ -136,7 +136,6 @@ class DscDatapath {
   std::vector<std::int8_t> dwc_weights_;
   std::vector<std::int8_t> window_;  ///< [extent][extent][slice channels]
   DwcStepOutput dwc_out_;
-  PwcStepOutput pwc_out_;
 
   std::int64_t max_abs_psum_ = 0;
 };

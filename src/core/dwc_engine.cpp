@@ -18,6 +18,8 @@ void DwcEngine::load_weights(std::span<const std::int8_t> weights,
                                      channels),
                "DWC weight slice size mismatch");
   weights_.assign(weights.begin(), weights.end());
+  stage_dwc_weights(weights, config_.kernel * config_.kernel, channels,
+                    weights_t_);
   weight_channels_ = channels;
 }
 
@@ -60,6 +62,7 @@ void DwcEngine::run_step(std::span<const std::int8_t> window, int stride,
   args.extent = extent;
   args.channels = weight_channels_;
   args.weights = weights_.data();
+  args.weights_t = weights_t_.data();
   args.tn = config_.tn;
   args.tm = config_.tm;
   args.kernel = k;

@@ -46,6 +46,8 @@ class DwcEngine {
 
   /// Loads one kernel slice ([kh][kw][channels], channels <= Td). Retained
   /// until the next load; reused across every spatial step of a pass.
+  /// Also stages the int16 copy the SSE2 kernel streams,
+  /// [tap pair][channel][2].
   void load_weights(std::span<const std::int8_t> weights, int channels);
 
   /// One engine cycle: computes Tn x Tm outputs for every loaded channel.
@@ -98,7 +100,8 @@ class DwcEngine {
 
   EdeaConfig config_;
   arch::AdderTree tree_;
-  std::vector<std::int8_t> weights_;  ///< [kh][kw][channel]
+  std::vector<std::int8_t> weights_;     ///< [kh][kw][channel]
+  std::vector<std::int16_t> weights_t_;  ///< [tap pair][channel][2]
   int weight_channels_ = 0;
   arch::MacActivity activity_;
   KernelPolicy policy_ = KernelDispatch::default_policy();

@@ -13,14 +13,20 @@
 //
 // Registered shapes (all wildcarded over the depth multiplier):
 //   dwc k=3 s=1 d=1, dwc k=3 s=2 d=1, dwc k=3 s=1 d=2, dwc k=3 s=2 d=2
-//     - one template, the nine tap offsets scaled by the dilation;
-//   pwc k=1 s=1 d=1
-//     - kernel-innermost dot products over the transposed, int16 weights the
-//       PWC engine stages once per weight load. The slice width selects
-//       the loop inside the kernel: whole groups of eight channels run
-//       unrolled eight at a time (width 8 is one group, width 16 two),
-//       and the channels of a ragged slice past the last whole group run
-//       one at a time.
+//     - one template, the nine tap offsets scaled by the dilation. On
+//       SSE2 targets each group of eight channels pairs up the taps and
+//       runs pmaddwd over the tap-pair-interleaved int16 weights the DWC
+//       engine stages once per weight load; the channels of a ragged
+//       slice past the last group of eight (and every channel elsewhere)
+//       run a portable loop the compiler vectorizes;
+//   pwc k=1 s=1 d=1 (targets with SSE2 - every x86-64)
+//     - SSE2 `pmaddwd` (_mm_madd_epi16) dot products over the int16
+//       weights the PWC engine stages once per weight load, laid out
+//       [channel pair][kernel][2]: one 16-byte load holds four kernels'
+//       weights for a pair of channels, and one pmaddwd against the
+//       broadcast activation pair yields those four kernels' two-channel
+//       sums in int32. A target without SSE2 registers no PWC
+//       specialization and runs the generic kernel.
 // Every other shape (other kernel extents, dilations above 2) runs the
 // generic path.
 //
@@ -34,6 +40,10 @@
 //     useful_mac per modeled multiply, one zero_operand_mac per multiply
 //     whose activation operand is zero. Specialized kernels may tally in
 //     bulk; the totals must match the generic per-multiply tallies.
+//   3. PWC only: a step accumulates its real positions straight into the
+//     buffer tile's partial-sum block - overwriting it on a pass's first
+//     slice - tallies its dummy lanes without computing them, and reports
+//     the range of the partial sums it left (PwcKernelArgs, PsumRange).
 // Cycle/energy/access counters live above the kernel boundary (in the
 // engines and tile workers) and are untouched by dispatch, so a
 // specialized run's every counter stays bit-identical to generic.
@@ -47,6 +57,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -85,54 +96,90 @@ struct KernelShapeKey {
 /// Operands of one DWC engine step, as raw spans: everything the inner
 /// loop reads and the accumulator block it writes. Kernels own no scratch
 /// and touch nothing else - in particular no engine member state, so a
-/// kernel invocation is reentrant by construction.
+/// kernel invocation is reentrant by construction. The weights come in
+/// two layouts: `weights` (what the generic path reads) and the same
+/// values widened to int16 and interleaved by tap pair, `weights_t` (what
+/// the SSE2 kernel streams): element [q][ch][j] is channel ch's weight
+/// for tap 2q + j (taps in [kh][kw] order), and 0 past the last tap.
 struct DwcKernelArgs {
-  const std::int8_t* window = nullptr;   ///< [extent][extent][channels]
-  int extent = 0;                        ///< square spatial extent
-  int channels = 0;                      ///< active channels (<= Td)
-  const std::int8_t* weights = nullptr;  ///< [kh][kw][channels]
-  int tn = 0;                            ///< output tile rows
-  int tm = 0;                            ///< output tile cols
-  int kernel = 0;                        ///< kernel extent
+  const std::int8_t* window = nullptr;      ///< [extent][extent][channels]
+  int extent = 0;                           ///< square spatial extent
+  int channels = 0;                         ///< active channels (<= Td)
+  const std::int8_t* weights = nullptr;     ///< [kh][kw][channels]
+  const std::int16_t* weights_t = nullptr;  ///< [tap pair][channels][2]
+  int tn = 0;                               ///< output tile rows
+  int tm = 0;                               ///< output tile cols
+  int kernel = 0;                           ///< kernel extent
   int stride = 0;
   int dilation = 0;
-  std::int32_t* acc = nullptr;           ///< out: [tn][tm][channels]
+  std::int32_t* acc = nullptr;              ///< out: [tn][tm][channels]
   arch::MacActivity* activity = nullptr;
 };
 using DwcKernelFn = void (*)(const DwcKernelArgs&);
 
-/// Operands of one PWC engine step. `td` is the configured adder-tree
-/// fan-in: lanes for channels in [channels, td) are modeled idle, and a
-/// kernel must account their lane_cycles exactly like the generic path.
-/// The weights come in two layouts: `weights` (what the generic path
-/// reads) and the same values transposed and widened to int16,
-/// `weights_t` (what the specialized kernel streams, its inner loop
-/// running over kernels and multiplying in int16).
+/// Operands of one PWC engine step: every loaded kernel's dot products
+/// across the slice channels at the step's rows x cols positions,
+/// accumulated straight into the buffer tile's partial-sum block. Only
+/// the first `real_rows` x `real_cols` positions lie inside the tile; the
+/// others are dummy lanes, which a kernel tallies like real ones (their
+/// activations are read and their zeros counted) but computes nothing
+/// for. `td` is the configured adder-tree fan-in: lanes for channels in
+/// [channels, td) are modeled idle, and a kernel must account their
+/// lane_cycles exactly like the generic path. The weights come in two
+/// layouts: `weights` (what the generic path reads) and the same values
+/// widened to int16 and interleaved by channel pair, `weights_t` (what
+/// the SSE2 kernel streams): element [p][k][j] is kernel k's weight for
+/// channel 2p + j, and 0 past the last channel of an odd-width slice.
 struct PwcKernelArgs {
   const std::int8_t* activations = nullptr;  ///< [rows][cols][channels]
   const std::int8_t* weights = nullptr;      ///< [kernels][channels]
-  const std::int16_t* weights_t = nullptr;   ///< [channels][kernels]
+  const std::int16_t* weights_t = nullptr;   ///< [channel pair][kernels][2]
   int rows = 0;
   int cols = 0;
-  int channels = 0;  ///< active channels (<= td)
-  int kernels = 0;   ///< kernels this step (its kernel groups together)
-  int td = 0;        ///< configured channel lanes per dot product
-  std::int32_t* psum = nullptr;              ///< out: [rows][cols][kernels]
+  int real_rows = 0;  ///< positions [0, real_rows) x [0, real_cols) lie
+  int real_cols = 0;  ///< inside the tile; the rest are dummy lanes
+  int channels = 0;   ///< active channels (<= td)
+  int kernels = 0;    ///< kernels this step (its kernel groups together)
+  int td = 0;         ///< configured channel lanes per dot product
+  /// In/out: kernel k of position (r, c) is psum[r * psum_pitch +
+  /// c * kernels + k] - the step's origin inside the tile's
+  /// [rows][cols][kernels] block, `psum_pitch` entries per block row.
+  std::int32_t* psum = nullptr;
+  std::int64_t psum_pitch = 0;
+  /// Add onto the block; false (a pass's first slice) overwrites it.
+  bool accumulate = false;
   arch::MacActivity* activity = nullptr;
 };
-using PwcKernelFn = void (*)(const PwcKernelArgs&);
+
+/// The range of the partial sums a PWC step left in the block, over its
+/// real positions (both ends start at 0). It feeds max |psum|.
+struct PsumRange {
+  std::int32_t lo = 0;
+  std::int32_t hi = 0;
+};
+using PwcKernelFn = PsumRange (*)(const PwcKernelArgs&);
+
+/// Stage an engine's weights into the int16 layouts above, once per
+/// weight load: a DWC slice ([taps][channels], taps in [kh][kw] order)
+/// into DwcKernelArgs::weights_t, a PWC block ([kernels][channels]) into
+/// PwcKernelArgs::weights_t. `out` is resized to fit.
+void stage_dwc_weights(std::span<const std::int8_t> weights, int taps,
+                       int channels, std::vector<std::int16_t>& out);
+void stage_pwc_weights(std::span<const std::int8_t> weights, int kernels,
+                       int channels, std::vector<std::int16_t>& out);
 
 /// The generic reference implementations: the exact loops the engines ran
 /// before dispatch existed (per-multiply MacLane accounting, pairwise
 /// AdderTree summation) with caller-local scratch. Every shape not in the
 /// registry - and every shape under kForceGeneric - runs these.
 void generic_dwc_kernel(const DwcKernelArgs& args);
-void generic_pwc_kernel(const PwcKernelArgs& args);
+PsumRange generic_pwc_kernel(const PwcKernelArgs& args);
 
 /// The process-wide kernel registry. Thread-safe; the built-in
 /// specializations (3x3 DWC at strides 1 and 2 and dilations 1 and 2, 1x1
-/// PWC, all at any depth multiplier) are registered in-registry at
-/// construction so static-library link order can never drop them.
+/// PWC on SSE2 targets, all at any depth multiplier) are registered
+/// in-registry at construction so static-library link order can never
+/// drop them.
 class KernelDispatch {
  public:
   /// The singleton the engines consult.

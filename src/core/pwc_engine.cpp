@@ -1,5 +1,7 @@
 #include "core/pwc_engine.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace edea::core {
@@ -18,25 +20,7 @@ void PwcEngine::load_weights(std::span<const std::int8_t> weights,
                                      static_cast<std::size_t>(channels),
                "PWC weight block size mismatch");
   weights_.assign(weights.begin(), weights.end());
-  weights_t_.resize(weights.size());
-  const auto at = [&](int kk, int ch) {
-    return weights[static_cast<std::size_t>(kk * channels + ch)];
-  };
-  // Eight kernels at a time, a fixed-width block the compiler unrolls into
-  // one contiguous write run per channel; a ragged tail one by one.
-  int k0 = 0;
-  for (; k0 + 8 <= kernels; k0 += 8) {
-    for (int ch = 0; ch < channels; ++ch) {
-      std::int16_t* const row =
-          &weights_t_[static_cast<std::size_t>(ch * kernels + k0)];
-      for (int j = 0; j < 8; ++j) row[j] = at(k0 + j, ch);
-    }
-  }
-  for (; k0 < kernels; ++k0) {
-    for (int ch = 0; ch < channels; ++ch) {
-      weights_t_[static_cast<std::size_t>(ch * kernels + k0)] = at(k0, ch);
-    }
-  }
+  stage_pwc_weights(weights, kernels, channels, weights_t_);
   weight_kernels_ = kernels;
   weight_channels_ = channels;
 }
@@ -56,33 +40,42 @@ void PwcEngine::set_kernel_policy(KernelPolicy policy) noexcept {
   cached_fn_ = nullptr;
 }
 
-void PwcEngine::run_step(std::span<const std::int8_t> activations,
-                         PwcKernelFn fn, PwcStepOutput& out,
-                         arch::MacActivity& activity) const {
+PsumRange PwcEngine::run_step(std::span<const std::int8_t> activations,
+                              PwcKernelFn fn, const PsumTarget& target,
+                              arch::MacActivity& activity) const {
   EDEA_REQUIRE(weight_kernels_ > 0, "PWC weights not loaded");
   EDEA_REQUIRE(activations.size() ==
                    static_cast<std::size_t>(config_.tn * config_.tm *
                                             weight_channels_),
                "PWC activation block must be Tn x Tm x the loaded channels");
+  EDEA_REQUIRE(target.block.size() ==
+                   static_cast<std::size_t>(target.rows) *
+                       static_cast<std::size_t>(target.cols) *
+                       static_cast<std::size_t>(weight_kernels_),
+               "psum block must be rows x cols x the loaded kernels");
+  EDEA_REQUIRE(target.row0 >= 0 && target.row0 < target.rows &&
+                   target.col0 >= 0 && target.col0 < target.cols,
+               "PWC step origin outside the psum block");
 
-  out.rows = config_.tn;
-  out.cols = config_.tm;
-  out.kernels = weight_kernels_;
-  out.psum.resize(
-      static_cast<std::size_t>(out.rows * out.cols * out.kernels));
-
+  const std::int64_t pitch =
+      std::int64_t{target.cols} * weight_kernels_;  // entries per block row
   PwcKernelArgs args;
   args.activations = activations.data();
   args.weights = weights_.data();
   args.weights_t = weights_t_.data();
   args.rows = config_.tn;
   args.cols = config_.tm;
+  args.real_rows = std::min(config_.tn, target.rows - target.row0);
+  args.real_cols = std::min(config_.tm, target.cols - target.col0);
   args.channels = weight_channels_;
   args.kernels = weight_kernels_;
   args.td = config_.td;
-  args.psum = out.psum.data();
+  args.psum = target.block.data() + target.row0 * pitch +
+              std::int64_t{target.col0} * weight_kernels_;
+  args.psum_pitch = pitch;
+  args.accumulate = target.accumulate;
   args.activity = &activity;
-  fn(args);
+  const PsumRange range = fn(args);
 
   // Kernel lanes beyond the last group's width idle during its cycle.
   // Idle accounting lives above the kernel boundary so every kernel sees
@@ -90,10 +83,11 @@ void PwcEngine::run_step(std::span<const std::int8_t> activations,
   const int groups = (weight_kernels_ + config_.tk - 1) / config_.tk;
   activity.lane_cycles += std::int64_t{groups * config_.tk - weight_kernels_} *
                           config_.tn * config_.tm * config_.td;
+  return range;
 }
 
-void PwcEngine::step(std::span<const std::int8_t> activations,
-                     int depth_multiplier, PwcStepOutput& out) {
+PsumRange PwcEngine::step(std::span<const std::int8_t> activations,
+                          int depth_multiplier, const PsumTarget& target) {
   PwcKernelFn fn = &generic_pwc_kernel;
   if (policy_ != KernelPolicy::kForceGeneric) {
     const KernelShapeKey key = shape_key(depth_multiplier);
@@ -103,17 +97,17 @@ void PwcEngine::step(std::span<const std::int8_t> activations,
     }
     fn = cached_fn_;
   }
-  run_step(activations, fn, out, activity_);
+  return run_step(activations, fn, target, activity_);
 }
 
-void PwcEngine::step(std::span<const std::int8_t> activations,
-                     int depth_multiplier, PwcStepOutput& out,
-                     arch::MacActivity& activity) const {
+PsumRange PwcEngine::step(std::span<const std::int8_t> activations,
+                          int depth_multiplier, const PsumTarget& target,
+                          arch::MacActivity& activity) const {
   const PwcKernelFn fn = policy_ == KernelPolicy::kForceGeneric
                              ? &generic_pwc_kernel
                              : KernelDispatch::instance().find_pwc(
                                    shape_key(depth_multiplier));
-  run_step(activations, fn, out, activity);
+  return run_step(activations, fn, target, activity);
 }
 
 }  // namespace edea::core

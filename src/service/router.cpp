@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <memory>
 #include <thread>
 #include <unordered_map>
@@ -23,7 +22,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Reply-FIFO entry for a fanned-out `stats` line. Request ids start at 1,
+/// In-flight entry for a fanned-out `stats` line. Request ids start at 1,
 /// so 0 is free to mark the one reply per channel that belongs to the
 /// stats aggregator instead of a pending request.
 constexpr std::uint64_t kStatsMarker = 0;
@@ -78,20 +77,23 @@ bool ClusterRouter::mark_dead(const std::string& id) {
 /// One routed client session: the client's WireFront, dispatching every
 /// run line to a worker over per-worker forwarding channels:
 ///
-///   channel     one ordered-mode connection to one worker, opened lazily
-///               on first use, plus a reader thread matching its replies
-///               FIFO against the ids sent down it. The id is pushed onto
-///               the FIFO and the line written under one per-channel write
-///               lock, so FIFO order always equals wire order.
+///   channel     one unordered-mode connection to one worker, opened
+///               lazily on first use with a synchronous `mode unordered`
+///               handshake, plus a reader thread. Every line sent takes
+///               the worker's next wire id; the channel maps each wire id
+///               in flight to the request it carries, and replies - run
+///               outcomes, busy lines, the stats line - match by the id
+///               they name, in whatever order the worker finishes them.
 ///   pending     every forwarded request until it finalizes: the parsed
 ///               request (for rerouting after a death), the raw line (what
 ///               re-sends forward), the reply slot, and the attempt count.
 ///   retry pump  a timer thread re-sending requests whose worker answered
 ///               busy or died, after a jittered backoff. A request is
-///               re-sent only once its FIFO entry is gone (popped for busy,
-///               stolen by the death handler), so it is on at most one
-///               worker at a time - the no-duplicates half of the failover
-///               invariant; finalize-exactly-once is the no-loss half.
+///               re-sent only once its in-flight entry is gone (matched by
+///               a busy line, stolen by the death handler), so it is on at
+///               most one worker at a time - the no-duplicates half of the
+///               failover invariant; finalize-exactly-once is the no-loss
+///               half.
 class RouterSession final : public WireFront::Dispatch {
  public:
   RouterSession(ClusterRouter& router, Stream& client)
@@ -121,10 +123,13 @@ class RouterSession final : public WireFront::Dispatch {
     std::string worker_id;
     std::unique_ptr<Stream> stream;
     std::thread reader;
-    /// Serializes {FIFO push + wire write} so FIFO order is wire order.
+    /// Serializes {wire id + in-flight entry + wire write}, so wire ids
+    /// follow wire order.
     std::mutex write_mutex;
-    /// Ids awaiting replies, in wire order (guarded by mutex_).
-    std::deque<std::uint64_t> fifo;
+    std::uint64_t next_wire_id = 2;  ///< guarded by write_mutex
+    /// Worker wire id -> request id (or kStatsMarker) awaiting a reply
+    /// (guarded by mutex_).
+    std::map<std::uint64_t, std::uint64_t> in_flight;
     bool broken = false;  ///< guarded by mutex_; death handled once
   };
 
@@ -134,12 +139,16 @@ class RouterSession final : public WireFront::Dispatch {
   void schedule_retry_locked(std::uint64_t id, std::int64_t delay_ms);
   void pump_retries();
   void resend(std::uint64_t id);
-  bool send_run(Channel* channel, std::uint64_t id);
-  void send_stats(Channel* channel);
+  /// Sends request `id`'s line (or `stats` for kStatsMarker). Returns
+  /// false when the channel is already broken.
+  bool send(Channel* channel, std::uint64_t id);
+  /// The worker's channel, or nullptr - the worker then marked dead -
+  /// when it cannot be reached or refuses unordered replies.
   Channel* get_or_create_channel(const WorkerEndpoint& worker);
   void channel_reader(Channel* channel);
-  /// Consumes one reply line on a channel. Returns false on a FIFO/parse
-  /// desync - wire corruption, treated as a worker death.
+  /// Consumes one reply line on a channel. Returns false on a line that
+  /// names no wire id in flight - wire corruption, treated as a worker
+  /// death.
   bool handle_reply(Channel* channel, const std::string& line);
   void handle_channel_death(Channel* channel);
 
@@ -225,54 +234,42 @@ void RouterSession::resend(std::uint64_t id) {
     }
     Channel* channel = get_or_create_channel(*owner);
     if (channel == nullptr) {
-      // Unreachable worker: treat exactly like a death and burn one
-      // attempt, so a cluster of black holes converges on the error line
-      // instead of looping.
-      const bool first_observer = router_.mark_dead(owner->id);
+      // Unreachable worker: a death that burns one attempt, so a cluster
+      // of black holes converges on the error line instead of looping.
       const std::lock_guard<std::mutex> lock(mutex_);
-      if (first_observer) ++stats_.failovers;
       const auto it = pending_.find(id);
       if (it == pending_.end()) return;
       ++it->second.attempts;
       if (it->second.attempts > 1) ++stats_.retries;
       continue;
     }
-    if (send_run(channel, id)) return;
+    if (send(channel, id)) return;
     // The channel broke between lookup and send: route again.
   }
 }
 
-bool RouterSession::send_run(Channel* channel, std::uint64_t id) {
+bool RouterSession::send(Channel* channel, std::uint64_t id) {
   const std::lock_guard<std::mutex> write_lock(channel->write_mutex);
-  std::string raw;
+  std::string line = "stats";
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (channel->broken) return false;
-    const auto it = pending_.find(id);
-    if (it == pending_.end()) return true;  // finalized while routing
-    channel->fifo.push_back(id);
-    ++it->second.attempts;
-    ++stats_.forwarded;
-    if (it->second.attempts > 1) ++stats_.retries;
-    raw = it->second.raw_line;
+    if (id == kStatsMarker) {
+      ++fan_.awaiting;
+    } else {
+      const auto it = pending_.find(id);
+      if (it == pending_.end()) return true;  // finalized while routing
+      ++it->second.attempts;
+      ++stats_.forwarded;
+      if (it->second.attempts > 1) ++stats_.retries;
+      line = it->second.raw_line;
+    }
+    channel->in_flight.emplace(channel->next_wire_id++, id);
   }
-  if (!channel->stream->write_line(raw)) {
-    // The death handler steals the FIFO entry just pushed and reschedules
-    // (or finalizes) it - accounting is complete either way.
-    handle_channel_death(channel);
-  }
+  // On a failed write the death handler steals the entry just added and
+  // reschedules (or finalizes) it - accounting is complete either way.
+  if (!channel->stream->write_line(line)) handle_channel_death(channel);
   return true;
-}
-
-void RouterSession::send_stats(Channel* channel) {
-  const std::lock_guard<std::mutex> write_lock(channel->write_mutex);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (channel->broken) return;
-    channel->fifo.push_back(kStatsMarker);
-    ++fan_.awaiting;
-  }
-  if (!channel->stream->write_line("stats")) handle_channel_death(channel);
 }
 
 RouterSession::Channel* RouterSession::get_or_create_channel(
@@ -281,9 +278,20 @@ RouterSession::Channel* RouterSession::get_or_create_channel(
   const auto it = channels_.find(worker.id);
   if (it != channels_.end()) return it->second.get();
   std::unique_ptr<Stream> stream;
+  std::string ack;
   try {
     stream = connect_socket(worker.host, worker.port, opt_.connect_timeout_ms);
-  } catch (const std::exception&) {
+  } catch (const std::exception&) {  // unreachable: `stream` stays null
+  }
+  // A worker that refuses unordered replies (--ordered) answers `mode
+  // ordered`: an attach error, handled like an unreachable worker.
+  if (stream == nullptr || !stream->write_line("mode unordered") ||
+      !stream->read_line(ack) ||
+      ack != format_unordered_line(1, "mode unordered")) {
+    if (router_.mark_dead(worker.id)) {
+      const std::lock_guard<std::mutex> stats_lock(mutex_);
+      ++stats_.failovers;
+    }
     return nullptr;
   }
   auto channel = std::make_unique<Channel>();
@@ -296,41 +304,41 @@ RouterSession::Channel* RouterSession::get_or_create_channel(
 }
 
 bool RouterSession::handle_reply(Channel* channel, const std::string& line) {
+  // A busy line carries the worker's wire id in-band; every other reply
+  // is `id=<wire id> <payload>`.
+  std::uint64_t wire_id = 0;
+  int retry_ms = 0;
+  std::string payload;
+  const bool busy = parse_busy_line(line, &wire_id, &retry_ms);
+  if (!busy && !parse_unordered_line(line, &wire_id, &payload)) return false;
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (channel->fifo.empty()) return false;  // reply with nothing in flight
-  const std::uint64_t front = channel->fifo.front();
-
-  if (front == kStatsMarker) {
-    CacheStats parsed;
-    if (!parse_stats_line(line, &parsed)) return false;
-    channel->fifo.pop_front();
+  const auto entry = channel->in_flight.find(wire_id);
+  if (entry == channel->in_flight.end()) return false;
+  const std::uint64_t id = entry->second;
+  CacheStats parsed;
+  if (id == kStatsMarker && (busy || !parse_stats_line(payload, &parsed))) {
+    return false;
+  }
+  channel->in_flight.erase(entry);
+  if (id == kStatsMarker) {
     fan_.collected.emplace_back(channel->worker_id, parsed);
     --fan_.awaiting;
     fan_cv_.notify_all();
-    return true;
-  }
-
-  std::uint64_t worker_wire_id = 0;
-  int retry_ms = 0;
-  if (parse_busy_line(line, &worker_wire_id, &retry_ms)) {
-    // The embedded id is the *worker's* wire id, not ours - FIFO position
-    // is the match. The router owns the retry (the client asked us, not
-    // the worker); only when attempts run out does the client see a busy
-    // line, re-written with its own id.
-    channel->fifo.pop_front();
+  } else if (busy) {
+    // The router owns the retry (the client asked us, not the worker);
+    // only when attempts run out does the client see a busy line,
+    // re-written with its own id.
     ++stats_.busy_replies;
-    Pending& pending = pending_.at(front);
+    Pending& pending = pending_.at(id);
     if (pending.attempts >= opt_.max_attempts) {
-      finalize_line_locked(front, format_busy_line(front, retry_ms), true);
+      finalize_line_locked(id, format_busy_line(id, retry_ms), true);
     } else {
       schedule_retry_locked(
-          front, jittered_backoff_ms(pending.attempts, retry_ms, rng_));
+          id, jittered_backoff_ms(pending.attempts, retry_ms, rng_));
     }
-    return true;
+  } else {
+    finalize_line_locked(id, std::move(payload), false);
   }
-
-  channel->fifo.pop_front();
-  finalize_line_locked(front, line, false);
   return true;
 }
 
@@ -347,23 +355,23 @@ void RouterSession::channel_reader(Channel* channel) {
 }
 
 void RouterSession::handle_channel_death(Channel* channel) {
-  std::deque<std::uint64_t> stolen;
+  std::map<std::uint64_t, std::uint64_t> stolen;  // in wire-id order
   bool was_closing = false;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (channel->broken) return;  // first observer wins
     channel->broken = true;
-    stolen.swap(channel->fifo);
+    stolen.swap(channel->in_flight);
     was_closing = closing_;
   }
   // A clean shutdown EOF (close_write drained the worker) is not a death:
-  // the worker stays on the ring for other sessions. Anything still on
-  // the FIFO means the connection dropped mid-flight - that *is* a death.
+  // the worker stays on the ring for other sessions. Anything still in
+  // flight means the connection dropped mid-flight - that *is* a death.
   if (was_closing && stolen.empty()) return;
   router_.mark_dead(channel->worker_id);
   const std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.failovers;
-  for (const std::uint64_t entry : stolen) {
+  for (const auto& [wire_id, entry] : stolen) {
     if (entry == kStatsMarker) {
       --fan_.awaiting;
       fan_cv_.notify_all();
@@ -399,15 +407,7 @@ std::string RouterSession::stats_line() {
   // merge must reproduce counts all of them.
   for (const std::string& worker_id : router_.live_workers()) {
     Channel* channel = get_or_create_channel(router_.endpoints_.at(worker_id));
-    if (channel == nullptr) {
-      const bool first_observer = router_.mark_dead(worker_id);
-      if (first_observer) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.failovers;
-      }
-      continue;
-    }
-    send_stats(channel);
+    if (channel != nullptr) (void)send(channel, kStatsMarker);
   }
   std::unique_lock<std::mutex> lock(mutex_);
   fan_cv_.wait(lock, [&] { return fan_.awaiting == 0; });
@@ -480,7 +480,7 @@ void RouterSession::drained() {
 
   // Half-close every channel; each worker session drains and closes, the
   // channel reader sees EOF and exits (not a death - `closing_` is set
-  // and the FIFOs are empty). No lock needed for the joins: channels are
+  // and nothing is in flight). No lock needed for the joins: channels are
   // only created by the front's reader thread and the (now joined) retry
   // pump.
   {

@@ -32,22 +32,30 @@
 //                   every shard's LRU (no evictions to split).
 //
 //   failover        A worker death (connection drop) removes its node from
-//                   the ring and re-forwards its in-flight requests to the
+//                   the ring and re-forwards its in-flight requests - its
+//                   channel's id map, stolen in wire-id order - to the
 //                   surviving owners under jittered exponential backoff
 //                   (util/backoff.hpp), bounded by max_attempts. Replies
 //                   are never lost (every request finalizes exactly once:
 //                   a reply, a busy give-up, or an error line naming the
-//                   failure) and never duplicated (a request is on at most
-//                   one worker's reply FIFO at a time; it is re-sent only
-//                   after its FIFO entry is stolen from a dead connection).
-//                   Deterministic simulations make the re-run idempotent.
+//                   failure) and never duplicated (a request is in at most
+//                   one channel's id map at a time; it is re-sent only
+//                   after its entry is matched by a busy line or stolen
+//                   from a dead connection). Deterministic simulations
+//                   make the re-run idempotent.
 //
-// Workers are completely unmodified simulation_server processes: the
-// router holds one ordered-mode connection per worker per client session
-// and matches replies FIFO, so the worker-side wire needs nothing beyond
-// what PR 4 shipped. Client-side `mode unordered` is honored by the router
-// itself (replies stream in cluster-wide completion order with `id=<n> `
-// prefixes); worker wires stay ordered either way.
+// Workers are unmodified simulation_server processes that allow `mode
+// unordered` (the default): the router holds one connection per worker
+// per client session, opened with a synchronous `mode unordered`
+// handshake, so each worker answers its lines as they complete and a
+// cache hit never waits behind a fresh simulation queued ahead of it.
+// Every line sent takes the worker's next wire id; a per-channel map from
+// wire id to pending request matches run replies, `busy id=<n>` lines
+// and the `stats` reply alike. A worker that answers the handshake `mode
+// ordered` (--ordered) is an attach error, handled like an unreachable
+// worker. Client-side `mode unordered` is honored by the router's own
+// front (replies stream in cluster-wide completion order with `id=<n> `
+// prefixes); ordered clients get request-id order either way.
 //
 // Operator contract: every worker must run with the same request-default
 // flags (core::JobDims: --backend, --batch, --dilation,

@@ -78,19 +78,28 @@ class SocketStream : public Stream {
 
   bool read_line(std::string& line) override {
     for (;;) {
-      const std::size_t newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        line.assign(buffer_, 0, newline);
-        buffer_.erase(0, newline + 1);
+      // Only bytes not yet scanned can hold the next '\n'.
+      const auto* newline = static_cast<const char*>(std::memchr(
+          buffer_.data() + scanned_, '\n', buffer_.size() - scanned_));
+      if (newline != nullptr) {
+        const auto end = static_cast<std::size_t>(newline - buffer_.data());
+        line.assign(buffer_, cursor_, end - cursor_);
+        cursor_ = scanned_ = end + 1;
         return true;
       }
+      scanned_ = buffer_.size();
       if (peer_closed_) {
         // A final line without a trailing '\n' is still a line.
-        if (buffer_.empty()) return false;
-        line = std::move(buffer_);
-        buffer_.clear();
+        if (cursor_ == buffer_.size()) return false;
+        line.assign(buffer_, cursor_);
+        cursor_ = scanned_ = buffer_.size();
         return true;
       }
+      // Compact once per recv, not once per line: only the partial line
+      // after the cursor moves, so a pipelined burst reads in linear time.
+      buffer_.erase(0, cursor_);
+      scanned_ -= cursor_;
+      cursor_ = 0;
       char chunk[4096];
       const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
       if (n > 0) {
@@ -146,6 +155,8 @@ class SocketStream : public Stream {
 
   int fd_;
   std::string buffer_;
+  std::size_t cursor_ = 0;   ///< start of the first unread line in buffer_
+  std::size_t scanned_ = 0;  ///< buffer_ bytes searched for '\n' already
   std::string write_buffer_;
   bool peer_closed_ = false;
 };

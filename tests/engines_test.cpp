@@ -184,6 +184,23 @@ TEST(DwcEngine, RejectsWrongWindowExtent) {
 
 // ------------------------------------------------------ PWC functional ---
 
+/// A paper-configuration step's own 2 x 2 psum block, overwritten by
+/// each step (a pass's first slice).
+struct PsumBlock {
+  explicit PsumBlock(int kernels)
+      : kernels(kernels), psum(static_cast<std::size_t>(4 * kernels)) {}
+
+  [[nodiscard]] PsumTarget target() {
+    return PsumTarget{psum, 2, 2, 0, 0, false};
+  }
+  [[nodiscard]] std::int32_t at(int r, int c, int kk) const {
+    return psum[static_cast<std::size_t>((r * 2 + c) * kernels + kk)];
+  }
+
+  int kernels;
+  std::vector<std::int32_t> psum;
+};
+
 TEST(PwcEngine, MatchesReferenceDotProducts) {
   const EdeaConfig cfg = EdeaConfig::paper();
   PwcEngine engine(cfg);
@@ -199,8 +216,8 @@ TEST(PwcEngine, MatchesReferenceDotProducts) {
   }
 
   engine.load_weights(weights, 16, 8);
-  PwcStepOutput out;
-  engine.step(acts, 1, out);
+  PsumBlock out(16);
+  engine.step(acts, 1, out.target());
   for (int r = 0; r < 2; ++r) {
     for (int c = 0; c < 2; ++c) {
       for (int k = 0; k < 16; ++k) {
@@ -220,8 +237,8 @@ TEST(PwcEngine, MatchesReferenceDotProducts) {
 TEST(PwcEngine, FullGroupHas100PercentLaneUtilization) {
   PwcEngine engine{EdeaConfig::paper()};
   engine.load_weights(std::vector<std::int8_t>(16 * 8, 1), 16, 8);
-  PwcStepOutput out;
-  engine.step(std::vector<std::int8_t>(2 * 2 * 8, 1), 1, out);
+  PsumBlock out(16);
+  engine.step(std::vector<std::int8_t>(2 * 2 * 8, 1), 1, out.target());
   EXPECT_EQ(engine.activity().lane_cycles, 512);
   EXPECT_EQ(engine.activity().useful_macs, 512);
   EXPECT_DOUBLE_EQ(engine.activity().utilization(), 1.0);
@@ -231,8 +248,8 @@ TEST(PwcEngine, PartialKernelGroupIdlesLanes) {
   PwcEngine engine{EdeaConfig::paper()};
   engine.load_weights(std::vector<std::int8_t>(10 * 8, 1), 10,
                       8);  // 10 < Tk = 16
-  PwcStepOutput out;
-  engine.step(std::vector<std::int8_t>(2 * 2 * 8, 1), 1, out);
+  PsumBlock out(10);
+  engine.step(std::vector<std::int8_t>(2 * 2 * 8, 1), 1, out.target());
   EXPECT_EQ(engine.activity().lane_cycles, 512);
   EXPECT_EQ(engine.activity().useful_macs, 10 * 4 * 8);
 }
@@ -241,8 +258,8 @@ TEST(PwcEngine, PartialChannelSliceIdlesLanes) {
   PwcEngine engine{EdeaConfig::paper()};
   engine.load_weights(std::vector<std::int8_t>(16 * 3, 3), 16,
                       3);  // 3 < Td = 8
-  PwcStepOutput out;
-  engine.step(std::vector<std::int8_t>(2 * 2 * 3, 2), 1, out);
+  PsumBlock out(16);
+  engine.step(std::vector<std::int8_t>(2 * 2 * 3, 2), 1, out.target());
   EXPECT_EQ(engine.activity().lane_cycles, 512);
   EXPECT_EQ(engine.activity().useful_macs, 16 * 4 * 3);
   EXPECT_EQ(out.at(0, 0, 0), 18);  // 3 channels x (2*3)
@@ -250,17 +267,27 @@ TEST(PwcEngine, PartialChannelSliceIdlesLanes) {
 
 TEST(PwcEngine, RejectsMalformedInput) {
   PwcEngine engine{EdeaConfig::paper()};
-  PwcStepOutput out;
+  PsumBlock out(16);
   const std::vector<std::int8_t> acts(2 * 2 * 8, 0);
-  EXPECT_THROW(engine.step(acts, 1, out), PreconditionError);  // no weights
+  EXPECT_THROW(engine.step(acts, 1, out.target()),
+               PreconditionError);  // no weights
   EXPECT_THROW(engine.load_weights(std::vector<std::int8_t>(16 * 9, 0), 16, 9),
                PreconditionError);  // 9 channels > Td
   EXPECT_THROW(engine.load_weights(std::vector<std::int8_t>(16 * 8, 0), 17, 8),
                PreconditionError);  // the block is not 17 x 8
   engine.load_weights(std::vector<std::int8_t>(17 * 8, 0), 17,
                       8);  // two kernel groups
-  EXPECT_THROW(engine.step(std::vector<std::int8_t>(2 * 2 * 7, 0), 1, out),
-               PreconditionError);  // not Tn x Tm x the loaded channels
+  PsumBlock block(17);
+  EXPECT_THROW(
+      engine.step(std::vector<std::int8_t>(2 * 2 * 7, 0), 1, block.target()),
+      PreconditionError);  // not Tn x Tm x the loaded channels
+  EXPECT_THROW(engine.step(std::vector<std::int8_t>(2 * 2 * 8, 0), 1,
+                           out.target()),
+               PreconditionError);  // a block of 16 kernels, not 17
+  PsumTarget outside = block.target();
+  outside.row0 = 2;
+  EXPECT_THROW(engine.step(std::vector<std::int8_t>(2 * 2 * 8, 0), 1, outside),
+               PreconditionError);  // the step origin is past the block
 }
 
 TEST(PwcEngine, StepRunsEveryKernelGroup) {
@@ -268,9 +295,8 @@ TEST(PwcEngine, StepRunsEveryKernelGroup) {
   // group's 8 missing kernels idling their lanes.
   PwcEngine engine{EdeaConfig::paper()};
   engine.load_weights(std::vector<std::int8_t>(40 * 8, 2), 40, 8);
-  PwcStepOutput out;
-  engine.step(std::vector<std::int8_t>(2 * 2 * 8, 3), 1, out);
-  EXPECT_EQ(out.kernels, 40);
+  PsumBlock out(40);
+  engine.step(std::vector<std::int8_t>(2 * 2 * 8, 3), 1, out.target());
   EXPECT_EQ(out.at(1, 1, 39), 48);  // 8 channels x (2*3)
   EXPECT_EQ(engine.activity().lane_cycles, 3 * 512);
   EXPECT_EQ(engine.activity().useful_macs, 40 * 4 * 8);
@@ -371,11 +397,11 @@ TEST(PwcEngine, ConstStepIsReentrant) {
     }
   }
 
-  std::vector<PwcStepOutput> expected(kInputs);
+  std::vector<PsumBlock> expected(kInputs, PsumBlock(kernels));
   arch::MacActivity serial;
   for (int i = 0; i < kInputs; ++i) {
     engine.step(inputs[static_cast<std::size_t>(i)], 1,
-                expected[static_cast<std::size_t>(i)], serial);
+                expected[static_cast<std::size_t>(i)].target(), serial);
   }
 
   constexpr int kThreads = 4;
@@ -384,10 +410,10 @@ TEST(PwcEngine, ConstStepIsReentrant) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      PwcStepOutput out;
+      PsumBlock out(kernels);
       for (int rep = 0; rep < kRepeats; ++rep) {
         for (int i = 0; i < kInputs; ++i) {
-          engine.step(inputs[static_cast<std::size_t>(i)], 1, out,
+          engine.step(inputs[static_cast<std::size_t>(i)], 1, out.target(),
                       sinks[static_cast<std::size_t>(t)]);
           if (out.psum != expected[static_cast<std::size_t>(i)].psum) {
             ++mismatches[static_cast<std::size_t>(t)];

@@ -49,8 +49,10 @@ TEST(KernelDispatch, BuiltInShapesAreRegistered) {
   EXPECT_TRUE(d.has_specialization(dwc_key(3, 1, 1, 1)));
   EXPECT_TRUE(d.has_specialization(dwc_key(3, 2, 1, 1)));
   EXPECT_TRUE(d.has_specialization(dwc_key(3, 1, 1, 4)));  // wildcard mult
+#if defined(__SSE2__)  // the PWC specialization is SSE2's
   EXPECT_TRUE(d.has_specialization(pwc_key(1)));
   EXPECT_TRUE(d.has_specialization(pwc_key(7)));
+#endif
   // Dilation 2 at both strides resolves to the dilated 3x3 kernel.
   EXPECT_TRUE(d.has_specialization(dwc_key(3, 1, 2, 1)));
   EXPECT_TRUE(d.has_specialization(dwc_key(3, 2, 2, 1)));
@@ -60,7 +62,9 @@ TEST(KernelDispatch, BuiltInShapesAreRegistered) {
   EXPECT_FALSE(d.has_specialization(dwc_key(5, 1, 1, 1)));  // 5x5
   EXPECT_EQ(d.find_dwc(dwc_key(5, 1, 1, 1)), &generic_dwc_kernel);
   EXPECT_NE(d.find_dwc(dwc_key(3, 1, 1, 1)), &generic_dwc_kernel);
+#if defined(__SSE2__)
   EXPECT_NE(d.find_pwc(pwc_key(1)), &generic_pwc_kernel);
+#endif
 }
 
 TEST(KernelDispatch, RegisteredShapesAreListable) {
@@ -76,7 +80,9 @@ TEST(KernelDispatch, RegisteredShapesAreListable) {
   }
   EXPECT_TRUE(saw_s1);
   EXPECT_TRUE(saw_s2);
+#if defined(__SSE2__)
   EXPECT_TRUE(saw_pwc);
+#endif
 }
 
 TEST(KernelDispatch, ExactMultiplierBeatsWildcard) {
@@ -293,8 +299,18 @@ TEST(KernelDispatchBitIdentity, Dwc3x3MinimumOperandsOnBothSides) {
   }
 }
 
+/// The PWC half of the contract: a step accumulates its real positions
+/// straight into a tile's psum block. Each rep lands the step somewhere
+/// else in a (Tn + 1) x (Tm + 1) block that starts out holding non-zero
+/// partial sums: at the block's origin (every position real), against its
+/// last row, its last column, or its corner (only one real row, column
+/// or position; the rest are dummy lanes). Odd reps add onto the block,
+/// even ones overwrite it as a pass's first slice does. Both engines must
+/// leave the whole block bit-equal - dummy positions and the rest of the
+/// block untouched - and report the same psum range.
 void check_pwc_bit_identity(const EdeaConfig& cfg, int channels, int kernels,
-                            const OperandMix& mix, std::uint64_t seed) {
+                            const OperandMix& mix, std::uint64_t seed,
+                            std::int64_t block_magnitude = 1 << 20) {
   PwcEngine fast(cfg);
   PwcEngine slow(cfg);
   slow.set_kernel_policy(KernelPolicy::kForceGeneric);
@@ -304,18 +320,38 @@ void check_pwc_bit_identity(const EdeaConfig& cfg, int channels, int kernels,
       static_cast<std::size_t>(cfg.tn * cfg.tm * channels));
   std::vector<std::int8_t> weights(
       static_cast<std::size_t>(kernels * channels));
-  PwcStepOutput a;
-  PwcStepOutput b;
+  const int rows = cfg.tn + 1;
+  const int cols = cfg.tm + 1;
+  std::vector<std::int32_t> a(static_cast<std::size_t>(rows * cols * kernels));
+  std::vector<std::int32_t> b(a.size());
   for (int rep = 0; rep < 25; ++rep) {
     for (auto& v : acts) v = draw_activation(rng, mix);
     for (auto& v : weights) v = draw_weight(rng, mix);
+    for (auto& v : a) {
+      v = static_cast<std::int32_t>(
+          rng.uniform_int(-block_magnitude, block_magnitude));
+    }
+    b = a;
     fast.load_weights(weights, kernels, channels);
     slow.load_weights(weights, kernels, channels);
-    fast.step(acts, 1, a);
-    slow.step(acts, 1, b);
-    ASSERT_EQ(a.psum, b.psum) << "td=" << cfg.td << " tk=" << cfg.tk
-                              << " channels=" << channels
-                              << " kernels=" << kernels << " rep=" << rep;
+    const int row0 = (rep / 2) % 2 == 0 ? 0 : rows - 1;
+    const int col0 = (rep / 4) % 2 == 0 ? 0 : cols - 1;
+    const bool accumulate = rep % 2 == 1;
+    const PsumRange fast_range = fast.step(
+        acts, 1, PsumTarget{a, rows, cols, row0, col0, accumulate});
+    const PsumRange slow_range = slow.step(
+        acts, 1, PsumTarget{b, rows, cols, row0, col0, accumulate});
+    const auto where = [&] {
+      return "td=" + std::to_string(cfg.td) + " tk=" + std::to_string(cfg.tk) +
+             " channels=" + std::to_string(channels) +
+             " kernels=" + std::to_string(kernels) +
+             " origin=" + std::to_string(row0) + "," + std::to_string(col0) +
+             " accumulate=" + std::to_string(accumulate) +
+             " rep=" + std::to_string(rep);
+    };
+    ASSERT_EQ(a, b) << where();
+    ASSERT_EQ(fast_range.lo, slow_range.lo) << where();
+    ASSERT_EQ(fast_range.hi, slow_range.hi) << where();
   }
   EXPECT_EQ(fast.activity(), slow.activity())
       << "td=" << cfg.td << " tk=" << cfg.tk << " channels=" << channels
@@ -382,6 +418,74 @@ TEST(KernelDispatchBitIdentity, Pwc1x1MinimumOperandsOnBothSides) {
     check_pwc_bit_identity(cfg, cfg.td - 1, cfg.tk - 3, OperandMix{0.2, 0.5},
                            ++seed);
   }
+}
+
+TEST(KernelDispatchPwcContract, GenericKernelAccumulatesRealPositionsOnly) {
+  // The reference kernel's contract, by hand: a 2 x 2 step whose origin
+  // is the last row of a 3 x 2 block, so only its first row is real.
+  const EdeaConfig cfg = EdeaConfig::paper();
+  const int channels = 3;
+  const int kernels = 2;
+  std::vector<std::int8_t> acts = {1,    2, 0, -1, 0, 4,   // row 0
+                                   -128, 5, 6, 7,  8, 9};  // row 1: dummy
+  std::vector<std::int8_t> weights = {1, 1, 1, -128, 2, -1};  // [k][ch]
+  std::vector<std::int32_t> block(static_cast<std::size_t>(3 * 2 * kernels),
+                                  100);
+  arch::MacActivity activity;
+  PwcKernelArgs args;
+  args.activations = acts.data();
+  args.weights = weights.data();
+  args.rows = 2;
+  args.cols = 2;
+  args.real_rows = 1;
+  args.real_cols = 2;
+  args.channels = channels;
+  args.kernels = kernels;
+  args.td = cfg.td;
+  args.psum = block.data() + 2 * 2 * kernels;  // row 2 of the block
+  args.psum_pitch = 2 * kernels;
+  args.accumulate = true;
+  args.activity = &activity;
+  const PsumRange range = generic_pwc_kernel(args);
+
+  // Position (0, 0): 1+2+0 = 3 and -128+4+0 = -124; position (0, 1):
+  // -1+0+4 = 3 and 128+0-4 = 124 - each added onto the block's 100.
+  EXPECT_EQ(block, (std::vector<std::int32_t>{100, 100, 100, 100, 100, 100,
+                                              100, 100, 103, -24, 103, 224}))
+      << "rows 0 and 1 of the block and the dummy step row stay as they were";
+  EXPECT_EQ(range.lo, -24);
+  EXPECT_EQ(range.hi, 224);
+  // The dummy row is tallied like the real one: 4 positions x 2 kernels
+  // x 8 lanes clocked, 3 channels useful, zeros counted per kernel.
+  EXPECT_EQ(activity.lane_cycles, 4 * 2 * 8);
+  EXPECT_EQ(activity.useful_macs, 4 * 2 * 3);
+  EXPECT_EQ(activity.zero_operand_macs, 2 * 2);
+
+  args.accumulate = false;  // a first slice overwrites
+  const PsumRange first = generic_pwc_kernel(args);
+  EXPECT_EQ(std::vector<std::int32_t>(block.begin() + 8, block.end()),
+            (std::vector<std::int32_t>{3, -124, 3, 124}));
+  EXPECT_EQ(first.lo, -124);
+  EXPECT_EQ(first.hi, 124);
+}
+
+TEST(KernelDispatchPwcContract, SpecializedKernelIsSse2WhereAvailable) {
+  const KernelDispatch& d = KernelDispatch::instance();
+#if defined(__SSE2__)
+  EXPECT_NE(d.find_pwc(pwc_key(0)), &generic_pwc_kernel);
+#else
+  EXPECT_EQ(d.find_pwc(pwc_key(0)), &generic_pwc_kernel)
+      << "without SSE2 the generic kernel runs";
+#endif
+}
+
+TEST(KernelDispatchBitIdentity, Pwc1x1PsumRangeBeyondFloatPrecision) {
+  // Partial sums past 2^24 in magnitude (a layer of thousands of input
+  // channels): the range must stay exact there too.
+  check_pwc_bit_identity(EdeaConfig::paper(), 8, 16, OperandMix{0.2, 0.5},
+                         6501, std::int64_t{1} << 30);
+  check_pwc_bit_identity(wide_config(), 13, 40, OperandMix{0.2, 0.5}, 6502,
+                         (std::int64_t{1} << 24) + 3);
 }
 
 // The process-default policy helper: cheap sanity that the environment

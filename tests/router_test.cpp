@@ -440,6 +440,131 @@ TEST(ClusterRouterTest, KillingAWorkerMidStreamLosesAndDuplicatesNothing) {
   EXPECT_GE(stats.forwarded, lines.size());
 }
 
+/// A scripted worker on a loopback socket: it accepts the `mode
+/// unordered` handshake, then answers its lines in bursts of scripted
+/// sizes, each burst in reverse arrival order with `id=` prefixes - the
+/// payloads computed by a real Session over its own service, in arrival
+/// order. The line with wire id `busy_wire_id` is answered
+/// `busy id=<n> retry_ms=1` instead (and not simulated), so its re-send
+/// arrives as a later burst. EOF ends the conversation early.
+struct ScriptedWorker {
+  SimulationService svc;
+  WorkloadCatalog catalog;
+  SocketTransport transport{SocketTransportOptions{}};
+  std::vector<std::size_t> bursts;
+  std::uint64_t busy_wire_id;
+  std::thread thread;
+
+  ScriptedWorker(std::vector<std::size_t> burst_sizes, std::uint64_t busy)
+      : bursts(std::move(burst_sizes)), busy_wire_id(busy) {
+    thread = std::thread(
+        [this] { transport.serve([this](Stream& s) { converse(s); }); });
+  }
+  ~ScriptedWorker() {
+    transport.shutdown();
+    thread.join();
+  }
+
+  void converse(Stream& stream) {
+    std::uint64_t next_id = 1;
+    std::vector<std::pair<std::uint64_t, std::string>> held;
+    std::string line;
+    if (stream.read_line(line)) {
+      if (line == "mode unordered") {
+        (void)stream.write_line(
+            format_unordered_line(next_id++, "mode unordered"));
+      } else {
+        held.emplace_back(next_id++, line);
+      }
+    }
+    for (const std::size_t size : bursts) {
+      while (held.size() < size && stream.read_line(line)) {
+        held.emplace_back(next_id++, line);
+      }
+      std::vector<std::string> simulated;
+      for (const auto& [id, text] : held) {
+        if (id != busy_wire_id) simulated.push_back(text);
+      }
+      const std::vector<std::string> payloads = serve_on(simulated);
+      std::vector<std::string> replies;
+      std::size_t next_payload = 0;
+      for (const auto& [id, text] : held) {
+        replies.push_back(id == busy_wire_id
+                              ? format_busy_line(id, 1)
+                              : format_unordered_line(
+                                    id, payloads.at(next_payload++)));
+      }
+      (void)stream.write_lines({replies.rbegin(), replies.rend()});
+      held.clear();
+    }
+    while (stream.read_line(line)) {
+    }  // like a real worker, hold the connection until the router's EOF
+  }
+
+  /// The ordered replies of one Session over `lines`, against svc.
+  std::vector<std::string> serve_on(const std::vector<std::string>& lines) {
+    std::ostringstream joined;
+    for (const std::string& l : lines) joined << l << "\n";
+    std::istringstream in(joined.str());
+    std::ostringstream out;
+    StdioStream stdio(in, out);
+    Session(svc, catalog).serve(stdio);
+    std::vector<std::string> replies;
+    std::istringstream replay(out.str());
+    std::string l;
+    while (std::getline(replay, l)) replies.push_back(l);
+    return replies;
+  }
+};
+
+TEST(ClusterRouterTest, RepliesMatchByWireIdInAnyOrder) {
+  // One shard answering six runs in reverse order - the third as busy,
+  // its re-send in a burst of its own - then the stats barrier, then two
+  // more runs, reversed. Matching by the worker's wire id must restore
+  // the single-process bytes; matching by FIFO position cannot.
+  std::vector<std::string> lines = distinct_runs(8);
+  lines.insert(lines.begin() + 6, "stats");
+  const std::vector<std::string> expected = serve_reference(lines);
+
+  // Wire ids: 1 the handshake, 2-7 the first six runs (4 answered busy),
+  // 8 its re-send, 9 stats, 10-11 the last two runs.
+  ScriptedWorker worker({6, 1, 1, 2}, 4);
+  RouterOptions options;
+  options.workers.push_back(
+      WorkerEndpoint{"shard0", "127.0.0.1", worker.transport.port()});
+  ClusterRouter router(std::move(options));
+  RouterSessionStats stats;
+  EXPECT_EQ(serve_routed(router, lines, &stats), expected);
+  EXPECT_EQ(stats.busy_replies, 1u);
+  EXPECT_EQ(stats.retries, 1u);
+  EXPECT_EQ(stats.failovers, 0u);
+}
+
+TEST(ClusterRouterTest, WorkerRefusingUnorderedModeIsAnAttachError) {
+  // shard0 runs --ordered: its handshake answers `mode ordered`, so it is
+  // dropped like an unreachable worker and its keys reroute to shard1.
+  SessionOptions ordered_only;
+  ordered_only.allow_unordered = false;
+  const std::vector<std::string> lines = distinct_runs(12);
+  {
+    LoopbackWorker refusing(ordered_only), w1;
+    ClusterRouter router(attach({&refusing, &w1}));
+    RouterSessionStats stats;
+    EXPECT_EQ(serve_routed(router, lines, &stats), serve_reference(lines));
+    EXPECT_EQ(stats.failovers, 1u);
+    EXPECT_EQ(router.live_workers(), (std::vector<std::string>{"shard1"}));
+  }
+  // With no other worker, every request ends in a bounded error line.
+  LoopbackWorker refusing(ordered_only);
+  ClusterRouter router(attach({&refusing}));
+  const std::vector<std::string> responses = serve_routed(router, lines);
+  ASSERT_EQ(responses.size(), lines.size());
+  for (const std::string& response : responses) {
+    EXPECT_EQ(response.rfind("error mobilenet-0.25x@", 0), 0u) << response;
+    EXPECT_NE(response.find("cluster: "), std::string::npos) << response;
+  }
+}
+
 TEST(ClusterRouterTest, AllWorkersDeadAnswersBoundedErrorLines) {
   // Grab an ephemeral port with nothing behind it: every connect is
   // refused, the lone worker is marked dead, and each request must come

@@ -7,8 +7,14 @@
 #include "service/session.hpp"
 #include "service/transport.hpp"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -347,6 +353,83 @@ TEST(SocketTransportTest, EndedSessionsAreJoinedWhileServing) {
 
   transport.shutdown();
   server.join();
+}
+
+/// The raw server end of one loopback connection, writing exactly the
+/// bytes it is given (a Stream only ever writes whole lines).
+class RawPeer {
+ public:
+  RawPeer() {
+    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+    EDEA_REQUIRE(listener >= 0, "socket()");
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    EDEA_REQUIRE(::bind(listener, reinterpret_cast<sockaddr*>(&addr),
+                        sizeof(addr)) == 0 &&
+                     ::listen(listener, 1) == 0 &&
+                     ::getsockname(listener,
+                                   reinterpret_cast<sockaddr*>(&addr),
+                                   &len) == 0,
+                 "listen on loopback");
+    client_ = connect_socket("127.0.0.1", ntohs(addr.sin_port));
+    fd_ = ::accept(listener, nullptr, nullptr);
+    ::close(listener);
+    EDEA_REQUIRE(fd_ >= 0, "accept()");
+  }
+  ~RawPeer() { close(); }
+
+  /// One send(2) of all of `bytes` (repeated only on a short write).
+  void send(const std::string& bytes) {
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n =
+          ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+      EDEA_REQUIRE(n > 0, "send()");
+      sent += static_cast<std::size_t>(n);
+    }
+  }
+  void close() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+  Stream& client() { return *client_; }
+
+ private:
+  std::unique_ptr<Stream> client_;
+  int fd_ = -1;
+};
+
+TEST(SocketStreamTest, ReadLineReassemblesBurstsSplitsAndAnUnterminatedTail) {
+  // A 1 MiB burst of short lines in one write, a line split across two
+  // writes (the reader is already waiting on the first half), and a last
+  // line with no '\n' before EOF: every line reads back as sent.
+  RawPeer peer;
+  std::vector<std::string> expected = {"split across two writes"};
+  std::string burst;
+  for (int i = 0; burst.size() < (std::size_t{1} << 20); ++i) {
+    expected.push_back("ok " + std::to_string(i));
+    burst += expected.back() + "\n";
+  }
+  expected.push_back("");  // an empty line is a line
+  burst += "\n";
+  expected.push_back("tail without newline");
+
+  std::thread writer([&] {
+    peer.send("split across");
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    peer.send(" two writes\n");
+    peer.send(burst);
+    peer.send("tail without newline");
+    peer.close();
+  });
+  std::vector<std::string> got;
+  std::string line;
+  while (peer.client().read_line(line)) got.push_back(line);
+  writer.join();
+  EXPECT_EQ(got, expected);
+  EXPECT_FALSE(peer.client().read_line(line)) << "EOF stays EOF";
 }
 
 TEST(ConnectSocketTest, RejectsBadHostsAndRefusedConnections) {
