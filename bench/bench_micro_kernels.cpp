@@ -48,7 +48,7 @@ void BM_DwcEngineStep(benchmark::State& state) {
   }
   core::DwcStepOutput out;
   for (auto _ : state) {
-    engine.step(window, 1, 1, 1, out);
+    engine.step(window, 1, 1, out);
     benchmark::DoNotOptimize(out.acc.data());
     benchmark::ClobberMemory();
   }
@@ -73,7 +73,7 @@ void BM_PwcEngineStep(benchmark::State& state) {
       static_cast<std::size_t>(cfg.tn * cfg.tm * cfg.tk));
   const core::PsumTarget target{psum, cfg.tn, cfg.tm, 0, 0, false};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.step(acts, 1, target));
+    benchmark::DoNotOptimize(engine.step(acts, target));
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * engine.mac_count());
@@ -82,14 +82,14 @@ BENCHMARK(BM_PwcEngineStep);
 
 // --- kernel-dispatch fast paths: specialized vs generic, per shape --------
 //
-// One engine step per hot shape, once through the dispatch registry's
-// specialized kernel (kAuto) and once forced onto the generic reference
+// One engine step per hot shape, once through the specialized kernel its
+// shape selects (kAuto) and once forced onto the generic reference
 // loops (kForceGeneric). Both variants are bit-identical in outputs and
 // MacActivity (tests/kernel_dispatch_test.cpp, differential_test.cpp);
 // this pair measures only the host-time gap. main() derives a
 // "kernel_speedup/<shape>" ratio per pair into the --json summary, and
 // --require-speedup X turns a ratio below X into a nonzero exit - the
-// regression gate CI runs. The pairs cover every registered shape and
+// regression gate CI runs. The pairs cover every specialized shape and
 // both slice widths the service traffic sends (Td = 8 and Td = 16).
 
 void BM_DwcShapeStep(benchmark::State& state, int stride, int dilation,
@@ -112,7 +112,7 @@ void BM_DwcShapeStep(benchmark::State& state, int stride, int dilation,
   }
   core::DwcStepOutput out;
   for (auto _ : state) {
-    engine.step(window, stride, dilation, 1, out);
+    engine.step(window, stride, dilation, out);
     benchmark::DoNotOptimize(out.acc.data());
     benchmark::ClobberMemory();
   }
@@ -162,7 +162,7 @@ void BM_PwcShapeStep(benchmark::State& state, int td, int tk,
       static_cast<std::size_t>(cfg.tn * cfg.tm * cfg.tk));
   const core::PsumTarget target{psum, cfg.tn, cfg.tm, 0, 0, false};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.step(acts, 1, target));
+    benchmark::DoNotOptimize(engine.step(acts, target));
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * engine.mac_count());

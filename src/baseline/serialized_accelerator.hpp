@@ -79,7 +79,7 @@ class SerializedDscAccelerator final : public core::AcceleratorBackend {
     return tile_parallelism_;
   }
 
-  /// Pins both engines' kernel selection (KernelDispatch A/B lever);
+  /// Pins both engines' kernel selection (the kForceGeneric A/B lever);
   /// results and counters are bit-identical either way.
   void set_kernel_policy(core::KernelPolicy policy) override {
     datapath_.set_kernel_policy(policy);

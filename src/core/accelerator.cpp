@@ -120,7 +120,7 @@ class TileWorker {
     return partial_;
   }
 
-  /// Pins both engines' kernel selection (KernelDispatch A/B lever).
+  /// Pins both engines' kernel selection (the kForceGeneric A/B lever).
   void set_kernel_policy(KernelPolicy policy) noexcept {
     datapath_.set_kernel_policy(policy);
   }

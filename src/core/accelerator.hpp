@@ -129,7 +129,7 @@ class EdeaAccelerator final : public AcceleratorBackend {
 
   EdeaConfig config_;
   int tile_parallelism_ = 1;
-  KernelPolicy kernel_policy_ = KernelDispatch::default_policy();
+  KernelPolicy kernel_policy_ = KernelPolicy::kAuto;
   std::vector<std::unique_ptr<detail::TileWorker>> workers_;
   PipelineTrace* trace_ = nullptr;
 };

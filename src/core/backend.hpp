@@ -63,9 +63,11 @@ class AcceleratorBackend {
   /// call - batching may only amortize host-side setup (memory planning,
   /// worker creation), never change arithmetic or measurements. The base
   /// implementation is the literal reference: `batch` sequential
-  /// run_network calls. Backends with a planned-memory runtime override it
-  /// to run all images through one arena plan (and then report the batched
-  /// plan's peak via NetworkRunResult::peak_arena_bytes).
+  /// run_network calls, each result carrying its own standalone peak in
+  /// NetworkRunResult::peak_arena_bytes (the serialized baseline keeps
+  /// it, so its peak is the same at every batch). EdeaAccelerator
+  /// overrides it to run all images through one arena plan and reports
+  /// the batched plan's peak in every result.
   [[nodiscard]] virtual std::vector<NetworkRunResult> run_network_batch(
       const std::vector<nn::QuantDscLayer>& layers,
       const nn::Int8Tensor& input, int batch);
@@ -76,12 +78,12 @@ class AcceleratorBackend {
   virtual void set_tile_parallelism(int parallelism) = 0;
   [[nodiscard]] virtual int tile_parallelism() const noexcept = 0;
 
-  /// Engine inner-loop kernel selection (core::KernelDispatch):
+  /// Engine inner-loop kernel selection (core/kernel_dispatch.hpp):
   /// kForceGeneric pins the generic reference kernels, kAuto lets hot
   /// shapes run their specialized implementations. Either way results and
   /// every counter are bit-identical - the knob exists for A/B testing,
   /// which is why the base implementation is a no-op (a backend that runs
-  /// no dispatchable engine has nothing to pin).
+  /// no specialized engine kernel has nothing to pin).
   virtual void set_kernel_policy(KernelPolicy policy) { (void)policy; }
 
   /// The configuration this backend instance was built from.

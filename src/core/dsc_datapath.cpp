@@ -150,8 +150,7 @@ std::int64_t DscDatapath::dwc_step(const Int8MapView& src, int out_row0,
       src, out_row0 * spec.stride - spec.padding,
       out_col0 * spec.stride - spec.padding, extent, extent, slice_.channel0,
       slice_.channels, spec.depth_multiplier, window_);
-  dwc_.step(window_, spec.stride, spec.dilation, spec.depth_multiplier,
-            dwc_out_);
+  dwc_.step(window_, spec.stride, spec.dilation, dwc_out_);
   nonconv_.set_writeback_mode(false);
   nonconv_.apply_block(dwc_out_.acc, transfer_params_, slice_.channels, dst);
   return read;
@@ -179,9 +178,8 @@ std::int64_t DscDatapath::pwc_step(std::span<const std::int8_t> activations,
   const int r0 = sy * config_.tn;  // tile-relative origin of the step
   const int c0 = sx * config_.tm;
   const PsumRange range =
-      pwc_.step(activations, layer_->spec.depth_multiplier,
-                PsumTarget{psum, tile.out_rows, tile.out_cols, r0, c0,
-                           !first_slice});
+      pwc_.step(activations, PsumTarget{psum, tile.out_rows, tile.out_cols,
+                                        r0, c0, !first_slice});
   max_abs_psum_ = std::max({max_abs_psum_, -std::int64_t{range.lo},
                             std::int64_t{range.hi}});
   return std::int64_t{1} * std::min(config_.tn, tile.out_rows - r0) *

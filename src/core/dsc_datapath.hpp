@@ -102,7 +102,7 @@ class DscDatapath {
   void write_back(std::span<const std::int32_t> psum, const BufferTile& tile,
                   nn::Int8Tensor& output);
 
-  /// Pins both engines' kernel selection (KernelDispatch A/B lever).
+  /// Pins both engines' kernel selection (the kForceGeneric A/B lever).
   void set_kernel_policy(KernelPolicy policy) noexcept;
 
   [[nodiscard]] const arch::MacActivity& dwc_activity() const noexcept {

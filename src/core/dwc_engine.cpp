@@ -23,25 +23,9 @@ void DwcEngine::load_weights(std::span<const std::int8_t> weights,
   weight_channels_ = channels;
 }
 
-KernelShapeKey DwcEngine::shape_key(int stride, int dilation,
-                                    int depth_multiplier) const noexcept {
-  KernelShapeKey key;
-  key.family = OpFamily::kDwc;
-  key.kernel = config_.kernel;
-  key.stride = stride;
-  key.dilation = dilation;
-  key.depth_multiplier = depth_multiplier;
-  return key;
-}
-
-void DwcEngine::set_kernel_policy(KernelPolicy policy) noexcept {
-  policy_ = policy;
-  cached_fn_ = nullptr;
-}
-
-void DwcEngine::run_step(std::span<const std::int8_t> window, int stride,
-                         int dilation, DwcKernelFn fn, DwcStepOutput& out,
-                         arch::MacActivity& activity) const {
+void DwcEngine::step(std::span<const std::int8_t> window, int stride,
+                     int dilation, DwcStepOutput& out,
+                     arch::MacActivity& activity) const {
   EDEA_REQUIRE(stride == 1 || stride == 2, "DWC stride must be 1 or 2");
   EDEA_REQUIRE(dilation >= 1, "DWC dilation must be >= 1");
   EDEA_REQUIRE(weight_channels_ > 0, "DWC weights not loaded");
@@ -70,7 +54,7 @@ void DwcEngine::run_step(std::span<const std::int8_t> window, int stride,
   args.dilation = dilation;
   args.acc = out.acc.data();
   args.activity = &activity;
-  fn(args);
+  dwc_kernel_for(k, stride, dilation, policy_)(args);
 
   // Lanes belonging to channels absent from this slice idle this cycle
   // (never happens for MobileNetV1, whose channel counts are multiples of
@@ -79,31 +63,6 @@ void DwcEngine::run_step(std::span<const std::int8_t> window, int stride,
   activity.lane_cycles +=
       std::int64_t{config_.td - weight_channels_} * config_.tn * config_.tm *
       k * k;
-}
-
-void DwcEngine::step(std::span<const std::int8_t> window, int stride,
-                     int dilation, int depth_multiplier, DwcStepOutput& out) {
-  DwcKernelFn fn = &generic_dwc_kernel;
-  if (policy_ != KernelPolicy::kForceGeneric) {
-    const KernelShapeKey key = shape_key(stride, dilation, depth_multiplier);
-    if (cached_fn_ == nullptr || !(cached_key_ == key)) {
-      cached_key_ = key;
-      cached_fn_ = KernelDispatch::instance().find_dwc(key);
-    }
-    fn = cached_fn_;
-  }
-  run_step(window, stride, dilation, fn, out, activity_);
-}
-
-void DwcEngine::step(std::span<const std::int8_t> window, int stride,
-                     int dilation, int depth_multiplier, DwcStepOutput& out,
-                     arch::MacActivity& activity) const {
-  const DwcKernelFn fn =
-      policy_ == KernelPolicy::kForceGeneric
-          ? &generic_dwc_kernel
-          : KernelDispatch::instance().find_dwc(
-                shape_key(stride, dilation, depth_multiplier));
-  run_step(window, stride, dilation, fn, out, activity);
 }
 
 }  // namespace edea::core

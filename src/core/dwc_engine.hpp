@@ -8,12 +8,11 @@
 // single cycle (the adder tree is pipelined; latency is absorbed in the
 // 9-cycle initiation of Fig. 7).
 //
-// The arithmetic inner loop is resolved through core::KernelDispatch: hot
+// Each step runs the kernel core::dwc_kernel_for picks for its shape: hot
 // shapes (3x3 at strides 1/2 and dilations 1/2) run hand-specialized
 // kernels, everything else the generic reference path. Both are
 // bit-identical in outputs and MacActivity; set_kernel_policy(
-// kForceGeneric) or the EDEA_FORCE_GENERIC_KERNELS env var pin the
-// generic path for A/B runs.
+// kForceGeneric) pins the generic path for A/B runs.
 #pragma once
 
 #include <cstdint>
@@ -56,24 +55,20 @@ class DwcEngine {
   /// `stride` and `dilation` select its geometry ((Tn-1)*stride +
   /// (kernel-1)*dilation + 1 square): 4x4 at s=1/d=1, 5x5 at s=2/d=1,
   /// wider for dilated kernels whose taps sit `dilation` apart.
-  /// `depth_multiplier` does not change the arithmetic (window builders
-  /// fold the multiplier); it is a dispatch-key component only, letting a
-  /// registered exact-multiplier kernel win over the wildcard.
   void step(std::span<const std::int8_t> window, int stride, int dilation,
-            int depth_multiplier, DwcStepOutput& out);
+            DwcStepOutput& out) {
+    step(window, stride, dilation, out, activity_);
+  }
 
   /// Reentrant step: same arithmetic, but activity is tallied into the
-  /// caller-supplied sink instead of the engine's own counter and the
-  /// kernel lookup bypasses the engine-local cache. Safe to call
-  /// concurrently from multiple threads on one engine (each caller owns
-  /// its sink and output; kernels keep all scratch on the stack).
+  /// caller-supplied sink instead of the engine's own counter. Safe to
+  /// call concurrently from multiple threads on one engine (each caller
+  /// owns its sink and output; kernels keep all scratch on the stack).
   void step(std::span<const std::int8_t> window, int stride, int dilation,
-            int depth_multiplier, DwcStepOutput& out,
-            arch::MacActivity& activity) const;
+            DwcStepOutput& out, arch::MacActivity& activity) const;
 
-  /// Pins (or unpins) the generic reference kernels; resets the cached
-  /// dispatch resolution. Default is KernelDispatch::default_policy().
-  void set_kernel_policy(KernelPolicy policy) noexcept;
+  /// Pins (or unpins) the generic reference kernels. Default is kAuto.
+  void set_kernel_policy(KernelPolicy policy) noexcept { policy_ = policy; }
   [[nodiscard]] KernelPolicy kernel_policy() const noexcept { return policy_; }
 
   [[nodiscard]] const arch::MacActivity& activity() const noexcept {
@@ -92,21 +87,13 @@ class DwcEngine {
   [[nodiscard]] int pe_count() const noexcept { return config_.td; }
 
  private:
-  [[nodiscard]] KernelShapeKey shape_key(int stride, int dilation,
-                                         int depth_multiplier) const noexcept;
-  void run_step(std::span<const std::int8_t> window, int stride,
-                int dilation, DwcKernelFn fn, DwcStepOutput& out,
-                arch::MacActivity& activity) const;
-
   EdeaConfig config_;
   arch::AdderTree tree_;
   std::vector<std::int8_t> weights_;     ///< [kh][kw][channel]
   std::vector<std::int16_t> weights_t_;  ///< [tap pair][channel][2]
   int weight_channels_ = 0;
   arch::MacActivity activity_;
-  KernelPolicy policy_ = KernelDispatch::default_policy();
-  KernelShapeKey cached_key_;
-  DwcKernelFn cached_fn_ = nullptr;  ///< resolved for cached_key_, or null
+  KernelPolicy policy_ = KernelPolicy::kAuto;
 };
 
 }  // namespace edea::core

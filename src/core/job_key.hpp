@@ -43,10 +43,11 @@ struct JobDims {
   /// Backend id (core/backend.hpp registry): the same workload and
   /// configuration on different dataflows are different experiments.
   std::string backend = std::string(kDefaultBackendId);
-  /// Images run through one planned setup
-  /// (AcceleratorBackend::run_network_batch). Per-image results are
-  /// bit-identical to `batch` standalone runs; only the summary's
-  /// peak_arena_bytes differs.
+  /// Images per run (AcceleratorBackend::run_network_batch). Per-image
+  /// measurements are bit-identical to `batch` standalone runs; only the
+  /// summary's peak_arena_bytes can differ ("edea" plans the batch into
+  /// one arena and reports its larger peak, "serialized" reports the
+  /// standalone peak at every batch).
   int batch = 1;
   /// Workload transforms already baked into the layers by the resolver
   /// (WorkloadCatalog::resolve): the DWC dilation and the extra depthwise

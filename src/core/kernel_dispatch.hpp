@@ -1,17 +1,19 @@
 // kernel_dispatch.hpp - shape-specialized fast-path kernels for the two
-// engine inner loops, behind a registry with the generic path as fallback.
+// engine inner loops, picked per step by a fixed shape switch with the
+// generic path as fallback.
 //
 // The simulator's arithmetic hot path is the five nested loops of
 // DwcEngine::step (ch x ty x tx x k x k) and the four of PwcEngine::step -
 // fully generic, one virtual-free but heavily abstracted MAC at a time
 // (MacLane call, member scratch write, AdderTree pairwise sum). For every
 // sweep, DSE run, and service cache miss those loops are the wall clock.
-// This registry lets a hot (op family, kernel, stride, dilation,
-// depth_multiplier) shape select a hand-specialized implementation with
-// unrolled, compiler-vectorizable accumulator loops, while every other
-// shape falls back to the generic reference implementation.
+// dwc_kernel_for / pwc_kernel_for let a hot (kernel, stride, dilation)
+// shape select a hand-specialized implementation with unrolled,
+// compiler-vectorizable accumulator loops, while every other shape falls
+// back to the generic reference implementation.
 //
-// Registered shapes (all wildcarded over the depth multiplier):
+// Specialized shapes (at any depth multiplier: the window and weight
+// builders fold the multiplier before the engines run):
 //   dwc k=3 s=1 d=1, dwc k=3 s=2 d=1, dwc k=3 s=1 d=2, dwc k=3 s=2 d=2
 //     - one template, the nine tap offsets scaled by the dilation. On
 //       SSE2 targets each group of eight channels pairs up the taps and
@@ -19,18 +21,18 @@
 //       engine stages once per weight load; the channels of a ragged
 //       slice past the last group of eight (and every channel elsewhere)
 //       run a portable loop the compiler vectorizes;
-//   pwc k=1 s=1 d=1 (targets with SSE2 - every x86-64)
+//   pwc k=1 (targets with SSE2 - every x86-64)
 //     - SSE2 `pmaddwd` (_mm_madd_epi16) dot products over the int16
 //       weights the PWC engine stages once per weight load, laid out
 //       [channel pair][kernel][2]: one 16-byte load holds four kernels'
 //       weights for a pair of channels, and one pmaddwd against the
 //       broadcast activation pair yields those four kernels' two-channel
-//       sums in int32. A target without SSE2 registers no PWC
-//       specialization and runs the generic kernel.
+//       sums in int32. A target without SSE2 has no PWC specialization
+//       and runs the generic kernel.
 // Every other shape (other kernel extents, dilations above 2) runs the
 // generic path.
 //
-// The contract every registered kernel must honor (pinned by
+// The contract every specialized kernel must honor (pinned by
 // tests/kernel_dispatch_test.cpp and the differential harness's
 // specialized-vs-forced-generic axis):
 //   1. bit-identical accumulators to the generic path. All sums are int32
@@ -45,53 +47,27 @@
 //     slice - tallies its dummy lanes without computing them, and reports
 //     the range of the partial sums it left (PwcKernelArgs, PsumRange).
 // Cycle/energy/access counters live above the kernel boundary (in the
-// engines and tile workers) and are untouched by dispatch, so a
+// engines and tile workers) and are untouched by the kernel choice, so a
 // specialized run's every counter stays bit-identical to generic.
 //
-// Escape hatch: KernelPolicy::kForceGeneric (per engine / accelerator,
+// A/B lever: KernelPolicy::kForceGeneric (per engine / accelerator,
 // reachable through AcceleratorBackend::set_kernel_policy) pins the
-// generic path for A/B tests, and the EDEA_FORCE_GENERIC_KERNELS
-// environment variable flips the process-wide default - the lever the
-// micro-bench matrix and bit-identity suites use.
+// generic path - what the micro-bench matrix and bit-identity suites
+// compare against.
 #pragma once
 
-#include <compare>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "arch/counters.hpp"
 
 namespace edea::core {
 
-/// Which engine inner loop a kernel implements.
-enum class OpFamily : int { kDwc = 0, kPwc = 1 };
-
 /// Kernel implementation policy of an engine (or a whole accelerator):
-/// kAuto consults the KernelDispatch registry, kForceGeneric pins the
-/// generic reference path (the A/B escape hatch). The process default is
-/// kAuto unless EDEA_FORCE_GENERIC_KERNELS is set in the environment.
+/// kAuto runs the specialized kernel of the step's shape where there is
+/// one, kForceGeneric pins the generic reference path (the A/B lever).
 enum class KernelPolicy : int { kAuto = 0, kForceGeneric = 1 };
-
-/// Registry key: the loop-shape parameters a specialization is allowed to
-/// assume. `depth_multiplier` 0 is the "any multiplier" wildcard - the
-/// engine-level arithmetic is multiplier-invariant (the window/weight
-/// builders fold the multiplier before the engines run), so the built-in
-/// kernels register wildcarded; an exact-multiplier entry, when present,
-/// wins over the wildcard.
-struct KernelShapeKey {
-  OpFamily family = OpFamily::kDwc;
-  int kernel = 3;            ///< kernel extent (1 for PWC)
-  int stride = 1;            ///< spatial stride (1 for PWC)
-  int dilation = 1;          ///< kernel tap pitch (1 for PWC)
-  int depth_multiplier = 0;  ///< exact multiplier, or 0 = any
-
-  friend auto operator<=>(const KernelShapeKey&,
-                          const KernelShapeKey&) = default;
-
-  [[nodiscard]] std::string to_string() const;
-};
 
 /// Operands of one DWC engine step, as raw spans: everything the inner
 /// loop reads and the accumulator block it writes. Kernels own no scratch
@@ -169,54 +145,22 @@ void stage_pwc_weights(std::span<const std::int8_t> weights, int kernels,
                        int channels, std::vector<std::int16_t>& out);
 
 /// The generic reference implementations: the exact loops the engines ran
-/// before dispatch existed (per-multiply MacLane accounting, pairwise
-/// AdderTree summation) with caller-local scratch. Every shape not in the
-/// registry - and every shape under kForceGeneric - runs these.
+/// before the specialized kernels existed (per-multiply MacLane
+/// accounting, pairwise AdderTree summation) with caller-local scratch.
+/// Every shape without a specialization - and every shape under
+/// kForceGeneric - runs these.
 void generic_dwc_kernel(const DwcKernelArgs& args);
 PsumRange generic_pwc_kernel(const PwcKernelArgs& args);
 
-/// The process-wide kernel registry. Thread-safe; the built-in
-/// specializations (3x3 DWC at strides 1 and 2 and dilations 1 and 2, 1x1
-/// PWC on SSE2 targets, all at any depth multiplier) are registered
-/// in-registry at construction so static-library link order can never
-/// drop them.
-class KernelDispatch {
- public:
-  /// The singleton the engines consult.
-  [[nodiscard]] static KernelDispatch& instance();
+/// The kernel a DWC step of this shape runs: the specialized 3x3 kernel
+/// at strides 1 and 2 and dilations 1 and 2, generic_dwc_kernel for any
+/// other shape and under kForceGeneric.
+[[nodiscard]] DwcKernelFn dwc_kernel_for(int kernel, int stride,
+                                         int dilation,
+                                         KernelPolicy policy) noexcept;
 
-  /// Registers (or replaces) a kernel for a shape. Keys are validated:
-  /// positive odd kernel extent for DWC (extent 1 for PWC), stride 1 or 2,
-  /// dilation >= 1, depth_multiplier >= 0 (0 = wildcard). `label` names
-  /// the implementation in registered_shapes().
-  void register_dwc(const KernelShapeKey& key, DwcKernelFn fn,
-                    std::string label);
-  void register_pwc(const KernelShapeKey& key, PwcKernelFn fn,
-                    std::string label);
-
-  /// Lookup: exact key first, then the depth_multiplier wildcard (0).
-  /// Returns the generic implementation when no specialization matches -
-  /// callers can invoke the result unconditionally.
-  [[nodiscard]] DwcKernelFn find_dwc(const KernelShapeKey& key) const;
-  [[nodiscard]] PwcKernelFn find_pwc(const KernelShapeKey& key) const;
-
-  /// True when `key` would resolve to a specialized (non-generic) kernel.
-  [[nodiscard]] bool has_specialization(const KernelShapeKey& key) const;
-
-  /// "<key> -> <label>" lines for every registered entry, in key order
-  /// (docs, tests, and the micro-bench matrix enumerate these).
-  [[nodiscard]] std::vector<std::string> registered_shapes() const;
-
-  /// Process-wide default policy: kForceGeneric when the
-  /// EDEA_FORCE_GENERIC_KERNELS environment variable is set non-empty and
-  /// not "0" at first use, else kAuto. Engines read this at construction.
-  [[nodiscard]] static KernelPolicy default_policy();
-
- private:
-  KernelDispatch();
-
-  struct Impl;
-  Impl* impl_;  // never freed: the registry lives for the process
-};
+/// The kernel a PWC step runs: the SSE2 kernel on SSE2 targets,
+/// generic_pwc_kernel elsewhere and under kForceGeneric.
+[[nodiscard]] PwcKernelFn pwc_kernel_for(KernelPolicy policy) noexcept;
 
 }  // namespace edea::core

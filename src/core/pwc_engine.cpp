@@ -25,24 +25,9 @@ void PwcEngine::load_weights(std::span<const std::int8_t> weights,
   weight_channels_ = channels;
 }
 
-KernelShapeKey PwcEngine::shape_key(int depth_multiplier) const noexcept {
-  KernelShapeKey key;
-  key.family = OpFamily::kPwc;
-  key.kernel = 1;
-  key.stride = 1;
-  key.dilation = 1;
-  key.depth_multiplier = depth_multiplier;
-  return key;
-}
-
-void PwcEngine::set_kernel_policy(KernelPolicy policy) noexcept {
-  policy_ = policy;
-  cached_fn_ = nullptr;
-}
-
-PsumRange PwcEngine::run_step(std::span<const std::int8_t> activations,
-                              PwcKernelFn fn, const PsumTarget& target,
-                              arch::MacActivity& activity) const {
+PsumRange PwcEngine::step(std::span<const std::int8_t> activations,
+                          const PsumTarget& target,
+                          arch::MacActivity& activity) const {
   EDEA_REQUIRE(weight_kernels_ > 0, "PWC weights not loaded");
   EDEA_REQUIRE(activations.size() ==
                    static_cast<std::size_t>(config_.tn * config_.tm *
@@ -75,7 +60,7 @@ PsumRange PwcEngine::run_step(std::span<const std::int8_t> activations,
   args.psum_pitch = pitch;
   args.accumulate = target.accumulate;
   args.activity = &activity;
-  const PsumRange range = fn(args);
+  const PsumRange range = pwc_kernel_for(policy_)(args);
 
   // Kernel lanes beyond the last group's width idle during its cycle.
   // Idle accounting lives above the kernel boundary so every kernel sees
@@ -84,30 +69,6 @@ PsumRange PwcEngine::run_step(std::span<const std::int8_t> activations,
   activity.lane_cycles += std::int64_t{groups * config_.tk - weight_kernels_} *
                           config_.tn * config_.tm * config_.td;
   return range;
-}
-
-PsumRange PwcEngine::step(std::span<const std::int8_t> activations,
-                          int depth_multiplier, const PsumTarget& target) {
-  PwcKernelFn fn = &generic_pwc_kernel;
-  if (policy_ != KernelPolicy::kForceGeneric) {
-    const KernelShapeKey key = shape_key(depth_multiplier);
-    if (cached_fn_ == nullptr || !(cached_key_ == key)) {
-      cached_key_ = key;
-      cached_fn_ = KernelDispatch::instance().find_pwc(key);
-    }
-    fn = cached_fn_;
-  }
-  return run_step(activations, fn, target, activity_);
-}
-
-PsumRange PwcEngine::step(std::span<const std::int8_t> activations,
-                          int depth_multiplier, const PsumTarget& target,
-                          arch::MacActivity& activity) const {
-  const PwcKernelFn fn = policy_ == KernelPolicy::kForceGeneric
-                             ? &generic_pwc_kernel
-                             : KernelDispatch::instance().find_pwc(
-                                   shape_key(depth_multiplier));
-  return run_step(activations, fn, target, activity);
 }
 
 }  // namespace edea::core

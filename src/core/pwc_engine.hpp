@@ -9,10 +9,10 @@
 // pass's first slice - the accumulate stage of the silicon, folded into
 // the step.
 //
-// The dot-product inner loop is resolved through core::KernelDispatch:
-// 1x1 PWC runs an SSE2 pmaddwd kernel over an int16 copy of the weights,
-// interleaved by channel pair and staged at load time, with the generic
-// reference path as fallback and kForceGeneric as the A/B pin.
+// Each step runs the kernel core::pwc_kernel_for picks: an SSE2 pmaddwd
+// kernel over an int16 copy of the weights, interleaved by channel pair
+// and staged at load time, with the generic reference path as fallback
+// and kForceGeneric as the A/B pin.
 #pragma once
 
 #include <cstdint>
@@ -55,22 +55,20 @@ class PwcEngine {
   /// ([row][col][channel], read in place), accumulated into `target`. The
   /// engine takes the kernels Tk at a time, one kernel group per cycle
   /// (64 dot products per cycle in the paper configuration). Returns the
-  /// range of the partial sums left in the block. `depth_multiplier` is a
-  /// dispatch-key component only (the arithmetic is multiplier-invariant).
+  /// range of the partial sums left in the block.
   PsumRange step(std::span<const std::int8_t> activations,
-                 int depth_multiplier, const PsumTarget& target);
+                 const PsumTarget& target) {
+    return step(activations, target, activity_);
+  }
 
-  /// Reentrant step: activity tallies into the caller-supplied sink and
-  /// the kernel lookup bypasses the engine-local cache. Safe to call
-  /// concurrently from multiple threads on one engine (each with its own
-  /// target block).
+  /// Reentrant step: activity tallies into the caller-supplied sink. Safe
+  /// to call concurrently from multiple threads on one engine (each with
+  /// its own target block).
   PsumRange step(std::span<const std::int8_t> activations,
-                 int depth_multiplier, const PsumTarget& target,
-                 arch::MacActivity& activity) const;
+                 const PsumTarget& target, arch::MacActivity& activity) const;
 
-  /// Pins (or unpins) the generic reference kernels; resets the cached
-  /// dispatch resolution. Default is KernelDispatch::default_policy().
-  void set_kernel_policy(KernelPolicy policy) noexcept;
+  /// Pins (or unpins) the generic reference kernels. Default is kAuto.
+  void set_kernel_policy(KernelPolicy policy) noexcept { policy_ = policy; }
   [[nodiscard]] KernelPolicy kernel_policy() const noexcept { return policy_; }
 
   [[nodiscard]] const arch::MacActivity& activity() const noexcept {
@@ -97,11 +95,6 @@ class PwcEngine {
   static constexpr int kMulsPerPe = 4;
 
  private:
-  [[nodiscard]] KernelShapeKey shape_key(int depth_multiplier) const noexcept;
-  PsumRange run_step(std::span<const std::int8_t> activations,
-                     PwcKernelFn fn, const PsumTarget& target,
-                     arch::MacActivity& activity) const;
-
   EdeaConfig config_;
   arch::AdderTree tree_;
   std::vector<std::int8_t> weights_;    ///< [kernel][channel]
@@ -109,9 +102,7 @@ class PwcEngine {
   int weight_kernels_ = 0;
   int weight_channels_ = 0;
   arch::MacActivity activity_;
-  KernelPolicy policy_ = KernelDispatch::default_policy();
-  KernelShapeKey cached_key_;
-  PwcKernelFn cached_fn_ = nullptr;  ///< resolved for cached_key_, or null
+  KernelPolicy policy_ = KernelPolicy::kAuto;
 };
 
 }  // namespace edea::core

@@ -190,10 +190,15 @@ struct RunSummary {
   double average_gops = 0.0;
   std::uint64_t output_hash = 0;  ///< FNV-1a over the final int8 output
 
-  /// Peak bytes of the run's planned activation arena (nn::MemoryPlanner).
-  /// A pure function of (network, input shape, batch): host-side execution
-  /// knobs - tile parallelism, worker count, backend scratch - never move
-  /// it, so summaries stay comparable across those dimensions (the
+  /// Peak bytes of the run's planned arena (nn::MemoryPlanner). What it
+  /// counts is the backend's: "edea" plans the activations of every image
+  /// in the batch (its SRAM scratch is a separate per-worker arena), so
+  /// the peak grows with batch; "serialized" plans one image's
+  /// activations together with its intermediate maps and psum scratch
+  /// and runs a batch as standalone runs, so it reports the standalone
+  /// peak at every batch. A pure function of (backend, network, input
+  /// shape, batch): host-side execution knobs - tile parallelism, worker
+  /// count - never move it, so summaries stay comparable across them (the
   /// tile-parallel bit-identity suite compares whole summaries).
   std::uint64_t peak_arena_bytes = 0;
 
@@ -228,9 +233,10 @@ struct NetworkRunResult {
   std::vector<LayerRunResult> layers;
   nn::Int8Tensor output;
 
-  /// Peak bytes of the activation arena the run was planned into (see
-  /// RunSummary::peak_arena_bytes for the invariance contract). Zero for
-  /// hand-assembled results that never went through a planner.
+  /// Peak bytes of the arena the run was planned into (see
+  /// RunSummary::peak_arena_bytes for what it counts and the invariance
+  /// contract). Zero for hand-assembled results that never went through
+  /// a planner.
   std::size_t peak_arena_bytes = 0;
 
   [[nodiscard]] std::int64_t total_cycles() const noexcept {

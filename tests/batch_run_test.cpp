@@ -1,8 +1,9 @@
 // batch_run_test - the batched-execution contract of
 // AcceleratorBackend::run_network_batch: every per-image result of a
 // batch=N run is bit-identical to N standalone run_network calls (batching
-// amortizes planning/setup, never arithmetic), the batched arena peak
-// grows with batch while staying tile-parallelism-invariant, and every
+// amortizes planning/setup, never arithmetic), the edea backend's batched
+// arena peak grows with batch while staying tile-parallelism-invariant,
+// the serialized baseline's stays at its standalone peak, and every
 // planner-backed backend reports a non-zero peak_arena_bytes.
 #include <gtest/gtest.h>
 
@@ -116,6 +117,22 @@ TEST(BatchRun, PeakArenaBytesIsReportedAndGrowsWithBatch) {
   EXPECT_GT(b4.front().peak_arena_bytes, b1.front().peak_arena_bytes);
   EXPECT_EQ(b1.front().peak_arena_bytes,
             make_backend("edea")->run_network(layers, input).peak_arena_bytes);
+}
+
+TEST(BatchRun, SerializedBatchReportsItsStandalonePeak) {
+  // The serialized baseline keeps the base-class batch loop: each image
+  // is a standalone run planning its own arena (activations, intermediate
+  // maps and psum scratch together), so the batch reports that peak.
+  const std::vector<nn::QuantDscLayer> layers = test_network();
+  const nn::Int8Tensor input = random_input(layers.front().spec, 9);
+  const std::size_t standalone =
+      make_backend("serialized")->run_network(layers, input).peak_arena_bytes;
+  const auto batched =
+      make_backend("serialized")->run_network_batch(layers, input, 3);
+  ASSERT_EQ(batched.size(), 3u);
+  for (const NetworkRunResult& r : batched) {
+    EXPECT_EQ(r.peak_arena_bytes, standalone);
+  }
 }
 
 TEST(BatchRun, RejectsNonPositiveBatch) {

@@ -98,7 +98,7 @@ void check_dwc_engine_matches_reference(int rows, int channels, int stride,
           }
         }
       }
-      engine.step(window, stride, 1, 1, out);
+      engine.step(window, stride, 1, out);
       for (int r = 0; r < out.rows && oy + r < out_extent; ++r) {
         for (int c = 0; c < out.cols && ox + c < out_extent; ++c) {
           for (int ch = 0; ch < channels; ++ch) {
@@ -132,7 +132,7 @@ TEST(DwcEngine, FullSliceHas100PercentLaneUtilization) {
   const std::vector<std::int8_t> window(static_cast<std::size_t>(16 * cfg.td),
                                         1);
   DwcStepOutput out;
-  engine.step(window, 1, 1, 1, out);
+  engine.step(window, 1, 1, out);
   EXPECT_EQ(engine.activity().lane_cycles, 288);
   EXPECT_EQ(engine.activity().useful_macs, 288);
   EXPECT_DOUBLE_EQ(engine.activity().utilization(), 1.0);
@@ -145,7 +145,7 @@ TEST(DwcEngine, PartialSliceLanesIdle) {
   engine.load_weights(w, 5);
   const std::vector<std::int8_t> window(static_cast<std::size_t>(16 * 5), 1);
   DwcStepOutput out;
-  engine.step(window, 1, 1, 1, out);
+  engine.step(window, 1, 1, out);
   EXPECT_EQ(engine.activity().lane_cycles, 288);
   EXPECT_EQ(engine.activity().useful_macs, 5 * 36);
   EXPECT_LT(engine.activity().utilization(), 1.0);
@@ -159,7 +159,7 @@ TEST(DwcEngine, TracksZeroActivations) {
   const std::vector<std::int8_t> window(static_cast<std::size_t>(16 * cfg.td),
                                         0);  // all zero
   DwcStepOutput out;
-  engine.step(window, 1, 1, 1, out);
+  engine.step(window, 1, 1, out);
   EXPECT_EQ(engine.activity().zero_operand_macs, 288);
 }
 
@@ -167,7 +167,7 @@ TEST(DwcEngine, RequiresLoadedWeights) {
   DwcEngine engine{EdeaConfig::paper()};
   const std::vector<std::int8_t> window(16 * 8, 0);
   DwcStepOutput out;
-  EXPECT_THROW(engine.step(window, 1, 1, 1, out), PreconditionError);
+  EXPECT_THROW(engine.step(window, 1, 1, out), PreconditionError);
 }
 
 TEST(DwcEngine, RejectsWrongWindowExtent) {
@@ -177,9 +177,9 @@ TEST(DwcEngine, RejectsWrongWindowExtent) {
   engine.load_weights(w, 8);
   const std::vector<std::int8_t> window(25 * 8, 0);  // stride-2 extent ...
   DwcStepOutput out;
-  EXPECT_THROW(engine.step(window, 1, 1, 1, out),
+  EXPECT_THROW(engine.step(window, 1, 1, out),
                PreconditionError);  // ... s=1
-  EXPECT_NO_THROW(engine.step(window, 2, 1, 1, out));
+  EXPECT_NO_THROW(engine.step(window, 2, 1, out));
 }
 
 // ------------------------------------------------------ PWC functional ---
@@ -217,7 +217,7 @@ TEST(PwcEngine, MatchesReferenceDotProducts) {
 
   engine.load_weights(weights, 16, 8);
   PsumBlock out(16);
-  engine.step(acts, 1, out.target());
+  engine.step(acts, out.target());
   for (int r = 0; r < 2; ++r) {
     for (int c = 0; c < 2; ++c) {
       for (int k = 0; k < 16; ++k) {
@@ -238,7 +238,7 @@ TEST(PwcEngine, FullGroupHas100PercentLaneUtilization) {
   PwcEngine engine{EdeaConfig::paper()};
   engine.load_weights(std::vector<std::int8_t>(16 * 8, 1), 16, 8);
   PsumBlock out(16);
-  engine.step(std::vector<std::int8_t>(2 * 2 * 8, 1), 1, out.target());
+  engine.step(std::vector<std::int8_t>(2 * 2 * 8, 1), out.target());
   EXPECT_EQ(engine.activity().lane_cycles, 512);
   EXPECT_EQ(engine.activity().useful_macs, 512);
   EXPECT_DOUBLE_EQ(engine.activity().utilization(), 1.0);
@@ -249,7 +249,7 @@ TEST(PwcEngine, PartialKernelGroupIdlesLanes) {
   engine.load_weights(std::vector<std::int8_t>(10 * 8, 1), 10,
                       8);  // 10 < Tk = 16
   PsumBlock out(10);
-  engine.step(std::vector<std::int8_t>(2 * 2 * 8, 1), 1, out.target());
+  engine.step(std::vector<std::int8_t>(2 * 2 * 8, 1), out.target());
   EXPECT_EQ(engine.activity().lane_cycles, 512);
   EXPECT_EQ(engine.activity().useful_macs, 10 * 4 * 8);
 }
@@ -259,7 +259,7 @@ TEST(PwcEngine, PartialChannelSliceIdlesLanes) {
   engine.load_weights(std::vector<std::int8_t>(16 * 3, 3), 16,
                       3);  // 3 < Td = 8
   PsumBlock out(16);
-  engine.step(std::vector<std::int8_t>(2 * 2 * 3, 2), 1, out.target());
+  engine.step(std::vector<std::int8_t>(2 * 2 * 3, 2), out.target());
   EXPECT_EQ(engine.activity().lane_cycles, 512);
   EXPECT_EQ(engine.activity().useful_macs, 16 * 4 * 3);
   EXPECT_EQ(out.at(0, 0, 0), 18);  // 3 channels x (2*3)
@@ -269,7 +269,7 @@ TEST(PwcEngine, RejectsMalformedInput) {
   PwcEngine engine{EdeaConfig::paper()};
   PsumBlock out(16);
   const std::vector<std::int8_t> acts(2 * 2 * 8, 0);
-  EXPECT_THROW(engine.step(acts, 1, out.target()),
+  EXPECT_THROW(engine.step(acts, out.target()),
                PreconditionError);  // no weights
   EXPECT_THROW(engine.load_weights(std::vector<std::int8_t>(16 * 9, 0), 16, 9),
                PreconditionError);  // 9 channels > Td
@@ -279,14 +279,14 @@ TEST(PwcEngine, RejectsMalformedInput) {
                       8);  // two kernel groups
   PsumBlock block(17);
   EXPECT_THROW(
-      engine.step(std::vector<std::int8_t>(2 * 2 * 7, 0), 1, block.target()),
+      engine.step(std::vector<std::int8_t>(2 * 2 * 7, 0), block.target()),
       PreconditionError);  // not Tn x Tm x the loaded channels
-  EXPECT_THROW(engine.step(std::vector<std::int8_t>(2 * 2 * 8, 0), 1,
+  EXPECT_THROW(engine.step(std::vector<std::int8_t>(2 * 2 * 8, 0),
                            out.target()),
                PreconditionError);  // a block of 16 kernels, not 17
   PsumTarget outside = block.target();
   outside.row0 = 2;
-  EXPECT_THROW(engine.step(std::vector<std::int8_t>(2 * 2 * 8, 0), 1, outside),
+  EXPECT_THROW(engine.step(std::vector<std::int8_t>(2 * 2 * 8, 0), outside),
                PreconditionError);  // the step origin is past the block
 }
 
@@ -296,7 +296,7 @@ TEST(PwcEngine, StepRunsEveryKernelGroup) {
   PwcEngine engine{EdeaConfig::paper()};
   engine.load_weights(std::vector<std::int8_t>(40 * 8, 2), 40, 8);
   PsumBlock out(40);
-  engine.step(std::vector<std::int8_t>(2 * 2 * 8, 3), 1, out.target());
+  engine.step(std::vector<std::int8_t>(2 * 2 * 8, 3), out.target());
   EXPECT_EQ(out.at(1, 1, 39), 48);  // 8 channels x (2*3)
   EXPECT_EQ(engine.activity().lane_cycles, 3 * 512);
   EXPECT_EQ(engine.activity().useful_macs, 40 * 4 * 8);
@@ -335,7 +335,7 @@ TEST(DwcEngine, ConstStepIsReentrant) {
   std::vector<DwcStepOutput> expected(kWindows);
   arch::MacActivity serial;
   for (int i = 0; i < kWindows; ++i) {
-    engine.step(windows[static_cast<std::size_t>(i)], 1, 1, 1,
+    engine.step(windows[static_cast<std::size_t>(i)], 1, 1,
                 expected[static_cast<std::size_t>(i)], serial);
   }
 
@@ -348,7 +348,7 @@ TEST(DwcEngine, ConstStepIsReentrant) {
       DwcStepOutput out;
       for (int rep = 0; rep < kRepeats; ++rep) {
         for (int i = 0; i < kWindows; ++i) {
-          engine.step(windows[static_cast<std::size_t>(i)], 1, 1, 1, out,
+          engine.step(windows[static_cast<std::size_t>(i)], 1, 1, out,
                       sinks[static_cast<std::size_t>(t)]);
           if (out.acc != expected[static_cast<std::size_t>(i)].acc) {
             ++mismatches[static_cast<std::size_t>(t)];
@@ -400,7 +400,7 @@ TEST(PwcEngine, ConstStepIsReentrant) {
   std::vector<PsumBlock> expected(kInputs, PsumBlock(kernels));
   arch::MacActivity serial;
   for (int i = 0; i < kInputs; ++i) {
-    engine.step(inputs[static_cast<std::size_t>(i)], 1,
+    engine.step(inputs[static_cast<std::size_t>(i)],
                 expected[static_cast<std::size_t>(i)].target(), serial);
   }
 
@@ -413,7 +413,7 @@ TEST(PwcEngine, ConstStepIsReentrant) {
       PsumBlock out(kernels);
       for (int rep = 0; rep < kRepeats; ++rep) {
         for (int i = 0; i < kInputs; ++i) {
-          engine.step(inputs[static_cast<std::size_t>(i)], 1, out.target(),
+          engine.step(inputs[static_cast<std::size_t>(i)], out.target(),
                       sinks[static_cast<std::size_t>(t)]);
           if (out.psum != expected[static_cast<std::size_t>(i)].psum) {
             ++mismatches[static_cast<std::size_t>(t)];
@@ -453,7 +453,7 @@ TEST(DwcEngine, ForcedGenericConstStepIsAlsoReentrant) {
 
   arch::MacActivity ref_sink;
   DwcStepOutput reference;
-  engine.step(window, 1, 1, 1, reference, ref_sink);
+  engine.step(window, 1, 1, reference, ref_sink);
 
   constexpr int kThreads = 4;
   std::vector<int> mismatches(kThreads, 0);
@@ -463,7 +463,7 @@ TEST(DwcEngine, ForcedGenericConstStepIsAlsoReentrant) {
     threads.emplace_back([&, t] {
       DwcStepOutput out;
       for (int rep = 0; rep < 100; ++rep) {
-        engine.step(window, 1, 1, 1, out, sinks[static_cast<std::size_t>(t)]);
+        engine.step(window, 1, 1, out, sinks[static_cast<std::size_t>(t)]);
         if (out.acc != reference.acc) {
           ++mismatches[static_cast<std::size_t>(t)];
         }

@@ -1,132 +1,53 @@
-// kernel_dispatch_test - the shape-specialized kernel registry: built-in
-// coverage, lookup precedence (exact > wildcard > generic), the
-// force-generic escape hatch, and the bit-identity contract every
-// specialized kernel must honor (outputs AND MacActivity tallies equal to
-// the generic reference, across full/partial slices, strides, and
-// all-zero inputs).
+// kernel_dispatch_test - the shape-specialized kernels: which shape runs
+// which kernel, the force-generic lever, and the bit-identity contract
+// every specialized kernel must honor (outputs AND MacActivity tallies
+// equal to the generic reference, across full/partial slices, strides,
+// and all-zero inputs).
 #include "core/kernel_dispatch.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "core/dwc_engine.hpp"
 #include "core/pwc_engine.hpp"
-#include "util/check.hpp"
 #include "util/random.hpp"
 
 namespace edea::core {
 namespace {
 
-KernelShapeKey dwc_key(int kernel, int stride, int dilation, int mult) {
-  KernelShapeKey key;
-  key.family = OpFamily::kDwc;
-  key.kernel = kernel;
-  key.stride = stride;
-  key.dilation = dilation;
-  key.depth_multiplier = mult;
-  return key;
-}
+// ---------------------------------------------------------- selection ---
 
-KernelShapeKey pwc_key(int mult) {
-  KernelShapeKey key;
-  key.family = OpFamily::kPwc;
-  key.kernel = 1;
-  key.stride = 1;
-  key.dilation = 1;
-  key.depth_multiplier = mult;
-  return key;
-}
-
-// ----------------------------------------------------------- registry ---
-
-TEST(KernelDispatch, BuiltInShapesAreRegistered) {
-  KernelDispatch& d = KernelDispatch::instance();
-  // 3x3 DWC at strides 1/2 and dilations 1/2, 1x1 PWC - all wildcarded
-  // over the depth multiplier.
-  EXPECT_TRUE(d.has_specialization(dwc_key(3, 1, 1, 1)));
-  EXPECT_TRUE(d.has_specialization(dwc_key(3, 2, 1, 1)));
-  EXPECT_TRUE(d.has_specialization(dwc_key(3, 1, 1, 4)));  // wildcard mult
-#if defined(__SSE2__)  // the PWC specialization is SSE2's
-  EXPECT_TRUE(d.has_specialization(pwc_key(1)));
-  EXPECT_TRUE(d.has_specialization(pwc_key(7)));
-#endif
-  // Dilation 2 at both strides resolves to the dilated 3x3 kernel.
-  EXPECT_TRUE(d.has_specialization(dwc_key(3, 1, 2, 1)));
-  EXPECT_TRUE(d.has_specialization(dwc_key(3, 2, 2, 1)));
-  EXPECT_NE(d.find_dwc(dwc_key(3, 1, 2, 1)), d.find_dwc(dwc_key(3, 1, 1, 1)));
-  // Shapes with no fast path resolve to the generic implementation.
-  EXPECT_FALSE(d.has_specialization(dwc_key(3, 1, 3, 1)));  // dilation 3
-  EXPECT_FALSE(d.has_specialization(dwc_key(5, 1, 1, 1)));  // 5x5
-  EXPECT_EQ(d.find_dwc(dwc_key(5, 1, 1, 1)), &generic_dwc_kernel);
-  EXPECT_NE(d.find_dwc(dwc_key(3, 1, 1, 1)), &generic_dwc_kernel);
-#if defined(__SSE2__)
-  EXPECT_NE(d.find_pwc(pwc_key(1)), &generic_pwc_kernel);
-#endif
-}
-
-TEST(KernelDispatch, RegisteredShapesAreListable) {
-  const std::vector<std::string> shapes =
-      KernelDispatch::instance().registered_shapes();
-  ASSERT_GE(shapes.size(), 3u);
-  bool saw_s1 = false, saw_s2 = false, saw_pwc = false;
-  for (const std::string& s : shapes) {
-    if (s.find("dwc k=3 s=1 d=1 m=any") != std::string::npos) saw_s1 = true;
-    if (s.find("dwc k=3 s=2 d=1 m=any") != std::string::npos) saw_s2 = true;
-    if (s.find("pwc k=1 s=1 d=1 m=any") != std::string::npos) saw_pwc = true;
-    EXPECT_NE(s.find(" -> "), std::string::npos) << s;  // "<key> -> <label>"
+TEST(KernelDispatch, SelectionTableIsPinned) {
+  constexpr KernelPolicy kAuto = KernelPolicy::kAuto;
+  constexpr KernelPolicy kGeneric = KernelPolicy::kForceGeneric;
+  // The four 3x3 DWC shapes - strides 1/2 x dilations 1/2 - each run a
+  // kernel of their own, and the generic one under kForceGeneric.
+  std::set<DwcKernelFn> specialized;
+  for (const int stride : {1, 2}) {
+    for (const int dilation : {1, 2}) {
+      const DwcKernelFn fn = dwc_kernel_for(3, stride, dilation, kAuto);
+      EXPECT_NE(fn, &generic_dwc_kernel)
+          << "stride=" << stride << " dilation=" << dilation;
+      EXPECT_EQ(dwc_kernel_for(3, stride, dilation, kGeneric),
+                &generic_dwc_kernel);
+      specialized.insert(fn);
+    }
   }
-  EXPECT_TRUE(saw_s1);
-  EXPECT_TRUE(saw_s2);
+  EXPECT_EQ(specialized.size(), 4u);
+  // Shapes with no fast path run the generic kernel.
+  EXPECT_EQ(dwc_kernel_for(3, 1, 3, kAuto), &generic_dwc_kernel);  // d=3
+  EXPECT_EQ(dwc_kernel_for(5, 1, 1, kAuto), &generic_dwc_kernel);  // 5x5
+  // The PWC specialization is SSE2's.
 #if defined(__SSE2__)
-  EXPECT_TRUE(saw_pwc);
+  EXPECT_NE(pwc_kernel_for(kAuto), &generic_pwc_kernel);
+#else
+  EXPECT_EQ(pwc_kernel_for(kAuto), &generic_pwc_kernel);
 #endif
-}
-
-TEST(KernelDispatch, ExactMultiplierBeatsWildcard) {
-  KernelDispatch& d = KernelDispatch::instance();
-  // Register an exact-multiplier entry on a shape nothing else uses
-  // (kernel 7 never dispatches from the engines in these tests).
-  const KernelShapeKey exact = dwc_key(7, 1, 1, 3);
-  const KernelShapeKey wild = dwc_key(7, 1, 1, 0);
-  d.register_dwc(wild, &generic_dwc_kernel, "wild7");
-  ASSERT_EQ(d.find_dwc(dwc_key(7, 1, 1, 3)), &generic_dwc_kernel);
-
-  // A distinct function for the exact entry: the generic kernel wrapped.
-  static const DwcKernelFn exact_fn = [](const DwcKernelArgs& a) {
-    generic_dwc_kernel(a);
-  };
-  d.register_dwc(exact, exact_fn, "exact7m3");
-  EXPECT_EQ(d.find_dwc(dwc_key(7, 1, 1, 3)), exact_fn);   // exact wins
-  EXPECT_EQ(d.find_dwc(dwc_key(7, 1, 1, 2)), &generic_dwc_kernel);  // wild
-}
-
-TEST(KernelDispatch, RejectsMalformedRegistrations) {
-  KernelDispatch& d = KernelDispatch::instance();
-  EXPECT_THROW(d.register_dwc(dwc_key(4, 1, 1, 0), &generic_dwc_kernel, "x"),
-               PreconditionError);  // even kernel
-  EXPECT_THROW(d.register_dwc(dwc_key(3, 3, 1, 0), &generic_dwc_kernel, "x"),
-               PreconditionError);  // stride 3
-  EXPECT_THROW(d.register_dwc(dwc_key(3, 1, 0, 0), &generic_dwc_kernel, "x"),
-               PreconditionError);  // dilation 0
-  EXPECT_THROW(d.register_dwc(dwc_key(3, 1, 1, -1), &generic_dwc_kernel, "x"),
-               PreconditionError);  // negative multiplier
-  EXPECT_THROW(d.register_dwc(pwc_key(0), &generic_dwc_kernel, "x"),
-               PreconditionError);  // family mismatch
-  EXPECT_THROW(d.register_pwc(pwc_key(0), nullptr, "x"),
-               PreconditionError);  // null kernel
-  KernelShapeKey big_pwc = pwc_key(0);
-  big_pwc.kernel = 3;
-  EXPECT_THROW(d.register_pwc(big_pwc, &generic_pwc_kernel, "x"),
-               PreconditionError);  // PWC is 1x1 by definition
-}
-
-TEST(KernelDispatch, KeyToStringNamesEveryComponent) {
-  EXPECT_EQ(dwc_key(3, 2, 1, 0).to_string(), "dwc k=3 s=2 d=1 m=any");
-  EXPECT_EQ(dwc_key(3, 1, 2, 4).to_string(), "dwc k=3 s=1 d=2 m=4");
-  EXPECT_EQ(pwc_key(0).to_string(), "pwc k=1 s=1 d=1 m=any");
+  EXPECT_EQ(pwc_kernel_for(kGeneric), &generic_pwc_kernel);
 }
 
 // ----------------------------------------------- engine-level routing ---
@@ -154,8 +75,8 @@ TEST(KernelDispatch, ForceGenericPolicyRoutesAroundSpecializations) {
 
   DwcStepOutput a;
   DwcStepOutput b;
-  fast.step(window, 1, 1, 1, a);
-  slow.step(window, 1, 1, 1, b);
+  fast.step(window, 1, 1, a);
+  slow.step(window, 1, 1, b);
   EXPECT_EQ(a.acc, b.acc);
   EXPECT_EQ(fast.activity(), slow.activity());
 }
@@ -219,8 +140,8 @@ void check_dwc_bit_identity(const EdeaConfig& cfg, int stride, int dilation,
   DwcStepOutput b;
   for (int rep = 0; rep < 25; ++rep) {
     for (auto& v : window) v = draw_activation(rng, mix);
-    fast.step(window, stride, dilation, 1, a);
-    slow.step(window, stride, dilation, 1, b);
+    fast.step(window, stride, dilation, a);
+    slow.step(window, stride, dilation, b);
     ASSERT_EQ(a.acc, b.acc) << "td=" << cfg.td << " stride=" << stride
                             << " dilation=" << dilation
                             << " channels=" << channels << " rep=" << rep;
@@ -262,9 +183,8 @@ TEST(KernelDispatchBitIdentity, Dwc3x3SparseAndAllZero) {
 TEST(KernelDispatchBitIdentity, Dwc3x3Dilation2) {
   // Dilation 2 resolves to the dilated 3x3 kernel at both strides, and it
   // must match the generic path.
-  KernelDispatch& d = KernelDispatch::instance();
-  ASSERT_TRUE(d.has_specialization(dwc_key(3, 1, 2, 1)));
-  ASSERT_TRUE(d.has_specialization(dwc_key(3, 2, 2, 1)));
+  ASSERT_NE(dwc_kernel_for(3, 1, 2, KernelPolicy::kAuto), &generic_dwc_kernel);
+  ASSERT_NE(dwc_kernel_for(3, 2, 2, KernelPolicy::kAuto), &generic_dwc_kernel);
   check_dwc_bit_identity(1, 2, 8, 0.3, 5006);
   check_dwc_bit_identity(2, 2, 5, 0.3, 5007);
 }
@@ -337,10 +257,10 @@ void check_pwc_bit_identity(const EdeaConfig& cfg, int channels, int kernels,
     const int row0 = (rep / 2) % 2 == 0 ? 0 : rows - 1;
     const int col0 = (rep / 4) % 2 == 0 ? 0 : cols - 1;
     const bool accumulate = rep % 2 == 1;
-    const PsumRange fast_range = fast.step(
-        acts, 1, PsumTarget{a, rows, cols, row0, col0, accumulate});
-    const PsumRange slow_range = slow.step(
-        acts, 1, PsumTarget{b, rows, cols, row0, col0, accumulate});
+    const PsumRange fast_range =
+        fast.step(acts, PsumTarget{a, rows, cols, row0, col0, accumulate});
+    const PsumRange slow_range =
+        slow.step(acts, PsumTarget{b, rows, cols, row0, col0, accumulate});
     const auto where = [&] {
       return "td=" + std::to_string(cfg.td) + " tk=" + std::to_string(cfg.tk) +
              " channels=" + std::to_string(channels) +
@@ -470,11 +390,10 @@ TEST(KernelDispatchPwcContract, GenericKernelAccumulatesRealPositionsOnly) {
 }
 
 TEST(KernelDispatchPwcContract, SpecializedKernelIsSse2WhereAvailable) {
-  const KernelDispatch& d = KernelDispatch::instance();
 #if defined(__SSE2__)
-  EXPECT_NE(d.find_pwc(pwc_key(0)), &generic_pwc_kernel);
+  EXPECT_NE(pwc_kernel_for(KernelPolicy::kAuto), &generic_pwc_kernel);
 #else
-  EXPECT_EQ(d.find_pwc(pwc_key(0)), &generic_pwc_kernel)
+  EXPECT_EQ(pwc_kernel_for(KernelPolicy::kAuto), &generic_pwc_kernel)
       << "without SSE2 the generic kernel runs";
 #endif
 }
@@ -486,14 +405,6 @@ TEST(KernelDispatchBitIdentity, Pwc1x1PsumRangeBeyondFloatPrecision) {
                          6501, std::int64_t{1} << 30);
   check_pwc_bit_identity(wide_config(), 13, 40, OperandMix{0.2, 0.5}, 6502,
                          (std::int64_t{1} << 24) + 3);
-}
-
-// The process-default policy helper: cheap sanity that the environment
-// lever resolves to a policy (its value is pinned at first use, so the
-// test only asserts it is one of the two states).
-TEST(KernelDispatch, DefaultPolicyIsAutoOrForced) {
-  const KernelPolicy p = KernelDispatch::default_policy();
-  EXPECT_TRUE(p == KernelPolicy::kAuto || p == KernelPolicy::kForceGeneric);
 }
 
 }  // namespace
