@@ -130,16 +130,16 @@ std::vector<std::string> serve(ClusterRouter& router,
 
 /// `n` fresh simulations, each of a network of its own. A shard's session
 /// thread materializes the network before its one worker simulates it;
-/// batch=6 keeps the simulation the larger cost by far, so a shard's
-/// capacity stays one core. (The batch is part of the routing key: at 6
-/// the default 64 keys spread over four shards as evenly as without it,
-/// at most 20 on one shard.)
+/// batch=9 keeps the simulation the larger cost by far, so a shard's
+/// capacity stays one core. (The batch is part of the routing key: at 9
+/// the default 64 keys spread over four shards at most 18 on one, where
+/// 8 would put 24 on one.)
 std::vector<std::string> miss_requests(std::size_t n, std::uint64_t base) {
   std::vector<std::string> lines;
   lines.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     lines.push_back("run edeanet-64 seed=" + std::to_string(base + i) +
-                    " batch=6");
+                    " batch=9");
   }
   return lines;
 }

@@ -1,5 +1,5 @@
 // bench_micro_kernels - google-benchmark microbenchmarks of the simulator
-// hot paths: engine steps, the Non-Conv unit, quantization, the golden
+// hot paths: engine passes, the Non-Conv unit, quantization, the golden
 // reference convolutions, backend-level network runs, and the simulation
 // service's request latencies. These measure *simulator* (host)
 // performance, not modeled hardware performance - useful when extending
@@ -35,110 +35,81 @@ namespace {
 
 using namespace edea;
 
-void BM_DwcEngineStep(benchmark::State& state) {
-  const core::EdeaConfig cfg = core::EdeaConfig::paper();
-  core::DwcEngine engine(cfg);
-  Rng rng(1);
-  std::vector<std::int8_t> w(static_cast<std::size_t>(9 * cfg.td));
-  for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-  engine.load_weights(w, cfg.td);
-  std::vector<std::int8_t> window(static_cast<std::size_t>(16 * cfg.td));
-  for (auto& v : window) {
-    v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-  }
-  core::DwcStepOutput out;
-  for (auto _ : state) {
-    engine.step(window, 1, 1, out);
-    benchmark::DoNotOptimize(out.acc.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * engine.mac_count());
-}
-BENCHMARK(BM_DwcEngineStep);
-
-void BM_PwcEngineStep(benchmark::State& state) {
-  const core::EdeaConfig cfg = core::EdeaConfig::paper();
-  core::PwcEngine engine(cfg);
-  Rng rng(2);
-  std::vector<std::int8_t> acts(static_cast<std::size_t>(4 * cfg.td));
-  std::vector<std::int8_t> weights(static_cast<std::size_t>(cfg.tk * cfg.td));
-  for (auto& v : acts) {
-    v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-  }
-  for (auto& v : weights) {
-    v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-  }
-  engine.load_weights(weights, cfg.tk, cfg.td);
-  std::vector<std::int32_t> psum(
-      static_cast<std::size_t>(cfg.tn * cfg.tm * cfg.tk));
-  const core::PsumTarget target{psum, cfg.tn, cfg.tm, 0, 0, false};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.step(acts, target));
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * engine.mac_count());
-}
-BENCHMARK(BM_PwcEngineStep);
-
 // --- kernel-dispatch fast paths: specialized vs generic, per shape --------
 //
-// One engine step per hot shape, once through the specialized kernel its
-// shape selects (kAuto) and once forced onto the generic reference
-// loops (kForceGeneric). Both variants are bit-identical in outputs and
-// MacActivity (tests/kernel_dispatch_test.cpp, differential_test.cpp);
-// this pair measures only the host-time gap. main() derives a
-// "kernel_speedup/<shape>" ratio per pair into the --json summary, and
-// --require-speedup X turns a ratio below X into a nonzero exit - the
-// regression gate CI runs. The pairs cover every specialized shape and
-// both slice widths the service traffic sends (Td = 8 and Td = 16).
+// One (buffer tile, channel slice) pass per hot shape - an 8 x 8-output
+// tile, 16 Tn x Tm steps in one engine call - once through the
+// specialized kernel its shape selects (kAuto) and once forced onto the
+// generic reference loops (kForceGeneric). Both variants are
+// bit-identical in outputs and MacActivity (tests/kernel_dispatch_test.cpp,
+// differential_test.cpp); this pair measures only the host-time gap.
+// main() derives a "kernel_speedup/<shape>" ratio per pair into the --json
+// summary, and --require-speedup X turns a ratio below X into a nonzero
+// exit - the regression gate CI runs. The pairs cover every specialized
+// shape and both slice widths the service traffic sends (Td = 8 and
+// Td = 16).
 
-void BM_DwcShapeStep(benchmark::State& state, int stride, int dilation,
-                     core::KernelPolicy policy) {
-  const core::EdeaConfig cfg = core::EdeaConfig::paper();
+constexpr int kPassRows = 8;  ///< output rows of the benchmarked tile
+constexpr int kPassCols = 8;
+constexpr int kPassKernels = 64;  ///< the PWC pass's output channels
+
+std::int8_t sparse_operand(Rng& rng) {
+  return rng.bernoulli(0.3)
+             ? std::int8_t{0}
+             : static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+}
+
+void BM_DwcShapePass(benchmark::State& state, int td, int stride,
+                     int dilation, core::KernelPolicy policy) {
+  core::EdeaConfig cfg = core::EdeaConfig::paper();
+  cfg.td = td;
   core::DwcEngine engine(cfg);
   engine.set_kernel_policy(policy);
   Rng rng(21);
   std::vector<std::int8_t> w(
       static_cast<std::size_t>(cfg.kernel * cfg.kernel * cfg.td));
   for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-  engine.load_weights(w, cfg.td);
-  const int extent = cfg.dwc_window_extent(stride, dilation);
+  const core::DwcWeights staged(w, cfg.kernel * cfg.kernel, cfg.td);
+  engine.load_weights(staged);
+  const int window_rows = cfg.dwc_input_extent(kPassRows, stride, dilation);
+  const int window_cols = cfg.dwc_input_extent(kPassCols, stride, dilation);
   std::vector<std::int8_t> window(
-      static_cast<std::size_t>(extent * extent * cfg.td));
-  for (auto& v : window) {
-    v = rng.bernoulli(0.3) ? std::int8_t{0}
-                           : static_cast<std::int8_t>(rng.uniform_int(-128,
-                                                                      127));
-  }
-  core::DwcStepOutput out;
+      static_cast<std::size_t>(window_rows * window_cols * cfg.td));
+  for (auto& v : window) v = sparse_operand(rng);
+  core::DwcBlockOutput out;
   for (auto _ : state) {
-    engine.step(window, stride, dilation, out);
+    engine.run_block(window, kPassRows, kPassCols, stride, dilation, out);
     benchmark::DoNotOptimize(out.acc.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * engine.mac_count());
+  state.SetItemsProcessed(state.iterations() * kPassRows * kPassCols *
+                          cfg.td * cfg.kernel * cfg.kernel);
 }
-BENCHMARK_CAPTURE(BM_DwcShapeStep, dwc3x3_s1_specialized, 1, 1,
+BENCHMARK_CAPTURE(BM_DwcShapePass, dwc3x3_s1_specialized, 8, 1, 1,
                   core::KernelPolicy::kAuto);
-BENCHMARK_CAPTURE(BM_DwcShapeStep, dwc3x3_s1_generic, 1, 1,
+BENCHMARK_CAPTURE(BM_DwcShapePass, dwc3x3_s1_generic, 8, 1, 1,
                   core::KernelPolicy::kForceGeneric);
-BENCHMARK_CAPTURE(BM_DwcShapeStep, dwc3x3_s2_specialized, 2, 1,
+BENCHMARK_CAPTURE(BM_DwcShapePass, dwc3x3_s2_specialized, 8, 2, 1,
                   core::KernelPolicy::kAuto);
-BENCHMARK_CAPTURE(BM_DwcShapeStep, dwc3x3_s2_generic, 2, 1,
+BENCHMARK_CAPTURE(BM_DwcShapePass, dwc3x3_s2_generic, 8, 2, 1,
                   core::KernelPolicy::kForceGeneric);
-BENCHMARK_CAPTURE(BM_DwcShapeStep, dwc3x3_s1_d2_specialized, 1, 2,
+BENCHMARK_CAPTURE(BM_DwcShapePass, dwc3x3_s1_d2_specialized, 8, 1, 2,
                   core::KernelPolicy::kAuto);
-BENCHMARK_CAPTURE(BM_DwcShapeStep, dwc3x3_s1_d2_generic, 1, 2,
+BENCHMARK_CAPTURE(BM_DwcShapePass, dwc3x3_s1_d2_generic, 8, 1, 2,
                   core::KernelPolicy::kForceGeneric);
-BENCHMARK_CAPTURE(BM_DwcShapeStep, dwc3x3_s2_d2_specialized, 2, 2,
+BENCHMARK_CAPTURE(BM_DwcShapePass, dwc3x3_s2_d2_specialized, 8, 2, 2,
                   core::KernelPolicy::kAuto);
-BENCHMARK_CAPTURE(BM_DwcShapeStep, dwc3x3_s2_d2_generic, 2, 2,
+BENCHMARK_CAPTURE(BM_DwcShapePass, dwc3x3_s2_d2_generic, 8, 2, 2,
+                  core::KernelPolicy::kForceGeneric);
+BENCHMARK_CAPTURE(BM_DwcShapePass, dwc3x3_td16_s1_specialized, 16, 1, 1,
+                  core::KernelPolicy::kAuto);
+BENCHMARK_CAPTURE(BM_DwcShapePass, dwc3x3_td16_s1_generic, 16, 1, 1,
                   core::KernelPolicy::kForceGeneric);
 
-/// One kernel group (Tk kernels) over a full Td-channel slice, written
-/// into a Tn x Tm psum block (a pass's first slice: repeated steps never
-/// grow the sums).
-void BM_PwcShapeStep(benchmark::State& state, int td, int tk,
+/// Every kernel of a layer (kPassKernels, Tk per engine cycle) over a full
+/// Td-channel slice at every position of the tile, written into its psum
+/// block (a pass's first slice: repeated passes never grow the sums).
+void BM_PwcShapePass(benchmark::State& state, int td, int tk,
                      core::KernelPolicy policy) {
   core::EdeaConfig cfg = core::EdeaConfig::paper();
   cfg.td = td;
@@ -147,33 +118,33 @@ void BM_PwcShapeStep(benchmark::State& state, int td, int tk,
   engine.set_kernel_policy(policy);
   Rng rng(22);
   std::vector<std::int8_t> acts(
-      static_cast<std::size_t>(cfg.tn * cfg.tm * cfg.td));
-  std::vector<std::int8_t> weights(static_cast<std::size_t>(cfg.tk * cfg.td));
-  for (auto& v : acts) {
-    v = rng.bernoulli(0.3) ? std::int8_t{0}
-                           : static_cast<std::int8_t>(rng.uniform_int(-128,
-                                                                      127));
-  }
+      static_cast<std::size_t>(kPassRows * kPassCols * cfg.td));
+  std::vector<std::int8_t> weights(
+      static_cast<std::size_t>(kPassKernels * cfg.td));
+  for (auto& v : acts) v = sparse_operand(rng);
   for (auto& v : weights) {
     v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
   }
-  engine.load_weights(weights, cfg.tk, cfg.td);
+  const core::PwcWeights staged(weights, kPassKernels, cfg.td);
+  engine.load_weights(staged);
   std::vector<std::int32_t> psum(
-      static_cast<std::size_t>(cfg.tn * cfg.tm * cfg.tk));
-  const core::PsumTarget target{psum, cfg.tn, cfg.tm, 0, 0, false};
+      static_cast<std::size_t>(kPassRows * kPassCols * kPassKernels));
+  const core::PsumTarget target{psum, kPassRows, kPassCols, 0, 0, false};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.step(acts, target));
+    benchmark::DoNotOptimize(
+        engine.run_block(acts, kPassRows, kPassCols, target));
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * engine.mac_count());
+  state.SetItemsProcessed(state.iterations() * kPassRows * kPassCols *
+                          kPassKernels * cfg.td);
 }
-BENCHMARK_CAPTURE(BM_PwcShapeStep, pwc1x1_specialized, 8, 16,
+BENCHMARK_CAPTURE(BM_PwcShapePass, pwc1x1_specialized, 8, 16,
                   core::KernelPolicy::kAuto);
-BENCHMARK_CAPTURE(BM_PwcShapeStep, pwc1x1_generic, 8, 16,
+BENCHMARK_CAPTURE(BM_PwcShapePass, pwc1x1_generic, 8, 16,
                   core::KernelPolicy::kForceGeneric);
-BENCHMARK_CAPTURE(BM_PwcShapeStep, pwc1x1_td16_tk32_specialized, 16, 32,
+BENCHMARK_CAPTURE(BM_PwcShapePass, pwc1x1_td16_tk32_specialized, 16, 32,
                   core::KernelPolicy::kAuto);
-BENCHMARK_CAPTURE(BM_PwcShapeStep, pwc1x1_td16_tk32_generic, 16, 32,
+BENCHMARK_CAPTURE(BM_PwcShapePass, pwc1x1_td16_tk32_generic, 16, 32,
                   core::KernelPolicy::kForceGeneric);
 
 void BM_NonConvAffine(benchmark::State& state) {

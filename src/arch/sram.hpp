@@ -3,11 +3,10 @@
 // EDEA (Fig. 4) stages every operand an engine reads in an on-chip
 // buffer: the DWC ifmap tile, the intermediate tile (double buffered - the
 // direct transfer of the paper's title), the PWC weight slice and the PWC
-// partial-sum accumulator. A SramBuffer models one of them over externally
-// planned bytes (an nn::Arena slice, so a tile worker's whole scratch set
-// is one contiguous allocation) and enforces its hard capacity: touching
-// bytes past it is a ResourceError naming the buffer - the tiler exists
-// precisely because layers do not fit.
+// partial-sum accumulator. A SramBuffer models one of them over storage
+// its owner provides (a tile worker's accumulator) and enforces its
+// hard capacity: touching bytes past it is a ResourceError naming the
+// buffer - the tiler exists precisely because layers do not fit.
 //
 // Access is by span, with one capacity check per staged row or block
 // rather than per element. The buffer counts nothing itself: every access

@@ -181,15 +181,6 @@ SerializedLayerResult SerializedDscAccelerator::run_layer_into(
   common.dwc_input_zero_fraction = input.zero_fraction();
 
   const int mult = spec.depth_multiplier;
-  const int tn = config_.tn;
-  const int tm = config_.tm;
-  // One step's [Tn][Tm][slice channels] block, reused by both phases.
-  std::vector<std::int8_t> step_block(
-      static_cast<std::size_t>(tn * tm * config_.td));
-  const auto block_of = [&](const ChannelSlice& slice) {
-    return std::span(step_block).first(
-        static_cast<std::size_t>(tn * tm * slice.channels));
-  };
 
   // ---- Phase 1: depthwise convolution over the whole layer. ----
   const core::Int8MapView image = core::Int8MapView::whole(input);
@@ -209,29 +200,24 @@ SerializedLayerResult SerializedDscAccelerator::run_layer_into(
                                   std::int64_t{2} * slice.channels);
       result.dwc_phase_cycles += config_.init_cycles;
 
-      const auto block = block_of(slice);
-      for (int sy = 0; sy * tn < tile.out_rows; ++sy) {
-        for (int sx = 0; sx * tm < tile.out_cols; ++sx) {
-          const int out_r0 = tile.out_row0 + sy * tn;
-          const int out_c0 = tile.out_col0 + sx * tm;
-          datapath_.dwc_step(image, out_r0, out_c0, block);
+      // Every step of the pass at once; its windows read the whole image,
+      // so dummy positions past the tile read the next tile's pixels.
+      const std::span<const std::int8_t> block =
+          datapath_.dwc_pass(image, tile);
 
-          // Round trip: the tile's valid outputs go out to external memory.
-          const int rows = std::min(tn, tile.out_rows - sy * tn);
-          const int cols = std::min(tm, tile.out_cols - sx * tm);
-          for (int r = 0; r < rows; ++r) {
-            for (int c = 0; c < cols; ++c) {
-              std::memcpy(
-                  &intermediate(out_r0 + r, out_c0 + c, slice.channel0),
-                  &block[static_cast<std::size_t>((r * tm + c) *
-                                                  slice.channels)],
-                  static_cast<std::size_t>(slice.channels));
-            }
-          }
-          result.intermediate_external_writes +=
-              std::int64_t{rows} * cols * slice.channels;
+      // Round trip: the tile's valid outputs go out to external memory.
+      const auto lanes = static_cast<std::size_t>(slice.channels);
+      const int pitch = tile.step_cols(config_);
+      for (int r = 0; r < tile.out_rows; ++r) {
+        for (int c = 0; c < tile.out_cols; ++c) {
+          std::memcpy(&intermediate(tile.out_row0 + r, tile.out_col0 + c,
+                                    slice.channel0),
+                      &block[static_cast<std::size_t>(r * pitch + c) * lanes],
+                      lanes);
         }
       }
+      result.intermediate_external_writes +=
+          std::int64_t{tile.out_rows} * tile.out_cols * slice.channels;
       const std::int64_t steps = tile.spatial_steps(config_);
       result.dwc_phase_cycles += steps;
       common.timing.dwc_active_cycles += steps;
@@ -243,7 +229,9 @@ SerializedLayerResult SerializedDscAccelerator::run_layer_into(
 
   // ---- Phase 2: pointwise convolution, reading the intermediate back. ----
   const core::Int8MapView inter = core::Int8MapView::whole(intermediate);
-  std::vector<std::int8_t> pwc_weights;
+  // One pass's [step_rows][step_cols][slice channels] block.
+  std::vector<std::int8_t> pass_block(static_cast<std::size_t>(
+      config_.max_tile_out * config_.max_tile_out * config_.td));
   for (const BufferTile& tile : tiler.tiles()) {
     const auto tile_entries = static_cast<std::size_t>(tile.out_rows) *
                               static_cast<std::size_t>(tile.out_cols) *
@@ -251,26 +239,25 @@ SerializedLayerResult SerializedDscAccelerator::run_layer_into(
     EDEA_ASSERT(tile_entries <= psum_capacity,
                 "psum scratch smaller than the tiler's largest tile");
     const std::span<std::int32_t> tile_psum(psum, tile_entries);
+    const int rows = tile.step_rows(config_);
+    const int cols = tile.step_cols(config_);
 
     bool first_slice = true;
     for (const ChannelSlice& slice : tiler.slices()) {
       result.pwc_phase_cycles += config_.init_cycles;
-      pwc_weights.resize(static_cast<std::size_t>(K * slice.channels));
-      datapath_.load_pwc_slice(slice, pwc_weights);
       common.external.record_read(TrafficClass::kWeight,
-                                  std::int64_t{K} * slice.channels);
+                                  datapath_.load_pwc_slice(slice));
 
-      const auto block = block_of(slice);
-      for (int sy = 0; sy * tn < tile.out_rows; ++sy) {
-        for (int sx = 0; sx * tm < tile.out_cols; ++sx) {
-          // Fetch the step's intermediate block once (held in registers
-          // across kernel groups): every position inside the map is read.
-          result.intermediate_external_reads += core::gather_block(
-              inter, tile.out_row0 + sy * tn, tile.out_col0 + sx * tm, tn, tm,
-              slice.channel0, slice.channels, 1, block);
-          datapath_.pwc_step(block, tile, sy, sx, first_slice, tile_psum);
-        }
-      }
+      // Each step fetches its whole Tn x Tm intermediate block once (held
+      // in registers across kernel groups): every position inside the
+      // map is read, the next tile's included. The steps partition the
+      // pass block, so one gather reads what they read.
+      const auto block = std::span(pass_block).first(
+          static_cast<std::size_t>(rows * cols * slice.channels));
+      result.intermediate_external_reads +=
+          core::gather_block(inter, tile.out_row0, tile.out_col0, rows, cols,
+                             slice.channel0, slice.channels, 1, block);
+      datapath_.pwc_pass(block, tile, first_slice, tile_psum);
       const std::int64_t group_steps =
           tile.spatial_steps(config_) *
           static_cast<std::int64_t>(tiler.kernel_groups().size());

@@ -14,58 +14,54 @@ namespace edea::core {
 
 using arch::TrafficClass;
 
+namespace {
+
+/// The positions `steps` spans along one axis keep inside [lo, hi): span s
+/// covers [first + s * pitch, first + s * pitch + extent). Per-step
+/// gathers over a rectangle of bounds read the product of a row sum and a
+/// column sum, which is how the schedule tallies them in bulk.
+std::int64_t clipped_span_sum(int first, int pitch, int extent, int steps,
+                              int lo, int hi) {
+  std::int64_t sum = 0;
+  for (int s = 0; s < steps; ++s) {
+    const int begin = first + s * pitch;
+    sum += std::max(0, std::min(begin + extent, hi) - std::max(begin, lo));
+  }
+  return sum;
+}
+
+}  // namespace
+
 namespace detail {
 
-/// One tile worker: a private datapath (engines, Non-Conv units) and SRAM
-/// buffers executing a contiguous chunk of a layer's buffer tiles. Workers
-/// model the same silicon executing different tiles; this is sound because
-/// tiles share nothing mutable - each owns a disjoint output region, and
-/// the layer/input operands are read-only. What the worker adds to the
-/// shared datapath is EDEA's schedule: every (tile, slice) pass streams
-/// each spatial step's DWC output through the double-buffered
+/// One tile worker: a private datapath (engines, Non-Conv units) and
+/// accumulator executing a contiguous chunk of a layer's buffer tiles.
+/// Workers model the same silicon executing different tiles; this is sound
+/// because tiles share nothing mutable - each owns a disjoint output
+/// region, and the layer/input operands are read-only. What the worker
+/// adds to the shared datapath is EDEA's schedule: every (tile, slice) pass
+/// streams each spatial step's DWC output through the double-buffered
 /// intermediate buffer into the PWC engine. Everything it measures lands
 /// in its LayerPartial, merged by the accelerator in tile order once all
 /// chunks finish.
 class TileWorker {
  public:
-  /// Scratch blob ids inside the worker's arena; add order below fixes them.
-  enum ScratchBlob : nn::BlobId {
-    kIfmap = 0,
-    kIntermediate,
-    kPwcWeight,
-    kAccumulator,
-  };
-
-  /// The SRAM models the engines read are live for the whole of every
-  /// layer, so the planner stacks them; what it buys is ONE contiguous
-  /// allocation per worker (64-byte-aligned slices, no per-buffer heap
-  /// blocks) and the same planned-offset discipline the activation arena
-  /// uses. The DWC weight and offline buffers hold nothing an engine reads
-  /// back (the slice goes straight into engine registers and Non-Conv
-  /// units), so only their traffic is modeled.
-  static nn::Arena plan_scratch(const EdeaConfig& config) {
-    nn::MemoryPlanner planner;
-    const auto blob = [&](const char* name, std::int64_t bytes) {
-      return planner.add_blob(name, static_cast<std::size_t>(bytes), 0, 0);
-    };
-    blob("dwc_ifmap", config.dwc_ifmap_buffer_bytes());
-    blob("intermediate", config.intermediate_buffer_bytes());
-    blob("pwc_weight", config.pwc_weight_buffer_bytes());
-    blob("accumulator", config.accumulator_buffer_bytes());
-    return nn::Arena(planner.plan());
-  }
-
+  /// The accumulator is the one SRAM model the worker keeps storage for:
+  /// it holds the tile's partial sums across its slices. The host keeps
+  /// what the ifmap, intermediate and PWC weight buffers would hold in
+  /// the datapath's pass blocks and staged weights (a pass block spans
+  /// every step of a tile, more than the intermediate buffer's two
+  /// steps); run_layer checks their capacities once per layer. The DWC
+  /// weight and offline buffers hold nothing an engine reads back (the
+  /// slice goes straight into engine registers and Non-Conv units). Every
+  /// buffer's traffic is modeled.
   explicit TileWorker(const EdeaConfig& config)
       : config_(config),
         datapath_(config),
-        scratch_(plan_scratch(config)),
-        ifmap_buffer_("dwc_ifmap", scratch_.bytes(kIfmap),
-                      config.dwc_ifmap_buffer_bytes()),
-        intermediate_buffer_("intermediate", scratch_.bytes(kIntermediate),
-                             config.intermediate_buffer_bytes()),
-        pwc_weight_buffer_("pwc_weight", scratch_.bytes(kPwcWeight),
-                           config.pwc_weight_buffer_bytes()),
-        accumulator_("accumulator", scratch_.bytes(kAccumulator),
+        psum_storage_(static_cast<std::size_t>(
+            config.accumulator_buffer_bytes() / 4)),
+        accumulator_("accumulator",
+                     reinterpret_cast<std::uint8_t*>(psum_storage_.data()),
                      config.accumulator_buffer_bytes()) {
     config_.validate();
   }
@@ -127,25 +123,29 @@ class TileWorker {
 
  private:
   /// Executes one (buffer tile, channel slice) pass, accumulating into the
-  /// tile's `psum` block.
+  /// tile's `psum` block. The datapath runs the pass in one call per
+  /// engine; the silicon runs it one spatial step per cycle, and every
+  /// tally below is that per-step schedule summed in bulk.
   void run_pass(const nn::DscLayerSpec& spec, const nn::Int8Tensor& input,
                 const BufferTile& tile, const ChannelSlice& slice,
                 bool first_slice, const std::vector<KernelGroup>& groups,
                 std::span<std::int32_t> psum, PipelineTrace* trace) {
     const int K = spec.out_channels;
     const int mult = spec.depth_multiplier;
-    std::int64_t cycle = 0;
+    const int channels = slice.channels;
+    const std::int64_t steps = tile.spatial_steps(config_);
+    const auto group_count = static_cast<std::int64_t>(groups.size());
 
     // ---- initiation (Fig. 7): fills buffers and the pipeline. ----
     if (trace != nullptr) {
-      trace->emit(cycle, "DWC Input Ifmap & Weight",
+      trace->emit(0, "DWC Input Ifmap & Weight",
                   "tile(" + std::to_string(tile.out_row0) + "," +
                       std::to_string(tile.out_col0) + ") slice " +
                       std::to_string(slice.channel0 / config_.td));
-      trace->emit(cycle, "PWC Input Weight",
+      trace->emit(0, "PWC Input Weight",
                   "slice weights for " + std::to_string(K) + " kernels");
       trace->emit(2, "DWC Input offline Data",
-                  std::to_string(slice.channels) + " (k,b) pairs");
+                  std::to_string(channels) + " (k,b) pairs");
     }
 
     // The valid part of the tile's input region -> ifmap buffer. Only
@@ -153,20 +153,15 @@ class TileWorker {
     // slice's intermediate channels [c0, c0+n) all read input channels
     // [c0/m, (c0+n-1)/m], so that smaller range is what the SRAM holds and
     // what external activation traffic pays for. Halo positions beyond the
-    // image are staged as the zero padding value, not fetched.
-    const int in0 = slice.channel0 / mult;
-    const int in_count = (slice.channel0 + slice.channels - 1) / mult - in0 + 1;
-    const std::span<std::int8_t> staged = ifmap_buffer_.span<std::int8_t>(
-        0, std::int64_t{tile.in_rows} * tile.in_cols * in_count);
+    // image are staged as the zero padding value, not fetched. The host
+    // stages the region straight into the DWC's pass block (dwc_pass
+    // below), padded to whole steps with the multiplier's lanes mapped.
+    const int in_count =
+        (slice.channel0 + channels - 1) / mult - slice.channel0 / mult + 1;
     const std::int64_t fetched =
-        gather_block(Int8MapView::whole(input), tile.in_row0, tile.in_col0,
-                     tile.in_rows, tile.in_cols, in0, in_count, 1, staged);
+        tile.valid_input_elements(input.dim(0), input.dim(1)) * in_count;
     partial_.external.record_read(TrafficClass::kActivation, fetched);
     partial_.buffers.dwc_ifmap.record_write(fetched, fetched);
-    // Windows read the staged region only: taps outside it are padding.
-    const Int8MapView region{staged.data(), tile.in_row0, tile.in_col0,
-                             tile.in_rows,  tile.in_cols, in0,
-                             in_count,      input.dim(0), input.dim(1)};
 
     // DWC kernel slice (through the weight buffer) -> engine registers,
     // and the slice's Non-Conv (k, b) pairs (through the offline buffer).
@@ -176,116 +171,118 @@ class TileWorker {
     partial_.buffers.dwc_weight.record_read(dwc_weights, dwc_weights);
     partial_.dataflow.dwc_weight_elements += dwc_weights;
     partial_.external.record_read(TrafficClass::kParameter,
-                                  std::int64_t{2} * slice.channels);
+                                  std::int64_t{2} * channels);
 
     // PWC weights for (slice, all kernels) -> PWC weight buffer.
-    const std::int64_t pwc_weights = std::int64_t{K} * slice.channels;
-    datapath_.load_pwc_slice(
-        slice, pwc_weight_buffer_.span<std::int8_t>(0, pwc_weights));
+    const std::int64_t pwc_weights = datapath_.load_pwc_slice(slice);
     partial_.external.record_read(TrafficClass::kWeight, pwc_weights);
     partial_.buffers.pwc_weight.record_write(pwc_weights, pwc_weights);
     partial_.dataflow.pwc_weight_elements += pwc_weights;
 
-    cycle += config_.init_cycles;
-
     // ---- steady state: one (spatial step, kernel group) per cycle. ----
+    // Each step's DWC output passes through the Non-Conv transfer into
+    // one half of the (double-buffered) intermediate buffer, alternating
+    // halves, and the PWC engine drains it one kernel group per cycle.
+    const Int8MapView region = Int8MapView::whole(input).clipped(
+        tile.in_row0, tile.in_col0, tile.in_rows, tile.in_cols);
+    const std::span<const std::int8_t> block =
+        datapath_.dwc_pass(region, tile);
+    const std::int64_t step_block =
+        std::int64_t{config_.tn} * config_.tm * channels;
+    const std::int64_t entries =
+        datapath_.pwc_pass(block, tile, first_slice, psum);
+
+    // Each step's window reads its in-region positions from the ifmap
+    // buffer; windows overlap, so the count is per step, summed.
     const int extent = config_.dwc_window_extent(spec.stride, spec.dilation);
-    const std::int64_t window = std::int64_t{extent} * extent * slice.channels;
-    const std::int64_t block =
-        std::int64_t{config_.tn} * config_.tm * slice.channels;
-    const auto group_count = static_cast<std::int64_t>(groups.size());
-    const int steps_r = (tile.out_rows + config_.tn - 1) / config_.tn;
-    const int steps_c = (tile.out_cols + config_.tm - 1) / config_.tm;
-    int step_index = 0;
+    const std::int64_t read =
+        clipped_span_sum(tile.in_row0, config_.tn * spec.stride, extent,
+                         tile.step_rows(config_) / config_.tn, region.row_lo,
+                         region.row_hi) *
+        clipped_span_sum(tile.in_col0, config_.tm * spec.stride, extent,
+                         tile.step_cols(config_) / config_.tm, region.col_lo,
+                         region.col_hi) *
+        channels;
+    partial_.buffers.dwc_ifmap.record_read(read, read);
+    partial_.dataflow.dwc_window_elements +=
+        std::int64_t{extent} * extent * channels * steps;
+    partial_.timing.dwc_active_cycles += steps;
+    partial_.buffers.offline.record_read(std::int64_t{2} * channels * steps,
+                                         std::int64_t{2} * channels * steps);
+    partial_.buffers.intermediate.record_write(step_block * steps,
+                                               step_block * steps);
+    count_pwc_input_zeros(block, tile, channels);
 
-    for (int sy = 0; sy < steps_r; ++sy) {
-      for (int sx = 0; sx < steps_c; ++sx, ++step_index) {
-        const int out_r0 = tile.out_row0 + sy * config_.tn;  // global coords
-        const int out_c0 = tile.out_col0 + sx * config_.tm;
+    // Every kernel group reads the step's activations and its weights
+    // from the buffers.
+    const std::int64_t group_steps = group_count * steps;
+    partial_.timing.pwc_active_cycles += group_steps;
+    partial_.buffers.intermediate.record_read(step_block * group_steps,
+                                              step_block * group_steps);
+    partial_.dataflow.pwc_activation_elements += step_block * group_steps;
+    partial_.buffers.pwc_weight.record_read(pwc_weights * steps,
+                                            pwc_weights * steps);
+    if (!first_slice) {
+      partial_.buffers.accumulator.record_read(4 * entries, entries);
+    }
+    partial_.buffers.accumulator.record_write(4 * entries, entries);
 
-        // DWC engine fires once for this spatial step; the Non-Conv
-        // transfer writes its int8 block straight into one half of the
-        // (double-buffered) intermediate buffer.
-        const std::span<std::int8_t> half =
-            intermediate_buffer_.span<std::int8_t>(
-                (step_index % 2) * (config_.intermediate_buffer_bytes() / 2),
-                block);
-        const std::int64_t read =
-            datapath_.dwc_step(region, out_r0, out_c0, half);
-        partial_.buffers.dwc_ifmap.record_read(read, read);
-        partial_.dataflow.dwc_window_elements += window;
-        partial_.timing.dwc_active_cycles += 1;
-        partial_.buffers.offline.record_read(std::int64_t{2} * slice.channels,
-                                             std::int64_t{2} * slice.channels);
-        partial_.buffers.intermediate.record_write(block, block);
-        if (trace != nullptr && step_index < 4) {
-          trace->emit(cycle, "DWC Engine Process",
-                      "step (" + std::to_string(sy) + "," +
-                          std::to_string(sx) + ")");
-          trace->emit(cycle, "Non-Conv Unit Process",
-                      std::to_string(block) + " values");
-          trace->emit(cycle, "Write Intermediate Buffer",
-                      "half " + std::to_string(step_index % 2));
-        }
-        count_pwc_input_zeros(half, tile, out_r0, out_c0, slice.channels);
-
-        // PWC engine drains the kernel groups; one group per cycle, each
-        // reading the step's activations and its weights from the buffers
-        // (every tally below is summed over the groups).
-        const std::int64_t entries =
-            datapath_.pwc_step(half, tile, sy, sx, first_slice, psum);
-        partial_.timing.pwc_active_cycles += group_count;
-        partial_.buffers.intermediate.record_read(block * group_count,
-                                                  block * group_count);
-        partial_.dataflow.pwc_activation_elements += block * group_count;
-        partial_.buffers.pwc_weight.record_read(pwc_weights, pwc_weights);
-        if (!first_slice) {
-          partial_.buffers.accumulator.record_read(4 * entries, entries);
-        }
-        partial_.buffers.accumulator.record_write(4 * entries, entries);
-        if (trace != nullptr && step_index < 2) {
-          trace->emit(cycle, "PWC Engine Process",
-                      "group k0=" + std::to_string(groups.front().kernel0));
-        }
-        cycle += group_count;
-      }
+    if (trace != nullptr) {
+      emit_steps(tile, steps, group_count, step_block, groups, *trace);
     }
 
+    const std::int64_t cycles = config_.init_cycles + group_steps;
     partial_.timing.passes += 1;
     partial_.timing.init_cycles += config_.init_cycles;
-    partial_.timing.compute_cycles += cycle - config_.init_cycles;
-    partial_.timing.total_cycles += cycle;
+    partial_.timing.compute_cycles += group_steps;
+    partial_.timing.total_cycles += cycles;
+  }
+
+  /// The steady-state events of a traced pass (Fig. 7): the first steps'
+  /// engine, transfer and buffer events, at the cycle each step starts.
+  void emit_steps(const BufferTile& tile, std::int64_t steps,
+                  std::int64_t group_count, std::int64_t step_block,
+                  const std::vector<KernelGroup>& groups,
+                  PipelineTrace& trace) const {
+    const int steps_c = tile.step_cols(config_) / config_.tm;
+    for (int s = 0; s < std::min<std::int64_t>(steps, 4); ++s) {
+      const std::int64_t cycle = config_.init_cycles + s * group_count;
+      trace.emit(cycle, "DWC Engine Process",
+                 "step (" + std::to_string(s / steps_c) + "," +
+                     std::to_string(s % steps_c) + ")");
+      trace.emit(cycle, "Non-Conv Unit Process",
+                 std::to_string(step_block) + " values");
+      trace.emit(cycle, "Write Intermediate Buffer",
+                 "half " + std::to_string(s % 2));
+      if (s < 2) {
+        trace.emit(cycle, "PWC Engine Process",
+                   "group k0=" + std::to_string(groups.front().kernel0));
+      }
+    }
   }
 
   /// PWC-input sparsity statistics (Fig. 11), collected where the
   /// intermediate block is produced. Only spatial positions that belong to
   /// the real ofmap count (edge steps compute dummy lanes).
   void count_pwc_input_zeros(std::span<const std::int8_t> block,
-                             const BufferTile& tile, int out_r0, int out_c0,
-                             int channels) {
-    const int rows =
-        std::min(config_.tn, tile.out_row0 + tile.out_rows - out_r0);
-    const int cols =
-        std::min(config_.tm, tile.out_col0 + tile.out_cols - out_c0);
-    for (int r = 0; r < rows; ++r) {
-      const auto row = block.subspan(
-          static_cast<std::size_t>(r * config_.tm * channels),
-          static_cast<std::size_t>(cols * channels));
-      partial_.pwc_input_zeros += std::count(row.begin(), row.end(), 0);
+                             const BufferTile& tile, int channels) {
+    const auto row = static_cast<std::size_t>(tile.out_cols) *
+                     static_cast<std::size_t>(channels);
+    const auto pitch = static_cast<std::size_t>(tile.step_cols(config_)) *
+                       static_cast<std::size_t>(channels);
+    for (int r = 0; r < tile.out_rows; ++r) {
+      const auto real = block.subspan(static_cast<std::size_t>(r) * pitch, row);
+      partial_.pwc_input_zeros += std::count(real.begin(), real.end(), 0);
     }
-    partial_.pwc_input_total += std::int64_t{rows} * cols * channels;
+    partial_.pwc_input_total +=
+        std::int64_t{tile.out_rows} * tile.out_cols * channels;
   }
 
   EdeaConfig config_;
   DscDatapath datapath_;
 
-  /// One contiguous planned allocation backing the span-mode SRAM buffers
-  /// below (declared first: the buffers slice into it).
-  nn::Arena scratch_;
-
-  arch::SramBuffer ifmap_buffer_;
-  arch::SramBuffer intermediate_buffer_;
-  arch::SramBuffer pwc_weight_buffer_;
+  /// Backs the accumulator (declared first: the buffer points into it).
+  std::vector<std::int32_t> psum_storage_;
   arch::SramBuffer accumulator_;
 
   LayerPartial partial_;
@@ -356,6 +353,11 @@ LayerRunResult EdeaAccelerator::run_layer_into(const nn::QuantDscLayer& layer,
   // configured capacities covers all of them.)
   EDEA_ASSERT(tiler.max_tile_input_bytes() <= config_.dwc_ifmap_buffer_bytes(),
               "ifmap tile exceeds buffer capacity");
+  // Each half of the intermediate buffer holds one step's Tn x Tm x Td
+  // block: the DWC fills one while the PWC drains the other.
+  EDEA_ASSERT(std::int64_t{2} * config_.tn * config_.tm * config_.td <=
+                  config_.intermediate_buffer_bytes(),
+              "intermediate buffer cannot hold two steps");
   if (tiler.max_tile_psum_entries() * 4 > config_.accumulator_buffer_bytes()) {
     throw ResourceError(
         "PWC accumulator cannot hold a " +

@@ -59,18 +59,24 @@ struct EdeaConfig {
     return dwc_mac_count() + pwc_mac_count();
   }
 
-  /// Input window extent the DWC engine consumes for one step at `stride`
-  /// with kernel taps spaced `dilation` apart:
-  /// (Tn-1)*stride + (kernel-1)*dilation + 1. Paper (dilation 1): 4x4 at
-  /// stride 1, 5x5 at stride 2.
+  /// Input rows (or cols) the DWC reads for `outputs` output rows (or
+  /// cols) at `stride` with kernel taps spaced `dilation` apart:
+  /// (outputs-1)*stride + (kernel-1)*dilation + 1.
+  [[nodiscard]] int dwc_input_extent(int outputs, int stride,
+                                     int dilation = 1) const noexcept {
+    return (outputs - 1) * stride + (kernel - 1) * dilation + 1;
+  }
+
+  /// Input window extent the DWC engine consumes for one step (Tn
+  /// outputs). Paper (dilation 1): 4x4 at stride 1, 5x5 at stride 2.
   [[nodiscard]] int dwc_window_extent(int stride, int dilation = 1) const
       noexcept {
-    return (tn - 1) * stride + (kernel - 1) * dilation + 1;
+    return dwc_input_extent(tn, stride, dilation);
   }
 
   /// Input region extent backing a full buffer tile at `stride`.
   [[nodiscard]] int ifmap_tile_extent(int stride) const noexcept {
-    return (max_tile_out - 1) * stride + kernel;
+    return dwc_input_extent(max_tile_out, stride);
   }
 
   /// Largest output-tile extent whose input region still fits the (fixed,
@@ -84,8 +90,7 @@ struct EdeaConfig {
       noexcept {
     const std::int64_t capacity = dwc_ifmap_buffer_bytes();
     for (int t = max_tile_out; t > 0; --t) {
-      const std::int64_t extent =
-          (t - 1) * stride + (kernel - 1) * dilation + 1;
+      const std::int64_t extent = dwc_input_extent(t, stride, dilation);
       if (extent * extent * td <= capacity) return t;
     }
     return 0;

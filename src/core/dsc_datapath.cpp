@@ -9,9 +9,18 @@ namespace edea::core {
 
 Int8MapView Int8MapView::whole(const nn::Int8Tensor& map) {
   EDEA_REQUIRE(map.rank() == 3, "a map view needs a [R][C][D] tensor");
-  return Int8MapView{map.data(), 0,          0,          map.dim(0),
-                     map.dim(1), 0,          map.dim(2), map.dim(0),
-                     map.dim(1)};
+  return Int8MapView{map.data(), map.dim(0), map.dim(1), map.dim(2),
+                     0,          map.dim(0), 0,          map.dim(1)};
+}
+
+Int8MapView Int8MapView::clipped(int row0, int col0, int rows,
+                                 int cols) const {
+  Int8MapView view = *this;
+  view.row_lo = std::max(row_lo, row0);
+  view.row_hi = std::min(row_hi, row0 + rows);
+  view.col_lo = std::max(col_lo, col0);
+  view.col_hi = std::min(col_hi, col0 + cols);
+  return view;
 }
 
 namespace {
@@ -36,13 +45,12 @@ std::int64_t gather_block(const Int8MapView& src, int row0, int col0,
                                 static_cast<std::size_t>(lanes),
               "gather destination does not match the block");
   const int first = channel0 / mult;  // source channel of lane 0
-  EDEA_ASSERT(first >= src.channel0 &&
-                  (channel0 + lanes - 1) / mult < src.channel0 + src.channels,
-              "gather lanes outside the view's channels");
-  const int r_lo = std::max({row0, src.row0, 0});
-  const int r_hi = std::min({row0 + rows, src.row0 + src.rows, src.map_rows});
-  const int c_lo = std::max({col0, src.col0, 0});
-  const int c_hi = std::min({col0 + cols, src.col0 + src.cols, src.map_cols});
+  EDEA_ASSERT(channel0 >= 0 && (channel0 + lanes - 1) / mult < src.channels,
+              "gather lanes outside the map's channels");
+  const int r_lo = std::max(row0, src.row_lo);
+  const int r_hi = std::min(row0 + rows, src.row_hi);
+  const int c_lo = std::max(col0, src.col_lo);
+  const int c_hi = std::min(col0 + cols, src.col_hi);
   // Only a block that reaches past the bounds has padding to zero.
   if (r_lo != row0 || r_hi != row0 + rows || c_lo != col0 ||
       c_hi != col0 + cols) {
@@ -66,9 +74,8 @@ std::int64_t gather_block(const Int8MapView& src, int row0, int col0,
   };
   for (int r = r_lo; r < r_hi; ++r) {
     const std::int8_t* pixel =
-        src.data +
-        (static_cast<std::int64_t>(r - src.row0) * src.cols + (c_lo - src.col0)) *
-            src.channels;
+        src.data + (static_cast<std::int64_t>(r) * src.cols + c_lo) *
+                       src.channels;
     std::int8_t* to =
         dst.data() +
         (static_cast<std::int64_t>(r - row0) * cols + (c_lo - col0)) * lanes;
@@ -80,13 +87,13 @@ std::int64_t gather_block(const Int8MapView& src, int row0, int col0,
     }
     for (int c = c_lo; c < c_hi; ++c, pixel += src.channels, to += lanes) {
       if (mult == 1) {
-        copy_lanes(to, pixel + (channel0 - src.channel0));
+        copy_lanes(to, pixel + channel0);
         continue;
       }
       // Lane l reads source channel (channel0 + l) / mult: `mult`
       // consecutive lanes share each source channel.
       if (mult == 2 && channel0 % 2 == 0 && (lanes == 8 || lanes == 16)) {
-        const std::int8_t* const from = pixel + (first - src.channel0);
+        const std::int8_t* const from = pixel + first;
         if (lanes == 8) {
           expand_pairs<8>(to, from);
         } else {
@@ -94,7 +101,7 @@ std::int64_t gather_block(const Int8MapView& src, int row0, int col0,
         }
         continue;
       }
-      int from = first - src.channel0;
+      int from = first;
       int phase = channel0 % mult;
       for (int l = 0; l < lanes; ++l) {
         to[l] = pixel[from];
@@ -119,71 +126,74 @@ void DscDatapath::begin_layer(const nn::QuantDscLayer& layer) {
   pwc_.reset_activity();
   nonconv_.reset_counters();
   max_abs_psum_ = 0;
+
+  // Every slice's weights, staged once per layer for all its passes:
+  // slice s is channels [s * Td, s * Td + channels) of the [kh][kw][D]
+  // DWC kernel and of the [K][D] PWC weights.
+  const int D = layer.spec.intermediate_channels();
+  staged_.resize(static_cast<std::size_t>((D + config_.td - 1) / config_.td));
+  for (std::size_t s = 0; s < staged_.size(); ++s) {
+    const int d0 = static_cast<int>(s) * config_.td;
+    const int channels = std::min(config_.td, D - d0);
+    staged_[s].dwc.stage(&layer.dwc_weights(0, 0, d0), D,
+                         config_.kernel * config_.kernel, channels);
+    staged_[s].pwc.stage(&layer.pwc_weights(0, d0), D,
+                         layer.spec.out_channels, channels);
+  }
 }
 
 std::int64_t DscDatapath::load_dwc_slice(const ChannelSlice& slice) {
-  const int k = config_.kernel;
-  dwc_weights_.resize(static_cast<std::size_t>(k * k * slice.channels));
-  for (int i = 0; i < k; ++i) {
-    for (int j = 0; j < k; ++j) {
-      std::memcpy(&dwc_weights_[static_cast<std::size_t>((i * k + j) *
-                                                         slice.channels)],
-                  &layer_->dwc_weights(i, j, slice.channel0),
-                  static_cast<std::size_t>(slice.channels));
-    }
-  }
-  dwc_.load_weights(dwc_weights_, slice.channels);
+  const StagedSlice& staged =
+      staged_[static_cast<std::size_t>(slice.channel0 / config_.td)];
+  dwc_.load_weights(staged.dwc);
   transfer_params_ = std::span(layer_->nonconv1.channels)
                          .subspan(static_cast<std::size_t>(slice.channel0),
                                   static_cast<std::size_t>(slice.channels));
   slice_ = slice;
-  return static_cast<std::int64_t>(dwc_weights_.size());
+  return static_cast<std::int64_t>(staged.dwc.weights().size());
 }
 
-std::int64_t DscDatapath::dwc_step(const Int8MapView& src, int out_row0,
-                                   int out_col0, std::span<std::int8_t> dst) {
+std::int64_t DscDatapath::load_pwc_slice(const ChannelSlice& slice) {
+  const StagedSlice& staged =
+      staged_[static_cast<std::size_t>(slice.channel0 / config_.td)];
+  pwc_.load_weights(staged.pwc);
+  return static_cast<std::int64_t>(staged.pwc.weights().size());
+}
+
+std::span<const std::int8_t> DscDatapath::dwc_pass(const Int8MapView& src,
+                                                   const BufferTile& tile) {
   const nn::DscLayerSpec& spec = layer_->spec;
-  const int extent = config_.dwc_window_extent(spec.stride, spec.dilation);
-  window_.resize(static_cast<std::size_t>(extent * extent * slice_.channels));
-  // Window origin in unpadded map coordinates (the first kernel tap).
-  const std::int64_t read = gather_block(
-      src, out_row0 * spec.stride - spec.padding,
-      out_col0 * spec.stride - spec.padding, extent, extent, slice_.channel0,
-      slice_.channels, spec.depth_multiplier, window_);
-  dwc_.step(window_, spec.stride, spec.dilation, dwc_out_);
+  const int rows = tile.step_rows(config_);
+  const int cols = tile.step_cols(config_);
+  const int window_rows =
+      config_.dwc_input_extent(rows, spec.stride, spec.dilation);
+  const int window_cols =
+      config_.dwc_input_extent(cols, spec.stride, spec.dilation);
+  const auto channels = static_cast<std::size_t>(slice_.channels);
+  window_.resize(static_cast<std::size_t>(window_rows) *
+                 static_cast<std::size_t>(window_cols) * channels);
+  // The first step's window starts at the tile's first input tap.
+  (void)gather_block(src, tile.in_row0, tile.in_col0, window_rows,
+                     window_cols, slice_.channel0, slice_.channels,
+                     spec.depth_multiplier, window_);
+  dwc_.run_block(window_, rows, cols, spec.stride, spec.dilation, dwc_out_);
+  intermediate_.resize(dwc_out_.acc.size());
   nonconv_.set_writeback_mode(false);
-  nonconv_.apply_block(dwc_out_.acc, transfer_params_, slice_.channels, dst);
-  return read;
+  nonconv_.apply_block(dwc_out_.acc, transfer_params_, slice_.channels,
+                       intermediate_);
+  return intermediate_;
 }
 
-void DscDatapath::load_pwc_slice(const ChannelSlice& slice,
-                                 std::span<std::int8_t> dst) {
-  const int K = layer_->spec.out_channels;
-  EDEA_ASSERT(dst.size() == static_cast<std::size_t>(K) *
-                                static_cast<std::size_t>(slice.channels),
-              "PWC weight block does not match the slice");
-  for (int k = 0; k < K; ++k) {
-    std::memcpy(&dst[static_cast<std::size_t>(k * slice.channels)],
-                &layer_->pwc_weights(k, slice.channel0),
-                static_cast<std::size_t>(slice.channels));
-  }
-  pwc_.load_weights(dst, K, slice.channels);
-}
-
-std::int64_t DscDatapath::pwc_step(std::span<const std::int8_t> activations,
-                                   const BufferTile& tile, int sy, int sx,
-                                   bool first_slice,
+std::int64_t DscDatapath::pwc_pass(std::span<const std::int8_t> activations,
+                                   const BufferTile& tile, bool first_slice,
                                    std::span<std::int32_t> psum) {
   // Only the outputs inside the tile accumulate; the rest are dummy lanes.
-  const int r0 = sy * config_.tn;  // tile-relative origin of the step
-  const int c0 = sx * config_.tm;
-  const PsumRange range =
-      pwc_.step(activations, PsumTarget{psum, tile.out_rows, tile.out_cols,
-                                        r0, c0, !first_slice});
+  const PsumRange range = pwc_.run_block(
+      activations, tile.step_rows(config_), tile.step_cols(config_),
+      PsumTarget{psum, tile.out_rows, tile.out_cols, 0, 0, !first_slice});
   max_abs_psum_ = std::max({max_abs_psum_, -std::int64_t{range.lo},
                             std::int64_t{range.hi}});
-  return std::int64_t{1} * std::min(config_.tn, tile.out_rows - r0) *
-         std::min(config_.tm, tile.out_cols - c0) *
+  return std::int64_t{1} * tile.out_rows * tile.out_cols *
          layer_->spec.out_channels;
 }
 

@@ -10,11 +10,14 @@
 //     the DWC over the whole layer, round-trips the intermediate map
 //     through external memory, then runs the PWC.
 // DscDatapath owns what both share: the DWC and PWC engines, the Non-Conv
-// unit array with the bound layer's parameters, and step scratch reused
-// from step to step. Its primitives move data and compute; none of them
-// tallies traffic. Each schedule counts its own buffer and external
-// accesses as bulk arithmetic over what the primitives report (e.g. how
-// many elements a gather read), so each backend keeps its measurements.
+// unit array with the bound layer's parameters, every slice's weights
+// staged once per layer, and pass scratch reused from pass to pass. Its
+// primitives each cover one (buffer tile, channel slice) pass - one
+// gather, one DWC engine call over every Tn x Tm step of the tile, one
+// Non-Conv transfer of the whole block, one PWC engine call into the
+// tile's partial sums - and none of them tallies traffic. Each schedule
+// counts its own buffer and external accesses as bulk arithmetic over
+// the pass's geometry, so each backend keeps its measurements.
 #pragma once
 
 #include <cstdint>
@@ -32,24 +35,28 @@
 
 namespace edea::core {
 
-/// A read-only int8 map stored [rows][cols][channels], its element 0 at
-/// map position (row0, col0) holding channel `channel0`. Reads are bounded
-/// twice: by the stored extent and by the map ([0, map_rows) x
-/// [0, map_cols)); a position outside either reads as zero padding. EDEA
-/// views its staged ifmap tile region; the baseline views whole maps.
+/// A read-only [rows][cols][channels] int8 map, read through a window of
+/// bounds: a position outside [row_lo, row_hi) x [col_lo, col_hi) (a
+/// rectangle inside the map) reads as zero padding. The baseline reads
+/// whole maps; EDEA clips the input to each buffer tile's region, so the
+/// dummy lanes of its edge steps read padding, not the next tile.
 struct Int8MapView {
   const std::int8_t* data = nullptr;
-  int row0 = 0;
-  int col0 = 0;
   int rows = 0;
   int cols = 0;
-  int channel0 = 0;
   int channels = 0;
-  int map_rows = 0;
-  int map_cols = 0;
+  int row_lo = 0;
+  int row_hi = 0;
+  int col_lo = 0;
+  int col_hi = 0;
 
   /// The whole of a [R][C][D] tensor.
   [[nodiscard]] static Int8MapView whole(const nn::Int8Tensor& map);
+
+  /// The same map with its bounds narrowed to the rows x cols region at
+  /// (row0, col0), which may reach past the map.
+  [[nodiscard]] Int8MapView clipped(int row0, int col0, int rows,
+                                    int cols) const;
 };
 
 /// Gathers the [rows][cols][lanes] block at map position (row0, col0) of
@@ -65,37 +72,40 @@ class DscDatapath {
  public:
   explicit DscDatapath(const EdeaConfig& config);
 
-  /// Binds `layer` (which must outlive the binding) and clears the
-  /// engines' MAC activity, the Non-Conv op counts and max |psum|.
+  /// Binds `layer` (which must outlive the binding), stages every channel
+  /// slice's DWC and PWC weights in the layouts the kernels read, and
+  /// clears the engines' MAC activity, the Non-Conv op counts and max
+  /// |psum|.
   void begin_layer(const nn::QuantDscLayer& layer);
 
-  /// Loads `slice`'s 3x3 DWC kernel slice into the DWC engine and selects
-  /// its Non-Conv transfer parameters. Returns the weights loaded
+  /// Loads `slice`'s staged 3x3 DWC kernel slice into the DWC engine and
+  /// selects its Non-Conv transfer parameters. Returns the weights loaded
   /// (kernel^2 x slice channels).
   std::int64_t load_dwc_slice(const ChannelSlice& slice);
 
-  /// One DWC engine step for the Tn x Tm outputs at layer position
-  /// (out_row0, out_col0) of the loaded slice: gathers the padded, dilated,
-  /// multiplier-mapped window from `src`, fires the engine, and writes the
-  /// Non-Conv transfer's int8 [Tn][Tm][channels] block to `dst`. Returns
-  /// the window elements read from `src`.
-  std::int64_t dwc_step(const Int8MapView& src, int out_row0, int out_col0,
-                        std::span<std::int8_t> dst);
+  /// Loads `slice`'s staged PWC weights for every kernel, [K][slice
+  /// channels], into the PWC engine. Returns the weights loaded.
+  std::int64_t load_pwc_slice(const ChannelSlice& slice);
 
-  /// Gathers `slice`'s PWC weights for every kernel into `dst`, laid out
-  /// [K][slice channels] so each kernel group is one contiguous block, and
-  /// loads them into the PWC engine for the pass.
-  void load_pwc_slice(const ChannelSlice& slice, std::span<std::int8_t> dst);
+  /// The DWC half of one pass over `tile` with the loaded slice: gathers
+  /// from `src` the padded, dilated, multiplier-mapped input of every
+  /// Tn x Tm step of the tile (its dummy positions included), fires the
+  /// engine once over the whole block, and applies the Non-Conv transfer
+  /// to it. Returns the pass's int8 intermediate block,
+  /// [step_rows][step_cols][slice channels] (BufferTile::step_rows),
+  /// valid until the next dwc_pass.
+  std::span<const std::int8_t> dwc_pass(const Int8MapView& src,
+                                        const BufferTile& tile);
 
-  /// One spatial step of the PWC engine: every kernel group of the loaded
-  /// slice over the step's [Tn][Tm][channels] `activations`, read in
-  /// place. The engine accumulates the partial sums for spatial step
-  /// (sy, sx) of `tile` straight into the tile's [out_rows][out_cols][K]
-  /// `psum` block - overwriting on the first slice. Tracks max |psum|.
-  /// Returns the psum entries updated, over all kernel groups.
-  std::int64_t pwc_step(std::span<const std::int8_t> activations,
-                        const BufferTile& tile, int sy, int sx,
-                        bool first_slice, std::span<std::int32_t> psum);
+  /// The PWC half of one pass: every kernel of the loaded slice over the
+  /// tile's [step_rows][step_cols][slice channels] `activations`, read in
+  /// place, in one engine call that accumulates the partial sums straight
+  /// into the tile's [out_rows][out_cols][K] `psum` block - overwriting it
+  /// on the first slice. Tracks max |psum|. Returns the psum entries
+  /// updated, over all kernel groups.
+  std::int64_t pwc_pass(std::span<const std::int8_t> activations,
+                        const BufferTile& tile, bool first_slice,
+                        std::span<std::int32_t> psum);
 
   /// Write-back: `tile`'s psum block through the per-output-channel
   /// Non-Conv units into its region of `output`.
@@ -128,14 +138,21 @@ class DscDatapath {
   PwcEngine pwc_;
   NonConvUnitArray nonconv_;
 
+  /// One slice's weights in the layouts the engines read in place.
+  struct StagedSlice {
+    DwcWeights dwc;  ///< [kh][kw][channels]
+    PwcWeights pwc;  ///< [K][channels]
+  };
+
   const nn::QuantDscLayer* layer_ = nullptr;
+  std::vector<StagedSlice> staged_;  ///< the bound layer's, slice by slice
   ChannelSlice slice_;  ///< the slice load_dwc_slice last loaded
   std::span<const nn::NonConvChannelParams> transfer_params_;
 
-  // Step scratch, reused from step to step.
-  std::vector<std::int8_t> dwc_weights_;
-  std::vector<std::int8_t> window_;  ///< [extent][extent][slice channels]
-  DwcStepOutput dwc_out_;
+  // Pass scratch, reused from pass to pass.
+  std::vector<std::int8_t> window_;        ///< the pass's DWC input block
+  DwcBlockOutput dwc_out_;
+  std::vector<std::int8_t> intermediate_;  ///< the pass's Non-Conv output
 
   std::int64_t max_abs_psum_ = 0;
 };

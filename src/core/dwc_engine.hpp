@@ -8,10 +8,12 @@
 // single cycle (the adder tree is pipelined; latency is absorbed in the
 // 9-cycle initiation of Fig. 7).
 //
-// Each step runs the kernel core::dwc_kernel_for picks for its shape: hot
-// shapes (3x3 at strides 1/2 and dilations 1/2) run hand-specialized
-// kernels, everything else the generic reference path. Both are
-// bit-identical in outputs and MacActivity; set_kernel_policy(
+// The engine runs a block of steps per call - every Tn x Tm step of a
+// (buffer tile, channel slice) pass at once, a single step being a
+// one-step block - through the kernel core::dwc_kernel_for picks for its
+// shape: hot shapes (3x3 at strides 1/2 and dilations 1/2) run
+// hand-specialized kernels, everything else the generic reference path.
+// Both are bit-identical in outputs and MacActivity; set_kernel_policy(
 // kForceGeneric) pins the generic path for A/B runs.
 #pragma once
 
@@ -26,9 +28,9 @@
 
 namespace edea::core {
 
-/// Raw DWC accumulators for one step: [Tn][Tm][channels]. A step writes
-/// into the caller's output, reusing its storage from step to step.
-struct DwcStepOutput {
+/// Raw DWC accumulators of one block: [rows][cols][channels]. A block
+/// writes into the caller's output, reusing its storage from call to call.
+struct DwcBlockOutput {
   int rows = 0;
   int cols = 0;
   int channels = 0;
@@ -43,29 +45,32 @@ class DwcEngine {
  public:
   explicit DwcEngine(const EdeaConfig& config);
 
-  /// Loads one kernel slice ([kh][kw][channels], channels <= Td). Retained
-  /// until the next load; reused across every spatial step of a pass.
-  /// Also stages the int16 copy the SSE2 kernel streams,
-  /// [tap pair][channel][2].
-  void load_weights(std::span<const std::int8_t> weights, int channels);
+  /// Loads one staged kernel slice (kernel x kernel taps, channels <=
+  /// Td), read in place until the next load - across every block of a
+  /// pass - so it must outlive that use.
+  void load_weights(const DwcWeights& weights);
+  void load_weights(DwcWeights&&) = delete;  // would dangle
 
-  /// One engine cycle: computes Tn x Tm outputs for every loaded channel.
-  /// `window` is read in place: extent x extent x loaded channels int8
-  /// values ([row][col][channel]), zero padding already materialized.
-  /// `stride` and `dilation` select its geometry ((Tn-1)*stride +
-  /// (kernel-1)*dilation + 1 square): 4x4 at s=1/d=1, 5x5 at s=2/d=1,
-  /// wider for dilated kernels whose taps sit `dilation` apart.
-  void step(std::span<const std::int8_t> window, int stride, int dilation,
-            DwcStepOutput& out) {
-    step(window, stride, dilation, out, activity_);
+  /// Runs a block of rows x cols output positions - a whole number of
+  /// Tn x Tm steps, one engine cycle each - for every loaded channel.
+  /// `window` is read in place: the block's input, [row][col][channel]
+  /// over the loaded channels with zero padding already materialized,
+  /// EdeaConfig::dwc_input_extent(rows, stride, dilation) pixels tall and
+  /// likewise wide for `cols`. One step's window is 4x4 at s=1/d=1 and
+  /// 5x5 at s=2/d=1, wider for dilated kernels whose taps sit `dilation`
+  /// apart.
+  void run_block(std::span<const std::int8_t> window, int rows, int cols,
+                 int stride, int dilation, DwcBlockOutput& out) {
+    run_block(window, rows, cols, stride, dilation, out, activity_);
   }
 
-  /// Reentrant step: same arithmetic, but activity is tallied into the
+  /// Reentrant block: same arithmetic, but activity is tallied into the
   /// caller-supplied sink instead of the engine's own counter. Safe to
   /// call concurrently from multiple threads on one engine (each caller
   /// owns its sink and output; kernels keep all scratch on the stack).
-  void step(std::span<const std::int8_t> window, int stride, int dilation,
-            DwcStepOutput& out, arch::MacActivity& activity) const;
+  void run_block(std::span<const std::int8_t> window, int rows, int cols,
+                 int stride, int dilation, DwcBlockOutput& out,
+                 arch::MacActivity& activity) const;
 
   /// Pins (or unpins) the generic reference kernels. Default is kAuto.
   void set_kernel_policy(KernelPolicy policy) noexcept { policy_ = policy; }
@@ -89,9 +94,7 @@ class DwcEngine {
  private:
   EdeaConfig config_;
   arch::AdderTree tree_;
-  std::vector<std::int8_t> weights_;     ///< [kh][kw][channel]
-  std::vector<std::int16_t> weights_t_;  ///< [tap pair][channel][2]
-  int weight_channels_ = 0;
+  const DwcWeights* weights_ = nullptr;  ///< the loaded slice
   arch::MacActivity activity_;
   KernelPolicy policy_ = KernelPolicy::kAuto;
 };

@@ -1,12 +1,15 @@
 #include "core/kernel_dispatch.hpp"
 
 #include <algorithm>
+#include <type_traits>
+#include <cstring>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
 #endif
 
 #include "arch/pe.hpp"
+#include "util/check.hpp"
 
 namespace edea::core {
 
@@ -23,25 +26,24 @@ void generic_dwc_kernel(const DwcKernelArgs& a) {
   std::vector<std::int32_t> products(static_cast<std::size_t>(k * k));
 
   for (int ch = 0; ch < a.channels; ++ch) {
-    for (int ty = 0; ty < a.tn; ++ty) {
-      for (int tx = 0; tx < a.tm; ++tx) {
+    for (int ty = 0; ty < a.rows; ++ty) {
+      for (int tx = 0; tx < a.cols; ++tx) {
         // One 9-input adder tree instance: 3x3 products for this output.
         for (int i = 0; i < k; ++i) {
           for (int j = 0; j < k; ++j) {
             const int r = ty * a.stride + i * a.dilation;
             const int c = tx * a.stride + j * a.dilation;
             const std::int8_t act =
-                a.window[static_cast<std::size_t>((r * a.extent + c) *
-                                                      a.channels +
-                                                  ch)];
+                a.window[static_cast<std::size_t>(
+                    (std::int64_t{r} * a.window_cols + c) * a.channels + ch)];
             const std::int8_t w = a.weights[static_cast<std::size_t>(
                 (i * k + j) * a.channels + ch)];
             products[static_cast<std::size_t>(i * k + j)] =
                 lane.multiply(act, w, *a.activity);
           }
         }
-        a.acc[static_cast<std::size_t>((ty * a.tm + tx) * a.channels + ch)] =
-            tree.sum(products);
+        a.acc[static_cast<std::size_t>((ty * a.cols + tx) * a.channels +
+                                       ch)] = tree.sum(products);
       }
     }
   }
@@ -100,32 +102,70 @@ inline __m128i load8_epi16(const std::int8_t* p) {
 }
 #endif
 
+/// `rows` runs of `channels` int8 values, run r at `first + r * pitch`,
+/// copied into one contiguous [rows][channels] block.
+void copy_runs(const std::int8_t* first, std::int64_t pitch, int rows,
+               int channels, std::vector<std::int8_t>& out) {
+  EDEA_REQUIRE(rows > 0 && channels > 0 && pitch >= channels,
+               "staged weights need positive extents and a pitch that "
+               "holds a run");
+  const auto width = static_cast<std::size_t>(channels);
+  out.resize(static_cast<std::size_t>(rows) * width);
+  for (int r = 0; r < rows; ++r) {
+    std::memcpy(&out[static_cast<std::size_t>(r) * width], first + r * pitch,
+                width);
+  }
+}
+
 }  // namespace
 
-void stage_dwc_weights(std::span<const std::int8_t> weights, int taps,
-                       int channels, std::vector<std::int16_t>& out) {
+DwcWeights::DwcWeights(std::span<const std::int8_t> weights, int taps,
+                       int channels) {
+  EDEA_REQUIRE(weights.size() == static_cast<std::size_t>(taps) *
+                                     static_cast<std::size_t>(channels),
+               "DWC weight slice size mismatch");
+  stage(weights.data(), channels, taps, channels);
+}
+
+void DwcWeights::stage(const std::int8_t* first, std::int64_t pitch,
+                       int taps, int channels) {
+  copy_runs(first, pitch, taps, channels, weights_);
+  taps_ = taps;
+  channels_ = channels;
   // [pair][channel][2]: taps 2q and 2q + 1 side by side per channel; the
   // last pair of an odd tap count pads with 0.
-  out.assign(static_cast<std::size_t>((taps + 1) / 2) *
-                 static_cast<std::size_t>(channels) * 2,
-             0);
+  weights_t_.assign(static_cast<std::size_t>((taps + 1) / 2) *
+                        static_cast<std::size_t>(channels) * 2,
+                    0);
   for (int t = 0; t < taps; ++t) {
-    std::int16_t* const to = &out[static_cast<std::size_t>(
+    std::int16_t* const to = &weights_t_[static_cast<std::size_t>(
         (t / 2) * channels * 2 + t % 2)];
     const std::int8_t* const from =
-        &weights[static_cast<std::size_t>(t * channels)];
+        &weights_[static_cast<std::size_t>(t * channels)];
     for (int ch = 0; ch < channels; ++ch) to[2 * ch] = from[ch];
   }
 }
 
-void stage_pwc_weights(std::span<const std::int8_t> weights, int kernels,
-                       int channels, std::vector<std::int16_t>& out) {
+PwcWeights::PwcWeights(std::span<const std::int8_t> weights, int kernels,
+                       int channels) {
+  EDEA_REQUIRE(weights.size() == static_cast<std::size_t>(kernels) *
+                                     static_cast<std::size_t>(channels),
+               "PWC weight block size mismatch");
+  stage(weights.data(), channels, kernels, channels);
+}
+
+void PwcWeights::stage(const std::int8_t* first, std::int64_t pitch,
+                       int kernels, int channels) {
+  copy_runs(first, pitch, kernels, channels, weights_);
+  kernels_ = kernels;
+  channels_ = channels;
+  const std::int8_t* const weights = weights_.data();
   // [pair][kernel][2]: a pair's row holds every kernel's weights for its
   // two channels side by side; an odd slice's last pair pads with 0.
   const int pairs = (channels + 1) / 2;
-  out.resize(static_cast<std::size_t>(pairs) *
-             static_cast<std::size_t>(kernels) * 2);
-  std::int16_t* const t = out.data();
+  weights_t_.resize(static_cast<std::size_t>(pairs) *
+                    static_cast<std::size_t>(kernels) * 2);
+  std::int16_t* const t = weights_t_.data();
   int k0 = 0;
 #if defined(__SSE2__)
   if (channels % 8 == 0) {
@@ -133,8 +173,7 @@ void stage_pwc_weights(std::span<const std::int8_t> weights, int kernels,
     // weights, widened, are four int32 lanes (one per channel pair), so
     // a 4 x 4 int32 transpose turns them into four pairs' 16-byte runs.
     for (; k0 + 4 <= kernels; k0 += 4) {
-      const std::int8_t* const w =
-          &weights[static_cast<std::size_t>(k0 * channels)];
+      const std::int8_t* const w = weights + std::int64_t{k0} * channels;
       for (int c0 = 0; c0 < channels; c0 += 8) {
         const __m128i v0 = load8_epi16(w + c0);
         const __m128i v1 = load8_epi16(w + channels + c0);
@@ -157,8 +196,7 @@ void stage_pwc_weights(std::span<const std::int8_t> weights, int kernels,
   }
 #endif
   for (; k0 < kernels; ++k0) {
-    const std::int8_t* const w =
-        &weights[static_cast<std::size_t>(k0 * channels)];
+    const std::int8_t* const w = weights + std::int64_t{k0} * channels;
     for (int p = 0; p < pairs; ++p) {
       std::int16_t* const to = t + (std::int64_t{p} * kernels + k0) * 2;
       to[0] = w[2 * p];
@@ -271,9 +309,9 @@ __m128i dwc3x3_channels8(const std::int8_t* r0, int row_pitch, int C,
 template <int Stride, int Dilation>
 void dwc3x3_kernel(const DwcKernelArgs& a) {
   const int C = a.channels;
-  const int tn = a.tn;
-  const int tm = a.tm;
-  const int row_pitch = a.extent * C;
+  const int rows = a.rows;
+  const int cols = a.cols;
+  const int row_pitch = a.window_cols * C;
 #if defined(__SSE2__)
   const int grouped = C - C % 8;  // channels in whole groups of eight
   __m128i zeros4 = _mm_setzero_si128();  // zero counts, widened to int32
@@ -283,11 +321,11 @@ void dwc3x3_kernel(const DwcKernelArgs& a) {
 #endif
 
   std::int64_t zeros = 0;
-  for (int ty = 0; ty < tn; ++ty) {
-    for (int tx = 0; tx < tm; ++tx) {
+  for (int ty = 0; ty < rows; ++ty) {
+    for (int tx = 0; tx < cols; ++tx) {
       const std::int8_t* const r0 =
           a.window + ty * Stride * row_pitch + tx * Stride * C;
-      std::int32_t* const out = a.acc + (ty * tm + tx) * C;
+      std::int32_t* const out = a.acc + (ty * cols + tx) * C;
 #if defined(__SSE2__)
       for (int c = 0; c < grouped; c += 8) {
         const __m128i zeros8 = dwc3x3_channels8<Dilation>(
@@ -307,7 +345,7 @@ void dwc3x3_kernel(const DwcKernelArgs& a) {
   _mm_store_si128(reinterpret_cast<__m128i*>(lanes), zeros4);
   zeros += std::int64_t{lanes[0]} + lanes[1] + lanes[2] + lanes[3];
 #endif
-  const std::int64_t macs = std::int64_t{9} * tn * tm * C;
+  const std::int64_t macs = std::int64_t{9} * rows * cols * C;
   a.activity->lane_cycles += macs;
   a.activity->useful_macs += macs;
   a.activity->zero_operand_macs += zeros;
@@ -322,15 +360,21 @@ constexpr float kExactFloatBound = 16777216.0f;
 /// on the stack; a wider slice runs the generic kernel.
 constexpr int kMaxPwcPairs = 64;
 
-/// 1x1 PWC on SSE2. For each real position, every channel pair's two
-/// activations are broadcast as one int32 (low half the even channel) and
+/// Real positions whose broadcast pairs the SSE2 kernel stages at a time.
+constexpr int kPwcChunk = 16;
+
+/// 1x1 PWC on SSE2. Every channel pair's two activations at a real
+/// position are broadcast as one int32 (low half the even channel) and
 /// pmaddwd'd against the pair's [kernel][2] weight row: one instruction
 /// multiplies eight int16 operands and sums them pairwise into four
 /// kernels' int32 partial dot products - exact, as an int8 x int8 product
-/// and the sum of two fit. The sums over the pairs add straight onto the
-/// tile's psum block (or overwrite it on a pass's first slice), eight
-/// kernels at a time in two independent chains, then four, then one by
-/// one. `Pairs` is the slice's channel-pair count when it is a
+/// and the sum of two fit. The kernel walks a chunk of positions at a
+/// time: it broadcasts their pairs once, then runs kernel group after
+/// kernel group over them with the group's weights held in registers
+/// (eight kernels at a time over up to four pairs, four over eight pairs,
+/// then four, then one by one), adding each position's sums straight
+/// onto the tile's psum block (or overwriting it on a pass's first
+/// slice). `Pairs` is the slice's channel-pair count when it is a
 /// compile-time constant (full td=8 and td=16 slices), else 0.
 /// Zero-activation lanes are counted once per position, dummy positions
 /// included, and scaled by the kernel count (the generic path re-reads
@@ -340,18 +384,18 @@ constexpr int kMaxPwcPairs = 64;
 /// has minps/maxps, and int32 -> float conversion is monotonic, so the
 /// float extremes are the converted int32 extremes - exact whenever they
 /// lie below 2^24 in magnitude, which bounds every value in between. A
-/// step whose extremes reach 2^24 (over 1,024 input channels of
+/// block whose extremes reach 2^24 (over 1,024 input channels of
 /// -128 x -128) rescans its outputs in int32.
 template <int Pairs>
 PsumRange pwc1x1_madd(const PwcKernelArgs& a) {
   const int C = a.channels;
   const int K = a.kernels;
   const int pairs = Pairs > 0 ? Pairs : (C + 1) / 2;
+  constexpr int kMaxPairs = Pairs > 0 ? Pairs : kMaxPwcPairs;
+  // Quads of kernels per group: as many as keep the group's weights in
+  // eight registers.
+  constexpr int kQuads = Pairs == 8 ? 1 : 2;
   const std::int16_t* const wt = a.weights_t;
-  // Pair p's weights for kernels [k, k + 4) are one 16-byte run.
-  const auto weights_at = [&](int p, int k) {
-    return reinterpret_cast<const __m128i*>(wt + (std::int64_t{p} * K + k) * 2);
-  };
 
   __m128 lo4 = _mm_setzero_ps();
   __m128 hi4 = _mm_setzero_ps();
@@ -368,53 +412,67 @@ PsumRange pwc1x1_madd(const PwcKernelArgs& a) {
     hi4 = _mm_max_ps(hi4, as_float);
   };
 
-  std::int32_t x[kMaxPwcPairs] = {};  // broadcast activation pairs
-  for (int r = 0; r < a.real_rows; ++r) {
-    for (int c = 0; c < a.real_cols; ++c) {
+  __m128i x[kPwcChunk * kMaxPairs];  // [position][pair], broadcast
+  std::int32_t* out[kPwcChunk];      // each position's psum row
+  int n = 0;                         // positions staged in x
+  // Kernels [k, k + 4 * Quads) over the staged positions.
+  const auto group = [&](int k, auto quads) {
+    constexpr int Quads = decltype(quads)::value;
+    __m128i w[kMaxPairs][Quads];
+    for (int p = 0; p < pairs; ++p) {
+      for (int q = 0; q < Quads; ++q) {
+        w[p][q] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+            wt + (std::int64_t{p} * K + k + 4 * q) * 2));
+      }
+    }
+    for (int i = 0; i < n; ++i) {
+      const __m128i* const xi = x + i * pairs;
+      __m128i sum[Quads];
+      for (int q = 0; q < Quads; ++q) sum[q] = _mm_setzero_si128();
+      for (int p = 0; p < pairs; ++p) {
+        for (int q = 0; q < Quads; ++q) {
+          sum[q] = _mm_add_epi32(sum[q], _mm_madd_epi16(xi[p], w[p][q]));
+        }
+      }
+      for (int q = 0; q < Quads; ++q) land(out[i] + k + 4 * q, sum[q]);
+    }
+  };
+
+  const int real = a.real_rows * a.real_cols;
+  for (int i0 = 0; i0 < real; i0 += kPwcChunk) {
+    n = std::min(kPwcChunk, real - i0);
+    for (int i = 0; i < n; ++i) {
+      const int r = (i0 + i) / a.real_cols;
+      const int c = (i0 + i) % a.real_cols;
       const std::int8_t* const act = a.activations + (r * a.cols + c) * C;
+      out[i] = a.psum + r * a.psum_pitch + std::int64_t{c} * K;
       for (int p = 0; p < pairs; ++p) {
         const int ch = 2 * p;
         const auto even = static_cast<std::uint16_t>(act[ch]);
         const auto odd =
             static_cast<std::uint16_t>(ch + 1 < C ? act[ch + 1] : 0);
-        x[p] = static_cast<std::int32_t>(even | (std::uint32_t{odd} << 16));
+        x[i * pairs + p] = _mm_set1_epi32(
+            static_cast<std::int32_t>(even | (std::uint32_t{odd} << 16)));
       }
-      std::int32_t* const out =
-          a.psum + r * a.psum_pitch + std::int64_t{c} * K;
-      int k = 0;
-      for (; k + 8 <= K; k += 8) {
-        __m128i sum0 = _mm_setzero_si128();
-        __m128i sum1 = _mm_setzero_si128();
-        for (int p = 0; p < pairs; ++p) {
-          const __m128i xp = _mm_set1_epi32(x[p]);
-          const __m128i* const w = weights_at(p, k);
-          sum0 = _mm_add_epi32(sum0,
-                               _mm_madd_epi16(xp, _mm_loadu_si128(w)));
-          sum1 = _mm_add_epi32(sum1,
-                               _mm_madd_epi16(xp, _mm_loadu_si128(w + 1)));
-        }
-        land(out + k, sum0);
-        land(out + k + 4, sum1);
-      }
-      for (; k + 4 <= K; k += 4) {
-        __m128i sum = _mm_setzero_si128();
-        for (int p = 0; p < pairs; ++p) {
-          sum = _mm_add_epi32(sum, _mm_madd_epi16(_mm_set1_epi32(x[p]),
-                                                  _mm_loadu_si128(
-                                                      weights_at(p, k))));
-        }
-        land(out + k, sum);
-      }
-      for (; k < K; ++k) {
+    }
+    int k = 0;
+    for (; k + 4 * kQuads <= K; k += 4 * kQuads) {
+      group(k, std::integral_constant<int, kQuads>{});
+    }
+    for (; k + 4 <= K; k += 4) group(k, std::integral_constant<int, 1>{});
+    for (; k < K; ++k) {
+      for (int i = 0; i < n; ++i) {
         std::int32_t sum = 0;
         for (int p = 0; p < pairs; ++p) {
           const std::int16_t* const w = wt + (std::int64_t{p} * K + k) * 2;
-          sum += static_cast<std::int16_t>(x[p]) * w[0] +
-                 static_cast<std::int16_t>(x[p] >> 16) * w[1];
+          const std::int32_t xp = _mm_cvtsi128_si32(x[i * pairs + p]);
+          sum += static_cast<std::int16_t>(xp) * w[0] +
+                 static_cast<std::int16_t>(xp >> 16) * w[1];
         }
-        out[k] = a.accumulate ? out[k] + sum : sum;
-        lo = std::min(lo, out[k]);
-        hi = std::max(hi, out[k]);
+        std::int32_t& psum = out[i][k];
+        psum = a.accumulate ? psum + sum : sum;
+        lo = std::min(lo, psum);
+        hi = std::max(hi, psum);
       }
     }
   }

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "arch/fixed_point.hpp"
 #include "nn/quant.hpp"
@@ -21,8 +22,11 @@ class NonConvUnitArray {
  public:
   /// Applies per-channel parameters to a channel-innermost block of
   /// accumulators, [pixel][channel]: value i belongs to channel
-  /// (i % channels). This matches both use sites (DWC tiles are
+  /// (i % channels). This matches both use sites (DWC blocks are
   /// [row][col][channel], PWC write-back blocks are [row][col][kernel]).
+  /// Every value equals NonConvChannelParams::apply (arch::nonconv_affine)
+  /// bit for bit; the block computes it in double precision, which is
+  /// exact over the whole int32 accumulator range (nonconv_unit.cpp).
   void apply_block(std::span<const std::int32_t> acc,
                    std::span<const nn::NonConvChannelParams> params,
                    int channels, std::span<std::int8_t> out);
@@ -44,6 +48,9 @@ class NonConvUnitArray {
 
  private:
   bool writeback_ = false;
+  // The block's per-channel k and b + 2^15, reused from block to block.
+  std::vector<double> k_;
+  std::vector<double> b_;
   std::int64_t transfer_ops_ = 0;
   std::int64_t writeback_ops_ = 0;
 };

@@ -4,14 +4,16 @@
 // (512 MACs). Two PEs feed one 8-input adder tree, so the engine computes
 // 64 output dot products per cycle: Tn x Tm = 4 spatial positions x
 // Tk = 16 kernels, each a dot product across the Td = 8 channels of the
-// current slice. Each step accumulates its partial sums straight into the
-// buffer tile's block in the accumulator buffer, overwriting it on a
-// pass's first slice - the accumulate stage of the silicon, folded into
-// the step.
+// current slice. The engine runs a block of steps per call - every
+// Tn x Tm step of a (buffer tile, channel slice) pass at once, a single
+// step being a one-step block - and accumulates the partial sums straight
+// into the buffer tile's block in the accumulator buffer, overwriting it
+// on a pass's first slice: the accumulate stage of the silicon, folded
+// into the engine.
 //
-// Each step runs the kernel core::pwc_kernel_for picks: an SSE2 pmaddwd
+// Each block runs the kernel core::pwc_kernel_for picks: an SSE2 pmaddwd
 // kernel over an int16 copy of the weights, interleaved by channel pair
-// and staged at load time, with the generic reference path as fallback
+// and staged once per layer, with the generic reference path as fallback
 // and kForceGeneric as the A/B pin.
 #pragma once
 
@@ -26,15 +28,15 @@
 
 namespace edea::core {
 
-/// Where one step's partial sums land: a buffer tile's
-/// [rows][cols][kernels] psum block and the step's origin in it. Step
-/// positions past the block's last row or column are dummy lanes,
-/// clocked and tallied but never summed.
+/// Where one engine block's partial sums land: a buffer tile's
+/// [rows][cols][kernels] psum block and the engine block's origin in it.
+/// Engine positions past the psum block's last row or column are dummy
+/// lanes, clocked and tallied but never summed.
 struct PsumTarget {
   std::span<std::int32_t> block;  ///< [rows][cols][kernels]
   int rows = 0;
   int cols = 0;
-  int row0 = 0;  ///< the step's first position in the block
+  int row0 = 0;  ///< the engine block's first position in the psum block
   int col0 = 0;
   bool accumulate = false;  ///< add onto the block; false overwrites it
 };
@@ -43,29 +45,30 @@ class PwcEngine {
  public:
   explicit PwcEngine(const EdeaConfig& config);
 
-  /// Loads one channel slice's weights for a run of kernels,
-  /// [kernels][channels] (channels <= Td). Retained until the next load;
-  /// every spatial step of a pass reuses them. Also stages the int16 copy
-  /// the specialized kernel streams, [channel pair][kernel][2].
-  void load_weights(std::span<const std::int8_t> weights, int kernels,
-                    int channels);
+  /// Loads one channel slice's staged weights for a run of kernels
+  /// (channels <= Td), read in place until the next load - across every
+  /// block of a pass - so they must outlive that use.
+  void load_weights(const PwcWeights& weights);
+  void load_weights(PwcWeights&&) = delete;  // would dangle
 
-  /// One spatial step over every loaded kernel: their dot products across
-  /// the slice channels at the Tn x Tm positions of `activations`
-  /// ([row][col][channel], read in place), accumulated into `target`. The
-  /// engine takes the kernels Tk at a time, one kernel group per cycle
+  /// Runs a block of rows x cols positions - a whole number of Tn x Tm
+  /// steps - over every loaded kernel: their dot products across the
+  /// slice channels at each position of `activations` ([row][col]
+  /// [channel], read in place), accumulated into `target`. The engine
+  /// takes each step's kernels Tk at a time, one kernel group per cycle
   /// (64 dot products per cycle in the paper configuration). Returns the
-  /// range of the partial sums left in the block.
-  PsumRange step(std::span<const std::int8_t> activations,
-                 const PsumTarget& target) {
-    return step(activations, target, activity_);
+  /// range of the partial sums the block left in the psum block.
+  PsumRange run_block(std::span<const std::int8_t> activations, int rows,
+                      int cols, const PsumTarget& target) {
+    return run_block(activations, rows, cols, target, activity_);
   }
 
-  /// Reentrant step: activity tallies into the caller-supplied sink. Safe
-  /// to call concurrently from multiple threads on one engine (each with
-  /// its own target block).
-  PsumRange step(std::span<const std::int8_t> activations,
-                 const PsumTarget& target, arch::MacActivity& activity) const;
+  /// Reentrant block: activity tallies into the caller-supplied sink.
+  /// Safe to call concurrently from multiple threads on one engine (each
+  /// with its own target block).
+  PsumRange run_block(std::span<const std::int8_t> activations, int rows,
+                      int cols, const PsumTarget& target,
+                      arch::MacActivity& activity) const;
 
   /// Pins (or unpins) the generic reference kernels. Default is kAuto.
   void set_kernel_policy(KernelPolicy policy) noexcept { policy_ = policy; }
@@ -97,10 +100,7 @@ class PwcEngine {
  private:
   EdeaConfig config_;
   arch::AdderTree tree_;
-  std::vector<std::int8_t> weights_;    ///< [kernel][channel]
-  std::vector<std::int16_t> weights_t_;  ///< [channel pair][kernel][2]
-  int weight_kernels_ = 0;
-  int weight_channels_ = 0;
+  const PwcWeights* weights_ = nullptr;  ///< the loaded slice
   arch::MacActivity activity_;
   KernelPolicy policy_ = KernelPolicy::kAuto;
 };

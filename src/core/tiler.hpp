@@ -38,10 +38,19 @@ struct BufferTile {
   int in_rows = 0;  ///< full extent including halo
   int in_cols = 0;
 
+  /// Output rows and cols the tile's engine steps cover: its extent
+  /// rounded up to whole Tn x Tm steps. Positions past out_rows/out_cols
+  /// are the dummy lanes of its edge steps.
+  [[nodiscard]] int step_rows(const EdeaConfig& cfg) const {
+    return (out_rows + cfg.tn - 1) / cfg.tn * cfg.tn;
+  }
+  [[nodiscard]] int step_cols(const EdeaConfig& cfg) const {
+    return (out_cols + cfg.tm - 1) / cfg.tm * cfg.tm;
+  }
+
   /// Spatial engine steps this tile requires (ceil over Tn x Tm).
   [[nodiscard]] std::int64_t spatial_steps(const EdeaConfig& cfg) const {
-    return ((out_rows + cfg.tn - 1) / cfg.tn) *
-           ((out_cols + cfg.tm - 1) / cfg.tm);
+    return std::int64_t{step_rows(cfg) / cfg.tn} * (step_cols(cfg) / cfg.tm);
   }
 
   /// Elements of the *valid* (in-image) part of the input region for one

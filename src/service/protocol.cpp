@@ -191,6 +191,10 @@ ParsedLine parse_request_line(const std::string& line,
 ParsedLine parse_request_line(const std::string& line,
                               const core::JobDims& defaults) {
   defaults.validate("request defaults");
+  if (line.size() > kMaxLineBytes) {
+    return malformed("line longer than " + std::to_string(kMaxLineBytes) +
+                     " bytes");
+  }
   const std::vector<std::string> tokens = tokenize(line);
   ParsedLine parsed;
   static_cast<core::JobDims&>(parsed.request) = defaults;

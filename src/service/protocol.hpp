@@ -102,6 +102,7 @@
 // the outcome line - infeasible points are data, not protocol errors.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -133,6 +134,13 @@ struct Request : core::JobKey {
 /// frame size would let one malformed line commit the session to
 /// swallowing gigabytes as "frame content".
 inline constexpr int kMaxFrameLines = 4096;
+
+/// Longest request line the protocol accepts, in bytes without its '\n'.
+/// Far above any real request (a few hundred bytes). A longer line is a
+/// protocol error, and a socket session answers it and closes: reading a
+/// line that never ends would otherwise buffer without bound. Replies are
+/// not bounded - an error reply repeats its request's tokens.
+inline constexpr std::size_t kMaxLineBytes = 64 * 1024;
 
 /// Result of parsing one protocol line.
 struct ParsedLine {

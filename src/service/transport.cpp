@@ -16,6 +16,7 @@
 #include <ostream>
 #include <utility>
 
+#include "service/protocol.hpp"
 #include "util/backoff.hpp"
 #include "util/check.hpp"
 
@@ -54,10 +55,14 @@ void StdioTransport::serve(const std::function<void(Stream&)>& handler) {
 
 namespace {
 
-/// Stream over a connected TCP socket. Owns the fd.
+/// Stream over a connected TCP socket. Owns the fd. A stream that
+/// reads requests (one SocketTransport accepted) bounds its lines at
+/// kMaxLineBytes; one that reads replies (connect_socket's) does not,
+/// because a reply may repeat its request's tokens and outgrow the
+/// request limit.
 class SocketStream : public Stream {
  public:
-  explicit SocketStream(int fd) : fd_(fd) {
+  SocketStream(int fd, bool bounded) : fd_(fd), bounded_(bounded) {
     // Nagle holds back small segments while earlier ones are unACKed -
     // exactly the shape of a pipelined session's steady state (single
     // refill requests, single streamed replies), where it serializes the
@@ -77,12 +82,27 @@ class SocketStream : public Stream {
   SocketStream& operator=(const SocketStream&) = delete;
 
   bool read_line(std::string& line) override {
+    if (overlong_) return false;
     for (;;) {
       // Only bytes not yet scanned can hold the next '\n'.
       const auto* newline = static_cast<const char*>(std::memchr(
           buffer_.data() + scanned_, '\n', buffer_.size() - scanned_));
+      const std::size_t end =
+          newline != nullptr
+              ? static_cast<std::size_t>(newline - buffer_.data())
+              : buffer_.size();
+      if (bounded_ && end - cursor_ > kMaxLineBytes) {
+        // The line outgrew the protocol: hand over one byte past the
+        // limit (the parser answers it with a protocol error), then read
+        // nothing more, so the session ends. The buffer never held more
+        // than the limit plus one recv chunk.
+        line.assign(buffer_, cursor_, kMaxLineBytes + 1);
+        buffer_.clear();
+        buffer_.shrink_to_fit();
+        overlong_ = true;
+        return true;
+      }
       if (newline != nullptr) {
-        const auto end = static_cast<std::size_t>(newline - buffer_.data());
         line.assign(buffer_, cursor_, end - cursor_);
         cursor_ = scanned_ = end + 1;
         return true;
@@ -154,11 +174,13 @@ class SocketStream : public Stream {
   }
 
   int fd_;
+  bool bounded_;
   std::string buffer_;
   std::size_t cursor_ = 0;   ///< start of the first unread line in buffer_
   std::size_t scanned_ = 0;  ///< buffer_ bytes searched for '\n' already
   std::string write_buffer_;
   bool peer_closed_ = false;
+  bool overlong_ = false;  ///< a line passed kMaxLineBytes: reading is over
 };
 
 [[noreturn]] void throw_errno(const std::string& what) {
@@ -249,7 +271,7 @@ void SocketTransport::serve(const std::function<void(Stream&)>& handler) {
     Session& session = sessions.emplace_back();
     session.thread = std::thread([fd, &handler, &done = session.done] {
       {
-        SocketStream stream(fd);
+        SocketStream stream(fd, /*bounded=*/true);
         try {
           handler(stream);
         } catch (...) {
@@ -291,7 +313,7 @@ std::unique_ptr<Stream> connect_socket(const std::string& host,
     if (fd < 0) throw_errno("socket()");
     if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                   sizeof(addr)) == 0) {
-      return std::make_unique<SocketStream>(fd);
+      return std::make_unique<SocketStream>(fd, /*bounded=*/false);
     }
     const int saved = errno;
     ::close(fd);

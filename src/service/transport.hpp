@@ -50,7 +50,11 @@ class Stream {
   virtual ~Stream() = default;
 
   /// Reads the next line (without its '\n'). Returns false on EOF or a
-  /// broken connection; never throws.
+  /// broken connection; never throws. A stream SocketTransport accepts
+  /// bounds the requests it reads: a line longer than kMaxLineBytes
+  /// (service/protocol.hpp) comes back cut one byte past that limit,
+  /// which the parser rejects, and every later read returns false. A
+  /// connect_socket stream reads replies whole, however long.
   [[nodiscard]] virtual bool read_line(std::string& line) = 0;
 
   /// Writes one line (appends '\n') and flushes it to the peer. Returns

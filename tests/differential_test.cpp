@@ -38,6 +38,7 @@
 // reproducible while the drifting leg keeps exploring.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -48,8 +49,12 @@
 #include <utility>
 #include <vector>
 
+#include "baseline/serialized_accelerator.hpp"
+#include "core/accelerator.hpp"
 #include "core/backend.hpp"
+#include "core/dsc_datapath.hpp"
 #include "core/sweep_runner.hpp"
+#include "core/tiler.hpp"
 #include "core/timing.hpp"
 #include "nn/layers.hpp"
 #include "nn/model_zoo.hpp"
@@ -569,6 +574,88 @@ TEST(DifferentialTest, WiderKernelConfigsAgreeAcrossBackends) {
     EXPECT_GT(total_external_accesses(slow.result),
               total_external_accesses(fast.result));
     EXPECT_GE(slow.result.total_cycles(), fast.result.total_cycles());
+  }
+}
+
+TEST(DifferentialTest, ScheduleReadTalliesEqualPerStepGatherSums) {
+  // Both schedules tally reads as bulk arithmetic over a pass; the
+  // per-step gathers they stand for are summed here one step at a time.
+  // 21 x 19 outputs make a 3 x 3 grid of buffer tiles, so tiles meet every
+  // image edge and one sits inside; the last tile row and column leave a
+  // dummy row and column in their edge steps. EDEA's ifmap-buffer reads
+  // are its windows' in-region positions; its intermediate-buffer reads
+  // one step block per kernel group; the baseline's external
+  // intermediate reads each step's whole block inside the map.
+  for (const int td : {8, 16}) {
+    EdeaConfig config;
+    config.td = td;
+    config.tk = 2 * td;
+    for (const auto& [stride, dilation, mult] :
+         std::vector<std::array<int, 3>>{
+             {1, 1, 1}, {2, 1, 1}, {2, 2, 1}, {1, 2, 2}, {1, 1, 2}}) {
+      nn::DscLayerSpec spec;
+      spec.stride = stride;
+      spec.dilation = dilation;
+      spec.padding = dilation;
+      spec.depth_multiplier = mult;
+      spec.in_rows = stride == 1 ? 21 : 41;
+      spec.in_cols = stride == 1 ? 19 : 37;
+      spec.in_channels = 20 / mult;
+      spec.out_channels = 24;
+      ASSERT_EQ(spec.out_rows(), 21);
+      ASSERT_EQ(spec.out_cols(), 19);
+      SCOPED_TRACE("td=" + std::to_string(td) + " " + spec_one_liner(spec));
+      const std::vector<nn::DscLayerSpec> specs{spec};
+      const auto layers = nn::make_random_quant_network(specs, 31 + stride);
+      const nn::Int8Tensor input = random_input(spec, 37 + dilation);
+
+      const Tiler tiler(config, spec);
+      const int tn = config.tn;
+      const int tm = config.tm;
+      const int extent = config.dwc_window_extent(stride, dilation);
+      const auto groups =
+          static_cast<std::int64_t>(tiler.kernel_groups().size());
+      const nn::Int8Tensor intermediate(
+          nn::Shape{21, 19, spec.intermediate_channels()});
+      const Int8MapView image = Int8MapView::whole(input);
+      const Int8MapView inter = Int8MapView::whole(intermediate);
+      std::int64_t ifmap_reads = 0;
+      std::int64_t intermediate_reads = 0;
+      std::int64_t external_reads = 0;
+      std::vector<std::int8_t> scratch;
+      for (const BufferTile& tile : tiler.tiles()) {
+        const Int8MapView region = image.clipped(
+            tile.in_row0, tile.in_col0, tile.in_rows, tile.in_cols);
+        for (const ChannelSlice& slice : tiler.slices()) {
+          const int C = slice.channels;
+          for (int sy = 0; sy * tn < tile.out_rows; ++sy) {
+            for (int sx = 0; sx * tm < tile.out_cols; ++sx) {
+              scratch.resize(static_cast<std::size_t>(extent * extent * C));
+              ifmap_reads += gather_block(
+                  region, tile.in_row0 + sy * tn * stride,
+                  tile.in_col0 + sx * tm * stride, extent, extent,
+                  slice.channel0, C, mult, scratch);
+              intermediate_reads += std::int64_t{tn} * tm * C * groups;
+              scratch.resize(static_cast<std::size_t>(tn * tm * C));
+              external_reads += gather_block(
+                  inter, tile.out_row0 + sy * tn, tile.out_col0 + sx * tm, tn,
+                  tm, slice.channel0, C, 1, scratch);
+            }
+          }
+        }
+      }
+
+      EdeaAccelerator edea(config);
+      const LayerRunResult fast = edea.run_layer(layers.front(), input);
+      EXPECT_EQ(fast.buffers.dwc_ifmap.reads, ifmap_reads);
+      EXPECT_EQ(fast.buffers.dwc_ifmap.read_bytes, ifmap_reads);
+      EXPECT_EQ(fast.buffers.intermediate.reads, intermediate_reads);
+      EXPECT_EQ(fast.buffers.intermediate.read_bytes, intermediate_reads);
+      baseline::SerializedDscAccelerator serialized(config);
+      const baseline::SerializedLayerResult slow =
+          serialized.run_layer(layers.front(), input);
+      EXPECT_EQ(slow.intermediate_external_reads, external_reads);
+    }
   }
 }
 

@@ -2,9 +2,12 @@
 // the paper and functional equivalence with the golden integer operators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <thread>
 
 #include "core/dwc_engine.hpp"
+#include "core/nonconv_unit.hpp"
 #include "core/pwc_engine.hpp"
 #include "nn/ops.hpp"
 #include "util/check.hpp"
@@ -12,6 +15,7 @@
 
 namespace edea::core {
 namespace {
+
 
 // ------------------------------------------------ structural (Fig. 5) ---
 
@@ -78,11 +82,12 @@ void check_dwc_engine_matches_reference(int rows, int channels, int stride,
       }
     }
   }
-  engine.load_weights(w, channels);
+  const DwcWeights slice(w, 9, channels);
+  engine.load_weights(slice);
 
   const int out_extent = geom.out_extent(rows);
   const int extent = cfg.dwc_window_extent(stride);
-  DwcStepOutput out;
+  DwcBlockOutput out;
   for (int oy = 0; oy < out_extent; oy += cfg.tn) {
     for (int ox = 0; ox < out_extent; ox += cfg.tm) {
       std::vector<std::int8_t> window(
@@ -98,7 +103,7 @@ void check_dwc_engine_matches_reference(int rows, int channels, int stride,
           }
         }
       }
-      engine.step(window, stride, 1, out);
+      engine.run_block(window, cfg.tn, cfg.tm, stride, 1, out);
       for (int r = 0; r < out.rows && oy + r < out_extent; ++r) {
         for (int c = 0; c < out.cols && ox + c < out_extent; ++c) {
           for (int ch = 0; ch < channels; ++ch) {
@@ -127,12 +132,12 @@ TEST(DwcEngine, MatchesReferencePartialSlice) {
 TEST(DwcEngine, FullSliceHas100PercentLaneUtilization) {
   const EdeaConfig cfg = EdeaConfig::paper();
   DwcEngine engine(cfg);
-  std::vector<std::int8_t> w(static_cast<std::size_t>(9 * cfg.td), 1);
-  engine.load_weights(w, cfg.td);
+  const DwcWeights slice(std::vector<std::int8_t>(9 * cfg.td, 1), 9, cfg.td);
+  engine.load_weights(slice);
   const std::vector<std::int8_t> window(static_cast<std::size_t>(16 * cfg.td),
                                         1);
-  DwcStepOutput out;
-  engine.step(window, 1, 1, out);
+  DwcBlockOutput out;
+  engine.run_block(window, cfg.tn, cfg.tm, 1, 1, out);
   EXPECT_EQ(engine.activity().lane_cycles, 288);
   EXPECT_EQ(engine.activity().useful_macs, 288);
   EXPECT_DOUBLE_EQ(engine.activity().utilization(), 1.0);
@@ -141,11 +146,11 @@ TEST(DwcEngine, FullSliceHas100PercentLaneUtilization) {
 TEST(DwcEngine, PartialSliceLanesIdle) {
   const EdeaConfig cfg = EdeaConfig::paper();
   DwcEngine engine(cfg);
-  std::vector<std::int8_t> w(static_cast<std::size_t>(9 * 5), 1);
-  engine.load_weights(w, 5);
+  const DwcWeights slice(std::vector<std::int8_t>(9 * 5, 1), 9, 5);
+  engine.load_weights(slice);
   const std::vector<std::int8_t> window(static_cast<std::size_t>(16 * 5), 1);
-  DwcStepOutput out;
-  engine.step(window, 1, 1, out);
+  DwcBlockOutput out;
+  engine.run_block(window, cfg.tn, cfg.tm, 1, 1, out);
   EXPECT_EQ(engine.activity().lane_cycles, 288);
   EXPECT_EQ(engine.activity().useful_macs, 5 * 36);
   EXPECT_LT(engine.activity().utilization(), 1.0);
@@ -154,38 +159,38 @@ TEST(DwcEngine, PartialSliceLanesIdle) {
 TEST(DwcEngine, TracksZeroActivations) {
   const EdeaConfig cfg = EdeaConfig::paper();
   DwcEngine engine(cfg);
-  std::vector<std::int8_t> w(static_cast<std::size_t>(9 * cfg.td), 1);
-  engine.load_weights(w, cfg.td);
+  const DwcWeights slice(std::vector<std::int8_t>(9 * cfg.td, 1), 9, cfg.td);
+  engine.load_weights(slice);
   const std::vector<std::int8_t> window(static_cast<std::size_t>(16 * cfg.td),
                                         0);  // all zero
-  DwcStepOutput out;
-  engine.step(window, 1, 1, out);
+  DwcBlockOutput out;
+  engine.run_block(window, cfg.tn, cfg.tm, 1, 1, out);
   EXPECT_EQ(engine.activity().zero_operand_macs, 288);
 }
 
 TEST(DwcEngine, RequiresLoadedWeights) {
   DwcEngine engine{EdeaConfig::paper()};
   const std::vector<std::int8_t> window(16 * 8, 0);
-  DwcStepOutput out;
-  EXPECT_THROW(engine.step(window, 1, 1, out), PreconditionError);
+  DwcBlockOutput out;
+  EXPECT_THROW(engine.run_block(window, 2, 2, 1, 1, out), PreconditionError);
 }
 
 TEST(DwcEngine, RejectsWrongWindowExtent) {
   const EdeaConfig cfg = EdeaConfig::paper();
   DwcEngine engine(cfg);
-  std::vector<std::int8_t> w(static_cast<std::size_t>(9 * 8), 1);
-  engine.load_weights(w, 8);
+  const DwcWeights slice(std::vector<std::int8_t>(9 * 8, 1), 9, 8);
+  engine.load_weights(slice);
   const std::vector<std::int8_t> window(25 * 8, 0);  // stride-2 extent ...
-  DwcStepOutput out;
-  EXPECT_THROW(engine.step(window, 1, 1, out),
+  DwcBlockOutput out;
+  EXPECT_THROW(engine.run_block(window, cfg.tn, cfg.tm, 1, 1, out),
                PreconditionError);  // ... s=1
-  EXPECT_NO_THROW(engine.step(window, 2, 1, out));
+  EXPECT_NO_THROW(engine.run_block(window, cfg.tn, cfg.tm, 2, 1, out));
 }
 
 // ------------------------------------------------------ PWC functional ---
 
 /// A paper-configuration step's own 2 x 2 psum block, overwritten by
-/// each step (a pass's first slice).
+/// each one-step block (a pass's first slice).
 struct PsumBlock {
   explicit PsumBlock(int kernels)
       : kernels(kernels), psum(static_cast<std::size_t>(4 * kernels)) {}
@@ -215,9 +220,10 @@ TEST(PwcEngine, MatchesReferenceDotProducts) {
     v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
   }
 
-  engine.load_weights(weights, 16, 8);
+  const PwcWeights slice(weights, 16, 8);
+  engine.load_weights(slice);
   PsumBlock out(16);
-  engine.step(acts, out.target());
+  engine.run_block(acts, 2, 2, out.target());
   for (int r = 0; r < 2; ++r) {
     for (int c = 0; c < 2; ++c) {
       for (int k = 0; k < 16; ++k) {
@@ -236,9 +242,10 @@ TEST(PwcEngine, MatchesReferenceDotProducts) {
 
 TEST(PwcEngine, FullGroupHas100PercentLaneUtilization) {
   PwcEngine engine{EdeaConfig::paper()};
-  engine.load_weights(std::vector<std::int8_t>(16 * 8, 1), 16, 8);
+  const PwcWeights slice(std::vector<std::int8_t>(16 * 8, 1), 16, 8);
+  engine.load_weights(slice);
   PsumBlock out(16);
-  engine.step(std::vector<std::int8_t>(2 * 2 * 8, 1), out.target());
+  engine.run_block(std::vector<std::int8_t>(2 * 2 * 8, 1), 2, 2, out.target());
   EXPECT_EQ(engine.activity().lane_cycles, 512);
   EXPECT_EQ(engine.activity().useful_macs, 512);
   EXPECT_DOUBLE_EQ(engine.activity().utilization(), 1.0);
@@ -246,20 +253,22 @@ TEST(PwcEngine, FullGroupHas100PercentLaneUtilization) {
 
 TEST(PwcEngine, PartialKernelGroupIdlesLanes) {
   PwcEngine engine{EdeaConfig::paper()};
-  engine.load_weights(std::vector<std::int8_t>(10 * 8, 1), 10,
-                      8);  // 10 < Tk = 16
+  const PwcWeights slice(std::vector<std::int8_t>(10 * 8, 1), 10,
+                         8);  // 10 < Tk = 16
+  engine.load_weights(slice);
   PsumBlock out(10);
-  engine.step(std::vector<std::int8_t>(2 * 2 * 8, 1), out.target());
+  engine.run_block(std::vector<std::int8_t>(2 * 2 * 8, 1), 2, 2, out.target());
   EXPECT_EQ(engine.activity().lane_cycles, 512);
   EXPECT_EQ(engine.activity().useful_macs, 10 * 4 * 8);
 }
 
 TEST(PwcEngine, PartialChannelSliceIdlesLanes) {
   PwcEngine engine{EdeaConfig::paper()};
-  engine.load_weights(std::vector<std::int8_t>(16 * 3, 3), 16,
-                      3);  // 3 < Td = 8
+  const PwcWeights slice(std::vector<std::int8_t>(16 * 3, 3), 16,
+                         3);  // 3 < Td = 8
+  engine.load_weights(slice);
   PsumBlock out(16);
-  engine.step(std::vector<std::int8_t>(2 * 2 * 3, 2), out.target());
+  engine.run_block(std::vector<std::int8_t>(2 * 2 * 3, 2), 2, 2, out.target());
   EXPECT_EQ(engine.activity().lane_cycles, 512);
   EXPECT_EQ(engine.activity().useful_macs, 16 * 4 * 3);
   EXPECT_EQ(out.at(0, 0, 0), 18);  // 3 channels x (2*3)
@@ -269,34 +278,41 @@ TEST(PwcEngine, RejectsMalformedInput) {
   PwcEngine engine{EdeaConfig::paper()};
   PsumBlock out(16);
   const std::vector<std::int8_t> acts(2 * 2 * 8, 0);
-  EXPECT_THROW(engine.step(acts, out.target()),
+  EXPECT_THROW(engine.run_block(acts, 2, 2, out.target()),
                PreconditionError);  // no weights
-  EXPECT_THROW(engine.load_weights(std::vector<std::int8_t>(16 * 9, 0), 16, 9),
+  const PwcWeights nine(std::vector<std::int8_t>(16 * 9, 0), 16, 9);
+  EXPECT_THROW(engine.load_weights(nine),
                PreconditionError);  // 9 channels > Td
-  EXPECT_THROW(engine.load_weights(std::vector<std::int8_t>(16 * 8, 0), 17, 8),
+  EXPECT_THROW(PwcWeights(std::vector<std::int8_t>(16 * 8, 0), 17, 8),
                PreconditionError);  // the block is not 17 x 8
-  engine.load_weights(std::vector<std::int8_t>(17 * 8, 0), 17,
-                      8);  // two kernel groups
+  const PwcWeights groups(std::vector<std::int8_t>(17 * 8, 0), 17,
+                          8);  // two kernel groups
+  engine.load_weights(groups);
   PsumBlock block(17);
-  EXPECT_THROW(
-      engine.step(std::vector<std::int8_t>(2 * 2 * 7, 0), block.target()),
-      PreconditionError);  // not Tn x Tm x the loaded channels
-  EXPECT_THROW(engine.step(std::vector<std::int8_t>(2 * 2 * 8, 0),
-                           out.target()),
+  EXPECT_THROW(engine.run_block(std::vector<std::int8_t>(2 * 2 * 7, 0), 2, 2,
+                                block.target()),
+               PreconditionError);  // not Tn x Tm x the loaded channels
+  EXPECT_THROW(engine.run_block(std::vector<std::int8_t>(2 * 2 * 8, 0), 2, 2,
+                                out.target()),
                PreconditionError);  // a block of 16 kernels, not 17
   PsumTarget outside = block.target();
   outside.row0 = 2;
-  EXPECT_THROW(engine.step(std::vector<std::int8_t>(2 * 2 * 8, 0), outside),
-               PreconditionError);  // the step origin is past the block
+  EXPECT_THROW(
+      engine.run_block(std::vector<std::int8_t>(2 * 2 * 8, 0), 2, 2, outside),
+      PreconditionError);  // the step origin is past the block
+  EXPECT_THROW(engine.run_block(std::vector<std::int8_t>(3 * 2 * 8, 0), 3, 2,
+                                block.target()),
+               PreconditionError);  // 3 rows are not whole Tn = 2 steps
 }
 
 TEST(PwcEngine, StepRunsEveryKernelGroup) {
   // 40 kernels at Tk = 16: three engine cycles (16 + 16 + 8), the last
   // group's 8 missing kernels idling their lanes.
   PwcEngine engine{EdeaConfig::paper()};
-  engine.load_weights(std::vector<std::int8_t>(40 * 8, 2), 40, 8);
+  const PwcWeights slice(std::vector<std::int8_t>(40 * 8, 2), 40, 8);
+  engine.load_weights(slice);
   PsumBlock out(40);
-  engine.step(std::vector<std::int8_t>(2 * 2 * 8, 3), out.target());
+  engine.run_block(std::vector<std::int8_t>(2 * 2 * 8, 3), 2, 2, out.target());
   EXPECT_EQ(out.at(1, 1, 39), 48);  // 8 channels x (2*3)
   EXPECT_EQ(engine.activity().lane_cycles, 3 * 512);
   EXPECT_EQ(engine.activity().useful_macs, 40 * 4 * 8);
@@ -304,13 +320,14 @@ TEST(PwcEngine, StepRunsEveryKernelGroup) {
 
 // --------------------------------------------------------- reentrancy ---
 //
-// Regression: DwcEngine::step used to write into a member scratch buffer
-// (`products_`), so two concurrent steps on one engine silently corrupted
-// each other's accumulators. Kernels now keep all scratch on the stack and
-// the const step overload tallies into a caller-owned MacActivity, so one
-// engine can serve many threads. Each test hammers a shared engine from
-// several threads and checks every output and every activity tally against
-// the serial reference - under TSan/ASan this is also a data-race probe.
+// Regression: the DWC engine's step used to write into a member scratch
+// buffer (`products_`), so two concurrent steps on one engine silently
+// corrupted each other's accumulators. Kernels now keep all scratch on the
+// stack and the const run_block overload tallies into a caller-owned
+// MacActivity, so one engine can serve many threads. Each test hammers a
+// shared engine from several threads and checks every output and every
+// activity tally against the serial reference - under TSan/ASan this is
+// also a data-race probe.
 
 TEST(DwcEngine, ConstStepIsReentrant) {
   const EdeaConfig cfg = EdeaConfig::paper();
@@ -318,7 +335,8 @@ TEST(DwcEngine, ConstStepIsReentrant) {
   edea::Rng rng(3001);
   std::vector<std::int8_t> w(static_cast<std::size_t>(9 * cfg.td));
   for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-  engine.load_weights(w, cfg.td);
+  const DwcWeights slice(w, 9, cfg.td);
+  engine.load_weights(slice);
 
   constexpr int kWindows = 16;
   constexpr int kRepeats = 50;
@@ -332,11 +350,11 @@ TEST(DwcEngine, ConstStepIsReentrant) {
 
   // Serial reference: outputs and the activity of one pass over all
   // windows, through the same const overload.
-  std::vector<DwcStepOutput> expected(kWindows);
+  std::vector<DwcBlockOutput> expected(kWindows);
   arch::MacActivity serial;
   for (int i = 0; i < kWindows; ++i) {
-    engine.step(windows[static_cast<std::size_t>(i)], 1, 1,
-                expected[static_cast<std::size_t>(i)], serial);
+    engine.run_block(windows[static_cast<std::size_t>(i)], cfg.tn, cfg.tm, 1,
+                     1, expected[static_cast<std::size_t>(i)], serial);
   }
 
   constexpr int kThreads = 4;
@@ -345,11 +363,12 @@ TEST(DwcEngine, ConstStepIsReentrant) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      DwcStepOutput out;
+      DwcBlockOutput out;
       for (int rep = 0; rep < kRepeats; ++rep) {
         for (int i = 0; i < kWindows; ++i) {
-          engine.step(windows[static_cast<std::size_t>(i)], 1, 1, out,
-                      sinks[static_cast<std::size_t>(t)]);
+          engine.run_block(windows[static_cast<std::size_t>(i)], cfg.tn,
+                           cfg.tm, 1, 1, out,
+                           sinks[static_cast<std::size_t>(t)]);
           if (out.acc != expected[static_cast<std::size_t>(i)].acc) {
             ++mismatches[static_cast<std::size_t>(t)];
           }
@@ -369,7 +388,7 @@ TEST(DwcEngine, ConstStepIsReentrant) {
     EXPECT_EQ(sinks[static_cast<std::size_t>(t)].zero_operand_macs,
               serial.zero_operand_macs * kRepeats);
   }
-  // The engine's own counter never moved: const steps leave no trace.
+  // The engine's own counter never moved: const blocks leave no trace.
   EXPECT_EQ(engine.activity(), arch::MacActivity{});
 }
 
@@ -385,7 +404,8 @@ TEST(PwcEngine, ConstStepIsReentrant) {
   for (auto& v : weights) {
     v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
   }
-  engine.load_weights(weights, kernels, cfg.td);
+  const PwcWeights slice(weights, kernels, cfg.td);
+  engine.load_weights(slice);
 
   constexpr int kInputs = 16;
   constexpr int kRepeats = 50;
@@ -400,8 +420,8 @@ TEST(PwcEngine, ConstStepIsReentrant) {
   std::vector<PsumBlock> expected(kInputs, PsumBlock(kernels));
   arch::MacActivity serial;
   for (int i = 0; i < kInputs; ++i) {
-    engine.step(inputs[static_cast<std::size_t>(i)],
-                expected[static_cast<std::size_t>(i)].target(), serial);
+    engine.run_block(inputs[static_cast<std::size_t>(i)], cfg.tn, cfg.tm,
+                     expected[static_cast<std::size_t>(i)].target(), serial);
   }
 
   constexpr int kThreads = 4;
@@ -413,8 +433,9 @@ TEST(PwcEngine, ConstStepIsReentrant) {
       PsumBlock out(kernels);
       for (int rep = 0; rep < kRepeats; ++rep) {
         for (int i = 0; i < kInputs; ++i) {
-          engine.step(inputs[static_cast<std::size_t>(i)], out.target(),
-                      sinks[static_cast<std::size_t>(t)]);
+          engine.run_block(inputs[static_cast<std::size_t>(i)], cfg.tn,
+                           cfg.tm, out.target(),
+                           sinks[static_cast<std::size_t>(t)]);
           if (out.psum != expected[static_cast<std::size_t>(i)].psum) {
             ++mismatches[static_cast<std::size_t>(t)];
           }
@@ -444,7 +465,8 @@ TEST(DwcEngine, ForcedGenericConstStepIsAlsoReentrant) {
   edea::Rng rng(3003);
   std::vector<std::int8_t> w(static_cast<std::size_t>(9 * cfg.td));
   for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-  engine.load_weights(w, cfg.td);
+  const DwcWeights slice(w, 9, cfg.td);
+  engine.load_weights(slice);
 
   std::vector<std::int8_t> window(static_cast<std::size_t>(16 * cfg.td));
   for (auto& v : window) {
@@ -452,8 +474,8 @@ TEST(DwcEngine, ForcedGenericConstStepIsAlsoReentrant) {
   }
 
   arch::MacActivity ref_sink;
-  DwcStepOutput reference;
-  engine.step(window, 1, 1, reference, ref_sink);
+  DwcBlockOutput reference;
+  engine.run_block(window, cfg.tn, cfg.tm, 1, 1, reference, ref_sink);
 
   constexpr int kThreads = 4;
   std::vector<int> mismatches(kThreads, 0);
@@ -461,9 +483,10 @@ TEST(DwcEngine, ForcedGenericConstStepIsAlsoReentrant) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      DwcStepOutput out;
+      DwcBlockOutput out;
       for (int rep = 0; rep < 100; ++rep) {
-        engine.step(window, 1, 1, out, sinks[static_cast<std::size_t>(t)]);
+        engine.run_block(window, cfg.tn, cfg.tm, 1, 1, out,
+                         sinks[static_cast<std::size_t>(t)]);
         if (out.acc != reference.acc) {
           ++mismatches[static_cast<std::size_t>(t)];
         }
@@ -472,6 +495,135 @@ TEST(DwcEngine, ForcedGenericConstStepIsAlsoReentrant) {
   }
   for (std::thread& th : threads) th.join();
   for (const int m : mismatches) EXPECT_EQ(m, 0);
+}
+
+// ---------------------------------------------------- Non-Conv block ---
+//
+// NonConvUnitArray::apply_block computes the affine in double precision,
+// which is exact over the whole int32 accumulator range (nonconv_unit.cpp).
+// Its edges: products k * acc at the 2^52 boundary where doubles start to
+// round, accumulators at the int32 extremes, k and b at the Q8.16
+// extremes, and sums on each side of every rounding edge, at both clamps.
+
+/// Expects apply_block over `acc` (any length; padded to whole pixels of
+/// `channels`) with every channel's parameters `params` to equal
+/// arch::nonconv_affine value by value.
+void expect_block_matches_affine(std::vector<std::int32_t> acc,
+                                 nn::NonConvChannelParams params,
+                                 int channels) {
+  while (acc.size() % static_cast<std::size_t>(channels) != 0) {
+    acc.push_back(0);
+  }
+  const std::vector<nn::NonConvChannelParams> per_channel(
+      static_cast<std::size_t>(channels), params);
+  std::vector<std::int8_t> out(acc.size());
+  NonConvUnitArray array;
+  array.apply_block(acc, per_channel, channels, out);
+  for (std::size_t i = 0; i < acc.size(); ++i) {
+    ASSERT_EQ(out[i],
+              static_cast<std::int8_t>(arch::nonconv_affine(acc[i], params.k,
+                                                            params.b)))
+        << "acc=" << acc[i] << " k=" << params.k.raw()
+        << " b=" << params.b.raw() << " lane " << i % channels;
+  }
+  EXPECT_EQ(array.transfer_ops(), static_cast<std::int64_t>(acc.size()));
+}
+
+/// Accumulators whose k * acc + b lands on each side of the rounding edge
+/// below output y (the sum y * 2^16 - 2^15 rounds up to y), for outputs
+/// around both clamps, plus the int32 extremes and products at the 2^52
+/// and 2^53 boundaries.
+std::vector<std::int32_t> edge_accumulators(std::int32_t k, std::int32_t b) {
+  std::vector<std::int64_t> wanted = {
+      std::numeric_limits<std::int32_t>::min(),
+      std::numeric_limits<std::int32_t>::min() + 1,
+      -1,
+      0,
+      1,
+      9 * 128 * 128,  // the largest |DWC accumulator|
+      -9 * 128 * 128,
+      std::numeric_limits<std::int32_t>::max() - 1,
+      std::numeric_limits<std::int32_t>::max()};
+  if (k != 0) {
+    for (const std::int64_t y : {-2, -1, 0, 1, 2, 126, 127, 128, 129}) {
+      const std::int64_t edge = y * 65536 - 32768 - b;
+      for (const std::int64_t target : {edge - 1, edge, edge + 1}) {
+        const std::int64_t acc = target / k;
+        for (std::int64_t d = -1; d <= 1; ++d) wanted.push_back(acc + d);
+      }
+    }
+    for (const std::int64_t p :
+         {std::int64_t{1} << 52, std::int64_t{1} << 53}) {
+      for (std::int64_t d = -2; d <= 2; ++d) {
+        wanted.push_back(p / k + d);
+        wanted.push_back(-p / k + d);
+      }
+    }
+  }
+  std::vector<std::int32_t> acc;
+  for (const std::int64_t v : wanted) {
+    if (v >= std::numeric_limits<std::int32_t>::min() &&
+        v <= std::numeric_limits<std::int32_t>::max()) {
+      acc.push_back(static_cast<std::int32_t>(v));
+    }
+  }
+  return acc;
+}
+
+TEST(NonConvUnitArray, BlockEqualsAffineAtEveryEdge) {
+  const std::int32_t kMin = arch::Q8_16::kMinRaw;
+  const std::int32_t kMax = arch::Q8_16::kMaxRaw;
+  const std::vector<std::int32_t> ks = {kMin, kMin + 1, -65536, -3, -1, 0,
+                                        1,    3,        65535, 65536,
+                                        kMax - 1, kMax};
+  const std::vector<std::int32_t> bs = {kMin, -32769, -32768, -1, 0,
+                                        1,    32767,  32768,  kMax};
+  for (const std::int32_t k : ks) {
+    for (const std::int32_t b : bs) {
+      const nn::NonConvChannelParams params{arch::Q8_16::from_raw(k),
+                                            arch::Q8_16::from_raw(b)};
+      // Six lanes: one four-lane SSE2 group and a two-lane tail.
+      expect_block_matches_affine(edge_accumulators(k, b), params, 6);
+      expect_block_matches_affine(edge_accumulators(k, b), params, 1);
+    }
+  }
+}
+
+TEST(NonConvUnitArray, BlockEqualsAffineOnRandomBlocks) {
+  // Per-channel parameters across the whole Q8.16 range over accumulators
+  // of DWC and PWC magnitudes, at the slice widths the engines run.
+  edea::Rng rng(7001);
+  for (const int channels : {3, 8, 16, 37}) {
+    std::vector<nn::NonConvChannelParams> params;
+    for (int ch = 0; ch < channels; ++ch) {
+      params.push_back(nn::NonConvChannelParams{
+          arch::Q8_16::from_raw(static_cast<std::int32_t>(
+              rng.uniform_int(arch::Q8_16::kMinRaw, arch::Q8_16::kMaxRaw))),
+          arch::Q8_16::from_raw(static_cast<std::int32_t>(
+              rng.uniform_int(arch::Q8_16::kMinRaw, arch::Q8_16::kMaxRaw)))});
+    }
+    for (const std::int64_t magnitude :
+         {std::int64_t{200}, std::int64_t{1} << 18, std::int64_t{1} << 31}) {
+      std::vector<std::int32_t> acc(static_cast<std::size_t>(channels) * 64);
+      for (auto& v : acc) {
+        v = static_cast<std::int32_t>(std::clamp<std::int64_t>(
+            rng.uniform_int(-magnitude, magnitude),
+            std::numeric_limits<std::int32_t>::min(),
+            std::numeric_limits<std::int32_t>::max()));
+      }
+      std::vector<std::int8_t> out(acc.size());
+      NonConvUnitArray array;
+      array.set_writeback_mode(true);
+      array.apply_block(acc, params, channels, out);
+      for (std::size_t i = 0; i < acc.size(); ++i) {
+        ASSERT_EQ(out[i], params[i % static_cast<std::size_t>(channels)].apply(
+                              acc[i]))
+            << "channels=" << channels << " acc=" << acc[i];
+      }
+      EXPECT_EQ(array.writeback_ops(), static_cast<std::int64_t>(acc.size()));
+      EXPECT_EQ(array.transfer_ops(), 0);
+    }
+  }
 }
 
 // ----------------------------------------------------- scaled configs ---

@@ -7,13 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "core/dsc_datapath.hpp"
 #include "core/dwc_engine.hpp"
 #include "core/pwc_engine.hpp"
+#include "core/tiler.hpp"
+#include "nn/model_zoo.hpp"
 #include "util/random.hpp"
 
 namespace edea::core {
@@ -65,18 +71,19 @@ TEST(KernelDispatch, ForceGenericPolicyRoutesAroundSpecializations) {
   edea::Rng rng(4001);
   std::vector<std::int8_t> w(static_cast<std::size_t>(9 * cfg.td));
   for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-  fast.load_weights(w, cfg.td);
-  slow.load_weights(w, cfg.td);
+  const DwcWeights staged(w, 9, cfg.td);
+  fast.load_weights(staged);
+  slow.load_weights(staged);
 
   std::vector<std::int8_t> window(static_cast<std::size_t>(16 * cfg.td));
   for (auto& v : window) {
     v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
   }
 
-  DwcStepOutput a;
-  DwcStepOutput b;
-  fast.step(window, 1, 1, a);
-  slow.step(window, 1, 1, b);
+  DwcBlockOutput a;
+  DwcBlockOutput b;
+  fast.run_block(window, cfg.tn, cfg.tm, 1, 1, a);
+  slow.run_block(window, cfg.tn, cfg.tm, 1, 1, b);
   EXPECT_EQ(a.acc, b.acc);
   EXPECT_EQ(fast.activity(), slow.activity());
 }
@@ -130,18 +137,19 @@ void check_dwc_bit_identity(const EdeaConfig& cfg, int stride, int dilation,
   edea::Rng rng(seed);
   std::vector<std::int8_t> w(static_cast<std::size_t>(9 * channels));
   for (auto& v : w) v = draw_weight(rng, mix);
-  fast.load_weights(w, channels);
-  slow.load_weights(w, channels);
+  const DwcWeights staged(w, 9, channels);
+  fast.load_weights(staged);
+  slow.load_weights(staged);
 
   const int extent = cfg.dwc_window_extent(stride, dilation);
   std::vector<std::int8_t> window(
       static_cast<std::size_t>(extent * extent * channels));
-  DwcStepOutput a;
-  DwcStepOutput b;
+  DwcBlockOutput a;
+  DwcBlockOutput b;
   for (int rep = 0; rep < 25; ++rep) {
     for (auto& v : window) v = draw_activation(rng, mix);
-    fast.step(window, stride, dilation, a);
-    slow.step(window, stride, dilation, b);
+    fast.run_block(window, cfg.tn, cfg.tm, stride, dilation, a);
+    slow.run_block(window, cfg.tn, cfg.tm, stride, dilation, b);
     ASSERT_EQ(a.acc, b.acc) << "td=" << cfg.td << " stride=" << stride
                             << " dilation=" << dilation
                             << " channels=" << channels << " rep=" << rep;
@@ -219,15 +227,15 @@ TEST(KernelDispatchBitIdentity, Dwc3x3MinimumOperandsOnBothSides) {
   }
 }
 
-/// The PWC half of the contract: a step accumulates its real positions
-/// straight into a tile's psum block. Each rep lands the step somewhere
-/// else in a (Tn + 1) x (Tm + 1) block that starts out holding non-zero
-/// partial sums: at the block's origin (every position real), against its
-/// last row, its last column, or its corner (only one real row, column
-/// or position; the rest are dummy lanes). Odd reps add onto the block,
-/// even ones overwrite it as a pass's first slice does. Both engines must
-/// leave the whole block bit-equal - dummy positions and the rest of the
-/// block untouched - and report the same psum range.
+/// The PWC half of the contract: a block accumulates its real positions
+/// straight into a tile's psum block. Each rep lands a one-step block
+/// somewhere else in a (Tn + 1) x (Tm + 1) psum block that starts out
+/// holding non-zero partial sums: at the block's origin (every position
+/// real), against its last row, its last column, or its corner (only one
+/// real row, column or position; the rest are dummy lanes). Odd reps add
+/// onto the block, even ones overwrite it as a pass's first slice does.
+/// Both engines must leave the whole block bit-equal - dummy positions
+/// and the rest of the block untouched - and report the same psum range.
 void check_pwc_bit_identity(const EdeaConfig& cfg, int channels, int kernels,
                             const OperandMix& mix, std::uint64_t seed,
                             std::int64_t block_magnitude = 1 << 20) {
@@ -252,15 +260,18 @@ void check_pwc_bit_identity(const EdeaConfig& cfg, int channels, int kernels,
           rng.uniform_int(-block_magnitude, block_magnitude));
     }
     b = a;
-    fast.load_weights(weights, kernels, channels);
-    slow.load_weights(weights, kernels, channels);
+    const PwcWeights staged(weights, kernels, channels);
+    fast.load_weights(staged);
+    slow.load_weights(staged);
     const int row0 = (rep / 2) % 2 == 0 ? 0 : rows - 1;
     const int col0 = (rep / 4) % 2 == 0 ? 0 : cols - 1;
     const bool accumulate = rep % 2 == 1;
     const PsumRange fast_range =
-        fast.step(acts, PsumTarget{a, rows, cols, row0, col0, accumulate});
+        fast.run_block(acts, cfg.tn, cfg.tm,
+                       PsumTarget{a, rows, cols, row0, col0, accumulate});
     const PsumRange slow_range =
-        slow.step(acts, PsumTarget{b, rows, cols, row0, col0, accumulate});
+        slow.run_block(acts, cfg.tn, cfg.tm,
+                       PsumTarget{b, rows, cols, row0, col0, accumulate});
     const auto where = [&] {
       return "td=" + std::to_string(cfg.td) + " tk=" + std::to_string(cfg.tk) +
              " channels=" + std::to_string(channels) +
@@ -320,7 +331,7 @@ TEST(KernelDispatchBitIdentity, Pwc1x1WideSlicesAndGroups) {
 }
 
 TEST(KernelDispatchBitIdentity, Pwc1x1StepOfSeveralKernelGroups) {
-  // A step runs every loaded kernel, Tk per engine cycle; the last group
+  // A block runs every loaded kernel, Tk per engine cycle; the last group
   // is ragged here.
   check_pwc_bit_identity(EdeaConfig::paper(), 8, 40, OperandMix{0.4, 0.0},
                          6251);
@@ -405,6 +416,264 @@ TEST(KernelDispatchBitIdentity, Pwc1x1PsumRangeBeyondFloatPrecision) {
                          6501, std::int64_t{1} << 30);
   check_pwc_bit_identity(wide_config(), 13, 40, OperandMix{0.2, 0.5}, 6502,
                          (std::int64_t{1} << 24) + 3);
+}
+
+// ------------------------------------------------- block equivalence ---
+//
+// A (buffer tile, channel slice) pass runs each engine once over every
+// Tn x Tm step of the tile, through the kernel its shape selects. It must
+// equal the same steps run one at a time through the generic kernels -
+// each step gathering its own window, the Non-Conv transfer applied value
+// by value - in the intermediate block (dummy positions included), the
+// psums, the psum range behind max |psum| and the MacActivity tallies.
+
+/// A layer whose tiles are ragged: 13 x 11 outputs, so 8 x 8 buffer tiles
+/// (7 x 7 when dilation 2 at stride 2 shrinks them) leave edge tiles with
+/// a dummy row or column in their last steps. 20 intermediate channels
+/// leave a partial last slice at Td = 8 and 16; 40 kernels a ragged last
+/// kernel group.
+nn::QuantDscLayer ragged_layer(int stride, int dilation, int mult) {
+  nn::DscLayerSpec spec;
+  spec.stride = stride;
+  spec.dilation = dilation;
+  spec.padding = dilation;
+  spec.depth_multiplier = mult;
+  spec.in_rows = stride == 1 ? 13 : 25;
+  spec.in_cols = stride == 1 ? 11 : 21;
+  spec.in_channels = 20 / mult;
+  spec.out_channels = 40;
+  EXPECT_EQ(spec.out_rows(), 13);
+  EXPECT_EQ(spec.out_cols(), 11);
+  return nn::make_random_quant_network({spec}, 9000 + stride * 100 +
+                                                   dilation * 10 + mult)
+      .front();
+}
+
+/// Compares every pass of `layer` over `input` against per-step generic
+/// kernels. `clip` reads each tile's input through its region, as EDEA's
+/// schedule does; otherwise windows read the whole image, as the
+/// serialized baseline's do.
+void check_passes_match_steps(const EdeaConfig& cfg,
+                              const nn::QuantDscLayer& layer,
+                              const nn::Int8Tensor& input, bool clip) {
+  const nn::DscLayerSpec& spec = layer.spec;
+  const Tiler tiler(cfg, spec);
+  const int K = spec.out_channels;
+  const int tn = cfg.tn;
+  const int tm = cfg.tm;
+  const int extent = cfg.dwc_window_extent(spec.stride, spec.dilation);
+  const int groups = (K + cfg.tk - 1) / cfg.tk;
+  DscDatapath datapath(cfg);
+  datapath.begin_layer(layer);
+  arch::MacActivity dwc_ref;
+  arch::MacActivity pwc_ref;
+  std::int64_t max_ref = 0;
+
+  const Int8MapView image = Int8MapView::whole(input);
+  for (const BufferTile& tile : tiler.tiles()) {
+    const auto entries = static_cast<std::size_t>(tile.out_rows) *
+                         static_cast<std::size_t>(tile.out_cols) *
+                         static_cast<std::size_t>(K);
+    std::vector<std::int32_t> psum(entries);
+    std::vector<std::int32_t> psum_ref(entries);
+    const std::int64_t pitch = std::int64_t{tile.out_cols} * K;
+    const int rows = tile.step_rows(cfg);
+    const int cols = tile.step_cols(cfg);
+    const Int8MapView src =
+        clip ? image.clipped(tile.in_row0, tile.in_col0, tile.in_rows,
+                             tile.in_cols)
+             : image;
+    bool first = true;
+    for (const ChannelSlice& slice : tiler.slices()) {
+      const int C = slice.channels;
+      const auto where = [&] {
+        return "td=" + std::to_string(cfg.td) +
+               " stride=" + std::to_string(spec.stride) +
+               " dilation=" + std::to_string(spec.dilation) +
+               " mult=" + std::to_string(spec.depth_multiplier) +
+               " clip=" + std::to_string(clip) + " tile(" +
+               std::to_string(tile.out_row0) + "," +
+               std::to_string(tile.out_col0) + ") slice " +
+               std::to_string(slice.channel0);
+      };
+      datapath.load_dwc_slice(slice);
+      datapath.load_pwc_slice(slice);
+      const std::span<const std::int8_t> pass = datapath.dwc_pass(src, tile);
+      const std::vector<std::int8_t> block(pass.begin(), pass.end());
+      datapath.pwc_pass(block, tile, first, psum);
+
+      // The slice's weights, gathered by hand.
+      std::vector<std::int8_t> dwc_w(static_cast<std::size_t>(9 * C));
+      for (int t = 0; t < 9; ++t) {
+        for (int ch = 0; ch < C; ++ch) {
+          dwc_w[static_cast<std::size_t>(t * C + ch)] =
+              layer.dwc_weights(t / 3, t % 3, slice.channel0 + ch);
+        }
+      }
+      std::vector<std::int8_t> pwc_w(static_cast<std::size_t>(K * C));
+      for (int k = 0; k < K; ++k) {
+        for (int ch = 0; ch < C; ++ch) {
+          pwc_w[static_cast<std::size_t>(k * C + ch)] =
+              layer.pwc_weights(k, slice.channel0 + ch);
+        }
+      }
+
+      std::vector<std::int8_t> block_ref(block.size());
+      std::vector<std::int8_t> window(
+          static_cast<std::size_t>(extent * extent * C));
+      std::vector<std::int32_t> acc(static_cast<std::size_t>(tn * tm * C));
+      std::vector<std::int8_t> acts(acc.size());
+      for (int sy = 0; sy * tn < rows; ++sy) {
+        for (int sx = 0; sx * tm < cols; ++sx) {
+          gather_block(src, tile.in_row0 + sy * tn * spec.stride,
+                       tile.in_col0 + sx * tm * spec.stride, extent, extent,
+                       slice.channel0, C, spec.depth_multiplier, window);
+          DwcKernelArgs dwc;
+          dwc.window = window.data();
+          dwc.window_cols = extent;
+          dwc.channels = C;
+          dwc.weights = dwc_w.data();
+          dwc.rows = tn;
+          dwc.cols = tm;
+          dwc.kernel = 3;
+          dwc.stride = spec.stride;
+          dwc.dilation = spec.dilation;
+          dwc.acc = acc.data();
+          dwc.activity = &dwc_ref;
+          generic_dwc_kernel(dwc);
+          dwc_ref.lane_cycles += std::int64_t{cfg.td - C} * tn * tm * 9;
+          for (int r = 0; r < tn; ++r) {
+            for (int c = 0; c < tm; ++c) {
+              for (int ch = 0; ch < C; ++ch) {
+                const auto i = static_cast<std::size_t>((r * tm + c) * C + ch);
+                acts[i] = layer.nonconv1.channels[static_cast<std::size_t>(
+                                                      slice.channel0 + ch)]
+                              .apply(acc[i]);
+                block_ref[static_cast<std::size_t>(
+                    ((sy * tn + r) * cols + sx * tm + c) * C + ch)] = acts[i];
+              }
+            }
+          }
+          PwcKernelArgs pwc;
+          pwc.activations = acts.data();
+          pwc.weights = pwc_w.data();
+          pwc.rows = tn;
+          pwc.cols = tm;
+          pwc.real_rows = std::min(tn, tile.out_rows - sy * tn);
+          pwc.real_cols = std::min(tm, tile.out_cols - sx * tm);
+          pwc.channels = C;
+          pwc.kernels = K;
+          pwc.td = cfg.td;
+          pwc.psum = psum_ref.data() + sy * tn * pitch +
+                     std::int64_t{sx} * tm * K;
+          pwc.psum_pitch = pitch;
+          pwc.accumulate = !first;
+          pwc.activity = &pwc_ref;
+          const PsumRange range = generic_pwc_kernel(pwc);
+          pwc_ref.lane_cycles +=
+              std::int64_t{groups * cfg.tk - K} * tn * tm * cfg.td;
+          max_ref = std::max({max_ref, -std::int64_t{range.lo},
+                              std::int64_t{range.hi}});
+        }
+      }
+      ASSERT_EQ(block, block_ref) << where();
+      ASSERT_EQ(psum, psum_ref) << where();
+      first = false;
+    }
+  }
+  EXPECT_EQ(datapath.dwc_activity(), dwc_ref);
+  EXPECT_EQ(datapath.pwc_activity(), pwc_ref);
+  EXPECT_EQ(datapath.max_abs_psum(), max_ref);
+  EXPECT_EQ(datapath.transfer_ops(), dwc_ref.useful_macs / 9);
+}
+
+TEST(KernelDispatchBlock, PassesMatchGenericStepsOneAtATime) {
+  for (const EdeaConfig& cfg : {EdeaConfig::paper(), wide_config()}) {
+    for (const auto& [stride, dilation, mult] :
+         std::vector<std::array<int, 3>>{
+             {1, 1, 1}, {2, 2, 1}, {1, 1, 2}, {2, 1, 2}, {1, 2, 2}}) {
+      const nn::QuantDscLayer layer = ragged_layer(stride, dilation, mult);
+      edea::Rng rng(9100 + static_cast<std::uint64_t>(cfg.td));
+      nn::Int8Tensor input(nn::Shape{layer.spec.in_rows, layer.spec.in_cols,
+                                     layer.spec.in_channels});
+      for (auto& v : input.storage()) {
+        v = rng.uniform() < 0.3
+                ? std::int8_t{0}
+                : static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+      }
+      check_passes_match_steps(cfg, layer, input, /*clip=*/true);
+      check_passes_match_steps(cfg, layer, input, /*clip=*/false);
+    }
+  }
+}
+
+TEST(KernelDispatchBlock, PwcBlockRangeEqualsStepRanges) {
+  // An 8 x 6 engine block over a 7 x 5 psum block (a dummy row and a
+  // dummy column) on the specialized engine, against its twelve steps on
+  // the generic kernel: psums, the returned range and the tallies.
+  for (const EdeaConfig& cfg : {EdeaConfig::paper(), wide_config()}) {
+    for (const int channels : {cfg.td, cfg.td - 3}) {
+      const int kernels = 2 * cfg.tk + 5;
+      edea::Rng rng(9200 + static_cast<std::uint64_t>(cfg.td + channels));
+      std::vector<std::int8_t> acts(static_cast<std::size_t>(8 * 6 * channels));
+      std::vector<std::int8_t> weights(
+          static_cast<std::size_t>(kernels * channels));
+      for (auto& v : acts) v = draw_activation(rng, OperandMix{0.3, 0.2});
+      for (auto& v : weights) v = draw_weight(rng, OperandMix{0.3, 0.2});
+      const PwcWeights staged(weights, kernels, channels);
+      std::vector<std::int32_t> psum(static_cast<std::size_t>(7 * 5 * kernels));
+      for (auto& v : psum) {
+        v = static_cast<std::int32_t>(rng.uniform_int(-(1 << 20), 1 << 20));
+      }
+      std::vector<std::int32_t> psum_ref = psum;
+
+      PwcEngine engine(cfg);
+      engine.load_weights(staged);
+      const PsumRange range = engine.run_block(
+          acts, 8, 6, PsumTarget{psum, 7, 5, 0, 0, /*accumulate=*/true});
+
+      arch::MacActivity ref;
+      PsumRange range_ref{std::numeric_limits<std::int32_t>::max(),
+                          std::numeric_limits<std::int32_t>::min()};
+      std::vector<std::int8_t> step(
+          static_cast<std::size_t>(cfg.tn * cfg.tm * channels));
+      for (int sy = 0; sy < 8 / cfg.tn; ++sy) {
+        for (int sx = 0; sx < 6 / cfg.tm; ++sx) {
+          for (int r = 0; r < cfg.tn; ++r) {
+            std::copy_n(&acts[static_cast<std::size_t>(
+                            ((sy * cfg.tn + r) * 6 + sx * cfg.tm) * channels)],
+                        cfg.tm * channels,
+                        &step[static_cast<std::size_t>(r * cfg.tm * channels)]);
+          }
+          PwcKernelArgs args;
+          args.activations = step.data();
+          args.weights = weights.data();
+          args.rows = cfg.tn;
+          args.cols = cfg.tm;
+          args.real_rows = std::min(cfg.tn, 7 - sy * cfg.tn);
+          args.real_cols = std::min(cfg.tm, 5 - sx * cfg.tm);
+          args.channels = channels;
+          args.kernels = kernels;
+          args.td = cfg.td;
+          args.psum = psum_ref.data() + (sy * cfg.tn * 5 + sx * cfg.tm) *
+                                            std::int64_t{kernels};
+          args.psum_pitch = 5 * kernels;
+          args.accumulate = true;
+          args.activity = &ref;
+          const PsumRange step_range = generic_pwc_kernel(args);
+          // A step's range starts at 0 on both ends, like the block's.
+          range_ref.lo = std::min(range_ref.lo, step_range.lo);
+          range_ref.hi = std::max(range_ref.hi, step_range.hi);
+          ref.lane_cycles += std::int64_t{3 * cfg.tk - kernels} * cfg.tn *
+                             cfg.tm * cfg.td;
+        }
+      }
+      EXPECT_EQ(psum, psum_ref) << "td=" << cfg.td << " channels=" << channels;
+      EXPECT_EQ(range.lo, range_ref.lo);
+      EXPECT_EQ(range.hi, range_ref.hi);
+      EXPECT_EQ(engine.activity(), ref);
+    }
+  }
 }
 
 }  // namespace

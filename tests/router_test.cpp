@@ -565,6 +565,33 @@ TEST(ClusterRouterTest, WorkerRefusingUnorderedModeIsAnAttachError) {
   }
 }
 
+TEST(ClusterRouterTest, ARequestUnderTheLineLimitGetsAWholeReplyOverIt) {
+  // A 40 KiB network name fits under kMaxLineBytes, but its error reply
+  // names the network twice and so runs past the limit. Only requests are
+  // bounded: the router reads the whole reply, and the worker stays alive
+  // for the request after it.
+  const std::vector<std::string> lines = {
+      "run " + std::string(40 * 1024, 'n') + " seed=1",
+      "run mobilenet-0.25x seed=100 td=16"};
+  const std::vector<std::string> expected = serve_reference(lines);
+  ASSERT_EQ(expected.size(), 2u);
+  ASSERT_GT(expected[0].size(), kMaxLineBytes) << "the reply must outgrow it";
+
+  LoopbackWorker w0;
+  ClusterRouter router(attach({&w0}));
+  RouterSessionStats stats;
+  const std::vector<std::string> responses =
+      serve_routed(router, lines, &stats);
+  ASSERT_EQ(responses.size(), 2u);
+  // Compared as a flag: a failure would print 80 KiB twice.
+  EXPECT_TRUE(responses[0] == expected[0])
+      << "a " << responses[0].size() << "-byte reply, want "
+      << expected[0].size() << " bytes";
+  EXPECT_EQ(responses[1], expected[1]);
+  EXPECT_EQ(stats.failovers, 0u);
+  EXPECT_EQ(router.live_workers(), (std::vector<std::string>{"shard0"}));
+}
+
 TEST(ClusterRouterTest, AllWorkersDeadAnswersBoundedErrorLines) {
   // Grab an ephemeral port with nothing behind it: every connect is
   // refused, the lone worker is marked dead, and each request must come

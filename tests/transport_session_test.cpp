@@ -432,6 +432,112 @@ TEST(SocketStreamTest, ReadLineReassemblesBurstsSplitsAndAnUnterminatedTail) {
   EXPECT_FALSE(peer.client().read_line(line)) << "EOF stays EOF";
 }
 
+/// A raw client connection to loopback `port`, for a peer that sends
+/// what no Stream would (a line without its '\n'). A read gives up after
+/// 10 s, so a server that waits forever fails the test instead of
+/// hanging it.
+int connect_raw(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EDEA_REQUIRE(fd >= 0, "socket()");
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  const timeval patience{10, 0};
+  EDEA_REQUIRE(
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
+          ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &patience,
+                       sizeof(patience)) == 0,
+      "connect to loopback");
+  return fd;
+}
+
+/// Sends `bytes` on `fd` until all are sent or the peer stops reading
+/// (it may close with the rest unread).
+void send_until_refused(int fd, const std::string& bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) return;
+    sent += static_cast<std::size_t>(n);
+  }
+}
+
+TEST(SocketStreamTest, ReadLineBoundsRequestsButNotReplies) {
+  // 1 MiB with no '\n' into a stream the transport accepted: it hands
+  // over one byte past the limit - what the parser rejects - and then
+  // reads nothing more.
+  const std::string flood = "run " + std::string(std::size_t{1} << 20, 'x');
+  SocketTransportOptions options;
+  options.max_sessions = 1;
+  SocketTransport transport(options);
+  std::string request;
+  bool read_request = false;
+  bool read_more = true;
+  std::thread server([&] {
+    transport.serve([&](Stream& stream) {
+      read_request = stream.read_line(request);
+      std::string rest;
+      read_more = stream.read_line(rest) || stream.read_line(rest);
+    });
+  });
+  const int fd = connect_raw(transport.port());
+  send_until_refused(fd, flood);
+  ::close(fd);
+  server.join();
+  ASSERT_TRUE(read_request);
+  EXPECT_EQ(request.size(), kMaxLineBytes + 1);
+  EXPECT_EQ(request.substr(0, 5), "run x");
+  EXPECT_FALSE(read_more) << "the end stays the end";
+  EXPECT_EQ(parse_request_line(request, core::JobDims{}).kind,
+            ParsedLine::Kind::kError);
+
+  // A connect_socket stream reads replies, which may repeat a request's
+  // tokens past the limit: the same megabyte reads back whole.
+  RawPeer peer;
+  std::thread writer([&] {
+    peer.send(flood + "\n");
+    peer.close();
+  });
+  std::string reply;
+  ASSERT_TRUE(peer.client().read_line(reply));
+  writer.join();
+  EXPECT_TRUE(reply == flood) << "a " << reply.size() << "-byte reply";
+  EXPECT_FALSE(peer.client().read_line(reply));
+}
+
+TEST(SocketTransportTest, EndlessLineGetsOneProtocolErrorThenTheSessionEnds) {
+  // A peer that sends 1 MiB and never a '\n' reads exactly one
+  // protocol-error line, then the end of the connection.
+  SimulationService svc;
+  WorkloadCatalog catalog;
+  SocketTransportOptions options;
+  options.max_sessions = 1;
+  SocketTransport transport(options);
+  std::thread server([&] {
+    transport.serve(
+        [&](Stream& stream) { Session(svc, catalog).serve(stream); });
+  });
+
+  const int fd = connect_raw(transport.port());
+  std::thread sender([fd] {
+    send_until_refused(fd, std::string(std::size_t{1} << 20, 'x'));
+  });
+  std::string received;
+  char chunk[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) break;  // EOF, or a reset for the unread flood
+    received.append(chunk, static_cast<std::size_t>(n));
+  }
+  sender.join();
+  ::close(fd);
+  server.join();
+  EXPECT_EQ(received, "protocol-error line longer than " +
+                          std::to_string(kMaxLineBytes) + " bytes\n");
+}
+
 TEST(ConnectSocketTest, RejectsBadHostsAndRefusedConnections) {
   EXPECT_THROW((void)connect_socket("not a host", 1), PreconditionError);
 
