@@ -31,6 +31,8 @@
 #include "service/simulation_service.hpp"
 #include "util/random.hpp"
 
+#include "../tests/service_submit.hpp"
+
 namespace {
 
 using namespace edea;
@@ -355,9 +357,10 @@ BENCHMARK(BM_BatchedNetworkRun)->Arg(1)->Arg(4)->Arg(16);
 //   - miss: cache_capacity 0 forces every submission down the full
 //     simulate-on-the-pool path (what a cold point costs),
 //   - hit: the same key resubmitted against a warm cache (a hash lookup
-//     plus one outcome deep-copy),
+//     plus a copy of the stored summary),
 //   - persisted hit: the key served from a cache file loaded by a
-//     restarted service (summary-only - no result tensors to copy).
+//     restarted service (the same summary copy).
+// Each request is one service::submit_future(...).get() round trip.
 // Numbers are recorded in docs/BENCHMARKS.md.
 
 /// The tiny workload shared by the service benches (static: one
@@ -405,7 +408,8 @@ void BM_ServiceCacheMiss(benchmark::State& state, const char* backend) {
   options.cache_capacity = 0;  // memoization off: every submission simulates
   service::SimulationService svc(options);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(svc.submit(workload.job(backend)).get());
+    benchmark::DoNotOptimize(
+        service::submit_future(svc, workload.job(backend)).get());
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -418,12 +422,13 @@ BENCHMARK_CAPTURE(BM_ServiceCacheMiss, serialized, "serialized")
 void BM_ServiceCacheHit(benchmark::State& state) {
   const ServiceBenchWorkload& workload = ServiceBenchWorkload::instance();
   service::SimulationService svc;
-  if (!svc.submit(workload.job()).get().ok) {
+  if (!service::submit_future(svc, workload.job()).get().ok) {
     state.SkipWithError("priming simulation failed");
     return;
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(svc.submit(workload.job()).get());
+    benchmark::DoNotOptimize(
+        service::submit_future(svc, workload.job()).get());
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -434,7 +439,7 @@ void BM_ServiceCachePersistedHit(benchmark::State& state) {
   const std::string path = "/tmp/edea_bench_cache.bin";
   {
     service::SimulationService primer;
-    if (!primer.submit(workload.job()).get().ok) {
+    if (!service::submit_future(primer, workload.job()).get().ok) {
       state.SkipWithError("priming simulation failed");
       return;
     }
@@ -443,7 +448,8 @@ void BM_ServiceCachePersistedHit(benchmark::State& state) {
   service::SimulationService svc;  // a "restarted" service
   (void)svc.load_cache(path);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(svc.submit(workload.job()).get());
+    benchmark::DoNotOptimize(
+        service::submit_future(svc, workload.job()).get());
   }
   state.SetItemsProcessed(state.iterations());
   std::remove(path.c_str());

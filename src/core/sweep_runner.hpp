@@ -74,11 +74,11 @@ struct SweepOutcome : JobKey {
   /// service protocol reports and what the persisted result cache stores.
   RunSummary summary;
   /// True when this outcome was served at summary level: `summary` (and
-  /// ok/error) are authoritative but `result` is empty. Set for outcomes
-  /// from the persisted summary cache of a restarted service (per-layer
-  /// data does not survive restarts) and for every cache-served outcome
-  /// on the service's streaming path, where copying the full result per
-  /// request would dominate hit latency (see
+  /// ok/error) are authoritative but `result` is empty. The simulation
+  /// service sets it on everything it serves from its cache - warm hits,
+  /// coalesced duplicates, entries loaded from a cache file - because the
+  /// cache stores summaries only; just the submitter whose miss ran the
+  /// simulation receives the per-layer result (see
   /// SimulationService::CompletionCallback).
   bool summary_only = false;
 };

@@ -34,13 +34,11 @@ constexpr std::uint64_t kCacheMagic = 0x0053414341454445ull;
 // workload transform its fingerprints were computed over.
 constexpr std::uint32_t kCacheVersion = 4;
 
-/// Summary-level view of a cached outcome: everything the wire protocol
-/// reports (verdict, error text, summary, config echo) and none of the
-/// per-layer result payload. Streaming hits deliver this instead of a
-/// deep copy of the cached outcome - the full result drags hundreds of
-/// kilobytes of activation tensors per request through the allocator,
-/// and it dominated the cache-hit serving path that pipelined sessions
-/// are bounded by.
+/// Summary-level view of an outcome under `name`, as a hit hears it:
+/// everything the wire protocol and the cache file report (verdict, error
+/// text, summary, key echo) and none of the per-layer result. This is
+/// what the cache stores, so an entry costs a few hundred bytes rather
+/// than its run's activation tensors (64-233 KB for the zoo networks).
 core::SweepOutcome summary_view(const core::SweepOutcome& full,
                                 std::string name) {
   core::SweepOutcome out;
@@ -101,7 +99,7 @@ void SimulationService::wait_idle() {
 CacheStats SimulationService::cache_stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   CacheStats snapshot = stats_;
-  snapshot.entries = cache_.size() + persisted_.size();
+  snapshot.entries = cache_.size();
   snapshot.in_flight = static_cast<std::uint64_t>(in_flight_);
   snapshot.queued = static_cast<std::uint64_t>(waiting_);
   snapshot.max_queue = static_cast<std::uint64_t>(options_.max_queue);
@@ -121,24 +119,9 @@ void SimulationService::validate_job(core::SweepJob& job) {
                "service request '" + job.name + "' has a non-finite clock");
   // Resolve the backend up front: the cache key must use the id the
   // simulation will actually run on, and an unknown id must fail the
-  // submitter here, not surface later as a broken future from the pool.
+  // submitter here, not surface later as a failed outcome from the pool.
   if (job.backend.empty()) job.backend = std::string(core::kDefaultBackendId);
   job.validate("service request", job.name);
-}
-
-core::SweepOutcome SimulationService::view_for(
-    Waiter& w, const core::SweepOutcome& stored) {
-  // A wire waiter's hit reads nothing below the summary, and copying the
-  // cached per-layer result for it would be pure overhead - a measured
-  // 6 us per request, the bulk of the hit path. In-process waiters and
-  // the miss that simulated the entry get the full result: in-process
-  // callers do read per-layer data, and a miss pays a whole simulation
-  // anyway.
-  if (w.hit && !w.in_process) return summary_view(stored, std::move(w.name));
-  core::SweepOutcome out = stored;
-  out.name = std::move(w.name);
-  out.cache_hit = w.hit;
-  return out;
 }
 
 void SimulationService::fail(Waiter& w, const core::SweepJob& job,
@@ -218,25 +201,7 @@ void SimulationService::runner_loop() {
     } catch (...) {
       abandon(item, current_error());
     }
-
-    if (item.admission_counted) {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      --admitted_;
-    }
   }
-}
-
-std::future<core::SweepOutcome> SimulationService::submit(core::SweepJob job) {
-  // std::function needs a copyable target, so the promise is shared.
-  auto promise = std::make_shared<std::promise<core::SweepOutcome>>();
-  std::future<core::SweepOutcome> future = promise->get_future();
-  Waiter waiter;
-  waiter.callback = [promise](core::SweepOutcome outcome) {
-    promise->set_value(std::move(outcome));
-  };
-  waiter.in_process = true;  // exempt from the bound: never busy
-  (void)dispatch(std::move(job), 0, std::move(waiter));
-  return future;
 }
 
 Admission SimulationService::submit_streaming(core::SweepJob job,
@@ -245,14 +210,6 @@ Admission SimulationService::submit_streaming(core::SweepJob job,
   EDEA_REQUIRE(done != nullptr,
                "submit_streaming for '" + job.name +
                    "' needs a completion callback");
-  Waiter waiter;
-  waiter.callback = std::move(done);
-  return dispatch(std::move(job), session_id, std::move(waiter));
-}
-
-Admission SimulationService::dispatch(core::SweepJob job,
-                                      std::uint64_t session_id,
-                                      Waiter waiter) {
   validate_job(job);
 
   // The fingerprint walks the whole workload - reuse the one the caller
@@ -262,67 +219,45 @@ Admission SimulationService::dispatch(core::SweepJob job,
                     ? job.fingerprint
                     : core::network_fingerprint(*job.layers, *job.input),
                 job};
-  waiter.name = job.name;
-  const bool bounded = options_.max_queue > 0 && !waiter.in_process;
-  // Memoization disabled (capacity 0): every submission is a fresh
-  // simulation with no entry to coalesce onto.
-  const bool use_cache = options_.cache_capacity > 0;
+  Waiter waiter{std::move(done), job.name};
+  const bool bounded = options_.max_queue > 0;
 
   std::shared_ptr<const core::SweepOutcome> cached;
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    if (use_cache) {
-      if (auto it = cache_.find(key); it != cache_.end()) {
-        ++stats_.hits;
-        waiter.hit = true;
-        Entry& entry = it->second;
-        if (!entry.ready) {
-          // Coalescing starts no new work - always admitted, even at the
-          // bound: rejecting it would punish exactly the duplicate the
-          // cache exists to absorb.
-          entry.waiters.push_back(std::move(waiter));
-          return Admission::kAdmitted;
-        }
-        lru_.splice(lru_.begin(), lru_, entry.lru);  // touch
-        cached = entry.outcome;
-      } else if (auto pit = persisted_.find(key); pit != persisted_.end()) {
-        // Served from the restart-surviving summary cache: no simulation,
-        // accounted as a hit.
-        ++stats_.hits;
-        waiter.hit = true;
-        cached = pit->second;
+    if (auto it = cache_.find(key); it != cache_.end()) {
+      ++stats_.hits;
+      Entry& entry = it->second;
+      if (!entry.outcome) {
+        // Coalescing starts no new work - always admitted, even at the
+        // bound: rejecting it would punish exactly the duplicate the
+        // cache exists to absorb.
+        entry.waiters.push_back(std::move(waiter));
+        return Admission::kAdmitted;
       }
-    }
-
-    if (!cached) {
-      if (bounded && admitted_ >= options_.max_queue) {
+      if (!entry.pinned) lru_.splice(lru_.begin(), lru_, entry.lru);  // touch
+      cached = entry.outcome;
+    } else {
+      if (bounded && in_flight_ >= options_.max_queue) {
         ++stats_.rejected;
         return Admission::kBusy;
       }
       ++stats_.misses;
       ++in_flight_;
       if (bounded) {
-        ++admitted_;
         stats_.peak_queue = std::max<std::uint64_t>(
-            stats_.peak_queue, static_cast<std::uint64_t>(admitted_));
+            stats_.peak_queue, static_cast<std::uint64_t>(in_flight_));
       }
-      LaneJob item;
-      item.key = key;
-      item.job = std::move(job);
-      item.use_cache = use_cache;
-      item.admission_counted = bounded;
-      if (use_cache) {
-        cache_[key].waiters.push_back(std::move(waiter));
-      } else {
-        item.direct = std::move(waiter);
-      }
+      LaneJob item{key, std::move(job), std::move(waiter)};
       try {
+        // The pending entry later duplicates coalesce onto. Memoization
+        // disabled (capacity 0): no entry, every submission simulates.
+        if (use_cache()) cache_.try_emplace(key);
         enqueue_lane(session_id, item);
       } catch (...) {
         // Launch failure after admission: unwind the accounting and fail
         // every waiter with an ok=false outcome - once kAdmitted is
         // decided the waiter always hears back, so nothing is rethrown.
-        if (bounded) --admitted_;
         lock.unlock();
         abandon(item, current_error());
       }
@@ -330,8 +265,8 @@ Admission SimulationService::dispatch(core::SweepJob job,
     }
   }
 
-  // A hit: the copy (or summary view) happens outside the lock.
-  waiter.callback(view_for(waiter, *cached));
+  // A hit: the summary copy happens outside the lock.
+  waiter.callback(summary_view(*cached, std::move(waiter.name)));
   return Admission::kAdmitted;
 }
 
@@ -341,26 +276,24 @@ void SimulationService::complete(LaneJob& item, core::SweepOutcome outcome) {
   // without losing waiters.
   std::shared_ptr<const core::SweepOutcome> stored;
   std::vector<Waiter> waiters;
-  if (item.use_cache) {
-    stored = std::make_shared<const core::SweepOutcome>(std::move(outcome));
-  } else {
-    waiters.push_back(std::move(item.direct));
+  if (use_cache()) {
+    stored = std::make_shared<const core::SweepOutcome>(
+        summary_view(outcome, std::string()));
   }
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (item.use_cache) {
+    if (use_cache()) {
       auto it = cache_.find(item.key);
-      EDEA_ASSERT(it != cache_.end() && !it->second.ready,
+      EDEA_ASSERT(it != cache_.end() && !it->second.outcome,
                   "service completed a request with no pending cache entry");
       Entry& entry = it->second;
       lru_.push_front(item.key);  // the only throwing op under the lock
       entry.lru = lru_.begin();
       entry.outcome = stored;
-      entry.ready = true;
       waiters = std::move(entry.waiters);
       entry.waiters.clear();
       // Evict least-recently-used completed results beyond capacity.
-      // In-flight entries are never in lru_, so they are pinned, and the
+      // In-flight and pinned entries are never in lru_, and the
       // just-inserted front entry survives (capacity here is >= 1).
       while (lru_.size() > options_.cache_capacity) {
         const Key victim = lru_.back();
@@ -371,15 +304,21 @@ void SimulationService::complete(LaneJob& item, core::SweepOutcome outcome) {
     }
     --in_flight_;  // idle waiters hear from this runner's exit
   }
-  // Fulfill outside the lock: delivery may run waiter continuations
-  // (future::get in another thread, a session callback) that immediately
-  // resubmit. A copy failure for one waiter must not strand the others.
+  // Fulfill outside the lock: delivery may run waiter continuations (a
+  // promise's reader, a session callback) that immediately resubmit. The
+  // submitter takes the full outcome; a copy failure for one duplicate
+  // must not strand the others.
+  try {
+    item.waiter.callback(std::move(outcome));
+  } catch (...) {
+    // The waiter must still hear *something* or its reply slot hangs
+    // forever; a summary-free error outcome is the best effort.
+    fail(item.waiter, item.job, "result delivery failed");
+  }
   for (Waiter& w : waiters) {
     try {
-      w.callback(stored ? view_for(w, *stored) : std::move(outcome));
+      w.callback(summary_view(*stored, std::move(w.name)));
     } catch (...) {
-      // The waiter must still hear *something* or its reply slot hangs
-      // forever; a summary-free error outcome is the best effort.
       fail(w, item.job, "result delivery failed");
     }
   }
@@ -389,33 +328,28 @@ void SimulationService::abandon(LaneJob& item, const std::string& message) {
   std::vector<Waiter> waiters;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (!item.use_cache) {
-      waiters.push_back(std::move(item.direct));
-    } else if (auto it = cache_.find(item.key);
-               it != cache_.end() && !it->second.ready) {
+    if (auto it = cache_.find(item.key);
+        it != cache_.end() && !it->second.outcome) {
       waiters = std::move(it->second.waiters);
       cache_.erase(it);  // pending entries are never in lru_
     }
     --in_flight_;
     if (in_flight_ == 0 && active_runners_ == 0) idle_cv_.notify_all();
   }
+  fail(item.waiter, item.job, message);
   for (Waiter& w : waiters) fail(w, item.job, message);
 }
 
 std::size_t SimulationService::save_cache(const std::string& path) const {
-  // Snapshot under the lock: previously loaded persisted entries plus
-  // every *ready* live entry (in-flight entries have no result yet). The
-  // two maps never share a key, so the merge is a plain concatenation.
+  // Snapshot under the lock: every ready entry, pinned or not (in-flight
+  // entries have no result yet).
   std::vector<std::pair<Key, std::shared_ptr<const core::SweepOutcome>>>
       entries;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    entries.reserve(persisted_.size() + cache_.size());
-    for (const auto& [key, outcome] : persisted_) {
-      entries.emplace_back(key, outcome);
-    }
+    entries.reserve(cache_.size());
     for (const auto& [key, entry] : cache_) {
-      if (entry.ready) entries.emplace_back(key, entry.outcome);
+      if (entry.outcome) entries.emplace_back(key, entry.outcome);
     }
   }
   // Deterministic file bytes: unordered_map iteration order must not leak
@@ -467,7 +401,7 @@ std::size_t SimulationService::save_cache(const std::string& path) const {
 }
 
 std::size_t SimulationService::load_cache(const std::string& path) {
-  if (options_.cache_capacity == 0) return 0;  // memoization disabled
+  if (!use_cache()) return 0;  // memoization disabled
 
   std::ifstream in(path, std::ios::binary);
   if (!in.good()) return 0;  // a first start has no cache file
@@ -505,8 +439,8 @@ std::size_t SimulationService::load_cache(const std::string& path) {
 
   // Decode fully before touching service state, so a malformed tail can
   // never leave a half-loaded cache behind.
-  // Each entry decodes straight into the summary-only outcome a hit on
-  // it is served from; its key is read back out of the outcome.
+  // Each entry decodes straight into the summary view a hit on it is
+  // served from; its key is read back out of the outcome.
   std::vector<std::pair<Key, std::shared_ptr<const core::SweepOutcome>>>
       entries;
   entries.reserve(static_cast<std::size_t>(count));
@@ -528,25 +462,14 @@ std::size_t SimulationService::load_cache(const std::string& path) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     for (auto& [key, outcome] : entries) {
-      if (cache_.find(key) != cache_.end()) continue;  // live entry wins
-      persisted_.insert_or_assign(key, std::move(outcome));
+      auto [it, inserted] = cache_.try_emplace(key);
+      if (!inserted) continue;  // a resident or in-flight entry wins
+      it->second.outcome = std::move(outcome);
+      it->second.pinned = true;
       ++loaded;
     }
   }
   return loaded;
-}
-
-std::vector<core::SweepOutcome> SimulationService::serve(
-    std::vector<core::SweepJob> jobs) {
-  std::vector<std::future<core::SweepOutcome>> futures;
-  futures.reserve(jobs.size());
-  for (core::SweepJob& job : jobs) futures.push_back(submit(std::move(job)));
-  std::vector<core::SweepOutcome> outcomes;
-  outcomes.reserve(futures.size());
-  for (std::future<core::SweepOutcome>& f : futures) {
-    outcomes.push_back(f.get());
-  }
-  return outcomes;
 }
 
 }  // namespace edea::service

@@ -15,23 +15,25 @@
 // computes something else.
 //
 // Concurrency contract:
-//   - submit()/submit_streaming()/serve()/cache_stats() are thread-safe;
-//     many client threads may hammer one service instance. All of them
-//     take one submission path: submit() is a promise wrapper over the
-//     callback delivery submit_streaming exposes,
+//   - submit_streaming()/cache_stats() are thread-safe; many client
+//     threads may hammer one service instance. submit_streaming is the
+//     one entry point: every submission is delivered to a callback,
 //   - identical requests in flight are coalesced: the second submitter
 //     waits on the first simulation instead of launching a duplicate
 //     (and is accounted as a cache hit),
 //   - results are bit-identical to a serial core::SweepRunner run of the
-//     same jobs - the cache returns stored outcomes verbatim (only `name`
-//     and `cache_hit` are rewritten per request),
+//     same jobs. The cache stores each outcome's summary (ok/error text
+//     plus the RunSummary, output hash and total cycles included); only
+//     the submitter whose miss ran the simulation also receives the
+//     per-layer result. Every other waiter gets the stored summary with
+//     its own `name`,
 //   - the destructor drains in-flight work before returning, so a service
 //     never outlives its tasks.
 //
 // Lifetime contract: like SweepJob everywhere else, the pointed-to layers
-// and input tensor must stay alive until the request's future is ready.
-// Do not call future.get() from inside a task running on the same pool -
-// a fully busy pool of blocked waiters cannot make progress.
+// and input tensor must stay alive until the request's callback has run.
+// Do not block on an outcome from inside a task running on the same pool
+// - a fully busy pool of blocked waiters cannot make progress.
 #pragma once
 
 #include <atomic>
@@ -39,7 +41,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -64,7 +65,7 @@ struct CacheStats {
   std::uint64_t hits = 0;        ///< served from cache (or coalesced)
   std::uint64_t misses = 0;      ///< required a fresh simulation
   std::uint64_t evictions = 0;   ///< completed results dropped by the LRU
-  std::size_t entries = 0;       ///< resident entries (live + persisted)
+  std::size_t entries = 0;       ///< resident entries (all kinds)
   /// Requests currently simulating (submitted, not yet completed). Unlike
   /// the counters above this is a gauge - a snapshot, not a running total.
   std::uint64_t in_flight = 0;
@@ -75,10 +76,9 @@ struct CacheStats {
   std::uint64_t queued = 0;
   /// Streaming submissions answered `busy` instead of admitted (total).
   std::uint64_t rejected = 0;
-  /// High-water mark of admission-counted jobs in flight. Bounded by
-  /// max_queue *by construction*: the admission check rejects before the
-  /// gauge could exceed it, so peak_queue <= max_queue is an invariant,
-  /// not a hope.
+  /// High-water mark of the in_flight gauge. Bounded by max_queue *by
+  /// construction*: the admission check rejects before the gauge could
+  /// exceed it, so peak_queue <= max_queue is an invariant, not a hope.
   std::uint64_t peak_queue = 0;
   /// The configured ServiceOptions::max_queue (0 = unbounded). Carried in
   /// the snapshot so format_stats_line knows whether to echo the trio.
@@ -94,8 +94,9 @@ struct ServiceOptions {
   unsigned worker_threads = 0;
 
   /// Maximum number of *completed* results the cache retains (LRU beyond
-  /// that). 0 disables memoization entirely: every submission simulates,
-  /// and identical in-flight requests are not coalesced.
+  /// that); entries loaded from a cache file do not count. 0 disables
+  /// memoization entirely: every submission simulates, and identical
+  /// in-flight requests are not coalesced.
   std::size_t cache_capacity = 256;
 
   /// Tile-level parallelism inside each simulated request: every layer's
@@ -107,14 +108,12 @@ struct ServiceOptions {
   /// caller arithmetic must not silently pick a policy.
   int tile_parallelism = 1;
 
-  /// Bounded admission for streaming (wire-facing) submissions: while
-  /// this many admission-counted jobs are in flight, submit_streaming
-  /// answers Admission::kBusy for any request that would start a *fresh*
-  /// simulation. Cache hits and coalescing onto an in-flight duplicate
-  /// are always admitted - they start no new work. 0 (default) disables
-  /// the bound entirely and keeps every counter and stats line exactly as
-  /// before. Direct submit()/serve() callers are in-process batch code,
-  /// not wire traffic, and bypass the bound.
+  /// Bounded admission: while this many fresh simulations are in
+  /// flight, submit_streaming answers Admission::kBusy for any request
+  /// that would start another. Cache hits and coalescing onto an
+  /// in-flight duplicate are always admitted - they start no new work. 0
+  /// (default) disables the bound entirely and keeps every counter and
+  /// stats line exactly as before.
   std::size_t max_queue = 0;
 };
 
@@ -140,15 +139,13 @@ class SimulationService {
   /// the simulation finishes. Must be cheap and must never block on the
   /// service (it may run inside the completion path) or throw.
   ///
-  /// Result fidelity: only the outcome of a *fresh* simulation carries
-  /// the per-layer result. Anything served from cache - a warm hit, a
-  /// duplicate coalesced onto an in-flight simulation, a persisted-store
-  /// hit - arrives summary-only (SweepOutcome::summary_only == true,
-  /// empty result): the wire protocol reports nothing below the summary,
-  /// and deep-copying the cached activation tensors per request was the
-  /// dominant cost of the hit serving path. Callers needing per-layer
-  /// data from cached results must use submit(), which always delivers
-  /// full outcomes for in-memory hits.
+  /// Result fidelity: only the submitter whose miss ran a fresh
+  /// simulation receives the per-layer result. Anything served from
+  /// cache - a warm hit, a duplicate coalesced onto an in-flight
+  /// simulation, a hit on an entry loaded from a cache file - arrives
+  /// summary-only (SweepOutcome::summary_only == true, empty result): the
+  /// cache stores nothing below the summary, which is all the wire
+  /// protocol and the cache file report.
   using CompletionCallback = std::function<void(core::SweepOutcome)>;
 
   explicit SimulationService(Options options = Options());
@@ -157,48 +154,32 @@ class SimulationService {
   SimulationService(const SimulationService&) = delete;
   SimulationService& operator=(const SimulationService&) = delete;
 
-  /// Submits one request: a promise wrapper over the streaming path,
-  /// exempt from the admission bound. The returned future resolves to the
-  /// job's outcome: a cache hit resolves immediately (cache_hit = true;
-  /// in-memory hits carry the full per-layer result), a miss when its
-  /// simulation finishes on the pool. A launch or delivery failure
-  /// resolves it with an ok=false outcome, never an exception. Throws
-  /// PreconditionError for a malformed job (no network, non-finite
-  /// clock, unknown backend, non-positive counts).
-  [[nodiscard]] std::future<core::SweepOutcome> submit(core::SweepJob job);
-
   /// Hands out a fresh fair-scheduling lane id. Each session takes one at
-  /// construction; direct submit() traffic shares lane 0.
+  /// construction; ids start at 1, so in-process callers share lane 0.
   [[nodiscard]] std::uint64_t new_session_id();
 
-  /// The streaming (wire-facing) submission path: admission-checked,
-  /// fair-scheduled, callback-delivered. Returns kBusy - and does nothing
-  /// except count the rejection - when the job would start a fresh
-  /// simulation while ServiceOptions::max_queue admission-counted jobs
-  /// are already in flight. Otherwise the outcome reaches `done` exactly
-  /// once (inline for hits, from a pool runner for misses; a failed
-  /// simulation task delivers an ok=false outcome rather than an
-  /// exception). Fresh simulations are queued per `session_id` and
-  /// dispatched round-robin across sessions with pending work, so one
-  /// bulk submitter cannot starve interactive sessions. Throws
-  /// PreconditionError for the same malformed jobs submit() rejects -
-  /// always *before* the callback is registered, so on a throw the
-  /// callback has not run and never will.
+  /// Submits one request: admission-checked, fair-scheduled,
+  /// callback-delivered. Returns kBusy - and does nothing except count
+  /// the rejection - when the job would start a fresh simulation while
+  /// ServiceOptions::max_queue of them are already in flight. Otherwise
+  /// the outcome reaches `done` exactly once (inline for hits, from a
+  /// pool runner for misses; a failed simulation task delivers an
+  /// ok=false outcome rather than an exception). Fresh simulations are
+  /// queued per `session_id` and dispatched round-robin across sessions
+  /// with pending work, so one bulk submitter cannot starve interactive
+  /// sessions. Throws PreconditionError for a malformed job (no network,
+  /// non-finite clock, unknown backend, non-positive counts) - always
+  /// *before* the callback is registered, so on a throw the callback has
+  /// not run and never will.
   [[nodiscard]] Admission submit_streaming(core::SweepJob job,
                                            std::uint64_t session_id,
                                            CompletionCallback done);
 
-  /// Convenience blocking batch: submit everything (all in flight
-  /// concurrently), wait for everything. Outcome i corresponds to
-  /// jobs[i], exactly like SweepRunner::run.
-  [[nodiscard]] std::vector<core::SweepOutcome> serve(
-      std::vector<core::SweepJob> jobs);
-
   /// Snapshot of the cache counters.
   [[nodiscard]] CacheStats cache_stats() const;
 
-  /// Blocks until no request is in flight (futures may still be pending
-  /// delivery to their waiters, but all simulations have finished).
+  /// Blocks until no request is in flight (callbacks may still be
+  /// running, but all simulations have finished).
   void wait_idle();
 
   // --- cache persistence (survives service restarts) -----------------------
@@ -214,29 +195,29 @@ class SimulationService {
   // are rejected loudly, never migrated - a v1 file cannot say which
   // dataflow produced its summaries, a v2 file can neither say which
   // batch nor decode into today's wider RunSummary, and a v3 file cannot
-  // say which workload transform its fingerprints were computed over. A
-  // request that hits a persisted entry resolves immediately with a
-  // summary-only outcome (SweepOutcome::summary_only) that formats
-  // bit-identically to the line the original simulation produced, and is
-  // accounted as a cache hit. Persisted entries are pinned: they never
-  // count against cache_capacity and are never evicted (the file bounds
-  // them).
+  // say which workload transform its fingerprints were computed over.
+  // Loaded entries join the one cache table, pinned: ready at once, never
+  // in the LRU, never evicted, and not counted against cache_capacity
+  // (the file bounds them). A hit on one is served like any other hit -
+  // the stored summary, formatting bit-identically to the line the
+  // original simulation produced.
 
-  /// Writes every completed result - live LRU entries plus previously
-  /// loaded persisted entries - to `path`, atomically enough for a service
-  /// restart (full rewrite, deterministic entry order). Returns the number
-  /// of entries written. Throws ResourceError if the file cannot be
-  /// written. Call after draining traffic (e.g. at shutdown); in-flight
-  /// entries are not persisted.
+  /// Writes every completed result - simulated here or loaded - to
+  /// `path`, atomically enough for a service restart (full rewrite,
+  /// deterministic entry order). Returns the number of entries written.
+  /// Throws ResourceError if the file cannot be written. Call after
+  /// draining traffic (e.g. at shutdown); in-flight entries are not
+  /// persisted.
   std::size_t save_cache(const std::string& path) const;
 
   /// Loads a cache file previously written by save_cache. Returns the
   /// number of entries loaded; a missing file is not an error (a first
   /// start has no cache) and returns 0. A malformed file - bad magic,
   /// version mismatch, truncation, checksum failure, trailing garbage -
-  /// throws PreconditionError and leaves the cache unchanged. Keys already
-  /// resident stay resident (the live entry wins). No-op when
-  /// cache_capacity is 0 (memoization disabled disables persistence too).
+  /// throws PreconditionError and leaves the cache unchanged. A key that
+  /// is already resident or in flight keeps its entry and is not counted.
+  /// No-op when cache_capacity is 0 (memoization disabled disables
+  /// persistence too).
   std::size_t load_cache(const std::string& path);
 
   /// Cache key: the workload fingerprint plus the job's key. The
@@ -262,63 +243,49 @@ class SimulationService {
   };
 
  private:
-  /// One client of a submission: how it hears its outcome and what it is
-  /// owed. Every waiter is a callback - submit() wraps a promise in one -
-  /// and each hears the view its kind is owed (view_for).
+  /// One client of a submission: how it hears its outcome, under its own
+  /// job name.
   struct Waiter {
     CompletionCallback callback;
-    std::string name;  ///< the waiter's own job name
-    bool hit = false;  ///< whether this waiter was accounted as a hit
-    /// submit() (in-process batch code): hits deliver the full outcome
-    /// and the admission bound does not apply. Wire waiters
-    /// (submit_streaming) hear hits summary-only and are bounded.
-    bool in_process = false;
+    std::string name;
   };
 
   struct Entry {
-    bool ready = false;
-    /// Valid once ready. Shared (immutable) so hit paths can copy the
-    /// outcome for their client *outside* the service lock.
+    /// The summary view of the finished outcome; null while simulating.
+    /// Shared (immutable) so hit paths can copy it for their client
+    /// *outside* the service lock.
     std::shared_ptr<const core::SweepOutcome> outcome;
-    std::vector<Waiter> waiters;      ///< pending clients while simulating
-    std::list<Key>::iterator lru;     ///< position in lru_ (ready only)
+    std::vector<Waiter> waiters;   ///< coalesced duplicates while simulating
+    /// Loaded from a cache file: never in lru_, never evicted.
+    bool pinned = false;
+    std::list<Key>::iterator lru;  ///< position in lru_ (ready, unpinned)
   };
 
   /// One admitted fresh simulation waiting in (or picked from) the fair
-  /// queue. `use_cache` is false only on the cache_capacity == 0 path,
-  /// where there is no Entry to complete - the runner delivers straight
-  /// to `direct`.
+  /// queue. `waiter` is the submitter whose miss it is: the one client
+  /// that receives the full outcome.
   struct LaneJob {
     Key key;
     core::SweepJob job;
-    bool use_cache = true;
-    Waiter direct;  ///< armed iff !use_cache
-    bool admission_counted = false;
+    Waiter waiter;
   };
 
   /// Validates a submission's invariants (network present, finite clock,
   /// a valid key) and resolves the default backend.
   static void validate_job(core::SweepJob& job);
 
-  /// The one submission path: validate, then serve a hit, coalesce onto
-  /// an in-flight duplicate, or admit and launch a fresh simulation.
-  /// Returns kBusy only for a wire waiter at the admission bound.
-  Admission dispatch(core::SweepJob job, std::uint64_t session_id,
-                     Waiter waiter);
-
-  /// What `w` hears of a stored outcome: summary-only for a wire waiter's
-  /// hit (see CompletionCallback), the full outcome otherwise.
-  static core::SweepOutcome view_for(Waiter& w,
-                                     const core::SweepOutcome& stored);
-
   /// Delivers the ok=false outcome of `job` under `w`'s name - the wire
   /// has no exception channel, only error lines. Never throws.
   static void fail(Waiter& w, const core::SweepJob& job,
                    const std::string& message);
 
-  /// Stores a finished simulation (marks its entry complete, applies LRU
-  /// eviction) and delivers it to every waiter. Runs on the pool at the
-  /// end of each task.
+  /// Whether completed outcomes are memoized (cache_capacity > 0).
+  [[nodiscard]] bool use_cache() const { return options_.cache_capacity > 0; }
+
+  /// Stores a finished simulation's summary (marks its entry ready,
+  /// applies LRU eviction), hands the full outcome to the submitter whose
+  /// miss it was and the summary to every coalesced duplicate. Runs on
+  /// the pool at the end of each task.
   void complete(LaneJob& item, core::SweepOutcome outcome);
 
   /// Failure path of a launch or a pool task (e.g. out-of-memory while
@@ -345,14 +312,9 @@ class SimulationService {
   mutable std::mutex mutex_;
   std::condition_variable idle_cv_;
   std::size_t in_flight_ = 0;
+  /// Every entry: in flight, ready, or pinned (loaded from a file).
   std::unordered_map<Key, Entry, KeyHash> cache_;
-  std::list<Key> lru_;  ///< ready entries, most recently used first
-  /// Entries loaded from a cache file: pinned (never evicted),
-  /// summary-only outcomes. A key is never in both maps - persisted keys
-  /// hit before they could miss into `cache_`, and load_cache skips keys
-  /// already live.
-  std::unordered_map<Key, std::shared_ptr<const core::SweepOutcome>, KeyHash>
-      persisted_;
+  std::list<Key> lru_;  ///< ready unpinned entries, most recently used first
   CacheStats stats_;
 
   // --- fair scheduling + admission (guarded by mutex_) --------------------
@@ -362,7 +324,6 @@ class SimulationService {
   /// Rotation of session ids with a non-empty lane (round-robin order).
   std::deque<std::uint64_t> lane_order_;
   std::size_t waiting_ = 0;         ///< jobs in lanes (the queued gauge)
-  std::size_t admitted_ = 0;        ///< admission-counted jobs in flight
   std::size_t active_runners_ = 0;  ///< runner tasks alive on the pool
 };
 

@@ -25,7 +25,26 @@ namespace edea::service {
 // --- stdio -----------------------------------------------------------------
 
 bool StdioStream::read_line(std::string& line) {
-  return static_cast<bool>(std::getline(in_, line));
+  if (overlong_ || !in_.good()) return false;
+  line.clear();
+  std::streambuf& in = *in_.rdbuf();
+  for (;;) {
+    const int c = in.sbumpc();
+    if (c == std::char_traits<char>::eof()) {
+      in_.setstate(std::ios::eofbit);
+      // A final line without a trailing '\n' is still a line.
+      return !line.empty();
+    }
+    if (c == '\n') return true;
+    line.push_back(static_cast<char>(c));
+    if (line.size() > kMaxLineBytes) {
+      // The line outgrew the protocol: hand over one byte past the limit
+      // (the parser answers it with a protocol error), then read nothing
+      // more, so the session ends.
+      overlong_ = true;
+      return true;
+    }
+  }
 }
 
 bool StdioStream::write_line(const std::string& line) {

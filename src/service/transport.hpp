@@ -18,7 +18,7 @@
 //     in-process reference path tests compare the socket path against.
 //   - SocketTransport: a POSIX TCP server. One session per accepted
 //     connection, each served on its own dedicated thread - session
-//     threads are I/O-bound and *block* on simulation futures, so they
+//     threads are I/O-bound and *block* on simulation results, so they
 //     must never run as util::ThreadPool tasks (a pool full of blocked
 //     waiters cannot simulate anything); the simulations they trigger are
 //     what runs on the pool, via SimulationService.
@@ -50,11 +50,12 @@ class Stream {
   virtual ~Stream() = default;
 
   /// Reads the next line (without its '\n'). Returns false on EOF or a
-  /// broken connection; never throws. A stream SocketTransport accepts
-  /// bounds the requests it reads: a line longer than kMaxLineBytes
-  /// (service/protocol.hpp) comes back cut one byte past that limit,
-  /// which the parser rejects, and every later read returns false. A
-  /// connect_socket stream reads replies whole, however long.
+  /// broken connection; never throws. A stream that reads requests - a
+  /// StdioStream, or one SocketTransport accepted - bounds them: a line
+  /// longer than kMaxLineBytes (service/protocol.hpp) comes back cut one
+  /// byte past that limit, which the parser rejects, and every later
+  /// read returns false. A connect_socket stream reads replies whole,
+  /// however long.
   [[nodiscard]] virtual bool read_line(std::string& line) = 0;
 
   /// Writes one line (appends '\n') and flushes it to the peer. Returns
@@ -83,7 +84,9 @@ class Stream {
 };
 
 /// Stream over an (istream, ostream) pair - process stdio, string streams
-/// in tests. Writes flush per line so an interactive peer sees replies.
+/// in tests. It reads requests, so its lines are bounded (see
+/// Stream::read_line). Writes flush per line so an interactive peer sees
+/// replies.
 class StdioStream : public Stream {
  public:
   StdioStream(std::istream& in, std::ostream& out) : in_(in), out_(out) {}
@@ -97,6 +100,7 @@ class StdioStream : public Stream {
   std::istream& in_;
   std::ostream& out_;
   std::mutex write_mutex_;  ///< ostreams are not atomic per call
+  bool overlong_ = false;   ///< a line passed kMaxLineBytes: reading is over
 };
 
 /// A source of connections. serve() runs the accept loop, invoking

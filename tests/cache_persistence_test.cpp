@@ -1,14 +1,15 @@
 // cache_persistence_test - the restart-surviving result cache of the
 // simulation service: save -> load -> hit round trips (including error
 // outcomes), bit-identical protocol lines from persisted summaries,
-// merge-on-resave, and loud rejection of corrupted, truncated, or
-// version-skewed cache files.
+// merge-on-resave, loaded entries pinned outside the LRU, and loud
+// rejection of corrupted, truncated, or version-skewed cache files.
 #include "service/simulation_service.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "nn/model_zoo.hpp"
 #include "service/protocol.hpp"
 #include "service/router.hpp"
+#include "service_submit.hpp"
 #include "util/binary.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
@@ -109,10 +111,10 @@ TEST(CachePersistenceTest, SaveLoadRoundTripServesHitsBitIdentically) {
   core::SweepOutcome first_ok, first_err;
   {
     SimulationService svc;
-    first_ok = svc.submit(fx.job("a", 8, 16)).get();
+    first_ok = submit_future(svc, fx.job("a", 8, 16)).get();
     ASSERT_TRUE(first_ok.ok) << first_ok.error;
-    ASSERT_TRUE(svc.submit(fx.job("b", 16, 32)).get().ok);
-    first_err = svc.submit(fx.infeasible("bad")).get();
+    ASSERT_TRUE(submit_future(svc, fx.job("b", 16, 32)).get().ok);
+    first_err = submit_future(svc, fx.infeasible("bad")).get();
     ASSERT_FALSE(first_err.ok);
     EXPECT_EQ(svc.save_cache(path), 3u);
   }
@@ -123,7 +125,7 @@ TEST(CachePersistenceTest, SaveLoadRoundTripServesHitsBitIdentically) {
   EXPECT_EQ(svc.load_cache(path), 3u);
   EXPECT_EQ(svc.cache_stats().entries, 3u);
 
-  core::SweepOutcome replay = svc.submit(fx.job("a", 8, 16)).get();
+  core::SweepOutcome replay = submit_future(svc, fx.job("a", 8, 16)).get();
   EXPECT_TRUE(replay.cache_hit);
   EXPECT_TRUE(replay.summary_only);
   EXPECT_TRUE(replay.ok);
@@ -132,7 +134,8 @@ TEST(CachePersistenceTest, SaveLoadRoundTripServesHitsBitIdentically) {
   first_as_hit.cache_hit = true;
   EXPECT_EQ(format_outcome_line(replay), format_outcome_line(first_as_hit));
 
-  core::SweepOutcome replay_err = svc.submit(fx.infeasible("bad")).get();
+  core::SweepOutcome replay_err =
+      submit_future(svc, fx.infeasible("bad")).get();
   EXPECT_TRUE(replay_err.cache_hit);
   EXPECT_FALSE(replay_err.ok);
   EXPECT_EQ(replay_err.error, first_err.error);
@@ -156,8 +159,8 @@ TEST(CachePersistenceTest, EntriesAreKeyedPerBackendAcrossRestarts) {
     fast.backend = "edea";
     core::SweepJob slow = fx.job("slow");
     slow.backend = "serialized";
-    edea_first = svc.submit(fast).get();
-    serial_first = svc.submit(slow).get();
+    edea_first = submit_future(svc, fast).get();
+    serial_first = submit_future(svc, slow).get();
     ASSERT_TRUE(edea_first.ok) << edea_first.error;
     ASSERT_TRUE(serial_first.ok) << serial_first.error;
     EXPECT_EQ(svc.cache_stats().misses, 2u);  // no aliasing between keys
@@ -174,8 +177,8 @@ TEST(CachePersistenceTest, EntriesAreKeyedPerBackendAcrossRestarts) {
   fast.backend = "edea";
   core::SweepJob slow = fx.job("slow");
   slow.backend = "serialized";
-  const core::SweepOutcome edea_replay = svc.submit(fast).get();
-  const core::SweepOutcome serial_replay = svc.submit(slow).get();
+  const core::SweepOutcome edea_replay = submit_future(svc, fast).get();
+  const core::SweepOutcome serial_replay = submit_future(svc, slow).get();
   EXPECT_TRUE(edea_replay.cache_hit);
   EXPECT_TRUE(serial_replay.cache_hit);
   EXPECT_TRUE(edea_replay.summary_only);
@@ -192,7 +195,7 @@ TEST(CachePersistenceTest, ResaveMergesPersistedAndLiveEntries) {
   Fixture fx;
   {
     SimulationService svc;
-    ASSERT_TRUE(svc.submit(fx.job("a", 8, 16)).get().ok);
+    ASSERT_TRUE(submit_future(svc, fx.job("a", 8, 16)).get().ok);
     EXPECT_EQ(svc.save_cache(path), 1u);
   }
   {
@@ -200,15 +203,115 @@ TEST(CachePersistenceTest, ResaveMergesPersistedAndLiveEntries) {
     // new one; the resave must carry both.
     SimulationService svc;
     EXPECT_EQ(svc.load_cache(path), 1u);
-    EXPECT_TRUE(svc.submit(fx.job("a", 8, 16)).get().cache_hit);
-    ASSERT_TRUE(svc.submit(fx.job("b", 16, 32)).get().ok);
+    EXPECT_TRUE(submit_future(svc, fx.job("a", 8, 16)).get().cache_hit);
+    ASSERT_TRUE(submit_future(svc, fx.job("b", 16, 32)).get().ok);
     EXPECT_EQ(svc.save_cache(path), 2u);
   }
   SimulationService svc;
   EXPECT_EQ(svc.load_cache(path), 2u);
-  EXPECT_TRUE(svc.submit(fx.job("a", 8, 16)).get().cache_hit);
-  EXPECT_TRUE(svc.submit(fx.job("b", 16, 32)).get().cache_hit);
+  EXPECT_TRUE(submit_future(svc, fx.job("a", 8, 16)).get().cache_hit);
+  EXPECT_TRUE(submit_future(svc, fx.job("b", 16, 32)).get().cache_hit);
   EXPECT_EQ(svc.cache_stats().misses, 0u);
+  std::remove(path.c_str());
+}
+
+TEST(CachePersistenceTest, LoadedEntriesArePinnedOutsideTheLru) {
+  const std::string path = temp_cache_path("pinned");
+  Fixture fx;
+  {
+    SimulationService svc;
+    ASSERT_TRUE(submit_future(svc, fx.job("p", 8, 16)).get().ok);
+    ASSERT_TRUE(submit_future(svc, fx.job("q", 16, 32)).get().ok);
+    EXPECT_EQ(svc.save_cache(path), 2u);
+  }
+  // One LRU slot: loaded entries neither take it nor compete for it.
+  ServiceOptions options;
+  options.cache_capacity = 1;
+  SimulationService svc(options);
+  EXPECT_EQ(svc.load_cache(path), 2u);
+  EXPECT_TRUE(submit_future(svc, fx.job("p", 8, 16)).get().cache_hit);
+  ASSERT_FALSE(submit_future(svc, fx.job("x", 8, 32)).get().cache_hit);
+  EXPECT_TRUE(submit_future(svc, fx.job("q", 16, 32)).get().cache_hit);
+  ASSERT_FALSE(submit_future(svc, fx.job("y", 16, 16)).get().cache_hit);
+  EXPECT_TRUE(submit_future(svc, fx.job("p", 8, 16)).get().cache_hit);
+  EXPECT_TRUE(submit_future(svc, fx.job("q", 16, 32)).get().cache_hit);
+
+  const CacheStats stats = svc.cache_stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.hits, 4u);
+  EXPECT_EQ(stats.evictions, 1u);  // y evicted x, never a loaded entry
+  EXPECT_EQ(stats.entries, 3u);    // p, q and y
+  std::remove(path.c_str());
+}
+
+TEST(CachePersistenceTest, PinnedHitsLeaveLruOrderAlone) {
+  const std::string path = temp_cache_path("pinned_order");
+  Fixture fx;
+  {
+    SimulationService svc;
+    ASSERT_TRUE(submit_future(svc, fx.job("p", 4, 8)).get().ok);
+    EXPECT_EQ(svc.save_cache(path), 1u);
+  }
+  ServiceOptions options;
+  options.cache_capacity = 2;
+  SimulationService svc(options);
+  EXPECT_EQ(svc.load_cache(path), 1u);
+  ASSERT_TRUE(submit_future(svc, fx.job("a", 8, 16)).get().ok);   // [a]
+  ASSERT_TRUE(submit_future(svc, fx.job("b", 16, 16)).get().ok);  // [b a]
+  // Touch a ([a b]), then hit the pinned p: the order must stay [a b].
+  EXPECT_TRUE(submit_future(svc, fx.job("a", 8, 16)).get().cache_hit);
+  EXPECT_TRUE(submit_future(svc, fx.job("p", 4, 8)).get().cache_hit);
+  ASSERT_TRUE(submit_future(svc, fx.job("c", 8, 32)).get().ok);  // evicts b
+  EXPECT_TRUE(submit_future(svc, fx.job("a", 8, 16)).get().cache_hit)
+      << "the pinned hit must not have moved the LRU's recency order";
+  EXPECT_FALSE(submit_future(svc, fx.job("b", 16, 16)).get().cache_hit);
+  EXPECT_EQ(svc.cache_stats().evictions, 2u);  // b by c, then c by b
+  std::remove(path.c_str());
+}
+
+TEST(CachePersistenceTest, LoadSkipsKeysAlreadyLiveOrInFlight) {
+  const std::string path = temp_cache_path("live_wins");
+  Fixture fx;
+  {
+    SimulationService svc;
+    ASSERT_TRUE(submit_future(svc, fx.job("a", 8, 16)).get().ok);
+    ASSERT_TRUE(submit_future(svc, fx.job("b", 16, 32)).get().ok);
+    ASSERT_TRUE(submit_future(svc, fx.job("c", 16, 16)).get().ok);
+    EXPECT_EQ(svc.save_cache(path), 3u);
+  }
+  // One runner and one LRU slot. a's completion callback holds the only
+  // runner, so b stays queued - in flight - while the file loads.
+  ServiceOptions options;
+  options.worker_threads = 1;
+  options.cache_capacity = 1;
+  SimulationService svc(options);
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::promise<core::SweepOutcome> a_done;
+  ASSERT_EQ(svc.submit_streaming(fx.job("a", 8, 16), 0,
+                                 [&](core::SweepOutcome o) {
+                                   a_done.set_value(std::move(o));
+                                   released.wait();
+                                 }),
+            Admission::kAdmitted);
+  ASSERT_TRUE(a_done.get_future().get().ok);
+  std::future<core::SweepOutcome> b = submit_future(svc, fx.job("b", 16, 32));
+  EXPECT_EQ(svc.load_cache(path), 1u) << "a is live and b in flight: only c";
+  EXPECT_EQ(svc.cache_stats().entries, 3u);
+  release.set_value();
+
+  // b completes as the miss it was, with its per-layer result, and its
+  // completion evicts a: the load left a an ordinary LRU entry.
+  const core::SweepOutcome b_out = b.get();
+  ASSERT_TRUE(b_out.ok);
+  EXPECT_FALSE(b_out.cache_hit);
+  EXPECT_FALSE(b_out.summary_only);
+  EXPECT_TRUE(submit_future(svc, fx.job("c", 16, 16)).get().cache_hit);
+  EXPECT_FALSE(submit_future(svc, fx.job("a", 8, 16)).get().cache_hit);
+  const CacheStats stats = svc.cache_stats();
+  EXPECT_EQ(stats.misses, 3u);     // a, b, a again
+  EXPECT_EQ(stats.evictions, 2u);  // a by b, then b by a
+  EXPECT_EQ(stats.entries, 2u);    // c (pinned) and a
   std::remove(path.c_str());
 }
 
@@ -220,11 +323,11 @@ TEST(CachePersistenceTest, SavedFileBytesAreDeterministic) {
     SimulationService svc;
     // Insertion orders differ; the file must not.
     if (path == path_a) {
-      ASSERT_TRUE(svc.submit(fx.job("x", 8, 16)).get().ok);
-      ASSERT_TRUE(svc.submit(fx.job("y", 16, 32)).get().ok);
+      ASSERT_TRUE(submit_future(svc, fx.job("x", 8, 16)).get().ok);
+      ASSERT_TRUE(submit_future(svc, fx.job("y", 16, 32)).get().ok);
     } else {
-      ASSERT_TRUE(svc.submit(fx.job("y", 16, 32)).get().ok);
-      ASSERT_TRUE(svc.submit(fx.job("x", 8, 16)).get().ok);
+      ASSERT_TRUE(submit_future(svc, fx.job("y", 16, 32)).get().ok);
+      ASSERT_TRUE(submit_future(svc, fx.job("x", 8, 16)).get().ok);
     }
     EXPECT_EQ(svc.save_cache(path), 2u);
   }
@@ -244,7 +347,7 @@ TEST(CachePersistenceTest, CorruptedFileIsRejectedAndCacheUnchanged) {
   Fixture fx;
   {
     SimulationService svc;
-    ASSERT_TRUE(svc.submit(fx.job("a")).get().ok);
+    ASSERT_TRUE(submit_future(svc, fx.job("a")).get().ok);
     EXPECT_EQ(svc.save_cache(path), 1u);
   }
   std::string bytes = read_file(path);
@@ -255,7 +358,7 @@ TEST(CachePersistenceTest, CorruptedFileIsRejectedAndCacheUnchanged) {
   EXPECT_THROW((void)svc.load_cache(path), PreconditionError);
   EXPECT_EQ(svc.cache_stats().entries, 0u);
   // The service stays fully functional: the point simulates as a miss.
-  const core::SweepOutcome out = svc.submit(fx.job("a")).get();
+  const core::SweepOutcome out = submit_future(svc, fx.job("a")).get();
   EXPECT_TRUE(out.ok);
   EXPECT_FALSE(out.cache_hit);
   std::remove(path.c_str());
@@ -266,7 +369,7 @@ TEST(CachePersistenceTest, TruncatedFileIsRejected) {
   Fixture fx;
   {
     SimulationService svc;
-    ASSERT_TRUE(svc.submit(fx.job("a")).get().ok);
+    ASSERT_TRUE(submit_future(svc, fx.job("a")).get().ok);
     EXPECT_EQ(svc.save_cache(path), 1u);
   }
   const std::string bytes = read_file(path);
@@ -289,7 +392,7 @@ TEST(CachePersistenceTest, VersionSkewAndTrailingGarbageAreRejected) {
   Fixture fx;
   {
     SimulationService svc;
-    ASSERT_TRUE(svc.submit(fx.job("a")).get().ok);
+    ASSERT_TRUE(submit_future(svc, fx.job("a")).get().ok);
     EXPECT_EQ(svc.save_cache(path), 1u);
   }
   const std::string bytes = read_file(path);
@@ -327,8 +430,8 @@ TEST(CachePersistenceTest, BatchSizesAreDistinctKeysAcrossRestarts) {
     core::SweepJob single = fx.job("single");
     core::SweepJob batched = fx.job("batched");
     batched.batch = 4;
-    single_first = svc.submit(single).get();
-    batched_first = svc.submit(batched).get();
+    single_first = submit_future(svc, single).get();
+    batched_first = submit_future(svc, batched).get();
     ASSERT_TRUE(single_first.ok) << single_first.error;
     ASSERT_TRUE(batched_first.ok) << batched_first.error;
     EXPECT_EQ(svc.cache_stats().misses, 2u);  // no aliasing between keys
@@ -344,8 +447,8 @@ TEST(CachePersistenceTest, BatchSizesAreDistinctKeysAcrossRestarts) {
   core::SweepJob single = fx.job("single");
   core::SweepJob batched = fx.job("batched");
   batched.batch = 4;
-  const core::SweepOutcome single_replay = svc.submit(single).get();
-  const core::SweepOutcome batched_replay = svc.submit(batched).get();
+  const core::SweepOutcome single_replay = submit_future(svc, single).get();
+  const core::SweepOutcome batched_replay = submit_future(svc, batched).get();
   EXPECT_TRUE(single_replay.cache_hit);
   EXPECT_TRUE(batched_replay.cache_hit);
   EXPECT_EQ(single_replay.batch, 1);
@@ -371,9 +474,9 @@ TEST(CachePersistenceTest, TransformKnobsAreDistinctKeysAcrossRestarts) {
     dilated.dilation = 2;
     core::SweepJob multiplied = fx.job("multiplied");
     multiplied.depth_multiplier = 2;
-    plain_first = svc.submit(plain).get();
-    dilated_first = svc.submit(dilated).get();
-    multiplied_first = svc.submit(multiplied).get();
+    plain_first = submit_future(svc, plain).get();
+    dilated_first = submit_future(svc, dilated).get();
+    multiplied_first = submit_future(svc, multiplied).get();
     ASSERT_TRUE(plain_first.ok) << plain_first.error;
     EXPECT_EQ(svc.cache_stats().misses, 3u);  // no aliasing between keys
     EXPECT_EQ(svc.save_cache(path), 3u);
@@ -386,9 +489,10 @@ TEST(CachePersistenceTest, TransformKnobsAreDistinctKeysAcrossRestarts) {
   dilated.dilation = 2;
   core::SweepJob multiplied = fx.job("multiplied");
   multiplied.depth_multiplier = 2;
-  const core::SweepOutcome plain_replay = svc.submit(plain).get();
-  const core::SweepOutcome dilated_replay = svc.submit(dilated).get();
-  const core::SweepOutcome multiplied_replay = svc.submit(multiplied).get();
+  const core::SweepOutcome plain_replay = submit_future(svc, plain).get();
+  const core::SweepOutcome dilated_replay = submit_future(svc, dilated).get();
+  const core::SweepOutcome multiplied_replay =
+      submit_future(svc, multiplied).get();
   EXPECT_TRUE(plain_replay.cache_hit);
   EXPECT_TRUE(dilated_replay.cache_hit);
   EXPECT_TRUE(multiplied_replay.cache_hit);
@@ -414,9 +518,9 @@ TEST(CachePersistenceTest, TransformKnobsAreDistinctKeysAcrossRestarts) {
   const std::string path_b = temp_cache_path("transforms_b");
   {
     SimulationService reordered;
-    ASSERT_TRUE(reordered.submit(multiplied).get().ok);
-    ASSERT_TRUE(reordered.submit(dilated).get().ok);
-    ASSERT_TRUE(reordered.submit(plain).get().ok);
+    ASSERT_TRUE(submit_future(reordered, multiplied).get().ok);
+    ASSERT_TRUE(submit_future(reordered, dilated).get().ok);
+    ASSERT_TRUE(submit_future(reordered, plain).get().ok);
     EXPECT_EQ(reordered.save_cache(path_b), 3u);
   }
   EXPECT_EQ(read_file(path), read_file(path_b));
@@ -493,7 +597,7 @@ TEST(CachePersistenceTest, ImpossibleEntryCountsAreRejectedBeforeAllocating) {
   const std::string merged = temp_cache_path("huge_count_merged");
   Fixture fx;
   SimulationService svc;
-  ASSERT_TRUE(svc.submit(fx.job("a")).get().ok);
+  ASSERT_TRUE(submit_future(svc, fx.job("a")).get().ok);
   for (const std::uint64_t count :
        {std::uint64_t{1} << 62, std::uint64_t{1000000000}}) {
     SCOPED_TRACE("count=" + std::to_string(count));
@@ -579,7 +683,7 @@ TEST(CachePersistenceTest, VersionFourLayoutMatchesAnIndependentWriter) {
     job.batch = 2;
     job.dilation = 3;
     job.depth_multiplier = e.depth_multiplier;
-    const core::SweepOutcome out = svc.submit(job).get();
+    const core::SweepOutcome out = submit_future(svc, job).get();
     EXPECT_TRUE(out.cache_hit);
     EXPECT_EQ(out.ok, e.ok);
     EXPECT_EQ(out.error, e.error);
@@ -597,14 +701,14 @@ TEST(CachePersistenceTest, ZeroCapacityServiceIgnoresPersistence) {
   Fixture fx;
   {
     SimulationService svc;
-    ASSERT_TRUE(svc.submit(fx.job("a")).get().ok);
+    ASSERT_TRUE(submit_future(svc, fx.job("a")).get().ok);
     EXPECT_EQ(svc.save_cache(path), 1u);
   }
   ServiceOptions options;
   options.cache_capacity = 0;  // memoization disabled disables persistence
   SimulationService svc(options);
   EXPECT_EQ(svc.load_cache(path), 0u);
-  EXPECT_FALSE(svc.submit(fx.job("a")).get().cache_hit);
+  EXPECT_FALSE(submit_future(svc, fx.job("a")).get().cache_hit);
   std::remove(path.c_str());
 }
 

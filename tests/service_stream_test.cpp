@@ -20,6 +20,7 @@
 #include "core/sweep_runner.hpp"
 #include "service/protocol.hpp"
 #include "service/simulation_service.hpp"
+#include "service_submit.hpp"
 #include "util/check.hpp"
 
 namespace edea::service {
@@ -388,14 +389,16 @@ TEST(ServiceStreamingTest, OnlyFreshSimulationsDeliverPerLayerResults) {
   full_flagged.cache_hit = true;
   EXPECT_EQ(format_outcome_line(hit), format_outcome_line(full_flagged));
 
-  // The legacy promise path keeps delivering full outcomes for in-memory
-  // hits - in-process batch callers may want the tensors.
+  // In-process callers get nothing more: a hit through the promise helper
+  // (lane 0) is summary-only too, and its summary carries the miss's
+  // total cycles and output hash.
   const core::SweepOutcome submit_hit =
-      svc.submit(make_job(catalog, kFastRun)).get();
+      submit_future(svc, make_job(catalog, kFastRun)).get();
   EXPECT_TRUE(submit_hit.cache_hit);
-  EXPECT_FALSE(submit_hit.summary_only);
-  ASSERT_FALSE(submit_hit.result.layers.empty());
-  EXPECT_EQ(submit_hit.result.total_cycles(), miss.result.total_cycles());
+  EXPECT_TRUE(submit_hit.summary_only);
+  EXPECT_TRUE(submit_hit.result.layers.empty());
+  EXPECT_EQ(submit_hit.summary, miss.summary);
+  EXPECT_EQ(submit_hit.summary.total_cycles, miss.result.total_cycles());
 }
 
 TEST(ServiceStreamingTest, CoalescedDuplicatesAreSummaryOnlyHits) {
@@ -431,7 +434,7 @@ TEST(ServiceStreamingTest, CoalescedDuplicatesAreSummaryOnlyHits) {
   EXPECT_EQ(stats.hits, 1u);
 }
 
-// --- corked writes ----------------------------------------------------------
+// --- stdio streams: corked writes, bounded reads ----------------------------
 
 TEST(StdioStreamTest, WriteLinesCorksIntoOneNewlineTerminatedBlock) {
   std::istringstream in;
@@ -441,6 +444,46 @@ TEST(StdioStreamTest, WriteLinesCorksIntoOneNewlineTerminatedBlock) {
   EXPECT_EQ(out.str(), "alpha\nbeta\ngamma\n");
   EXPECT_TRUE(stream.write_lines({}));
   EXPECT_EQ(out.str(), "alpha\nbeta\ngamma\n");
+}
+
+TEST(StdioStreamTest, ReadLineStopsOneBytePastTheLineLimit) {
+  // 1 MiB with no '\n': one byte past the limit comes back - what the
+  // parser rejects - and then the stream reads nothing more, even though
+  // the input still holds bytes and a later line.
+  std::istringstream flood(std::string(std::size_t{1} << 20, 'x') +
+                           "\nstats\n");
+  std::ostringstream out;
+  StdioStream stream(flood, out);
+  std::string line;
+  ASSERT_TRUE(stream.read_line(line));
+  EXPECT_EQ(line.size(), kMaxLineBytes + 1);
+  EXPECT_EQ(line.find_first_not_of('x'), std::string::npos);
+  EXPECT_FALSE(stream.read_line(line)) << "the end stays the end";
+  EXPECT_FALSE(stream.read_line(line));
+
+  // A line of exactly the limit, and a final line with no '\n', read
+  // whole.
+  const std::string longest(kMaxLineBytes, 'y');
+  std::istringstream in(longest + "\nstats");
+  StdioStream bounded(in, out);
+  ASSERT_TRUE(bounded.read_line(line));
+  EXPECT_TRUE(line == longest) << "a " << line.size() << "-byte line";
+  ASSERT_TRUE(bounded.read_line(line));
+  EXPECT_EQ(line, "stats");
+  EXPECT_FALSE(bounded.read_line(line));
+}
+
+TEST(StdioStreamTest, EndlessLineGetsOneProtocolErrorThenTheSessionEnds) {
+  // The stdio twin of the socket test: the session answers the over-long
+  // line with one protocol error and ends; the stats line after it is
+  // never read.
+  SimulationService svc;
+  WorkloadCatalog catalog;
+  const std::vector<std::string> responses = serve_stdio(
+      svc, catalog, {std::string(std::size_t{1} << 20, 'x'), "stats"});
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0], "protocol-error line longer than " +
+                              std::to_string(kMaxLineBytes) + " bytes");
 }
 
 // --- the client-side pipeline driver over loopback TCP ----------------------

@@ -16,6 +16,7 @@
 
 #include "core/sweep_runner.hpp"
 #include "nn/model_zoo.hpp"
+#include "service_submit.hpp"
 #include "util/check.hpp"
 #include "util/random.hpp"
 
@@ -67,26 +68,49 @@ struct Fixture {
   }
 };
 
+/// Outcomes agree on the whole RunSummary (output hash and total cycles
+/// included) and, when neither is a summary-only hit, on the per-layer
+/// result too.
 void expect_bit_identical(const core::SweepOutcome& a,
                           const core::SweepOutcome& b) {
   EXPECT_EQ(a.ok, b.ok);
   EXPECT_EQ(a.error, b.error);
   if (!a.ok || !b.ok) return;
+  EXPECT_EQ(a.summary, b.summary);
+  if (a.summary_only || b.summary_only) return;
   EXPECT_EQ(a.result.total_cycles(), b.result.total_cycles());
   EXPECT_EQ(a.result.output.storage(), b.result.output.storage());
   EXPECT_EQ(a.result.summary(1.0), b.result.summary(1.0));
+}
+
+/// Submits every job at once (all in flight concurrently) and waits for
+/// all of them; outcome i answers jobs[i], like SweepRunner::run.
+std::vector<core::SweepOutcome> serve_all(
+    SimulationService& svc, const std::vector<core::SweepJob>& jobs) {
+  std::vector<std::future<core::SweepOutcome>> futures;
+  for (const core::SweepJob& job : jobs) {
+    futures.push_back(submit_future(svc, job));
+  }
+  std::vector<core::SweepOutcome> outcomes;
+  for (std::future<core::SweepOutcome>& f : futures) {
+    outcomes.push_back(f.get());
+  }
+  return outcomes;
 }
 
 TEST(SimulationServiceTest, IdenticalResubmissionIsAHitAndBitIdentical) {
   Fixture fx;
   SimulationService svc;
 
-  const core::SweepOutcome first = svc.submit(fx.job("first")).get();
+  const core::SweepOutcome first = submit_future(svc, fx.job("first")).get();
   ASSERT_TRUE(first.ok) << first.error;
   EXPECT_FALSE(first.cache_hit);
+  EXPECT_FALSE(first.summary_only);  // the miss's own submitter: per-layer
 
-  const core::SweepOutcome second = svc.submit(fx.job("second")).get();
+  const core::SweepOutcome second = submit_future(svc, fx.job("second")).get();
   EXPECT_TRUE(second.cache_hit);
+  EXPECT_TRUE(second.summary_only);  // the cache stores summaries only
+  EXPECT_TRUE(second.result.layers.empty());
   EXPECT_EQ(second.name, "second");  // identity is per-request
   expect_bit_identical(first, second);
 
@@ -101,14 +125,15 @@ TEST(SimulationServiceTest, DifferingConfigIsAMiss) {
   Fixture fx;
   SimulationService svc;
 
-  ASSERT_TRUE(svc.submit(fx.job("paper", 8, 16)).get().ok);
-  const core::SweepOutcome scaled = svc.submit(fx.job("4x", 16, 32)).get();
+  ASSERT_TRUE(submit_future(svc, fx.job("paper", 8, 16)).get().ok);
+  const core::SweepOutcome scaled =
+      submit_future(svc, fx.job("4x", 16, 32)).get();
   EXPECT_FALSE(scaled.cache_hit);
 
   // clock_ghz participates in the key too (it changes reported GOPS).
   core::SweepJob clocked = fx.job("clocked");
   clocked.config.clock_ghz = 0.8;
-  EXPECT_FALSE(svc.submit(std::move(clocked)).get().cache_hit);
+  EXPECT_FALSE(submit_future(svc, std::move(clocked)).get().cache_hit);
 
   const CacheStats stats = svc.cache_stats();
   EXPECT_EQ(stats.hits, 0u);
@@ -119,17 +144,17 @@ TEST(SimulationServiceTest, DifferingConfigIsAMiss) {
 TEST(SimulationServiceTest, DifferingWorkloadIsAMiss) {
   Fixture fx;
   SimulationService svc;
-  ASSERT_TRUE(svc.submit(fx.job("a")).get().ok);
+  ASSERT_TRUE(submit_future(svc, fx.job("a")).get().ok);
 
   // Same config, different weights -> different fingerprint.
   Fixture other;
   other.layers = nn::make_random_quant_network(tiny_specs(), 99);
-  EXPECT_FALSE(svc.submit(other.job("b")).get().cache_hit);
+  EXPECT_FALSE(submit_future(svc, other.job("b")).get().cache_hit);
 
   // Same weights, different input -> different fingerprint.
   Fixture shifted;
   shifted.input = tiny_input(1234);
-  EXPECT_FALSE(svc.submit(shifted.job("c")).get().cache_hit);
+  EXPECT_FALSE(submit_future(svc, shifted.job("c")).get().cache_hit);
 
   EXPECT_EQ(svc.cache_stats().misses, 3u);
   EXPECT_EQ(svc.cache_stats().hits, 0u);
@@ -155,7 +180,7 @@ TEST(SimulationServiceTest, BatchMatchesSerialSweepRunnerBitExactly) {
       core::SweepRunner(core::SweepRunner::Options{1}).run(jobs);
 
   SimulationService svc;
-  const std::vector<core::SweepOutcome> served = svc.serve(jobs);
+  const std::vector<core::SweepOutcome> served = serve_all(svc, jobs);
 
   ASSERT_EQ(served.size(), serial.size());
   for (std::size_t i = 0; i < served.size(); ++i) {
@@ -167,9 +192,11 @@ TEST(SimulationServiceTest, BatchMatchesSerialSweepRunnerBitExactly) {
   // Submission order is the request order, so the first occurrence is the
   // miss and every repeat is the hit - deterministically.
   EXPECT_FALSE(served[0].cache_hit);
-  EXPECT_TRUE(served[3].cache_hit);
-  EXPECT_TRUE(served[5].cache_hit);
-  EXPECT_TRUE(served[7].cache_hit);
+  EXPECT_FALSE(served[0].summary_only);
+  for (const std::size_t repeat : {3u, 5u, 7u}) {
+    EXPECT_TRUE(served[repeat].cache_hit);
+    EXPECT_TRUE(served[repeat].summary_only);
+  }
 
   const CacheStats stats = svc.cache_stats();
   EXPECT_EQ(stats.misses, 5u);  // 4 feasible configs + 1 infeasible
@@ -187,9 +214,9 @@ TEST(SimulationServiceTest, StatsAreExactUnderConcurrentSubmission) {
   std::vector<core::SweepOutcome> private_outcomes(kClients);
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      auto shared = svc.submit(fx.job("shared-" + std::to_string(c)));
-      auto mine =
-          svc.submit(fx.job("mine-" + std::to_string(c), 8, 16 + 16 * (c + 1)));
+      auto shared = submit_future(svc, fx.job("shared-" + std::to_string(c)));
+      auto mine = submit_future(
+          svc, fx.job("mine-" + std::to_string(c), 8, 16 + 16 * (c + 1)));
       shared_outcomes[static_cast<std::size_t>(c)] = shared.get();
       private_outcomes[static_cast<std::size_t>(c)] = mine.get();
     });
@@ -203,12 +230,19 @@ TEST(SimulationServiceTest, StatsAreExactUnderConcurrentSubmission) {
   EXPECT_EQ(stats.hits, kClients - 1u);
   EXPECT_EQ(stats.entries, 1u + kClients);
 
-  // Every view of the shared request is bit-identical.
-  for (int c = 1; c < kClients; ++c) {
+  // Every view of the shared request matches the reference run: the miss
+  // per layer, the summary-only hits on their whole summary.
+  const core::SweepOutcome reference = core::evaluate_job(fx.job("reference"));
+  int summary_only = 0;
+  for (int c = 0; c < kClients; ++c) {
     SCOPED_TRACE("client " + std::to_string(c));
-    expect_bit_identical(shared_outcomes[0],
-                         shared_outcomes[static_cast<std::size_t>(c)]);
+    const core::SweepOutcome& shared =
+        shared_outcomes[static_cast<std::size_t>(c)];
+    EXPECT_EQ(shared.summary_only, shared.cache_hit);
+    summary_only += shared.summary_only ? 1 : 0;
+    expect_bit_identical(reference, shared);
   }
+  EXPECT_EQ(summary_only, kClients - 1);
 }
 
 TEST(SimulationServiceTest, LruEvictionIsCountedAndBounded) {
@@ -217,10 +251,10 @@ TEST(SimulationServiceTest, LruEvictionIsCountedAndBounded) {
   options.cache_capacity = 1;
   SimulationService svc(options);
 
-  ASSERT_TRUE(svc.submit(fx.job("a", 8, 16)).get().ok);   // miss, resident
-  ASSERT_TRUE(svc.submit(fx.job("b", 16, 16)).get().ok);  // miss, evicts a
+  ASSERT_TRUE(submit_future(svc, fx.job("a", 8, 16)).get().ok);  // resident
+  ASSERT_TRUE(submit_future(svc, fx.job("b", 16, 16)).get().ok);  // evicts a
   // "a" was evicted -> resubmission simulates again.
-  EXPECT_FALSE(svc.submit(fx.job("a2", 8, 16)).get().cache_hit);
+  EXPECT_FALSE(submit_future(svc, fx.job("a2", 8, 16)).get().cache_hit);
 
   const CacheStats stats = svc.cache_stats();
   EXPECT_EQ(stats.misses, 3u);
@@ -235,16 +269,16 @@ TEST(SimulationServiceTest, EvictionOrderIsLeastRecentlyUsedNotFifo) {
   options.cache_capacity = 2;
   SimulationService svc(options);
 
-  ASSERT_TRUE(svc.submit(fx.job("a", 8, 16)).get().ok);   // cache: [a]
-  ASSERT_TRUE(svc.submit(fx.job("b", 16, 16)).get().ok);  // cache: [b a]
+  ASSERT_TRUE(submit_future(svc, fx.job("a", 8, 16)).get().ok);   // [a]
+  ASSERT_TRUE(submit_future(svc, fx.job("b", 16, 16)).get().ok);  // [b a]
   // Touch "a": it becomes most recently used, so the next insertion must
   // evict "b" - FIFO would (wrongly) evict "a" as the oldest insertion.
-  EXPECT_TRUE(svc.submit(fx.job("a-touch", 8, 16)).get().cache_hit);
-  ASSERT_TRUE(svc.submit(fx.job("c", 8, 32)).get().ok);   // evicts b
+  EXPECT_TRUE(submit_future(svc, fx.job("a-touch", 8, 16)).get().cache_hit);
+  ASSERT_TRUE(submit_future(svc, fx.job("c", 8, 32)).get().ok);   // evicts b
 
-  EXPECT_TRUE(svc.submit(fx.job("a-again", 8, 16)).get().cache_hit)
+  EXPECT_TRUE(submit_future(svc, fx.job("a-again", 8, 16)).get().cache_hit)
       << "the recently used entry must have survived";
-  EXPECT_FALSE(svc.submit(fx.job("b-again", 16, 16)).get().cache_hit)
+  EXPECT_FALSE(submit_future(svc, fx.job("b-again", 16, 16)).get().cache_hit)
       << "the least recently used entry must have been evicted";
 
   const CacheStats stats = svc.cache_stats();
@@ -270,7 +304,7 @@ TEST(SimulationServiceTest, HammeringOneDesignPointCostsExactlyOneMiss) {
     clients.emplace_back([&, c] {
       auto future = [&] {
         gate.arrive_and_wait();  // maximize racing submissions
-        return svc.submit(fx.job("hammer-" + std::to_string(c)));
+        return submit_future(svc, fx.job("hammer-" + std::to_string(c)));
       }();
       outcomes[static_cast<std::size_t>(c)] = future.get();
     });
@@ -283,13 +317,17 @@ TEST(SimulationServiceTest, HammeringOneDesignPointCostsExactlyOneMiss) {
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.in_flight, 0u);
 
+  // The one miss carries the per-layer result; every hit is summary-only.
+  // All of them match the reference run.
+  const core::SweepOutcome reference = core::evaluate_job(fx.job("reference"));
   int flagged_hits = 0;
   for (int c = 0; c < kClients; ++c) {
     SCOPED_TRACE("client " + std::to_string(c));
-    flagged_hits += outcomes[static_cast<std::size_t>(c)].cache_hit ? 1 : 0;
-    expect_bit_identical(outcomes[0], outcomes[static_cast<std::size_t>(c)]);
-    EXPECT_EQ(outcomes[static_cast<std::size_t>(c)].name,
-              "hammer-" + std::to_string(c));
+    const core::SweepOutcome& outcome = outcomes[static_cast<std::size_t>(c)];
+    flagged_hits += outcome.cache_hit ? 1 : 0;
+    EXPECT_EQ(outcome.summary_only, outcome.cache_hit);
+    expect_bit_identical(reference, outcome);
+    EXPECT_EQ(outcome.name, "hammer-" + std::to_string(c));
   }
   EXPECT_EQ(flagged_hits, kClients - 1);
 }
@@ -300,8 +338,8 @@ TEST(SimulationServiceTest, ZeroCapacityDisablesMemoization) {
   options.cache_capacity = 0;
   SimulationService svc(options);
 
-  const core::SweepOutcome first = svc.submit(fx.job("a")).get();
-  const core::SweepOutcome second = svc.submit(fx.job("b")).get();
+  const core::SweepOutcome first = submit_future(svc, fx.job("a")).get();
+  const core::SweepOutcome second = submit_future(svc, fx.job("b")).get();
   EXPECT_FALSE(first.cache_hit);
   EXPECT_FALSE(second.cache_hit);
   expect_bit_identical(first, second);  // still deterministic
@@ -318,7 +356,8 @@ TEST(SimulationServiceTest, DedicatedPoolServesIdentically) {
   options.worker_threads = 3;
   SimulationService svc(options);
 
-  const core::SweepOutcome served = svc.submit(fx.job("dedicated")).get();
+  const core::SweepOutcome served =
+      submit_future(svc, fx.job("dedicated")).get();
   const core::SweepOutcome reference = core::evaluate_job(fx.job("dedicated"));
   expect_bit_identical(served, reference);
 }
@@ -336,7 +375,7 @@ TEST(SimulationServiceTest, TileParallelServiceIsBitIdentical) {
   jobs.push_back(fx.job("a", 8, 16));
   jobs.push_back(fx.job("b", 16, 32));
   jobs.push_back(fx.job("c", 4, 8));
-  const auto served = svc.serve(jobs);
+  const auto served = serve_all(svc, jobs);
 
   core::SweepOptions serial;
   serial.parallelism = 1;  // tile_parallelism defaults to 1: fully serial
@@ -367,7 +406,8 @@ TEST(SimulationServiceTest, NullNetworkIsAPreconditionError) {
   SimulationService svc;
   core::SweepJob dangling;
   dangling.name = "dangling";
-  EXPECT_THROW((void)svc.submit(std::move(dangling)), PreconditionError);
+  EXPECT_THROW((void)submit_future(svc, std::move(dangling)),
+               PreconditionError);
 }
 
 TEST(SimulationServiceTest, NonFiniteClockIsAPreconditionError) {
@@ -377,7 +417,8 @@ TEST(SimulationServiceTest, NonFiniteClockIsAPreconditionError) {
   SimulationService svc;
   core::SweepJob poisoned = fx.job("poisoned");
   poisoned.config.clock_ghz = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW((void)svc.submit(std::move(poisoned)), PreconditionError);
+  EXPECT_THROW((void)submit_future(svc, std::move(poisoned)),
+               PreconditionError);
 }
 
 TEST(SimulationServiceTest, FingerprintIsOrderAndContentSensitive) {
