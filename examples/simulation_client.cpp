@@ -4,12 +4,10 @@
 //
 //   simulation_server --listen 47163 &
 //   simulation_client --connect 127.0.0.1:47163 [--verify]
-//       [--expect-all-hits] [--backend ID] [--batch N] [--dilation N]
-//       [--depth-multiplier N] < examples/simulation_requests.txt
+//       [--expect-all-hits] < examples/simulation_requests.txt
 //
 // Run `simulation_client --help` for every flag; see
-// service/client_cli.hpp for the parsed grammar. --backend mirrors the
-// server's default backend in the in-process --verify reference.
+// service/client_cli.hpp for the parsed grammar.
 //
 // --verify recomputes the reference responses *in process* by running the
 // same request lines through the same Session + SimulationService code
@@ -60,10 +58,8 @@ std::pair<std::string, std::string> split_cache_token(
 /// The in-process reference: the exact stdio code path (Session over
 /// string streams against a fresh default service), producing the
 /// response lines the stdio driver would print for `request_lines`.
-/// `defaults` mirrors the server's request-default flags.
 std::vector<std::string> reference_responses(
-    const std::vector<std::string>& request_lines,
-    const edea::core::JobDims& defaults) {
+    const std::vector<std::string>& request_lines) {
   std::ostringstream joined;
   for (const std::string& line : request_lines) joined << line << "\n";
   std::istringstream in(joined.str());
@@ -72,9 +68,7 @@ std::vector<std::string> reference_responses(
   edea::service::SimulationService svc;
   edea::service::WorkloadCatalog catalog;
   edea::service::StdioStream stream(in, out);
-  edea::service::SessionOptions options;
-  static_cast<edea::core::JobDims&>(options) = defaults;
-  (void)edea::service::Session(svc, catalog, options).serve(stream);
+  (void)edea::service::Session(svc, catalog).serve(stream);
 
   std::vector<std::string> lines;
   std::istringstream replay(out.str());
@@ -161,7 +155,7 @@ int main(int argc, char** argv) {
   if (!config.verify) return 0;
 
   const std::vector<std::string> expected =
-      reference_responses(request_lines, config.mirrored());
+      reference_responses(request_lines);
   bool all_ok = true;
   if (responses.size() != expected.size()) {
     std::cerr << "VERIFY FAIL: " << responses.size() << " responses, expected "

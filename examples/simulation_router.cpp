@@ -99,9 +99,6 @@ bool spawn_worker(const edea::service::RouterCliConfig& config,
   }
 
   std::vector<std::string> args = {server_bin, "--listen", "0"};
-  for (std::string& flag : edea::service::dims_flags(config)) {
-    args.push_back(std::move(flag));
-  }
   if (!config.cache_file.empty()) {
     args.push_back("--cache-file");
     args.push_back(config.cache_file + "." + out->shard_id);
@@ -189,7 +186,6 @@ int main(int argc, char** argv) {
   // --- membership: spawn a fleet or attach to one ------------------------
   std::vector<SpawnedWorker> spawned;
   service::RouterOptions router_options;
-  static_cast<core::JobDims&>(router_options) = config;
   router_options.replicas = config.replicas;
   router_options.max_attempts = config.max_attempts;
   router_options.allow_unordered = !config.ordered;

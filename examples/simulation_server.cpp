@@ -93,7 +93,7 @@ bool verify_session(const edea::service::SessionStats& stats,
   std::uint64_t expect_misses = 0;
   for (std::size_t i = 0; i < stats.jobs.size(); ++i) {
     const SweepJob& job = stats.jobs[i];
-    // The outcome echoes the job's key with the backend resolved.
+    // The outcome echoes the job's key.
     const Key key{edea::core::network_fingerprint(*job.layers, *job.input),
                   stats.outcomes[i]};
     if (seen[key]++ == 0 && !stats.outcomes[i].summary_only) ++expect_misses;
@@ -175,7 +175,6 @@ int main(int argc, char** argv) {
   }
   service::WorkloadCatalog catalog;
   service::SessionOptions session_options;
-  static_cast<core::JobDims&>(session_options) = config;
   session_options.record_traffic = config.verify;  // --verify is stdio-only
   session_options.allow_unordered = !config.ordered;
   session_options.busy_retry_ms = config.busy_retry_ms;

@@ -124,7 +124,12 @@ void DscDatapath::begin_layer(const nn::QuantDscLayer& layer) {
   layer_ = &layer;
   dwc_.reset_activity();
   pwc_.reset_activity();
-  nonconv_.reset_counters();
+  transfer_.reset_counters();
+  writeback_.reset_counters();
+  const auto K = static_cast<std::size_t>(layer.spec.out_channels);
+  EDEA_REQUIRE(layer.nonconv2.channels.size() >= K,
+               "missing Non-Conv parameters for some kernels");
+  writeback_.load(std::span(layer.nonconv2.channels).first(K));
   max_abs_psum_ = 0;
 
   // Every slice's weights, staged once per layer for all its passes:
@@ -146,9 +151,9 @@ std::int64_t DscDatapath::load_dwc_slice(const ChannelSlice& slice) {
   const StagedSlice& staged =
       staged_[static_cast<std::size_t>(slice.channel0 / config_.td)];
   dwc_.load_weights(staged.dwc);
-  transfer_params_ = std::span(layer_->nonconv1.channels)
-                         .subspan(static_cast<std::size_t>(slice.channel0),
-                                  static_cast<std::size_t>(slice.channels));
+  transfer_.load(std::span(layer_->nonconv1.channels)
+                     .subspan(static_cast<std::size_t>(slice.channel0),
+                              static_cast<std::size_t>(slice.channels)));
   slice_ = slice;
   return static_cast<std::int64_t>(staged.dwc.weights().size());
 }
@@ -178,9 +183,7 @@ std::span<const std::int8_t> DscDatapath::dwc_pass(const Int8MapView& src,
                      spec.depth_multiplier, window_);
   dwc_.run_block(window_, rows, cols, spec.stride, spec.dilation, dwc_out_);
   intermediate_.resize(dwc_out_.acc.size());
-  nonconv_.set_writeback_mode(false);
-  nonconv_.apply_block(dwc_out_.acc, transfer_params_, slice_.channels,
-                       intermediate_);
+  transfer_.apply_block(dwc_out_.acc, intermediate_);
   return intermediate_;
 }
 
@@ -199,15 +202,12 @@ std::int64_t DscDatapath::pwc_pass(std::span<const std::int8_t> activations,
 
 void DscDatapath::write_back(std::span<const std::int32_t> psum,
                              const BufferTile& tile, nn::Int8Tensor& output) {
-  const int K = layer_->spec.out_channels;
   const auto row = static_cast<std::size_t>(tile.out_cols) *
-                   static_cast<std::size_t>(K);
-  nonconv_.set_writeback_mode(true);
+                   static_cast<std::size_t>(layer_->spec.out_channels);
   // A tile row is contiguous both in the psum block and in the ofmap.
   for (int r = 0; r < tile.out_rows; ++r) {
-    nonconv_.apply_block(
+    writeback_.apply_block(
         psum.subspan(static_cast<std::size_t>(r) * row, row),
-        layer_->nonconv2.channels, K,
         std::span(&output(tile.out_row0 + r, tile.out_col0, 0), row));
   }
 }

@@ -10,7 +10,7 @@
 //     the DWC over the whole layer, round-trips the intermediate map
 //     through external memory, then runs the PWC.
 // DscDatapath owns what both share: the DWC and PWC engines, the Non-Conv
-// unit array with the bound layer's parameters, every slice's weights
+// units with the bound layer's parameters, every slice's weights
 // staged once per layer, and pass scratch reused from pass to pass. Its
 // primitives each cover one (buffer tile, channel slice) pass - one
 // gather, one DWC engine call over every Tn x Tm step of the tile, one
@@ -73,14 +73,15 @@ class DscDatapath {
   explicit DscDatapath(const EdeaConfig& config);
 
   /// Binds `layer` (which must outlive the binding), stages every channel
-  /// slice's DWC and PWC weights in the layouts the kernels read, and
-  /// clears the engines' MAC activity, the Non-Conv op counts and max
+  /// slice's DWC and PWC weights in the layouts the kernels read, loads
+  /// the write-back Non-Conv units with the per-output-channel parameters,
+  /// and clears the engines' MAC activity, the Non-Conv op counts and max
   /// |psum|.
   void begin_layer(const nn::QuantDscLayer& layer);
 
   /// Loads `slice`'s staged 3x3 DWC kernel slice into the DWC engine and
-  /// selects its Non-Conv transfer parameters. Returns the weights loaded
-  /// (kernel^2 x slice channels).
+  /// its channels' parameters into the transfer Non-Conv units. Returns
+  /// the weights loaded (kernel^2 x slice channels).
   std::int64_t load_dwc_slice(const ChannelSlice& slice);
 
   /// Loads `slice`'s staged PWC weights for every kernel, [K][slice
@@ -122,10 +123,10 @@ class DscDatapath {
     return pwc_.activity();
   }
   [[nodiscard]] std::int64_t transfer_ops() const noexcept {
-    return nonconv_.transfer_ops();
+    return transfer_.ops();
   }
   [[nodiscard]] std::int64_t writeback_ops() const noexcept {
-    return nonconv_.writeback_ops();
+    return writeback_.ops();
   }
   /// Largest |partial sum| accumulated since begin_layer.
   [[nodiscard]] std::int64_t max_abs_psum() const noexcept {
@@ -136,7 +137,8 @@ class DscDatapath {
   EdeaConfig config_;
   DwcEngine dwc_;
   PwcEngine pwc_;
-  NonConvUnitArray nonconv_;
+  NonConvUnitArray transfer_;   ///< DWC -> PWC, the loaded slice's channels
+  NonConvUnitArray writeback_;  ///< PWC -> ofmap, the layer's K kernels
 
   /// One slice's weights in the layouts the engines read in place.
   struct StagedSlice {
@@ -147,7 +149,6 @@ class DscDatapath {
   const nn::QuantDscLayer* layer_ = nullptr;
   std::vector<StagedSlice> staged_;  ///< the bound layer's, slice by slice
   ChannelSlice slice_;  ///< the slice load_dwc_slice last loaded
-  std::span<const nn::NonConvChannelParams> transfer_params_;
 
   // Pass scratch, reused from pass to pass.
   std::vector<std::int8_t> window_;        ///< the pass's DWC input block

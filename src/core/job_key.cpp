@@ -6,7 +6,7 @@
 
 namespace edea::core {
 
-void JobDims::validate(std::string_view what, std::string_view name) const {
+void JobKey::validate(std::string_view what, std::string_view name) const {
   // Built only on failure: validation runs on every service submission.
   const auto owner = [&] {
     std::string text(what);

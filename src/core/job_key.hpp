@@ -10,18 +10,20 @@
 //     through feed();
 //   - the cache file stores each entry's key with encode()/decode() and
 //     orders entries with precedes();
-//   - the line protocol's `key=` parser and outcome echo, and the
-//     --backend/--batch/--dilation/--depth-multiplier flags every command
-//     line shares, loop over kCountDims.
+//   - the line protocol's `key=` parser and outcome echo loop over
+//     kCountDims.
+// A key is set where the job is named - a `run` line's keys, or the code
+// that builds a SweepJob - and nowhere else: a dimension left out is the
+// default below, as an EdeaConfig field left out is the paper's value.
 //
-// Adding a count dimension: one field in JobDims and one kCountDims row.
-// The protocol key, the echo, the CLI flag, validation, hashing, ordering
-// and the cache entry all follow. What the new count *means* still lives
-// where it acts (a workload transform in WorkloadCatalog::resolve, a run
-// knob in the backends). It changes the cache entry layout, so bump
-// kCacheVersion in service/simulation_service.cpp, and it changes every
-// ring key, so shard caches written before the change stop being routed
-// to. A non-count dimension needs its own line in each JobKey function.
+// Adding a count dimension: one JobKey field and one kCountDims row. The
+// protocol key, the echo, validation, hashing, ordering and the cache
+// entry all follow. What the new count *means* still lives where it acts
+// (a workload transform in WorkloadCatalog::resolve, a run knob in the
+// backends). It changes the cache entry layout, so bump kCacheVersion in
+// service/simulation_service.cpp, and it changes every ring key, so shard
+// caches written before the change stop being routed to. A non-count
+// dimension needs its own line in each JobKey function.
 #pragma once
 
 #include <array>
@@ -35,11 +37,8 @@
 
 namespace edea::core {
 
-/// A job's identity besides its accelerator configuration: the backend
-/// and the counts. Servers default exactly these for `run` lines that
-/// leave them out (service::WireOptions and the CLI configs derive from
-/// it), which is why they stand apart from the configuration.
-struct JobDims {
+/// The full identity of a request, less its workload.
+struct JobKey {
   /// Backend id (core/backend.hpp registry): the same workload and
   /// configuration on different dataflows are different experiments.
   std::string backend = std::string(kDefaultBackendId);
@@ -54,44 +53,20 @@ struct JobDims {
   /// multiplier. Each > 1 is a different computation.
   int dilation = 1;
   int depth_multiplier = 1;
+  EdeaConfig config;
 
-  friend bool operator==(const JobDims&, const JobDims&) = default;
+  friend bool operator==(const JobKey&, const JobKey&) = default;
 
   /// Throws PreconditionError unless the backend is registered and every
   /// count is >= 1. The message starts with `what`, then `name` quoted
   /// when given ("sweep job 'x': batch must be >= 1, got 0").
   void validate(std::string_view what, std::string_view name = {}) const;
-};
-
-/// One count dimension: its name and its field. The name is the protocol
-/// key and echo (`depth_multiplier=`), and with '-' for '_' the command
-/// line flag (`--depth-multiplier`).
-struct CountDim {
-  const char* name;
-  int JobDims::*field;
-};
-
-/// Every count dimension, in hash, cache-file and echo order.
-inline constexpr std::array<CountDim, 3> kCountDims{{
-    {"batch", &JobDims::batch},
-    {"dilation", &JobDims::dilation},
-    {"depth_multiplier", &JobDims::depth_multiplier},
-}};
-
-/// The full identity of a request, less its workload.
-struct JobKey : JobDims {
-  EdeaConfig config;
-
-  friend bool operator==(const JobKey&, const JobKey&) = default;
 
   /// Feeds the key into `h`: config.hash(), the backend, then every count
   /// as an int. The service cache and route_key feed it after their own
   /// prefix; the order is part of the ring placement of every persisted
   /// shard cache, so it never changes.
-  void feed(util::Fnv1a64& h) const noexcept {
-    h.pod(config.hash()).str(backend);
-    for (const CountDim& dim : kCountDims) h.pod(this->*dim.field);
-  }
+  void feed(util::Fnv1a64& h) const noexcept;
 
   /// The cache file's entry order (after the fingerprint): config hash,
   /// then backend, then each count.
@@ -108,5 +83,24 @@ struct JobKey : JobDims {
   [[nodiscard]] static JobKey decode(util::ByteReader& r,
                                      std::string_view file);
 };
+
+/// One count dimension: its name and its field. The name is the protocol
+/// key and echo (`depth_multiplier=`).
+struct CountDim {
+  const char* name;
+  int JobKey::*field;
+};
+
+/// Every count dimension, in hash, cache-file and echo order.
+inline constexpr std::array<CountDim, 3> kCountDims{{
+    {"batch", &JobKey::batch},
+    {"dilation", &JobKey::dilation},
+    {"depth_multiplier", &JobKey::depth_multiplier},
+}};
+
+inline void JobKey::feed(util::Fnv1a64& h) const noexcept {
+  h.pod(config.hash()).str(backend);
+  for (const CountDim& dim : kCountDims) h.pod(this->*dim.field);
+}
 
 }  // namespace edea::core

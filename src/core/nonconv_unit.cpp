@@ -61,36 +61,31 @@ void affine_pixel(const std::int32_t* __restrict acc,
 
 }  // namespace
 
-void NonConvUnitArray::apply_block(
-    std::span<const std::int32_t> acc,
-    std::span<const nn::NonConvChannelParams> params, int channels,
-    std::span<std::int8_t> out) {
-  EDEA_REQUIRE(channels > 0, "channel count must be positive");
-  EDEA_REQUIRE(acc.size() == out.size(), "accumulator/output size mismatch");
-  EDEA_REQUIRE(acc.size() % static_cast<std::size_t>(channels) == 0,
-               "block size must be a whole number of channel groups");
-  EDEA_REQUIRE(params.size() >= static_cast<std::size_t>(channels),
-               "missing Non-Conv parameters for some channels");
-
-  // [pixel][channel]: channel ch of every pixel uses params[ch].
-  const auto width = static_cast<std::size_t>(channels);
-  k_.resize(width);
-  b_.resize(width);
-  for (std::size_t ch = 0; ch < width; ++ch) {
+void NonConvUnitArray::load(
+    std::span<const nn::NonConvChannelParams> params) {
+  EDEA_REQUIRE(!params.empty(), "channel count must be positive");
+  k_.resize(params.size());
+  b_.resize(params.size());
+  for (std::size_t ch = 0; ch < params.size(); ++ch) {
     k_[ch] = params[ch].k.raw();
     b_[ch] = params[ch].b.raw() + (1 << (arch::Q8_16::kFractionBits - 1));
   }
-  for (std::size_t pixel = 0; pixel < acc.size(); pixel += width) {
-    affine_pixel(acc.data() + pixel, k_.data(), b_.data(), channels,
-                 out.data() + pixel);
-  }
+}
 
-  const auto ops = static_cast<std::int64_t>(acc.size());
-  if (writeback_) {
-    writeback_ops_ += ops;
-  } else {
-    transfer_ops_ += ops;
+void NonConvUnitArray::apply_block(std::span<const std::int32_t> acc,
+                                   std::span<std::int8_t> out) {
+  const std::size_t width = k_.size();
+  EDEA_REQUIRE(width > 0, "no Non-Conv parameters loaded");
+  EDEA_REQUIRE(acc.size() == out.size(), "accumulator/output size mismatch");
+  EDEA_REQUIRE(acc.size() % width == 0,
+               "block size must be a whole number of channel groups");
+
+  // [pixel][channel]: channel ch of every pixel uses parameter pair ch.
+  for (std::size_t pixel = 0; pixel < acc.size(); pixel += width) {
+    affine_pixel(acc.data() + pixel, k_.data(), b_.data(),
+                 static_cast<int>(width), out.data() + pixel);
   }
+  ops_ += static_cast<std::int64_t>(acc.size());
 }
 
 }  // namespace edea::core

@@ -17,7 +17,6 @@ SweepOutcome evaluate_job(const SweepJob& job, int tile_parallelism) {
                "tile_parallelism must be >= 1 (1 = serial tiles)");
   SweepOutcome out;
   static_cast<JobKey&>(out) = job;
-  if (out.backend.empty()) out.backend = std::string(kDefaultBackendId);
   out.validate("sweep job", job.name);
   out.name = job.name;
   try {
@@ -81,14 +80,11 @@ std::vector<SweepOutcome> SweepRunner::run(
   // tile_parallelism workers (those always borrow the process-wide shared
   // pool, never this sweep's dedicated one - see docs/ARCHITECTURE.md).
   const int tile_parallelism = options_.tile_parallelism;
-  const std::string& default_backend = options_.backend;
   util::run_indexed(
       options_.parallelism, static_cast<std::int64_t>(jobs.size()),
-      [&jobs, &outcomes, tile_parallelism, &default_backend](std::int64_t i) {
-        SweepJob job = jobs[static_cast<std::size_t>(i)];
-        if (job.backend.empty()) job.backend = default_backend;
-        outcomes[static_cast<std::size_t>(i)] =
-            evaluate_job(job, tile_parallelism);
+      [&jobs, &outcomes, tile_parallelism](std::int64_t i) {
+        const auto at = static_cast<std::size_t>(i);
+        outcomes[at] = evaluate_job(jobs[at], tile_parallelism);
       });
   return outcomes;
 }

@@ -30,17 +30,12 @@ namespace edea::core {
 /// starting from `input`. The pointed-to network and tensor must outlive
 /// the sweep; they are never written. The job's identity - config,
 /// backend, batch and workload transforms - is its JobKey base (see
-/// core/job_key.hpp); the transforms are already baked into every layer
-/// spec by the resolver and are carried so outcomes can echo them and the
-/// service cache can key on them. Counts < 1 are a PreconditionError.
+/// core/job_key.hpp), set by whoever builds the job; the transforms are
+/// already baked into every layer spec by the resolver and are carried so
+/// outcomes can echo them and the service cache can key on them. An
+/// unknown backend or a count < 1 is a PreconditionError: a typo'd
+/// dimension is a caller bug, not a design point.
 struct SweepJob : JobKey {
-  /// Unlike a resolved key, a job's backend starts empty: "" means "the
-  /// caller's default" - evaluate_job resolves it to kDefaultBackendId,
-  /// SweepRunner to its SweepOptions::backend. An unknown id is a
-  /// PreconditionError: a typo'd backend is a caller bug, not a design
-  /// point.
-  SweepJob() { backend.clear(); }
-
   std::string name;
   const std::vector<nn::QuantDscLayer>* layers = nullptr;
   const nn::Int8Tensor* input = nullptr;
@@ -57,9 +52,8 @@ struct SweepJob : JobKey {
 /// (ResourceError, PreconditionError, ...) reports the failure in `error`
 /// instead of aborting the sweep - infeasible points are data in a DSE.
 ///
-/// The JobKey base echoes the job's identity with the backend resolved
-/// (never empty): it is part of the protocol line and of the service
-/// cache key.
+/// The JobKey base echoes the job's identity: it is part of the protocol
+/// line and of the service cache key.
 struct SweepOutcome : JobKey {
   std::string name;
   bool ok = false;
@@ -102,11 +96,6 @@ struct SweepOptions {
   /// bit-identical at every width.
   int tile_parallelism = 1;
 
-  /// Backend id applied to jobs whose SweepJob::backend is empty - the
-  /// sweep-wide default dataflow. Jobs naming their own backend override
-  /// it, so one sweep can mix backends (the cross-dataflow experiment).
-  std::string backend = std::string(kDefaultBackendId);
-
   void validate() const {
     EDEA_REQUIRE(
         parallelism >= 0,
@@ -114,22 +103,18 @@ struct SweepOptions {
     EDEA_REQUIRE(tile_parallelism >= 1,
                  "tile_parallelism must be >= 1 (1 = serial tiles; there is "
                  "no auto policy at tile level)");
-    EDEA_REQUIRE(backend_known(backend),
-                 "unknown sweep backend '" + backend +
-                     "' (known: " + known_backends_string() + ")");
   }
 };
 
 /// Runs one job on a fresh accelerator built from the job's backend id
-/// through the registry (empty resolves to kDefaultBackendId). Never
-/// propagates simulation failures: an infeasible configuration
-/// (ResourceError, ...) comes back with ok == false and the failure text
-/// in `error`, so callers that fan jobs out (SweepRunner, the simulation
-/// service) can treat infeasible points as data. Null network/input
-/// pointers are still a hard PreconditionError - that is a caller bug,
-/// not a design point - and so are a tile_parallelism < 1 (see
-/// SweepOptions::tile_parallelism) and an invalid key (an unknown backend
-/// id or a count < 1, JobDims::validate).
+/// through the registry. Never propagates simulation failures: an
+/// infeasible configuration (ResourceError, ...) comes back with
+/// ok == false and the failure text in `error`, so callers that fan jobs
+/// out (SweepRunner, the simulation service) can treat infeasible points
+/// as data. Null network/input pointers are still a hard
+/// PreconditionError - that is a caller bug, not a design point - and so
+/// are a tile_parallelism < 1 (see SweepOptions::tile_parallelism) and an
+/// invalid key (an unknown backend id or a count < 1, JobKey::validate).
 [[nodiscard]] SweepOutcome evaluate_job(const SweepJob& job,
                                         int tile_parallelism = 1);
 

@@ -25,23 +25,6 @@ std::string client_usage() {
       "                         run response to be flagged cache=hit and\n"
       "                         the stats line to report zero misses (the\n"
       "                         persisted-cache replay gate)\n"
-      "  --backend ID           default backend of the in-process --verify\n"
-      "                         reference for requests that name none;\n"
-      "                         must mirror the server's --backend\n"
-      "                         (default edea)\n"
-      "  --batch N              default images-per-run of the in-process\n"
-      "                         --verify reference for requests that carry\n"
-      "                         no batch= key; must mirror the server's\n"
-      "                         --batch (>= 1; default 1)\n"
-      "  --dilation N           default DWC dilation of the in-process\n"
-      "                         --verify reference for requests that carry\n"
-      "                         no dilation= key; must mirror the server's\n"
-      "                         --dilation (>= 1; default 1)\n"
-      "  --depth-multiplier N   default extra depthwise multiplier of the\n"
-      "                         in-process --verify reference for requests\n"
-      "                         that carry no depth_multiplier= key; must\n"
-      "                         mirror the server's --depth-multiplier\n"
-      "                         (>= 1; default 1)\n"
       "  --pipeline N           keep up to N requests in flight using\n"
       "                         batch frames and unordered streaming,\n"
       "                         retrying busy rejections with jittered\n"
@@ -51,15 +34,6 @@ std::string client_usage() {
       "  --ordered              with --pipeline: stay on the byte-exact\n"
       "                         ordered reply protocol instead of\n"
       "                         negotiating `mode unordered`\n";
-}
-
-core::JobDims ClientConfig::mirrored() const {
-  core::JobDims dims;
-  if (!backend.empty()) dims.backend = backend;
-  for (const core::CountDim& dim : core::kCountDims) {
-    if (this->*dim.field != 0) dims.*dim.field = this->*dim.field;
-  }
-  return dims;
 }
 
 ClientConfig parse_client_args(int argc, const char* const* argv) {
@@ -76,7 +50,6 @@ ClientConfig parse_client_args(int argc, const char* const* argv) {
   };
 
   for (int i = 0; i < argc && config.error.empty(); ++i) {
-    if (parse_dims_flag(argc, argv, i, config, &config.error)) continue;
     const std::string arg = argv[i];
     std::string value;
     std::uint64_t count = 0;

@@ -9,25 +9,10 @@
 #include <cstdint>
 #include <string>
 
-#include "core/job_key.hpp"
-
 namespace edea::service {
 
 /// Parsed client command line. `error` empty means the parse succeeded.
-///
-/// The JobDims base holds --backend / --batch / --dilation /
-/// --depth-multiplier: the request defaults of the *in-process reference*
-/// session --verify recomputes against, which must mirror the server's
-/// flags or the reference diverges by construction. Validated at parse
-/// time; a flag not given stays "" or 0, and the protocol default
-/// applies.
-struct ClientConfig : core::JobDims {
-  ClientConfig() : core::JobDims{"", 0, 0, 0} {}
-
-  /// The reference session's request defaults: every flag given, the
-  /// protocol default for the rest.
-  [[nodiscard]] core::JobDims mirrored() const;
-
+struct ClientConfig {
   bool help = false;             ///< --help: print usage, exit 0
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;        ///< --connect HOST:PORT
@@ -47,9 +32,8 @@ struct ClientConfig : core::JobDims {
 };
 
 /// Parses argv (past argv[0]). Never throws; any problem - unknown flag,
-/// missing or malformed value (bad HOST:PORT, unknown backend id,
-/// --expect-all-hits without --verify, missing --connect) - comes back in
-/// `error`.
+/// missing or malformed value (bad HOST:PORT, --expect-all-hits without
+/// --verify, missing --connect) - comes back in `error`.
 [[nodiscard]] ClientConfig parse_client_args(int argc,
                                              const char* const* argv);
 

@@ -179,25 +179,13 @@ core::SweepJob Request::job() const {
   return job;
 }
 
-ParsedLine parse_request_line(const std::string& line,
-                              const std::string& default_backend,
-                              int default_batch, int default_dilation,
-                              int default_depth_multiplier) {
-  return parse_request_line(
-      line, core::JobDims{default_backend, default_batch, default_dilation,
-                          default_depth_multiplier});
-}
-
-ParsedLine parse_request_line(const std::string& line,
-                              const core::JobDims& defaults) {
-  defaults.validate("request defaults");
+ParsedLine parse_request_line(const std::string& line) {
   if (line.size() > kMaxLineBytes) {
     return malformed("line longer than " + std::to_string(kMaxLineBytes) +
                      " bytes");
   }
   const std::vector<std::string> tokens = tokenize(line);
   ParsedLine parsed;
-  static_cast<core::JobDims&>(parsed.request) = defaults;
   if (tokens.empty() || tokens.front().front() == '#') {
     return parsed;  // kEmpty
   }

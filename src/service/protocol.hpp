@@ -40,10 +40,14 @@
 //              ranges are EdeaConfig::validate's job, reported in the
 //              outcome line)
 //   clock_ghz  clock in GHz
+// A key left out takes the default above (JobKey's, or the paper's
+// configuration) in every process that parses the line, so a line names
+// one job wherever it is served. To apply a transform to a whole stream,
+// add its key to each `run` line.
 //
 // Responses (one per `run`, in request order; <network>@<seed> is the
 // request's job_name(), <config> is EdeaConfig::to_string(), <backend>
-// the resolved backend id; `batch=<n>`, `dilation=<n>`, and
+// the backend id; `batch=<n>`, `dilation=<n>`, and
 // `depth_multiplier=<n>` are echoed after backend= - in that order - only
 // when each n > 1, keeping default-valued responses byte-identical to the
 // earlier protocol):
@@ -113,10 +117,9 @@
 namespace edea::service {
 
 /// A parsed `run` request: the network and seed that name its workload,
-/// and its JobKey (core/job_key.hpp) - config overrides on the paper
-/// defaults, and the backend and counts the line set or the parse call
-/// defaulted. The backend is always registered and every count >= 1:
-/// anything else never parses.
+/// and its JobKey (core/job_key.hpp) - the keys the line set, JobKey's
+/// defaults for the rest. The backend is always registered and every
+/// count >= 1: anything else never parses.
 struct Request : core::JobKey {
   std::string network;     ///< model-zoo name (unresolved)
   std::uint64_t seed = 1;  ///< synthetic weight/input seed
@@ -181,24 +184,10 @@ struct ParsedLine {
 [[nodiscard]] bool parse_strict_int(const std::string& text, int* out);
 [[nodiscard]] bool parse_strict_count(const std::string& text, int* out);
 
-/// Parses one request line. Never throws on wire input: malformed lines -
-/// including unknown backend= ids and non-positive count values - are a
-/// kError result (a service must survive bad clients). `defaults` is what
-/// `run` requests resolve to for the backend and counts the line leaves
-/// out (the server's --backend, --batch, --dilation, --depth-multiplier).
-/// Defaults are caller configuration, not wire data, so an unknown
-/// default backend or a non-positive default count is a
-/// PreconditionError.
-[[nodiscard]] ParsedLine parse_request_line(const std::string& line,
-                                            const core::JobDims& defaults);
-
-/// The same, with the defaults spelled out.
-[[nodiscard]] ParsedLine parse_request_line(
-    const std::string& line,
-    const std::string& default_backend = std::string(
-        core::kDefaultBackendId),
-    int default_batch = 1, int default_dilation = 1,
-    int default_depth_multiplier = 1);
+/// Parses one request line. Never throws: malformed lines - including
+/// unknown backend= ids and non-positive count values - are a kError
+/// result (a service must survive bad clients).
+[[nodiscard]] ParsedLine parse_request_line(const std::string& line);
 
 /// Formats the response line for one completed request.
 [[nodiscard]] std::string format_outcome_line(

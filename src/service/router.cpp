@@ -40,7 +40,6 @@ ClusterRouter::ClusterRouter(RouterOptions options)
     : options_(std::move(options)), ring_(options_.replicas) {
   EDEA_REQUIRE(!options_.workers.empty(),
                "cluster router needs at least one worker");
-  options_.validate("router default");
   EDEA_REQUIRE(options_.max_attempts >= 1,
                "router max_attempts must be >= 1, got " +
                    std::to_string(options_.max_attempts));

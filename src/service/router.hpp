@@ -55,15 +55,10 @@
 // ordered` (--ordered) is an attach error, handled like an unreachable
 // worker. Client-side `mode unordered` is honored by the router's own
 // front (replies stream in cluster-wide completion order with `id=<n> `
-// prefixes); ordered clients get request-id order either way.
-//
-// Operator contract: every worker must run with the same request-default
-// flags (core::JobDims: --backend, --batch, --dilation,
-// --depth-multiplier) as the router (the router forwards raw request
-// lines, and a worker with different defaults would resolve them
-// differently). simulation_router --spawn passes its own defaults down
-// (dims_flags), making the contract automatic; --worker attach mode
-// documents it.
+// prefixes); ordered clients get request-id order either way. The
+// router forwards raw request lines, which every process parses to the
+// same job (a key a line leaves out takes JobKey's default everywhere),
+// so any worker serves any line.
 #pragma once
 
 #include <cstdint>
@@ -91,11 +86,9 @@ struct WorkerEndpoint {
   std::uint16_t port = 0;
 };
 
-/// Configuration of a ClusterRouter: the client-facing wire defaults
-/// (WireOptions, exactly like a Session's - what `run` lines resolve to
-/// when they leave out the backend or a count, and whether `mode
-/// unordered` is honored; the request defaults must match the workers'
-/// flags, see the operator contract above) plus routing.
+/// Configuration of a ClusterRouter: the client-facing wire policy
+/// (WireOptions, exactly like a Session's: whether `mode unordered` is
+/// honored) plus routing.
 struct RouterOptions : WireOptions {
   /// Worker membership at startup. At least one; ids must be unique.
   std::vector<WorkerEndpoint> workers;

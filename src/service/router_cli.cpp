@@ -61,10 +61,7 @@ std::string router_usage() {
       "  --worker HOST:PORT     attach to a running worker server\n"
       "                         (repeatable; the string is the stable ring\n"
       "                         id, so keep addresses fixed across restarts\n"
-      "                         to keep per-shard caches routable). The\n"
-      "                         workers must run the same --backend/--batch/\n"
-      "                         --dilation/--depth-multiplier defaults as\n"
-      "                         the router\n"
+      "                         to keep per-shard caches routable)\n"
       "  --server-bin PATH      worker binary for --spawn (default: the\n"
       "                         example_simulation_server next to this\n"
       "                         binary)\n"
@@ -86,16 +83,6 @@ std::string router_usage() {
       "                         printed to stderr)\n"
       "  --max-sessions N       socket mode: exit after serving N\n"
       "                         connections (0 = unlimited; default 0)\n"
-      "  --backend ID           default accelerator backend for requests\n"
-      "                         that carry no backend= key (mirrored to\n"
-      "                         spawned workers; default edea)\n"
-      "  --batch N              default images-per-run (mirrored to\n"
-      "                         spawned workers; >= 1; default 1)\n"
-      "  --dilation N           default DWC dilation (mirrored to spawned\n"
-      "                         workers; >= 1; default 1)\n"
-      "  --depth-multiplier N   default extra depthwise multiplier\n"
-      "                         (mirrored to spawned workers; >= 1;\n"
-      "                         default 1)\n"
       "  --ordered              refuse `mode unordered` switches: every\n"
       "                         session keeps the byte-exact ordered reply\n"
       "                         protocol (the verified reference mode)\n";
@@ -116,7 +103,6 @@ RouterCliConfig parse_router_args(int argc, const char* const* argv) {
   };
 
   for (int i = 0; i < argc && config.error.empty(); ++i) {
-    if (parse_dims_flag(argc, argv, i, config, &config.error)) continue;
     const std::string arg = argv[i];
     std::string value;
     std::uint64_t count = 0;

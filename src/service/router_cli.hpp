@@ -8,17 +8,13 @@
 #include <string>
 #include <vector>
 
-#include "core/job_key.hpp"
 #include "service/hash_ring.hpp"
 #include "service/router.hpp"
 
 namespace edea::service {
 
 /// Parsed router command line. `error` empty means the parse succeeded.
-/// The JobDims base holds the request defaults (--backend / --batch /
-/// --dilation / --depth-multiplier), mirrored to workers (see
-/// RouterOptions).
-struct RouterCliConfig : core::JobDims {
+struct RouterCliConfig {
   bool help = false;    ///< --help: print usage, exit 0
   bool listen = false;  ///< --listen given: TCP socket mode
   std::uint16_t port = 0;        ///< --listen PORT (0 = ephemeral)

@@ -1,22 +1,10 @@
 #include "service/server_cli.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "service/protocol.hpp"
 
 namespace edea::service {
-
-namespace {
-
-/// "--depth-multiplier" for the count named "depth_multiplier".
-std::string flag_of(const core::CountDim& dim) {
-  std::string flag = std::string("--") + dim.name;
-  std::replace(flag.begin(), flag.end(), '_', '-');
-  return flag;
-}
-
-}  // namespace
 
 bool parse_flag_count(const std::string& text, std::uint64_t min,
                       std::uint64_t max, std::uint64_t* out) {
@@ -26,41 +14,6 @@ bool parse_flag_count(const std::string& text, std::uint64_t min,
   }
   *out = value;
   return true;
-}
-
-bool parse_dims_flag(int argc, const char* const* argv, int& i,
-                     core::JobDims& dims, std::string* error) {
-  const std::string flag = argv[i];
-  int core::JobDims::*count = nullptr;
-  for (const core::CountDim& dim : core::kCountDims) {
-    if (flag == flag_of(dim)) count = dim.field;
-  }
-  if (count == nullptr && flag != "--backend") return false;
-  if (i + 1 >= argc) {
-    *error = flag + " needs a value";
-    return true;
-  }
-  const std::string value = argv[++i];
-  if (count != nullptr) {
-    if (!parse_strict_count(value, &(dims.*count))) {
-      *error = flag + " needs a positive count, got '" + value + "'";
-    }
-  } else if (core::backend_known(value)) {
-    dims.backend = value;
-  } else {
-    *error = "--backend: unknown backend '" + value + "' (known: " +
-             core::known_backends_string() + ")";
-  }
-  return true;
-}
-
-std::vector<std::string> dims_flags(const core::JobDims& dims) {
-  std::vector<std::string> flags = {"--backend", dims.backend};
-  for (const core::CountDim& dim : core::kCountDims) {
-    flags.push_back(flag_of(dim));
-    flags.push_back(std::to_string(dims.*dim.field));
-  }
-  return flags;
 }
 
 std::string server_usage() {
@@ -83,24 +36,6 @@ std::string server_usage() {
       "                         at startup (if it exists) and save it back\n"
       "                         on shutdown, so repeated design points\n"
       "                         survive restarts\n"
-      "  --backend ID           default accelerator backend for requests\n"
-      "                         that carry no backend= key; one of the\n"
-      "                         registered dataflows (edea, serialized;\n"
-      "                         default edea)\n"
-      "  --batch N              default images-per-run for requests that\n"
-      "                         carry no batch= key: every run pushes N\n"
-      "                         images through one planned arena/setup,\n"
-      "                         bit-identical per image to N separate\n"
-      "                         runs (>= 1; default 1)\n"
-      "  --dilation N           default DWC dilation for requests that\n"
-      "                         carry no dilation= key: every layer of the\n"
-      "                         resolved network runs with taps N apart,\n"
-      "                         padding scaled to preserve output extents\n"
-      "                         (>= 1; default 1)\n"
-      "  --depth-multiplier N   default extra depthwise multiplier for\n"
-      "                         requests that carry no depth_multiplier=\n"
-      "                         key, multiplying into multipliers the\n"
-      "                         network already carries (>= 1; default 1)\n"
       "  --workers N            service worker threads (0 = shared pool;\n"
       "                         default 0)\n"
       "  --max-queue N          admit at most N in-flight fresh\n"
@@ -143,7 +78,6 @@ ServerConfig parse_server_args(int argc, const char* const* argv) {
   };
 
   for (int i = 0; i < argc && config.error.empty(); ++i) {
-    if (parse_dims_flag(argc, argv, i, config, &config.error)) continue;
     const std::string arg = argv[i];
     std::string value;
     std::uint64_t count = 0;

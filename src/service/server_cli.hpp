@@ -6,18 +6,13 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "core/job_key.hpp"
 #include "service/simulation_service.hpp"
 
 namespace edea::service {
 
 /// Parsed server command line. `error` empty means the parse succeeded.
-/// The JobDims base holds --backend / --batch / --dilation /
-/// --depth-multiplier: the defaults of requests that leave them out,
-/// validated at parse time (default edea and 1).
-struct ServerConfig : core::JobDims {
+struct ServerConfig {
   bool help = false;    ///< --help: print usage, exit 0
   bool verify = false;  ///< --verify: stdio mode only, serial cross-check
   bool listen = false;  ///< --listen given: TCP socket mode
@@ -54,17 +49,5 @@ struct ServerConfig : core::JobDims {
 [[nodiscard]] bool parse_flag_count(const std::string& text,
                                     std::uint64_t min, std::uint64_t max,
                                     std::uint64_t* out);
-
-/// Parses argv[i] if it is a request-default flag: --backend ID, or
-/// --<count> N for each core::kCountDims entry (--batch, --dilation,
-/// --depth-multiplier). Then it consumes the value (advancing i) into
-/// `dims` and returns true, with any problem - missing value, unknown
-/// backend, count < 1 - in *error. Returns false for any other argument.
-[[nodiscard]] bool parse_dims_flag(int argc, const char* const* argv, int& i,
-                                   core::JobDims& dims, std::string* error);
-
-/// The flags parse_dims_flag reads back as `dims`: how the router starts
-/// workers with its own request defaults.
-[[nodiscard]] std::vector<std::string> dims_flags(const core::JobDims& dims);
 
 }  // namespace edea::service

@@ -152,7 +152,6 @@ const WorkloadCatalog::Workload& WorkloadCatalog::resolve(
 Session::Session(SimulationService& service, WorkloadCatalog& catalog,
                  SessionOptions options)
     : service_(service), catalog_(catalog), options_(std::move(options)) {
-  options_.validate("session default");
   EDEA_REQUIRE(options_.busy_retry_ms >= 1,
                "session busy_retry_ms must be >= 1, got " +
                    std::to_string(options_.busy_retry_ms));

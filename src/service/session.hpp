@@ -85,11 +85,8 @@ class WorkloadCatalog {
       workloads_;
 };
 
-/// A session's configuration: the wire defaults (backend, batch,
-/// transforms, whether `mode unordered` is honored - see WireOptions) plus
-/// its dispatch knobs. The wire defaults are validated at Session
-/// construction, because a wrong server default is an operator error,
-/// not a client's protocol error.
+/// A session's configuration: the wire policy (whether `mode unordered`
+/// is honored - see WireOptions) plus its dispatch knobs.
 struct SessionOptions : WireOptions {
   /// Record every submitted job and its outcome (in request order) in
   /// SessionStats - what the stdio server's --verify gate replays against

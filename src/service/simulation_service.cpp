@@ -110,17 +110,15 @@ std::uint64_t SimulationService::new_session_id() {
   return next_session_id_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void SimulationService::validate_job(core::SweepJob& job) {
+void SimulationService::validate_job(const core::SweepJob& job) {
   EDEA_REQUIRE(job.layers != nullptr && job.input != nullptr,
                "service request '" + job.name + "' must reference a network");
   // A NaN in the key would make it unequal to itself and strand the cache
   // entry (NaN != NaN); reject at the boundary instead.
   EDEA_REQUIRE(std::isfinite(job.config.clock_ghz),
                "service request '" + job.name + "' has a non-finite clock");
-  // Resolve the backend up front: the cache key must use the id the
-  // simulation will actually run on, and an unknown id must fail the
-  // submitter here, not surface later as a failed outcome from the pool.
-  if (job.backend.empty()) job.backend = std::string(core::kDefaultBackendId);
+  // An unknown backend or a count < 1 must fail the submitter here, not
+  // surface later as a failed outcome from the pool.
   job.validate("service request", job.name);
 }
 

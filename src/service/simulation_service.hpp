@@ -271,8 +271,8 @@ class SimulationService {
   };
 
   /// Validates a submission's invariants (network present, finite clock,
-  /// a valid key) and resolves the default backend.
-  static void validate_job(core::SweepJob& job);
+  /// a valid key).
+  static void validate_job(const core::SweepJob& job);
 
   /// Delivers the ok=false outcome of `job` under `w`'s name - the wire
   /// has no exception channel, only error lines. Never throws.

@@ -63,7 +63,7 @@ void WireFront::serve(Dispatch& dispatch) {
 
   std::string raw;
   while (client_.read_line(raw)) {
-    ParsedLine parsed = parse_request_line(raw, options_);
+    ParsedLine parsed = parse_request_line(raw);
     if (parsed.kind == ParsedLine::Kind::kEmpty) continue;
 
     // Frame bookkeeping happens before the line is answered: control

@@ -5,7 +5,7 @@
 // in what they do with a `run` line and where a `stats` line comes from.
 // WireFront owns everything else, once:
 //
-//   - line read and parse, with the owner's request defaults,
+//   - line read and parse,
 //   - the batch-frame state machine (`batch-begin N` .. `batch-end`) and
 //     its violation replies, EOF inside a frame included,
 //   - per-connection request ids: every answering line (run, stats, mode,
@@ -38,7 +38,6 @@
 #include <mutex>
 #include <string>
 
-#include "core/job_key.hpp"
 #include "core/sweep_runner.hpp"
 #include "service/protocol.hpp"
 
@@ -46,14 +45,9 @@ namespace edea::service {
 
 class Stream;
 
-/// What a wire front needs from its owner's configuration: the request
-/// defaults `run` lines resolve to when they leave out the backend or a
-/// count (the JobDims base: the --backend, --batch, --dilation and
-/// --depth-multiplier flags), and the reply framing policy. The defaults
-/// must be valid - a wrong default is an operator error, not a client's
-/// protocol error, so the owner validates them at construction
-/// (JobDims::validate).
-struct WireOptions : core::JobDims {
+/// What a wire front needs from its owner's configuration: the reply
+/// framing policy.
+struct WireOptions {
   /// Whether a client's `mode unordered` request is honored. False (the
   /// --ordered flag) locks the connection to ordered replies: the request
   /// answers `mode ordered`, stating what is in effect - the byte-exact

@@ -162,31 +162,27 @@ TEST(BackendSweepTest, UnknownJobBackendIsAPreconditionError) {
   job.layers = &layers;
   job.input = &input;
   EXPECT_THROW((void)evaluate_job(job), PreconditionError);
-
-  SweepOptions options;
-  options.backend = "serializd";
-  EXPECT_THROW(options.validate(), PreconditionError);
-  EXPECT_THROW((void)SweepRunner{options}, PreconditionError);
+  // A sweep does not swallow it either.
+  EXPECT_THROW((void)SweepRunner(SweepOptions{1}).run({job}),
+               PreconditionError);
 }
 
-TEST(BackendSweepTest, RunnerDefaultBackendAppliesOnlyToUnsetJobs) {
+TEST(BackendSweepTest, RunnerRunsEachJobOnItsOwnBackend) {
   const auto specs = nn::zoo_specs("edeanet-64");
   const auto layers = nn::make_random_quant_network(specs, 31);
   const nn::Int8Tensor input = random_input(specs.front(), 32);
 
-  SweepJob unset;
-  unset.name = "unset";
-  unset.layers = &layers;
-  unset.input = &input;
-  SweepJob pinned = unset;
-  pinned.name = "pinned";
-  pinned.backend = "edea";
+  SweepJob serialized;
+  serialized.name = "serialized";
+  serialized.backend = "serialized";
+  serialized.layers = &layers;
+  serialized.input = &input;
+  SweepJob edea = serialized;
+  edea.name = "edea";
+  edea.backend = "edea";
 
-  SweepOptions options;
-  options.parallelism = 1;
-  options.backend = "serialized";
   const std::vector<SweepOutcome> outcomes =
-      SweepRunner(options).run({unset, pinned});
+      SweepRunner(SweepOptions{1}).run({serialized, edea});
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_EQ(outcomes[0].backend, "serialized");
   EXPECT_EQ(outcomes[1].backend, "edea");

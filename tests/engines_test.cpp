@@ -518,7 +518,8 @@ void expect_block_matches_affine(std::vector<std::int32_t> acc,
       static_cast<std::size_t>(channels), params);
   std::vector<std::int8_t> out(acc.size());
   NonConvUnitArray array;
-  array.apply_block(acc, per_channel, channels, out);
+  array.load(per_channel);
+  array.apply_block(acc, out);
   for (std::size_t i = 0; i < acc.size(); ++i) {
     ASSERT_EQ(out[i],
               static_cast<std::int8_t>(arch::nonconv_affine(acc[i], params.k,
@@ -526,7 +527,7 @@ void expect_block_matches_affine(std::vector<std::int32_t> acc,
         << "acc=" << acc[i] << " k=" << params.k.raw()
         << " b=" << params.b.raw() << " lane " << i % channels;
   }
-  EXPECT_EQ(array.transfer_ops(), static_cast<std::int64_t>(acc.size()));
+  EXPECT_EQ(array.ops(), static_cast<std::int64_t>(acc.size()));
 }
 
 /// Accumulators whose k * acc + b lands on each side of the rounding edge
@@ -613,15 +614,14 @@ TEST(NonConvUnitArray, BlockEqualsAffineOnRandomBlocks) {
       }
       std::vector<std::int8_t> out(acc.size());
       NonConvUnitArray array;
-      array.set_writeback_mode(true);
-      array.apply_block(acc, params, channels, out);
+      array.load(params);
+      array.apply_block(acc, out);
       for (std::size_t i = 0; i < acc.size(); ++i) {
         ASSERT_EQ(out[i], params[i % static_cast<std::size_t>(channels)].apply(
                               acc[i]))
             << "channels=" << channels << " acc=" << acc[i];
       }
-      EXPECT_EQ(array.writeback_ops(), static_cast<std::int64_t>(acc.size()));
-      EXPECT_EQ(array.transfer_ops(), 0);
+      EXPECT_EQ(array.ops(), static_cast<std::int64_t>(acc.size()));
     }
   }
 }

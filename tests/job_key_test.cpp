@@ -77,10 +77,10 @@ TEST(JobKeyTest, DecodeRejectsKeysThatCouldNeverBeServed) {
 }
 
 TEST(JobKeyTest, ValidateNamesTheOwnerAndTheField) {
-  JobDims dims;
-  dims.dilation = 0;
+  JobKey key;
+  key.dilation = 0;
   try {
-    dims.validate("sweep job", "net@1");
+    key.validate("sweep job", "net@1");
     FAIL() << "dilation 0 must be rejected";
   } catch (const PreconditionError& e) {
     const std::string what = e.what();
@@ -88,7 +88,7 @@ TEST(JobKeyTest, ValidateNamesTheOwnerAndTheField) {
               std::string::npos)
         << what;
   }
-  EXPECT_NO_THROW(JobDims().validate("defaults"));
+  EXPECT_NO_THROW(JobKey().validate("defaults"));
 }
 
 }  // namespace

@@ -135,7 +135,7 @@ std::vector<std::string> distinct_runs(int count) {
 
 TEST(RouteKeyTest, PartitionsByEveryCacheKeyDimension) {
   const auto key_of = [](const std::string& line) {
-    const ParsedLine parsed = parse_request_line(line, "edea", 1, 1, 1);
+    const ParsedLine parsed = parse_request_line(line);
     EDEA_REQUIRE(parsed.kind == ParsedLine::Kind::kRun, "want a run line");
     return route_key(parsed.request);
   };
@@ -418,7 +418,7 @@ TEST(ClusterRouterTest, KillingAWorkerMidStreamLosesAndDuplicatesNothing) {
   ring.add_node("shard2");
   std::size_t proxied = 0;
   for (const std::string& line : lines) {
-    const ParsedLine parsed = parse_request_line(line, "edea", 1, 1, 1);
+    const ParsedLine parsed = parse_request_line(line);
     if (ring.owner(route_key(parsed.request)) == "shard2") ++proxied;
   }
   ASSERT_GT(proxied, 0u) << "pick seeds that hash onto the proxied shard";
@@ -630,12 +630,6 @@ TEST(ClusterRouterTest, ValidatesItsOptions) {
   };
   EXPECT_THROW(ClusterRouter(RouterOptions{}), PreconditionError)
       << "no workers";
-  EXPECT_THROW(
-      ClusterRouter(with([](RouterOptions& o) { o.batch = 0; })),
-      PreconditionError);
-  EXPECT_THROW(
-      ClusterRouter(with([](RouterOptions& o) { o.backend = "nope"; })),
-      PreconditionError);
   EXPECT_THROW(
       ClusterRouter(with([](RouterOptions& o) { o.max_attempts = 0; })),
       PreconditionError);

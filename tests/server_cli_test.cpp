@@ -24,12 +24,16 @@ ClientConfig parse_client(const std::vector<const char*>& args) {
   return parse_client_args(static_cast<int>(args.size()), args.data());
 }
 
+/// Request keys that are not command-line flags on any of the three CLIs.
+constexpr const char* kRequestKeyFlags[] = {"--backend", "--batch",
+                                            "--dilation",
+                                            "--depth-multiplier"};
+
 TEST(ServerCliTest, HelpTextMentionsEveryDocumentedFlag) {
   const std::string usage = server_usage();
   for (const char* flag :
        {"--help", "--listen", "--max-sessions", "--cache-file", "--workers",
-        "--cache", "--tile-parallelism", "--backend", "--batch",
-        "--dilation", "--depth-multiplier", "--verify", "--max-queue",
+        "--cache", "--tile-parallelism", "--verify", "--max-queue",
         "--busy-retry-ms", "--ordered"}) {
     SCOPED_TRACE(flag);
     EXPECT_NE(usage.find(flag), std::string::npos)
@@ -51,10 +55,6 @@ TEST(ServerCliTest, DefaultsMatchTheServiceDefaults) {
   EXPECT_EQ(config.service.worker_threads, 0u);
   EXPECT_EQ(config.service.cache_capacity, ServiceOptions().cache_capacity);
   EXPECT_EQ(config.service.tile_parallelism, 1);
-  EXPECT_EQ(config.backend, "edea");
-  EXPECT_EQ(config.batch, 1);
-  EXPECT_EQ(config.dilation, 1);
-  EXPECT_EQ(config.depth_multiplier, 1);
   EXPECT_EQ(config.service.max_queue, 0u);
   EXPECT_EQ(config.busy_retry_ms, 25);
   EXPECT_FALSE(config.ordered);
@@ -64,9 +64,8 @@ TEST(ServerCliTest, EveryFlagParses) {
   const ServerConfig config =
       parse({"--listen", "47163", "--max-sessions", "2", "--cache-file",
              "/tmp/edea.cache", "--workers", "3", "--cache", "64",
-             "--tile-parallelism", "4", "--backend", "serialized",
-             "--batch", "8", "--dilation", "2", "--depth-multiplier", "3",
-             "--max-queue", "2", "--busy-retry-ms", "5", "--ordered"});
+             "--tile-parallelism", "4", "--max-queue", "2",
+             "--busy-retry-ms", "5", "--ordered"});
   ASSERT_TRUE(config.error.empty()) << config.error;
   EXPECT_TRUE(config.listen);
   EXPECT_EQ(config.port, 47163);
@@ -75,10 +74,6 @@ TEST(ServerCliTest, EveryFlagParses) {
   EXPECT_EQ(config.service.worker_threads, 3u);
   EXPECT_EQ(config.service.cache_capacity, 64u);
   EXPECT_EQ(config.service.tile_parallelism, 4);
-  EXPECT_EQ(config.backend, "serialized");
-  EXPECT_EQ(config.batch, 8);
-  EXPECT_EQ(config.dilation, 2);
-  EXPECT_EQ(config.depth_multiplier, 3);
   EXPECT_EQ(config.service.max_queue, 2u);
   EXPECT_EQ(config.busy_retry_ms, 5);
   EXPECT_TRUE(config.ordered);
@@ -105,15 +100,6 @@ TEST(ServerCliTest, ListenPortMustBeNumericAndInRange) {
   EXPECT_EQ(top.port, 65535);
 }
 
-TEST(ServerCliTest, UnknownBackendIsRejectedNamingTheRegistry) {
-  const ServerConfig config = parse({"--backend", "warp-drive"});
-  ASSERT_FALSE(config.error.empty());
-  EXPECT_NE(config.error.find("warp-drive"), std::string::npos);
-  EXPECT_NE(config.error.find("edea"), std::string::npos);
-  EXPECT_NE(config.error.find("serialized"), std::string::npos);
-  EXPECT_FALSE(parse({"--backend"}).error.empty());  // missing value
-}
-
 TEST(ServerCliTest, HelpAndVerifyFlagsParse) {
   EXPECT_TRUE(parse({"--help"}).help);
   EXPECT_TRUE(parse({"--verify"}).verify);
@@ -131,18 +117,6 @@ TEST(ServerCliTest, MalformedValuesAreRejectedWithAReason) {
            {"--cache", "10bb"},              // trailing junk
            {"--tile-parallelism", "0"},      // zero width is a caller bug
            {"--tile-parallelism", "-4"},     // negative width
-           {"--batch", "0"},                 // no images is not a run
-           {"--batch", "-2"},                // negative
-           {"--batch", "+4"},                // stoul would accept the '+'
-           {"--batch", "4x"},                // trailing junk
-           {"--batch"},                      // missing value
-           {"--dilation", "0"},              // a window needs a pitch
-           {"--dilation", "-2"},             // negative
-           {"--dilation", "2x"},             // trailing junk
-           {"--dilation"},                   // missing value
-           {"--depth-multiplier", "0"},      // zero drops all channels
-           {"--depth-multiplier", "+3"},     // stoul would accept the '+'
-           {"--depth-multiplier"},           // missing value
            {"--cache-file"},                 // missing value
            {"--max-queue", "abc"},           // non-numeric
            {"--max-queue", "-1"},            // negative wraps in stoul
@@ -180,20 +154,15 @@ TEST(ServerCliTest, ContradictoryModesAreRejected) {
       parse({"--max-queue", "2", "--busy-retry-ms", "5"}).error.empty());
 }
 
-TEST(ServerCliTest, RequestDefaultFlagsRoundTripThroughDimsFlags) {
-  // What the router passes to the workers it spawns must parse back into
-  // exactly its own request defaults.
-  core::JobDims dims;
-  dims.backend = "serialized";
-  dims.batch = 2;
-  dims.dilation = 3;
-  dims.depth_multiplier = 4;
-  const std::vector<std::string> flags = dims_flags(dims);
-  std::vector<const char*> args;
-  for (const std::string& flag : flags) args.push_back(flag.c_str());
-  const ServerConfig config = parse(args);
-  ASSERT_TRUE(config.error.empty()) << config.error;
-  EXPECT_EQ(static_cast<const core::JobDims&>(config), dims);
+TEST(ServerCliTest, RequestKeysAreNotFlags) {
+  // A run line names its whole job (backend=, batch=, dilation=,
+  // depth_multiplier=); no server flag fills in what a line leaves out.
+  for (const char* flag : kRequestKeyFlags) {
+    SCOPED_TRACE(flag);
+    const ServerConfig config = parse({flag, "2"});
+    EXPECT_EQ(config.error, std::string("unknown option '") + flag + "'");
+    EXPECT_EQ(server_usage().find(flag), std::string::npos);
+  }
 }
 
 // --- the client's command line (service/client_cli.hpp) --------------------
@@ -201,8 +170,7 @@ TEST(ServerCliTest, RequestDefaultFlagsRoundTripThroughDimsFlags) {
 TEST(ClientCliTest, HelpTextMentionsEveryDocumentedFlag) {
   const std::string usage = client_usage();
   for (const char* flag :
-       {"--help", "--connect", "--verify", "--expect-all-hits", "--backend",
-        "--batch", "--dilation", "--depth-multiplier", "--pipeline",
+       {"--help", "--connect", "--verify", "--expect-all-hits", "--pipeline",
         "--ordered"}) {
     SCOPED_TRACE(flag);
     EXPECT_NE(usage.find(flag), std::string::npos)
@@ -214,35 +182,26 @@ TEST(ClientCliTest, HelpTextMentionsEveryDocumentedFlag) {
 TEST(ClientCliTest, EveryFlagParses) {
   const ClientConfig config =
       parse_client({"--connect", "127.0.0.1:47163", "--verify",
-                    "--expect-all-hits", "--backend", "serialized",
-                    "--batch", "4", "--dilation", "2",
-                    "--depth-multiplier", "3", "--pipeline", "32",
-                    "--ordered"});
+                    "--expect-all-hits", "--pipeline", "32", "--ordered"});
   ASSERT_TRUE(config.error.empty()) << config.error;
   EXPECT_TRUE(config.connect_given);
   EXPECT_EQ(config.host, "127.0.0.1");
   EXPECT_EQ(config.port, 47163);
   EXPECT_TRUE(config.verify);
   EXPECT_TRUE(config.expect_all_hits);
-  EXPECT_EQ(config.backend, "serialized");
-  EXPECT_EQ(config.batch, 4);
-  EXPECT_EQ(config.dilation, 2);
-  EXPECT_EQ(config.depth_multiplier, 3);
   EXPECT_EQ(config.pipeline, 32u);
   EXPECT_TRUE(config.ordered);
 }
 
-TEST(ClientCliTest, TransformFlagsDefaultToNotGiven) {
-  // 0 means "the line protocol's own defaults apply" - the client only
-  // overrides the reference run when a flag was explicitly passed, so it
-  // cannot drift from a server that was started without the flags.
-  const ClientConfig config = parse_client({"--connect", "h:1"});
-  ASSERT_TRUE(config.error.empty()) << config.error;
-  EXPECT_EQ(config.dilation, 0);
-  EXPECT_EQ(config.depth_multiplier, 0);
-  // pipeline 0 selects the legacy send-everything-then-read mode.
-  EXPECT_EQ(config.pipeline, 0u);
-  EXPECT_FALSE(config.ordered);
+TEST(ClientCliTest, RequestKeysAreNotFlags) {
+  // The --verify reference parses each line as the server does, so it
+  // has no server setting to mirror.
+  for (const char* flag : kRequestKeyFlags) {
+    SCOPED_TRACE(flag);
+    const ClientConfig config = parse_client({"--connect", "h:1", flag, "2"});
+    EXPECT_EQ(config.error, std::string("unknown option '") + flag + "'");
+    EXPECT_EQ(client_usage().find(flag), std::string::npos);
+  }
 }
 
 TEST(ClientCliTest, HelpNeedsNoConnect) {
@@ -271,29 +230,15 @@ TEST(ClientCliTest, ContradictionsAndUnknownsAreRejected) {
   EXPECT_FALSE(parse_client({"--connect", "h:1", "--expect-all-hits"})
                    .error.empty());
   EXPECT_FALSE(parse_client({"--connect", "h:1", "--wat"}).error.empty());
-  const ClientConfig bad_backend =
-      parse_client({"--connect", "h:1", "--backend", "warp-drive"});
-  ASSERT_FALSE(bad_backend.error.empty());
-  EXPECT_NE(bad_backend.error.find("warp-drive"), std::string::npos);
-  EXPECT_FALSE(
-      parse_client({"--connect", "h:1", "--backend"}).error.empty());
-  for (const char* bad : {"0", "-2", "+4", "4x", "abc"}) {
-    SCOPED_TRACE(std::string("batch '") + bad + "'");
-    EXPECT_FALSE(
-        parse_client({"--connect", "h:1", "--batch", bad}).error.empty());
-  }
-  EXPECT_FALSE(parse_client({"--connect", "h:1", "--batch"}).error.empty());
-  for (const char* flag : {"--dilation", "--depth-multiplier"}) {
-    for (const char* bad : {"0", "-2", "+4", "4x", "abc"}) {
-      SCOPED_TRACE(std::string(flag) + " '" + bad + "'");
-      EXPECT_FALSE(
-          parse_client({"--connect", "h:1", flag, bad}).error.empty());
-    }
-    EXPECT_FALSE(parse_client({"--connect", "h:1", flag}).error.empty());
-  }
 }
 
 TEST(ClientCliTest, PipelineWindowIsBoundedByTheFrameLimit) {
+  // pipeline 0 (the default) selects the legacy send-everything-then-read
+  // mode.
+  const ClientConfig legacy = parse_client({"--connect", "h:1"});
+  ASSERT_TRUE(legacy.error.empty()) << legacy.error;
+  EXPECT_EQ(legacy.pipeline, 0u);
+  EXPECT_FALSE(legacy.ordered);
   // The window rides inside batch frames, so it can never exceed the
   // protocol's own frame limit; the error names the legal range.
   for (const char* bad : {"0", "-1", "+8", "8x", "abc", "4097", ""}) {
@@ -325,7 +270,6 @@ TEST(RouterCliTest, HelpTextMentionsEveryDocumentedFlag) {
   for (const char* flag :
        {"--help", "--spawn", "--worker", "--server-bin", "--cache-file",
         "--replicas", "--retry-attempts", "--listen", "--max-sessions",
-        "--backend", "--batch", "--dilation", "--depth-multiplier",
         "--ordered"}) {
     SCOPED_TRACE(flag);
     EXPECT_NE(usage.find(flag), std::string::npos)
@@ -344,10 +288,6 @@ TEST(RouterCliTest, DefaultsMatchTheRouterDefaults) {
   EXPECT_EQ(config.max_attempts, RouterOptions().max_attempts);
   EXPECT_FALSE(config.listen);
   EXPECT_EQ(config.max_sessions, 0u);
-  EXPECT_EQ(config.backend, "edea");
-  EXPECT_EQ(config.batch, 1);
-  EXPECT_EQ(config.dilation, 1);
-  EXPECT_EQ(config.depth_multiplier, 1);
   EXPECT_FALSE(config.ordered);
 }
 
@@ -355,9 +295,7 @@ TEST(RouterCliTest, EveryFlagParses) {
   const RouterCliConfig config = parse_router(
       {"--spawn", "4", "--server-bin", "/opt/bin/worker", "--cache-file",
        "/tmp/cluster.cache", "--replicas", "128", "--retry-attempts", "9",
-       "--listen", "47167", "--max-sessions", "3", "--backend", "edea",
-       "--batch", "2", "--dilation", "2", "--depth-multiplier", "3",
-       "--ordered"});
+       "--listen", "47167", "--max-sessions", "3", "--ordered"});
   EXPECT_TRUE(config.error.empty()) << config.error;
   EXPECT_EQ(config.spawn, 4);
   EXPECT_EQ(config.server_bin, "/opt/bin/worker");
@@ -367,10 +305,18 @@ TEST(RouterCliTest, EveryFlagParses) {
   EXPECT_TRUE(config.listen);
   EXPECT_EQ(config.port, 47167);
   EXPECT_EQ(config.max_sessions, 3u);
-  EXPECT_EQ(config.batch, 2);
-  EXPECT_EQ(config.dilation, 2);
-  EXPECT_EQ(config.depth_multiplier, 3);
   EXPECT_TRUE(config.ordered);
+}
+
+TEST(RouterCliTest, RequestKeysAreNotFlags) {
+  // The router forwards raw lines, and every worker parses a line to the
+  // same job, so spawned workers need no request settings from it.
+  for (const char* flag : kRequestKeyFlags) {
+    SCOPED_TRACE(flag);
+    const RouterCliConfig config = parse_router({"--spawn", "2", flag, "2"});
+    EXPECT_EQ(config.error, std::string("unknown option '") + flag + "'");
+    EXPECT_EQ(router_usage().find(flag), std::string::npos);
+  }
 }
 
 TEST(RouterCliTest, WorkerEndpointsParseStrictlyAsHostColonPort) {

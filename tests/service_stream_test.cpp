@@ -11,7 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <deque>
 #include <future>
+#include <map>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -525,13 +530,11 @@ std::vector<std::string> answered(const PipelineReport& report) {
 }
 
 /// Runs `client` against a one-session loopback server and returns its
-/// report. `service_options`/`session_options` shape the server side.
+/// report. `session_options` shapes the server side.
 PipelineReport loopback_run(
     const std::vector<std::string>& requests, const PipelineOptions& options,
-    bool serial = false,
-    ServiceOptions service_options = ServiceOptions(),
-    SessionOptions session_options = SessionOptions()) {
-  SimulationService svc(service_options);
+    bool serial = false, SessionOptions session_options = SessionOptions()) {
+  SimulationService svc;
   WorkloadCatalog catalog;
   SocketTransportOptions transport_options;
   transport_options.max_sessions = 1;
@@ -582,7 +585,7 @@ TEST(PipelineClientTest, ServerOrderedRefusalDegradesToOrderedReplies) {
   session_options.allow_unordered = false;
   const PipelineReport report =
       loopback_run(pipeline_requests(), options, /*serial=*/false,
-                   ServiceOptions(), session_options);
+                   session_options);
   ASSERT_TRUE(report.complete) << report.error;
   EXPECT_FALSE(report.unordered);
   EXPECT_EQ(answered(report), stdio_reference(pipeline_requests()));
@@ -597,36 +600,87 @@ TEST(PipelineClientTest, SerialBaselineMatchesTheSameReference) {
   EXPECT_EQ(answered(report), stdio_reference(pipeline_requests()));
 }
 
+/// A scripted server on an in-memory Stream: it answers `mode unordered`
+/// as a session does, gives frame-control lines no id, and answers each
+/// run line `busy id=<n> retry_ms=1` the first `bounces` times it
+/// arrives, then with its entry in `replies`, `id=<n> `-framed. How many
+/// busy lines the client sees is fixed by the script, not by how long a
+/// simulation takes. A read that waits 30 s for a reply fails instead of
+/// hanging the test.
+class BouncingStream : public Stream {
+ public:
+  BouncingStream(std::map<std::string, std::string> replies, int bounces)
+      : replies_(std::move(replies)), bounces_(bounces) {}
+
+  bool read_line(std::string& line) override {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (!ready_.wait_for(lock, std::chrono::seconds(30),
+                         [&] { return !replies_out_.empty(); })) {
+      return false;
+    }
+    line = std::move(replies_out_.front());
+    replies_out_.pop_front();
+    return true;
+  }
+
+  bool write_line(const std::string& line) override {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (line == "batch-end" || line.rfind("batch-begin ", 0) == 0) {
+      return true;
+    }
+    const std::uint64_t id = next_id_++;
+    const auto reply = replies_.find(line);
+    if (line == "mode unordered") {
+      replies_out_.push_back(format_unordered_line(id, line));
+    } else if (reply == replies_.end()) {
+      return false;  // not in the script: end the run
+    } else if (arrivals_[line]++ < bounces_) {
+      replies_out_.push_back(format_busy_line(id, 1));
+    } else {
+      replies_out_.push_back(format_unordered_line(id, reply->second));
+    }
+    ready_.notify_one();
+    return true;
+  }
+
+ private:
+  const std::map<std::string, std::string> replies_;
+  const int bounces_;
+  std::mutex mutex_;
+  std::condition_variable ready_;
+  std::deque<std::string> replies_out_;
+  std::map<std::string, int> arrivals_;
+  std::uint64_t next_id_ = 1;
+};
+
 TEST(PipelineClientTest, BusyRejectionsAreRetriedToCompletion) {
-  // A saturating window against a single worker with a queue bound of 1:
-  // most requests bounce at least once, the driver absorbs every busy
-  // line with backoff, and the final logical stream still matches an
-  // unbounded reference byte for byte (distinct configurations -> all
-  // misses, so no cache-flag divergence between the runs). One seed means
-  // one materialization, so the burst reaches admission back to back
-  // rather than one network build apart.
+  // Every request of a full window bounces twice before its reply: the
+  // client absorbs each busy line with backoff, and the final logical
+  // stream still matches the stdio reference byte for byte. (The bounded
+  // service's own busy replies are pinned by the admission tests above.)
   std::vector<std::string> requests;
   for (int td = 4; td <= 24; td += 4) {
     requests.push_back("run mobilenet-0.25x seed=80 td=" + std::to_string(td));
   }
+  const std::vector<std::string> reference = stdio_reference(requests);
+  ASSERT_EQ(reference.size(), requests.size());
+  std::map<std::string, std::string> replies;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    replies[requests[i]] = reference[i];
+  }
+  BouncingStream stream(replies, /*bounces=*/2);
   PipelineOptions options;
   options.window = 6;
-  ServiceOptions service_options;
-  service_options.worker_threads = 1;
-  service_options.max_queue = 1;
-  SessionOptions session_options;
-  session_options.busy_retry_ms = 1;  // keep the test's backoff short
-  const PipelineReport report =
-      loopback_run(requests, options, /*serial=*/false, service_options,
-                   session_options);
+  const PipelineReport report = run_pipelined(stream, requests, options);
   ASSERT_TRUE(report.complete) << report.error;
-  EXPECT_GE(report.busy_replies, 1u)
-      << "six fresh requests in one burst against max_queue=1 must bounce";
+  EXPECT_TRUE(report.unordered);
+  EXPECT_GE(report.busy_replies, 1u);
+  EXPECT_EQ(report.busy_replies, 2 * requests.size());
   for (const std::string& line : report.responses) {
     EXPECT_EQ(line.rfind("busy ", 0), std::string::npos)
         << "retried busy lines must be absorbed, not reported: " << line;
   }
-  EXPECT_EQ(answered(report), stdio_reference(requests));
+  EXPECT_EQ(answered(report), reference);
 }
 
 TEST(PipelineClientTest, RequestStreamsMayNotCarryFrameOrModeLines) {

@@ -490,7 +490,7 @@ TEST(SocketStreamTest, ReadLineBoundsRequestsButNotReplies) {
   EXPECT_EQ(request.size(), kMaxLineBytes + 1);
   EXPECT_EQ(request.substr(0, 5), "run x");
   EXPECT_FALSE(read_more) << "the end stays the end";
-  EXPECT_EQ(parse_request_line(request, core::JobDims{}).kind,
+  EXPECT_EQ(parse_request_line(request).kind,
             ParsedLine::Kind::kError);
 
   // A connect_socket stream reads replies, which may repeat a request's
