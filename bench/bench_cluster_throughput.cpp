@@ -16,10 +16,11 @@
 // protocol is the whole cost and shard count mostly should not hurt -
 // the routing overhead the cluster tier pays for its capacity.
 //
-// Headline number: miss-workload requests/sec at 4 shards vs 1 shard.
-// --require-speedup X turns a ratio below X into a nonzero exit (the CI
-// gate demands >= 2x on its multi-core runner; the flag stays off by
-// default because a single-core host has no parallelism to measure).
+// Headline number: miss-workload requests/sec at 4 shards vs 1 shard,
+// from the median of three rounds of the miss cells (the hit cells run
+// once). --require-speedup X turns a ratio below X into a nonzero exit
+// (the CI gate demands >= 2x on its multi-core runner; the flag stays off
+// by default because a single-core host has no parallelism to measure).
 // --json PATH archives every cell as BENCH_cluster.json, the CI artifact
 // docs/BENCHMARKS.md tabulates.
 //
@@ -33,6 +34,7 @@
 //   bench_cluster_throughput [--json PATH] [--require-speedup X]
 //                            [--requests N] [--miss-requests N]
 //   bench_cluster_throughput --check-failover
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -389,13 +391,33 @@ int main(int argc, char** argv) {
 
   const std::vector<std::size_t> shard_counts = {1, 2, 4};
   constexpr std::size_t kDistinctHitKeys = 64;
-  std::vector<Cell> cells;
+
+  // Miss cells: fresh fleet, fresh seeds - all simulation, split across
+  // the shards by the ring. Every miss also materializes its network on
+  // the process-wide pool, beside the shard runners, so one round's
+  // ratio moves with whatever else the host runs; the gate reads the
+  // round with the median ratio of three.
+  constexpr std::size_t kMissRounds = 3;
+  const auto ratio_of = [](const std::vector<Cell>& round) {
+    return round.front().rps > 0.0 ? round.back().rps / round.front().rps
+                                   : 0.0;
+  };
+  std::vector<std::vector<Cell>> rounds(kMissRounds);
+  for (std::size_t r = 0; r < kMissRounds; ++r) {
+    for (const std::size_t shards : shard_counts) {
+      rounds[r].push_back(
+          run_cell("miss", shards, {}, miss_requests(miss_count, 20000)));
+    }
+    std::cerr << "miss round " << r + 1 << ": " << ratio_of(rounds[r])
+              << "x\n";
+  }
+  std::sort(rounds.begin(), rounds.end(),
+            [&](const std::vector<Cell>& a, const std::vector<Cell>& b) {
+              return ratio_of(a) < ratio_of(b);
+            });
+  std::vector<Cell> cells = rounds[kMissRounds / 2];
 
   for (const std::size_t shards : shard_counts) {
-    // Miss cell: fresh fleet, fresh seeds - all simulation, split across
-    // the shards by the ring.
-    cells.push_back(run_cell("miss", shards, {},
-                             miss_requests(miss_count, 20000)));
     // Hit cell: warm the key set once (untimed misses), then replay -
     // all protocol + routing.
     cells.push_back(run_cell("hit", shards,
@@ -403,22 +425,18 @@ int main(int argc, char** argv) {
                              hit_requests(hit_count, kDistinctHitKeys)));
   }
 
-  double one_shard_rps = 0.0;
-  double four_shard_rps = 0.0;
   for (const Cell& cell : cells) {
     std::cerr << cell_key(cell) << ": " << static_cast<long>(cell.rps)
               << " req/s (" << cell.requests << " requests in "
               << cell.seconds << " s)\n";
-    if (cell.workload == "miss" && cell.shards == 1) one_shard_rps = cell.rps;
-    if (cell.workload == "miss" && cell.shards == shard_counts.back()) {
-      four_shard_rps = cell.rps;
-    }
   }
-  const double ratio =
-      one_shard_rps > 0.0 ? four_shard_rps / one_shard_rps : 0.0;
+  const double one_shard_rps = rounds[kMissRounds / 2].front().rps;
+  const double four_shard_rps = rounds[kMissRounds / 2].back().rps;
+  const double ratio = ratio_of(rounds[kMissRounds / 2]);
   std::cerr << "cluster_speedup/miss_4_shards_vs_1: " << ratio << "x ("
             << static_cast<long>(four_shard_rps) << " vs "
-            << static_cast<long>(one_shard_rps) << " req/s)\n";
+            << static_cast<long>(one_shard_rps)
+            << " req/s; median of " << kMissRounds << " rounds)\n";
 
   if (!json_path.empty() &&
       !write_json(json_path, cells, one_shard_rps, four_shard_rps, ratio)) {

@@ -11,6 +11,8 @@
 // BENCH_micro.json.
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -469,6 +471,8 @@ BENCHMARK(BM_ServiceCachePersistedHit)->UseRealTime();
 /// the stock console reporter - the human-readable output is unchanged.
 class CollectingReporter : public benchmark::ConsoleReporter {
  public:
+  using benchmark::ConsoleReporter::ConsoleReporter;
+
   struct Row {
     std::string name;
     double real_time_ns = 0.0;
@@ -607,10 +611,20 @@ int main(int argc, char** argv) {
   // does not know).
   std::string json_path;
   double require_speedup = 0.0;  // 0 = gate off
+  // A reporter passed to RunSpecifiedBenchmarks ignores --benchmark_color
+  // (Google Benchmark still parses it) and colours every row by default.
+  const std::string color_flag = "--benchmark_color=";
+  bool color_allowed = true;
   std::vector<char*> passthrough;
   passthrough.reserve(static_cast<std::size_t>(argc));
   for (int i = 0; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json") {
+    const std::string arg = argv[i];
+    if (arg.rfind(color_flag, 0) == 0) {
+      const std::string value = arg.substr(color_flag.size());
+      color_allowed = !(value == "false" || value == "no" ||
+                        value == "off" || value == "0");
+    }
+    if (arg == "--json") {
       if (i + 1 >= argc) {
         std::cerr << "bench_micro_kernels: --json needs a file path\n";
         return 2;
@@ -618,7 +632,7 @@ int main(int argc, char** argv) {
       json_path = argv[++i];
       continue;
     }
-    if (std::string(argv[i]) == "--require-speedup") {
+    if (arg == "--require-speedup") {
       if (i + 1 >= argc) {
         std::cerr << "bench_micro_kernels: --require-speedup needs a "
                      "minimum ratio\n";
@@ -643,7 +657,11 @@ int main(int argc, char** argv) {
                                              passthrough.data())) {
     return 1;
   }
-  CollectingReporter reporter;
+  // Colour only a terminal: a piped log or file would carry ANSI codes.
+  const bool color = color_allowed && isatty(STDOUT_FILENO) != 0;
+  CollectingReporter reporter(
+      color ? benchmark::ConsoleReporter::OO_ColorTabular
+            : benchmark::ConsoleReporter::OO_Tabular);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
 

@@ -1,9 +1,12 @@
 #include "nn/layers.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <sstream>
 
 #include "util/check.hpp"
+#include "util/thread_pool.hpp"
 
 namespace edea::nn {
 
@@ -49,6 +52,40 @@ Int8Tensor QuantDscLayer::forward(const Int8Tensor& input,
   if (intermediate_out != nullptr) *intermediate_out = intermediate;
   const Int32Tensor acc2 = pointwise_conv2d_q(intermediate, pwc_weights);
   return apply_nonconv(acc2, nonconv2);
+}
+
+void fill_normal(FloatTensor& t, double stddev, Rng& rng) {
+  // Drawing an element costs ~20 ns (Box-Muller); skipping it costs
+  // ~1.5 ns (skip_normals draws only the uniforms), so the serial pass
+  // that finds each chunk's start is a small share. A chunk of at least
+  // kMinChunk elements outweighs its claim and its copied generator;
+  // kMaxChunks keeps the copies on the stack.
+  constexpr std::size_t kMinChunk = 4096;
+  constexpr std::size_t kMaxChunks = 64;
+  float* out = t.data();
+  const auto draw = [out, stddev](Rng& r, std::size_t begin,
+                                  std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      out[i] = static_cast<float>(r.normal(0.0, stddev));
+    }
+  };
+  const std::size_t n = t.size();
+  const std::size_t chunks = std::min(n / kMinChunk, kMaxChunks);
+  if (chunks <= 1) {
+    draw(rng, 0, n);
+    return;
+  }
+  const std::size_t step = (n + chunks - 1) / chunks;
+  std::array<Rng, kMaxChunks> starts;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    starts[c] = rng;
+    rng.skip_normals(std::min(step, n - c * step));
+  }
+  const auto count = static_cast<std::int64_t>(chunks);
+  util::parallel_for(0, count, [&](std::int64_t c) {
+    const auto chunk = static_cast<std::size_t>(c);
+    draw(starts[chunk], chunk * step, std::min((chunk + 1) * step, n));
+  });
 }
 
 namespace {
@@ -99,17 +136,13 @@ FloatDscLayer make_random_float_layer(const DscLayerSpec& spec, Rng& rng) {
       std::sqrt(2.0 / static_cast<double>(spec.kernel * spec.kernel));
   layer.dwc_weights = FloatTensor(
       Shape{spec.kernel, spec.kernel, spec.intermediate_channels()});
-  for (auto& w : layer.dwc_weights.storage()) {
-    w = static_cast<float>(rng.normal(0.0, dwc_std));
-  }
+  fill_normal(layer.dwc_weights, dwc_std, rng);
 
   const double pwc_std =
       std::sqrt(2.0 / static_cast<double>(spec.intermediate_channels()));
   layer.pwc_weights =
       FloatTensor(Shape{spec.out_channels, spec.intermediate_channels()});
-  for (auto& w : layer.pwc_weights.storage()) {
-    w = static_cast<float>(rng.normal(0.0, pwc_std));
-  }
+  fill_normal(layer.pwc_weights, pwc_std, rng);
 
   // Trained MobileNets show rising post-ReLU sparsity with depth (the
   // paper's Fig. 11 reaches ~97% zeros at layer 12). The synthetic

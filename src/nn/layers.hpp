@@ -113,6 +113,13 @@ struct LayerActivationStats {
   double pwc_input_zero_fraction = 0.0;  ///< zeros in the PWC ifmap
 };
 
+/// Fills `t` with N(0, stddev) draws from `rng` and leaves `rng` exactly
+/// where the serial loop `for (w : t) w = float(rng.normal(0, stddev))`
+/// would, every element bit for bit. Large tensors are drawn in chunks on
+/// util::ThreadPool::shared(), each chunk from a copy of the generator
+/// taken at its first element.
+void fill_normal(FloatTensor& t, double stddev, Rng& rng);
+
 /// Randomly initializes a float DSC layer (He-style fan-in scaling for
 /// weights; BN parameters drawn near identity). Deterministic given rng.
 [[nodiscard]] FloatDscLayer make_random_float_layer(const DscLayerSpec& spec,

@@ -49,9 +49,7 @@ FloatMobileNet::FloatMobileNet(std::uint64_t seed) {
   // Stem: 3x3x3 -> 32 channels, stride 1 (CIFAR variant keeps resolution).
   stem_weights_ = FloatTensor(Shape{32, 3, 3, kCifarChannels});
   const double stem_std = std::sqrt(2.0 / (3.0 * 3.0 * kCifarChannels));
-  for (auto& w : stem_weights_.storage()) {
-    w = static_cast<float>(rng.normal(0.0, stem_std));
-  }
+  fill_normal(stem_weights_, stem_std, rng);
   stem_bn_.gamma.assign(32, 1.0f);
   stem_bn_.beta.assign(32, 0.0f);
   stem_bn_.mean.assign(32, 0.0f);
@@ -69,9 +67,7 @@ FloatMobileNet::FloatMobileNet(std::uint64_t seed) {
 
   fc_weights_ = FloatTensor(Shape{kCifarClasses, 1024});
   const double fc_std = std::sqrt(2.0 / 1024.0);
-  for (auto& w : fc_weights_.storage()) {
-    w = static_cast<float>(rng.normal(0.0, fc_std));
-  }
+  fill_normal(fc_weights_, fc_std, rng);
   fc_bias_ = FloatTensor(Shape{kCifarClasses}, 0.0f);
 }
 

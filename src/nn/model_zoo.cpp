@@ -1,12 +1,16 @@
 #include "nn/model_zoo.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <exception>
+#include <numeric>
 #include <sstream>
 
 #include "nn/mobilenet.hpp"
 #include "util/check.hpp"
 #include "util/random.hpp"
+#include "util/thread_pool.hpp"
 
 namespace edea::nn {
 
@@ -280,16 +284,47 @@ std::vector<DscLayerSpec> zoo_specs(const std::string& name) {
 std::vector<QuantDscLayer> make_random_quant_network(
     const std::vector<DscLayerSpec>& specs, std::uint64_t seed) {
   EDEA_REQUIRE(!specs.empty(), "network needs at least one layer");
+  // Every layer's generator is forked in layer order, so what a layer
+  // draws does not depend on when, or on which thread, it is built.
   Rng rng(seed);
-  std::vector<QuantDscLayer> layers;
-  layers.reserve(specs.size());
-  for (const DscLayerSpec& spec : specs) {
-    Rng layer_rng = rng.fork();
-    const FloatDscLayer fl = make_random_float_layer(spec, layer_rng);
-    // Fixed demo scales: chained layers share the activation domain so
-    // layer i's output scale equals layer i+1's input scale.
-    layers.push_back(quantize_layer(fl, QuantScale{0.03f},
-                                    QuantScale{0.03f}, QuantScale{0.03f}));
+  std::vector<Rng> layer_rngs;
+  layer_rngs.reserve(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    layer_rngs.push_back(rng.fork());
+  }
+  // Largest layers first: the longest builds start while the pool is
+  // free, and the small ones fill in around them.
+  const auto weight_count = [&specs](std::size_t i) {
+    const DscLayerSpec& s = specs[i];
+    return std::int64_t{1} * s.intermediate_channels() *
+           (s.kernel * s.kernel + s.out_channels);
+  };
+  std::vector<std::size_t> order(specs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return weight_count(a) > weight_count(b);
+                   });
+  std::vector<QuantDscLayer> layers(specs.size());
+  // A failing layer does not cancel the others: the lowest-indexed error
+  // is rethrown, the one a layer-by-layer build would have raised.
+  std::vector<std::exception_ptr> errors(specs.size());
+  const auto count = static_cast<std::int64_t>(specs.size());
+  util::parallel_for(0, count, [&](std::int64_t k) {
+    const std::size_t i = order[static_cast<std::size_t>(k)];
+    try {
+      const FloatDscLayer fl =
+          make_random_float_layer(specs[i], layer_rngs[i]);
+      // Fixed demo scales: chained layers share the activation domain so
+      // layer i's output scale equals layer i+1's input scale.
+      layers[i] = quantize_layer(fl, QuantScale{0.03f}, QuantScale{0.03f},
+                                 QuantScale{0.03f});
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  });
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
   }
   return layers;
 }

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 
 #include "util/check.hpp"
@@ -114,6 +115,8 @@ void save_network(std::ostream& os,
     write_i32(os, s.out_channels);
     write_i32(os, s.kernel);
     write_i32(os, s.padding);
+    write_i32(os, s.dilation);
+    write_i32(os, s.depth_multiplier);
     write_f32(os, l.input_scale.scale);
     write_f32(os, l.intermediate_scale.scale);
     write_f32(os, l.output_scale.scale);
@@ -146,9 +149,14 @@ std::vector<QuantDscLayer> load_network(std::istream& is) {
     s.out_channels = read_i32(is);
     s.kernel = read_i32(is);
     s.padding = read_i32(is);
+    s.dilation = read_i32(is);
+    s.depth_multiplier = read_i32(is);
     EDEA_REQUIRE(s.in_rows > 0 && s.in_cols > 0 && s.in_channels > 0 &&
                      s.out_channels > 0 && (s.stride == 1 || s.stride == 2) &&
-                     s.kernel > 0 && s.padding >= 0,
+                     s.kernel > 0 && s.padding >= 0 && s.dilation >= 1 &&
+                     s.depth_multiplier >= 1 &&
+                     std::int64_t{s.in_channels} * s.depth_multiplier <=
+                         std::numeric_limits<int>::max(),
                  "invalid layer geometry in model stream");
     l.input_scale.scale = read_f32(is);
     l.intermediate_scale.scale = read_f32(is);
@@ -156,11 +164,13 @@ std::vector<QuantDscLayer> load_network(std::istream& is) {
     EDEA_REQUIRE(l.input_scale.scale > 0 && l.intermediate_scale.scale > 0 &&
                      l.output_scale.scale > 0,
                  "non-positive scale in model stream");
-    l.dwc_weights = Int8Tensor(Shape{s.kernel, s.kernel, s.in_channels});
-    l.pwc_weights = Int8Tensor(Shape{s.out_channels, s.in_channels});
+    l.dwc_weights =
+        Int8Tensor(Shape{s.kernel, s.kernel, s.intermediate_channels()});
+    l.pwc_weights =
+        Int8Tensor(Shape{s.out_channels, s.intermediate_channels()});
     read_int8_block(is, l.dwc_weights);
     read_int8_block(is, l.pwc_weights);
-    l.nonconv1 = read_nonconv(is, s.in_channels);
+    l.nonconv1 = read_nonconv(is, s.intermediate_channels());
     l.nonconv2 = read_nonconv(is, s.out_channels);
     layers.push_back(std::move(l));
   }
@@ -183,7 +193,7 @@ std::vector<QuantDscLayer> load_network_file(const std::string& path) {
 std::int64_t serialized_size(const std::vector<QuantDscLayer>& layers) {
   std::int64_t bytes = 12;  // magic + version + count
   for (const QuantDscLayer& l : layers) {
-    bytes += 8 * 4 + 3 * 4;  // spec fields + scales
+    bytes += 10 * 4 + 3 * 4;  // spec fields + scales
     bytes += 4 + static_cast<std::int64_t>(l.dwc_weights.size());
     bytes += 4 + static_cast<std::int64_t>(l.pwc_weights.size());
     bytes += 4 + 16 * static_cast<std::int64_t>(l.nonconv1.channel_count());

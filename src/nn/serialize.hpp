@@ -19,7 +19,8 @@
 namespace edea::nn {
 
 inline constexpr std::uint32_t kModelMagic = 0x45444541;  // "EDEA"
-inline constexpr std::uint32_t kModelVersion = 1;
+/// Version 2 added each layer's DWC dilation and depth multiplier.
+inline constexpr std::uint32_t kModelVersion = 2;
 
 /// Writes a stack of quantized DSC layers to a binary stream.
 void save_network(std::ostream& os, const std::vector<QuantDscLayer>& layers);

@@ -82,16 +82,29 @@ class Rng {
       has_cached_ = false;
       return cached_;
     }
-    double u1 = 0.0;
-    do {
-      u1 = uniform();
-    } while (u1 <= 0.0);
+    const double u1 = box_muller_u1();
     const double u2 = uniform();
     const double mag = std::sqrt(-2.0 * std::log(u1));
     constexpr double kTwoPi = 6.283185307179586476925286766559;
     cached_ = mag * std::sin(kTwoPi * u2);
     has_cached_ = true;
     return mag * std::cos(kTwoPi * u2);
+  }
+
+  /// Advances the generator exactly as `n` calls of normal() would, cached
+  /// variate included, but draws only the uniforms of each discarded pair:
+  /// no log, sqrt or sincos. A pair split by the end runs normal() itself,
+  /// so the variate it caches is the one the next normal() returns.
+  void skip_normals(std::uint64_t n) noexcept {
+    if (n > 0 && has_cached_) {
+      has_cached_ = false;
+      --n;
+    }
+    for (; n >= 2; n -= 2) {
+      (void)box_muller_u1();
+      (void)(*this)();
+    }
+    if (n == 1) (void)normal();
   }
 
   /// Normal with the given mean and standard deviation.
@@ -108,6 +121,16 @@ class Rng {
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
+  }
+
+  /// The first uniform of a Box-Muller pair: redrawn while 0, where the
+  /// log diverges.
+  double box_muller_u1() noexcept {
+    double u1 = 0.0;
+    do {
+      u1 = uniform();
+    } while (u1 <= 0.0);
+    return u1;
   }
 
   std::uint64_t state_[4] = {};

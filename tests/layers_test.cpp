@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "nn/layers.hpp"
 #include "nn/metrics.hpp"
@@ -62,6 +63,33 @@ TEST(MakeRandomFloatLayer, ShapesAndDeterminism) {
   EXPECT_EQ(a.bn2.channels(), 24u);
   EXPECT_EQ(a.dwc_weights, b.dwc_weights);
   EXPECT_EQ(a.pwc_weights, b.pwc_weights);
+}
+
+TEST(FillNormal, MatchesTheSerialLoopBitForBit) {
+  // Lengths below, at and past the chunking threshold, even and odd, so
+  // chunks start at even and odd offsets; a generator that already drew
+  // an odd number of normals starts the fill on its cached variate.
+  for (const int n : {1, 2, 4095, 8192, 8193, 40001, 300000}) {
+    for (const int drawn : {0, 1, 2, 3}) {
+      SCOPED_TRACE("n " + std::to_string(n) + " drawn " +
+                   std::to_string(drawn));
+      Rng serial(77);
+      Rng chunked(77);
+      for (int i = 0; i < drawn; ++i) {
+        (void)serial.normal();
+        (void)chunked.normal();
+      }
+      FloatTensor want(Shape{n});
+      for (auto& w : want.storage()) {
+        w = static_cast<float>(serial.normal(0.0, 0.5));
+      }
+      FloatTensor got(Shape{n});
+      fill_normal(got, 0.5, chunked);
+      const std::size_t bytes = want.size() * sizeof(float);
+      EXPECT_EQ(std::memcmp(want.data(), got.data(), bytes), 0);
+      for (int i = 0; i < 3; ++i) EXPECT_EQ(serial.normal(), chunked.normal());
+    }
+  }
 }
 
 TEST(MakeRandomFloatLayer, RejectsBadStride) {

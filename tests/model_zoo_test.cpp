@@ -8,6 +8,7 @@
 #include "nn/mobilenet.hpp"
 #include "nn/model_zoo.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 #include "util/random.hpp"
 
 namespace edea::nn {
@@ -95,6 +96,62 @@ TEST(ModelZoo, RandomQuantNetworkIsDeterministic) {
   }
   const auto c = make_random_quant_network(specs, 43);
   EXPECT_NE(a[0].dwc_weights, c[0].dwc_weights);
+}
+
+TEST(ModelZoo, MaterializedNetworksArePinned) {
+  // One digest over every parameter a materialized network hands the
+  // simulators - int8 DWC/PWC weights, Non-Conv raw pairs and the float
+  // k/b they encode - for every zoo network under the transforms
+  // WorkloadCatalog::resolve applies. How the normal draws are scheduled
+  // may change; the bytes they produce may not.
+  util::Fnv1a64 h;
+  for (const std::string& name : zoo_network_names()) {
+    for (const int dilation : {1, 2}) {
+      for (const int multiplier : {1, 2}) {
+        std::vector<DscLayerSpec> specs = zoo_specs(name);
+        for (DscLayerSpec& s : specs) {
+          s.dilation = dilation;
+          s.padding *= dilation;
+          s.depth_multiplier *= multiplier;
+        }
+        for (const std::uint64_t seed : {1ull, 12345ull}) {
+          for (const QuantDscLayer& l :
+               make_random_quant_network(specs, seed)) {
+            h.span(l.dwc_weights.storage()).span(l.pwc_weights.storage());
+            for (const NonConvParams* p : {&l.nonconv1, &l.nonconv2}) {
+              for (const NonConvChannelParams& c : p->channels) {
+                h.pod(c.k.raw()).pod(c.b.raw());
+              }
+              h.span(p->k_float).span(p->b_float);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(h.digest(), 0xfc0739b7eafedf65ull)
+      << "materialized networks changed; new digest 0x" << std::hex
+      << h.digest();
+}
+
+TEST(ModelZoo, RandomQuantNetworkRaisesTheFirstBadLayersError) {
+  // Layers build concurrently, largest first: layer 5, the largest,
+  // fails at once and layer 1, left with the fewest weights, starts
+  // last. The error raised is still layer 1's, as in a layer-by-layer
+  // build.
+  std::vector<DscLayerSpec> specs = edeanet_specs();
+  specs[1].out_channels = 0;
+  specs[5].stride = 3;
+  for (int rep = 0; rep < 8; ++rep) {
+    try {
+      (void)make_random_quant_network(specs, 5);
+      FAIL() << "expected PreconditionError";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("channel counts must be positive"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ------------------------ accelerator compatibility (the paper's claim) ---

@@ -31,34 +31,123 @@ std::vector<QuantDscLayer> small_network(std::uint64_t seed) {
   return make_random_quant_network(specs, seed);
 }
 
-TEST(Serialize, RoundTripPreservesEverything) {
-  const auto original = small_network(1);
-  std::stringstream ss;
-  save_network(ss, original);
-  const auto loaded = load_network(ss);
+void expect_same_nonconv(const NonConvParams& a, const NonConvParams& b) {
+  ASSERT_EQ(a.channel_count(), b.channel_count());
+  for (std::size_t c = 0; c < a.channel_count(); ++c) {
+    EXPECT_EQ(a.channels[c].k.raw(), b.channels[c].k.raw());
+    EXPECT_EQ(a.channels[c].b.raw(), b.channels[c].b.raw());
+    EXPECT_FLOAT_EQ(a.k_float[c], b.k_float[c]);
+    EXPECT_FLOAT_EQ(a.b_float[c], b.b_float[c]);
+  }
+}
 
+/// Every field a layer carries, spec included, survived the round trip.
+void expect_same_network(const std::vector<QuantDscLayer>& original,
+                         const std::vector<QuantDscLayer>& loaded) {
   ASSERT_EQ(loaded.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
+    SCOPED_TRACE("layer " + std::to_string(i));
     const auto& a = original[i];
     const auto& b = loaded[i];
     EXPECT_EQ(a.spec.index, b.spec.index);
     EXPECT_EQ(a.spec.in_rows, b.spec.in_rows);
+    EXPECT_EQ(a.spec.in_cols, b.spec.in_cols);
     EXPECT_EQ(a.spec.in_channels, b.spec.in_channels);
     EXPECT_EQ(a.spec.stride, b.spec.stride);
     EXPECT_EQ(a.spec.out_channels, b.spec.out_channels);
+    EXPECT_EQ(a.spec.kernel, b.spec.kernel);
+    EXPECT_EQ(a.spec.padding, b.spec.padding);
+    EXPECT_EQ(a.spec.dilation, b.spec.dilation);
+    EXPECT_EQ(a.spec.depth_multiplier, b.spec.depth_multiplier);
     EXPECT_EQ(a.dwc_weights, b.dwc_weights);
     EXPECT_EQ(a.pwc_weights, b.pwc_weights);
     EXPECT_FLOAT_EQ(a.input_scale.scale, b.input_scale.scale);
     EXPECT_FLOAT_EQ(a.intermediate_scale.scale, b.intermediate_scale.scale);
     EXPECT_FLOAT_EQ(a.output_scale.scale, b.output_scale.scale);
-    ASSERT_EQ(a.nonconv1.channel_count(), b.nonconv1.channel_count());
-    for (std::size_t c = 0; c < a.nonconv1.channel_count(); ++c) {
-      EXPECT_EQ(a.nonconv1.channels[c].k.raw(),
-                b.nonconv1.channels[c].k.raw());
-      EXPECT_EQ(a.nonconv1.channels[c].b.raw(),
-                b.nonconv1.channels[c].b.raw());
-      EXPECT_FLOAT_EQ(a.nonconv1.k_float[c], b.nonconv1.k_float[c]);
+    expect_same_nonconv(a.nonconv1, b.nonconv1);
+    expect_same_nonconv(a.nonconv2, b.nonconv2);
+  }
+}
+
+TEST(Serialize, RoundTripPreservesEverything) {
+  const auto original = small_network(1);
+  std::stringstream ss;
+  save_network(ss, original);
+  expect_same_network(original, load_network(ss));
+}
+
+TEST(Serialize, EveryZooNetworkRoundTripsUnderEveryTransform) {
+  // Dilation and depth multiplier are part of the network: a round trip
+  // keeps them, sizes the multiplied DWC weights and Non-Conv block by the
+  // intermediate depth, and computes the same outputs. The networks run
+  // on an 8x8 input - every layer accepts any spatial extent, and the
+  // forward pass sees the dilation of every layer.
+  for (const std::string& name : zoo_network_names()) {
+    for (const int dilation : {1, 2}) {
+      for (const int multiplier : {1, 2}) {
+        SCOPED_TRACE(name + " dilation " + std::to_string(dilation) +
+                     " multiplier " + std::to_string(multiplier));
+        std::vector<DscLayerSpec> specs = zoo_specs(name);
+        for (DscLayerSpec& spec : specs) {
+          spec.dilation = dilation;
+          spec.padding *= dilation;
+          spec.depth_multiplier *= multiplier;
+        }
+        const auto original = make_random_quant_network(specs, 3);
+        std::stringstream ss;
+        save_network(ss, original);
+        EXPECT_EQ(static_cast<std::int64_t>(ss.str().size()),
+                  serialized_size(original));
+        const auto loaded = load_network(ss);
+        expect_same_network(original, loaded);
+        if (loaded.size() != original.size()) continue;
+
+        Rng rng(4);
+        Int8Tensor want(Shape{8, 8, specs.front().in_channels});
+        for (auto& v : want.storage()) {
+          v = static_cast<std::int8_t>(rng.uniform_int(0, 127));
+        }
+        Int8Tensor got = want;
+        for (std::size_t i = 0; i < original.size(); ++i) {
+          want = original[i].forward(want);
+          got = loaded[i].forward(got);
+        }
+        EXPECT_EQ(want, got);
+      }
     }
+  }
+}
+
+TEST(Serialize, RejectsOldVersionsAndTransformsBelowOne) {
+  const auto net = small_network(9);
+  std::stringstream ss;
+  save_network(ss, net);
+  const std::string bytes = ss.str();
+  // Overwrites the little-endian int32 at `offset` and loads the result.
+  const auto expect_rejected = [&bytes](std::size_t offset,
+                                        std::int32_t value,
+                                        const std::string& why) {
+    std::string patched = bytes;
+    for (std::size_t b = 0; b < 4; ++b) {
+      patched[offset + b] = static_cast<char>(
+          (static_cast<std::uint32_t>(value) >> (8 * b)) & 0xFF);
+    }
+    std::stringstream in(patched);
+    try {
+      (void)load_network(in);
+      ADD_FAILURE() << "loaded " << value << " at byte " << offset;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  };
+  // A version-1 stream predates the two transform fields.
+  expect_rejected(4, 1, "unsupported EDEA model version");
+  // The first layer's dilation, then its depth multiplier, follow its
+  // eight geometry fields.
+  for (const std::int32_t bad : {0, -1}) {
+    expect_rejected(12 + 8 * 4, bad, "invalid layer geometry");
+    expect_rejected(12 + 9 * 4, bad, "invalid layer geometry");
   }
 }
 
@@ -121,7 +210,7 @@ TEST(Serialize, RejectsCorruptedNonConvRaw) {
   save_network(ss, net);
   std::string bytes = ss.str();
   // The first Non-Conv record sits after header + spec + scales + weights.
-  const std::size_t nonconv_offset = 12 + 8 * 4 + 3 * 4 + 4 +
+  const std::size_t nonconv_offset = 12 + 10 * 4 + 3 * 4 + 4 +
                                      net[0].dwc_weights.size() + 4 +
                                      net[0].pwc_weights.size() + 4;
   // Break the sign-extension byte of k's stored int32: any value there

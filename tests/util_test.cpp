@@ -102,6 +102,28 @@ TEST(Rng, NormalHasApproximatelyUnitMoments) {
   EXPECT_NEAR(s.stddev(), 1.0, 0.02);
 }
 
+TEST(Rng, SkipNormalsAdvancesExactlyLikeNormalCalls) {
+  // Even and odd counts, from a generator with and without a cached
+  // variate: afterwards the next three draws match, the first of which
+  // may be the cached one, and so does the raw state.
+  for (const int cached : {0, 1}) {
+    for (const std::uint64_t n : {0u, 1u, 2u, 3u, 4u, 7u, 10u, 1001u}) {
+      SCOPED_TRACE("cached " + std::to_string(cached) + " n " +
+                   std::to_string(n));
+      Rng called(41);
+      Rng skipped(41);
+      for (int i = 0; i < cached; ++i) {
+        (void)called.normal();
+        (void)skipped.normal();
+      }
+      for (std::uint64_t i = 0; i < n; ++i) (void)called.normal();
+      skipped.skip_normals(n);
+      for (int i = 0; i < 3; ++i) EXPECT_EQ(called.normal(), skipped.normal());
+      EXPECT_EQ(called(), skipped());
+    }
+  }
+}
+
 TEST(Rng, BernoulliFrequencyMatchesP) {
   Rng rng(23);
   int hits = 0;
