@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "nn/model_zoo.hpp"
 #include "nn/ops.hpp"
 #include "nn/quant.hpp"
+#include "service/protocol.hpp"
 #include "service/simulation_service.hpp"
 #include "util/random.hpp"
 
@@ -462,6 +464,61 @@ void BM_ServiceCachePersistedHit(benchmark::State& state) {
   std::remove(path.c_str());
 }
 BENCHMARK(BM_ServiceCachePersistedHit)->UseRealTime();
+
+// --- the wire: parse one request line, render one reply --------------------
+//
+// What a cache hit costs besides the lookup: the session's reader parses
+// its line, and the writer renders the summary-only outcome and frames it
+// for an unordered session. The lines are shaped like perfbench's: every
+// knob set, the serialized backend and a transform. Neither name carries
+// a _specialized/_generic suffix, so the --require-speedup gate ignores
+// them. docs/BENCHMARKS.md records both.
+
+const char* const kWireLines[] = {
+    "run mobilenet-0.25x seed=1 td=16 tk=32 init_cycles=5 clock_ghz=0.8 "
+    "dilation=2 backend=serialized",
+    "run edeanet-64 seed=11 td=16 tk=32 init_cycles=5 clock_ghz=1.3 "
+    "depth_multiplier=2 backend=serialized",
+};
+
+void BM_ParseRequestLine(benchmark::State& state) {
+  const std::vector<std::string> lines(std::begin(kWireLines),
+                                       std::end(kWireLines));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        service::parse_request_line(lines[i++ % lines.size()]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ParseRequestLine);
+
+void BM_FormatOutcomeLine(benchmark::State& state) {
+  std::vector<core::SweepOutcome> outcomes;
+  for (const char* line : kWireLines) {
+    const service::Request request = service::parse_request_line(line).request;
+    core::SweepOutcome o;
+    static_cast<core::JobKey&>(o) = request;
+    o.name = request.job_name();
+    o.ok = true;
+    o.cache_hit = true;
+    o.summary_only = true;
+    o.summary.layer_count = 14;
+    o.summary.total_cycles = 1234567;
+    o.summary.total_ops = 98765432;
+    o.summary.average_gops = 64.0 * request.config.clock_ghz;
+    o.summary.output_hash = 0x0123456789abcdefull;
+    outcomes.push_back(std::move(o));
+  }
+  std::uint64_t id = 0;
+  for (auto _ : state) {
+    const core::SweepOutcome& o = outcomes[id % outcomes.size()];
+    benchmark::DoNotOptimize(
+        service::format_unordered_line(++id, service::format_outcome_line(o)));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FormatOutcomeLine);
 
 // --- --json reporting ------------------------------------------------------
 

@@ -7,9 +7,10 @@
 // are friendly to scaling") can vary them.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
-#include <sstream>
 #include <string>
+#include <utility>
 
 #include "util/binary.hpp"
 #include "util/check.hpp"
@@ -135,15 +136,34 @@ struct EdeaConfig {
     return std::int64_t{4} * max_psum_entries;
   }
 
+  /// "EdeaConfig{Tn=2,Tm=2,Td=8,Tk=16,k=3,init=9,tile=8,clk=1GHz}". The
+  /// clock prints as an ostream prints a double by default, %g with six
+  /// significant digits: "1", "0.8", "1e-07".
   [[nodiscard]] std::string to_string() const {
-    std::ostringstream clk;
-    clk << clock_ghz;  // default precision: "1", "0.8", ...
-    return "EdeaConfig{Tn=" + std::to_string(tn) + ",Tm=" + std::to_string(tm) +
-           ",Td=" + std::to_string(td) + ",Tk=" + std::to_string(tk) +
-           ",k=" + std::to_string(kernel) +
-           ",init=" + std::to_string(init_cycles) +
-           ",tile=" + std::to_string(max_tile_out) +
-           ",clk=" + clk.str() + "GHz}";
+    std::string out;
+    out.reserve(80);
+    append_to(out);
+    return out;
+  }
+
+  /// Appends to_string() to `out`, for callers that render a line around
+  /// it.
+  void append_to(std::string& out) const {
+    const std::pair<const char*, int> fields[] = {
+        {"EdeaConfig{Tn=", tn},     {",Tm=", tm},
+        {",Td=", td},               {",Tk=", tk},
+        {",k=", kernel},            {",init=", init_cycles},
+        {",tile=", max_tile_out}};
+    char buf[32];  // "-1.23457e+308" or an int, with room to spare
+    for (const auto& [label, value] : fields) {
+      out += label;
+      out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
+    }
+    out += ",clk=";
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, clock_ghz,
+                                  std::chars_format::general, 6)
+                        .ptr);
+    out += "GHz}";
   }
 
   /// Two configurations are equal iff every parameter matches; the

@@ -1,22 +1,42 @@
 #include "service/protocol.hpp"
 
+#include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <iomanip>
+#include <cstdlib>
+#include <initializer_list>
 #include <limits>
-#include <sstream>
-#include <vector>
 
 namespace edea::service {
 
 namespace {
 
-/// Splits on runs of whitespace.
-std::vector<std::string> tokenize(const std::string& line) {
-  std::istringstream is(line);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (is >> token) tokens.push_back(std::move(token));
-  return tokens;
+/// The six characters the C locale's isspace accepts: what `istream >>`
+/// splits on, and so what separates a request line's tokens.
+constexpr bool is_space(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// Pops the next token off the front of `rest`, in place; an empty view
+/// at the end of the line.
+std::string_view next_token(std::string_view& rest) {
+  std::size_t begin = 0;
+  while (begin < rest.size() && is_space(rest[begin])) ++begin;
+  std::size_t end = begin;
+  while (end < rest.size() && !is_space(rest[end])) ++end;
+  const std::string_view token = rest.substr(begin, end - begin);
+  rest.remove_prefix(end);
+  return token;
+}
+
+/// Joins pieces into one string - error messages quote tokens by view.
+std::string cat(std::initializer_list<std::string_view> parts) {
+  std::size_t size = 0;
+  for (const std::string_view part : parts) size += part.size();
+  std::string out;
+  out.reserve(size);
+  for (const std::string_view part : parts) out += part;
+  return out;
 }
 
 ParsedLine malformed(std::string message) {
@@ -26,50 +46,58 @@ ParsedLine malformed(std::string message) {
   return p;
 }
 
-bool parse_double(const std::string& text, double* out) {
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(text, &consumed);
-    // Reject "nan"/"inf": a non-finite value in a cache key is poison
-    // (NaN is unequal to itself) and means nothing physically anyway.
-    if (consumed != text.size() || !std::isfinite(value)) return false;
-    *out = value;
-    return true;
-  } catch (const std::exception&) {
+/// std::stod's grammar, read in place. `text` ends its token, so the byte
+/// after it is whitespace or the line's terminating NUL; strtod consumes
+/// neither, so it stops exactly where it would on a copy of the token.
+/// Like std::stod, a value strtod flags ERANGE (overflow, underflow to 0
+/// or a subnormal) is rejected; so are nan and inf - a non-finite value in
+/// a cache key is poison (NaN is unequal to itself) and means nothing
+/// physically anyway.
+bool parse_double(std::string_view text, double* out) {
+  const int saved_errno = errno;
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text.data(), &end);
+  const bool out_of_range = errno == ERANGE;
+  errno = saved_errno;
+  if (end != text.data() + text.size() || out_of_range ||
+      !std::isfinite(value)) {
     return false;
   }
+  *out = value;
+  return true;
 }
 
 /// Applies one key=value override to a request. Returns an error message,
-/// empty on success.
-std::string apply_override(Request& request, const std::string& key,
-                           const std::string& value) {
+/// empty on success. `value` ends a token of the line (see parse_double).
+std::string apply_override(Request& request, std::string_view key,
+                           std::string_view value) {
   if (key == "seed") {
     if (!parse_strict_u64(value, &request.seed)) {
-      return "bad seed '" + value + "'";
+      return cat({"bad seed '", value, "'"});
     }
-    return "";
+    return {};
   }
   for (const core::CountDim& dim : core::kCountDims) {
     if (key != dim.name) continue;
     if (!parse_strict_count(value, &(request.*dim.field))) {
-      return "bad " + key + " '" + value + "' (want a plain integer >= 1)";
+      return cat({"bad ", key, " '", value, "' (want a plain integer >= 1)"});
     }
-    return "";
+    return {};
   }
   if (key == "backend") {
-    if (!core::backend_known(value)) {
-      return "unknown backend '" + value +
-             "' (known: " + core::known_backends_string() + ")";
+    request.backend.assign(value);
+    if (!core::backend_known(request.backend)) {
+      return cat({"unknown backend '", value,
+                  "' (known: ", core::known_backends_string(), ")"});
     }
-    request.backend = value;
-    return "";
+    return {};
   }
   if (key == "clock_ghz") {
     if (!parse_double(value, &request.config.clock_ghz)) {
-      return "bad clock_ghz '" + value + "'";
+      return cat({"bad clock_ghz '", value, "'"});
     }
-    return "";
+    return {};
   }
   int* field = nullptr;
   core::EdeaConfig& c = request.config;
@@ -80,22 +108,25 @@ std::string apply_override(Request& request, const std::string& key,
   else if (key == "kernel") field = &c.kernel;
   else if (key == "init_cycles") field = &c.init_cycles;
   else if (key == "max_tile_out") field = &c.max_tile_out;
-  if (field == nullptr) return "unknown key '" + key + "'";
+  if (field == nullptr) return cat({"unknown key '", key, "'"});
   // Every integer key shares the strict grammar: "+4", " 4", "4x", and
   // out-of-range values are all protocol errors naming the value, not
   // config-validation surprises downstream. (Config overrides allow 0 -
   // init_cycles=0 is a valid configuration; EdeaConfig::validate owns the
   // per-field semantic ranges.)
   if (!parse_strict_int(value, field)) {
-    return "bad value '" + value + "' for key '" + key + "'";
+    return cat({"bad value '", value, "' for key '", key, "'"});
   }
-  return "";
+  return {};
 }
 
-/// Strict digit run starting at `pos`; advances pos past it. Returns
-/// false when no digit is there or the value overflows uint64.
-bool scan_u64(const std::string& text, std::size_t& pos, std::uint64_t* out) {
-  if (pos >= text.size() || text[pos] < '0' || text[pos] > '9') return false;
+/// Canonical digit run starting at `pos` - what a formatter writes: no
+/// leading zero unless the run is "0". Advances pos past it. Returns
+/// false when no digit is there, the run is not canonical, or the value
+/// overflows uint64, so a reply parser accepts exactly the lines its
+/// formatter reproduces.
+bool scan_u64(std::string_view text, std::size_t& pos, std::uint64_t* out) {
+  const std::size_t begin = pos;
   std::uint64_t value = 0;
   while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') {
     const std::uint64_t digit = static_cast<std::uint64_t>(text[pos] - '0');
@@ -105,30 +136,55 @@ bool scan_u64(const std::string& text, std::size_t& pos, std::uint64_t* out) {
     value = value * 10 + digit;
     ++pos;
   }
+  if (pos == begin || (text[begin] == '0' && pos - begin > 1)) return false;
   *out = value;
   return true;
 }
 
-/// Matches ` <key>=` at `pos` and scans the digit run after it.
-bool scan_field(const std::string& text, std::size_t& pos, const char* key,
-                std::uint64_t* out) {
-  const std::string want = std::string(" ") + key + "=";
-  if (text.compare(pos, want.size(), want) != 0) return false;
-  pos += want.size();
+/// Matches `field` ("id=", " hits=") at `pos` and scans the digit run
+/// after it.
+bool scan_field(std::string_view text, std::size_t& pos,
+                std::string_view field, std::uint64_t* out) {
+  if (text.substr(pos, field.size()) != field) return false;
+  pos += field.size();
   return scan_u64(text, pos, out);
 }
 
-std::string format_gops(double gops) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(2) << gops;
-  return os.str();
+template <typename Int>
+void append_decimal(std::string& out, Int value) {
+  char buf[24];  // any 64-bit integer, sign included
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
 }
 
-std::string format_hex64(std::uint64_t v) {
-  std::ostringstream os;
-  os << "0x" << std::hex << std::setw(16) << std::setfill('0') << v;
-  return os.str();
+/// `label` then the value's digits: " cycles=4242".
+template <typename Int>
+void append_field(std::string& out, std::string_view label, Int value) {
+  out += label;
+  append_decimal(out, value);
 }
+
+/// printf's %.2f: fixed point, two decimals, no width bound.
+void append_fixed2(std::string& out, double value) {
+  // DBL_MAX has 309 integer digits; a sign, the point and two decimals
+  // make 313 characters.
+  char buf[std::numeric_limits<double>::max_exponent10 + 5];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, value,
+                                std::chars_format::fixed, 2)
+                      .ptr);
+}
+
+/// "0x" and sixteen lowercase hex digits.
+void append_hex64(std::string& out, std::uint64_t value) {
+  char buf[18] = {'0', 'x'};
+  for (std::size_t i = sizeof buf; i > 2; --i, value >>= 4) {
+    buf[i - 1] = "0123456789abcdef"[value & 0xF];
+  }
+  out.append(buf, sizeof buf);
+}
+
+/// Room for an outcome line's fixed text and numbers (a typical ok line
+/// is about 200 bytes); the name, backend and error come on top.
+constexpr std::size_t kOutcomeLineBytes = 224;
 
 }  // namespace
 
@@ -137,7 +193,7 @@ std::string format_hex64(std::uint64_t v) {
 // overflow), never via std::stoi-family exception behavior, and the
 // digit-only scan rejects whitespace, signs, and trailing junk in one
 // pass.
-bool parse_strict_u64(const std::string& text, std::uint64_t* out) {
+bool parse_strict_u64(std::string_view text, std::uint64_t* out) {
   if (text.empty()) return false;
   constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t value = 0;
@@ -151,7 +207,7 @@ bool parse_strict_u64(const std::string& text, std::uint64_t* out) {
   return true;
 }
 
-bool parse_strict_int(const std::string& text, int* out) {
+bool parse_strict_int(std::string_view text, int* out) {
   std::uint64_t value = 0;
   if (!parse_strict_u64(text, &value)) return false;
   if (value > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
@@ -161,7 +217,7 @@ bool parse_strict_int(const std::string& text, int* out) {
   return true;
 }
 
-bool parse_strict_count(const std::string& text, int* out) {
+bool parse_strict_count(std::string_view text, int* out) {
   int value = 0;
   if (!parse_strict_int(text, &value) || value < 1) return false;
   *out = value;
@@ -184,144 +240,171 @@ ParsedLine parse_request_line(const std::string& line) {
     return malformed("line longer than " + std::to_string(kMaxLineBytes) +
                      " bytes");
   }
-  const std::vector<std::string> tokens = tokenize(line);
+  std::string_view rest = line;
+  const std::string_view verb = next_token(rest);
   ParsedLine parsed;
-  if (tokens.empty() || tokens.front().front() == '#') {
+  if (verb.empty() || verb.front() == '#') {
     return parsed;  // kEmpty
   }
 
-  const std::string& verb = tokens.front();
   if (verb == "stats") {
-    if (tokens.size() != 1) return malformed("stats takes no arguments");
+    if (!next_token(rest).empty()) return malformed("stats takes no arguments");
     parsed.kind = ParsedLine::Kind::kStats;
     return parsed;
   }
   if (verb == "mode") {
-    if (tokens.size() != 2) {
+    const std::string_view mode = next_token(rest);
+    if (mode.empty() || !next_token(rest).empty()) {
       return malformed("mode takes exactly one argument (ordered|unordered)");
     }
-    if (tokens[1] != "ordered" && tokens[1] != "unordered") {
-      return malformed("bad mode '" + tokens[1] +
-                       "' (expected ordered|unordered)");
+    if (mode != "ordered" && mode != "unordered") {
+      return malformed(
+          cat({"bad mode '", mode, "' (expected ordered|unordered)"}));
     }
     parsed.kind = ParsedLine::Kind::kMode;
-    parsed.unordered = tokens[1] == "unordered";
+    parsed.unordered = mode == "unordered";
     return parsed;
   }
   if (verb == "batch-begin") {
-    if (tokens.size() != 2) {
+    const std::string_view count = next_token(rest);
+    if (count.empty() || !next_token(rest).empty()) {
       return malformed("batch-begin takes exactly one argument (line count)");
     }
     int n = 0;
     // The strict count grammar: "0", "+4", " 4", "4x", and overflow all
     // fail here - a frame size is wire data and parses like batch=.
-    if (!parse_strict_count(tokens[1], &n)) {
-      return malformed("bad batch-begin count '" + tokens[1] +
-                       "' (want a plain integer >= 1)");
+    if (!parse_strict_count(count, &n)) {
+      return malformed(cat({"bad batch-begin count '", count,
+                            "' (want a plain integer >= 1)"}));
     }
     if (n > kMaxFrameLines) {
-      return malformed("batch-begin count " + tokens[1] + " exceeds the " +
-                       std::to_string(kMaxFrameLines) + "-line frame limit");
+      return malformed(cat({"batch-begin count ", count, " exceeds the ",
+                            std::to_string(kMaxFrameLines),
+                            "-line frame limit"}));
     }
     parsed.kind = ParsedLine::Kind::kBatchBegin;
     parsed.frame_size = n;
     return parsed;
   }
   if (verb == "batch-end") {
-    if (tokens.size() != 1) return malformed("batch-end takes no arguments");
+    if (!next_token(rest).empty()) {
+      return malformed("batch-end takes no arguments");
+    }
     parsed.kind = ParsedLine::Kind::kBatchEnd;
     return parsed;
   }
   if (verb != "run") {
-    return malformed("unknown verb '" + verb +
-                     "' (expected run|stats|mode|batch-begin|batch-end|#)");
+    return malformed(
+        cat({"unknown verb '", verb,
+             "' (expected run|stats|mode|batch-begin|batch-end|#)"}));
   }
-  if (tokens.size() < 2) {
+  const std::string_view network = next_token(rest);
+  if (network.empty()) {
     return malformed("run needs a network name");
   }
 
   parsed.kind = ParsedLine::Kind::kRun;
-  parsed.request.network = tokens[1];
-  for (std::size_t i = 2; i < tokens.size(); ++i) {
-    const std::string& token = tokens[i];
+  parsed.request.network = network;
+  for (std::string_view token = next_token(rest); !token.empty();
+       token = next_token(rest)) {
     const std::size_t eq = token.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 >= token.size()) {
-      return malformed("expected key=value, got '" + token + "'");
+    if (eq == std::string_view::npos || eq == 0 || eq + 1 >= token.size()) {
+      return malformed(cat({"expected key=value, got '", token, "'"}));
     }
-    const std::string err = apply_override(
-        parsed.request, token.substr(0, eq), token.substr(eq + 1));
-    if (!err.empty()) return malformed(err);
+    std::string err = apply_override(parsed.request, token.substr(0, eq),
+                                     token.substr(eq + 1));
+    if (!err.empty()) return malformed(std::move(err));
   }
   return parsed;
 }
 
-std::string format_outcome_line(const core::SweepOutcome& outcome) {
-  const std::string cache = outcome.cache_hit ? "hit" : "miss";
+void append_outcome_line(std::string& out, const core::SweepOutcome& outcome) {
+  out.reserve(out.size() + kOutcomeLineBytes + outcome.name.size() +
+              outcome.backend.size() + outcome.error.size());
+  out += outcome.ok ? "ok " : "error ";
+  out += outcome.name;
+  out += ' ';
+  outcome.config.append_to(out);
+  out += " backend=";
+  out += outcome.backend;
   // Default-valued counts stay silent: echoing one only when the request
   // actually set it keeps every pre-existing response byte-stable.
-  std::string counts;
   for (const core::CountDim& dim : core::kCountDims) {
     if (outcome.*dim.field > 1) {
-      counts += std::string(" ") + dim.name + "=" +
-                std::to_string(outcome.*dim.field);
+      out += ' ';
+      out += dim.name;
+      append_field(out, "=", outcome.*dim.field);
     }
   }
+  const std::string_view cache = outcome.cache_hit ? " cache=hit"
+                                                   : " cache=miss";
   if (!outcome.ok) {
-    return "error " + outcome.name + " " + outcome.config.to_string() +
-           " backend=" + outcome.backend + counts + " cache=" + cache +
-           " msg=" + outcome.error;
+    out += cache;
+    out += " msg=";
+    out += outcome.error;
+    return;
   }
   // The captured summary, not a recomputation from `result`: outcomes
   // served from the persisted cache of a restarted service carry *only*
   // the summary, and both kinds must format bit-identically.
   const core::RunSummary& s = outcome.summary;
-  return "ok " + outcome.name + " " + outcome.config.to_string() +
-         " backend=" + outcome.backend + counts +
-         " cycles=" + std::to_string(s.total_cycles) +
-         " ops=" + std::to_string(s.total_ops) +
-         " gops=" + format_gops(s.average_gops) +
-         " layers=" + std::to_string(s.layer_count) +
-         " out=" + format_hex64(s.output_hash) + " cache=" + cache;
+  append_field(out, " cycles=", s.total_cycles);
+  append_field(out, " ops=", s.total_ops);
+  out += " gops=";
+  append_fixed2(out, s.average_gops);
+  append_field(out, " layers=", s.layer_count);
+  out += " out=";
+  append_hex64(out, s.output_hash);
+  out += cache;
+}
+
+std::string format_outcome_line(const core::SweepOutcome& outcome) {
+  std::string line;
+  append_outcome_line(line, outcome);
+  return line;
 }
 
 std::string format_stats_line(const CacheStats& stats) {
-  std::string line = "stats hits=" + std::to_string(stats.hits) +
-                     " misses=" + std::to_string(stats.misses) +
-                     " evictions=" + std::to_string(stats.evictions) +
-                     " entries=" + std::to_string(stats.entries) +
-                     " inflight=" + std::to_string(stats.in_flight);
+  std::string line = "stats";
+  append_field(line, " hits=", stats.hits);
+  append_field(line, " misses=", stats.misses);
+  append_field(line, " evictions=", stats.evictions);
+  append_field(line, " entries=", stats.entries);
+  append_field(line, " inflight=", stats.in_flight);
   // Admission counters appear only when a bounded queue is configured:
   // the same only-when-non-default rule that keeps batch= silent keeps
   // every pre-admission stats line byte-stable.
   if (stats.max_queue > 0) {
-    line += " queued=" + std::to_string(stats.queued) +
-            " rejected=" + std::to_string(stats.rejected) +
-            " peak_queue=" + std::to_string(stats.peak_queue);
+    append_field(line, " queued=", stats.queued);
+    append_field(line, " rejected=", stats.rejected);
+    append_field(line, " peak_queue=", stats.peak_queue);
   }
   return line;
 }
 
 std::string format_busy_line(std::uint64_t id, int retry_ms) {
-  return "busy id=" + std::to_string(id) +
-         " retry_ms=" + std::to_string(retry_ms);
+  std::string line = "busy";
+  append_field(line, " id=", id);
+  append_field(line, " retry_ms=", retry_ms);
+  return line;
 }
 
 std::string format_unordered_line(std::uint64_t id, const std::string& line) {
-  return "id=" + std::to_string(id) + " " + line;
+  std::string framed = "id=";
+  framed.reserve(3 + 20 + 1 + line.size());
+  append_decimal(framed, id);
+  framed += ' ';
+  framed += line;
+  return framed;
 }
 
 bool parse_busy_line(const std::string& line, std::uint64_t* id,
                      int* retry_ms) {
-  constexpr const char* kPrefix = "busy id=";
-  constexpr const char* kRetry = " retry_ms=";
-  if (line.rfind(kPrefix, 0) != 0) return false;
-  std::size_t pos = std::string(kPrefix).size();
+  std::size_t pos = 4;
   std::uint64_t parsed_id = 0;
-  if (!scan_u64(line, pos, &parsed_id)) return false;
-  if (line.compare(pos, std::string(kRetry).size(), kRetry) != 0) return false;
-  pos += std::string(kRetry).size();
   std::uint64_t ms = 0;
-  if (!scan_u64(line, pos, &ms) || pos != line.size() ||
+  if (!line.starts_with("busy") || !scan_field(line, pos, " id=", &parsed_id) ||
+      !scan_field(line, pos, " retry_ms=", &ms) || pos != line.size() ||
       ms > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
     return false;
   }
@@ -332,26 +415,27 @@ bool parse_busy_line(const std::string& line, std::uint64_t* id,
 
 bool parse_unordered_line(const std::string& line, std::uint64_t* id,
                           std::string* rest) {
-  if (line.rfind("id=", 0) != 0) return false;
-  std::size_t pos = 3;
+  std::size_t pos = 0;
   std::uint64_t parsed_id = 0;
-  if (!scan_u64(line, pos, &parsed_id)) return false;
-  if (pos >= line.size() || line[pos] != ' ') return false;
+  if (!scan_field(line, pos, "id=", &parsed_id) || pos >= line.size() ||
+      line[pos] != ' ') {
+    return false;
+  }
   *id = parsed_id;
-  *rest = line.substr(pos + 1);
+  rest->assign(line, pos + 1);
   return true;
 }
 
 bool parse_stats_line(const std::string& line, CacheStats* out) {
-  if (line.rfind("stats", 0) != 0) return false;
+  if (!line.starts_with("stats")) return false;
   std::size_t pos = 5;
   std::uint64_t hits = 0, misses = 0, evictions = 0, entries = 0,
                 inflight = 0;
-  if (!scan_field(line, pos, "hits", &hits) ||
-      !scan_field(line, pos, "misses", &misses) ||
-      !scan_field(line, pos, "evictions", &evictions) ||
-      !scan_field(line, pos, "entries", &entries) ||
-      !scan_field(line, pos, "inflight", &inflight)) {
+  if (!scan_field(line, pos, " hits=", &hits) ||
+      !scan_field(line, pos, " misses=", &misses) ||
+      !scan_field(line, pos, " evictions=", &evictions) ||
+      !scan_field(line, pos, " entries=", &entries) ||
+      !scan_field(line, pos, " inflight=", &inflight)) {
     return false;
   }
   CacheStats parsed;
@@ -363,9 +447,9 @@ bool parse_stats_line(const std::string& line, CacheStats* out) {
   if (pos != line.size()) {
     // The admission trio is all-or-nothing on the wire.
     std::uint64_t queued = 0, rejected = 0, peak = 0;
-    if (!scan_field(line, pos, "queued", &queued) ||
-        !scan_field(line, pos, "rejected", &rejected) ||
-        !scan_field(line, pos, "peak_queue", &peak) || pos != line.size()) {
+    if (!scan_field(line, pos, " queued=", &queued) ||
+        !scan_field(line, pos, " rejected=", &rejected) ||
+        !scan_field(line, pos, " peak_queue=", &peak) || pos != line.size()) {
       return false;
     }
     parsed.queued = queued;

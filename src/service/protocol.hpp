@@ -1,7 +1,11 @@
 // protocol.hpp - the line-oriented text protocol of the simulation service.
 //
 // One request per line, one response per line - drivable from a file, a
-// pipe, or (later) a socket, with no framing beyond '\n'. Grammar:
+// pipe, or a socket, with no framing beyond '\n'. A line's tokens are
+// separated by runs of the six characters the C locale's isspace accepts
+// (space, \t, \n, \v, \f, \r), as `istream >>` splits them; runs may
+// also lead and trail. The parser reads tokens in place, without copying
+// them. Grammar:
 //
 //   run <network> [key=value ...]     submit a simulation request
 //   stats                             report cache + in-flight counters
@@ -39,7 +43,11 @@
 //              same strict-integer grammar as batch (>= 0 - semantic
 //              ranges are EdeaConfig::validate's job, reported in the
 //              outcome line)
-//   clock_ghz  clock in GHz
+//   clock_ghz  clock in GHz, in std::stod's grammar: decimal or hex
+//              floating point with an optional sign ("0.8", "+0.8",
+//              "0x1p-1"). A value stod would reject as out of range
+//              (1e400, 1e-400, subnormals such as 5e-324), nan, inf and
+//              trailing junk ("0.8x") are protocol errors
 // A key left out takes the default above (JobKey's, or the paper's
 // configuration) in every process that parses the line, so a line names
 // one job wherever it is served. To apply a transform to a whole stream,
@@ -109,6 +117,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "core/job_key.hpp"
 #include "core/sweep_runner.hpp"
@@ -178,11 +187,12 @@ struct ParsedLine {
 ///   parse_strict_int    int values >= 0 (EdeaConfig overrides;
 ///                       init_cycles=0 is valid)
 ///   parse_strict_count  int values >= 1 (core::kCountDims values)
-/// Each returns false without touching *out on rejection.
-[[nodiscard]] bool parse_strict_u64(const std::string& text,
+/// Each takes a std::string_view (a std::string or a literal converts)
+/// and returns false without touching *out on rejection.
+[[nodiscard]] bool parse_strict_u64(std::string_view text,
                                     std::uint64_t* out);
-[[nodiscard]] bool parse_strict_int(const std::string& text, int* out);
-[[nodiscard]] bool parse_strict_count(const std::string& text, int* out);
+[[nodiscard]] bool parse_strict_int(std::string_view text, int* out);
+[[nodiscard]] bool parse_strict_count(std::string_view text, int* out);
 
 /// Parses one request line. Never throws: malformed lines - including
 /// unknown backend= ids and non-positive count values - are a kError
@@ -192,6 +202,11 @@ struct ParsedLine {
 /// Formats the response line for one completed request.
 [[nodiscard]] std::string format_outcome_line(
     const core::SweepOutcome& outcome);
+
+/// Appends format_outcome_line(outcome) to `out`, so a caller that frames
+/// the line (an unordered session's `id=<n> ` prefix) renders it into the
+/// buffer that already holds the frame.
+void append_outcome_line(std::string& out, const core::SweepOutcome& outcome);
 
 /// Formats the `stats` response line. The admission counters (queued=,
 /// rejected=, peak_queue=) are echoed only when `stats.max_queue > 0` -
@@ -211,9 +226,11 @@ struct ParsedLine {
 /// Reply parsers - the exact inverses of the formatters above, shared by
 /// everything that consumes the server side of the wire (the pipelined
 /// client, the cluster router). Each matches its line shape strictly
-/// (digit runs, exact separators, nothing trailing) and returns false
-/// without touching the outputs on any mismatch - a reply that merely
-/// *starts* like a busy line is some other line.
+/// (digit runs as the formatters write them, without leading zeros;
+/// exact separators; nothing trailing) and returns false without
+/// touching the outputs on any mismatch - a reply that merely *starts*
+/// like a busy line is some other line. A line a parser accepts
+/// re-formats to itself.
 
 /// Parses `busy id=<n> retry_ms=<m>` (format_busy_line's output) exactly.
 [[nodiscard]] bool parse_busy_line(const std::string& line, std::uint64_t* id,

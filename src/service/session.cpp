@@ -25,6 +25,29 @@ nn::Int8Tensor random_input(const nn::DscLayerSpec& spec, std::uint64_t seed) {
   return input;
 }
 
+/// Builds one catalog key's workload. Throws PreconditionError for names
+/// the model zoo cannot resolve.
+std::unique_ptr<WorkloadCatalog::Workload> materialize(
+    const std::string& network, std::uint64_t seed, int dilation,
+    int depth_multiplier) {
+  std::vector<nn::DscLayerSpec> specs = nn::zoo_specs(network);
+  for (nn::DscLayerSpec& spec : specs) {
+    // Dilation scales the padding along with the taps, so the 'same'
+    // geometry of the zoo layers (k=3, p=1) keeps its output extents.
+    spec.dilation = dilation;
+    spec.padding *= dilation;
+    // Multiplicative: composes with multipliers the geometry already
+    // carries (MobileNetV2 expansion factors).
+    spec.depth_multiplier *= depth_multiplier;
+  }
+  auto workload = std::make_unique<WorkloadCatalog::Workload>();
+  workload->layers = nn::make_random_quant_network(specs, seed);
+  workload->input = random_input(specs.front(), seed);
+  workload->fingerprint =
+      core::network_fingerprint(workload->layers, workload->input);
+  return workload;
+}
+
 /// A Session's dispatch behind its WireFront: resolve the workload,
 /// submit the job, and finish the reply from the completion callback -
 /// or answer busy / an error outcome in the slot instead.
@@ -123,29 +146,33 @@ const WorkloadCatalog::Workload& WorkloadCatalog::resolve(
   EDEA_REQUIRE(depth_multiplier >= 1,
                "workload depth multiplier must be >= 1, got " +
                    std::to_string(depth_multiplier));
-  const std::lock_guard<std::mutex> lock(mutex_);
   const auto key = std::make_tuple(network, seed, dilation, depth_multiplier);
-  auto it = workloads_.find(key);
-  if (it == workloads_.end()) {
-    // zoo_specs throws PreconditionError for unknown names - propagated
-    // before anything is inserted.
-    std::vector<nn::DscLayerSpec> specs = nn::zoo_specs(network);
-    for (nn::DscLayerSpec& spec : specs) {
-      // Dilation scales the padding along with the taps, so the 'same'
-      // geometry of the zoo layers (k=3, p=1) keeps its output extents.
-      spec.dilation = dilation;
-      spec.padding *= dilation;
-      // Multiplicative: composes with multipliers the geometry already
-      // carries (MobileNetV2 expansion factors).
-      spec.depth_multiplier *= depth_multiplier;
-    }
-    auto workload = std::make_unique<Workload>();
-    workload->layers = nn::make_random_quant_network(specs, seed);
-    workload->input = random_input(specs.front(), seed);
-    workload->fingerprint =
-        core::network_fingerprint(workload->layers, workload->input);
-    it = workloads_.emplace(key, std::move(workload)).first;
+  std::unique_lock<std::mutex> lock(mutex_);
+  auto it = workloads_.end();
+  // A null entry is a build under way: wait for it to finish or fail.
+  built_.wait(lock, [&] {
+    it = workloads_.find(key);
+    return it == workloads_.end() || it->second != nullptr;
+  });
+  if (it != workloads_.end()) return *it->second;
+  // This resolve builds the key, outside the lock: resolves of built keys
+  // never wait behind it, and resolves of this key wait for it above.
+  it = workloads_.emplace(key, nullptr).first;
+  lock.unlock();
+  std::unique_ptr<Workload> workload;
+  try {
+    workload = materialize(network, seed, dilation, depth_multiplier);
+  } catch (...) {
+    // An unknown name (zoo_specs throws PreconditionError) leaves nothing
+    // behind; a waiting resolve of it retries and throws in turn.
+    lock.lock();
+    workloads_.erase(it);
+    built_.notify_all();
+    throw;
   }
+  lock.lock();
+  it->second = std::move(workload);
+  built_.notify_all();
   return *it->second;
 }
 

@@ -27,6 +27,7 @@
 //   - traffic recording for the stdio server's --verify gate.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -49,9 +50,10 @@ class Stream;
 /// Thread-safe registry of materialized workloads: the quantized network
 /// and synthetic input behind one (zoo name, seed, dilation,
 /// depth multiplier) tuple. Materialization is deterministic in the key,
-/// happens once per key, and the returned reference stays valid (and
-/// immutable) for the catalog's lifetime - jobs submitted by any session
-/// may point into it.
+/// happens once per key and outside the catalog's lock - a resolve of a
+/// built key never waits behind another key's build - and the returned
+/// reference stays valid (and immutable) for the catalog's lifetime: jobs
+/// submitted by any session may point into it.
 class WorkloadCatalog {
  public:
   struct Workload {
@@ -78,8 +80,11 @@ class WorkloadCatalog {
 
  private:
   std::mutex mutex_;
+  /// Signalled when a build finishes or fails.
+  std::condition_variable built_;
   /// std::map with unique_ptr values: addresses stay stable across
-  /// inserts while sessions hold references.
+  /// inserts while sessions hold references. A null value marks a key
+  /// whose build is under way.
   std::map<std::tuple<std::string, std::uint64_t, int, int>,
            std::unique_ptr<Workload>>
       workloads_;

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iomanip>
+#include <limits>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/sweep_runner.hpp"
 
@@ -616,6 +621,250 @@ TEST(ProtocolRoundTripTest, IdenticalRequestLinesYieldIdenticalKeys) {
   EXPECT_EQ(a.request.seed, b.request.seed);
   EXPECT_EQ(a.request.config, b.request.config);
   EXPECT_EQ(a.request.config.hash(), b.request.config.hash());
+}
+
+// --- Byte pins: the formatters against ostream references -----------------
+//
+// Each reference below builds its line with std::ostringstream, field by
+// field: the iostream rendering whose bytes the appending formatters must
+// keep. The tables sweep the edges of every number a reply carries, so
+// the two renderings agree byte for byte or a pin fails.
+
+std::string ostream_config(const core::EdeaConfig& c) {
+  std::ostringstream os;
+  os << "EdeaConfig{Tn=" << c.tn << ",Tm=" << c.tm << ",Td=" << c.td
+     << ",Tk=" << c.tk << ",k=" << c.kernel << ",init=" << c.init_cycles
+     << ",tile=" << c.max_tile_out << ",clk=" << c.clock_ghz << "GHz}";
+  return os.str();
+}
+
+std::string ostream_outcome(const core::SweepOutcome& o) {
+  std::ostringstream os;
+  os << (o.ok ? "ok " : "error ") << o.name << ' ' << ostream_config(o.config)
+     << " backend=" << o.backend;
+  for (const core::CountDim& dim : core::kCountDims) {
+    if (o.*dim.field > 1) os << ' ' << dim.name << '=' << o.*dim.field;
+  }
+  const char* cache = o.cache_hit ? "hit" : "miss";
+  if (!o.ok) {
+    os << " cache=" << cache << " msg=" << o.error;
+    return os.str();
+  }
+  const core::RunSummary& s = o.summary;
+  os << " cycles=" << s.total_cycles << " ops=" << s.total_ops << " gops="
+     << std::fixed << std::setprecision(2) << s.average_gops
+     << " layers=" << s.layer_count << " out=0x" << std::hex << std::setw(16)
+     << std::setfill('0') << s.output_hash << " cache=" << cache;
+  return os.str();
+}
+
+std::string ostream_stats(const CacheStats& st) {
+  std::ostringstream os;
+  os << "stats hits=" << st.hits << " misses=" << st.misses
+     << " evictions=" << st.evictions << " entries=" << st.entries
+     << " inflight=" << st.in_flight;
+  if (st.max_queue > 0) {
+    os << " queued=" << st.queued << " rejected=" << st.rejected
+       << " peak_queue=" << st.peak_queue;
+  }
+  return os.str();
+}
+
+/// The pinned outcomes: clocks at the edges of %g, gops at the edges of
+/// %.2f (ties, a 303-digit value, inf), 64-bit extremes, every count set,
+/// and both cache flags.
+std::vector<core::SweepOutcome> pinned_outcomes() {
+  constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+  constexpr std::uint64_t kUint64Max =
+      std::numeric_limits<std::uint64_t>::max();
+  std::vector<core::SweepOutcome> out;
+  const auto add = [&out](double clock, double gops, std::int64_t cycles,
+                          std::uint64_t hash) {
+    core::SweepOutcome o;
+    o.name = "mobilenet-0.25x@1";
+    o.ok = true;
+    o.config.clock_ghz = clock;
+    o.summary.layer_count = 14;
+    o.summary.total_cycles = cycles;
+    o.summary.total_ops = cycles;
+    o.summary.average_gops = gops;
+    o.summary.output_hash = hash;
+    out.push_back(o);
+  };
+  // A clock scales gops: at 1e300 GHz gops has 303 integer digits, and at
+  // 1e308 GHz it overflows to inf.
+  for (const double clock : {1e-7, 0.1 + 0.2, 123456789.0, 1e300, 1e308}) {
+    add(clock, clock * 123.456, 4242, 0xDEADBEEFull);
+  }
+  for (const double gops : {0.005, 0.015, 0.125, 2.675}) {
+    add(1.0, gops, 4242, 0xDEADBEEFull);
+  }
+  add(1.0, 0.0, 0, 0);
+  add(0.8, 1.5, kInt64Max, kUint64Max);
+  add(1.0, 1.5, std::numeric_limits<std::int64_t>::min(), 1);
+  // The widest %.2f there is (-DBL_MAX: a sign and 309 integer digits),
+  // a signed zero and the non-finite values.
+  for (const double gops : {-std::numeric_limits<double>::max(), -0.0,
+                            -std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    add(1.0, gops, 1, 1);
+  }
+  core::SweepOutcome counted = out.front();
+  counted.backend = "serialized";
+  counted.batch = 2;
+  counted.dilation = 3;
+  counted.depth_multiplier = std::numeric_limits<int>::max();
+  counted.cache_hit = true;
+  out.push_back(counted);
+  core::SweepOutcome failed = counted;
+  failed.ok = false;
+  failed.error = "layer kernel 3 does not match the engine's 5x5 datapath";
+  out.push_back(failed);
+  failed.cache_hit = false;
+  failed.config = core::EdeaConfig::paper();
+  out.push_back(failed);
+  return out;
+}
+
+TEST(ProtocolBytePinTest, OutcomeLinesMatchTheOstreamRendering) {
+  for (const core::SweepOutcome& o : pinned_outcomes()) {
+    const std::string expected = ostream_outcome(o);
+    SCOPED_TRACE(expected.substr(0, 160));
+    EXPECT_EQ(format_outcome_line(o), expected);
+    EXPECT_EQ(o.config.to_string(), ostream_config(o.config));
+  }
+}
+
+TEST(ProtocolBytePinTest, GopsKeepsEveryIntegerDigitAndRoundsTiesToEven) {
+  const std::vector<core::SweepOutcome> outcomes = pinned_outcomes();
+  const auto gops_of = [](const core::SweepOutcome& o) {
+    const std::string line = format_outcome_line(o);
+    const std::size_t begin = line.find(" gops=") + 6;
+    return line.substr(begin, line.find(' ', begin) - begin);
+  };
+  const std::string huge = gops_of(outcomes[3]);  // clock 1e300
+  EXPECT_EQ(huge.size(), 303u + 3u) << huge;
+  EXPECT_EQ(huge.substr(0, 7), "1234560");
+  EXPECT_EQ(gops_of(outcomes[4]), "inf");  // clock 1e308
+  EXPECT_EQ(gops_of(outcomes[5]), "0.01");  // 0.005 lies above the tie
+  EXPECT_EQ(gops_of(outcomes[6]), "0.01");  // 0.015 lies below it
+  EXPECT_EQ(gops_of(outcomes[7]), "0.12");  // an exact tie: to even
+  EXPECT_EQ(gops_of(outcomes[8]), "2.67");  // 2.675 lies below the tie
+}
+
+TEST(ProtocolBytePinTest, ConfigClockPrintsLikeADefaultOstream) {
+  for (const double clock :
+       {1.0, 0.8, 1e-7, 0.1 + 0.2, 123456789.0, 1e300, 1e308, 0.5, 1e-300,
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::denorm_min(), -2.5, 0.0, -0.0,
+        std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    core::EdeaConfig c;
+    c.clock_ghz = clock;
+    c.tn = std::numeric_limits<int>::max();
+    c.init_cycles = std::numeric_limits<int>::min();
+    EXPECT_EQ(c.to_string(), ostream_config(c));
+  }
+  core::EdeaConfig c;
+  c.clock_ghz = 1e-7;
+  EXPECT_EQ(c.to_string(),
+            "EdeaConfig{Tn=2,Tm=2,Td=8,Tk=16,k=3,init=9,tile=8,clk=1e-07GHz}");
+}
+
+TEST(ProtocolBytePinTest, StatsBusyAndUnorderedLinesMatchTheOstreamRendering) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (const std::uint64_t v : {std::uint64_t{0}, std::uint64_t{7}, kMax}) {
+    for (const std::uint64_t max_queue : {std::uint64_t{0}, std::uint64_t{2}}) {
+      CacheStats st;
+      st.hits = v;
+      st.misses = v / 3;
+      st.evictions = kMax - v;
+      st.entries = static_cast<std::size_t>(v);
+      st.in_flight = v ^ 5;
+      st.queued = v;
+      st.rejected = kMax;
+      st.peak_queue = 0;
+      st.max_queue = max_queue;
+      EXPECT_EQ(format_stats_line(st), ostream_stats(st));
+    }
+    for (const int retry : {0, 1, 25, std::numeric_limits<int>::max(),
+                            std::numeric_limits<int>::min()}) {
+      std::ostringstream busy;
+      busy << "busy id=" << v << " retry_ms=" << retry;
+      EXPECT_EQ(format_busy_line(v, retry), busy.str());
+    }
+    for (const std::string& line :
+         {std::string(), std::string("mode unordered"),
+          format_outcome_line(pinned_outcomes().back())}) {
+      std::ostringstream framed;
+      framed << "id=" << v << " " << line;
+      EXPECT_EQ(format_unordered_line(v, line), framed.str());
+    }
+  }
+}
+
+// --- Byte pins: the request grammar ---------------------------------------
+
+TEST(ProtocolBytePinTest, EachCLocaleSpaceSeparatesLeadsAndTrails) {
+  const ParsedLine reference =
+      parse_request_line("run edeanet-64 seed=7 td=16 clock_ghz=0.8");
+  ASSERT_EQ(reference.kind, ParsedLine::Kind::kRun);
+  for (const char ws : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+    const std::string s(1, ws);
+    const std::string run = s + s + "run" + s + "edeanet-64" + s + s + s +
+                            "seed=7" + s + "td=16" + s + "clock_ghz=0.8" + s;
+    SCOPED_TRACE(static_cast<int>(ws));
+    const ParsedLine p = parse_request_line(run);
+    ASSERT_EQ(p.kind, ParsedLine::Kind::kRun) << p.error;
+    EXPECT_EQ(p.request.network, reference.request.network);
+    EXPECT_EQ(p.request.seed, reference.request.seed);
+    EXPECT_EQ(static_cast<const core::JobKey&>(p.request),
+              static_cast<const core::JobKey&>(reference.request));
+    EXPECT_EQ(parse_request_line(s + "stats" + s + s).kind,
+              ParsedLine::Kind::kStats);
+    EXPECT_EQ(parse_request_line(s + s + s).kind, ParsedLine::Kind::kEmpty);
+    EXPECT_EQ(parse_request_line(s + "#" + s + "run x").kind,
+              ParsedLine::Kind::kEmpty);
+    const ParsedLine frame = parse_request_line("batch-begin" + s + "7" + s);
+    ASSERT_EQ(frame.kind, ParsedLine::Kind::kBatchBegin);
+    EXPECT_EQ(frame.frame_size, 7);
+  }
+  // Other control bytes, NUL and bytes above 0x7f are token characters.
+  for (const char other : {'\0', '\x1c', '\x1f', '\x7f', '\xa0'}) {
+    SCOPED_TRACE(static_cast<int>(static_cast<unsigned char>(other)));
+    std::string line = "run edeanet-64 seed=7";
+    line[3] = other;
+    const ParsedLine p = parse_request_line(line);
+    ASSERT_EQ(p.kind, ParsedLine::Kind::kError);
+    EXPECT_EQ(p.error, "unknown verb '" + line.substr(0, 14) +
+                           "' (expected run|stats|mode|batch-begin|"
+                           "batch-end|#)");
+  }
+}
+
+TEST(ProtocolBytePinTest, ClockKeepsTheStodGrammar) {
+  const ParsedLine plus = parse_request_line("run edeanet-64 clock_ghz=+0.8");
+  ASSERT_EQ(plus.kind, ParsedLine::Kind::kRun) << plus.error;
+  EXPECT_EQ(plus.request.config.clock_ghz, 0.8);
+  const ParsedLine hex = parse_request_line("run edeanet-64 clock_ghz=0x1p-1");
+  ASSERT_EQ(hex.kind, ParsedLine::Kind::kRun) << hex.error;
+  EXPECT_EQ(hex.request.config.clock_ghz, 0.5);
+  const ParsedLine tiny = parse_request_line("run edeanet-64 clock_ghz=1e-300");
+  ASSERT_EQ(tiny.kind, ParsedLine::Kind::kRun) << tiny.error;
+  EXPECT_EQ(tiny.request.config.clock_ghz, 1e-300);
+  for (const char* bad : {"1e400", "1e-400", "5e-324", "nan", "inf", "0.8x",
+                          "-inf", "0x", "1e", ".", "0.8\x1f"}) {
+    SCOPED_TRACE(bad);
+    const ParsedLine p =
+        parse_request_line(std::string("run edeanet-64 clock_ghz=") + bad);
+    ASSERT_EQ(p.kind, ParsedLine::Kind::kError);
+    EXPECT_EQ(p.error, std::string("bad clock_ghz '") + bad + "'");
+  }
+  // A NUL inside the token ends strtod's read, not the token.
+  const std::string nul("run edeanet-64 clock_ghz=0.8\0x", 30);
+  const ParsedLine p = parse_request_line(nul);
+  ASSERT_EQ(p.kind, ParsedLine::Kind::kError);
+  EXPECT_EQ(p.error, "bad clock_ghz '" + nul.substr(25) + "'");
 }
 
 }  // namespace

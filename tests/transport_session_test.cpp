@@ -14,7 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <ctime>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -196,6 +198,80 @@ TEST(WorkloadCatalogTest, ResolvesOncePerKeyAndThrowsForUnknownNames) {
   const WorkloadCatalog::Workload& c = catalog.resolve("edeanet-64", 8);
   EXPECT_NE(&a, &c) << "different seed is a different workload";
   EXPECT_THROW((void)catalog.resolve("not-a-network", 1), PreconditionError);
+}
+
+TEST(WorkloadCatalogTest, WarmResolveReturnsWhileAColdOneIsBuilding) {
+  // Every run line resolves its workload, hits included, so a resolve of
+  // a built key must not wait behind another key's materialization.
+  WorkloadCatalog catalog;
+  const WorkloadCatalog::Workload& warm = catalog.resolve("edeanet-64", 1);
+  std::chrono::steady_clock::time_point cold_returned;
+  std::thread cold([&] {
+    (void)catalog.resolve("mobilenet-imagenet", 1);
+    cold_returned = std::chrono::steady_clock::now();
+  });
+  // mobilenet-imagenet takes about 100 ms or more to build: 5 ms in, the
+  // cold resolve is building.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const WorkloadCatalog::Workload& again = catalog.resolve("edeanet-64", 1);
+  const auto warm_returned = std::chrono::steady_clock::now();
+  cold.join();
+  EXPECT_EQ(&warm, &again);
+  // Had the warm resolve waited for the build, both would return together.
+  EXPECT_GT(cold_returned - warm_returned, std::chrono::milliseconds(20))
+      << "the warm resolve waited for the cold build";
+}
+
+TEST(WorkloadCatalogTest, ConcurrentColdResolvesOfOneKeyBuildItOnce) {
+  WorkloadCatalog catalog;
+  (void)catalog.resolve("edeanet-64", 20);  // the first build warms up
+  const std::clock_t before_one = std::clock();
+  (void)catalog.resolve("edeanet-64", 21);
+  const std::clock_t one_build = std::clock() - before_one;
+
+  // Four resolves of one cold key at once: one builds, three wait for it.
+  constexpr int kThreads = 4;
+  std::vector<const WorkloadCatalog::Workload*> got(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  const std::clock_t before_four = std::clock();
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&catalog, &got, t] {
+      got[static_cast<std::size_t>(t)] = &catalog.resolve("edeanet-64", 22);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const std::clock_t four_resolves = std::clock() - before_four;
+  for (const WorkloadCatalog::Workload* workload : got) {
+    EXPECT_EQ(workload, got.front()) << "one key, one Workload, one address";
+  }
+  EXPECT_EQ(&catalog.resolve("edeanet-64", 22), got.front());
+  // Process CPU time: four builds of the same network cost about four
+  // times one build; one build and three waits cost about one.
+  EXPECT_LT(four_resolves, 2 * one_build)
+      << "one build took " << one_build << " clock ticks, four concurrent "
+      << "resolves of one key took " << four_resolves;
+}
+
+TEST(WorkloadCatalogTest, ConcurrentResolvesOfAnUnknownNameAllThrow) {
+  WorkloadCatalog catalog;
+  constexpr int kThreads = 4;
+  std::atomic<int> thrown{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&catalog, &thrown] {
+      try {
+        (void)catalog.resolve("not-a-network", 1);
+      } catch (const PreconditionError&) {
+        ++thrown;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(thrown.load(), kThreads);
+  // Nothing was left behind: a later resolve throws too, and a known
+  // name still builds.
+  EXPECT_THROW((void)catalog.resolve("not-a-network", 1), PreconditionError);
+  EXPECT_NO_THROW((void)catalog.resolve("edeanet-64", 1));
 }
 
 TEST(SocketTransportTest, LoopbackSessionIsBitIdenticalToStdio) {
