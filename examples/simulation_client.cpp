@@ -6,8 +6,8 @@
 //   simulation_client --connect 127.0.0.1:47163 [--verify]
 //       [--expect-all-hits] < examples/simulation_requests.txt
 //
-// Run `simulation_client --help` for every flag; see
-// service/client_cli.hpp for the parsed grammar.
+// Run `simulation_client --help` for every flag; see service/cli.hpp for
+// the parsed grammar.
 //
 // --verify recomputes the reference responses *in process* by running the
 // same request lines through the same Session + SimulationService code
@@ -30,7 +30,7 @@
 #include <utility>
 #include <vector>
 
-#include "service/client_cli.hpp"
+#include "service/cli.hpp"
 #include "service/pipeline_client.hpp"
 #include "service/session.hpp"
 #include "service/simulation_service.hpp"

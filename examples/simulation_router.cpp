@@ -15,8 +15,8 @@
 // cache to BASE.shard<i>; on shutdown the router drains the workers
 // (SIGTERM, so each saves its shard) and merges the shards into BASE.
 //
-// Run `simulation_router --help` for every flag; see
-// service/router_cli.hpp for the parsed grammar.
+// Run `simulation_router --help` for every flag; see service/cli.hpp for
+// the parsed grammar.
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -31,9 +31,8 @@
 #include <utility>
 #include <vector>
 
+#include "service/cli.hpp"
 #include "service/router.hpp"
-#include "service/router_cli.hpp"
-#include "service/server_cli.hpp"
 #include "service/transport.hpp"
 
 namespace {
@@ -171,7 +170,7 @@ extern "C" void handle_stop_signal(int) {
 int main(int argc, char** argv) {
   using namespace edea;
 
-  const service::RouterCliConfig config =
+  service::RouterCliConfig config =
       service::parse_router_args(argc - 1, argv + 1);
   if (!config.error.empty()) {
     std::cerr << "simulation_router: " << config.error << "\n\n"
@@ -185,10 +184,6 @@ int main(int argc, char** argv) {
 
   // --- membership: spawn a fleet or attach to one ------------------------
   std::vector<SpawnedWorker> spawned;
-  service::RouterOptions router_options;
-  router_options.replicas = config.replicas;
-  router_options.max_attempts = config.max_attempts;
-  router_options.allow_unordered = !config.ordered;
 
   const auto reap_workers = [&spawned]() {
     int failures = 0;
@@ -223,7 +218,7 @@ int main(int argc, char** argv) {
       }
     }
     for (SpawnedWorker& worker : spawned) {
-      router_options.workers.push_back(service::WorkerEndpoint{
+      config.router.workers.push_back(service::WorkerEndpoint{
           worker.shard_id, "127.0.0.1", worker.port});
       // Keep forwarding worker stderr (cache saves, crashes) for the rest
       // of its life, prefixed so shard logs stay attributable.
@@ -235,23 +230,19 @@ int main(int argc, char** argv) {
         }
       });
     }
-  } else {
-    router_options.workers = config.workers;
   }
 
   int exit_code = 0;
   {
-    service::ClusterRouter router(std::move(router_options));
+    service::ClusterRouter router(std::move(config.router));
 
     if (config.listen) {
       // --- socket mode: concurrent routed sessions over loopback TCP ----
-      service::SocketTransportOptions transport_options;
-      transport_options.port = config.port;
-      transport_options.max_sessions = config.max_sessions;
-      service::SocketTransport transport(transport_options);
+      service::SocketTransport transport(config.socket);
       std::cerr << "listening on 127.0.0.1:" << transport.port()
-                << (config.max_sessions != 0
-                        ? " for " + std::to_string(config.max_sessions) +
+                << (config.socket.max_sessions != 0
+                        ? " for " +
+                              std::to_string(config.socket.max_sessions) +
                               " session(s)\n"
                         : "\n");
       g_transport = &transport;

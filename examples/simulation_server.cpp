@@ -1,8 +1,9 @@
 // simulation_server - the simulation service composed from its three
 // layers (see docs/ARCHITECTURE.md "Service layering"):
 //
-//   transport  StdioTransport (default) or SocketTransport (--listen):
-//              where request lines come from and response lines go to
+//   transport  a StdioStream over stdin/stdout (default) or a
+//              SocketTransport (--listen): where request lines come from
+//              and response lines go to
 //   session    Session + WorkloadCatalog: framing, request ids, ordered
 //              write-back, error replies - one session per connection
 //   dispatch   SimulationService: concurrent simulation, memoizing LRU
@@ -15,8 +16,8 @@
 // bit-identical to the stdio driver for the same request stream - the CI
 // loopback leg and examples/simulation_client.cpp enforce exactly that.
 //
-// Run `simulation_server --help` for every flag; see
-// service/server_cli.hpp for the parsed grammar.
+// Run `simulation_server --help` for every flag; see service/cli.hpp for
+// the parsed grammar.
 #include <csignal>
 #include <cstdint>
 #include <iostream>
@@ -25,8 +26,8 @@
 #include <vector>
 
 #include "core/sweep_runner.hpp"
+#include "service/cli.hpp"
 #include "service/protocol.hpp"
-#include "service/server_cli.hpp"
 #include "service/session.hpp"
 #include "service/simulation_service.hpp"
 #include "service/transport.hpp"
@@ -174,28 +175,21 @@ int main(int argc, char** argv) {
     }
   }
   service::WorkloadCatalog catalog;
-  service::SessionOptions session_options;
-  session_options.record_traffic = config.verify;  // --verify is stdio-only
-  session_options.allow_unordered = !config.ordered;
-  session_options.busy_retry_ms = config.busy_retry_ms;
   int exit_code = 0;
 
   if (config.listen) {
     // --- socket mode: concurrent sessions over loopback TCP --------------
-    service::SocketTransportOptions transport_options;
-    transport_options.port = config.port;
-    transport_options.max_sessions = config.max_sessions;
-    service::SocketTransport transport(transport_options);
+    service::SocketTransport transport(config.socket);
     std::cerr << "listening on 127.0.0.1:" << transport.port()
-              << (config.max_sessions != 0
-                      ? " for " + std::to_string(config.max_sessions) +
+              << (config.socket.max_sessions != 0
+                      ? " for " + std::to_string(config.socket.max_sessions) +
                             " session(s)\n"
                       : "\n");
     g_transport = &transport;
     std::signal(SIGINT, handle_stop_signal);
     std::signal(SIGTERM, handle_stop_signal);
     transport.serve([&](service::Stream& stream) {
-      service::Session(svc, catalog, session_options).serve(stream);
+      service::Session(svc, catalog, config.session).serve(stream);
     });
     std::signal(SIGINT, SIG_DFL);
     std::signal(SIGTERM, SIG_DFL);
@@ -203,7 +197,7 @@ int main(int argc, char** argv) {
   } else {
     // --- stdio mode: one session over stdin/stdout ------------------------
     service::StdioStream stream(std::cin, std::cout);
-    service::Session session(svc, catalog, session_options);
+    service::Session session(svc, catalog, config.session);
     const service::SessionStats stats = session.serve(stream);
 
     const service::CacheStats cache = svc.cache_stats();

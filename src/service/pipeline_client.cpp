@@ -23,33 +23,19 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// First whitespace-delimited token of a request line ("" when blank).
-std::string first_token(const std::string& line) {
-  const std::size_t begin = line.find_first_not_of(" \t");
-  if (begin == std::string::npos) return "";
-  const std::size_t end = line.find_first_of(" \t", begin);
-  return line.substr(begin, end == std::string::npos ? std::string::npos
-                                                     : end - begin);
-}
-
-/// Whether the server answers this line at all. Blank and comment lines
-/// are ignored by the session (no reply, no id), so the driver must not
-/// wait for a response to them.
-bool is_answering_line(const std::string& line) {
-  const std::string token = first_token(line);
-  return !token.empty() && token.front() != '#';
-}
-
+/// Whether the server answers this line at all, read with the server's
+/// own tokenizer. Blank and comment lines are ignored by the session (no
+/// reply, no id), so the driver must not wait for a response to them.
 /// Frame-control and mode lines in a replayed stream would corrupt the
-/// framing this driver manages itself - reject them up front instead of
-/// desynchronizing the reply matcher mid-run.
-void require_replayable(const std::string& line) {
-  const std::string token = first_token(line);
-  EDEA_REQUIRE(token != "batch-begin" && token != "batch-end" &&
-                   token != "mode",
+/// framing this driver manages itself - they are rejected up front
+/// instead of desynchronizing the reply matcher mid-run.
+bool is_answering_line(const std::string& line) {
+  const std::string_view verb = request_verb(line);
+  EDEA_REQUIRE(verb != "batch-begin" && verb != "batch-end" && verb != "mode",
                "pipelined replay manages frames and modes itself; the "
                "request stream must not contain '" +
-                   token + "' lines");
+                   std::string(verb) + "' lines");
+  return !verb.empty() && verb.front() != '#';
 }
 
 }  // namespace
@@ -74,7 +60,6 @@ PipelineReport run_pipelined(Stream& stream,
   // them, and a reply matcher waiting on one would wait forever.
   std::deque<std::size_t> pending;
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    require_replayable(requests[i]);
     if (is_answering_line(requests[i])) pending.push_back(i);
   }
   const std::size_t target = pending.size();
@@ -292,9 +277,8 @@ PipelineReport run_serial(Stream& stream,
 
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const std::string& request = requests[i];
-    require_replayable(request);
-    // Same skip rule as run_pipelined: lines the server never answers
-    // keep an empty response slot.
+    // Same rules as run_pipelined: lines the server never answers keep an
+    // empty response slot.
     if (!is_answering_line(request)) continue;
     int attempt = 0;
     for (;;) {

@@ -235,6 +235,10 @@ core::SweepJob Request::job() const {
   return job;
 }
 
+std::string_view request_verb(std::string_view line) {
+  return next_token(line);
+}
+
 ParsedLine parse_request_line(const std::string& line) {
   if (line.size() > kMaxLineBytes) {
     return malformed("line longer than " + std::to_string(kMaxLineBytes) +

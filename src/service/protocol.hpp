@@ -199,6 +199,11 @@ struct ParsedLine {
 /// result (a service must survive bad clients).
 [[nodiscard]] ParsedLine parse_request_line(const std::string& line);
 
+/// The first token of a request line, split as parse_request_line splits
+/// it: empty for a blank line, '#'-led for a comment (the two kinds of
+/// line a session ignores). A view into `line`; allocates nothing.
+[[nodiscard]] std::string_view request_verb(std::string_view line);
+
 /// Formats the response line for one completed request.
 [[nodiscard]] std::string format_outcome_line(
     const core::SweepOutcome& outcome);

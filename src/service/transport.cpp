@@ -65,11 +65,6 @@ bool StdioStream::write_lines(const std::vector<std::string>& lines) {
   return out_.good();
 }
 
-void StdioTransport::serve(const std::function<void(Stream&)>& handler) {
-  StdioStream stream(in_, out_);
-  handler(stream);
-}
-
 // --- sockets ---------------------------------------------------------------
 
 namespace {
@@ -202,6 +197,9 @@ class SocketStream : public Stream {
   bool overlong_ = false;  ///< a line passed kMaxLineBytes: reading is over
 };
 
+/// listen(2) backlog.
+constexpr int kListenBacklog = 16;
+
 [[noreturn]] void throw_errno(const std::string& what) {
   throw ResourceError(what + ": " + std::strerror(errno));
 }
@@ -232,7 +230,7 @@ SocketTransport::SocketTransport(SocketTransportOptions options)
     errno = saved;
     throw_errno("bind(127.0.0.1:" + std::to_string(options_.port) + ")");
   }
-  if (::listen(listen_fd_, options_.backlog) != 0) {
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     const int saved = errno;
     ::close(listen_fd_);
     listen_fd_ = -1;

@@ -7,15 +7,15 @@
 //   loop, connection           framing, request ids,       + result cache
 //   lifetime                   ordered replies
 //
-// A Transport produces connections; each connection is a Stream - one
-// bidirectional, line-oriented byte channel. The transport knows nothing
-// about the protocol: it hands every connection to a handler (normally
-// Session::serve) and manages only lifetime and concurrency.
+// Each connection is a Stream - one bidirectional, line-oriented byte
+// channel. The transport knows nothing about the protocol: it hands every
+// connection to a handler (normally Session::serve) and manages only
+// lifetime and concurrency.
 //
-// Two implementations:
-//   - StdioTransport: exactly one "connection" over an (istream, ostream)
-//     pair - the scripted batch mode the stdin server always had, and the
-//     in-process reference path tests compare the socket path against.
+//   - StdioStream: one "connection" over an (istream, ostream) pair - the
+//     scripted batch mode of the stdio programs, and the in-process
+//     reference path tests compare the socket path against. A caller
+//     serves it directly.
 //   - SocketTransport: a POSIX TCP server. One session per accepted
 //     connection, each served on its own dedicated thread - session
 //     threads are I/O-bound and *block* on simulation results, so they
@@ -23,10 +23,10 @@
 //     waiters cannot simulate anything); the simulations they trigger are
 //     what runs on the pool, via SimulationService.
 //
-// Threading contract: Transport::serve blocks until the transport is
-// exhausted (stdio EOF; socket: max_sessions served or shutdown() called)
-// and joins every session thread before returning, so a handler never
-// outlives its transport. shutdown() is safe to call from any thread.
+// Threading contract: SocketTransport::serve blocks until max_sessions
+// connections are served or shutdown() is called, and joins every session
+// thread before returning, so a handler never outlives its transport.
+// shutdown() is safe to call from any thread.
 #pragma once
 
 #include <cstdint>
@@ -103,26 +103,6 @@ class StdioStream : public Stream {
   bool overlong_ = false;   ///< a line passed kMaxLineBytes: reading is over
 };
 
-/// A source of connections. serve() runs the accept loop, invoking
-/// `handler` once per connection, and returns when the transport is
-/// exhausted with every handler finished.
-class Transport {
- public:
-  virtual ~Transport() = default;
-  virtual void serve(const std::function<void(Stream&)>& handler) = 0;
-};
-
-/// The degenerate single-connection transport: one session over stdio.
-class StdioTransport : public Transport {
- public:
-  StdioTransport(std::istream& in, std::ostream& out) : in_(in), out_(out) {}
-  void serve(const std::function<void(Stream&)>& handler) override;
-
- private:
-  std::istream& in_;
-  std::ostream& out_;
-};
-
 struct SocketTransportOptions {
   /// TCP port to listen on; 0 asks the OS for an ephemeral port (read it
   /// back with port() - how tests avoid collisions).
@@ -130,8 +110,6 @@ struct SocketTransportOptions {
   /// Serve exactly this many connections, then stop accepting and return
   /// from serve(). 0 = unlimited (until shutdown()).
   std::size_t max_sessions = 0;
-  /// listen(2) backlog.
-  int backlog = 16;
 };
 
 /// POSIX TCP server transport. Binds 127.0.0.1 (the service speaks a
@@ -140,12 +118,12 @@ struct SocketTransportOptions {
 /// connection is served by `handler` on a dedicated thread; concurrent
 /// sessions share the SimulationService (and so its cache) by
 /// construction, because the handler closes over it.
-class SocketTransport : public Transport {
+class SocketTransport {
  public:
   /// Binds and listens immediately; throws ResourceError if the socket
   /// cannot be created, bound, or listened on (e.g. port in use).
   explicit SocketTransport(SocketTransportOptions options);
-  ~SocketTransport() override;
+  ~SocketTransport();
 
   SocketTransport(const SocketTransport&) = delete;
   SocketTransport& operator=(const SocketTransport&) = delete;
@@ -156,7 +134,7 @@ class SocketTransport : public Transport {
   /// Accept loop: blocks until max_sessions connections have been served
   /// or shutdown() is called, then joins every session thread. Threads of
   /// sessions that end earlier are joined at the next accept.
-  void serve(const std::function<void(Stream&)>& handler) override;
+  void serve(const std::function<void(Stream&)>& handler);
 
   /// Stops accepting new connections; serve() returns once the sessions
   /// already running have finished. Callable from any thread, idempotent.

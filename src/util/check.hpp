@@ -6,7 +6,6 @@
 #pragma once
 
 #include <source_location>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -36,24 +35,25 @@ class ResourceError : public std::runtime_error {
 
 namespace detail {
 
-[[noreturn]] inline void throw_precondition(std::string_view expr,
-                                            std::string_view msg,
-                                            const std::source_location& loc) {
-  std::ostringstream os;
-  os << loc.file_name() << ':' << loc.line() << ": precondition failed: ("
-     << expr << ')';
-  if (!msg.empty()) os << " - " << msg;
-  throw PreconditionError(os.str());
-}
-
-[[noreturn]] inline void throw_invariant(std::string_view expr,
-                                         std::string_view msg,
-                                         const std::source_location& loc) {
-  std::ostringstream os;
-  os << loc.file_name() << ':' << loc.line() << ": invariant violated: ("
-     << expr << ')';
-  if (!msg.empty()) os << " - " << msg;
-  throw InvariantError(os.str());
+/// Throws E with "<file>:<line>: <label>: (<expr>)", plus " - <msg>" when
+/// a message is given.
+template <class E>
+[[noreturn]] void throw_check(std::string_view label, std::string_view expr,
+                              std::string_view msg,
+                              const std::source_location& loc) {
+  std::string what = loc.file_name();
+  what += ':';
+  what += std::to_string(loc.line());
+  what += ": ";
+  what += label;
+  what += ": (";
+  what += expr;
+  what += ')';
+  if (!msg.empty()) {
+    what += " - ";
+    what += msg;
+  }
+  throw E(what);
 }
 
 }  // namespace detail
@@ -61,20 +61,22 @@ namespace detail {
 }  // namespace edea
 
 /// Validates a precondition of a public API. Throws edea::PreconditionError.
-#define EDEA_REQUIRE(expr, msg)                                       \
-  do {                                                                \
-    if (!(expr)) {                                                    \
-      ::edea::detail::throw_precondition(#expr, (msg),                \
-                                         std::source_location::current()); \
-    }                                                                 \
+#define EDEA_REQUIRE(expr, msg)                                          \
+  do {                                                                   \
+    if (!(expr)) {                                                       \
+      ::edea::detail::throw_check<::edea::PreconditionError>(            \
+          "precondition failed", #expr, (msg),                           \
+          std::source_location::current());                              \
+    }                                                                    \
   } while (false)
 
 /// Validates an internal invariant. Throws edea::InvariantError.
 /// Never compiled out: a wrong simulation result is worse than a slow one.
-#define EDEA_ASSERT(expr, msg)                                        \
-  do {                                                                \
-    if (!(expr)) {                                                    \
-      ::edea::detail::throw_invariant(#expr, (msg),                   \
-                                      std::source_location::current()); \
-    }                                                                 \
+#define EDEA_ASSERT(expr, msg)                                           \
+  do {                                                                   \
+    if (!(expr)) {                                                       \
+      ::edea::detail::throw_check<::edea::InvariantError>(               \
+          "invariant violated", #expr, (msg),                            \
+          std::source_location::current());                              \
+    }                                                                    \
   } while (false)

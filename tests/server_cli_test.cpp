@@ -1,17 +1,15 @@
-// server_cli_test - the simulation server's and client's command lines as
-// library contracts: the --help texts document every flag (the satellite
-// acceptance: each documented option appears in the output), and the
-// parsers accept the documented grammar while rejecting malformed or
-// contradictory invocations with a reason.
-#include "service/server_cli.hpp"
+// server_cli_test - the command lines of the simulation server, router and
+// client (service/cli.hpp) as library contracts: the --help texts document
+// every flag, every flag a text documents parses, and the parsers accept
+// the documented grammar while rejecting malformed or contradictory
+// invocations with a reason.
+#include "service/cli.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
-
-#include "service/client_cli.hpp"
-#include "service/router_cli.hpp"
 
 namespace edea::service {
 namespace {
@@ -50,14 +48,14 @@ TEST(ServerCliTest, DefaultsMatchTheServiceDefaults) {
   EXPECT_FALSE(config.help);
   EXPECT_FALSE(config.verify);
   EXPECT_FALSE(config.listen);
-  EXPECT_EQ(config.max_sessions, 0u);
+  EXPECT_EQ(config.socket.max_sessions, 0u);
   EXPECT_TRUE(config.cache_file.empty());
   EXPECT_EQ(config.service.worker_threads, 0u);
   EXPECT_EQ(config.service.cache_capacity, ServiceOptions().cache_capacity);
   EXPECT_EQ(config.service.tile_parallelism, 1);
   EXPECT_EQ(config.service.max_queue, 0u);
-  EXPECT_EQ(config.busy_retry_ms, 25);
-  EXPECT_FALSE(config.ordered);
+  EXPECT_EQ(config.session.busy_retry_ms, 25);
+  EXPECT_TRUE(config.session.allow_unordered);
 }
 
 TEST(ServerCliTest, EveryFlagParses) {
@@ -68,15 +66,15 @@ TEST(ServerCliTest, EveryFlagParses) {
              "--busy-retry-ms", "5", "--ordered"});
   ASSERT_TRUE(config.error.empty()) << config.error;
   EXPECT_TRUE(config.listen);
-  EXPECT_EQ(config.port, 47163);
-  EXPECT_EQ(config.max_sessions, 2u);
+  EXPECT_EQ(config.socket.port, 47163);
+  EXPECT_EQ(config.socket.max_sessions, 2u);
   EXPECT_EQ(config.cache_file, "/tmp/edea.cache");
   EXPECT_EQ(config.service.worker_threads, 3u);
   EXPECT_EQ(config.service.cache_capacity, 64u);
   EXPECT_EQ(config.service.tile_parallelism, 4);
   EXPECT_EQ(config.service.max_queue, 2u);
-  EXPECT_EQ(config.busy_retry_ms, 5);
-  EXPECT_TRUE(config.ordered);
+  EXPECT_EQ(config.session.busy_retry_ms, 5);
+  EXPECT_FALSE(config.session.allow_unordered);
 }
 
 TEST(ServerCliTest, ListenPortMustBeNumericAndInRange) {
@@ -97,7 +95,7 @@ TEST(ServerCliTest, ListenPortMustBeNumericAndInRange) {
   EXPECT_TRUE(parse({"--listen", "0"}).error.empty());
   const ServerConfig top = parse({"--listen", "65535"});
   EXPECT_TRUE(top.error.empty());
-  EXPECT_EQ(top.port, 65535);
+  EXPECT_EQ(top.socket.port, 65535);
 }
 
 TEST(ServerCliTest, HelpAndVerifyFlagsParse) {
@@ -165,7 +163,7 @@ TEST(ServerCliTest, RequestKeysAreNotFlags) {
   }
 }
 
-// --- the client's command line (service/client_cli.hpp) --------------------
+// --- the client's command line ---------------------------------------------
 
 TEST(ClientCliTest, HelpTextMentionsEveryDocumentedFlag) {
   const std::string usage = client_usage();
@@ -281,14 +279,14 @@ TEST(RouterCliTest, DefaultsMatchTheRouterDefaults) {
   const RouterCliConfig config = parse_router({"--spawn", "2"});
   EXPECT_TRUE(config.error.empty()) << config.error;
   EXPECT_EQ(config.spawn, 2);
-  EXPECT_TRUE(config.workers.empty());
+  EXPECT_TRUE(config.router.workers.empty());
   EXPECT_TRUE(config.server_bin.empty());
   EXPECT_TRUE(config.cache_file.empty());
-  EXPECT_EQ(config.replicas, HashRing::kDefaultReplicas);
-  EXPECT_EQ(config.max_attempts, RouterOptions().max_attempts);
+  EXPECT_EQ(config.router.replicas, HashRing::kDefaultReplicas);
+  EXPECT_EQ(config.router.max_attempts, RouterOptions().max_attempts);
   EXPECT_FALSE(config.listen);
-  EXPECT_EQ(config.max_sessions, 0u);
-  EXPECT_FALSE(config.ordered);
+  EXPECT_EQ(config.socket.max_sessions, 0u);
+  EXPECT_TRUE(config.router.allow_unordered);
 }
 
 TEST(RouterCliTest, EveryFlagParses) {
@@ -300,12 +298,12 @@ TEST(RouterCliTest, EveryFlagParses) {
   EXPECT_EQ(config.spawn, 4);
   EXPECT_EQ(config.server_bin, "/opt/bin/worker");
   EXPECT_EQ(config.cache_file, "/tmp/cluster.cache");
-  EXPECT_EQ(config.replicas, 128);
-  EXPECT_EQ(config.max_attempts, 9);
+  EXPECT_EQ(config.router.replicas, 128);
+  EXPECT_EQ(config.router.max_attempts, 9);
   EXPECT_TRUE(config.listen);
-  EXPECT_EQ(config.port, 47167);
-  EXPECT_EQ(config.max_sessions, 3u);
-  EXPECT_TRUE(config.ordered);
+  EXPECT_EQ(config.socket.port, 47167);
+  EXPECT_EQ(config.socket.max_sessions, 3u);
+  EXPECT_FALSE(config.router.allow_unordered);
 }
 
 TEST(RouterCliTest, RequestKeysAreNotFlags) {
@@ -323,13 +321,13 @@ TEST(RouterCliTest, WorkerEndpointsParseStrictlyAsHostColonPort) {
   const RouterCliConfig two = parse_router(
       {"--worker", "127.0.0.1:4000", "--worker", "localhost:4001"});
   EXPECT_TRUE(two.error.empty()) << two.error;
-  ASSERT_EQ(two.workers.size(), 2u);
-  EXPECT_EQ(two.workers[0].id, "127.0.0.1:4000")
+  ASSERT_EQ(two.router.workers.size(), 2u);
+  EXPECT_EQ(two.router.workers[0].id, "127.0.0.1:4000")
       << "the given string is the stable ring id";
-  EXPECT_EQ(two.workers[0].host, "127.0.0.1");
-  EXPECT_EQ(two.workers[0].port, 4000);
-  EXPECT_EQ(two.workers[1].host, "localhost");
-  EXPECT_EQ(two.workers[1].port, 4001);
+  EXPECT_EQ(two.router.workers[0].host, "127.0.0.1");
+  EXPECT_EQ(two.router.workers[0].port, 4000);
+  EXPECT_EQ(two.router.workers[1].host, "localhost");
+  EXPECT_EQ(two.router.workers[1].port, 4001);
 
   for (const char* bad :
        {"", "noport", "host:", ":4000", "host:0", "host:65536", "host:-1",
@@ -400,6 +398,69 @@ TEST(RouterCliTest, ContradictoryAndIncompleteInvocationsAreRejected) {
   // --help short-circuits validation, like the server CLI.
   EXPECT_TRUE(parse_router({"--help"}).error.empty());
   EXPECT_TRUE(parse_router({"--help"}).help);
+}
+
+// --- every documented flag parses ------------------------------------------
+
+/// Each `--flag` a usage text names, paired with the placeholder that
+/// follows it, if any (`--listen PORT` -> {"--listen", "PORT"}).
+std::vector<std::pair<std::string, std::string>> documented_flags(
+    const std::string& usage) {
+  const auto in_flag = [](char c) {
+    return (c >= 'a' && c <= 'z') || c == '-';
+  };
+  const auto in_value = [](char c) {
+    return (c >= 'A' && c <= 'Z') || c == ':';
+  };
+  std::vector<std::pair<std::string, std::string>> flags;
+  for (std::size_t at = usage.find("--"); at != std::string::npos;
+       at = usage.find("--", at)) {
+    std::size_t end = at + 2;
+    while (end < usage.size() && in_flag(usage[end])) ++end;
+    std::size_t value_end = end + 1;
+    while (value_end < usage.size() && in_value(usage[value_end])) {
+      ++value_end;
+    }
+    const bool has_value = end + 1 < usage.size() && usage[end] == ' ' &&
+                           usage[end + 1] >= 'A' && usage[end + 1] <= 'Z';
+    flags.emplace_back(usage.substr(at, end - at),
+                       has_value ? usage.substr(end + 1, value_end - end - 1)
+                                 : std::string());
+    at = end;
+  }
+  return flags;
+}
+
+TEST(CliTest, EveryFlagAUsageTextNamesIsAccepted) {
+  // The reverse of the HelpTextMentionsEveryDocumentedFlag tests: each
+  // `--flag` a program's usage text names is one its parser knows, given
+  // a value where the text shows a placeholder (`--listen PORT`). The
+  // server and the router print shared usage blocks, so a block must not
+  // document a flag to a program that lacks it.
+  using ParseError = std::string (*)(const std::vector<const char*>&);
+  const std::vector<std::pair<std::string, ParseError>> programs = {
+      {server_usage(),
+       [](const std::vector<const char*>& a) { return parse(a).error; }},
+      {router_usage(),
+       [](const std::vector<const char*>& a) { return parse_router(a).error; }},
+      {client_usage(),
+       [](const std::vector<const char*>& a) { return parse_client(a).error; }},
+  };
+  for (const auto& [usage, parse_error] : programs) {
+    const auto flags = documented_flags(usage);
+    EXPECT_GE(flags.size(), 6u) << usage;
+    for (const auto& [flag, placeholder] : flags) {
+      SCOPED_TRACE(flag + " " + placeholder);
+      std::vector<const char*> args = {flag.c_str()};
+      if (placeholder == "HOST:PORT") {
+        args.push_back("127.0.0.1:4000");
+      } else if (!placeholder.empty()) {
+        args.push_back("1");
+      }
+      const std::string error = parse_error(args);
+      EXPECT_EQ(error.find("unknown option"), std::string::npos) << error;
+    }
+  }
 }
 
 }  // namespace

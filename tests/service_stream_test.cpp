@@ -603,10 +603,12 @@ TEST(PipelineClientTest, SerialBaselineMatchesTheSameReference) {
 /// A scripted server on an in-memory Stream: it answers `mode unordered`
 /// as a session does, gives frame-control lines no id, and answers each
 /// run line `busy id=<n> retry_ms=1` the first `bounces` times it
-/// arrives, then with its entry in `replies`, `id=<n> `-framed. How many
-/// busy lines the client sees is fixed by the script, not by how long a
-/// simulation takes. A read that waits 30 s for a reply fails instead of
-/// hanging the test.
+/// arrives, then with its entry in `replies` - `id=<n> `-framed once the
+/// client has switched to unordered replies. How many busy lines the
+/// client sees is fixed by the script, not by how long a simulation
+/// takes. A line not in the script ends the run: its write fails and so
+/// does every read after the queued replies. A read that waits 30 s for
+/// a reply fails instead of hanging the test.
 class BouncingStream : public Stream {
  public:
   BouncingStream(std::map<std::string, std::string> replies, int bounces)
@@ -614,8 +616,10 @@ class BouncingStream : public Stream {
 
   bool read_line(std::string& line) override {
     std::unique_lock<std::mutex> lock(mutex_);
-    if (!ready_.wait_for(lock, std::chrono::seconds(30),
-                         [&] { return !replies_out_.empty(); })) {
+    if (!ready_.wait_for(lock, std::chrono::seconds(30), [&] {
+          return !replies_out_.empty() || refused_;
+        }) ||
+        replies_out_.empty()) {
       return false;
     }
     line = std::move(replies_out_.front());
@@ -631,13 +635,18 @@ class BouncingStream : public Stream {
     const std::uint64_t id = next_id_++;
     const auto reply = replies_.find(line);
     if (line == "mode unordered") {
+      unordered_ = true;
       replies_out_.push_back(format_unordered_line(id, line));
     } else if (reply == replies_.end()) {
-      return false;  // not in the script: end the run
+      refused_ = true;  // not in the script: end the run
+      ready_.notify_all();
+      return false;
     } else if (arrivals_[line]++ < bounces_) {
       replies_out_.push_back(format_busy_line(id, 1));
     } else {
-      replies_out_.push_back(format_unordered_line(id, reply->second));
+      replies_out_.push_back(unordered_
+                                 ? format_unordered_line(id, reply->second)
+                                 : reply->second);
     }
     ready_.notify_one();
     return true;
@@ -651,6 +660,8 @@ class BouncingStream : public Stream {
   std::deque<std::string> replies_out_;
   std::map<std::string, int> arrivals_;
   std::uint64_t next_id_ = 1;
+  bool unordered_ = false;
+  bool refused_ = false;
 };
 
 TEST(PipelineClientTest, BusyRejectionsAreRetriedToCompletion) {
@@ -683,6 +694,34 @@ TEST(PipelineClientTest, BusyRejectionsAreRetriedToCompletion) {
   EXPECT_EQ(answered(report), reference);
 }
 
+TEST(PipelineClientTest, LinesTheServerIgnoresAreNeitherSentNorAwaited) {
+  // A session splits a line on all six C-locale spaces, so a CRLF blank
+  // line ("\r") and a comment led by '\v' or '\f' answer nothing. The
+  // client must classify them the same way: it keeps their slots empty
+  // and sends only the run lines, in every mode.
+  const std::string first = "run mobilenet-0.25x seed=82 td=8";
+  const std::string second = "run mobilenet-0.25x seed=82 td=16";
+  const std::map<std::string, std::string> replies = {
+      {first, "ok first"}, {second, "ok second"}};
+  const std::vector<std::string> requests = {"\r", "\v# comment", first,
+                                             " \f#\t", second, "\t\r"};
+  const std::vector<std::string> expected = {"", "", "ok first",
+                                             "", "ok second", ""};
+  for (const char* mode : {"unordered", "ordered", "serial"}) {
+    SCOPED_TRACE(mode);
+    BouncingStream stream(replies, /*bounces=*/0);
+    PipelineOptions options;
+    options.window = 4;
+    options.ordered = std::string(mode) == "ordered";
+    const PipelineReport report =
+        std::string(mode) == "serial"
+            ? run_serial(stream, requests, options)
+            : run_pipelined(stream, requests, options);
+    ASSERT_TRUE(report.complete) << report.error;
+    EXPECT_EQ(report.responses, expected);
+  }
+}
+
 TEST(PipelineClientTest, RequestStreamsMayNotCarryFrameOrModeLines) {
   // The driver owns framing and negotiation; a stream that smuggles its
   // own control lines is a caller bug, refused before anything is sent.
@@ -690,6 +729,8 @@ TEST(PipelineClientTest, RequestStreamsMayNotCarryFrameOrModeLines) {
   std::ostringstream out;
   StdioStream stream(in, out);
   EXPECT_THROW((void)run_pipelined(stream, {"mode unordered"}, {}),
+               PreconditionError);
+  EXPECT_THROW((void)run_pipelined(stream, {"mode\vunordered"}, {}),
                PreconditionError);
   EXPECT_THROW((void)run_pipelined(stream, {"batch-begin 4"}, {}),
                PreconditionError);
