@@ -304,14 +304,14 @@ void BM_BackendNetwork(benchmark::State& state, const char* backend_id) {
 BENCHMARK_CAPTURE(BM_BackendNetwork, edea, "edea");
 BENCHMARK_CAPTURE(BM_BackendNetwork, serialized, "serialized");
 
-// --- arena planning and batched execution ---------------------------------
+// --- peak planning and batched execution -----------------------------------
 //
-// What the planned-memory runtime costs and saves: BM_ArenaPlanSetup is
-// the pure planning overhead (blob registration + first-fit offsets) a
-// run_network call pays before any arithmetic; BM_BatchedNetworkRun
-// divides one batch=N run's wall clock by N, so the per-image latency
-// falling with N is the amortization of that setup (plus worker/buffer
-// construction) across images. docs/BENCHMARKS.md records both.
+// BM_ArenaPlanSetup is what computing peak_arena_bytes costs a run_network
+// call (blob registration + first-fit offsets; nothing is allocated);
+// BM_BatchedNetworkRun divides one batch=N run's wall clock by N, so the
+// per-image latency falling with N is the amortization of that planning
+// and of worker/buffer construction across images. docs/BENCHMARKS.md
+// records both.
 
 void BM_ArenaPlanSetup(benchmark::State& state) {
   const std::vector<nn::DscLayerSpec> specs = nn::zoo_specs("edeanet-64");
@@ -321,9 +321,7 @@ void BM_ArenaPlanSetup(benchmark::State& state) {
                               specs.front().in_channels};
   for (auto _ : state) {
     nn::MemoryPlanner planner;
-    const nn::NetworkActivationPlan acts =
-        nn::plan_network_activations(planner, network, input_shape, 4);
-    benchmark::DoNotOptimize(acts);
+    nn::plan_network_activations(planner, network, input_shape, 4);
     benchmark::DoNotOptimize(planner.plan());
   }
   state.SetItemsProcessed(state.iterations() *

@@ -29,118 +29,45 @@ void SerializedDscAccelerator::set_tile_parallelism(int parallelism) {
   tile_parallelism_ = parallelism;
 }
 
-namespace {
-
-/// Indexed blob names built by append (the obvious `"l" + to_string(i)`
-/// trips a GCC 12 -Wrestrict false positive in optimized builds).
-std::string layer_blob_name(std::size_t i, const char* what) {
-  std::string name = "l";
-  name += std::to_string(i);
-  name += '.';
-  name += what;
-  return name;
-}
-
-}  // namespace
-
 core::NetworkRunResult SerializedDscAccelerator::run_network(
     const std::vector<nn::QuantDscLayer>& layers,
     const nn::Int8Tensor& input) {
   EDEA_REQUIRE(!layers.empty(), "network must have at least one layer");
 
-  // One plan for the whole run: the activation chain (same planner the
-  // "edea" backend uses - cross-backend bit-exactness keeps holding), plus
-  // this baseline's per-layer scratch: the externally round-tripped
-  // intermediate map and the per-tile psum accumulator, each live only at
-  // its own layer step so the planner folds them into the reuse.
+  // The reported peak: the activation chain (the same planner the "edea"
+  // backend uses), plus this baseline's per-layer scratch - the
+  // externally round-tripped intermediate map and the per-tile psum
+  // block - each live only at its own layer step, so the planner folds
+  // them into the reuse.
   nn::MemoryPlanner planner;
-  const nn::NetworkActivationPlan acts =
-      nn::plan_network_activations(planner, layers, input.shape(), 1);
-  std::vector<nn::BlobId> inter_ids;
-  std::vector<nn::BlobId> psum_ids;
-  std::vector<std::size_t> psum_entries;
+  nn::plan_network_activations(planner, layers, input.shape(), 1);
   for (std::size_t i = 0; i < layers.size(); ++i) {
     const nn::DscLayerSpec& spec = layers[i].spec;
-    const auto inter_bytes =
-        static_cast<std::size_t>(spec.out_rows()) *
-        static_cast<std::size_t>(spec.out_cols()) *
-        static_cast<std::size_t>(spec.intermediate_channels());
-    inter_ids.push_back(
-        planner.add_blob(layer_blob_name(i, "intermediate"), inter_bytes, i, i));
-    const Tiler tiler(config_, spec);
-    const auto entries =
-        static_cast<std::size_t>(tiler.max_tile_psum_entries());
-    psum_entries.push_back(entries);
-    psum_ids.push_back(planner.add_blob(layer_blob_name(i, "psum"),
-                                        entries * sizeof(std::int32_t), i, i));
+    planner.add_blob(static_cast<std::size_t>(spec.out_rows()) *
+                         static_cast<std::size_t>(spec.out_cols()) *
+                         static_cast<std::size_t>(spec.intermediate_channels()),
+                     i, i);
+    planner.add_blob(static_cast<std::size_t>(
+                         Tiler(config_, spec).max_tile_psum_entries()) *
+                         sizeof(std::int32_t),
+                     i, i);
   }
-  nn::Arena arena(planner.plan());
-
-  std::int8_t* in0 = arena.slice<std::int8_t>(acts.inputs[0], input.size());
-  std::copy(input.data(), input.data() + input.size(), in0);
 
   core::NetworkRunResult net;
   net.layers.reserve(layers.size());
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    const nn::DscLayerSpec& spec = layers[i].spec;
-    const nn::Shape in_shape =
-        i == 0 ? input.shape()
-               : nn::Shape{layers[i - 1].spec.out_rows(),
-                           layers[i - 1].spec.out_cols(),
-                           layers[i - 1].spec.out_channels};
-    const nn::BlobId in_id = i == 0 ? acts.inputs[0] : acts.outputs[0][i - 1];
-    const nn::Int8Tensor in_view = nn::Int8Tensor::view(
-        in_shape, arena.slice<std::int8_t>(in_id, in_shape.volume()));
-
-    const nn::Shape out_shape{spec.out_rows(), spec.out_cols(),
-                              spec.out_channels};
-    arena.clear(acts.outputs[0][i]);
-    nn::Int8Tensor out_view = nn::Int8Tensor::view(
-        out_shape,
-        arena.slice<std::int8_t>(acts.outputs[0][i], out_shape.volume()));
-
-    const nn::Shape inter_shape{spec.out_rows(), spec.out_cols(),
-                                spec.intermediate_channels()};
-    arena.clear(inter_ids[i]);
-    nn::Int8Tensor inter_view = nn::Int8Tensor::view(
-        inter_shape,
-        arena.slice<std::int8_t>(inter_ids[i], inter_shape.volume()));
-
-    std::int32_t* psum =
-        arena.slice<std::int32_t>(psum_ids[i], psum_entries[i]);
-
-    SerializedLayerResult r = run_layer_into(layers[i], in_view, out_view,
-                                             inter_view, psum,
-                                             psum_entries[i]);
-    r.common.output = out_view;  // deep copy: results outlive the arena
-    net.layers.push_back(std::move(r.common));
+  for (const nn::QuantDscLayer& layer : layers) {
+    net.layers.push_back(
+        run_layer(layer,
+                  net.layers.empty() ? input : net.layers.back().output)
+            .common);
   }
   net.output = net.layers.back().output;
-  net.peak_arena_bytes = arena.plan().peak_bytes;
+  net.peak_arena_bytes = planner.plan().peak_bytes;
   return net;
 }
 
 SerializedLayerResult SerializedDscAccelerator::run_layer(
     const nn::QuantDscLayer& layer, const nn::Int8Tensor& input) {
-  const nn::DscLayerSpec& spec = layer.spec;
-  nn::Int8Tensor output(
-      nn::Shape{spec.out_rows(), spec.out_cols(), spec.out_channels});
-  nn::Int8Tensor intermediate(nn::Shape{spec.out_rows(), spec.out_cols(),
-                                        spec.intermediate_channels()});
-  const Tiler tiler(config_, spec);
-  std::vector<std::int32_t> psum_store(
-      static_cast<std::size_t>(tiler.max_tile_psum_entries()));
-  SerializedLayerResult result =
-      run_layer_into(layer, input, output, intermediate, psum_store.data(),
-                     psum_store.size());
-  result.common.output = std::move(output);
-  return result;
-}
-
-SerializedLayerResult SerializedDscAccelerator::run_layer_into(
-    const nn::QuantDscLayer& layer, const nn::Int8Tensor& input,
-    nn::Int8Tensor& output, nn::Int8Tensor& intermediate, std::int32_t* psum,
-    std::size_t psum_capacity) {
   const nn::DscLayerSpec& spec = layer.spec;
   EDEA_REQUIRE(input.rank() == 3 && input.dim(0) == spec.in_rows &&
                    input.dim(1) == spec.in_cols &&
@@ -164,21 +91,18 @@ SerializedLayerResult SerializedDscAccelerator::run_layer_into(
   const int N = spec.out_rows();
   const int M = spec.out_cols();
   const int K = spec.out_channels;
-  // `output` receives the ofmap; `intermediate` is the externally-stored
-  // DWC result (the round-trip EDEA removes). Both may be arena views.
-  EDEA_REQUIRE(output.shape() == (nn::Shape{N, M, K}),
-               "layer output shape mismatch: got " +
-                   output.shape().to_string());
-  EDEA_REQUIRE(
-      intermediate.shape() == (nn::Shape{N, M, spec.intermediate_channels()}),
-      "intermediate map shape mismatch: got " +
-          intermediate.shape().to_string());
-  EDEA_REQUIRE(psum != nullptr, "psum scratch must be provided");
-
   SerializedLayerResult result;
   core::LayerRunResult& common = result.common;
   common.spec = spec;
   common.dwc_input_zero_fraction = input.zero_fraction();
+  common.output = nn::Int8Tensor(nn::Shape{N, M, K});
+  // The externally-stored DWC result (the round trip EDEA removes).
+  nn::Int8Tensor intermediate(nn::Shape{N, M, spec.intermediate_channels()});
+  // One tile's partial sums. The block outlives the layer: every pass's
+  // first slice overwrites the entries the tile's later slices read.
+  const auto max_entries =
+      static_cast<std::size_t>(tiler.max_tile_psum_entries());
+  if (psum_.size() < max_entries) psum_.resize(max_entries);
 
   const int mult = spec.depth_multiplier;
 
@@ -236,9 +160,7 @@ SerializedLayerResult SerializedDscAccelerator::run_layer_into(
     const auto tile_entries = static_cast<std::size_t>(tile.out_rows) *
                               static_cast<std::size_t>(tile.out_cols) *
                               static_cast<std::size_t>(K);
-    EDEA_ASSERT(tile_entries <= psum_capacity,
-                "psum scratch smaller than the tiler's largest tile");
-    const std::span<std::int32_t> tile_psum(psum, tile_entries);
+    const auto tile_psum = std::span(psum_).first(tile_entries);
     const int rows = tile.step_rows(config_);
     const int cols = tile.step_cols(config_);
 
@@ -267,7 +189,7 @@ SerializedLayerResult SerializedDscAccelerator::run_layer_into(
     }
 
     // Write-back through the Non-Conv array (per-K parameters).
-    datapath_.write_back(tile_psum, tile, output);
+    datapath_.write_back(tile_psum, tile, common.output);
     common.external.record_read(TrafficClass::kParameter, std::int64_t{2} * K);
     common.external.record_write(
         TrafficClass::kActivation,

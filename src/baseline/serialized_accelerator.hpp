@@ -15,8 +15,8 @@
 // streaming/latency ablation a controlled experiment.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "arch/ext_memory.hpp"
 #include "core/backend.hpp"
@@ -53,17 +53,19 @@ class SerializedDscAccelerator final : public core::AcceleratorBackend {
   explicit SerializedDscAccelerator(
       core::EdeaConfig config = core::EdeaConfig::paper());
 
+  /// Runs one layer: the DWC phase over the whole layer, the intermediate
+  /// map's external round trip, then the PWC phase. Its LayerTiming is
+  /// asserted against core::TimingModel::serialized_layer_timing.
   [[nodiscard]] SerializedLayerResult run_layer(
       const nn::QuantDscLayer& layer, const nn::Int8Tensor& input);
 
   /// Runs a stack of DSC layers back to back, chaining outputs - the
   /// promoted full-network entry point sweeps/DSE/service consume. Output
   /// tensors are bit-exact with the "edea" backend (shared arithmetic);
-  /// cycles and external traffic differ as the paper predicts. The whole
-  /// run is planned through nn::MemoryPlanner: the activation chain, each
-  /// layer's externally round-tripped intermediate map, and the per-tile
-  /// psum scratch all live at offsets of one arena, and the plan's peak
-  /// lands in NetworkRunResult::peak_arena_bytes.
+  /// cycles and external traffic differ as the paper predicts.
+  /// NetworkRunResult::peak_arena_bytes is the peak of one
+  /// nn::MemoryPlanner plan of the activation chain, each layer's
+  /// externally round-tripped intermediate map and its psum block.
   [[nodiscard]] core::NetworkRunResult run_network(
       const std::vector<nn::QuantDscLayer>& layers,
       const nn::Int8Tensor& input) override;
@@ -94,21 +96,11 @@ class SerializedDscAccelerator final : public core::AcceleratorBackend {
   }
 
  private:
-  /// run_layer minus buffer ownership: executes the layer writing the
-  /// ofmap into `output` and the round-tripped DWC result into
-  /// `intermediate` (both shape-checked; either may be an arena-backed
-  /// view), accumulating partial sums in `psum` (capacity
-  /// `psum_capacity` entries, >= the tiler's max tile). The returned
-  /// result carries every measurement but an empty output tensor; its
-  /// LayerTiming is asserted against
-  /// core::TimingModel::serialized_layer_timing.
-  [[nodiscard]] SerializedLayerResult run_layer_into(
-      const nn::QuantDscLayer& layer, const nn::Int8Tensor& input,
-      nn::Int8Tensor& output, nn::Int8Tensor& intermediate,
-      std::int32_t* psum, std::size_t psum_capacity);
-
   core::EdeaConfig config_;
   core::DscDatapath datapath_;
+  /// The PWC accumulator's partial sums, one tile's worth, reused across
+  /// tiles and layers (sized to the largest tile run so far).
+  std::vector<std::int32_t> psum_;
   int tile_parallelism_ = 1;
 };
 

@@ -322,17 +322,6 @@ detail::TileWorker& EdeaAccelerator::worker(std::size_t index) {
 LayerRunResult EdeaAccelerator::run_layer(const nn::QuantDscLayer& layer,
                                           const nn::Int8Tensor& input) {
   const nn::DscLayerSpec& spec = layer.spec;
-  nn::Int8Tensor output(
-      nn::Shape{spec.out_rows(), spec.out_cols(), spec.out_channels});
-  LayerRunResult result = run_layer_into(layer, input, output);
-  result.output = std::move(output);
-  return result;
-}
-
-LayerRunResult EdeaAccelerator::run_layer_into(const nn::QuantDscLayer& layer,
-                                               const nn::Int8Tensor& input,
-                                               nn::Int8Tensor& output) {
-  const nn::DscLayerSpec& spec = layer.spec;
   EDEA_REQUIRE(input.rank() == 3, "layer input must be [R][C][D]");
   EDEA_REQUIRE(input.dim(0) == spec.in_rows && input.dim(1) == spec.in_cols &&
                    input.dim(2) == spec.in_channels,
@@ -371,16 +360,11 @@ LayerRunResult EdeaAccelerator::run_layer_into(const nn::QuantDscLayer& layer,
                         std::to_string(spec.out_channels) + " kernel slices");
   }
 
-  const nn::Shape out_shape{spec.out_rows(), spec.out_cols(),
-                            spec.out_channels};
-  EDEA_REQUIRE(output.shape() == out_shape,
-               "layer output shape mismatch: got " +
-                   output.shape().to_string() + ", want " +
-                   out_shape.to_string());
-
   LayerRunResult result;
   result.spec = spec;
   result.dwc_input_zero_fraction = input.zero_fraction();
+  result.output = nn::Int8Tensor(
+      nn::Shape{spec.out_rows(), spec.out_cols(), spec.out_channels});
 
   const std::vector<BufferTile>& tiles = tiler.tiles();
   // A trace pins the layer to the serial path: "the first pass" is only
@@ -404,7 +388,7 @@ LayerRunResult EdeaAccelerator::run_layer_into(const nn::QuantDscLayer& layer,
     const auto [first, last] = tiler.tile_chunk(chunks, static_cast<int>(w));
     for (std::size_t t = first; t < last; ++t) {
       tw.run_tile(layer, input, tiles[t], tiler.slices(),
-                  tiler.kernel_groups(), output,
+                  tiler.kernel_groups(), result.output,
                   (w == 0 && t == 0) ? trace_ : nullptr);
     }
   });
@@ -454,50 +438,25 @@ std::vector<NetworkRunResult> EdeaAccelerator::run_network_batch(
   EDEA_REQUIRE(!layers.empty(), "network must have at least one layer");
   EDEA_REQUIRE(batch >= 1, "batch must be >= 1");
 
-  // One plan up front: every image's input plus every layer activation gets
-  // an offset inside a single allocation, consecutive layers ping-ponging
-  // via liveness-based reuse (see nn/arena.hpp for the step axis).
+  // The reported peak: every image's input and activation chain, planned
+  // together with consecutive layers ping-ponging (see nn/arena.hpp for
+  // the step axis).
   nn::MemoryPlanner planner;
-  const nn::NetworkActivationPlan acts =
-      nn::plan_network_activations(planner, layers, input.shape(), batch);
-  nn::Arena arena(planner.plan());
-
-  std::vector<NetworkRunResult> results(static_cast<std::size_t>(batch));
-  for (int b = 0; b < batch; ++b) {
-    std::int8_t* dst = arena.slice<std::int8_t>(
-        acts.inputs[static_cast<std::size_t>(b)], input.size());
-    std::copy(input.data(), input.data() + input.size(), dst);
-  }
+  nn::plan_network_activations(planner, layers, input.shape(), batch);
+  const std::size_t peak = planner.plan().peak_bytes;
 
   // Layer-major execution (the order the liveness intervals encode): every
-  // image runs layer i before any image runs layer i+1.
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    const nn::DscLayerSpec& spec = layers[i].spec;
-    const nn::Shape out_shape{spec.out_rows(), spec.out_cols(),
-                              spec.out_channels};
-    for (std::size_t b = 0; b < static_cast<std::size_t>(batch); ++b) {
-      const nn::Shape in_shape =
-          i == 0 ? input.shape()
-                 : nn::Shape{layers[i - 1].spec.out_rows(),
-                             layers[i - 1].spec.out_cols(),
-                             layers[i - 1].spec.out_channels};
-      const nn::BlobId in_id =
-          i == 0 ? acts.inputs[b] : acts.outputs[b][i - 1];
-      const nn::Int8Tensor in_view = nn::Int8Tensor::view(
-          in_shape, arena.slice<std::int8_t>(in_id, in_shape.volume()));
-      // Blob bytes may be reused from an expired activation; restore the
-      // fresh-tensor zero state the standalone run_layer allocates.
-      arena.clear(acts.outputs[b][i]);
-      nn::Int8Tensor out_view = nn::Int8Tensor::view(
-          out_shape,
-          arena.slice<std::int8_t>(acts.outputs[b][i], out_shape.volume()));
-      LayerRunResult r = run_layer_into(layers[i], in_view, out_view);
-      r.output = out_view;  // deep copy: results outlive the arena
-      results[b].layers.push_back(std::move(r));
+  // image runs layer i before any image runs layer i+1, reading its own
+  // layer i-1 output.
+  std::vector<NetworkRunResult> results(static_cast<std::size_t>(batch));
+  for (NetworkRunResult& net : results) net.layers.reserve(layers.size());
+  for (const nn::QuantDscLayer& layer : layers) {
+    for (NetworkRunResult& net : results) {
+      net.layers.push_back(run_layer(
+          layer, net.layers.empty() ? input : net.layers.back().output));
     }
   }
 
-  const std::size_t peak = arena.plan().peak_bytes;
   for (NetworkRunResult& net : results) {
     net.output = net.layers.back().output;
     net.peak_arena_bytes = peak;

@@ -63,19 +63,18 @@ class EdeaAccelerator final : public AcceleratorBackend {
                                          const nn::Int8Tensor& input);
 
   /// Runs a stack of DSC layers back to back (e.g. all of MobileNetV1).
-  /// Equivalent to run_network_batch(layers, input, 1).front(): the single
-  /// image runs through a planned activation arena (nn::MemoryPlanner)
-  /// whose peak lands in NetworkRunResult::peak_arena_bytes.
+  /// Equivalent to run_network_batch(layers, input, 1).front().
   [[nodiscard]] NetworkRunResult run_network(
       const std::vector<nn::QuantDscLayer>& layers,
       const nn::Int8Tensor& input) override;
 
-  /// Planned batched execution: all `batch` images share ONE activation
-  /// arena plan and worker set, executing layer-major (every image runs
-  /// layer i before any image runs layer i+1) so consecutive layers'
-  /// activations ping-pong inside the arena. Per-image results are
-  /// bit-identical to `batch` standalone run_network calls; only
-  /// peak_arena_bytes reflects the batched plan.
+  /// Batched execution: all `batch` images share one worker set and run
+  /// layer-major (every image runs layer i before any image runs layer
+  /// i+1), each layer's output tensor feeding the image's next layer.
+  /// Per-image results are bit-identical to `batch` standalone run_network
+  /// calls; only peak_arena_bytes differs: it is the peak of one
+  /// nn::MemoryPlanner plan of every image's activation chain, so it
+  /// grows with the batch.
   [[nodiscard]] std::vector<NetworkRunResult> run_network_batch(
       const std::vector<nn::QuantDscLayer>& layers,
       const nn::Int8Tensor& input, int batch) override;
@@ -118,14 +117,6 @@ class EdeaAccelerator final : public AcceleratorBackend {
   /// inside the tile-parallel region: workers are materialized up front on
   /// the calling thread, then only indexed concurrently.
   detail::TileWorker& worker(std::size_t index);
-
-  /// run_layer minus output allocation: executes the layer writing into
-  /// `output` (shape must match the layer's ofmap; may be an arena-backed
-  /// view). The returned result carries every measurement but an empty
-  /// output tensor - callers own the output placement policy.
-  [[nodiscard]] LayerRunResult run_layer_into(const nn::QuantDscLayer& layer,
-                                              const nn::Int8Tensor& input,
-                                              nn::Int8Tensor& output);
 
   EdeaConfig config_;
   int tile_parallelism_ = 1;

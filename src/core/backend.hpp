@@ -60,14 +60,14 @@ class AcceleratorBackend {
   /// Runs the same input through the network `batch` times (batch >= 1,
   /// else PreconditionError) and returns one result per image. Contract:
   /// every per-image result is bit-identical to a standalone run_network
-  /// call - batching may only amortize host-side setup (memory planning,
+  /// call - batching may only amortize host-side setup (peak planning,
   /// worker creation), never change arithmetic or measurements. The base
   /// implementation is the literal reference: `batch` sequential
   /// run_network calls, each result carrying its own standalone peak in
   /// NetworkRunResult::peak_arena_bytes (the serialized baseline keeps
   /// it, so its peak is the same at every batch). EdeaAccelerator
-  /// overrides it to run all images through one arena plan and reports
-  /// the batched plan's peak in every result.
+  /// overrides it to run the images layer-major and reports the peak of
+  /// one plan of every image's activations in every result.
   [[nodiscard]] virtual std::vector<NetworkRunResult> run_network_batch(
       const std::vector<nn::QuantDscLayer>& layers,
       const nn::Int8Tensor& input, int batch);

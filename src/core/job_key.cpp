@@ -1,5 +1,6 @@
 #include "core/job_key.hpp"
 
+#include <cmath>
 #include <cstdint>
 
 #include "util/check.hpp"
@@ -13,6 +14,12 @@ void JobKey::validate(std::string_view what, std::string_view name) const {
     if (!name.empty()) text += " '" + std::string(name) + "'";
     return text + ": ";
   };
+  // A NaN clock would make the key unequal to itself: a cache entry under
+  // it could never be found, and a cache file would load it again on
+  // every load_cache. Infinity is no clock either.
+  EDEA_REQUIRE(std::isfinite(config.clock_ghz),
+               owner() + "clock_ghz must be finite, got " +
+                   std::to_string(config.clock_ghz));
   EDEA_REQUIRE(backend_known(backend),
                owner() + "unknown backend '" + backend +
                    "' (known: " + known_backends_string() + ")");

@@ -44,9 +44,9 @@ struct JobKey {
   std::string backend = std::string(kDefaultBackendId);
   /// Images per run (AcceleratorBackend::run_network_batch). Per-image
   /// measurements are bit-identical to `batch` standalone runs; only the
-  /// summary's peak_arena_bytes can differ ("edea" plans the batch into
-  /// one arena and reports its larger peak, "serialized" reports the
-  /// standalone peak at every batch).
+  /// summary's peak_arena_bytes can differ ("edea" plans every image's
+  /// activations together and reports that larger peak, "serialized"
+  /// reports the standalone peak at every batch).
   int batch = 1;
   /// Workload transforms already baked into the layers by the resolver
   /// (WorkloadCatalog::resolve): the DWC dilation and the extra depthwise
@@ -57,9 +57,10 @@ struct JobKey {
 
   friend bool operator==(const JobKey&, const JobKey&) = default;
 
-  /// Throws PreconditionError unless the backend is registered and every
-  /// count is >= 1. The message starts with `what`, then `name` quoted
-  /// when given ("sweep job 'x': batch must be >= 1, got 0").
+  /// Throws PreconditionError unless the clock is finite, the backend is
+  /// registered and every count is >= 1. The message starts with `what`,
+  /// then `name` quoted when given ("sweep job 'x': batch must be >= 1,
+  /// got 0").
   void validate(std::string_view what, std::string_view name = {}) const;
 
   /// Feeds the key into `h`: config.hash(), the backend, then every count
@@ -77,9 +78,8 @@ struct JobKey {
   void encode(util::ByteWriter& w) const;
 
   /// The inverse of encode, reading an entry of cache file `file` (named
-  /// in errors). Throws PreconditionError when the bytes run out, the
-  /// backend is not registered, or a count is < 1: such an entry could
-  /// never be served.
+  /// in errors). Throws PreconditionError when the bytes run out or the
+  /// key fails validate(): such an entry could never be served.
   [[nodiscard]] static JobKey decode(util::ByteReader& r,
                                      std::string_view file);
 };

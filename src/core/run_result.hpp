@@ -190,16 +190,18 @@ struct RunSummary {
   double average_gops = 0.0;
   std::uint64_t output_hash = 0;  ///< FNV-1a over the final int8 output
 
-  /// Peak bytes of the run's planned arena (nn::MemoryPlanner). What it
-  /// counts is the backend's: "edea" plans the activations of every image
-  /// in the batch (its SRAM scratch is a separate per-worker arena), so
-  /// the peak grows with batch; "serialized" plans one image's
-  /// activations together with its intermediate maps and psum scratch
-  /// and runs a batch as standalone runs, so it reports the standalone
-  /// peak at every batch. A pure function of (backend, network, input
-  /// shape, batch): host-side execution knobs - tile parallelism, worker
-  /// count - never move it, so summaries stay comparable across them (the
-  /// tile-parallel bit-identity suite compares whole summaries).
+  /// Peak bytes of the run's planned buffers: the peak_bytes of an
+  /// nn::MemoryPlanner plan of them, a figure only (nothing is allocated
+  /// from it). What it counts is the backend's: "edea" plans the
+  /// activations of every image in the batch (each tile worker's
+  /// accumulator is outside the plan), so the peak grows with batch;
+  /// "serialized" plans one image's activations together with its
+  /// intermediate maps and psum blocks and runs a batch as standalone
+  /// runs, so it reports the standalone peak at every batch. A pure
+  /// function of (backend, network, input shape, batch): host-side
+  /// execution knobs - tile parallelism, worker count - never move it, so
+  /// summaries stay comparable across them (the tile-parallel
+  /// bit-identity suite compares whole summaries).
   std::uint64_t peak_arena_bytes = 0;
 
   friend bool operator==(const RunSummary&, const RunSummary&) = default;
@@ -233,7 +235,7 @@ struct NetworkRunResult {
   std::vector<LayerRunResult> layers;
   nn::Int8Tensor output;
 
-  /// Peak bytes of the arena the run was planned into (see
+  /// Peak bytes of the run's planned buffers (see
   /// RunSummary::peak_arena_bytes for what it counts and the invariance
   /// contract). Zero for hand-assembled results that never went through
   /// a planner.

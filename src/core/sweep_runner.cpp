@@ -28,7 +28,7 @@ SweepOutcome evaluate_job(const SweepJob& job, int tile_parallelism) {
     std::vector<NetworkRunResult> images =
         accel->run_network_batch(*job.layers, *job.input, job.batch);
     // All images are bit-identical by the batch contract; the first one
-    // stands for the run (and carries the batched plan's arena peak).
+    // stands for the run (and carries the batch's planned peak).
     out.result = std::move(images.front());
     out.summary = out.result.summary(job.config.clock_ghz);
     out.ok = true;

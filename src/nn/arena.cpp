@@ -1,6 +1,7 @@
 #include "nn/arena.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
 namespace edea::nn {
@@ -19,7 +20,6 @@ bool liveness_intersects(const BlobSpec& a, const BlobSpec& b) {
 
 ArenaPlan MemoryPlanner::plan() const {
   ArenaPlan out;
-  out.reuse = reuse_;
   out.blobs.reserve(blobs_.size());
 
   std::size_t peak = 0;
@@ -30,9 +30,7 @@ ArenaPlan MemoryPlanner::plan() const {
   for (const BlobSpec& spec : blobs_) {
     const std::size_t aligned = align_up(spec.bytes);
     std::size_t offset = 0;
-    if (!reuse_) {
-      offset = sum;  // bump allocation: every blob distinct
-    } else if (aligned != 0) {
+    if (aligned != 0) {
       // Collect the address ranges of already-placed blobs whose liveness
       // intersects this one; the new blob must avoid exactly those.
       busy.clear();
@@ -57,47 +55,31 @@ ArenaPlan MemoryPlanner::plan() const {
     out.blobs.push_back(PlannedBlob{spec, offset});
   }
 
-  out.peak_bytes = reuse_ ? peak : sum;
+  out.peak_bytes = peak;
   out.unreused_bytes = sum;
   return out;
 }
 
-NetworkActivationPlan plan_network_activations(
-    MemoryPlanner& planner, const std::vector<QuantDscLayer>& layers,
-    const Shape& input_shape, int batch) {
+void plan_network_activations(MemoryPlanner& planner,
+                              const std::vector<QuantDscLayer>& layers,
+                              const Shape& input_shape, int batch) {
   EDEA_REQUIRE(!layers.empty(), "cannot plan an empty network");
   EDEA_REQUIRE(batch >= 1, "batch must be >= 1");
 
   const std::size_t last = layers.size() - 1;
-  NetworkActivationPlan out;
-  out.inputs.reserve(static_cast<std::size_t>(batch));
-  out.outputs.reserve(static_cast<std::size_t>(batch));
-
   for (int b = 0; b < batch; ++b) {
-    const std::string tag = "img" + std::to_string(b);
     // The input is only read while layer 0 runs; afterwards its bytes are
     // fair game for later activations.
-    out.inputs.push_back(planner.add_blob(tag + ".input",
-                                          input_shape.volume() *
-                                              sizeof(std::int8_t),
-                                          /*first_step=*/0,
-                                          /*last_step=*/0));
-    std::vector<BlobId> chain;
-    chain.reserve(layers.size());
+    planner.add_blob(input_shape.volume() * sizeof(std::int8_t),
+                     /*first_step=*/0, /*last_step=*/0);
     for (std::size_t i = 0; i < layers.size(); ++i) {
       const DscLayerSpec& spec = layers[i].spec;
       const Shape shape{spec.out_rows(), spec.out_cols(), spec.out_channels};
-      // Written while layer i runs, read while layer i+1 runs (the final
-      // output is copied into an owning tensor before the arena dies).
-      chain.push_back(planner.add_blob(
-          tag + ".act" + std::to_string(i),
-          shape.volume() * sizeof(std::int8_t),
-          /*first_step=*/i,
-          /*last_step=*/std::min(i + 1, last)));
+      // Written while layer i runs, read while layer i+1 runs.
+      planner.add_blob(shape.volume() * sizeof(std::int8_t),
+                       /*first_step=*/i, /*last_step=*/std::min(i + 1, last));
     }
-    out.outputs.push_back(std::move(chain));
   }
-  return out;
 }
 
 }  // namespace edea::nn

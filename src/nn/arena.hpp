@@ -1,15 +1,16 @@
-// arena.hpp - static memory planning for network runs (FeatherCNN-style
-// shared memory pool, planned ahead of time instead of grown on demand).
+// arena.hpp - the planned memory peak of a network run, as a number.
 //
-// A network run touches a predictable set of buffers: the input image, one
-// activation tensor per layer, and per-worker scratch. Instead of each of
-// those being a private heap allocation, the runtime describes them to a
+// A network run touches a predictable set of buffers: the input image and
+// one activation tensor per layer, plus whatever per-layer scratch a
+// backend's schedule holds (the serialized baseline's round-tripped
+// intermediate map and psum block). The runtime describes them to a
 // MemoryPlanner as *blobs* - (bytes, liveness interval) pairs - and the
-// planner assigns every blob an offset inside ONE contiguous allocation,
-// reusing the bytes of blobs whose liveness has ended. The resulting
-// ArenaPlan is deterministic (same blobs in, same offsets out), and its
-// peak_bytes is the run's whole working-set ceiling - the observability
-// hook surfaced as NetworkRunResult::peak_arena_bytes.
+// planner assigns every blob an offset inside one notional arena, reusing
+// the bytes of blobs whose liveness has ended (FeatherCNN-style shared
+// memory pool, planned ahead of time). Nothing is allocated: the tensors
+// of a run own their bytes, and the plan's peak_bytes is the working-set
+// figure the run reports as NetworkRunResult::peak_arena_bytes. The plan
+// is deterministic (same blobs in, same offsets out).
 //
 // Liveness is expressed in abstract *steps*: blob A may share bytes with
 // blob B iff their [first_step, last_step] intervals do not intersect.
@@ -19,10 +20,7 @@
 // ping-pong activation reuse falls out of interval non-intersection.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "nn/layers.hpp"
@@ -31,13 +29,12 @@
 
 namespace edea::nn {
 
-/// Index of a blob inside its planner/plan/arena (dense, in add order).
+/// Index of a blob inside its planner and plan (dense, in add order).
 using BlobId = std::size_t;
 
 /// One planned buffer: size plus the inclusive liveness interval
 /// [first_step, last_step] over the run's abstract step axis.
 struct BlobSpec {
-  std::string name;
   std::size_t bytes = 0;
   std::size_t first_step = 0;
   std::size_t last_step = 0;
@@ -45,44 +42,35 @@ struct BlobSpec {
 
 struct PlannedBlob {
   BlobSpec spec;
-  std::size_t offset = 0;  ///< byte offset inside the arena allocation
+  std::size_t offset = 0;  ///< byte offset inside the notional arena
 };
 
-/// Result of planning: every blob with its offset, the size of the single
-/// contiguous allocation that holds them all (peak_bytes), and the size a
-/// naive no-reuse layout would have needed (unreused_bytes) so planning
-/// quality is checkable: peak_bytes <= unreused_bytes always, and strictly
-/// less whenever any two blobs' liveness intervals are disjoint.
+/// Result of planning: every blob with its offset, the arena size that
+/// holds them all (peak_bytes), and the size a naive no-reuse layout would
+/// need (unreused_bytes) so planning quality is checkable: peak_bytes <=
+/// unreused_bytes always, and strictly less whenever any two blobs'
+/// liveness intervals are disjoint.
 struct ArenaPlan {
   std::vector<PlannedBlob> blobs;
   std::size_t peak_bytes = 0;
   std::size_t unreused_bytes = 0;
-  bool reuse = true;
 };
 
 /// Collects blob descriptions, then assigns offsets in one deterministic
-/// pass. Offsets are 64-byte aligned so typed slices of any element type
-/// the runtime uses (int8/int32/float) are safely aligned and adjacent
-/// blobs do not share cache lines across workers.
+/// pass. Offsets are 64-byte aligned, as one allocation holding int8,
+/// int32 and float slices side by side would need them, so the peak
+/// counts that padding.
 class MemoryPlanner {
  public:
   static constexpr std::size_t kAlignment = 64;
 
-  /// reuse=false plans every blob at a distinct offset (the naive layout);
-  /// it exists so tests and benchmarks can quantify what reuse saves.
-  explicit MemoryPlanner(bool reuse = true) : reuse_(reuse) {}
-
   /// Registers a blob; returns its id (dense, in registration order).
-  BlobId add_blob(std::string name, std::size_t bytes,
-                  std::size_t first_step, std::size_t last_step) {
+  BlobId add_blob(std::size_t bytes, std::size_t first_step,
+                  std::size_t last_step) {
     EDEA_REQUIRE(first_step <= last_step,
                  "blob liveness interval must not be inverted");
-    blobs_.push_back(BlobSpec{std::move(name), bytes, first_step, last_step});
+    blobs_.push_back(BlobSpec{bytes, first_step, last_step});
     return blobs_.size() - 1;
-  }
-
-  [[nodiscard]] std::size_t blob_count() const noexcept {
-    return blobs_.size();
   }
 
   /// First-fit offset assignment in registration order: each blob takes the
@@ -93,70 +81,17 @@ class MemoryPlanner {
 
  private:
   std::vector<BlobSpec> blobs_;
-  bool reuse_;
-};
-
-/// The single allocation a plan describes, zero-initialized (matching the
-/// zero-init of owning Tensor construction so arena-backed views observe
-/// the same initial contents). Hands out raw byte slices and typed
-/// pointers for Tensor<T>::view.
-class Arena {
- public:
-  explicit Arena(ArenaPlan plan)
-      : plan_(std::move(plan)), storage_(plan_.peak_bytes, std::uint8_t{0}) {}
-
-  [[nodiscard]] const ArenaPlan& plan() const noexcept { return plan_; }
-  [[nodiscard]] std::size_t size_bytes() const noexcept {
-    return storage_.size();
-  }
-
-  [[nodiscard]] std::uint8_t* bytes(BlobId id) {
-    EDEA_REQUIRE(id < plan_.blobs.size(), "arena blob id out of range");
-    return storage_.data() + plan_.blobs[id].offset;
-  }
-
-  [[nodiscard]] std::size_t bytes_of(BlobId id) const {
-    EDEA_REQUIRE(id < plan_.blobs.size(), "arena blob id out of range");
-    return plan_.blobs[id].spec.bytes;
-  }
-
-  /// Typed base pointer of a blob (the blob must be at least
-  /// count*sizeof(T) bytes; 64-byte offsets keep any T aligned).
-  template <typename T>
-  [[nodiscard]] T* slice(BlobId id, std::size_t count) {
-    EDEA_REQUIRE(count * sizeof(T) <= bytes_of(id),
-                 "typed arena slice exceeds its blob");
-    return reinterpret_cast<T*>(bytes(id));
-  }
-
-  /// Zero-fills one blob (a fresh-tensor guarantee when a blob's bytes are
-  /// reused across liveness intervals).
-  void clear(BlobId id) {
-    std::uint8_t* p = bytes(id);
-    std::fill(p, p + bytes_of(id), std::uint8_t{0});
-  }
-
- private:
-  ArenaPlan plan_;
-  std::vector<std::uint8_t> storage_;
-};
-
-/// Blob ids of a planned batched activation chain: inputs[b] is image b's
-/// network input, outputs[b][i] image b's layer-i output.
-struct NetworkActivationPlan {
-  std::vector<BlobId> inputs;
-  std::vector<std::vector<BlobId>> outputs;
 };
 
 /// Registers the activation blobs of running `batch` images through
-/// `layers` (layer-major execution order) with `planner`. The step axis is
+/// `layers` (layer-major execution order) with `planner`, image by image:
+/// each image's input, then its layer outputs in order. The step axis is
 /// the layer index: inputs are live at step 0 only, layer i's outputs over
 /// [i, i+1] (clamped to the last layer), so consecutive layers ping-pong
-/// and anything older is reused. Callers add their scratch blobs (live
-/// over the whole [0, layer_count-1] range) to the same planner before
-/// calling plan().
-NetworkActivationPlan plan_network_activations(
-    MemoryPlanner& planner, const std::vector<QuantDscLayer>& layers,
-    const Shape& input_shape, int batch);
+/// and anything older is reused. Callers add their per-layer scratch
+/// blobs to the same planner before calling plan().
+void plan_network_activations(MemoryPlanner& planner,
+                              const std::vector<QuantDscLayer>& layers,
+                              const Shape& input_shape, int batch);
 
 }  // namespace edea::nn

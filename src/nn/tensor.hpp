@@ -88,155 +88,62 @@ inline std::ostream& operator<<(std::ostream& os, const Shape& s) {
 }
 
 /// Dense row-major tensor. T is float (reference model), std::int8_t
-/// (quantized operands) or std::int32_t (accumulators).
-///
-/// Storage modes. A tensor either *owns* its elements (the default: a
-/// private heap allocation sized by the shape) or is a non-owning *view*
-/// over externally managed storage - an arena slice handed out by the
-/// memory planner (nn/arena.hpp). Views index, fill and compare exactly
-/// like owning tensors; only storage() is owning-mode-only because it
-/// exposes the backing std::vector. Value semantics are lifetime-safe by
-/// construction: copying any tensor (including a view) produces an
-/// *owning* deep copy, so a view can never outlive its arena through an
-/// innocent-looking copy. Moving preserves the mode.
+/// (quantized operands) or std::int32_t (accumulators). A tensor owns its
+/// elements in one std::vector sized by the shape, so copies are deep and
+/// moves hand the buffer over.
 template <typename T>
 class Tensor {
  public:
   Tensor() = default;
 
-  explicit Tensor(Shape shape)
-      : shape_(shape), data_(shape.volume(), T{}) {
-    adopt_owned();
+  explicit Tensor(Shape shape) : shape_(shape), data_(shape.volume(), T{}) {
+    compute_strides();
   }
 
   Tensor(Shape shape, T fill_value)
       : shape_(shape), data_(shape.volume(), fill_value) {
-    adopt_owned();
+    compute_strides();
   }
-
-  /// Non-owning view over `shape.volume()` elements at `data`. The caller
-  /// guarantees the storage outlives the view (and every other view of
-  /// it); the planner's liveness intervals are what make that guarantee
-  /// checkable. `data` may be null only for the empty rank-0 shape.
-  [[nodiscard]] static Tensor view(Shape shape, T* data) {
-    EDEA_REQUIRE(data != nullptr || shape.volume() == 0,
-                 "tensor view needs backing storage");
-    Tensor t;
-    t.shape_ = shape;
-    t.ptr_ = data;
-    t.size_ = shape.volume();
-    t.is_view_ = true;
-    t.compute_strides();
-    return t;
-  }
-
-  // Copying deep-copies into owning mode regardless of the source's mode:
-  // a member-wise copy of a view would silently alias storage whose
-  // lifetime the copy knows nothing about.
-  Tensor(const Tensor& other) : shape_(other.shape_) {
-    strides_ = other.strides_;
-    if (other.size_ != 0) data_.assign(other.ptr_, other.ptr_ + other.size_);
-    adopt_owned();
-  }
-
-  Tensor& operator=(const Tensor& other) {
-    if (this != &other) {
-      shape_ = other.shape_;
-      strides_ = other.strides_;
-      if (other.size_ != 0) {
-        data_.assign(other.ptr_, other.ptr_ + other.size_);
-      } else {
-        data_.clear();
-      }
-      adopt_owned();
-    }
-    return *this;
-  }
-
-  // Moves transfer the mode: an owning tensor keeps owning (the vector's
-  // buffer survives the move, but rebind ptr_ explicitly), a view stays a
-  // view of the same external storage.
-  Tensor(Tensor&& other) noexcept
-      : shape_(other.shape_),
-        strides_(other.strides_),
-        data_(std::move(other.data_)),
-        ptr_(other.ptr_),
-        size_(other.size_),
-        is_view_(other.is_view_) {
-    if (!is_view_) ptr_ = data_.data();
-    other.shape_ = Shape{};
-    other.strides_ = {0, 0, 0};
-    other.ptr_ = nullptr;
-    other.size_ = 0;
-    other.is_view_ = false;
-  }
-
-  Tensor& operator=(Tensor&& other) noexcept {
-    if (this != &other) {
-      shape_ = other.shape_;
-      strides_ = other.strides_;
-      data_ = std::move(other.data_);
-      ptr_ = other.ptr_;
-      size_ = other.size_;
-      is_view_ = other.is_view_;
-      if (!is_view_) ptr_ = data_.data();
-      other.shape_ = Shape{};
-      other.strides_ = {0, 0, 0};
-      other.ptr_ = nullptr;
-      other.size_ = 0;
-      other.is_view_ = false;
-    }
-    return *this;
-  }
-
-  ~Tensor() = default;
 
   [[nodiscard]] const Shape& shape() const noexcept { return shape_; }
   [[nodiscard]] std::size_t rank() const noexcept { return shape_.rank(); }
   [[nodiscard]] int dim(std::size_t axis) const { return shape_[axis]; }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  /// True for non-owning arena-backed views.
-  [[nodiscard]] bool is_view() const noexcept { return is_view_; }
+  [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
 
-  [[nodiscard]] T* data() noexcept { return ptr_; }
-  [[nodiscard]] const T* data() const noexcept { return ptr_; }
+  [[nodiscard]] T* data() noexcept { return data_.data(); }
+  [[nodiscard]] const T* data() const noexcept { return data_.data(); }
 
-  /// The backing vector - owning mode only (a view has none; use data()).
-  [[nodiscard]] std::vector<T>& storage() {
-    EDEA_REQUIRE(!is_view_, "storage() requires an owning tensor");
-    return data_;
-  }
-  [[nodiscard]] const std::vector<T>& storage() const {
-    EDEA_REQUIRE(!is_view_, "storage() requires an owning tensor");
+  [[nodiscard]] std::vector<T>& storage() noexcept { return data_; }
+  [[nodiscard]] const std::vector<T>& storage() const noexcept {
     return data_;
   }
 
   // Unchecked fast-path indexing (used by inner loops). Callers are expected
   // to iterate within the shape; the checked at() variants validate.
   [[nodiscard]] T& operator()(int i) noexcept {
-    return ptr_[static_cast<std::size_t>(i)];
+    return data_[static_cast<std::size_t>(i)];
   }
   [[nodiscard]] const T& operator()(int i) const noexcept {
-    return ptr_[static_cast<std::size_t>(i)];
+    return data_[static_cast<std::size_t>(i)];
   }
   [[nodiscard]] T& operator()(int i, int j) noexcept {
-    return ptr_[offset(i, j)];
+    return data_[offset(i, j)];
   }
   [[nodiscard]] const T& operator()(int i, int j) const noexcept {
-    return ptr_[offset(i, j)];
+    return data_[offset(i, j)];
   }
   [[nodiscard]] T& operator()(int i, int j, int k) noexcept {
-    return ptr_[offset(i, j, k)];
+    return data_[offset(i, j, k)];
   }
   [[nodiscard]] const T& operator()(int i, int j, int k) const noexcept {
-    return ptr_[offset(i, j, k)];
+    return data_[offset(i, j, k)];
   }
   [[nodiscard]] T& operator()(int i, int j, int k, int l) noexcept {
-    return ptr_[offset(i, j, k, l)];
+    return data_[offset(i, j, k, l)];
   }
   [[nodiscard]] const T& operator()(int i, int j, int k, int l) const noexcept {
-    return ptr_[offset(i, j, k, l)];
+    return data_[offset(i, j, k, l)];
   }
 
   /// Bounds-checked element access (throws PreconditionError).
@@ -269,32 +176,25 @@ class Tensor {
            static_cast<std::size_t>(l);
   }
 
-  void fill(T value) { std::fill(ptr_, ptr_ + size_, value); }
-
   /// Applies fn to every element in place.
   template <typename Fn>
   void transform(Fn&& fn) {
-    for (std::size_t i = 0; i < size_; ++i) ptr_[i] = fn(ptr_[i]);
+    for (T& v : data_) v = fn(v);
   }
 
   /// Fraction of elements equal to zero. Core metric for Fig. 11.
   [[nodiscard]] double zero_fraction() const {
-    if (size_ == 0) return 0.0;
+    if (data_.empty()) return 0.0;
     std::size_t zeros = 0;
-    for (std::size_t i = 0; i < size_; ++i) {
-      if (ptr_[i] == T{}) ++zeros;
+    for (const T v : data_) {
+      if (v == T{}) ++zeros;
     }
-    return static_cast<double>(zeros) / static_cast<double>(size_);
+    return static_cast<double>(zeros) / static_cast<double>(data_.size());
   }
 
-  // Equality compares shape and elements; storage mode is not observable
-  // (a view equals the owning tensor it mirrors).
+  /// Equality compares shape and elements.
   friend bool operator==(const Tensor& a, const Tensor& b) {
-    if (a.shape_ != b.shape_) return false;
-    for (std::size_t i = 0; i < a.size_; ++i) {
-      if (a.ptr_[i] != b.ptr_[i]) return false;
-    }
-    return true;
+    return a.shape_ == b.shape_ && a.data_ == b.data_;
   }
   friend bool operator!=(const Tensor& a, const Tensor& b) {
     return !(a == b);
@@ -310,14 +210,6 @@ class Tensor {
     }
   }
 
-  /// Enters owning mode over whatever data_ currently holds.
-  void adopt_owned() {
-    ptr_ = data_.data();
-    size_ = data_.size();
-    is_view_ = false;
-    compute_strides();
-  }
-
   void check_index(std::size_t axis, int idx) const {
     EDEA_REQUIRE(axis < shape_.rank() && idx >= 0 && idx < shape_[axis],
                  "tensor index out of bounds");
@@ -325,10 +217,7 @@ class Tensor {
 
   Shape shape_;
   std::array<std::size_t, 3> strides_ = {0, 0, 0};
-  std::vector<T> data_;  ///< backing storage in owning mode; empty for views
-  T* ptr_ = nullptr;     ///< element base: data_.data() or the arena slice
-  std::size_t size_ = 0;
-  bool is_view_ = false;
+  std::vector<T> data_;
 };
 
 using FloatTensor = Tensor<float>;

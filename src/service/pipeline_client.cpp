@@ -25,11 +25,13 @@ using Clock = std::chrono::steady_clock;
 
 /// Whether the server answers this line at all, read with the server's
 /// own tokenizer. Blank and comment lines are ignored by the session (no
-/// reply, no id), so the driver must not wait for a response to them.
-/// Frame-control and mode lines in a replayed stream would corrupt the
-/// framing this driver manages itself - they are rejected up front
-/// instead of desynchronizing the reply matcher mid-run.
+/// reply, no id), so the driver must not wait for a response to them. A
+/// line longer than kMaxLineBytes is answered with a protocol error
+/// whatever it holds. Frame-control and mode lines in a replayed stream
+/// would corrupt the framing this driver manages itself - they are
+/// rejected up front instead of desynchronizing the reply matcher mid-run.
 bool is_answering_line(const std::string& line) {
+  if (line.size() > kMaxLineBytes) return true;
   const std::string_view verb = request_verb(line);
   EDEA_REQUIRE(verb != "batch-begin" && verb != "batch-end" && verb != "mode",
                "pipelined replay manages frames and modes itself; the "

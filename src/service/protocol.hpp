@@ -22,7 +22,7 @@
 //              typo'd dataflow must fail loudly, not simulate something
 //              else
 //   batch      images per run (>= 1, default 1): all images share one
-//              planned arena/setup (AcceleratorBackend::run_network_batch)
+//              setup (AcceleratorBackend::run_network_batch)
 //              and are bit-identical to `batch` standalone runs, so the
 //              reply's measurements are per image and unchanged - batch
 //              is a cost/amortization knob, not an arithmetic one. The

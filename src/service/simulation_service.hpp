@@ -11,8 +11,8 @@
 // constantly, and a revisit should cost a hash lookup, not a simulation.
 // Every dimension of the key changes the result: a different dataflow
 // has different cycles and traffic (core/backend.hpp), a batched run
-// plans a different arena (peak_arena_bytes), and a transformed workload
-// computes something else.
+// can report a different planned peak (peak_arena_bytes), and a
+// transformed workload computes something else.
 //
 // Concurrency contract:
 //   - submit_streaming()/cache_stats() are thread-safe; many client

@@ -1,29 +1,24 @@
 // arena_test - properties of the static memory planner (src/nn/arena.hpp):
 // no two live blobs ever share bytes, offsets are deterministic, the
-// batched activation plan's peak grows monotonically with batch size, and
-// liveness-based reuse genuinely shrinks the arena versus the naive
-// no-reuse layout on a real zoo network.
+// batched activation plan's peak grows monotonically with batch size,
+// liveness-based reuse genuinely shrinks the peak versus the naive
+// no-reuse sum on a real zoo network, and each backend's reported
+// peak_arena_bytes is pinned by value.
 #include "nn/arena.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
 
+#include "core/backend.hpp"
 #include "nn/model_zoo.hpp"
 #include "util/random.hpp"
 
 namespace edea::nn {
 namespace {
-
-// Indexed blob names built by append (the obvious `"b" + to_string(i)`
-// trips a GCC 12 -Wrestrict false positive in optimized builds).
-std::string blob_name(int i) {
-  std::string name = "b";
-  name += std::to_string(i);
-  return name;
-}
 
 bool liveness_intersects(const BlobSpec& a, const BlobSpec& b) {
   return a.first_step <= b.last_step && b.first_step <= a.last_step;
@@ -63,7 +58,7 @@ TEST(MemoryPlannerTest, LiveBlobsNeverShareBytes) {
       const auto first = static_cast<std::size_t>(rng.uniform_int(0, 12));
       const auto last = first + static_cast<std::size_t>(rng.uniform_int(0, 4));
       const auto bytes = static_cast<std::size_t>(rng.uniform_int(0, 4096));
-      planner.add_blob(blob_name(i), bytes, first, last);
+      planner.add_blob(bytes, first, last);
     }
     const ArenaPlan plan = planner.plan();
     ASSERT_EQ(plan.blobs.size(), static_cast<std::size_t>(blobs));
@@ -90,8 +85,7 @@ TEST(MemoryPlannerTest, OffsetsAreDeterministicAcrossRuns) {
     Rng rng(99);
     for (int i = 0; i < 40; ++i) {
       const auto first = static_cast<std::size_t>(rng.uniform_int(0, 8));
-      planner.add_blob(blob_name(i),
-                       static_cast<std::size_t>(rng.uniform_int(1, 2000)),
+      planner.add_blob(static_cast<std::size_t>(rng.uniform_int(1, 2000)),
                        first,
                        first + static_cast<std::size_t>(rng.uniform_int(0, 3)));
     }
@@ -109,10 +103,10 @@ TEST(MemoryPlannerTest, OffsetsAreDeterministicAcrossRuns) {
 
 TEST(MemoryPlannerTest, DisjointLivenessPingPongsAndAdjacentLiveStack) {
   MemoryPlanner planner;
-  const BlobId in = planner.add_blob("input", 100, 0, 0);
-  const BlobId a0 = planner.add_blob("act0", 100, 0, 1);
-  const BlobId a1 = planner.add_blob("act1", 100, 1, 2);
-  const BlobId a2 = planner.add_blob("act2", 100, 2, 3);
+  const BlobId in = planner.add_blob(100, 0, 0);
+  const BlobId a0 = planner.add_blob(100, 0, 1);
+  const BlobId a1 = planner.add_blob(100, 1, 2);
+  const BlobId a2 = planner.add_blob(100, 2, 3);
   const ArenaPlan plan = planner.plan();
   // act0 conflicts with the input (both live at step 0) so it stacks; act1
   // conflicts with act0 but NOT the input, so it reuses the input's bytes.
@@ -146,53 +140,78 @@ TEST(MemoryPlannerTest, ReuseShrinksPeakOnEveryZooNetwork) {
     const ArenaPlan plan = planner.plan();
     EXPECT_LT(plan.peak_bytes, plan.unreused_bytes);
 
-    // And the no-reuse planner really is the naive layout.
-    MemoryPlanner naive(/*reuse=*/false);
-    plan_network_activations(naive, layers, input_shape_of(layers), 1);
-    const ArenaPlan naive_plan = naive.plan();
-    EXPECT_EQ(naive_plan.peak_bytes, naive_plan.unreused_bytes);
-    EXPECT_EQ(naive_plan.unreused_bytes, plan.unreused_bytes);
+    // And unreused_bytes really is the naive layout: every blob at its
+    // own aligned offset.
+    std::size_t naive = 0;
+    for (const PlannedBlob& blob : plan.blobs) {
+      const std::size_t a = MemoryPlanner::kAlignment;
+      naive += (blob.spec.bytes + a - 1) / a * a;
+    }
+    EXPECT_EQ(plan.unreused_bytes, naive);
   }
 }
 
-TEST(ArenaTest, SlicesAreZeroedDisjointAndClearable) {
-  MemoryPlanner planner;
-  const BlobId a = planner.add_blob("a", 64, 0, 0);
-  const BlobId b = planner.add_blob("b", 64, 0, 0);
-  Arena arena(planner.plan());
-  EXPECT_EQ(arena.size_bytes(), 128u);
-  std::int8_t* pa = arena.slice<std::int8_t>(a, 64);
-  std::int8_t* pb = arena.slice<std::int8_t>(b, 64);
-  ASSERT_NE(pa, pb);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(pa[i], 0);
-  pa[0] = 5;
-  pb[0] = 9;
-  EXPECT_EQ(pa[0], 5);  // no aliasing between live blobs
-  arena.clear(a);
-  EXPECT_EQ(pa[0], 0);
-  EXPECT_EQ(pb[0], 9);
-  EXPECT_THROW((void)arena.slice<std::int32_t>(a, 64), PreconditionError);
-}
-
-TEST(ArenaTest, TensorViewsOverActivationPlanChainCorrectly) {
+TEST(MemoryPlannerTest, ActivationPlanChainsEveryImage) {
+  // Image by image: the input, then every layer's output, each sized by
+  // its shape and live from its layer to the next.
   const std::vector<QuantDscLayer> layers = spec_only_layers("edeanet-64");
   const Shape input = input_shape_of(layers);
   MemoryPlanner planner;
-  const NetworkActivationPlan acts =
-      plan_network_activations(planner, layers, input, 2);
-  Arena arena(planner.plan());
-  ASSERT_EQ(acts.inputs.size(), 2u);
-  ASSERT_EQ(acts.outputs.size(), 2u);
-  for (int b = 0; b < 2; ++b) {
-    Int8Tensor in_view = Int8Tensor::view(
-        input, arena.slice<std::int8_t>(acts.inputs[b], input.volume()));
-    EXPECT_TRUE(in_view.is_view());
-    EXPECT_EQ(in_view.size(), input.volume());
-    ASSERT_EQ(acts.outputs[b].size(), layers.size());
+  plan_network_activations(planner, layers, input, 2);
+  const ArenaPlan plan = planner.plan();
+  const std::size_t per_image = 1 + layers.size();
+  ASSERT_EQ(plan.blobs.size(), 2 * per_image);
+  for (std::size_t b = 0; b < 2; ++b) {
+    SCOPED_TRACE("image " + std::to_string(b));
+    const BlobSpec& in = plan.blobs[b * per_image].spec;
+    EXPECT_EQ(in.bytes, input.volume());
+    EXPECT_EQ(in.first_step, 0u);
+    EXPECT_EQ(in.last_step, 0u);
     for (std::size_t i = 0; i < layers.size(); ++i) {
       const DscLayerSpec& spec = layers[i].spec;
       const Shape shape{spec.out_rows(), spec.out_cols(), spec.out_channels};
-      EXPECT_EQ(arena.bytes_of(acts.outputs[b][i]), shape.volume());
+      const BlobSpec& act = plan.blobs[b * per_image + 1 + i].spec;
+      EXPECT_EQ(act.bytes, shape.volume()) << "layer " << i;
+      EXPECT_EQ(act.first_step, i);
+      EXPECT_EQ(act.last_step, std::min(i + 1, layers.size() - 1));
+    }
+  }
+}
+
+TEST(MemoryPlannerTest, BackendPeaksArePinnedByValue) {
+  // The peak_arena_bytes each backend reports, by value, on the seed-7 zoo
+  // networks. "edea" plans every image's activation chain, so its peak is
+  // the batch times one image's; "serialized" plans one image's
+  // activations, intermediate maps and psum blocks and reports that at
+  // every batch. The peak depends on geometry only, so a zero input does.
+  struct Pin {
+    const char* network;
+    std::size_t edea;
+    std::size_t serialized;
+  };
+  constexpr Pin kPins[] = {
+      {"edeanet-64", 98304, 147456},     {"mobilenet-0.25x", 24576, 36864},
+      {"mobilenet-0.5x", 49152, 73728},  {"mobilenet-cifar", 98304, 147456},
+      {"mobilenet-v2", 49152, 202752},   {"efficientnet-b0", 49152, 86016},
+  };
+  for (const Pin& pin : kPins) {
+    const std::vector<QuantDscLayer> layers =
+        make_random_quant_network(zoo_specs(pin.network), 7);
+    const Int8Tensor input(input_shape_of(layers));
+    for (const int batch : {1, 3}) {
+      SCOPED_TRACE(std::string(pin.network) + " batch " +
+                   std::to_string(batch));
+      for (const core::NetworkRunResult& r :
+           core::make_backend("edea")->run_network_batch(layers, input,
+                                                         batch)) {
+        EXPECT_EQ(r.peak_arena_bytes,
+                  pin.edea * static_cast<std::size_t>(batch));
+      }
+      for (const core::NetworkRunResult& r :
+           core::make_backend("serialized")
+               ->run_network_batch(layers, input, batch)) {
+        EXPECT_EQ(r.peak_arena_bytes, pin.serialized);
+      }
     }
   }
 }

@@ -10,7 +10,9 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/sweep_runner.hpp"
@@ -614,6 +616,41 @@ TEST(CachePersistenceTest, ImpossibleEntryCountsAreRejectedBeforeAllocating) {
   }
   std::remove(path.c_str());
   std::remove(merged.c_str());
+}
+
+TEST(CachePersistenceTest, NonFiniteClocksAreRejectedAndCacheUnchanged) {
+  // A checksummed v4 file whose one entry has a NaN or infinite clock:
+  // no request can carry that key (the service refuses a non-finite
+  // clock), and a NaN key never equals itself, so a second load would add
+  // it again. JobKey::decode refuses it; the live entry stays alone.
+  const std::string path = temp_cache_path("non_finite_clock");
+  Fixture fx;
+  SimulationService svc;
+  ASSERT_TRUE(submit_future(svc, fx.job("a")).get().ok);
+  for (const double clock : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE("clock_ghz=" + std::to_string(clock));
+    core::JobKey key;
+    key.config.clock_ghz = clock;
+    util::ByteWriter w;
+    w.pod(std::uint64_t{0x0053414341454445ull});  // "EDEACAS\0" magic
+    w.pod(std::uint32_t{4});
+    w.pod(std::uint64_t{1});
+    w.pod(std::uint64_t{0x10});  // fingerprint
+    key.encode(w);
+    w.pod(std::uint8_t{1});
+    w.str("");
+    core::RunSummary{}.encode(w);
+    write_file(path, framed(w));
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      EXPECT_THROW((void)svc.load_cache(path), PreconditionError);
+      EXPECT_EQ(svc.cache_stats().entries, 1u);
+    }
+    util::ByteReader r(std::string_view(w.buffer()).substr(28));
+    EXPECT_THROW((void)core::JobKey::decode(r, path), PreconditionError);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(CachePersistenceTest, VersionFourLayoutMatchesAnIndependentWriter) {

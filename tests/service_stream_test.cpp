@@ -722,6 +722,41 @@ TEST(PipelineClientTest, LinesTheServerIgnoresAreNeitherSentNorAwaited) {
   }
 }
 
+TEST(PipelineClientTest, OverlongLinesAreSentAndAwaited) {
+  // The session answers every line longer than kMaxLineBytes with a
+  // protocol error, whatever it holds - only spaces, a comment or a
+  // control verb included - so the client sends each one and waits for
+  // its reply, in every mode.
+  const std::string run = "run mobilenet-0.25x seed=83 td=8";
+  const std::string spaces(kMaxLineBytes + 1, ' ');
+  const std::string comment = "#" + std::string(kMaxLineBytes, 'x');
+  const std::string mode = "mode unordered" + spaces;
+  const std::string error =
+      "protocol-error line longer than " + std::to_string(kMaxLineBytes) +
+      " bytes";
+  const std::map<std::string, std::string> replies = {
+      {run, "ok run"}, {spaces, error}, {comment, error}, {mode, error}};
+  const std::vector<std::string> requests = {spaces, run, comment, mode};
+  const std::vector<std::string> expected = {error, "ok run", error, error};
+  for (const char* wire : {"unordered", "ordered", "serial"}) {
+    SCOPED_TRACE(wire);
+    BouncingStream stream(replies, /*bounces=*/0);
+    PipelineOptions options;
+    options.window = 4;
+    options.ordered = std::string(wire) == "ordered";
+    PipelineReport report;
+    try {
+      report = std::string(wire) == "serial"
+                   ? run_serial(stream, requests, options)
+                   : run_pipelined(stream, requests, options);
+    } catch (const std::exception& e) {
+      FAIL() << "an over-long line was refused before sending: " << e.what();
+    }
+    ASSERT_TRUE(report.complete) << report.error;
+    EXPECT_EQ(report.responses, expected);
+  }
+}
+
 TEST(PipelineClientTest, RequestStreamsMayNotCarryFrameOrModeLines) {
   // The driver owns framing and negotiation; a stream that smuggles its
   // own control lines is a caller bug, refused before anything is sent.

@@ -1,6 +1,9 @@
 // Tests for the dense tensor substrate (src/nn/tensor.hpp).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 #include "nn/tensor.hpp"
 #include "util/check.hpp"
 
@@ -131,74 +134,32 @@ TEST(Tensor, EqualityComparesShapeAndData) {
   EXPECT_NE(a, c);
 }
 
-TEST(TensorView, SharesStorageAndIndexesLikeOwning) {
-  std::vector<std::int8_t> backing(24, 0);
-  Int8Tensor v = Int8Tensor::view(Shape{2, 3, 4}, backing.data());
-  EXPECT_TRUE(v.is_view());
-  EXPECT_EQ(v.size(), 24u);
-  EXPECT_EQ(v.data(), backing.data());
-  v(1, 2, 3) = 42;
-  EXPECT_EQ(backing[23], 42);
-  backing[0] = 7;
-  EXPECT_EQ(v(0, 0, 0), 7);
-  // Equality ignores storage mode: a view equals an owning tensor holding
-  // the same shape and elements.
-  Int8Tensor owned(Shape{2, 3, 4});
-  owned(1, 2, 3) = 42;
-  owned(0, 0, 0) = 7;
-  EXPECT_EQ(v, owned);
-}
-
-TEST(TensorView, CopyDeepCopiesToOwningMode) {
-  std::vector<std::int8_t> backing(6, 3);
-  const Int8Tensor v = Int8Tensor::view(Shape{2, 3}, backing.data());
-  Int8Tensor copy = v;  // NOLINT: the copy is the point
-  EXPECT_FALSE(copy.is_view());
-  EXPECT_NE(copy.data(), backing.data());
-  backing[0] = 99;  // mutating the arena must not reach the copy
-  EXPECT_EQ(copy(0, 0), 3);
-  EXPECT_EQ(v(0, 0), 99);
+TEST(Tensor, CopyIsDeep) {
+  const Int8Tensor source(Shape{2, 3}, 3);
+  Int8Tensor copy = source;  // NOLINT: the copy is the point
+  EXPECT_NE(copy.data(), source.data());
+  copy(0, 0) = 99;  // mutating the copy must not reach the source
+  EXPECT_EQ(source(0, 0), 3);
+  EXPECT_EQ(copy(0, 1), 3);
 
   Int8Tensor assigned;
-  assigned = v;
-  EXPECT_FALSE(assigned.is_view());
-  EXPECT_EQ(assigned(0, 0), 99);
+  assigned = copy;
+  EXPECT_NE(assigned.data(), copy.data());
+  EXPECT_EQ(assigned, copy);
 }
 
-TEST(TensorView, MovePreservesMode) {
-  std::vector<std::int8_t> backing(4, 1);
-  Int8Tensor v = Int8Tensor::view(Shape{4}, backing.data());
-  Int8Tensor moved = std::move(v);
-  EXPECT_TRUE(moved.is_view());
-  EXPECT_EQ(moved.data(), backing.data());
-
+TEST(Tensor, MoveKeepsTheBuffer) {
   Int8Tensor owned(Shape{4}, 5);
   const std::int8_t* before = owned.data();
-  Int8Tensor moved_owned = std::move(owned);
-  EXPECT_FALSE(moved_owned.is_view());
-  EXPECT_EQ(moved_owned.data(), before);  // vector buffer survived the move
-  EXPECT_EQ(moved_owned(2), 5);
-}
+  Int8Tensor moved = std::move(owned);
+  EXPECT_EQ(moved.data(), before);  // the vector's buffer survives the move
+  EXPECT_EQ(moved.shape(), Shape{4});
+  EXPECT_EQ(moved(2), 5);
 
-TEST(TensorView, StorageIsOwningModeOnly) {
-  std::vector<std::int8_t> backing(4, 0);
-  Int8Tensor v = Int8Tensor::view(Shape{4}, backing.data());
-  EXPECT_THROW((void)v.storage(), PreconditionError);
-  Int8Tensor owned(Shape{4});
-  EXPECT_NO_THROW((void)owned.storage());
-  EXPECT_THROW((void)Int8Tensor::view(Shape{4}, nullptr), PreconditionError);
-}
-
-TEST(TensorView, FillTransformZeroFractionOperateOnTheSlice) {
-  std::vector<std::int8_t> backing(10, 0);
-  Int8Tensor v = Int8Tensor::view(Shape{10}, backing.data());
-  v.fill(2);
-  EXPECT_EQ(backing[9], 2);
-  v.transform([](std::int8_t x) { return static_cast<std::int8_t>(x * 3); });
-  EXPECT_EQ(backing[0], 6);
-  for (int i = 0; i < 4; ++i) v(i) = 0;
-  EXPECT_DOUBLE_EQ(v.zero_fraction(), 0.4);
-  EXPECT_DOUBLE_EQ(max_abs(v), 6.0);
+  Int8Tensor assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.data(), before);
+  EXPECT_EQ(assigned(3), 5);
 }
 
 TEST(Tensor, MaxAbs) {
