@@ -18,9 +18,7 @@ using core::ChannelSlice;
 using core::Tiler;
 
 SerializedDscAccelerator::SerializedDscAccelerator(core::EdeaConfig config)
-    : config_(config), datapath_(config) {
-  config_.validate();
-}
+    : config_(config.validated()), datapath_(config_) {}
 
 void SerializedDscAccelerator::set_tile_parallelism(int parallelism) {
   EDEA_REQUIRE(parallelism >= 1,
@@ -98,11 +96,6 @@ SerializedLayerResult SerializedDscAccelerator::run_layer(
   common.output = nn::Int8Tensor(nn::Shape{N, M, K});
   // The externally-stored DWC result (the round trip EDEA removes).
   nn::Int8Tensor intermediate(nn::Shape{N, M, spec.intermediate_channels()});
-  // One tile's partial sums. The block outlives the layer: every pass's
-  // first slice overwrites the entries the tile's later slices read.
-  const auto max_entries =
-      static_cast<std::size_t>(tiler.max_tile_psum_entries());
-  if (psum_.size() < max_entries) psum_.resize(max_entries);
 
   const int mult = spec.depth_multiplier;
 
@@ -149,7 +142,6 @@ SerializedLayerResult SerializedDscAccelerator::run_layer(
   }
   common.external.record_write(TrafficClass::kActivation,
                                result.intermediate_external_writes);
-  common.pwc_input_zero_fraction = intermediate.zero_fraction();
 
   // ---- Phase 2: pointwise convolution, reading the intermediate back. ----
   const core::Int8MapView inter = core::Int8MapView::whole(intermediate);
@@ -157,10 +149,6 @@ SerializedLayerResult SerializedDscAccelerator::run_layer(
   std::vector<std::int8_t> pass_block(static_cast<std::size_t>(
       config_.max_tile_out * config_.max_tile_out * config_.td));
   for (const BufferTile& tile : tiler.tiles()) {
-    const auto tile_entries = static_cast<std::size_t>(tile.out_rows) *
-                              static_cast<std::size_t>(tile.out_cols) *
-                              static_cast<std::size_t>(K);
-    const auto tile_psum = std::span(psum_).first(tile_entries);
     const int rows = tile.step_rows(config_);
     const int cols = tile.step_cols(config_);
 
@@ -179,7 +167,7 @@ SerializedLayerResult SerializedDscAccelerator::run_layer(
       result.intermediate_external_reads +=
           core::gather_block(inter, tile.out_row0, tile.out_col0, rows, cols,
                              slice.channel0, slice.channels, 1, block);
-      datapath_.pwc_pass(block, tile, first_slice, tile_psum);
+      datapath_.pwc_pass(block, tile, first_slice);
       const std::int64_t group_steps =
           tile.spatial_steps(config_) *
           static_cast<std::int64_t>(tiler.kernel_groups().size());
@@ -189,7 +177,7 @@ SerializedLayerResult SerializedDscAccelerator::run_layer(
     }
 
     // Write-back through the Non-Conv array (per-K parameters).
-    datapath_.write_back(tile_psum, tile, common.output);
+    datapath_.write_back(tile, common.output);
     common.external.record_read(TrafficClass::kParameter, std::int64_t{2} * K);
     common.external.record_write(
         TrafficClass::kActivation,
@@ -200,11 +188,8 @@ SerializedLayerResult SerializedDscAccelerator::run_layer(
 
   common.timing.total_cycles = result.dwc_phase_cycles + result.pwc_phase_cycles;
   common.timing.compute_cycles = common.timing.total_cycles;
-  common.dwc_activity = datapath_.dwc_activity();
-  common.pwc_activity = datapath_.pwc_activity();
-  common.nonconv_transfer_ops = datapath_.transfer_ops();
-  common.nonconv_writeback_ops = datapath_.writeback_ops();
-  common.max_abs_psum = datapath_.max_abs_psum();
+  datapath_.fold_tallies(common);
+  common.set_pwc_input_zero_fraction();
 
   // Cross-check against the serialized schedule's closed form, as EDEA's
   // run_layer checks Eq. 1/2: a wrong cycle count is a simulator bug.

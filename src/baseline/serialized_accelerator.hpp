@@ -98,9 +98,6 @@ class SerializedDscAccelerator final : public core::AcceleratorBackend {
  private:
   core::EdeaConfig config_;
   core::DscDatapath datapath_;
-  /// The PWC accumulator's partial sums, one tile's worth, reused across
-  /// tiles and layers (sized to the largest tile run so far).
-  std::vector<std::int32_t> psum_;
   int tile_parallelism_ = 1;
 };
 

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <span>
 
-#include "arch/sram.hpp"
 #include "core/dsc_datapath.hpp"
 #include "nn/arena.hpp"
 #include "util/check.hpp"
-#include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 
 namespace edea::core {
@@ -34,37 +32,22 @@ std::int64_t clipped_span_sum(int first, int pitch, int extent, int steps,
 
 namespace detail {
 
-/// One tile worker: a private datapath (engines, Non-Conv units) and
-/// accumulator executing a contiguous chunk of a layer's buffer tiles.
-/// Workers model the same silicon executing different tiles; this is sound
-/// because tiles share nothing mutable - each owns a disjoint output
-/// region, and the layer/input operands are read-only. What the worker
-/// adds to the shared datapath is EDEA's schedule: every (tile, slice) pass
-/// streams each spatial step's DWC output through the double-buffered
-/// intermediate buffer into the PWC engine. Everything it measures lands
-/// in its LayerPartial, merged by the accelerator in tile order once all
-/// chunks finish.
+/// One tile worker: a private datapath (engines, Non-Conv units, the
+/// tile's psum block) executing a contiguous chunk of a layer's buffer
+/// tiles. Workers model the same silicon executing different tiles; this
+/// is sound because tiles share nothing mutable - each owns a disjoint
+/// output region, and the layer/input operands are read-only. What the
+/// worker adds to the shared datapath is EDEA's schedule: every (tile,
+/// slice) pass streams each spatial step's DWC output through the
+/// double-buffered intermediate buffer into the PWC engine. The buffers'
+/// contents live in the datapath (run_layer checks their capacities once
+/// per layer); their traffic, and everything else the worker measures,
+/// lands in its LayerPartial, merged by the accelerator in tile order
+/// once all chunks finish.
 class TileWorker {
  public:
-  /// The accumulator is the one SRAM model the worker keeps storage for:
-  /// it holds the tile's partial sums across its slices. The host keeps
-  /// what the ifmap, intermediate and PWC weight buffers would hold in
-  /// the datapath's pass blocks and staged weights (a pass block spans
-  /// every step of a tile, more than the intermediate buffer's two
-  /// steps); run_layer checks their capacities once per layer. The DWC
-  /// weight and offline buffers hold nothing an engine reads back (the
-  /// slice goes straight into engine registers and Non-Conv units). Every
-  /// buffer's traffic is modeled.
   explicit TileWorker(const EdeaConfig& config)
-      : config_(config),
-        datapath_(config),
-        psum_storage_(static_cast<std::size_t>(
-            config.accumulator_buffer_bytes() / 4)),
-        accumulator_("accumulator",
-                     reinterpret_cast<std::uint8_t*>(psum_storage_.data()),
-                     config.accumulator_buffer_bytes()) {
-    config_.validate();
-  }
+      : config_(config), datapath_(config) {}
 
   /// Binds the layer and resets every per-layer tally. Called for each
   /// participating worker before the tile chunks are dispatched.
@@ -74,24 +57,16 @@ class TileWorker {
   }
 
   /// Executes one buffer tile end to end: every channel-slice pass, then
-  /// the write-back of the tile's output region. `trace` must be non-null
-  /// only for the globally first tile of a serially executed layer.
+  /// the write-back of the tile's output region.
   void run_tile(const nn::QuantDscLayer& layer, const nn::Int8Tensor& input,
                 const BufferTile& tile,
                 const std::vector<ChannelSlice>& slices,
-                const std::vector<KernelGroup>& groups,
-                nn::Int8Tensor& output, PipelineTrace* trace) {
+                std::int64_t group_count, nn::Int8Tensor& output) {
     const int K = layer.spec.out_channels;
     const std::int64_t pixels = std::int64_t{tile.out_rows} * tile.out_cols;
-    const std::span<std::int32_t> psum =
-        accumulator_.span<std::int32_t>(0, pixels * K);
     bool first_slice = true;
     for (const ChannelSlice& slice : slices) {
-      // Only the very first pass of the traced tile records (Fig. 7).
-      if (trace != nullptr) trace->armed = first_slice;
-      run_pass(layer.spec, input, tile, slice, first_slice, groups, psum,
-               trace);
-      if (trace != nullptr) trace->armed = false;
+      run_pass(layer.spec, input, tile, slice, first_slice, group_count);
       first_slice = false;
     }
 
@@ -99,20 +74,16 @@ class TileWorker {
     // only this tile's (disjoint) output region, so concurrent write-backs
     // from different workers never alias. The per-output-channel
     // parameters stream from external memory once per tile.
-    datapath_.write_back(psum, tile, output);
+    datapath_.write_back(tile, output);
     partial_.external.record_read(TrafficClass::kParameter,
                                   std::int64_t{2} * K);
     partial_.buffers.accumulator.record_read(4 * pixels * K, pixels * K);
     partial_.external.record_write(TrafficClass::kActivation, pixels * K);
   }
 
-  /// Folds the datapath's activity into the partial and returns it.
+  /// Folds the datapath's tallies into the partial and returns it.
   [[nodiscard]] const LayerPartial& finish_layer() {
-    partial_.dwc_activity = datapath_.dwc_activity();
-    partial_.pwc_activity = datapath_.pwc_activity();
-    partial_.nonconv_transfer_ops = datapath_.transfer_ops();
-    partial_.nonconv_writeback_ops = datapath_.writeback_ops();
-    partial_.max_abs_psum = datapath_.max_abs_psum();
+    datapath_.fold_tallies(partial_);
     return partial_;
   }
 
@@ -123,31 +94,17 @@ class TileWorker {
 
  private:
   /// Executes one (buffer tile, channel slice) pass, accumulating into the
-  /// tile's `psum` block. The datapath runs the pass in one call per
-  /// engine; the silicon runs it one spatial step per cycle, and every
-  /// tally below is that per-step schedule summed in bulk.
+  /// tile's psum block. The datapath runs the pass in one call per
+  /// engine; the silicon runs it one spatial step per cycle (Fig. 7), and
+  /// every tally below is that per-step schedule summed in bulk.
   void run_pass(const nn::DscLayerSpec& spec, const nn::Int8Tensor& input,
                 const BufferTile& tile, const ChannelSlice& slice,
-                bool first_slice, const std::vector<KernelGroup>& groups,
-                std::span<std::int32_t> psum, PipelineTrace* trace) {
-    const int K = spec.out_channels;
+                bool first_slice, std::int64_t group_count) {
     const int mult = spec.depth_multiplier;
     const int channels = slice.channels;
     const std::int64_t steps = tile.spatial_steps(config_);
-    const auto group_count = static_cast<std::int64_t>(groups.size());
 
     // ---- initiation (Fig. 7): fills buffers and the pipeline. ----
-    if (trace != nullptr) {
-      trace->emit(0, "DWC Input Ifmap & Weight",
-                  "tile(" + std::to_string(tile.out_row0) + "," +
-                      std::to_string(tile.out_col0) + ") slice " +
-                      std::to_string(slice.channel0 / config_.td));
-      trace->emit(0, "PWC Input Weight",
-                  "slice weights for " + std::to_string(K) + " kernels");
-      trace->emit(2, "DWC Input offline Data",
-                  std::to_string(channels) + " (k,b) pairs");
-    }
-
     // The valid part of the tile's input region -> ifmap buffer. Only
     // *distinct* input channels are staged: with depth multiplier m the
     // slice's intermediate channels [c0, c0+n) all read input channels
@@ -189,8 +146,8 @@ class TileWorker {
         datapath_.dwc_pass(region, tile);
     const std::int64_t step_block =
         std::int64_t{config_.tn} * config_.tm * channels;
-    const std::int64_t entries =
-        datapath_.pwc_pass(block, tile, first_slice, psum);
+    const auto entries = static_cast<std::int64_t>(
+        datapath_.pwc_pass(block, tile, first_slice).size());
 
     // Each step's window reads its in-region positions from the ifmap
     // buffer; windows overlap, so the count is per step, summed.
@@ -211,7 +168,6 @@ class TileWorker {
                                          std::int64_t{2} * channels * steps);
     partial_.buffers.intermediate.record_write(step_block * steps,
                                                step_block * steps);
-    count_pwc_input_zeros(block, tile, channels);
 
     // Every kernel group reads the step's activations and its weights
     // from the buffers.
@@ -227,10 +183,6 @@ class TileWorker {
     }
     partial_.buffers.accumulator.record_write(4 * entries, entries);
 
-    if (trace != nullptr) {
-      emit_steps(tile, steps, group_count, step_block, groups, *trace);
-    }
-
     const std::int64_t cycles = config_.init_cycles + group_steps;
     partial_.timing.passes += 1;
     partial_.timing.init_cycles += config_.init_cycles;
@@ -238,53 +190,8 @@ class TileWorker {
     partial_.timing.total_cycles += cycles;
   }
 
-  /// The steady-state events of a traced pass (Fig. 7): the first steps'
-  /// engine, transfer and buffer events, at the cycle each step starts.
-  void emit_steps(const BufferTile& tile, std::int64_t steps,
-                  std::int64_t group_count, std::int64_t step_block,
-                  const std::vector<KernelGroup>& groups,
-                  PipelineTrace& trace) const {
-    const int steps_c = tile.step_cols(config_) / config_.tm;
-    for (int s = 0; s < std::min<std::int64_t>(steps, 4); ++s) {
-      const std::int64_t cycle = config_.init_cycles + s * group_count;
-      trace.emit(cycle, "DWC Engine Process",
-                 "step (" + std::to_string(s / steps_c) + "," +
-                     std::to_string(s % steps_c) + ")");
-      trace.emit(cycle, "Non-Conv Unit Process",
-                 std::to_string(step_block) + " values");
-      trace.emit(cycle, "Write Intermediate Buffer",
-                 "half " + std::to_string(s % 2));
-      if (s < 2) {
-        trace.emit(cycle, "PWC Engine Process",
-                   "group k0=" + std::to_string(groups.front().kernel0));
-      }
-    }
-  }
-
-  /// PWC-input sparsity statistics (Fig. 11), collected where the
-  /// intermediate block is produced. Only spatial positions that belong to
-  /// the real ofmap count (edge steps compute dummy lanes).
-  void count_pwc_input_zeros(std::span<const std::int8_t> block,
-                             const BufferTile& tile, int channels) {
-    const auto row = static_cast<std::size_t>(tile.out_cols) *
-                     static_cast<std::size_t>(channels);
-    const auto pitch = static_cast<std::size_t>(tile.step_cols(config_)) *
-                       static_cast<std::size_t>(channels);
-    for (int r = 0; r < tile.out_rows; ++r) {
-      const auto real = block.subspan(static_cast<std::size_t>(r) * pitch, row);
-      partial_.pwc_input_zeros += std::count(real.begin(), real.end(), 0);
-    }
-    partial_.pwc_input_total +=
-        std::int64_t{tile.out_rows} * tile.out_cols * channels;
-  }
-
   EdeaConfig config_;
   DscDatapath datapath_;
-
-  /// Backs the accumulator (declared first: the buffer points into it).
-  std::vector<std::int32_t> psum_storage_;
-  arch::SramBuffer accumulator_;
-
   LayerPartial partial_;
 };
 
@@ -367,11 +274,10 @@ LayerRunResult EdeaAccelerator::run_layer(const nn::QuantDscLayer& layer,
       nn::Shape{spec.out_rows(), spec.out_cols(), spec.out_channels});
 
   const std::vector<BufferTile>& tiles = tiler.tiles();
-  // A trace pins the layer to the serial path: "the first pass" is only
-  // well defined when tiles run in order on one thread.
-  const int want = trace_ != nullptr ? 1 : tile_parallelism_;
   const int chunks = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(want), tiles.size()));
+      static_cast<std::size_t>(tile_parallelism_), tiles.size()));
+  const auto group_count =
+      static_cast<std::int64_t>(tiler.kernel_groups().size());
 
   // Workers are materialized and reset on the calling thread; the parallel
   // region below only indexes them.
@@ -387,9 +293,8 @@ LayerRunResult EdeaAccelerator::run_layer(const nn::QuantDscLayer& layer,
     detail::TileWorker& tw = *workers_[static_cast<std::size_t>(w)];
     const auto [first, last] = tiler.tile_chunk(chunks, static_cast<int>(w));
     for (std::size_t t = first; t < last; ++t) {
-      tw.run_tile(layer, input, tiles[t], tiler.slices(),
-                  tiler.kernel_groups(), result.output,
-                  (w == 0 && t == 0) ? trace_ : nullptr);
+      tw.run_tile(layer, input, tiles[t], tiler.slices(), group_count,
+                  result.output);
     }
   });
 
@@ -397,26 +302,13 @@ LayerRunResult EdeaAccelerator::run_layer(const nn::QuantDscLayer& layer,
   // tiles, so merging partials by ascending w reproduces the serial tile
   // order exactly. (Every field is an integer sum or max, so the merged
   // tally is bit-identical to the serial one - the invariant the
-  // tile_parallel property tests pin down.)
-  LayerPartial merged;
+  // tile_parallel property tests pin down.) They merge straight into the
+  // result's counters.
+  LayerPartial& merged = result;
   for (int w = 0; w < chunks; ++w) {
     merged += workers_[static_cast<std::size_t>(w)]->finish_layer();
   }
-
-  result.timing = merged.timing;
-  result.buffers = merged.buffers;
-  result.dataflow = merged.dataflow;
-  result.external = merged.external;
-  result.dwc_activity = merged.dwc_activity;
-  result.pwc_activity = merged.pwc_activity;
-  result.nonconv_transfer_ops = merged.nonconv_transfer_ops;
-  result.nonconv_writeback_ops = merged.nonconv_writeback_ops;
-  result.max_abs_psum = merged.max_abs_psum;
-  result.pwc_input_zero_fraction =
-      merged.pwc_input_total == 0
-          ? 0.0
-          : static_cast<double>(merged.pwc_input_zeros) /
-                static_cast<double>(merged.pwc_input_total);
+  result.set_pwc_input_zero_fraction();
 
   // Cross-check against the analytic model (Eq. 1/2) - a wrong cycle count
   // is a simulator bug, never a tolerable approximation.

@@ -4,10 +4,11 @@
 //   - the shared DSC datapath (core/dsc_datapath.hpp): the 288-MAC DWC
 //     engine, the 512-MAC PWC engine and the 8-unit Non-Conv array between
 //     them (and on the write-back path),
-//   - on-chip SRAM buffers for what the engines read back - the DWC ifmap
-//     tile, the double-buffered intermediate tile, the PWC weight slice and
-//     the PWC partial-sum accumulator - plus the traffic of the DWC weight
-//     and offline (Non-Conv parameter) buffers,
+//   - the on-chip SRAM buffers, modeled by their capacities (checked once
+//     per layer) and their traffic: the DWC ifmap tile, the DWC weight and
+//     offline (Non-Conv parameter) buffers, the double-buffered
+//     intermediate tile, the PWC weight slice and the PWC partial-sum
+//     accumulator,
 //   - a tiler implementing the La dataflow with 8x8-output buffer tiles.
 // What this backend adds to the datapath is EDEA's schedule: each spatial
 // step's DWC output streams through the intermediate buffer straight into
@@ -23,7 +24,7 @@
 // Tile parallelism: the buffer tiles of one layer are independent (each
 // owns a disjoint output region and reads only shared immutable inputs),
 // so run_layer can execute them on several host threads. Every worker
-// carries a private datapath, SRAM buffers and counters
+// carries a private datapath (its psum block included) and counters
 // (detail::TileWorker), processes a contiguous chunk of the tile list, and
 // its measurement partial (core::LayerPartial) is merged back in tile
 // order - results are bit-identical to the serial reference at every
@@ -79,13 +80,6 @@ class EdeaAccelerator final : public AcceleratorBackend {
       const std::vector<nn::QuantDscLayer>& layers,
       const nn::Int8Tensor& input, int batch) override;
 
-  /// Attaches a pipeline trace sink; the next run_layer records its first
-  /// pass (Fig. 7 diagram). Pass nullptr to detach. While a trace is
-  /// attached, layers run on the serial reference path regardless of
-  /// tile_parallelism - "the first pass" is only well defined in tile
-  /// order on one thread.
-  void set_trace(PipelineTrace* trace) noexcept { trace_ = trace; }
-
   /// Sets the tile-level parallelism of run_layer: 1 (the default) is the
   /// strictly serial reference path; p > 1 splits each layer's buffer
   /// tiles over at most p workers sharing util::ThreadPool::shared() (at
@@ -122,7 +116,6 @@ class EdeaAccelerator final : public AcceleratorBackend {
   int tile_parallelism_ = 1;
   KernelPolicy kernel_policy_ = KernelPolicy::kAuto;
   std::vector<std::unique_ptr<detail::TileWorker>> workers_;
-  PipelineTrace* trace_ = nullptr;
 };
 
 }  // namespace edea::core

@@ -34,15 +34,34 @@ struct EdeaConfig {
   /// The canonical configuration of the fabricated accelerator.
   [[nodiscard]] static EdeaConfig paper() { return EdeaConfig{}; }
 
+  /// Throws PreconditionError unless every field is in range. The upper
+  /// bounds (Tn, Tm <= 16; Td, Tk <= 256; kernel <= 15; max_tile_out <=
+  /// 128; init_cycles <= 65536) lie far above any design the paper
+  /// explores, and keep every int the config, tiler, timing model and
+  /// engines form from them - Td x kernel^2 x Tn x Tm, the ifmap tile
+  /// extent - inside int range, so an out-of-range design point fails
+  /// here, before anything multiplies it.
   void validate() const {
     EDEA_REQUIRE(tn > 0 && tm > 0 && td > 0 && tk > 0, "tile sizes positive");
+    EDEA_REQUIRE(tn <= 16 && tm <= 16, "Tn and Tm must be <= 16");
+    EDEA_REQUIRE(td <= 256 && tk <= 256, "Td and Tk must be <= 256");
     EDEA_REQUIRE(kernel > 0 && kernel % 2 == 1, "kernel must be odd");
+    EDEA_REQUIRE(kernel <= 15, "kernel must be <= 15");
     EDEA_REQUIRE(init_cycles >= 0, "initiation cycles non-negative");
+    EDEA_REQUIRE(init_cycles <= 65536, "initiation cycles must be <= 65536");
     EDEA_REQUIRE(max_tile_out >= tn && max_tile_out >= tm,
                  "buffer tile must hold at least one engine step");
+    EDEA_REQUIRE(max_tile_out <= 128, "buffer tile must be <= 128");
     EDEA_REQUIRE(max_tile_out % tn == 0 && max_tile_out % tm == 0,
                  "buffer tile must be a whole number of engine steps");
     EDEA_REQUIRE(clock_ghz > 0.0, "clock must be positive");
+  }
+
+  /// validate(), then this configuration: for member initializers that
+  /// build engines from it.
+  [[nodiscard]] const EdeaConfig& validated() const {
+    validate();
+    return *this;
   }
 
   // --- derived structural quantities (Fig. 5) ---

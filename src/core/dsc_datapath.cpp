@@ -116,9 +116,7 @@ std::int64_t gather_block(const Int8MapView& src, int row0, int col0,
 }
 
 DscDatapath::DscDatapath(const EdeaConfig& config)
-    : config_(config), dwc_(config), pwc_(config) {
-  config_.validate();
-}
+    : config_(config.validated()), dwc_(config_), pwc_(config_) {}
 
 void DscDatapath::begin_layer(const nn::QuantDscLayer& layer) {
   layer_ = &layer;
@@ -130,6 +128,8 @@ void DscDatapath::begin_layer(const nn::QuantDscLayer& layer) {
   EDEA_REQUIRE(layer.nonconv2.channels.size() >= K,
                "missing Non-Conv parameters for some kernels");
   writeback_.load(std::span(layer.nonconv2.channels).first(K));
+  pwc_input_zeros_ = 0;
+  pwc_input_total_ = 0;
   max_abs_psum_ = 0;
 
   // Every slice's weights, staged once per layer for all its passes:
@@ -184,30 +184,45 @@ std::span<const std::int8_t> DscDatapath::dwc_pass(const Int8MapView& src,
   dwc_.run_block(window_, rows, cols, spec.stride, spec.dilation, dwc_out_);
   intermediate_.resize(dwc_out_.acc.size());
   transfer_.apply_block(dwc_out_.acc, intermediate_);
+
+  // Only positions inside the tile feed the real ofmap; edge steps'
+  // dummy lanes are not PWC inputs.
+  const auto real = static_cast<std::size_t>(tile.out_cols) * channels;
+  const auto pitch = static_cast<std::size_t>(cols) * channels;
+  const std::int8_t* row = intermediate_.data();
+  for (int r = 0; r < tile.out_rows; ++r, row += pitch) {
+    pwc_input_zeros_ += std::count(row, row + real, std::int8_t{0});
+  }
+  pwc_input_total_ += std::int64_t{tile.out_rows} * tile.out_cols *
+                      slice_.channels;
   return intermediate_;
 }
 
-std::int64_t DscDatapath::pwc_pass(std::span<const std::int8_t> activations,
-                                   const BufferTile& tile, bool first_slice,
-                                   std::span<std::int32_t> psum) {
+std::span<const std::int32_t> DscDatapath::pwc_pass(
+    std::span<const std::int8_t> activations, const BufferTile& tile,
+    bool first_slice) {
+  const auto entries = static_cast<std::size_t>(tile.out_rows) *
+                       static_cast<std::size_t>(tile.out_cols) *
+                       static_cast<std::size_t>(layer_->spec.out_channels);
+  // Grown, never shrunk: a tile's later slices find its entries in place.
+  if (psum_.size() < entries) psum_.resize(entries);
+  const std::span<std::int32_t> psum = std::span(psum_).first(entries);
   // Only the outputs inside the tile accumulate; the rest are dummy lanes.
   const PsumRange range = pwc_.run_block(
       activations, tile.step_rows(config_), tile.step_cols(config_),
       PsumTarget{psum, tile.out_rows, tile.out_cols, 0, 0, !first_slice});
   max_abs_psum_ = std::max({max_abs_psum_, -std::int64_t{range.lo},
                             std::int64_t{range.hi}});
-  return std::int64_t{1} * tile.out_rows * tile.out_cols *
-         layer_->spec.out_channels;
+  return psum;
 }
 
-void DscDatapath::write_back(std::span<const std::int32_t> psum,
-                             const BufferTile& tile, nn::Int8Tensor& output) {
+void DscDatapath::write_back(const BufferTile& tile, nn::Int8Tensor& output) {
   const auto row = static_cast<std::size_t>(tile.out_cols) *
                    static_cast<std::size_t>(layer_->spec.out_channels);
   // A tile row is contiguous both in the psum block and in the ofmap.
   for (int r = 0; r < tile.out_rows; ++r) {
     writeback_.apply_block(
-        psum.subspan(static_cast<std::size_t>(r) * row, row),
+        std::span(psum_).subspan(static_cast<std::size_t>(r) * row, row),
         std::span(&output(tile.out_row0 + r, tile.out_col0, 0), row));
   }
 }
@@ -215,6 +230,16 @@ void DscDatapath::write_back(std::span<const std::int32_t> psum,
 void DscDatapath::set_kernel_policy(KernelPolicy policy) noexcept {
   dwc_.set_kernel_policy(policy);
   pwc_.set_kernel_policy(policy);
+}
+
+void DscDatapath::fold_tallies(LayerPartial& partial) const noexcept {
+  partial.dwc_activity = dwc_.activity();
+  partial.pwc_activity = pwc_.activity();
+  partial.nonconv_transfer_ops = transfer_.ops();
+  partial.nonconv_writeback_ops = writeback_.ops();
+  partial.pwc_input_zeros = pwc_input_zeros_;
+  partial.pwc_input_total = pwc_input_total_;
+  partial.max_abs_psum = max_abs_psum_;
 }
 
 }  // namespace edea::core

@@ -11,13 +11,16 @@
 //     through external memory, then runs the PWC.
 // DscDatapath owns what both share: the DWC and PWC engines, the Non-Conv
 // units with the bound layer's parameters, every slice's weights
-// staged once per layer, and pass scratch reused from pass to pass. Its
+// staged once per layer, the PWC accumulator's partial-sum block of the
+// tile in flight, and pass scratch reused from pass to pass. Its
 // primitives each cover one (buffer tile, channel slice) pass - one
 // gather, one DWC engine call over every Tn x Tm step of the tile, one
 // Non-Conv transfer of the whole block, one PWC engine call into the
 // tile's partial sums - and none of them tallies traffic. Each schedule
 // counts its own buffer and external accesses as bulk arithmetic over
-// the pass's geometry, so each backend keeps its measurements.
+// the pass's geometry, so each backend keeps its measurements; what the
+// datapath measures itself (MAC activity, Non-Conv ops, the PWC-input
+// zero tally, max |psum|) it folds into a LayerPartial.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +33,7 @@
 #include "core/kernel_dispatch.hpp"
 #include "core/nonconv_unit.hpp"
 #include "core/pwc_engine.hpp"
+#include "core/run_result.hpp"
 #include "core/tiler.hpp"
 #include "nn/layers.hpp"
 
@@ -75,8 +79,7 @@ class DscDatapath {
   /// Binds `layer` (which must outlive the binding), stages every channel
   /// slice's DWC and PWC weights in the layouts the kernels read, loads
   /// the write-back Non-Conv units with the per-output-channel parameters,
-  /// and clears the engines' MAC activity, the Non-Conv op counts and max
-  /// |psum|.
+  /// and clears every tally fold_tallies reports.
   void begin_layer(const nn::QuantDscLayer& layer);
 
   /// Loads `slice`'s staged 3x3 DWC kernel slice into the DWC engine and
@@ -92,7 +95,8 @@ class DscDatapath {
   /// from `src` the padded, dilated, multiplier-mapped input of every
   /// Tn x Tm step of the tile (its dummy positions included), fires the
   /// engine once over the whole block, and applies the Non-Conv transfer
-  /// to it. Returns the pass's int8 intermediate block,
+  /// to it, counting the zeros of the block's real positions (the Fig. 11
+  /// PWC-input tally). Returns the pass's int8 intermediate block,
   /// [step_rows][step_cols][slice channels] (BufferTile::step_rows),
   /// valid until the next dwc_pass.
   std::span<const std::int8_t> dwc_pass(const Int8MapView& src,
@@ -101,37 +105,26 @@ class DscDatapath {
   /// The PWC half of one pass: every kernel of the loaded slice over the
   /// tile's [step_rows][step_cols][slice channels] `activations`, read in
   /// place, in one engine call that accumulates the partial sums straight
-  /// into the tile's [out_rows][out_cols][K] `psum` block - overwriting it
-  /// on the first slice. Tracks max |psum|. Returns the psum entries
-  /// updated, over all kernel groups.
-  std::int64_t pwc_pass(std::span<const std::int8_t> activations,
-                        const BufferTile& tile, bool first_slice,
-                        std::span<std::int32_t> psum);
+  /// into the tile's [out_rows][out_cols][K] psum block - overwriting it
+  /// on the first slice. The block is the datapath's, sized from the
+  /// largest tile so far and reused across tiles and layers. Tracks max
+  /// |psum|. Returns the block, valid until the next pwc_pass; its size is
+  /// the psum entries updated over all kernel groups.
+  std::span<const std::int32_t> pwc_pass(
+      std::span<const std::int8_t> activations, const BufferTile& tile,
+      bool first_slice);
 
-  /// Write-back: `tile`'s psum block through the per-output-channel
-  /// Non-Conv units into its region of `output`.
-  void write_back(std::span<const std::int32_t> psum, const BufferTile& tile,
-                  nn::Int8Tensor& output);
+  /// Write-back: the psum block of `tile` (its last pwc_pass) through the
+  /// per-output-channel Non-Conv units into its region of `output`.
+  void write_back(const BufferTile& tile, nn::Int8Tensor& output);
 
   /// Pins both engines' kernel selection (the kForceGeneric A/B lever).
   void set_kernel_policy(KernelPolicy policy) noexcept;
 
-  [[nodiscard]] const arch::MacActivity& dwc_activity() const noexcept {
-    return dwc_.activity();
-  }
-  [[nodiscard]] const arch::MacActivity& pwc_activity() const noexcept {
-    return pwc_.activity();
-  }
-  [[nodiscard]] std::int64_t transfer_ops() const noexcept {
-    return transfer_.ops();
-  }
-  [[nodiscard]] std::int64_t writeback_ops() const noexcept {
-    return writeback_.ops();
-  }
-  /// Largest |partial sum| accumulated since begin_layer.
-  [[nodiscard]] std::int64_t max_abs_psum() const noexcept {
-    return max_abs_psum_;
-  }
+  /// Sets `partial`'s datapath tallies since begin_layer: both engines'
+  /// MAC activity, the two Non-Conv op counts, the PWC-input zero tally
+  /// and max |psum|. Its schedule's counters are left as they are.
+  void fold_tallies(LayerPartial& partial) const noexcept;
 
  private:
   EdeaConfig config_;
@@ -154,7 +147,10 @@ class DscDatapath {
   std::vector<std::int8_t> window_;        ///< the pass's DWC input block
   DwcBlockOutput dwc_out_;
   std::vector<std::int8_t> intermediate_;  ///< the pass's Non-Conv output
+  std::vector<std::int32_t> psum_;         ///< the tile's partial sums
 
+  std::int64_t pwc_input_zeros_ = 0;
+  std::int64_t pwc_input_total_ = 0;
   std::int64_t max_abs_psum_ = 0;
 };
 

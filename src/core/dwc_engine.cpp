@@ -5,9 +5,7 @@
 namespace edea::core {
 
 DwcEngine::DwcEngine(const EdeaConfig& config)
-    : config_(config), tree_(config.kernel * config.kernel) {
-  config_.validate();
-}
+    : config_(config.validated()), tree_(config_.kernel * config_.kernel) {}
 
 void DwcEngine::load_weights(const DwcWeights& weights) {
   EDEA_REQUIRE(weights.channels() > 0 && weights.channels() <= config_.td,

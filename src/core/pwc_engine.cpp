@@ -7,9 +7,7 @@
 namespace edea::core {
 
 PwcEngine::PwcEngine(const EdeaConfig& config)
-    : config_(config), tree_(config.td) {
-  config_.validate();
-}
+    : config_(config.validated()), tree_(config_.td) {}
 
 void PwcEngine::load_weights(const PwcWeights& weights) {
   EDEA_REQUIRE(weights.channels() > 0 && weights.channels() <= config_.td,

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "arch/counters.hpp"
@@ -62,15 +61,17 @@ struct DataflowCounters {
       default;
 };
 
-/// Everything one tile worker measures while executing its share of a
-/// layer's buffer tiles - the mergeable half of a LayerRunResult. Workers
-/// write output elements straight into the shared (disjointly partitioned)
-/// output tensor; every *counter* lands here instead, privately, and the
-/// partials are reduced in tile order once all workers finish. Every field
-/// is either an integer sum over passes or a max, so the reduction is
-/// exact: a merged partial is bit-identical to the serial tally.
+/// Every counter of one layer run - the mergeable base of a
+/// LayerRunResult. EDEA's tile workers each tally their share of the
+/// layer's buffer tiles in a private partial (writing output elements
+/// straight into the shared, disjointly partitioned output tensor), and
+/// the partials are reduced in tile order once all workers finish. Every
+/// field is either an integer sum over passes or a max, so the reduction
+/// is exact: a merged partial is bit-identical to the serial tally. The
+/// datapath's own tallies (MAC activity, Non-Conv ops, the PWC-input zero
+/// tally, max |psum|) come from DscDatapath::fold_tallies.
 struct LayerPartial {
-  LayerTiming timing;
+  LayerTiming timing;  ///< measured cycle counts (asserted == Eq. 1/2)
   BufferAccessSnapshot buffers;
   DataflowCounters dataflow;
   arch::ExternalMemory external;
@@ -84,6 +85,9 @@ struct LayerPartial {
   std::int64_t pwc_input_zeros = 0;
   std::int64_t pwc_input_total = 0;
 
+  /// Largest |partial sum| observed in the PWC accumulator. The silicon
+  /// carries 24-bit accumulators (Fig. 6); this statistic validates that
+  /// envelope on real data.
   std::int64_t max_abs_psum = 0;
 
   LayerPartial& operator+=(const LayerPartial& o) noexcept {
@@ -100,34 +104,29 @@ struct LayerPartial {
     if (o.max_abs_psum > max_abs_psum) max_abs_psum = o.max_abs_psum;
     return *this;
   }
-
-  friend bool operator==(const LayerPartial&, const LayerPartial&) = default;
+  // No operator==: LayerRunResult derives from this struct, and a
+  // comparison that ignored its output tensor would pass for one of it.
 };
 
-/// Everything measured while running one DSC layer.
-struct LayerRunResult {
+/// Everything measured while running one DSC layer: the counters of its
+/// LayerPartial base, the spec, the output and the Fig. 11 fractions.
+struct LayerRunResult : LayerPartial {
   nn::DscLayerSpec spec;
   nn::Int8Tensor output;
-
-  LayerTiming timing;  ///< measured cycle counts (asserted == Eq. 1/2)
-
-  arch::MacActivity dwc_activity;
-  arch::MacActivity pwc_activity;
-  std::int64_t nonconv_transfer_ops = 0;
-  std::int64_t nonconv_writeback_ops = 0;
-
-  BufferAccessSnapshot buffers;
-  DataflowCounters dataflow;
-  arch::ExternalMemory external;
 
   /// Tensor-level input-activation zero fractions (Fig. 11 quantities).
   double dwc_input_zero_fraction = 0.0;
   double pwc_input_zero_fraction = 0.0;
 
-  /// Largest |partial sum| observed in the PWC accumulator across the
-  /// whole layer. The silicon carries 24-bit accumulators (Fig. 6); this
-  /// statistic validates that envelope on real data.
-  std::int64_t max_abs_psum = 0;
+  /// Sets pwc_input_zero_fraction from the pwc_input_zeros /
+  /// pwc_input_total tally (0 when nothing was counted). Both backends
+  /// call it once their tallies are in.
+  void set_pwc_input_zero_fraction() noexcept {
+    pwc_input_zero_fraction =
+        pwc_input_total == 0 ? 0.0
+                             : static_cast<double>(pwc_input_zeros) /
+                                   static_cast<double>(pwc_input_total);
+  }
 
   /// True iff every partial sum stayed within the signed 24-bit envelope.
   [[nodiscard]] bool within_24bit_accumulator() const noexcept {
@@ -267,24 +266,6 @@ struct NetworkRunResult {
     s.output_hash = util::Fnv1a64().span(output.storage()).digest();
     s.peak_arena_bytes = static_cast<std::uint64_t>(peak_arena_bytes);
     return s;
-  }
-};
-
-/// Pipeline trace event for the Fig. 7 timing-diagram bench.
-struct TraceEvent {
-  std::int64_t cycle = 0;
-  std::string stage;
-  std::string detail;
-};
-
-struct PipelineTrace {
-  std::vector<TraceEvent> events;
-  bool armed = false;  ///< record only the first pass of the first tile
-
-  void emit(std::int64_t cycle, std::string stage, std::string detail) {
-    if (armed) {
-      events.push_back(TraceEvent{cycle, std::move(stage), std::move(detail)});
-    }
   }
 };
 

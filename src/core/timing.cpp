@@ -1,5 +1,8 @@
 #include "core/timing.hpp"
 
+#include <algorithm>
+
+#include "core/tiler.hpp"
 #include "util/check.hpp"
 
 namespace edea::core {
@@ -69,6 +72,38 @@ LayerTiming TimingModel::serialized_layer_timing(
       eq2.total_cycles + eq2.init_cycles + eq2.dwc_active_cycles;
   t.compute_cycles = t.total_cycles;
   return t;
+}
+
+std::vector<PipelineEvent> TimingModel::first_pass_events(
+    const nn::DscLayerSpec& spec) const {
+  // The first pass is tile (0,0)'s slice 0; each of its steps starts with
+  // kernel group 0.
+  const Tiler tiler(config_, spec);
+  const BufferTile& tile = tiler.tiles().front();
+  const int channels = tiler.slices().front().channels;
+  const auto groups = static_cast<std::int64_t>(tiler.kernel_groups().size());
+  std::vector<PipelineEvent> events = {
+      {0, "DWC Input Ifmap & Weight", "tile(0,0) slice 0"},
+      {0, "PWC Input Weight",
+       "slice weights for " + std::to_string(spec.out_channels) + " kernels"},
+      {2, "DWC Input offline Data", std::to_string(channels) + " (k,b) pairs"},
+  };
+  const int steps_per_row = tile.step_cols(config_) / config_.tm;
+  const std::int64_t steps =
+      std::min<std::int64_t>(tile.spatial_steps(config_), 4);
+  for (int s = 0; s < steps; ++s) {
+    const std::int64_t cycle = config_.init_cycles + s * groups;
+    events.push_back({cycle, "DWC Engine Process",
+                      "step (" + std::to_string(s / steps_per_row) + "," +
+                          std::to_string(s % steps_per_row) + ")"});
+    events.push_back(
+        {cycle, "Non-Conv Unit Process",
+         std::to_string(config_.tn * config_.tm * channels) + " values"});
+    events.push_back(
+        {cycle, "Write Intermediate Buffer", "half " + std::to_string(s % 2)});
+    if (s < 2) events.push_back({cycle, "PWC Engine Process", "group k0=0"});
+  }
+  return events;
 }
 
 double TimingModel::layer_throughput_gops(const nn::DscLayerSpec& spec) const {

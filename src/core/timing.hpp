@@ -11,6 +11,8 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "core/config.hpp"
 #include "nn/layers.hpp"
@@ -48,6 +50,13 @@ struct LayerTiming {
   friend bool operator==(const LayerTiming&, const LayerTiming&) = default;
 };
 
+/// One stage event of Fig. 7's pipeline diagram.
+struct PipelineEvent {
+  std::int64_t cycle = 0;
+  std::string stage;
+  std::string detail;
+};
+
 /// Ceiling division for positive operands.
 [[nodiscard]] constexpr std::int64_t ceil_div(std::int64_t a,
                                               std::int64_t b) noexcept {
@@ -76,6 +85,17 @@ class TimingModel {
   /// The phases never overlap into dual-engine passes: passes and
   /// init_cycles are 0 and compute_cycles is the whole total.
   [[nodiscard]] LayerTiming serialized_layer_timing(
+      const nn::DscLayerSpec& spec) const;
+
+  /// Fig. 7: the stage events of a layer's first (buffer tile, channel
+  /// slice) pass. The initiation loads the ifmap, DWC and PWC weights at
+  /// cycle 0 and the slice's Non-Conv parameters at cycle 2; then the
+  /// first four spatial steps each fire the DWC engine, the Non-Conv
+  /// transfer and a write to alternating intermediate-buffer halves at
+  /// the cycle the step starts, init_cycles + s x ceil(K/Tk) (Eq. 1), and
+  /// the first two start the PWC engine's first kernel group. A pure
+  /// function of (config, spec): the schedule reads no data.
+  [[nodiscard]] std::vector<PipelineEvent> first_pass_events(
       const nn::DscLayerSpec& spec) const;
 
   /// Throughput in GOPS (1 MAC = 2 ops) at the configured clock.

@@ -80,9 +80,15 @@ std::string apply_override(Request& request, std::string_view key,
   }
   for (const core::CountDim& dim : core::kCountDims) {
     if (key != dim.name) continue;
-    if (!parse_strict_count(value, &(request.*dim.field))) {
+    int count = 0;
+    if (!parse_strict_count(value, &count)) {
       return cat({"bad ", key, " '", value, "' (want a plain integer >= 1)"});
     }
+    if (count > kMaxCount) {
+      return cat({"bad ", key, " '", value, "' (at most ",
+                  std::to_string(kMaxCount), ")"});
+    }
+    request.*dim.field = count;
     return {};
   }
   if (key == "backend") {

@@ -21,28 +21,30 @@
 //              error - the registry is the protocol's vocabulary, and a
 //              typo'd dataflow must fail loudly, not simulate something
 //              else
-//   batch      images per run (>= 1, default 1): all images share one
+//   batch      images per run (1..64, default 1): all images share one
 //              setup (AcceleratorBackend::run_network_batch)
 //              and are bit-identical to `batch` standalone runs, so the
 //              reply's measurements are per image and unchanged - batch
 //              is a cost/amortization knob, not an arithmetic one. The
 //              value must be a plain decimal integer: leading '+',
-//              whitespace, or trailing junk is a protocol error
+//              whitespace, or trailing junk is a protocol error, and so
+//              is a value above kMaxCount (64)
 //   dilation   DWC dilation applied to every layer of the resolved
-//              network (>= 1, default 1; padding scales with it so output
-//              extents are preserved). Same strict-integer grammar as
-//              batch. Unlike batch this is an arithmetic knob: a dilated
-//              workload is a different computation and a different cache
-//              key
+//              network (1..64, default 1; padding scales with it so
+//              output extents are preserved). Same strict-integer grammar
+//              and maximum as batch. Unlike batch this is an arithmetic
+//              knob: a dilated workload is a different computation and a
+//              different cache key
 //   depth_multiplier
 //              extra depthwise multiplier applied multiplicatively to
-//              every layer (>= 1, default 1; composes with multipliers a
+//              every layer (1..64, default 1; composes with multipliers a
 //              zoo network already carries, e.g. MobileNetV2 expansion
-//              factors). Same strict-integer grammar; arithmetic knob
+//              factors). Same strict-integer grammar and maximum;
+//              arithmetic knob
 //   tn tm td tk kernel init_cycles max_tile_out   EdeaConfig overrides;
-//              same strict-integer grammar as batch (>= 0 - semantic
-//              ranges are EdeaConfig::validate's job, reported in the
-//              outcome line)
+//              same strict-integer grammar as batch (0..INT_MAX - the
+//              semantic ranges, upper bounds included, are
+//              EdeaConfig::validate's job, reported in the outcome line)
 //   clock_ghz  clock in GHz, in std::stod's grammar: decimal or hex
 //              floating point with an optional sign ("0.8", "+0.8",
 //              "0x1p-1"). A value stod would reject as out of range
@@ -147,6 +149,15 @@ struct Request : core::JobKey {
 /// swallowing gigabytes as "frame content".
 inline constexpr int kMaxFrameLines = 4096;
 
+/// Largest value a `run` line may give a count key (batch, dilation,
+/// depth_multiplier - core::kCountDims). Far above any real request (the
+/// corpora and benches use at most batch=16); a larger value is a protocol
+/// error naming it, answered before the workload is resolved: each count
+/// sizes what a run allocates (per-image results, the dilated padding,
+/// multiplied weights), so an unbounded one is a denial of service or an
+/// int overflow. Cache files are not held to it (core::JobKey::decode).
+inline constexpr int kMaxCount = 64;
+
 /// Longest request line the protocol accepts, in bytes without its '\n'.
 /// Far above any real request (a few hundred bytes). A longer line is a
 /// protocol error, and a socket session answers it and closes: reading a
@@ -186,7 +197,9 @@ struct ParsedLine {
 ///   parse_strict_u64    any uint64 value (seeds)
 ///   parse_strict_int    int values >= 0 (EdeaConfig overrides;
 ///                       init_cycles=0 is valid)
-///   parse_strict_count  int values >= 1 (core::kCountDims values)
+///   parse_strict_count  int values >= 1 (core::kCountDims values,
+///                       which parse_request_line also holds to
+///                       kMaxCount, and batch-begin counts)
 /// Each takes a std::string_view (a std::string or a literal converts)
 /// and returns false without touching *out on rejection.
 [[nodiscard]] bool parse_strict_u64(std::string_view text,
@@ -195,7 +208,7 @@ struct ParsedLine {
 [[nodiscard]] bool parse_strict_count(std::string_view text, int* out);
 
 /// Parses one request line. Never throws: malformed lines - including
-/// unknown backend= ids and non-positive count values - are a kError
+/// unknown backend= ids and count values outside 1..kMaxCount - are a kError
 /// result (a service must survive bad clients).
 [[nodiscard]] ParsedLine parse_request_line(const std::string& line);
 

@@ -1,5 +1,5 @@
-// Tests for the hardware primitives (src/arch): SRAM buffers, external
-// memory traffic accounting, MAC lanes and adder trees.
+// Tests for the hardware primitives (src/arch): external memory traffic
+// accounting, MAC lanes and adder trees.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -7,54 +7,10 @@
 #include "arch/counters.hpp"
 #include "arch/ext_memory.hpp"
 #include "arch/pe.hpp"
-#include "arch/sram.hpp"
 #include "util/check.hpp"
 
 namespace edea::arch {
 namespace {
-
-// ----------------------------------------------------------------- SRAM ---
-
-TEST(SramBuffer, StoreLoadRoundTrip) {
-  std::array<std::uint8_t, 64> backing{};
-  SramBuffer buf("test", backing.data(), 64);
-  buf.span<std::int8_t>(3, 1)[0] = -7;
-  EXPECT_EQ(buf.span<std::int8_t>(3, 1)[0], -7);
-  buf.span<std::int32_t>(4, 1)[0] = 123456;
-  EXPECT_EQ(buf.span<std::int32_t>(4, 1)[0], 123456);
-  // A span aliases the backing bytes: element 4 of int32 is bytes 16..19.
-  EXPECT_EQ(buf.span<std::int8_t>(16, 4).data(),
-            reinterpret_cast<std::int8_t*>(backing.data() + 16));
-}
-
-TEST(SramBuffer, CapacityIsEnforced) {
-  std::array<std::uint8_t, 8> backing{};
-  SramBuffer buf("tiny", backing.data(), 8);
-  EXPECT_NO_THROW((void)buf.span<std::int32_t>(1, 1));  // bytes 4..7
-  EXPECT_NO_THROW((void)buf.span<std::int8_t>(0, 8));   // the whole buffer
-  EXPECT_THROW((void)buf.span<std::int8_t>(8, 1), ResourceError);
-  EXPECT_THROW((void)buf.span<std::int32_t>(2, 1), ResourceError);
-  EXPECT_THROW((void)buf.span<std::int8_t>(0, 9), ResourceError);
-  EXPECT_THROW((void)buf.span<std::int8_t>(-1, 1), ResourceError);
-}
-
-TEST(SramBuffer, ErrorMessageNamesTheBuffer) {
-  std::array<std::uint8_t, 4> backing{};
-  SramBuffer buf("dwc_ifmap", backing.data(), 4);
-  try {
-    (void)buf.span<std::int8_t>(100, 1);
-    FAIL() << "expected ResourceError";
-  } catch (const ResourceError& e) {
-    EXPECT_NE(std::string(e.what()).find("dwc_ifmap"), std::string::npos);
-  }
-}
-
-TEST(SramBuffer, RejectsNonPositiveCapacity) {
-  std::array<std::uint8_t, 4> backing{};
-  EXPECT_THROW(SramBuffer("bad", backing.data(), 0), PreconditionError);
-  EXPECT_THROW(SramBuffer("bad", backing.data(), -5), PreconditionError);
-  EXPECT_THROW(SramBuffer("bad", nullptr, 4), PreconditionError);
-}
 
 // ------------------------------------------------------- external memory ---
 

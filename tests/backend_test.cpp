@@ -202,6 +202,68 @@ TEST(BackendContractTest, SerializedBackendValidatesTileParallelism) {
   EXPECT_EQ(accel.tile_parallelism(), 4);
 }
 
+/// Every measurement of two layer runs, field by field.
+void expect_same_layer(const LayerRunResult& a, const LayerRunResult& b) {
+  EXPECT_EQ(a.output, b.output);
+  EXPECT_EQ(a.timing, b.timing);
+  EXPECT_EQ(a.buffers, b.buffers);
+  EXPECT_EQ(a.dataflow, b.dataflow);
+  EXPECT_EQ(a.external, b.external);
+  EXPECT_EQ(a.dwc_activity, b.dwc_activity);
+  EXPECT_EQ(a.pwc_activity, b.pwc_activity);
+  EXPECT_EQ(a.nonconv_transfer_ops, b.nonconv_transfer_ops);
+  EXPECT_EQ(a.nonconv_writeback_ops, b.nonconv_writeback_ops);
+  EXPECT_EQ(a.pwc_input_zeros, b.pwc_input_zeros);
+  EXPECT_EQ(a.pwc_input_total, b.pwc_input_total);
+  EXPECT_EQ(a.max_abs_psum, b.max_abs_psum);
+  EXPECT_EQ(a.dwc_input_zero_fraction, b.dwc_input_zero_fraction);
+  EXPECT_EQ(a.pwc_input_zero_fraction, b.pwc_input_zero_fraction);
+}
+
+TEST(BackendContractTest, ReusedInstancesMatchFreshOnesAcrossTileSizes) {
+  // The datapath keeps one psum block, sized from the largest tile so far
+  // and reused across tiles and layers. A large-tile layer (8x8 outputs x
+  // 256 kernels: the whole accumulator), a small-tile one (4x4 x 32) and
+  // the large one again, run on one instance of each backend, must each
+  // measure exactly what a fresh instance measures.
+  struct Case {
+    nn::QuantDscLayer layer;
+    nn::Int8Tensor input;
+  };
+  const auto make_case = [](int rows, int channels, int kernels,
+                            std::uint64_t seed) {
+    nn::DscLayerSpec spec;
+    spec.in_rows = rows;
+    spec.in_cols = rows;
+    spec.in_channels = channels;
+    spec.out_channels = kernels;
+    return Case{nn::make_random_quant_network({spec}, seed).front(),
+                random_input(spec, seed)};
+  };
+  const Case large = make_case(16, 32, 256, 61);
+  const Case small = make_case(4, 16, 32, 62);
+
+  EdeaAccelerator edea;
+  baseline::SerializedDscAccelerator serialized;
+  int run = 0;
+  for (const Case* c : {&large, &small, &large}) {
+    SCOPED_TRACE("run " + std::to_string(run++));
+    expect_same_layer(edea.run_layer(c->layer, c->input),
+                      EdeaAccelerator().run_layer(c->layer, c->input));
+    const baseline::SerializedLayerResult reused =
+        serialized.run_layer(c->layer, c->input);
+    const baseline::SerializedLayerResult fresh =
+        baseline::SerializedDscAccelerator().run_layer(c->layer, c->input);
+    expect_same_layer(reused.common, fresh.common);
+    EXPECT_EQ(reused.dwc_phase_cycles, fresh.dwc_phase_cycles);
+    EXPECT_EQ(reused.pwc_phase_cycles, fresh.pwc_phase_cycles);
+    EXPECT_EQ(reused.intermediate_external_writes,
+              fresh.intermediate_external_writes);
+    EXPECT_EQ(reused.intermediate_external_reads,
+              fresh.intermediate_external_reads);
+  }
+}
+
 // --- (a) + (b): the cross-backend contract on every zoo network ------------
 
 TEST(BackendContractTest, EveryZooNetworkBitExactOutputsAndFig3Ordering) {

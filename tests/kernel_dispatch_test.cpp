@@ -474,7 +474,6 @@ void check_passes_match_steps(const EdeaConfig& cfg,
     const auto entries = static_cast<std::size_t>(tile.out_rows) *
                          static_cast<std::size_t>(tile.out_cols) *
                          static_cast<std::size_t>(K);
-    std::vector<std::int32_t> psum(entries);
     std::vector<std::int32_t> psum_ref(entries);
     const std::int64_t pitch = std::int64_t{tile.out_cols} * K;
     const int rows = tile.step_rows(cfg);
@@ -500,7 +499,10 @@ void check_passes_match_steps(const EdeaConfig& cfg,
       datapath.load_pwc_slice(slice);
       const std::span<const std::int8_t> pass = datapath.dwc_pass(src, tile);
       const std::vector<std::int8_t> block(pass.begin(), pass.end());
-      datapath.pwc_pass(block, tile, first, psum);
+      const std::span<const std::int32_t> psum_block =
+          datapath.pwc_pass(block, tile, first);
+      const std::vector<std::int32_t> psum(psum_block.begin(),
+                                           psum_block.end());
 
       // The slice's weights, gathered by hand.
       std::vector<std::int8_t> dwc_w(static_cast<std::size_t>(9 * C));
@@ -581,10 +583,12 @@ void check_passes_match_steps(const EdeaConfig& cfg,
       first = false;
     }
   }
-  EXPECT_EQ(datapath.dwc_activity(), dwc_ref);
-  EXPECT_EQ(datapath.pwc_activity(), pwc_ref);
-  EXPECT_EQ(datapath.max_abs_psum(), max_ref);
-  EXPECT_EQ(datapath.transfer_ops(), dwc_ref.useful_macs / 9);
+  LayerPartial tally;
+  datapath.fold_tallies(tally);
+  EXPECT_EQ(tally.dwc_activity, dwc_ref);
+  EXPECT_EQ(tally.pwc_activity, pwc_ref);
+  EXPECT_EQ(tally.max_abs_psum, max_ref);
+  EXPECT_EQ(tally.nonconv_transfer_ops, dwc_ref.useful_macs / 9);
 }
 
 TEST(KernelDispatchBlock, PassesMatchGenericStepsOneAtATime) {

@@ -290,6 +290,24 @@ TEST(ProtocolParseTest, OutOfRangeValuesAreProtocolErrorsNamingTheValue) {
   EXPECT_EQ(max_seed.request.seed, 18446744073709551615ull);
 }
 
+TEST(ProtocolParseTest, CountsAboveTheMaximumAreProtocolErrors) {
+  // Every count key accepts kMaxCount and rejects one more, naming the
+  // value; a rejected line leaves no request to resolve.
+  for (const char* key : {"batch", "dilation", "depth_multiplier"}) {
+    const std::string prefix = std::string("run edeanet-64 ") + key + "=";
+    const ParsedLine max = parse_request_line(prefix + "64");
+    ASSERT_EQ(max.kind, ParsedLine::Kind::kRun) << key;
+    for (const char* value : {"65", "1000000", "1073741824"}) {
+      SCOPED_TRACE(prefix + value);
+      const ParsedLine p = parse_request_line(prefix + value);
+      EXPECT_EQ(p.kind, ParsedLine::Kind::kError);
+      EXPECT_EQ(p.error, std::string("bad ") + key + " '" + value +
+                             "' (at most " + std::to_string(kMaxCount) + ")");
+    }
+  }
+  EXPECT_EQ(kMaxCount, 64);
+}
+
 TEST(ProtocolParseTest, SeedSharesTheStrictGrammar) {
   // ("seed=" with no value at all is rejected earlier, at key=value shape.)
   for (const char* bad : {"+7", "7x", "-7", "7.0"}) {

@@ -491,6 +491,44 @@ TEST(StdioStreamTest, EndlessLineGetsOneProtocolErrorThenTheSessionEnds) {
                               std::to_string(kMaxLineBytes) + " bytes");
 }
 
+// --- hostile request integers -----------------------------------------------
+
+TEST(SessionHostileLineTest, OutOfRangeCountsAndConfigsGetOneErrorEach) {
+  // Each value, reaching the arithmetic, would overflow an int or
+  // allocate without bound: the dilated padding, a network's multiplied
+  // channels, one result per image, kernel^2 in the DWC engine and the
+  // ifmap tile extent. The counts are protocol errors before the workload
+  // is resolved, so they cost no miss; the design points fail validation
+  // before an engine is built and answer an error outcome.
+  SimulationService svc;
+  WorkloadCatalog catalog;
+  const auto start = std::chrono::steady_clock::now();
+  const std::vector<std::string> responses = serve_stdio(
+      svc, catalog,
+      {"run mobilenet-0.25x dilation=1073741824",
+       "run mobilenet-0.25x depth_multiplier=400000000",
+       "run mobilenet-0.25x batch=1000000", "stats",
+       "run mobilenet-0.25x kernel=65535",
+       "run mobilenet-0.25x max_tile_out=1073741824"});
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(20));
+  ASSERT_EQ(responses.size(), 6u);
+  EXPECT_EQ(responses[0],
+            "protocol-error bad dilation '1073741824' (at most 64)");
+  EXPECT_EQ(responses[1],
+            "protocol-error bad depth_multiplier '400000000' (at most 64)");
+  EXPECT_EQ(responses[2], "protocol-error bad batch '1000000' (at most 64)");
+  EXPECT_EQ(responses[3],
+            "stats hits=0 misses=0 evictions=0 entries=0 inflight=0");
+  for (const auto& [line, message] :
+       {std::pair{responses[4], "kernel must be <= 15"},
+        std::pair{responses[5], "buffer tile must be <= 128"}}) {
+    EXPECT_EQ(line.rfind("error mobilenet-0.25x@1 ", 0), 0u) << line;
+    EXPECT_NE(line.find(" msg="), std::string::npos) << line;
+    EXPECT_NE(line.find(message), std::string::npos) << line;
+  }
+}
+
 // --- the client-side pipeline driver over loopback TCP ----------------------
 
 /// The request stream the pipeline tests replay: misses, a coalescable

@@ -3,6 +3,9 @@
 // MobileNetV1 layer.
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "core/dsc_datapath.hpp"
 #include "core/tiler.hpp"
 #include "nn/mobilenet.hpp"
 #include "util/check.hpp"
@@ -152,6 +155,36 @@ TEST(EdeaConfig, ValidationCatchesBadConfigs) {
   cfg = EdeaConfig::paper();
   cfg.tn = 0;
   EXPECT_THROW(cfg.validate(), PreconditionError);
+}
+
+TEST(EdeaConfig, ValidationBoundsEveryField) {
+  // The largest accepted value of every field at once: it validates, the
+  // ints derived from it stay far inside int range, and both engines
+  // build from it. One step past any single bound throws.
+  EdeaConfig big = EdeaConfig::paper();
+  big.tn = 16;
+  big.tm = 16;
+  big.td = 256;
+  big.tk = 256;
+  big.kernel = 15;
+  big.init_cycles = 65536;
+  big.max_tile_out = 128;
+  EXPECT_NO_THROW(big.validate());
+  EXPECT_EQ(big.dwc_mac_count(), 256 * 15 * 15 * 16 * 16);
+  EXPECT_EQ(big.pwc_mac_count(), 256 * 256 * 16 * 16);
+  EXPECT_EQ(big.ifmap_tile_extent(2), 127 * 2 + 15);
+  EXPECT_NO_THROW(DscDatapath{big});
+
+  const std::pair<int EdeaConfig::*, int> past[] = {
+      {&EdeaConfig::tn, 32},          {&EdeaConfig::tm, 32},
+      {&EdeaConfig::td, 257},         {&EdeaConfig::tk, 257},
+      {&EdeaConfig::kernel, 17},      {&EdeaConfig::init_cycles, 65537},
+      {&EdeaConfig::max_tile_out, 144}};
+  for (const auto& [field, value] : past) {
+    EdeaConfig cfg = big;
+    cfg.*field = value;
+    EXPECT_THROW(cfg.validate(), PreconditionError) << value;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 // (Fig. 10 and Fig. 13).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/timing.hpp"
 #include "nn/mobilenet.hpp"
 #include "util/check.hpp"
@@ -207,6 +210,51 @@ TEST(TimingModel, ScalingTkReducesCycles) {
   const nn::DscLayerSpec spec = spec_of(4, 512, 1, 512);
   EXPECT_EQ(base.layer_timing(spec).compute_cycles,
             2 * scaled.layer_timing(spec).compute_cycles);
+}
+
+TEST(TimingModel, FirstPassEventsFollowEq1OnAMultipliedStride2Layer) {
+  // Fig. 7 of a stride-2, depth-multiplier-2 layer at Td=16: 16 input
+  // channels make 32 intermediate ones, so the first slice carries 16;
+  // K=48 at Tk=16 makes 3 kernel groups, so step s starts at cycle
+  // init_cycles + 3s (Eq. 1's steady state).
+  EdeaConfig config = EdeaConfig::paper();
+  config.td = 16;
+  config.init_cycles = 5;
+  nn::DscLayerSpec spec = spec_of(16, 16, 2, 48);
+  spec.depth_multiplier = 2;
+  const std::vector<PipelineEvent> events =
+      TimingModel(config).first_pass_events(spec);
+
+  const auto expect_event = [&](std::size_t i, std::int64_t cycle,
+                                const std::string& stage,
+                                const std::string& detail) {
+    ASSERT_LT(i, events.size());
+    EXPECT_EQ(events[i].cycle, cycle) << "event " << i;
+    EXPECT_EQ(events[i].stage, stage) << "event " << i;
+    EXPECT_EQ(events[i].detail, detail) << "event " << i;
+  };
+  expect_event(0, 0, "DWC Input Ifmap & Weight", "tile(0,0) slice 0");
+  expect_event(1, 0, "PWC Input Weight", "slice weights for 48 kernels");
+  expect_event(2, 2, "DWC Input offline Data", "16 (k,b) pairs");
+  std::size_t i = 3;
+  for (int s = 0; s < 4; ++s) {
+    const std::int64_t cycle = 5 + 3 * s;
+    // 8x8 outputs make 4 steps per row: the first four are row 0.
+    expect_event(i++, cycle, "DWC Engine Process",
+                 "step (0," + std::to_string(s) + ")");
+    expect_event(i++, cycle, "Non-Conv Unit Process", "64 values");
+    expect_event(i++, cycle, "Write Intermediate Buffer",
+                 "half " + std::to_string(s % 2));
+    if (s < 2) expect_event(i++, cycle, "PWC Engine Process", "group k0=0");
+  }
+  EXPECT_EQ(events.size(), i);
+
+  // A one-step tile has one step's events.
+  const std::vector<PipelineEvent> single =
+      TimingModel(config).first_pass_events(spec_of(2, 8, 1, 16));
+  ASSERT_EQ(single.size(), 7u);
+  EXPECT_EQ(single.back().cycle, 5);
+  EXPECT_EQ(single[2].detail, "8 (k,b) pairs");
 }
 
 }  // namespace
